@@ -176,8 +176,13 @@ def _coeff_parse(field: FieldSpec, obj):
         if len(vec) != field.degree:
             raise ParseError("extension coefficient has the wrong length")
         return vec
-    q = Fraction(obj)
-    return field.coerce(int(q) if q.denominator == 1 else q)
+    if isinstance(obj, float):
+        raise ParseError(f"bad coefficient {obj!r}: floats are not exact")
+    try:
+        q = Fraction(obj)
+        return field.coerce(int(q) if q.denominator == 1 else q)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad coefficient {obj!r}: {exc}") from None
 
 
 def _poly_json(p: Poly) -> dict:

@@ -14,7 +14,6 @@ from .polyring import (
     INF,
     BlockOrder,
     DegRevLex,
-    Lex,
     Poly,
     RingCtx,
     TermOrder,
@@ -268,8 +267,13 @@ def radical_membership(f: Poly, ideal) -> bool:
 
 
 def contains_monomial(ideal) -> Optional[tuple]:
-    """A monomial lying in the ideal (smallest total degree, then smallest
-    exponent tuple), or None when the ideal contains no monomial."""
+    """A monomial lying in the ideal, or None when the ideal contains no
+    monomial.
+
+    The answer is the smallest member by total degree, then exponent tuple,
+    unless more than ``_WITNESS_ENUM_CAP`` candidates would have to be
+    tried; then it is the power (k, ..., k) of the product of all
+    variables with the least such k, which need not be the smallest."""
     handle = _as_handle(ideal)
     ctx = handle.ctx
     n = ctx.nvars

@@ -8,6 +8,7 @@ with a positive exponent in an INF slot has weighted degree INF.
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,10 +47,6 @@ def mono_coprime(a: Monomial, b: Monomial) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
-def mono_deg(a: Monomial) -> int:
-    return sum(a)
-
-
 def wdot(w: WeightVec, a: Monomial):
     """Weighted degree of a monomial; INF entries count only on positive
     exponents."""
@@ -70,9 +67,6 @@ class TermOrder:
 
     def key(self, mono: Monomial):
         raise NotImplementedError
-
-    def cache_key(self):
-        return repr(self)
 
 
 @dataclass(frozen=True)
@@ -193,13 +187,19 @@ class RingCtx:
 
 
 class Poly:
-    """Immutable-in-spirit sparse polynomial; do not mutate ``terms``."""
+    """Immutable-in-spirit sparse polynomial; do not mutate ``terms``.
 
-    __slots__ = ("terms", "ctx")
+    The leading term under the last order asked for is cached; it is not
+    part of equality, hashing or ``key()``.
+    """
+
+    __slots__ = ("terms", "ctx", "_lead_order", "_lead")
 
     def __init__(self, terms: dict, ctx: RingCtx):
         self.terms = terms
         self.ctx = ctx
+        self._lead_order = None
+        self._lead = None
 
     # construction helpers -------------------------------------------------
 
@@ -230,9 +230,6 @@ class Poly:
     def is_constant(self) -> bool:
         return all(not any(m) for m in self.terms)
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def total_degree(self) -> int:
         if not self.terms:
             raise ZeroPoly("degree of the zero polynomial")
@@ -240,10 +237,15 @@ class Poly:
 
     def lead(self, order: TermOrder):
         """(monomial, coefficient) of the order-largest term."""
+        cached = self._lead_order
+        if cached is order or cached == order:
+            return self._lead
         if not self.terms:
             raise ZeroPoly("leading term of the zero polynomial")
         m = max(self.terms, key=order.key)
-        return m, self.terms[m]
+        self._lead_order = order
+        self._lead = (m, self.terms[m])
+        return self._lead
 
     def coeff(self, mono: Monomial):
         return self.terms.get(tuple(mono), self.ctx.field.zero())
@@ -490,21 +492,45 @@ def in_w(f: Poly, w: WeightVec) -> Poly:
 
 # ------------------------------------------------------ division algorithm
 
+class _Desc:
+    """Heap entry ordered so that heapq pops the largest order key first.
+    Keys are nested tuples that may hold INF, so they cannot be negated."""
+
+    __slots__ = ("key", "mono")
+
+    def __init__(self, key, mono):
+        self.key = key
+        self.mono = mono
+
+    def __lt__(self, other):
+        return other.key < self.key
+
+
 def division(f: Poly, divisors: Sequence[Poly], order: TermOrder,
              with_quotients: bool = False):
     """Multivariate division by an ordered list under a global order.
 
     Returns the remainder, or (quotients, remainder) when requested; no
     remainder term is divisible by any divisor's leading monomial.
+
+    Terms are taken largest first from a heap keyed once per monomial as
+    it enters the work set.  A monomial that cancelled leaves a stale heap
+    entry, skipped when popped.  Every order key is injective on
+    monomials, so the pop sequence is that of a plain scan for the maximum.
     """
     ctx = f.ctx
     field = ctx.field
+    key = order.key
     leads = [g.lead(order) for g in divisors]
     quots = [dict() for _ in divisors] if with_quotients else None
     rem = {}
     work = dict(f.terms)
+    heap = [_Desc(key(m), m) for m in work]
+    heapq.heapify(heap)
     while work:
-        m = max(work, key=order.key)
+        m = heapq.heappop(heap).mono
+        if m not in work:
+            continue
         c = work.pop(m)
         for i, (lm, lc) in enumerate(leads):
             q = mono_div(m, lm)
@@ -522,12 +548,16 @@ def division(f: Poly, divisors: Sequence[Poly], order: TermOrder,
                 if gm == lm:
                     continue
                 t = mono_mul(gm, q)
-                v = field.sub(work.get(t, field.zero()),
+                old = work.get(t)
+                v = field.sub(field.zero() if old is None else old,
                               field.mul(factor, gc))
                 if field.is_zero(v):
-                    work.pop(t, None)
+                    if old is not None:
+                        del work[t]
                 else:
                     work[t] = v
+                    if old is None:
+                        heapq.heappush(heap, _Desc(key(t), t))
             break
         else:
             rem[m] = c

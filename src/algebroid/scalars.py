@@ -26,14 +26,34 @@ _ENUM_CAP = 4096        # largest finite field we will enumerate exhaustively
 _KRONECKER_CAP = 500000  # candidate cap for integer factor search
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Trial division by the primes up to 41, then Miller-Rabin with those
+    thirteen primes as bases.  The answer is proven for n < 3.3e24; above
+    that, n passes as a strong probable prime to the thirteen bases."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < _SMALL_PRIMES[-1] ** 2:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -53,6 +73,9 @@ class FieldSpec:
     def __post_init__(self):
         if self.characteristic != 0 and not _is_prime(self.characteristic):
             raise ValueError("characteristic must be 0 or a prime")
+        # built once: the extension arithmetic asks for it on every operation
+        object.__setattr__(self, "_base", FieldSpec(self.characteristic)
+                           if self.extension is not None else self)
         if self.extension is not None:
             base = self.base()
             coeffs = tuple(base.coerce(c) for c in self.extension)
@@ -66,7 +89,7 @@ class FieldSpec:
     # -------------------------------------------------------- structure
 
     def base(self) -> "FieldSpec":
-        return FieldSpec(self.characteristic) if self.extension else self
+        return self._base
 
     @property
     def degree(self) -> int:

@@ -8,7 +8,8 @@ meaningful:
 * exact truncated power series over Fraction, with binomial-series and
   fixed-point solvers good enough to parametrize the pool curves,
 * determinants by permutation expansion,
-* staircase (standard monomial) counting by breadth-first search.
+* staircase (standard monomial) counting by breadth-first search,
+* multivariate division that scans for the largest remaining term.
 """
 
 from fractions import Fraction
@@ -229,3 +230,50 @@ def staircase_count(generators, nvars):
             m2[i] += 1
             stack.append(tuple(m2))
     return len(seen)
+
+
+# ----------------------------------------------------------------- division
+
+def division_maxscan(terms, divisors, key, field):
+    """Multivariate division by an ordered list of divisors, taking the
+    largest remaining term by a full scan at every step.
+
+    terms and each divisor are dicts from exponent tuple to coefficient;
+    key is the order's sort key (larger key = larger monomial) and field
+    supplies zero, is_zero, add, sub, mul and div on coefficients.
+    Returns (quotient dicts, remainder dict), each filled in the order
+    the terms were reached.
+    """
+    leads = []
+    for g in divisors:
+        lm = max(g, key=key)
+        leads.append((lm, g[lm]))
+    quots = [{} for _ in divisors]
+    rem = {}
+    work = dict(terms)
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
+        for i, (lm, lc) in enumerate(leads):
+            if any(x < y for x, y in zip(m, lm)):
+                continue
+            q = tuple(x - y for x, y in zip(m, lm))
+            factor = field.div(c, lc)
+            s = field.add(quots[i].get(q, field.zero()), factor)
+            if field.is_zero(s):
+                quots[i].pop(q, None)
+            else:
+                quots[i][q] = s
+            for gm, gc in divisors[i].items():
+                if gm == lm:
+                    continue
+                t = tuple(x + y for x, y in zip(gm, q))
+                v = field.sub(work.get(t, field.zero()), field.mul(factor, gc))
+                if field.is_zero(v):
+                    work.pop(t, None)
+                else:
+                    work[t] = v
+            break
+        else:
+            rem[m] = c
+    return quots, rem

@@ -264,6 +264,17 @@ def test_flipped_verdict_fails_verification(tmp_path, capsys):
     assert "verdict" in out
 
 
+@pytest.mark.parametrize("bad", ["1/0", "abc", 0.5])
+def test_malformed_coefficient_exits_two(tmp_path, capsys, bad):
+    _, doc = report_for(tmp_path, CUSP)
+    doc["certificate"]["generators"][0]["terms"][0][1] = bad
+    out_path = tmp_path / "tampered.json"
+    out_path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", str(out_path))
+    assert code == 2
+    assert "bad coefficient" in err
+
+
 def test_unreadable_json_exits_two(tmp_path, capsys):
     out_path = tmp_path / "broken.json"
     out_path.write_text("{not json")

@@ -25,6 +25,7 @@ from algebroid.polyring import (
     wdot,
 )
 from algebroid.scalars import GF, QQ
+from oracles import division_maxscan
 
 
 CTX = RingCtx(QQ, ("x", "y", "z"))
@@ -192,3 +193,69 @@ def test_normal_form_idempotent():
         f = random_poly(rng, 5)
         r = normal_form(f, gens, order)
         assert normal_form(r, gens, order) == r
+
+
+# the orders a division can run under, each on three variables (the
+# homogenized local order reads the last one as the homogenizing variable)
+DIVISION_ORDERS = (
+    Lex(),
+    DegRevLex(),
+    WeightedOrder((2, 3, 1)),
+    WeightedOrder((2, INF, 1)),
+    WeightedOrder((1, 1, 2), Lex()),
+    BlockOrder(1),
+    BlockOrder(2, Lex(), DegRevLex()),
+    HomogenizedLocalOrder((2, 3)),
+)
+
+# Q, F_7 and F_5(th) with th^2 + 2 = 0
+DIVISION_FIELDS = (QQ, GF(7), GF(5, (2, 0)))
+
+
+def _random_coeff(rng, field):
+    if field.extension is not None:
+        return tuple(rng.randint(0, 4) for _ in range(field.degree))
+    if field.characteristic:
+        return rng.randint(0, field.characteristic - 1)
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+
+
+def _random_field_poly(rng, ctx, nterms):
+    items = [((rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)),
+              ctx.field.coerce(_random_coeff(rng, ctx.field)))
+             for _ in range(rng.randint(1, nterms))]
+    return Poly.from_items(items, ctx)
+
+
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=str)
+def test_division_matches_the_max_scan_reference(field):
+    ctx = RingCtx(field, ("x", "y", "h"))
+    rng = random.Random(31)
+    for order in DIVISION_ORDERS:
+        for _ in range(12):
+            f = _random_field_poly(rng, ctx, 8)
+            divisors = [g for g in (_random_field_poly(rng, ctx, 4)
+                                    for _ in range(rng.randint(1, 3))) if g]
+            quots, rem = division(f, divisors, order, with_quotients=True)
+            ref_quots, ref_rem = division_maxscan(
+                f.terms, [g.terms for g in divisors], order.key, field)
+            # same terms, reached in the same order
+            assert list(rem.terms.items()) == list(ref_rem.items())
+            assert [list(q.terms.items()) for q in quots] == \
+                [list(q.items()) for q in ref_quots]
+            assert normal_form(f, divisors, order) == rem
+
+
+def test_lead_follows_the_order_asked_for():
+    f = CTX.poly("x*y^2 + x^2 + y^3 + z^4")
+    a, b = Lex(), DegRevLex()
+    for _ in range(2):
+        assert f.lead(a) == ((2, 0, 0), 1)
+        assert f.lead(b) == ((0, 0, 4), 1)
+    # an equal but distinct order instance gives the same answer
+    w1 = WeightedOrder((1, 1, INF))
+    w2 = WeightedOrder((1, 1, INF))
+    assert w1 is not w2
+    assert f.lead(w1) == f.lead(w2) == ((0, 0, 4), 1)
+    assert f.lead(WeightedOrder((1, 1, 0))) == ((1, 2, 0), 1)
+    assert f.lead(a) == ((2, 0, 0), 1)

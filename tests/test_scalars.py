@@ -1,6 +1,7 @@
 """Field arithmetic and univariate root extraction."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from algebroid.scalars import (
     uv_gcd,
     uv_mul,
     uv_radical,
+    _is_prime,
 )
 
 
@@ -45,6 +47,41 @@ def test_field_mismatch_raises():
 def test_characteristic_must_be_prime():
     with pytest.raises(ValueError):
         FieldSpec(6)
+
+
+def test_large_prime_characteristic_is_accepted_quickly():
+    start = time.perf_counter()
+    field = FieldSpec(2 ** 61 - 1)
+    assert time.perf_counter() - start < 1.0
+    assert field.characteristic == 2 ** 61 - 1
+
+
+def test_carmichael_characteristic_is_rejected():
+    with pytest.raises(ValueError):
+        FieldSpec(561)  # 3 * 11 * 17, a Fermat pseudoprime to every base
+    with pytest.raises(ValueError):
+        FieldSpec((2 ** 61 - 1) * (2 ** 31 - 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    def slow(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(3000) if _is_prime(n)] == \
+        [n for n in range(3000) if slow(n)]
+    # strong pseudoprimes to the bases 2, to 2..7 and to 2..37
+    for n in (2047, 3215031751, 318665857834031151167461):
+        assert not _is_prime(n)
+
+
+def test_extension_base_is_built_once():
+    ext = GF(5, (2, 0))
+    assert ext.base() is ext.base()
+    assert ext.base() == GF(5) and hash(ext.base()) == hash(GF(5))
+    f5 = GF(5)
+    assert f5.base() is f5
+    # the stored base is not a dataclass field
+    assert ext == GF(5, (2, 0)) and hash(ext) == hash(GF(5, (2, 0)))
+    assert repr(ext) == "FieldSpec(characteristic=5, extension=(2, 0), ext_var='th')"
 
 
 def test_quadratic_extension_of_q():
