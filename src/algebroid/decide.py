@@ -370,8 +370,12 @@ def _monomial_witness(handle: IdealHandle, w: tuple) -> Optional[Poly]:
 
 # --------------------------------------------------------------- ray search
 
-def _balanced(lo: int, hi: int, center: float) -> List[int]:
-    return sorted(range(lo, hi + 1), key=lambda u: (abs(u - center), u))
+def _balanced(lo: int, hi: int, nf: int, lam: int,
+              lam_total: int) -> List[int]:
+    """lo..hi nearest the centre nf * lam / lam_total first, the smaller
+    of two equally near first; compared exactly, in integers."""
+    return sorted(range(lo, hi + 1),
+                  key=lambda u: (abs(u * lam_total - nf * lam), u))
 
 
 def _recovered_attachments(verdict: Verdict) -> List[Tuple[str, Poly]]:
@@ -422,7 +426,7 @@ def _rays_for_false(handle: IdealHandle, w: tuple, verdict: Verdict,
             lam2 = lam_total - lam
             v1, v2 = lam * vbar, lam2 * vbar
             lo, hi = lam * dbar, nf - lam2 * dbar
-            for u in _balanced(lo, hi, nf * lam / lam_total):
+            for u in _balanced(lo, hi, nf, lam, lam_total):
                 u2 = nf - u
                 if (u - v1) * (u2 - v2) < 0:
                     pool.append(tuple(lam * e for e in wb) + (u, v1))
@@ -439,7 +443,7 @@ def _rays_for_false(handle: IdealHandle, w: tuple, verdict: Verdict,
         for lam in range(1, lam_total):
             lam2 = lam_total - lam
             lo, hi = lam * dbar, nf - lam2 * dbar
-            for u in _balanced(lo, hi, nf * lam / lam_total):
+            for u in _balanced(lo, hi, nf, lam, lam_total):
                 base = tuple(lam * e for e in wb)
                 for d in range(d1, 0, -1):
                     pool.append(base + (u + d, u))

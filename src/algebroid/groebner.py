@@ -2,6 +2,11 @@
 that carries cofactor rows, and the ideal-level queries built on top:
 membership, radical membership, monomial content, staircase counting and
 Krull dimension of the leading-term ideal.
+
+``buchberger`` drops useless pairs as each polynomial enters, by the
+Gebauer-Moller criteria M, F and B and the product criterion, and divides
+each S-polynomial only by the current minimal basis: the elements whose
+leads no later lead divides.
 """
 
 from __future__ import annotations
@@ -9,7 +14,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import UnitIdeal
+from .errors import SolverLimitation, UnitIdeal
 from .polyring import (
     INF,
     BlockOrder,
@@ -21,6 +26,7 @@ from .polyring import (
     embed,
     mono_coprime,
     mono_div,
+    mono_divisible,
     mono_lcm,
     mono_mul,
     normal_form,
@@ -29,6 +35,8 @@ from .polyring import (
 
 _WITNESS_POWER_CAP = 256
 _WITNESS_ENUM_CAP = 20000
+# krull_dimension tries all 2^n variable subsets
+_KRULL_VARIABLE_CAP = 16
 
 
 # ------------------------------------------------------------- buchberger
@@ -45,53 +53,71 @@ def _spoly(f: Poly, g: Poly, order: TermOrder) -> Poly:
 
 def buchberger(gens: Sequence[Poly], order: TermOrder) -> List[Poly]:
     """Reduced Groebner basis under a global order, deterministically
-    sorted by ascending leading monomial."""
-    basis = [g for g in gens if not g.is_zero()]
-    if not basis:
-        return []
-    leads = [g.lead(order)[0] for g in basis]
-    pairs = set()
-    heap: list = []
+    sorted by ascending leading monomial.
 
-    def push(i, j):
-        pairs.add((i, j))
-        heapq.heappush(heap, (order.key(mono_lcm(leads[i], leads[j])), i, j))
+    Pairs are kept by the Gebauer-Moller update (Becker-Weispfenning,
+    Alg. UPDATE).  When a polynomial h enters, a new pair (g, h) is
+    dropped when the lcm of another new pair divides its own (criterion M,
+    which keeps one pair per equal lcm, F) or when the leads of g and h
+    are coprime (product criterion); a pending pair (g1, g2) is dropped
+    when lm(h) divides its lcm and that lcm differs from lcm(g1, h) and
+    lcm(g2, h) (criterion B).  Every element whose lead lm(h) divides then
+    leaves the active basis, which alone reduces the S-polynomials; its
+    pending pairs stay.  Pairs are taken lowest lcm first.
+    """
+    polys: List[Poly] = []
+    leads: list = []
+    active: List[int] = []
+    reducers: List[Poly] = []
+    heap: list = []   # pending pairs as (order key of lcm, i, j, lcm)
 
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            push(i, j)
+    def update(h: Poly) -> None:
+        nonlocal heap, active, reducers
+        new = len(polys)
+        lh = h.lead(order)[0]
+        polys.append(h)
+        leads.append(lh)
+        # New pairs (g, h) as (lcm degree, leads not coprime, index of g,
+        # lcm), sorted so that an lcm's proper divisors come before it, and
+        # so does an equal lcm kept in its place, a coprime one first.  The
+        # leads are coprime exactly when the lcm has the degree of their
+        # product.  A coprime pair drops the pairs above it but is not pushed.
+        new_pairs = []
+        dh = sum(lh)
+        for k in active:
+            lcm = mono_lcm(leads[k], lh)
+            d = sum(lcm)
+            new_pairs.append((d, d != sum(leads[k]) + dh, k, lcm))
+        new_pairs.sort()
+        kept = []
+        for pair in new_pairs:
+            _, useful, _, lcm = pair
+            if not useful or not any(mono_divisible(lcm, q[3]) for q in kept):
+                kept.append(pair)
+        # criterion B on the pending pairs (key, i, j, lcm)
+        pending = [p for p in heap
+                   if not mono_divisible(p[3], lh)
+                   or mono_lcm(leads[p[1]], lh) == p[3]
+                   or mono_lcm(leads[p[2]], lh) == p[3]]
+        if len(pending) < len(heap):
+            heap = pending
+            heapq.heapify(heap)
+        for _, useful, k, lcm in kept:
+            if useful:
+                heapq.heappush(heap, (order.key(lcm), k, new, lcm))
+        active = [k for k in active if not mono_divisible(leads[k], lh)]
+        active.append(new)
+        reducers = [polys[k] for k in active]
 
-    def chain_skippable(i, j):
-        lcm = mono_lcm(leads[i], leads[j])
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if mono_div(lcm, leads[k]) is None:
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a not in pairs and b not in pairs:
-                return True
-        return False
-
+    for g in gens:
+        if not g.is_zero():
+            update(g)
     while heap:
-        _, i, j = heapq.heappop(heap)
-        if (i, j) not in pairs:
-            continue
-        pairs.discard((i, j))
-        if mono_coprime(leads[i], leads[j]):
-            continue
-        if chain_skippable(i, j):
-            continue
-        r = normal_form(_spoly(basis[i], basis[j], order), basis, order)
-        if r.is_zero():
-            continue
-        basis.append(r)
-        leads.append(r.lead(order)[0])
-        new = len(basis) - 1
-        for k in range(new):
-            push(k, new)
-    return _reduce_basis(basis, order)
+        _, i, j, _ = heapq.heappop(heap)
+        r = normal_form(_spoly(polys[i], polys[j], order), reducers, order)
+        if not r.is_zero():
+            update(r)
+    return _reduce_basis(reducers, order)
 
 
 def _reduce_basis(basis: List[Poly], order: TermOrder) -> List[Poly]:
@@ -273,7 +299,8 @@ def contains_monomial(ideal) -> Optional[tuple]:
     The answer is the smallest member by total degree, then exponent tuple,
     unless more than ``_WITNESS_ENUM_CAP`` candidates would have to be
     tried; then it is the power (k, ..., k) of the product of all
-    variables with the least such k, which need not be the smallest."""
+    variables with the least such k, which need not be the smallest.
+    Raises SolverLimitation when that k exceeds ``_WITNESS_POWER_CAP``."""
     handle = _as_handle(ideal)
     ctx = handle.ctx
     n = ctx.nvars
@@ -287,7 +314,10 @@ def contains_monomial(ideal) -> Optional[tuple]:
         if normal_form(ctx.mono(cand), gb, DegRevLex()).is_zero():
             power = cand
             break
-    assert power is not None, "radical membership promised a power"
+    if power is None:
+        raise SolverLimitation(
+            "the ideal contains a power of the product of all variables, "
+            f"but none up to _WITNESS_POWER_CAP = {_WITNESS_POWER_CAP}")
     bound = sum(power)
     seen = 0
     for deg in range(1, bound + 1):
@@ -350,9 +380,14 @@ def colength(ideal) -> object:
 
 def krull_dimension(ideal, lt_monomials: Optional[Sequence[tuple]] = None) -> int:
     """Dimension of the leading-term ideal's zero set: the largest number
-    of variables meeting no generator's support."""
+    of variables meeting no generator's support.  Raises SolverLimitation
+    on more than ``_KRULL_VARIABLE_CAP`` variables."""
     handle = _as_handle(ideal)
     n = handle.ctx.nvars
+    if n > _KRULL_VARIABLE_CAP:
+        raise SolverLimitation(
+            f"krull_dimension supports at most _KRULL_VARIABLE_CAP = "
+            f"{_KRULL_VARIABLE_CAP} variables, got {n}")
     if lt_monomials is None:
         gb = handle.groebner()
         lt_monomials = [g.lead(DegRevLex())[0] for g in gb]

@@ -9,6 +9,7 @@ with a positive exponent in an INF slot has weighted degree INF.
 from __future__ import annotations
 
 import heapq
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,12 +40,17 @@ def mono_div(a: Monomial, b: Monomial) -> Optional[Monomial]:
     return tuple(out)
 
 
+def mono_divisible(a: Monomial, b: Monomial) -> bool:
+    """Whether b divides a."""
+    return all(map(operator.ge, a, b))
+
+
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_coprime(a: Monomial, b: Monomial) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    return not any(map(min, a, b))
 
 
 def wdot(w: WeightVec, a: Monomial):

@@ -9,9 +9,12 @@ meaningful:
   fixed-point solvers good enough to parametrize the pool curves,
 * determinants by permutation expansion,
 * staircase (standard monomial) counting by breadth-first search,
-* multivariate division that scans for the largest remaining term.
+* multivariate division that scans for the largest remaining term,
+* Buchberger's algorithm with the product and chain criteria, every
+  S-polynomial divided by all polynomials found so far.
 """
 
+import heapq
 from fractions import Fraction
 from itertools import permutations
 
@@ -277,3 +280,98 @@ def division_maxscan(terms, divisors, key, field):
         else:
             rem[m] = c
     return quots, rem
+
+
+# ---------------------------------------------------------------- groebner
+
+def buchberger_chain(gens, key, field):
+    """Reduced Groebner basis by Buchberger's algorithm: pairs taken lowest
+    lcm first (ties by index), skipped by the product criterion or when a
+    third lead divides their lcm and neither of its pairs with them is
+    pending (the chain criterion), each S-polynomial divided by every
+    polynomial found so far with division_maxscan.
+
+    gens are dicts from exponent tuple to coefficient, key and field as for
+    division_maxscan.  Returns monic dicts sorted by ascending leading
+    monomial; each is the remainder of its division by the other minimal
+    elements, or the element itself when it is the only one.
+    """
+    def lead(g):
+        return max(g, key=key)
+
+    def lcm(a, b):
+        return tuple(max(x, y) for x, y in zip(a, b))
+
+    def divides(b, a):
+        return all(x >= y for x, y in zip(a, b))
+
+    def spoly(f, g):
+        mf, mg = lead(f), lead(g)
+        m = lcm(mf, mg)
+        out = {}
+        for p, lm, factor in ((f, mf, field.inv(f[mf])),
+                              (g, mg, field.neg(field.inv(g[mg])))):
+            u = tuple(x - y for x, y in zip(m, lm))
+            for t, c in p.items():
+                t = tuple(x + y for x, y in zip(t, u))
+                v = field.add(out.get(t, field.zero()), field.mul(factor, c))
+                if field.is_zero(v):
+                    out.pop(t, None)
+                else:
+                    out[t] = v
+        return out
+
+    basis = [dict(g) for g in gens if g]
+    if not basis:
+        return []
+    leads = [lead(g) for g in basis]
+    pairs = set()
+    heap = []
+
+    def push(i, j):
+        pairs.add((i, j))
+        heapq.heappush(heap, (key(lcm(leads[i], leads[j])), i, j))
+
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            push(i, j)
+
+    def chain_skippable(i, j):
+        m = lcm(leads[i], leads[j])
+        for k in range(len(basis)):
+            if k in (i, j) or not divides(leads[k], m):
+                continue
+            if (min(i, k), max(i, k)) not in pairs and \
+                    (min(j, k), max(j, k)) not in pairs:
+                return True
+        return False
+
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        if (i, j) not in pairs:
+            continue
+        pairs.discard((i, j))
+        if all(x == 0 or y == 0 for x, y in zip(leads[i], leads[j])):
+            continue
+        if chain_skippable(i, j):
+            continue
+        _, r = division_maxscan(spoly(basis[i], basis[j]), basis, key, field)
+        if not r:
+            continue
+        basis.append(r)
+        leads.append(lead(r))
+        for k in range(len(basis) - 1):
+            push(k, len(basis) - 1)
+
+    basis.sort(key=lambda g: key(lead(g)))
+    kept = []
+    for g in basis:
+        if not any(divides(lead(h), lead(g)) for h in kept):
+            kept.append(g)
+    out = []
+    for i, g in enumerate(kept):
+        others = kept[:i] + kept[i + 1:]
+        r = division_maxscan(g, others, key, field)[1] if others else g
+        inv = field.inv(r[lead(r)])
+        out.append({m: field.mul(inv, c) for m, c in r.items()})
+    return sorted(out, key=lambda g: key(lead(g)))

@@ -6,6 +6,7 @@ import pytest
 
 from algebroid.decide import (
     Certificate,
+    _balanced,
     assert_preconditions,
     decide_irreducible,
     value_semigroup,
@@ -313,3 +314,20 @@ def test_unknown_kind_is_rejected():
     ok, reason = verify_certificate(replace(cert, kind="oracle"))
     assert not ok
     assert "unknown" in reason
+
+
+BIG = 5 * 10 ** 16
+
+
+@pytest.mark.parametrize("lo, hi, nf, lam, lam_total, expected", [
+    (0, 4, 5, 1, 2, [2, 3, 1, 4, 0]),           # centre 5/2: a tie
+    (0, 6, 7, 1, 3, [2, 3, 1, 4, 0, 5, 6]),     # centre 7/3
+    (1, 5, 10, 1, 3, [3, 4, 2, 5, 1]),          # centre 10/3
+    (3, 9, 20, 2, 3, [9, 8, 7, 6, 5, 4, 3]),    # centre 40/3, above hi
+    # centre BIG + 3/2, where a float centre rounds to BIG and every
+    # candidate would tie
+    (BIG, BIG + 3, 2 * BIG + 3, 1, 2, [BIG + 1, BIG + 2, BIG, BIG + 3]),
+])
+def test_balanced_ranks_by_the_exact_centre(lo, hi, nf, lam, lam_total,
+                                            expected):
+    assert _balanced(lo, hi, nf, lam, lam_total) == expected

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from algebroid.errors import UnitIdeal
+from algebroid import groebner
+from algebroid.errors import SolverLimitation, UnitIdeal
 from algebroid.groebner import (
     IdealHandle,
     buchberger,
@@ -20,10 +21,21 @@ from algebroid.groebner import (
     monomial_staircase_count,
     radical_membership,
 )
-from algebroid.polyring import INF, DegRevLex, Lex, Poly, RingCtx
+from algebroid.polyring import (
+    INF,
+    BlockOrder,
+    DegRevLex,
+    HomogenizedLocalOrder,
+    Lex,
+    Poly,
+    RingCtx,
+    WeightedOrder,
+)
 from algebroid.scalars import GF, QQ
 
-from oracles import staircase_count
+import oracles
+from oracles import buchberger_chain, staircase_count
+from test_polyring import DIVISION_FIELDS, _random_coeff
 
 CTX = RingCtx(QQ, ("x", "y", "z"))
 CTX2 = RingCtx(QQ, ("x", "y"))
@@ -82,6 +94,77 @@ def test_buchberger_matches_sympy_on_random_ideals():
                 raise AssertionError(f"no sympy partner for {og}")
 
 
+# global orders on three variables (the homogenized local order reads the
+# last one as the homogenizing variable).  An INF weight gives a monomial
+# order only when the tie ranks that variable first and agrees with the
+# finite weights on the others.
+GROEBNER_ORDERS = (
+    Lex(),
+    DegRevLex(),
+    WeightedOrder((INF, 2, 3), BlockOrder(1, Lex(), WeightedOrder((2, 3)))),
+    BlockOrder(1),
+    HomogenizedLocalOrder((2, 3)),
+)
+
+
+
+def _random_ideal(rng, ctx):
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        items = [((rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)),
+                  ctx.field.coerce(_random_coeff(rng, ctx.field)))
+                 for _ in range(rng.randint(1, 4))]
+        gens.append(Poly.from_items(items, ctx))
+    return gens
+
+
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=str)
+def test_buchberger_matches_the_chain_criterion_reference(field):
+    ctx = RingCtx(field, ("x", "y", "h"))
+    rng = random.Random(41)
+    for order in GROEBNER_ORDERS:
+        for _ in range(10):
+            gens = _random_ideal(rng, ctx)
+            ref = buchberger_chain([g.terms for g in gens], order.key, field)
+            got = buchberger(gens, order)
+            # same polynomials, each with its terms in the same order
+            assert [list(g.terms.items()) for g in got] == \
+                [list(r.items()) for r in ref]
+
+
+@pytest.mark.parametrize("texts, fewer", [
+    # x^2 divides the first lead, so x^2*y^2 leaves the active basis and
+    # its pair with y^3 is never formed; the reference reduces that pair
+    (("x^2*y^2", "x^2 + y"), True),
+    # criterion M drops new pairs whose lcm another new lcm properly divides
+    (("x*h^2 - y*h", "x^2*y*h^2"), False),
+])
+def test_buchberger_reduces_no_more_s_polynomials_than_the_reference(
+        monkeypatch, texts, fewer):
+    ctx = RingCtx(QQ, ("x", "y", "h"))
+    gens = [ctx.poly(t) for t in texts]
+    calls = {"buchberger": 0, "reference": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(groebner, "normal_form",
+                        counted("buchberger", groebner.normal_form))
+    monkeypatch.setattr(oracles, "division_maxscan",
+                        counted("reference", oracles.division_maxscan))
+    got = buchberger(gens, DegRevLex())
+    ref = buchberger_chain([g.terms for g in gens], DegRevLex().key, QQ)
+    assert [list(g.terms.items()) for g in got] == \
+        [list(r.items()) for r in ref]
+    # both counts include one division per element of the final basis
+    assert calls["buchberger"] <= calls["reference"]
+    if fewer:
+        assert calls["buchberger"] < calls["reference"]
+
+
 def test_buchberger_char_p():
     ctx = RingCtx(GF(2), ("x", "y"))
     gens = [ctx.poly("x^2 + y"), ctx.poly("y^2 + x")]
@@ -128,6 +211,13 @@ def test_contains_monomial_finds_minimal():
     assert contains_monomial(IdealHandle([CTX2.poly("x y")])) == (1, 1)
 
 
+def test_contains_monomial_names_the_power_cap(monkeypatch):
+    handle = IdealHandle([CTX2.poly("x^2"), CTX2.poly("y^2")])
+    monkeypatch.setattr(groebner, "_WITNESS_POWER_CAP", 1)
+    with pytest.raises(SolverLimitation, match="_WITNESS_POWER_CAP = 1"):
+        contains_monomial(handle)
+
+
 def test_staircase_count_matches_oracle():
     rng = random.Random(23)
     for _ in range(40):
@@ -158,6 +248,14 @@ def test_krull_dimension():
     assert krull_dimension(IdealHandle([CTX.poly("y^2 - x^3")])) == 2
     with pytest.raises(UnitIdeal):
         krull_dimension(IdealHandle([CTX2.one()]))
+
+
+def test_krull_dimension_caps_the_variable_count():
+    n = groebner._KRULL_VARIABLE_CAP + 1
+    ctx = RingCtx(QQ, tuple(f"x{i}" for i in range(n)))
+    message = f"_KRULL_VARIABLE_CAP = {n - 1} variables, got {n}"
+    with pytest.raises(SolverLimitation, match=message):
+        krull_dimension(IdealHandle([ctx.var(0)]))
 
 
 def test_eliminate():
