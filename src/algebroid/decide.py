@@ -33,6 +33,7 @@ from .errors import (
 )
 from .groebner import (
     IdealHandle,
+    _as_handle,
     contains_monomial,
     eliminate,
     fresh_names,
@@ -58,12 +59,6 @@ from .polyring import (
 from .semigroups import gcd_weights, membership, prim_generators
 
 _PERTURB_BUMPS = 8
-
-
-def _handle(ideal) -> IdealHandle:
-    if isinstance(ideal, IdealHandle):
-        return ideal
-    return IdealHandle(list(ideal))
 
 
 def _to_ctx(f: Poly, big: RingCtx) -> Poly:
@@ -194,7 +189,7 @@ def assert_preconditions(ideal) -> IdealHandle:
     """Check dimension, drop variables lying in the ideal (shrinking the
     ring), and require all-finite base weights.  Radicality is an input
     contract and is not checked here."""
-    handle = _handle(ideal)
+    handle = _as_handle(ideal)
     dim = krull_dimension(handle)
     if dim != 1:
         raise WrongDimension(f"expected a curve, got dimension {dim}")
@@ -538,7 +533,7 @@ def decide_irreducible(ideal, iter_cap: int = 256,
     certificate has already passed verification.  The input must be
     radical, unmixed of dimension one, with finite base weights (run
     assert_preconditions first)."""
-    handle = _handle(ideal)
+    handle = _as_handle(ideal)
     base_vars = handle.ctx.variables
     w = base_weights(handle)
     if any(e is INF for e in w):
@@ -606,7 +601,7 @@ def value_semigroup(ideal, iter_cap: int = 256,
     """For a prime curve ideal, return an isomorphic presentation whose
     weight vector generates the value semigroup.  A non-prime input
     surfaces as NotPrime."""
-    handle = _handle(ideal)
+    handle = _as_handle(ideal)
     w = base_weights(handle)
     if any(e is INF for e in w):
         raise InfiniteWeight(

@@ -1,12 +1,14 @@
-"""Buchberger's algorithm over exact fields, a certificate-tracked variant
-that carries cofactor rows, and the ideal-level queries built on top:
-membership, radical membership, monomial content, staircase counting and
-Krull dimension of the leading-term ideal.
+"""Buchberger's algorithm over exact fields and the ideal-level queries
+built on it: membership, radical membership, monomial content, staircases,
+colength, Krull dimension of the leading-term ideal and elimination.
 
-``buchberger`` drops useless pairs as each polynomial enters, by the
-Gebauer-Moller criteria M, F and B and the product criterion, and divides
-each S-polynomial only by the current minimal basis: the elements whose
-leads no later lead divides.
+There is one Buchberger loop.  It runs on rows (p, cofactors), where the
+cofactors express p in the input generators and are an empty tuple unless
+the caller tracks them (``buchberger_tagged``, used by the pivot reducer).
+It drops useless pairs as each row enters, by the Gebauer-Moller criteria
+M, F and B and the product criterion, and divides each S-polynomial only
+by the current minimal basis: the elements whose leads no later lead
+divides.
 """
 
 from __future__ import annotations
@@ -24,13 +26,10 @@ from .polyring import (
     TermOrder,
     division,
     embed,
-    mono_coprime,
     mono_div,
     mono_divisible,
     mono_lcm,
-    mono_mul,
     normal_form,
-    project,
 )
 
 _WITNESS_POWER_CAP = 256
@@ -41,41 +40,76 @@ _KRULL_VARIABLE_CAP = 16
 
 # ------------------------------------------------------------- buchberger
 
-def _spoly(f: Poly, g: Poly, order: TermOrder) -> Poly:
-    (mf, cf) = f.lead(order)
-    (mg, cg) = g.lead(order)
-    lcm = mono_lcm(mf, mg)
-    field = f.ctx.field
-    uf = mono_div(lcm, mf)
-    ug = mono_div(lcm, mg)
-    return f.term_mul(uf, field.inv(cf)) - g.term_mul(ug, field.inv(cg))
+# A row (p, cofactors) records p == sum(cofactor_k * original_k); the
+# cofactor tuple is empty when nobody tracks the combination.
+Row = Tuple[Poly, Tuple[Poly, ...]]
 
 
 def buchberger(gens: Sequence[Poly], order: TermOrder) -> List[Poly]:
     """Reduced Groebner basis under a global order, deterministically
-    sorted by ascending leading monomial.
+    sorted by ascending leading monomial."""
+    return [p for p, _ in _buchberger_rows([(g, ()) for g in gens], order)]
+
+
+def buchberger_tagged(rows: Sequence[Row], order: TermOrder) -> List[Row]:
+    """Buchberger on rows (p, cofactors): every output row satisfies
+    p == sum(cofactor_k * original_k) whenever the inputs do.  The output
+    polynomials form the reduced Groebner basis."""
+    return _buchberger_rows(rows, order)
+
+
+def _spoly(a: Row, b: Row, order: TermOrder) -> Row:
+    (f, ftags), (g, gtags) = a, b
+    (mf, cf) = f.lead(order)
+    (mg, cg) = g.lead(order)
+    lcm = mono_lcm(mf, mg)
+    field = f.ctx.field
+    uf, cf = mono_div(lcm, mf), field.inv(cf)
+    ug, cg = mono_div(lcm, mg), field.inv(cg)
+    return (f.term_mul(uf, cf) - g.term_mul(ug, cg),
+            tuple(s.term_mul(uf, cf) - t.term_mul(ug, cg)
+                  for s, t in zip(ftags, gtags)))
+
+
+def _row_nf(row: Row, basis: Sequence[Poly], tags: Sequence[tuple],
+            order: TermOrder) -> Row:
+    """Normal form of a row against the rows (basis[k], tags[k]), the
+    quotients carried into the cofactors."""
+    p, ptags = row
+    if not ptags:
+        return (normal_form(p, basis, order), ptags)
+    quots, rem = division(p, basis, order, with_quotients=True)
+    for q, btags in zip(quots, tags):
+        if not q.is_zero():
+            ptags = tuple(t - q * bt for t, bt in zip(ptags, btags))
+    return (rem, ptags)
+
+
+def _buchberger_rows(rows: Sequence[Row], order: TermOrder) -> List[Row]:
+    """The Buchberger loop, on rows.
 
     Pairs are kept by the Gebauer-Moller update (Becker-Weispfenning,
-    Alg. UPDATE).  When a polynomial h enters, a new pair (g, h) is
-    dropped when the lcm of another new pair divides its own (criterion M,
-    which keeps one pair per equal lcm, F) or when the leads of g and h
-    are coprime (product criterion); a pending pair (g1, g2) is dropped
-    when lm(h) divides its lcm and that lcm differs from lcm(g1, h) and
-    lcm(g2, h) (criterion B).  Every element whose lead lm(h) divides then
-    leaves the active basis, which alone reduces the S-polynomials; its
-    pending pairs stay.  Pairs are taken lowest lcm first.
+    Alg. UPDATE).  When a row h enters, a new pair (g, h) is dropped when
+    the lcm of another new pair divides its own (criterion M, which keeps
+    one pair per equal lcm, F) or when the leads of g and h are coprime
+    (product criterion); a pending pair (g1, g2) is dropped when lm(h)
+    divides its lcm and that lcm differs from lcm(g1, h) and lcm(g2, h)
+    (criterion B).  Every element whose lead lm(h) divides then leaves the
+    active basis, which alone reduces the S-polynomials; its pending pairs
+    stay.  Pairs are taken lowest lcm first.
     """
-    polys: List[Poly] = []
+    work: List[Row] = []
     leads: list = []
     active: List[int] = []
     reducers: List[Poly] = []
+    reducer_tags: List[tuple] = []
     heap: list = []   # pending pairs as (order key of lcm, i, j, lcm)
 
-    def update(h: Poly) -> None:
-        nonlocal heap, active, reducers
-        new = len(polys)
-        lh = h.lead(order)[0]
-        polys.append(h)
+    def update(h: Row) -> None:
+        nonlocal heap, active, reducers, reducer_tags
+        new = len(work)
+        lh = h[0].lead(order)[0]
+        work.append(h)
         leads.append(lh)
         # New pairs (g, h) as (lcm degree, leads not coprime, index of g,
         # lcm), sorted so that an lcm's proper divisors come before it, and
@@ -107,115 +141,40 @@ def buchberger(gens: Sequence[Poly], order: TermOrder) -> List[Poly]:
                 heapq.heappush(heap, (order.key(lcm), k, new, lcm))
         active = [k for k in active if not mono_divisible(leads[k], lh)]
         active.append(new)
-        reducers = [polys[k] for k in active]
+        reducers = [work[k][0] for k in active]
+        reducer_tags = [work[k][1] for k in active]
 
-    for g in gens:
-        if not g.is_zero():
-            update(g)
+    for row in rows:
+        if not row[0].is_zero():
+            update(row)
     while heap:
         _, i, j, _ = heapq.heappop(heap)
-        r = normal_form(_spoly(polys[i], polys[j], order), reducers, order)
-        if not r.is_zero():
+        r = _row_nf(_spoly(work[i], work[j], order), reducers, reducer_tags,
+                    order)
+        if not r[0].is_zero():
             update(r)
-    return _reduce_basis(reducers, order)
+    return _reduce_basis([work[k] for k in active], order)
 
 
-def _reduce_basis(basis: List[Poly], order: TermOrder) -> List[Poly]:
-    basis = sorted((g for g in basis if not g.is_zero()),
-                   key=lambda g: order.key(g.lead(order)[0]))
-    kept: List[Poly] = []
-    for g in basis:
-        lm = g.lead(order)[0]
-        if any(mono_div(lm, h.lead(order)[0]) is not None for h in kept):
-            continue
-        kept.append(g)
-    out = []
-    for i, g in enumerate(kept):
-        others = kept[:i] + kept[i + 1:]
-        r = normal_form(g, others, order) if others else g
-        out.append(r.monic(order))
-    return sorted(out, key=lambda g: order.key(g.lead(order)[0]))
-
-
-# --------------------------------------------------- tagged variant
-
-Row = Tuple[Poly, Tuple[Poly, ...]]
-
-
-def _row_combine(row: Row, mono, coeff) -> Row:
-    p, tags = row
-    return (p.term_mul(mono, coeff), tuple(t.term_mul(mono, coeff) for t in tags))
-
-
-def _row_sub(a: Row, b: Row) -> Row:
-    return (a[0] - b[0], tuple(x - y for x, y in zip(a[1], b[1])))
-
-
-def _row_nf(row: Row, rows: Sequence[Row], order: TermOrder) -> Row:
-    """Normal form of a row against a list of rows, cofactors mirrored."""
-    p, tags = row
-    basis = [r[0] for r in rows]
-    if not basis:
-        return row
-    quots, rem = division(p, basis, order, with_quotients=True)
-    for q, (bp, btags) in zip(quots, rows):
-        if q.is_zero():
-            continue
-        tags = tuple(t - q * bt for t, bt in zip(tags, btags))
-    return (rem, tags)
-
-
-def buchberger_tagged(rows: Sequence[Row], order: TermOrder) -> List[Row]:
-    """Buchberger on rows (p, cofactors): every output row satisfies
-    p == sum(cofactor_k * original_k) whenever the inputs do.  The output
-    polynomials form the reduced Groebner basis."""
-    work: List[Row] = [r for r in rows if not r[0].is_zero()]
-    if not work:
-        return []
-    leads = [r[0].lead(order)[0] for r in work]
-    pairs = {(i, j) for i in range(len(work)) for j in range(i + 1, len(work))}
-    while pairs:
-        i, j = min(pairs, key=lambda p: (order.key(mono_lcm(leads[p[0]], leads[p[1]])),
-                                         p[0], p[1]))
-        pairs.discard((i, j))
-        if mono_coprime(leads[i], leads[j]):
-            continue
-        field = work[0][0].ctx.field
-        lcm = mono_lcm(leads[i], leads[j])
-        (mi, ci) = work[i][0].lead(order)
-        (mj, cj) = work[j][0].lead(order)
-        left = _row_combine(work[i], mono_div(lcm, mi), field.inv(ci))
-        right = _row_combine(work[j], mono_div(lcm, mj), field.inv(cj))
-        r = _row_nf(_row_sub(left, right), work, order)
-        if r[0].is_zero():
-            continue
-        work.append(r)
-        leads.append(r[0].lead(order)[0])
-        new = len(work) - 1
-        for k in range(new):
-            pairs.add((k, new))
-    return _reduce_rows(work, order)
-
-
-def _reduce_rows(rows: List[Row], order: TermOrder) -> List[Row]:
-    rows = sorted((r for r in rows if not r[0].is_zero()),
-                  key=lambda r: order.key(r[0].lead(order)[0]))
+def _reduce_basis(rows: List[Row], order: TermOrder) -> List[Row]:
+    """The reduced basis from a Groebner basis: drop each row whose lead
+    another kept lead divides, reduce the rest by each other, make them
+    monic.  Sorted by ascending leading monomial: no kept lead divides
+    another, so each reduction keeps its row's lead."""
+    rows = sorted(rows, key=lambda r: order.key(r[0].lead(order)[0]))
     kept: List[Row] = []
     for r in rows:
         lm = r[0].lead(order)[0]
-        if any(mono_div(lm, k[0].lead(order)[0]) is not None for k in kept):
-            continue
-        kept.append(r)
+        if not any(mono_divisible(lm, k[0].lead(order)[0]) for k in kept):
+            kept.append(r)
     out = []
-    for i, r in enumerate(kept):
+    for i, row in enumerate(kept):
         others = kept[:i] + kept[i + 1:]
-        rem, tags = _row_nf(r, others, order) if others else r
-        field = rem.ctx.field
-        if rem.is_zero():
-            continue
-        c = field.inv(rem.lead(order)[1])
-        out.append((rem.scale(c), tuple(t.scale(c) for t in tags)))
-    return sorted(out, key=lambda r: order.key(r[0].lead(order)[0]))
+        p, tags = _row_nf(row, [o[0] for o in others], [o[1] for o in others],
+                          order) if others else row
+        c = p.ctx.field.inv(p.lead(order)[1])
+        out.append((p.scale(c), tuple(t.scale(c) for t in tags)))
+    return out
 
 
 # ------------------------------------------------------------ ideal handle
@@ -342,16 +301,17 @@ def _monos_of_degree(n: int, deg: int):
 
 # --------------------------------------------------------- staircase sizes
 
-def monomial_staircase_count(lt_monomials: Sequence[tuple], nvars: int):
-    """Number of monomials outside the monomial ideal generated by the
-    given leading monomials; INF when infinite, 0 when 1 is among them."""
+def monomial_staircase(lt_monomials: Sequence[tuple], nvars: int) -> Optional[set]:
+    """The set of monomials outside the monomial ideal generated by the
+    given leading monomials; None when there are infinitely many, empty
+    when 1 is among them."""
     gens = [tuple(m) for m in lt_monomials]
     if any(not any(m) for m in gens):
-        return 0
+        return set()
     for i in range(nvars):
         if not any(all(e == 0 for k, e in enumerate(m) if k != i) and m[i] > 0
                    for m in gens):
-            return INF
+            return None
     seen = {(0,) * nvars}
     frontier = [(0,) * nvars]
     while frontier:
@@ -360,11 +320,11 @@ def monomial_staircase_count(lt_monomials: Sequence[tuple], nvars: int):
             nxt = cur[:i] + (cur[i] + 1,) + cur[i + 1:]
             if nxt in seen:
                 continue
-            if any(mono_div(nxt, g) is not None for g in gens):
+            if any(mono_divisible(nxt, g) for g in gens):
                 continue
             seen.add(nxt)
             frontier.append(nxt)
-    return len(seen)
+    return seen
 
 
 def colength(ideal) -> object:
@@ -374,8 +334,9 @@ def colength(ideal) -> object:
     gb = handle.groebner()
     if not gb:
         return INF if handle.ctx.nvars else 1
-    lt = [g.lead(DegRevLex())[0] for g in gb]
-    return monomial_staircase_count(lt, handle.ctx.nvars)
+    stairs = monomial_staircase([g.lead(DegRevLex())[0] for g in gb],
+                                handle.ctx.nvars)
+    return INF if stairs is None else len(stairs)
 
 
 def krull_dimension(ideal, lt_monomials: Optional[Sequence[tuple]] = None) -> int:

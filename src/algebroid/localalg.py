@@ -15,9 +15,10 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .errors import ZeroPoly
 from .groebner import (
     IdealHandle,
+    _as_handle,
     buchberger,
     fresh_names,
-    monomial_staircase_count,
+    monomial_staircase,
 )
 from .polyring import (
     INF,
@@ -29,12 +30,6 @@ from .polyring import (
 )
 
 IdealLike = Union[IdealHandle, Sequence[Poly]]
-
-
-def _handle(ideal: IdealLike) -> IdealHandle:
-    if isinstance(ideal, IdealHandle):
-        return ideal
-    return IdealHandle(tuple(ideal))
 
 
 def _check_weights(w, nvars: int) -> tuple:
@@ -98,7 +93,7 @@ def _hom_groebner(handle: IdealHandle, w: tuple):
 def standard_basis(ideal: IdealLike, w: Optional[Sequence[int]] = None) -> List[Poly]:
     """Standard basis for the local order 'smallest w-degree first,
     degrevlex among equals' (w defaults to all ones)."""
-    handle = _handle(ideal)
+    handle = _as_handle(ideal)
     w = _check_weights(w if w is not None else (1,) * handle.ctx.nvars,
                        handle.ctx.nvars)
     gb, _, _ = _hom_groebner(handle, w)
@@ -108,7 +103,7 @@ def standard_basis(ideal: IdealLike, w: Optional[Sequence[int]] = None) -> List[
 def local_lead_monomials(ideal: IdealLike,
                          w: Optional[Sequence[int]] = None) -> List[tuple]:
     """Monomial generators of the local leading-term ideal."""
-    handle = _handle(ideal)
+    handle = _as_handle(ideal)
     w = _check_weights(w if w is not None else (1,) * handle.ctx.nvars,
                        handle.ctx.nvars)
     gb, _, order = _hom_groebner(handle, w)
@@ -119,7 +114,7 @@ def local_lead_monomials(ideal: IdealLike,
 def initial_ideal(ideal: IdealLike, w: Sequence[int]) -> List[Poly]:
     """Generators of the ideal of lowest-w-degree forms: the initial forms
     of a standard basis, deduplicated."""
-    handle = _handle(ideal)
+    handle = _as_handle(ideal)
     w = _check_weights(w, handle.ctx.nvars)
     seen = set()
     out = []
@@ -137,18 +132,19 @@ def initial_ideal(ideal: IdealLike, w: Sequence[int]) -> List[Poly]:
 def local_colength(ideal: IdealLike, w: Optional[Sequence[int]] = None):
     """Vector-space dimension of the power-series quotient, INF when the
     quotient is not finite dimensional."""
-    handle = _handle(ideal)
+    handle = _as_handle(ideal)
     leads = local_lead_monomials(handle, w)
     if not leads:
         return INF if handle.ctx.nvars else 1
-    return monomial_staircase_count(leads, handle.ctx.nvars)
+    stairs = monomial_staircase(leads, handle.ctx.nvars)
+    return INF if stairs is None else len(stairs)
 
 
 def intersection_number(f: Poly, ideal: IdealLike,
                         w: Optional[Sequence[int]] = None):
     """Colength of the ideal together with f; INF when f is a zero divisor
     direction (or lies in the ideal)."""
-    handle = _handle(ideal)
+    handle = _as_handle(ideal)
     if f.is_zero():
         return local_colength(handle, w)
     gens = tuple(handle.generators) + (f,)
@@ -158,7 +154,7 @@ def intersection_number(f: Poly, ideal: IdealLike,
 def base_weights(ideal: IdealLike) -> tuple:
     """Intersection numbers of the coordinate functions, as a weight vector
     (entries may be INF)."""
-    handle = _handle(ideal)
+    handle = _as_handle(ideal)
     ctx = handle.ctx
     return tuple(intersection_number(ctx.var(i), handle)
                  for i in range(ctx.nvars))

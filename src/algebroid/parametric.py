@@ -13,7 +13,7 @@ by layer in the pivot exponent, so truncation at pivot^N is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import (
     CertificateSearchFailed,
@@ -23,7 +23,13 @@ from .errors import (
     TruncationExhausted,
     UnequalBase,
 )
-from .groebner import IdealHandle, buchberger_tagged, _row_nf
+from .groebner import (
+    IdealHandle,
+    _row_nf,
+    buchberger_tagged,
+    monomial_staircase,
+    radical_membership,
+)
 from .localalg import (
     hom_ring,
     homogenize,
@@ -37,10 +43,8 @@ from .polyring import (
     Poly,
     RingCtx,
     embed,
-    mono_div,
 )
-from .groebner import radical_membership
-from .scalars import FieldSpec, Scalar, univariate_roots, uv_divmod
+from .scalars import FieldSpec, Scalar, univariate_roots, uv_divmod, uv_eval
 
 _STABILIZE_CAP = 400
 
@@ -77,31 +81,6 @@ def choose_pivot(ideal: IdealHandle) -> Tuple[int, int]:
     return best
 
 
-def _staircase_members(lt_monomials: Sequence[tuple], nvars: int):
-    """All monomials outside the monomial ideal, ascending by exponent
-    tuple; None when there are infinitely many."""
-    gens = [tuple(m) for m in lt_monomials]
-    if any(not any(m) for m in gens):
-        return []
-    for i in range(nvars):
-        if not any(all(e == 0 for k, e in enumerate(m) if k != i) and m[i] > 0
-                   for m in gens):
-            return None
-    seen = {(0,) * nvars}
-    frontier = [(0,) * nvars]
-    while frontier:
-        cur = frontier.pop()
-        for i in range(nvars):
-            nxt = cur[:i] + (cur[i] + 1,) + cur[i + 1:]
-            if nxt in seen:
-                continue
-            if any(mono_div(nxt, g) is not None for g in gens):
-                continue
-            seen.add(nxt)
-            frontier.append(nxt)
-    return sorted(seen)
-
-
 class _PivotReducer:
     """Rewrite engine for one (ideal, pivot) pair: memoized rules
     v = r_v + pivot * b_v (mod I) with r_v supported on the free basis."""
@@ -121,13 +100,15 @@ class _PivotReducer:
             tags = [self.big.zero()] * len(originals)
             tags[k] = self.big.one()
             rows.append((homogenize(g, w, self.big), tuple(tags)))
-        self.rows = buchberger_tagged(rows, self.order)
-        lt = {r[0].lead(self.order)[0][:-1] for r in self.rows}
-        members = _staircase_members(sorted(lt), ctx.nvars)
+        rows = buchberger_tagged(rows, self.order)
+        self.gb = [p for p, _ in rows]
+        self.cofactors = [t for _, t in rows]
+        lt = {p.lead(self.order)[0][:-1] for p in self.gb}
+        members = monomial_staircase(lt, ctx.nvars)
         if members is None:
             raise InfinitePivot(
                 f"pivot {ctx.variables[pivot]} has infinite intersection number")
-        self.gamma = tuple(members)
+        self.gamma = tuple(sorted(members))
         self.gamma_index = {m: i for i, m in enumerate(self.gamma)}
         self._rules: Dict[tuple, tuple] = {}
 
@@ -147,7 +128,7 @@ class _PivotReducer:
         for s in range(_STABILIZE_CAP):
             hom_mono = v + (s,)
             row = (Poly({hom_mono: field.one()}, big), zero_tags)
-            rem, tags = _row_nf(row, self.rows, self.order)
+            rem, tags = _row_nf(row, self.gb, self.cofactors, self.order)
             r = dehomogenize(rem, self.ctx)
             coords = {}
             ok = True
@@ -364,13 +345,22 @@ class ParametricOrder:
 
     def coefficient(self, k: int) -> list:
         """Parameter polynomial c_k (ascending payload list)."""
-        items = [(d, c) for (d, e), c in self.determinant.items() if e == k]
-        if not items:
-            return []
-        out = [self.field.zero()] * (max(d for d, _ in items) + 1)
-        for d, c in items:
-            out[d] = self.field.add(out[d], c)
-        return out
+        return _coefficients(self.determinant, self.field).get(k, [])
+
+
+def _coefficients(D: dict, field: FieldSpec) -> Dict[int, list]:
+    """The parameter polynomials c_k of a determinant {(parameter exponent,
+    pivot exponent k): payload}, as ascending payload lists keyed by k."""
+    by_x: Dict[int, dict] = {}
+    for (d, e), c in D.items():
+        by_x.setdefault(e, {})[d] = c
+    out = {}
+    for k, slot in by_x.items():
+        ck = [field.zero()] * (max(slot) + 1)
+        for d, c in slot.items():
+            ck[d] = c
+        out[k] = ck
+    return out
 
 
 def _lift_poly(f: Poly, target_ctx: RingCtx) -> Poly:
@@ -423,59 +413,30 @@ def parametric_intersection(f: Poly, g: Poly, ideal: IdealHandle,
             row.append(e)
         entries.append(tuple(row))
     D = _det(entries, n, field, N)
-    by_x: Dict[int, dict] = {}
-    for (d, e), c in D.items():
-        by_x.setdefault(e, {})[d] = c
-    k0 = None
-    for k in sorted(by_x):
-        if by_x[k]:
-            k0 = k
-            break
+    coeffs = _coefficients(D, field)
+    k0 = min(coeffs, default=None)
     assert k0 is not None and k0 <= nf, \
         "determinant order must appear at or below the base value"
     # normalize the sign so the leading parameter coefficient at the
     # generic order is positive (when the field orders payloads)
-    lead = by_x[k0][max(by_x[k0])]
-    if field.characteristic == 0 and field.extension is None and lead < 0:
+    if field.characteristic == 0 and field.extension is None \
+            and coeffs[k0][-1] < 0:
         D = _bneg(D, field)
-        by_x = {e: {d: field.neg(c) for d, c in slot.items()}
-                for e, slot in by_x.items()}
-    c_k0 = [field.zero()] * (max(by_x[k0]) + 1)
-    for d, c in by_x[k0].items():
-        c_k0[d] = c
-    roots, residual = univariate_roots(c_k0, field)
+        coeffs = _coefficients(D, field)
+    roots, residual = univariate_roots(coeffs[k0], field)
+    # the jump at a root or residual factor is the first higher c_k that
+    # does not vanish there
+    higher = [(k, coeffs[k]) for k in sorted(coeffs) if k > k0]
     exceptional = []
     for r in roots:
-        val = None
-        for k in range(k0 + 1, N):
-            slot = by_x.get(k)
-            if not slot:
-                continue
-            ck = [field.zero()] * (max(slot) + 1)
-            for d, c in slot.items():
-                ck[d] = c
-            acc = field.zero()
-            for c in reversed(ck):
-                acc = field.add(field.mul(acc, r.value), c)
-            if not field.is_zero(acc):
-                val = k
-                break
+        val = next((k for k, ck in higher
+                    if not field.is_zero(uv_eval(ck, r.value, field))), None)
         if val is None:
             val = intersection_number(f - g.scale(r.value), ideal)
         exceptional.append(ExceptionalValue(value=val, beta=r))
     for fac in residual:
-        val = None
-        for k in range(k0 + 1, N):
-            slot = by_x.get(k)
-            if not slot:
-                continue
-            ck = [field.zero()] * (max(slot) + 1)
-            for d, c in slot.items():
-                ck[d] = c
-            _, rem = uv_divmod(ck, list(fac), field)
-            if rem:
-                val = k
-                break
+        val = next((k for k, ck in higher
+                    if uv_divmod(ck, list(fac), field)[1]), None)
         if val is None:
             if field.extension is not None:
                 raise SolverLimitation(

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional
 
 from .errors import AllInfinite, NotPrimitive
-from .groebner import IdealHandle, buchberger, fresh_names
+from .groebner import buchberger
 from .polyring import (
     INF,
     BlockOrder,
@@ -23,7 +23,6 @@ from .polyring import (
     Poly,
     RingCtx,
     normal_form,
-    project,
 )
 from .scalars import QQ
 
@@ -119,22 +118,11 @@ def prim_generators(w, ctx: Optional[RingCtx] = None) -> List[Poly]:
         ctx = RingCtx(QQ, tuple(f"x{i + 1}" for i in range(len(w))))
     if ctx.nvars != len(w):
         raise ValueError("weight length does not match the ring")
-    tname = fresh_names(ctx.variables, "t")[0]
-    big = RingCtx(ctx.field, (tname,) + ctx.variables)
-    order = BlockOrder(1, DegRevLex(), DegRevLex())
-    gens = []
-    for i, wi in enumerate(w):
-        t_pow = [0] * big.nvars
-        t_pow[0] = wi
-        var = [0] * big.nvars
-        var[i + 1] = 1
-        gens.append(big.mono(var) - big.mono(t_pow))
-    gb = buchberger(gens, order)
-    out = []
-    for g in gb:
-        if all(m[0] == 0 for m in g.terms):
-            out.append(project(g, ctx, range(1, big.nvars)))
-    return out
+    # every weight is finite, so the elimination ring is t, g0, ..., g(n-1)
+    _, _, gb, _ = _elimination_data(_as_spec(w))
+    coerce = ctx.field.coerce
+    return [Poly({m[1:]: coerce(c) for m, c in g.terms.items()}, ctx)
+            for g in gb if all(m[0] == 0 for m in g.terms)]
 
 
 def gcd_weights(w) -> int:

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from algebroid import semigroups
 from algebroid.errors import AllInfinite, NotPrimitive
+from algebroid.groebner import buchberger
 from algebroid.polyring import INF, RingCtx
 from algebroid.scalars import GF, QQ
 from algebroid.semigroups import (
@@ -95,6 +97,23 @@ def test_prim_generators_respects_field():
     gens = prim_generators((2, 3), ctx)
     assert len(gens) == 1
     assert gens[0] == ctx.poly("x^3 + y^2")
+
+
+def test_prim_generators_reuse_the_membership_basis(monkeypatch):
+    builds = []
+
+    def counted(gens, order):
+        builds.append(order)
+        return buchberger(gens, order)
+
+    monkeypatch.setattr(semigroups, "buchberger", counted)
+    w = (7, 9, 17)
+    membership(40, w)
+    before = len(builds)
+    for field in (QQ, GF(2), GF(7)):
+        ctx = RingCtx(field, ("x", "y", "z"))
+        assert prim_generators(w, ctx)
+    assert len(builds) == before
 
 
 def test_gcd_weights():
