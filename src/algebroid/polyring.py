@@ -49,10 +49,6 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(max, a, b))
 
 
-def mono_coprime(a: Monomial, b: Monomial) -> bool:
-    return not any(map(min, a, b))
-
-
 def wdot(w: WeightVec, a: Monomial):
     """Weighted degree of a monomial; INF entries count only on positive
     exponents."""

@@ -402,11 +402,6 @@ def _uv_deg(f: Sequence) -> int:
     return len(f) - 1
 
 
-def uv_deg(f: Sequence, field: FieldSpec) -> int:
-    """Degree after trimming; -1 for the zero polynomial."""
-    return _uv_deg(_uv_trim(f, field))
-
-
 def uv_add(f, g, field: FieldSpec) -> list:
     n = max(len(f), len(g))
     out = []

@@ -2,28 +2,28 @@
 deterministic witness exponent, gcd and conductor, and the toric ideal of
 relations among the weights.
 
-Membership and the relation ideal both come from one elimination
-computation: the basis of <x_i - t^(w_i)> under a block order with t in
-front rewrites t^N to a pure x-monomial exactly when N lies in the
-semigroup, and its x-only elements generate the relation ideal.
+Membership and the relation ideal both come from the reduced basis of
+<g_i - t^(w_i)> under a block order with t in front.  Its elements are
+unit binomials x^a - x^b, so membership rewrites exponent tuples a -> b
+(the Conti-Traverso reduction): NF(t^N), one monomial, is free of t
+exactly when N lies in the semigroup.  As normal forms are unique, it is
+reached through a per-vector power table NF(t^(2^k)) in O(log N) short
+rewrites.  The t-free elements of the basis generate the relation ideal.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 import math
+import threading
 from dataclasses import dataclass
+from operator import add, ge, sub
 from typing import List, Optional
 
-from .errors import AllInfinite, NotPrimitive
+from .errors import AlgebroidError, AllInfinite, NotPrimitive
 from .groebner import buchberger
-from .polyring import (
-    INF,
-    BlockOrder,
-    DegRevLex,
-    Poly,
-    RingCtx,
-    normal_form,
-)
+from .polyring import INF, BlockOrder, DegRevLex, Poly, RingCtx
 from .scalars import QQ
 
 
@@ -58,50 +58,65 @@ def _as_spec(w) -> SemigroupSpec:
     return SemigroupSpec(tuple(w))
 
 
-_ELIM_CACHE: dict = {}
+@functools.lru_cache(maxsize=64)
+def _elimination_data(generators: tuple):
+    """For the finite entries of a weight vector: the elimination basis,
+    the positions of those entries, the basis as rewrite rules (lead
+    exponent, tail exponent), and the power table [NF(t^(2^k))] that
+    membership grows."""
+    positions = [i for i, g in enumerate(generators) if not _is_inf(g)]
+    ctx = RingCtx(QQ, ("t",) + tuple(f"g{i}" for i in positions))
+    order = BlockOrder(1, DegRevLex(), DegRevLex())
+    t_free = (0,) * len(positions)
+    gb = buchberger([ctx.var(slot) - ctx.mono((generators[i],) + t_free)
+                     for slot, i in enumerate(positions, 1)], order)
+    rules = []
+    for g in gb:
+        lead, lc = g.lead(order)
+        tail = min(g.terms, key=order.key)
+        if len(g.terms) != 2 or lc != 1 or g.terms[tail] != -1:
+            raise AlgebroidError(
+                f"semigroup membership: the toric basis of {generators} "
+                f"has {g}, which is not a unit binomial x^a - x^b")
+        rules.append((lead, tail))
+    return gb, positions, rules, [_rewrite((1,) + t_free, rules)]
 
 
-def _elimination_data(spec: SemigroupSpec):
-    key = spec.generators
-    if key not in _ELIM_CACHE:
-        finite = spec.finite_entries()
-        names = ["t"] + [f"g{i}" for i, _ in finite]
-        ctx = RingCtx(QQ, tuple(names))
-        order = BlockOrder(1, DegRevLex(), DegRevLex())
-        gens = []
-        for slot, (_, w) in enumerate(finite):
-            t_pow = [0] * ctx.nvars
-            t_pow[0] = w
-            var = [0] * ctx.nvars
-            var[slot + 1] = 1
-            gens.append(ctx.mono(var) - ctx.mono(t_pow))
-        gb = buchberger(gens, order)
-        _ELIM_CACHE[key] = (ctx, order, gb, [i for i, _ in finite])
-    return _ELIM_CACHE[key]
+def _rewrite(mono: tuple, rules) -> tuple:
+    """The normal form of a monomial: while a rule's lead divides it,
+    replace that lead by the rule's tail."""
+    while True:
+        for lead, tail in rules:
+            if all(map(ge, mono, lead)):
+                mono = tuple(map(add, map(sub, mono, lead), tail))
+                break
+        else:
+            return mono
+
+
+_GROWING = threading.Lock()  # callers share the power tables via the cache
 
 
 def membership(N: int, w) -> Optional[tuple]:
     """A witness exponent c with N = c . w when N lies in the semigroup,
-    None otherwise.  The witness is the remainder exponent of t^N under
-    the elimination basis, so repeated runs agree."""
+    None otherwise.  The witness is the exponent of NF(t^N) under the
+    elimination basis, so repeated runs agree."""
     spec = _as_spec(w)
-    r = len(spec.generators)
-    if N == 0:
-        return (0,) * r
     if not isinstance(N, int) or N < 0:
         return None
-    ctx, order, gb, positions = _elimination_data(spec)
-    t_pow = [0] * ctx.nvars
-    t_pow[0] = N
-    rem = normal_form(ctx.mono(t_pow), gb, order)
-    if len(rem.terms) != 1:
+    _, positions, rules, powers = _elimination_data(spec.generators)
+    with _GROWING:
+        while len(powers) < N.bit_length():
+            powers.append(_rewrite(tuple(2 * e for e in powers[-1]), rules))
+    mono = (0,) * (len(positions) + 1)
+    for k in range(N.bit_length()):
+        if N >> k & 1:
+            mono = _rewrite(tuple(map(add, mono, powers[k])), rules)
+    if mono[0]:
         return None
-    (mono,) = rem.terms
-    if mono[0] != 0:
-        return None
-    witness = [0] * r
-    for slot, pos in enumerate(positions):
-        witness[pos] = mono[slot + 1]
+    witness = [0] * len(spec.generators)
+    for pos, e in zip(positions, mono[1:]):
+        witness[pos] = e
     return tuple(witness)
 
 
@@ -111,15 +126,13 @@ def prim_generators(w, ctx: Optional[RingCtx] = None) -> List[Poly]:
     w = tuple(w)
     if any(_is_inf(e) for e in w):
         raise ValueError("relation ideal needs all weights finite")
-    for e in w:
-        if not isinstance(e, int) or e <= 0:
-            raise ValueError("weights must be positive integers")
+    spec = _as_spec(w)  # ValueError unless each weight is a positive int
     if ctx is None:
         ctx = RingCtx(QQ, tuple(f"x{i + 1}" for i in range(len(w))))
     if ctx.nvars != len(w):
         raise ValueError("weight length does not match the ring")
     # every weight is finite, so the elimination ring is t, g0, ..., g(n-1)
-    _, _, gb, _ = _elimination_data(_as_spec(w))
+    gb = _elimination_data(spec.generators)[0]
     coerce = ctx.field.coerce
     return [Poly({m[1:]: coerce(c) for m, c in g.terms.items()}, ctx)
             for g in gb if all(m[0] == 0 for m in g.terms)]
@@ -138,20 +151,16 @@ def conductor(w) -> int:
     gens = sorted({g for _, g in spec.finite_entries()})
     if gcd_weights(spec.generators) != 1:
         raise NotPrimitive("conductor needs coprime generators")
-    m = gens[0]
-    apery = [None] * m
-    apery[0] = 0
-    changed = True
-    while changed:
-        changed = False
-        for r in range(m):
-            if apery[r] is None:
-                continue
-            for g in gens:
-                nr = (r + g) % m
-                cand = apery[r] + g
-                if apery[nr] is None or cand < apery[nr]:
-                    apery[nr] = cand
-                    changed = True
-    assert all(a is not None for a in apery)
-    return max(apery) - m + 1
+    # Dijkstra over the residues mod m: the first element of S popped in
+    # each class is its least one, the class's Apery element.
+    m, apery, heap = gens[0], {}, [0]
+    while heap:
+        a = heapq.heappop(heap)
+        if a % m not in apery:
+            apery[a % m] = a
+            for g in gens[1:]:
+                heapq.heappush(heap, a + g)
+    if len(apery) < m:
+        raise AlgebroidError("conductor: a residue class modulo the least "
+                             "generator was never reached")
+    return max(apery.values()) - m + 1

@@ -10,6 +10,7 @@ meaningful:
 * determinants by permutation expansion,
 * staircase (standard monomial) counting by breadth-first search,
 * multivariate division that scans for the largest remaining term,
+* semigroup witnesses read off the remainder of t^N under that division,
 * Buchberger's algorithm with the product and chain criteria, every
   S-polynomial divided by all polynomials found so far.
 """
@@ -280,6 +281,28 @@ def division_maxscan(terms, divisors, key, field):
         else:
             rem[m] = c
     return quots, rem
+
+
+def witness_by_division(N, basis, key, field, positions, size):
+    """The semigroup witness for N, read off the remainder of t^N divided
+    by an elimination basis of <g_i - t^(w_i)> with division_maxscan, or
+    None when that remainder is not one t-free monomial.
+
+    The ring is t, g_1, ..., g_k (t first); basis, key and field are as
+    for division_maxscan.  The exponent of g_j goes to index positions[j]
+    of a witness of length size, and the other entries are zero.
+    """
+    t_pow = (N,) + (0,) * len(positions)
+    _, rem = division_maxscan({t_pow: field.one()}, basis, key, field)
+    if len(rem) != 1:
+        return None
+    (mono,) = rem
+    if mono[0]:
+        return None
+    witness = [0] * size
+    for pos, e in zip(positions, mono[1:]):
+        witness[pos] = e
+    return tuple(witness)
 
 
 # ---------------------------------------------------------------- groebner

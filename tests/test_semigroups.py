@@ -1,13 +1,14 @@
 """Semigroup membership, relation ideals, gcd and conductor."""
 
 import random
+import time
 
 import pytest
 
 from algebroid import semigroups
-from algebroid.errors import AllInfinite, NotPrimitive
+from algebroid.errors import AlgebroidError, AllInfinite, NotPrimitive
 from algebroid.groebner import buchberger
-from algebroid.polyring import INF, RingCtx
+from algebroid.polyring import INF, BlockOrder, DegRevLex, RingCtx
 from algebroid.scalars import GF, QQ
 from algebroid.semigroups import (
     SemigroupSpec,
@@ -17,7 +18,7 @@ from algebroid.semigroups import (
     prim_generators,
 )
 
-from oracles import semi_conductor, semi_member
+from oracles import semi_conductor, semi_member, witness_by_division
 
 
 def test_membership_examples():
@@ -26,6 +27,8 @@ def test_membership_examples():
     assert membership(13, (4, 6)) is None
     assert membership(0, (2, 3)) == (0, 0)
     assert membership(-4, (2, 3)) is None
+    assert membership(0.0, (2, 3)) is None
+    assert membership(2.0, (2, 3)) is None
 
 
 def test_membership_witness_hits_value():
@@ -38,6 +41,51 @@ def test_membership_witness_hits_value():
             if c is not None:
                 assert sum(ci * wi for ci, wi in zip(c, w)) == n
             assert (c is not None) == semi_member(n, list(w))
+
+
+def _differential_vectors():
+    # The reference takes one division step per generator it moves out of
+    # t^N, so its cost grows like N / min(w); five vectors keep it short.
+    rng = random.Random(11)
+    vectors = [(26, 26), (22, 11, 11), (13, INF, 8)]
+    while len(vectors) < 5:
+        vectors.append(tuple(rng.randrange(2, 30)
+                             for _ in range(rng.randrange(2, 5))))
+    return vectors
+
+
+DIFFERENTIAL_N = sorted(set(range(201)) | {
+    2 ** k + d for k in range(8, 13) for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("w", _differential_vectors(), ids=str)
+def test_membership_matches_the_division_reference(w):
+    gb, positions, _, _ = semigroups._elimination_data(w)
+    basis = [g.terms for g in gb]
+    key = BlockOrder(1, DegRevLex(), DegRevLex()).key
+    for N in DIFFERENTIAL_N:
+        assert membership(N, w) == witness_by_division(
+            N, basis, key, QQ, positions, len(w)), N
+
+
+def test_membership_for_huge_n():
+    start = time.perf_counter()
+    c = membership(10 ** 12 + 1, (3, 5))
+    assert c is not None and 3 * c[0] + 5 * c[1] == 10 ** 12 + 1
+    assert membership(10 ** 12 + 1, (4, 6)) is None
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_basis_of_non_unit_binomials_is_refused(monkeypatch):
+    def doubled(gens, order):
+        return [g + g for g in buchberger(gens, order)]
+
+    monkeypatch.setattr(semigroups, "buchberger", doubled)
+    semigroups._elimination_data.cache_clear()
+    with pytest.raises(AlgebroidError, match="semigroup membership"):
+        membership(7, (2, 3))
+    monkeypatch.undo()
+    assert membership(7, (2, 3)) == (2, 1)
 
 
 def test_membership_ignores_infinite_entries():
@@ -132,6 +180,12 @@ def test_conductor_examples():
 
 def test_conductor_requires_primitive():
     with pytest.raises(NotPrimitive):
+        conductor((4, 6))
+
+
+def test_conductor_raises_a_typed_error_on_an_unreached_residue(monkeypatch):
+    monkeypatch.setattr(semigroups, "gcd_weights", lambda w: 1)
+    with pytest.raises(AlgebroidError, match="conductor"):
         conductor((4, 6))
 
 
