@@ -24,6 +24,7 @@ from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
+    AlgebroidError,
     CertificateSearchFailed,
     ContextViolation,
     InfiniteWeight,
@@ -241,8 +242,9 @@ def _nf_ratio_resolves(m1: tuple, m2: tuple, in_gb: List[Poly],
     order = DegRevLex()
     q1 = normal_form(ctx.mono(m1), in_gb, order)
     q2 = normal_form(ctx.mono(m2), in_gb, order)
-    assert not q1.is_zero() and not q2.is_zero(), \
-        "a monomial inside the initial ideal survives the monomial check"
+    if q1.is_zero() or q2.is_zero():
+        raise AlgebroidError("screening: a monomial inside the initial "
+                             "ideal survived the monomial check")
     if set(q1.terms) != set(q2.terms):
         return False
     field = ctx.field

@@ -8,12 +8,17 @@ the caller tracks them (``buchberger_tagged``, used by the pivot reducer).
 It drops useless pairs as each row enters, by the Gebauer-Moller criteria
 M, F and B and the product criterion, and divides each S-polynomial only
 by the current minimal basis: the elements whose leads no later lead
-divides.
+divides.  Each S-polynomial is built in one dict, without the two leads
+or any tail term that cancels.  Its cofactors are built lazily: an S-pair
+is divided with quotients first, and the combination of its two rows'
+cofactors, less the quotients, is formed only when the remainder is
+nonzero, since half or more of the S-pairs commonly reduce to zero.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import SolverLimitation, UnitIdeal
@@ -26,7 +31,6 @@ from .polyring import (
     TermOrder,
     division,
     embed,
-    mono_div,
     mono_divisible,
     mono_lcm,
     normal_form,
@@ -41,7 +45,8 @@ _KRULL_VARIABLE_CAP = 16
 # ------------------------------------------------------------- buchberger
 
 # A row (p, cofactors) records p == sum(cofactor_k * original_k); the
-# cofactor tuple is empty when nobody tracks the combination.
+# cofactor tuple is empty when nobody tracks the combination.  An S-pair's
+# row carries a function that builds the tuple (see ``_spoly``).
 Row = Tuple[Poly, Tuple[Poly, ...]]
 
 
@@ -59,26 +64,43 @@ def buchberger_tagged(rows: Sequence[Row], order: TermOrder) -> List[Row]:
 
 
 def _spoly(a: Row, b: Row, order: TermOrder) -> Row:
+    """The S-polynomial x^uf*f/lc(f) - x^ug*g/lc(g) of two rows; tagged
+    rows give it cofactors as a function that builds them."""
     (f, ftags), (g, gtags) = a, b
-    (mf, cf) = f.lead(order)
-    (mg, cg) = g.lead(order)
+    (mf, cf), (mg, cg) = f.lead(order), g.lead(order)
     lcm = mono_lcm(mf, mg)
     field = f.ctx.field
-    uf, cf = mono_div(lcm, mf), field.inv(cf)
-    ug, cg = mono_div(lcm, mg), field.inv(cg)
-    return (f.term_mul(uf, cf) - g.term_mul(ug, cg),
-            tuple(s.term_mul(uf, cf) - t.term_mul(ug, cg)
-                  for s, t in zip(ftags, gtags)))
+    sub, mul, is_zero, zero = field.sub, field.mul, field.is_zero, field.zero()
+    uf, cf = tuple(map(operator.sub, lcm, mf)), field.inv(cf)
+    ug, cg = tuple(map(operator.sub, lcm, mg)), field.inv(cg)
+    out = {tuple(map(operator.add, m, uf)): mul(c, cf)
+           for m, c in f.terms.items() if m != mf}
+    for m, c in g.terms.items():
+        if m != mg:
+            t = tuple(map(operator.add, m, ug))
+            v = sub(out.get(t, zero), mul(c, cg))
+            if is_zero(v):
+                del out[t]
+            else:
+                out[t] = v
+    tags = (lambda: tuple(s.term_mul(uf, cf) - t.term_mul(ug, cg)
+                          for s, t in zip(ftags, gtags))) if ftags else ()
+    return (Poly(out, f.ctx), tags)
 
 
 def _row_nf(row: Row, basis: Sequence[Poly], tags: Sequence[tuple],
             order: TermOrder) -> Row:
     """Normal form of a row against the rows (basis[k], tags[k]), the
-    quotients carried into the cofactors."""
+    quotients carried into the cofactors.  Cofactors given as a function
+    (an S-pair's) are called only when the remainder is nonzero."""
     p, ptags = row
     if not ptags:
         return (normal_form(p, basis, order), ptags)
     quots, rem = division(p, basis, order, with_quotients=True)
+    if callable(ptags):
+        if rem.is_zero():
+            return (rem, ptags)
+        ptags = ptags()
     for q, btags in zip(quots, tags):
         if not q.is_zero():
             ptags = tuple(t - q * bt for t, bt in zip(ptags, btags))

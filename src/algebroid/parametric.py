@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import (
+    AlgebroidError,
     CertificateSearchFailed,
     ContextViolation,
     InfinitePivot,
@@ -415,8 +416,9 @@ def parametric_intersection(f: Poly, g: Poly, ideal: IdealHandle,
     D = _det(entries, n, field, N)
     coeffs = _coefficients(D, field)
     k0 = min(coeffs, default=None)
-    assert k0 is not None and k0 <= nf, \
-        "determinant order must appear at or below the base value"
+    if k0 is None or k0 > nf:
+        raise AlgebroidError("parametric intersection: the determinant "
+                             "order is not at or below the base value")
     # normalize the sign so the leading parameter coefficient at the
     # generic order is positive (when the field orders payloads)
     if field.characteristic == 0 and field.extension is None \
@@ -449,8 +451,9 @@ def parametric_intersection(f: Poly, g: Poly, ideal: IdealHandle,
             h = _lift_poly(f, ectx) - _lift_poly(g, ectx) * theta
             val = intersection_number(h, IdealHandle(egens, ectx))
         exceptional.append(ExceptionalValue(value=val, factor=tuple(fac)))
-    for ev in exceptional:
-        assert ev.value is INF or ev.value > k0
+    if any(ev.value is not INF and ev.value <= k0 for ev in exceptional):
+        raise AlgebroidError("parametric intersection: an exceptional "
+                             "value is not above the generic value")
     return ParametricOrder(generic_value=k0, exceptional=tuple(exceptional),
                            determinant=D, pivot=pivot, truncation=N,
                            field=field)
@@ -508,7 +511,8 @@ def parametric_test(f: Poly, g: Poly, ideal: IdealHandle,
     rational = [ev for ev in po.exceptional if ev.beta is not None]
     factors = [ev for ev in po.exceptional if ev.factor is not None]
     total = len(rational) + sum(len(ev.factor) - 1 for ev in factors)
-    assert total >= 1, "a degenerate direction always exists at the base value"
+    if total < 1:
+        raise AlgebroidError("pencil test: no degenerate direction found")
     if total >= 2:
         if len(rational) >= 2:
             b1, b2 = rational[0].beta, rational[1].beta

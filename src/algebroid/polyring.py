@@ -13,7 +13,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import ParseError, ZeroPoly
 from .scalars import FieldSpec, Scalar
@@ -28,16 +28,6 @@ WeightVec = tuple
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_div(a: Monomial, b: Monomial) -> Optional[Monomial]:
-    """a / b, or None when b does not divide a."""
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
 
 
 def mono_divisible(a: Monomial, b: Monomial) -> bool:
@@ -519,9 +509,13 @@ def division(f: Poly, divisors: Sequence[Poly], order: TermOrder,
     it enters the work set.  A monomial that cancelled leaves a stale heap
     entry, skipped when popped.  Every order key is injective on
     monomials, so the pop sequence is that of a plain scan for the maximum.
+    A popped monomial is tested against each lead by comparing exponents,
+    building no tuple; the quotient monomial is built only for the first
+    lead that divides, and shifts that divisor's tail.
     """
-    ctx = f.ctx
-    field = ctx.field
+    field = f.ctx.field
+    sub, mul, div, is_zero = field.sub, field.mul, field.div, field.is_zero
+    zero, ge, isub, iadd = field.zero(), operator.ge, operator.sub, operator.add
     key = order.key
     leads = [g.lead(order) for g in divisors]
     quots = [dict() for _ in divisors] if with_quotients else None
@@ -531,41 +525,40 @@ def division(f: Poly, divisors: Sequence[Poly], order: TermOrder,
     heapq.heapify(heap)
     while work:
         m = heapq.heappop(heap).mono
-        if m not in work:
+        c = work.pop(m, None)
+        if c is None:
             continue
-        c = work.pop(m)
         for i, (lm, lc) in enumerate(leads):
-            q = mono_div(m, lm)
-            if q is None:
+            if not all(map(ge, m, lm)):
                 continue
-            factor = field.div(c, lc)
+            q = tuple(map(isub, m, lm))
+            factor = div(c, lc)
             if with_quotients:
-                prev = quots[i].get(q, field.zero())
-                s = field.add(prev, factor)
-                if field.is_zero(s):
+                s = field.add(quots[i].get(q, zero), factor)
+                if is_zero(s):
                     quots[i].pop(q, None)
                 else:
                     quots[i][q] = s
             for gm, gc in divisors[i].terms.items():
                 if gm == lm:
                     continue
-                t = mono_mul(gm, q)
+                t = tuple(map(iadd, gm, q))
                 old = work.get(t)
-                v = field.sub(field.zero() if old is None else old,
-                              field.mul(factor, gc))
-                if field.is_zero(v):
-                    if old is not None:
-                        del work[t]
+                if old is None:  # a product of nonzero elements
+                    work[t] = sub(zero, mul(factor, gc))
+                    heapq.heappush(heap, _Desc(key(t), t))
                 else:
-                    work[t] = v
-                    if old is None:
-                        heapq.heappush(heap, _Desc(key(t), t))
+                    v = sub(old, mul(factor, gc))
+                    if is_zero(v):
+                        del work[t]
+                    else:
+                        work[t] = v
             break
         else:
             rem[m] = c
-    remainder = Poly(rem, ctx)
+    remainder = Poly(rem, f.ctx)
     if with_quotients:
-        return [Poly(q, ctx) for q in quots], remainder
+        return [Poly(q, f.ctx) for q in quots], remainder
     return remainder
 
 

@@ -143,15 +143,6 @@ class TruncSeries:
             n >>= 1
         return out
 
-    def with_precision(self, N: int) -> "TruncSeries":
-        if N <= self.precision:
-            return TruncSeries(self.coeffs[:N], self.field, self.exact)
-        if not self.exact:
-            raise ValueError("cannot extend an inexact window")
-        f = self.field
-        return TruncSeries(self.coeffs + (f.zero(),) * (N - self.precision),
-                           f, True)
-
     def as_polynomial(self, ctx: RingCtx) -> Poly:
         """The shown terms as a polynomial in the single variable of ctx;
         only meaningful for exact series."""

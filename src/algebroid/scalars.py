@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DivisionByZero, FieldMismatch, SolverLimitation, ZeroPoly
+from .errors import (AlgebroidError, DivisionByZero, FieldMismatch,
+                     SolverLimitation, ZeroPoly)
 
 _ENUM_CAP = 4096        # largest finite field we will enumerate exhaustively
 _KRONECKER_CAP = 500000  # candidate cap for integer factor search
@@ -455,6 +456,14 @@ def uv_divmod(f, g, field: FieldSpec):
     return _uv_trim(quot, field), _uv_trim(rem, field)
 
 
+def _uv_exact_div(f, g, field: FieldSpec, phase: str) -> list:
+    """f / g for g known to divide f; AlgebroidError naming the phase if not."""
+    q, r = uv_divmod(f, g, field)
+    if r:
+        raise AlgebroidError(f"{phase}: an exact division left a remainder")
+    return q
+
+
 def uv_monic(f, field: FieldSpec) -> list:
     f = _uv_trim(f, field)
     if not f:
@@ -519,7 +528,8 @@ def uv_str(f, field: FieldSpec, var: str = "a") -> str:
 def _pth_root_payload(a, field: FieldSpec):
     """p-th root in a perfect field of characteristic p."""
     p = field.characteristic
-    assert p, "only meaningful in positive characteristic"
+    if not p:
+        raise AlgebroidError("squarefree part: p-th root in characteristic 0")
     if field.extension is None:
         return a  # Frobenius is the identity on F_p
     # Frobenius has order d on F_{p^d}; its inverse is x -> x^(p^(d-1))
@@ -538,16 +548,14 @@ def uv_radical(f, field: FieldSpec) -> list:
         rad_g = uv_radical(g, field)
         return _uv_trim([_pth_root_payload(c, field) for c in rad_g], field)
     common = uv_gcd(f, d, field)
-    w, r = uv_divmod(f, common, field)
-    assert not r
+    w = _uv_exact_div(f, common, field, "squarefree part")
     # strip the factors already in w out of the leftover part
     rest = common
     while True:
         shared = uv_gcd(rest, w, field)
         if _uv_deg(shared) == 0:
             break
-        rest, r = uv_divmod(rest, shared, field)
-        assert not r
+        rest = _uv_exact_div(rest, shared, field, "squarefree part")
     if _uv_deg(rest) == 0:
         return w
     return uv_mul(w, uv_radical(rest, field), field)
@@ -651,8 +659,8 @@ def _roots_in_quadratic_extension(f: list, field: FieldSpec) -> list:
     roots = [field.embed(r) for r in rr]
     rest = uv_monic([Fraction(c) for c in base_coeffs], base)
     for r in rr:
-        rest, rem = uv_divmod(rest, [-Fraction(r), Fraction(1)], base)
-        assert not rem
+        rest = _uv_exact_div(rest, [-Fraction(r), Fraction(1)], base,
+                             "root extraction")
     if _uv_deg(rest) < 2:
         return roots
     for g in _factor_rootless(rest, base):
@@ -787,8 +795,7 @@ def _factor_rootless(f: list, field: FieldSpec) -> list:
             g = _kronecker_factor(ints, k)
             if g is not None:
                 gq = uv_monic([field.coerce(Fraction(c)) for c in g], field)
-                q, r = uv_divmod(f, gq, field)
-                assert not r
+                q = _uv_exact_div(f, gq, field, "rootless factorization")
                 return sorted(_factor_rootless(gq, field) + _factor_rootless(q, field),
                               key=lambda h: (len(h), [field.sort_key(c) for c in h]))
         return [f]
@@ -867,8 +874,8 @@ def univariate_roots(coeffs, field: Optional[FieldSpec] = None):
     roots = list(_roots_in_field(rad, field)) if _uv_deg(rad) >= 1 else []
     rest = rad
     for r in roots:
-        rest, rem = uv_divmod(rest, [field.neg(r), field.one()], field)
-        assert not rem
+        rest = _uv_exact_div(rest, [field.neg(r), field.one()], field,
+                             "root extraction")
     if shift:
         roots.insert(0, field.zero())
     residual = []

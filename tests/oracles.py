@@ -12,7 +12,12 @@ meaningful:
 * multivariate division that scans for the largest remaining term,
 * semigroup witnesses read off the remainder of t^N under that division,
 * Buchberger's algorithm with the product and chain criteria, every
-  S-polynomial divided by all polynomials found so far.
+  S-polynomial divided by all polynomials found so far,
+* the S-polynomial of two polynomial objects from their own term products
+  and subtraction.
+
+Preconditions raise ValueError rather than assert, so they hold under
+``python -O`` too.
 """
 
 import heapq
@@ -42,7 +47,8 @@ def semi_gaps(gens):
     g = 0
     for w in gens:
         g = math.gcd(g, w)
-    assert g == 1, "gaps are only finite for gcd 1"
+    if g != 1:
+        raise ValueError("gaps are only finite for gcd 1")
     bound = max(gens) ** 2 + 1  # crude but safe upper bound for the conductor
     reachable = [False] * (bound + 1)
     reachable[0] = True
@@ -127,7 +133,8 @@ def binom_frac(alpha, j):
 def s_unit_pow(a, alpha):
     """(1 + w)^alpha for a = 1 + w with ord(w) >= 1, alpha rational."""
     n = len(a)
-    assert a[0] == 1
+    if a[0] != 1:
+        raise ValueError("the constant term must be 1")
     w = list(a)
     w[0] = Fraction(0)
     out = s_zero(n)
@@ -306,6 +313,20 @@ def witness_by_division(N, basis, key, field, positions, size):
 
 
 # ---------------------------------------------------------------- groebner
+
+def spoly_reference(f, g, key):
+    """S(f, g) = f.term_mul(uf, 1/cf) - g.term_mul(ug, 1/cg), with leads
+    cf*x^mf and cg*x^mg under the sort key and x^uf*x^mf = x^ug*x^mg their
+    lcm.  f and g are polynomial objects with ``terms``, ``ctx.field``,
+    ``term_mul`` and subtraction."""
+    field = f.ctx.field
+    mf, mg = max(f.terms, key=key), max(g.terms, key=key)
+    m = tuple(max(x, y) for x, y in zip(mf, mg))
+    uf = tuple(x - y for x, y in zip(m, mf))
+    ug = tuple(x - y for x, y in zip(m, mg))
+    return (f.term_mul(uf, field.inv(f.terms[mf]))
+            - g.term_mul(ug, field.inv(g.terms[mg])))
+
 
 def buchberger_chain(gens, key, field):
     """Reduced Groebner basis by Buchberger's algorithm: pairs taken lowest

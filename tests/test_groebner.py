@@ -1,6 +1,6 @@
-"""Groebner engine: the one Buchberger loop on plain and cofactor rows
-(checked against the chain-criterion reference), membership, staircases,
-colength, dimension and elimination."""
+"""Groebner engine: the S-polynomial and the one Buchberger loop on plain
+and cofactor rows (checked against their references), membership,
+staircases, colength, dimension and elimination."""
 
 import random
 from fractions import Fraction
@@ -11,6 +11,8 @@ from algebroid import groebner
 from algebroid.errors import SolverLimitation, UnitIdeal
 from algebroid.groebner import (
     IdealHandle,
+    _row_nf,
+    _spoly,
     buchberger,
     buchberger_tagged,
     colength,
@@ -36,8 +38,8 @@ from algebroid.polyring import (
 from algebroid.scalars import GF, QQ
 
 import oracles
-from oracles import buchberger_chain, staircase_count
-from test_polyring import DIVISION_FIELDS, _random_coeff
+from oracles import buchberger_chain, spoly_reference, staircase_count
+from test_polyring import DIVISION_FIELDS, _random_coeff, _random_field_poly
 
 CTX = RingCtx(QQ, ("x", "y", "z"))
 CTX2 = RingCtx(QQ, ("x", "y"))
@@ -152,6 +154,60 @@ def test_buchberger_matches_the_chain_criterion_reference(field):
                 for t, g in zip(tags, gens):
                     combo = combo + t * g
                 assert combo == p
+
+
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=str)
+def test_spoly_matches_the_reference(field):
+    ctx = RingCtx(field, ("x", "y", "h"))
+    rng = random.Random(53)
+    cancelled = 0
+    for order in (Lex(), DegRevLex(), HomogenizedLocalOrder((2, 3))):
+        for k in range(40):
+            f = _random_field_poly(rng, ctx, 5)
+            g = _random_field_poly(rng, ctx, 5)
+            if k % 2:
+                # a shifted multiple of f plus a few terms: most of the
+                # S-polynomial's tail cancels
+                u = (rng.randint(0, 1), rng.randint(0, 1), rng.randint(0, 1))
+                g = f.term_mul(u, _random_coeff(rng, field) or 1) + g
+            if f.is_zero() or g.is_zero():
+                continue
+            got, _ = _spoly((f, ()), (g, ()), order)
+            ref = spoly_reference(f, g, order.key)
+            assert got == ref
+            assert not any(field.is_zero(c) for c in got.terms.values())
+            cancelled += len(f) + len(g) - 2 > len(got)
+    assert cancelled > 20
+
+
+def test_spoly_whose_tails_cancel_is_zero():
+    ctx = RingCtx(QQ, ("x", "y"))
+    f, g = ctx.poly("x*y + y^2"), ctx.poly("x^2 + x*y")
+    got, tags = _spoly((f, ()), (g, ()), Lex())
+    assert got.is_zero() and got.terms == {}
+    assert spoly_reference(f, g, Lex().key).is_zero()
+    assert tags == ()
+
+
+def test_spoly_cofactors_are_built_only_for_a_nonzero_remainder():
+    ctx = RingCtx(QQ, ("x", "y"))
+    one, zero = ctx.one(), ctx.zero()
+    f, g = ctx.poly("x^2 + y"), ctx.poly("x*y + x")
+    a, b = (f, (one, zero)), (g, (zero, one))
+    s, tags = _spoly(a, b, DegRevLex())
+    # called, the function gives the combination the S-polynomial is
+    ca, cb = tags()
+    assert ca * f + cb * g == s == spoly_reference(f, g, DegRevLex().key)
+
+    def unbuilt():
+        raise AssertionError("cofactors built for a zero remainder")
+
+    # s divided by itself leaves zero; by f alone it leaves y^2 + y
+    rem, kept = _row_nf((s, unbuilt), [s], [(ca, cb)], DegRevLex())
+    assert rem.is_zero() and kept is unbuilt
+    rem, rtags = _row_nf((s, tags), [f], [(one, zero)], DegRevLex())
+    assert not rem.is_zero()
+    assert rtags[0] * f + rtags[1] * g == rem
 
 
 @pytest.mark.parametrize("texts, fewer", [

@@ -1,5 +1,5 @@
-"""The semigroup, decide, parametric and acceptance tests under
-``python -O``.
+"""The scalar, semigroup, decide, parametric and acceptance tests under
+``python -O``, and a lint that keeps plain ``assert`` out of the library.
 
 ``-O`` strips plain ``assert`` statements from the library, so an
 invariant it kept with one would go unchecked; these tests show that the
@@ -7,14 +7,46 @@ library does not rely on them.  pytest still rewrites the asserts in the
 test files, so the tests check as much as they do without ``-O``.
 """
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = ("tests/test_semigroups.py", "tests/test_decide.py",
-         "tests/test_parametric.py", "tests/test_acceptance.py")
+FILES = ("tests/test_scalars.py", "tests/test_semigroups.py",
+         "tests/test_decide.py", "tests/test_parametric.py",
+         "tests/test_acceptance.py")
+# (module, function) -> number of plain asserts allowed there.  The case-2
+# assert in the ray search stays until that search is rebuilt: the benchmark
+# recognises the known defect by its AssertionError.
+ALLOWED_ASSERTS = {("decide", "_rays_for_false"): 1}
+
+
+def _asserts_by_function(tree):
+    """{enclosing function name: number of Assert nodes} for one module;
+    module-level asserts count under None."""
+    counts = {}
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Assert):
+                counts[func] = counts.get(func, 0) + 1
+            inner = child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+            visit(child, inner)
+
+    visit(tree, None)
+    return counts
+
+
+def test_the_library_has_no_plain_asserts_but_the_allowed_one():
+    found = {}
+    for path in sorted((ROOT / "src" / "algebroid").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func, n in _asserts_by_function(tree).items():
+            found[(path.stem, func)] = n
+    assert found == ALLOWED_ASSERTS
 
 
 def test_the_decider_tests_pass_under_python_O():

@@ -18,7 +18,7 @@ from algebroid.polyring import (
     division,
     embed,
     in_w,
-    mono_div,
+    mono_divisible,
     mono_lcm,
     normal_form,
     ord_w,
@@ -154,8 +154,8 @@ def test_division_properties():
     quots, rem = division(f, [g1, g2], order, with_quotients=True)
     assert quots[0] * g1 + quots[1] * g2 + rem == f
     for m in rem.terms:
-        assert mono_div(m, g1.lead(order)[0]) is None
-        assert mono_div(m, g2.lead(order)[0]) is None
+        assert not mono_divisible(m, g1.lead(order)[0])
+        assert not mono_divisible(m, g2.lead(order)[0])
     assert rem == CTX.poly("x + y + 1")
 
 

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from algebroid.errors import DivisionByZero, FieldMismatch, SolverLimitation, ZeroPoly
+from algebroid import scalars
+from algebroid.errors import (AlgebroidError, DivisionByZero, FieldMismatch,
+                              SolverLimitation, ZeroPoly)
 from algebroid.scalars import (
     GF,
     QQ,
@@ -18,6 +20,7 @@ from algebroid.scalars import (
     uv_mul,
     uv_radical,
     _is_prime,
+    _pth_root_payload,
 )
 
 
@@ -271,3 +274,22 @@ def test_property_inverse_round_trip():
             if field.is_zero(a):
                 continue
             assert field.eq(field.mul(a, field.inv(a)), field.one())
+
+
+def test_a_pth_root_over_q_raises_a_typed_error():
+    with pytest.raises(AlgebroidError, match="squarefree part"):
+        _pth_root_payload(Fraction(2), QQ)
+
+
+def test_an_inexact_division_in_the_squarefree_part_raises(monkeypatch):
+    # x + 1 does not divide x^2 + x + 1
+    monkeypatch.setattr(scalars, "uv_gcd", lambda f, g, field: [1, 1])
+    with pytest.raises(AlgebroidError, match="squarefree part"):
+        uv_radical([1, 1, 1], QQ)
+
+
+def test_a_false_root_raises_a_typed_error(monkeypatch):
+    # 5 is not a root of x^2 - 2
+    monkeypatch.setattr(scalars, "_roots_in_field", lambda f, field: [5])
+    with pytest.raises(AlgebroidError, match="root extraction"):
+        univariate_roots([-2, 0, 1], QQ)

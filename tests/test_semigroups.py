@@ -18,7 +18,13 @@ from algebroid.semigroups import (
     prim_generators,
 )
 
-from oracles import semi_conductor, semi_member, witness_by_division
+from oracles import (
+    s_unit_pow,
+    semi_conductor,
+    semi_gaps,
+    semi_member,
+    witness_by_division,
+)
 
 
 def test_membership_examples():
@@ -216,3 +222,11 @@ def test_semigroup_spec_validation():
         SemigroupSpec((0, 3))
     with pytest.raises(AllInfinite):
         SemigroupSpec((INF,))
+
+
+def test_oracle_preconditions_hold_under_python_O():
+    # ValueError, not assert: this file also runs under python -O
+    with pytest.raises(ValueError, match="gcd 1"):
+        semi_gaps((4, 6))
+    with pytest.raises(ValueError, match="constant term"):
+        s_unit_pow([2, 1, 0], 3)
