@@ -43,8 +43,7 @@ from .groebner import (
     radical_membership,
 )
 from .localalg import base_weights, initial_ideal, intersection_number
-from .naming import next_single
-from .parametric import Verdict, parametric_test
+from .parametric import Verdict, _extend_with, _lift_poly, parametric_test
 from .polyring import (
     INF,
     DegRevLex,
@@ -66,15 +65,15 @@ def _to_ctx(f: Poly, big: RingCtx) -> Poly:
     """Carry a polynomial into a larger ring, lifting the coefficient
     field first when the target is an extension."""
     if f.ctx.field != big.field:
-        small = RingCtx(big.field, f.ctx.variables)
-        f = Poly({m: big.field.embed(c) for m, c in f.terms.items()}, small)
-    if f.ctx is big or f.ctx.variables == big.variables:
-        return Poly(dict(f.terms), big)
+        f = _lift_poly(f, RingCtx(big.field, f.ctx.variables))
     return embed(f, big)
 
 
 def _initial_handle(handle: IdealHandle, w: Sequence[int]) -> IdealHandle:
-    return IdealHandle(initial_ideal(handle, w), handle.ctx)
+    """The handle of the initial ideal at w, one per weight vector."""
+    w = tuple(w)
+    return handle.cached(("initial", w), lambda: IdealHandle(
+        initial_ideal(handle, w), handle.ctx))
 
 
 # ------------------------------------------------------------ certificates
@@ -331,15 +330,6 @@ def _descend(handle: IdealHandle, w: tuple, f: Poly, value: int, *,
         value = v.value
 
 
-def _adjoin(handle: IdealHandle, f: Poly) -> Tuple[IdealHandle, str]:
-    ctx = handle.ctx
-    name = next_single(ctx.variables)
-    big = ctx.extend((name,))
-    gens = [embed(g, big) for g in handle.generators]
-    gens.append(big.var(name) - embed(f, big))
-    return IdealHandle(gens, big), name
-
-
 def _monomial_witness(handle: IdealHandle, w: tuple) -> Optional[Poly]:
     """A monic monomial inside the weighted initial ideal, preferring one
     that appears as the initial form of a generator; None if the initial
@@ -497,7 +487,7 @@ def _rays_bent_attachment(handle: IdealHandle, hb: Poly, out: IdealHandle,
             break
         M += 1
     bent = hb + ctx.mono(tuple(M if k == i else 0 for k in range(ctx.nvars)))
-    J2, name = _adjoin(handle, bent)
+    J2, (name,) = _extend_with(handle, (bent,))
     pool: List[tuple] = [exact, wb + (M * wb[i],)]
     for lam in range(1, lam_total):
         base = tuple(lam * e for e in wb)
@@ -584,7 +574,7 @@ def decide_irreducible(ideal, iter_cap: int = 256,
             _, verdict, f, g = outcome
             return reducible_rays(verdict, f, g)
         _, f, value = outcome
-        handle, name = _adjoin(handle, f)
+        handle, (name,) = _extend_with(handle, (f,))
         transcript.append((name, f))
         w = w + (value,)
         stats["weight_history"].append(tuple(w))
@@ -633,5 +623,5 @@ def value_semigroup(ideal, iter_cap: int = 256,
             raise NotPrime(
                 f"the pencil test returned false (case {outcome[1].case})")
         _, f, value = outcome
-        handle, _ = _adjoin(handle, f)
+        handle, _ = _extend_with(handle, (f,))
         w = w + (value,)

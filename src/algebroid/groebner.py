@@ -202,7 +202,17 @@ def _reduce_basis(rows: List[Row], order: TermOrder) -> List[Row]:
 # ------------------------------------------------------------ ideal handle
 
 class IdealHandle:
-    """An ideal given by generators, with Groebner bases cached per order."""
+    """An ideal given by generators, with one memo of the results that
+    depend on those generators alone.
+
+    ``cached(key, build)`` returns the value stored under ``key``, calling
+    ``build()`` to make it on first use.  The keys in use are
+    ("groebner", order), ("hom", w) for the local standard basis,
+    ("pivot", i) for the pivot reducer, ("intersection", f.key(), w) and
+    ("initial", w) for the initial ideal's handle.  The memo has no size
+    bound: every entry answers a call made on this handle, and the entries
+    go with it.  A handle's generators must not change after it is built.
+    """
 
     def __init__(self, generators: Iterable[Poly], ctx: Optional[RingCtx] = None):
         gens = tuple(generators)
@@ -215,12 +225,17 @@ class IdealHandle:
                 raise ValueError("generators from different rings")
         self.generators = gens
         self.ctx = ctx
-        self._gb_cache = {}
+        self._memo = {}
+
+    def cached(self, key, build):
+        memo = self._memo
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
 
     def groebner(self, order: TermOrder = DegRevLex()) -> List[Poly]:
-        if order not in self._gb_cache:
-            self._gb_cache[order] = buchberger(self.generators, order)
-        return self._gb_cache[order]
+        return self.cached(("groebner", order),
+                           lambda: buchberger(self.generators, order))
 
     def __str__(self):
         return "ideal(" + ", ".join(str(g) for g in self.generators) + ")"

@@ -6,11 +6,16 @@ variable, running Buchberger under a compatible global order, and setting
 the homogenizing variable back to 1.  Everything downstream (initial
 ideals, colengths, intersection numbers, base weights) reads off the local
 leading monomials of such a basis.
+
+The homogenized basis for each w and the intersection number of each
+(f, w) are kept in the memo of the ideal's handle, so asking a handle
+again, directly or through ``base_weights``, builds no second basis.
+Sequences of generators get a fresh handle, and so a cold memo, per call.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 from .errors import ZeroPoly
 from .groebner import (
@@ -76,18 +81,15 @@ def dehomogenize(F: Poly, ctx: RingCtx) -> Poly:
 
 
 def _hom_groebner(handle: IdealHandle, w: tuple):
-    """Cached homogenized Groebner basis for the weighted local order."""
-    cache = getattr(handle, "_local_cache", None)
-    if cache is None:
-        cache = {}
-        handle._local_cache = cache
-    if w not in cache:
-        ctx = handle.ctx
-        big = hom_ring(ctx)
+    """The homogenized Groebner basis for the weighted local order, with
+    its ring and order, from the handle's memo."""
+    def build():
+        big = hom_ring(handle.ctx)
         order = HomogenizedLocalOrder(w)
-        hom = [homogenize(g, w, big) for g in handle.generators if not g.is_zero()]
-        cache[w] = (buchberger(hom, order), big, order)
-    return cache[w]
+        hom = [homogenize(g, w, big) for g in handle.generators
+               if not g.is_zero()]
+        return buchberger(hom, order), big, order
+    return handle.cached(("hom", w), build)
 
 
 def standard_basis(ideal: IdealLike, w: Optional[Sequence[int]] = None) -> List[Poly]:
@@ -145,10 +147,16 @@ def intersection_number(f: Poly, ideal: IdealLike,
     """Colength of the ideal together with f; INF when f is a zero divisor
     direction (or lies in the ideal)."""
     handle = _as_handle(ideal)
-    if f.is_zero():
-        return local_colength(handle, w)
-    gens = tuple(handle.generators) + (f,)
-    return local_colength(IdealHandle(gens, handle.ctx), w)
+    ctx = handle.ctx
+    if f.ctx != ctx:
+        raise ValueError("f and the ideal are in different rings")
+    w = _check_weights(w if w is not None else (1,) * ctx.nvars, ctx.nvars)
+
+    def build():
+        if f.is_zero():
+            return local_colength(handle, w)
+        return local_colength(IdealHandle(handle.generators + (f,), ctx), w)
+    return handle.cached(("intersection", f.key(), w), build)
 
 
 def base_weights(ideal: IdealLike) -> tuple:

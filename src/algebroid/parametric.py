@@ -32,6 +32,7 @@ from .groebner import (
     radical_membership,
 )
 from .localalg import (
+    base_weights,
     hom_ring,
     homogenize,
     dehomogenize,
@@ -69,17 +70,12 @@ class FreeBasis:
 def choose_pivot(ideal: IdealHandle) -> Tuple[int, int]:
     """The variable with the smallest finite intersection number (ties to
     the earlier variable), together with that number."""
-    ctx = ideal.ctx
-    best = None
-    for i in range(ctx.nvars):
-        n = intersection_number(ctx.var(i), ideal)
-        if n is INF:
-            continue
-        if best is None or n < best[1]:
-            best = (i, n)
-    if best is None:
+    finite = [(n, i) for i, n in enumerate(base_weights(ideal))
+              if n is not INF]
+    if not finite:
         raise InfinitePivot("every coordinate has infinite intersection number")
-    return best
+    n, i = min(finite)
+    return i, n
 
 
 class _PivotReducer:
@@ -197,13 +193,8 @@ class _PivotReducer:
 
 
 def _reducer(handle: IdealHandle, pivot: int) -> _PivotReducer:
-    cache = getattr(handle, "_pivot_cache", None)
-    if cache is None:
-        cache = {}
-        handle._pivot_cache = cache
-    if pivot not in cache:
-        cache[pivot] = _PivotReducer(handle, pivot)
-    return cache[pivot]
+    return handle.cached(("pivot", pivot),
+                         lambda: _PivotReducer(handle, pivot))
 
 
 def free_basis(ideal: IdealHandle, pivot: Union[int, str, None] = None) -> FreeBasis:
@@ -371,22 +362,27 @@ def _lift_poly(f: Poly, target_ctx: RingCtx) -> Poly:
     return Poly({m: fld.embed(c) for m, c in f.terms.items()}, target_ctx)
 
 
+def _lift(ideal: IdealHandle, fac: tuple, f: Poly, g: Poly) -> tuple:
+    """The ideal, f and g lifted to the extension of the base field by a
+    root th of the monic ``fac`` (ascending, leading 1 included)."""
+    ext = FieldSpec(ideal.ctx.field.characteristic, extension=tuple(fac[:-1]))
+    ectx = RingCtx(ext, ideal.ctx.variables)
+    return (IdealHandle([_lift_poly(p, ectx) for p in ideal.generators], ectx),
+            _lift_poly(f, ectx), _lift_poly(g, ectx))
+
+
 def parametric_intersection(f: Poly, g: Poly, ideal: IdealHandle,
                             pivot: Union[int, str, None] = None,
                             trunc_cap: Optional[int] = None) -> ParametricOrder:
     """Compute det(M_f - a M_g) and read off the generic intersection
     value and every exceptional parameter with its value; infinite values
     come from the exact staircase computation, never from truncation."""
-    ctx = ideal.ctx
-    field = ctx.field
+    field = ideal.ctx.field
     nf = intersection_number(f, ideal)
     ng = intersection_number(g, ideal)
     if nf is INF or ng is INF or nf != ng:
         raise UnequalBase(f"intersection numbers differ: {nf} vs {ng}")
-    if pivot is None:
-        pivot, _ = choose_pivot(ideal)
-    elif isinstance(pivot, str):
-        pivot = ctx.index(pivot)
+    basis = free_basis(ideal, pivot)
     N = 2 * (nf + ng) + 8
     if trunc_cap is not None:
         if trunc_cap < nf + 2:
@@ -394,7 +390,6 @@ def parametric_intersection(f: Poly, g: Poly, ideal: IdealHandle,
                 f"truncation cap {trunc_cap} is below the base value "
                 f"{nf} plus slack; no jump could be observed")
         N = min(N, trunc_cap)
-    basis = free_basis(ideal, pivot)
     Mf = mult_matrix(f, basis, ideal, N)
     Mg = mult_matrix(g, basis, ideal, N)
     n = basis.rank
@@ -444,18 +439,15 @@ def parametric_intersection(f: Poly, g: Poly, ideal: IdealHandle,
                 raise SolverLimitation(
                     "resolving a conjugate class over an extension field "
                     "would need a tower of extensions")
-            ext = FieldSpec(field.characteristic, extension=tuple(fac[:-1]))
-            ectx = RingCtx(ext, ctx.variables)
-            egens = [_lift_poly(p, ectx) for p in ideal.generators]
-            theta = ectx.const(ext.generator())
-            h = _lift_poly(f, ectx) - _lift_poly(g, ectx) * theta
-            val = intersection_number(h, IdealHandle(egens, ectx))
+            eideal, ef, eg = _lift(ideal, fac, f, g)
+            val = intersection_number(
+                ef - eg.scale(eideal.ctx.field.generator()), eideal)
         exceptional.append(ExceptionalValue(value=val, factor=tuple(fac)))
     if any(ev.value is not INF and ev.value <= k0 for ev in exceptional):
         raise AlgebroidError("parametric intersection: an exceptional "
                              "value is not above the generic value")
     return ParametricOrder(generic_value=k0, exceptional=tuple(exceptional),
-                           determinant=D, pivot=pivot, truncation=N,
+                           determinant=D, pivot=basis.pivot, truncation=N,
                            field=field)
 
 
@@ -500,8 +492,7 @@ def parametric_test(f: Poly, g: Poly, ideal: IdealHandle,
     then carries two weight rays), or when the unique exceptional
     direction degenerates; 'not_false' with the unique parameter
     otherwise."""
-    ctx = ideal.ctx
-    field = ctx.field
+    field = ideal.ctx.field
     po = parametric_intersection(f, g, ideal, pivot, trunc_cap=trunc_cap)
     nf = intersection_number(f, ideal)
     if po.generic_value < nf:
@@ -525,12 +516,8 @@ def parametric_test(f: Poly, g: Poly, ideal: IdealHandle,
                 "two exceptional parameters need a field extension, but the "
                 "base field is already an extension")
         fac = min((ev.factor for ev in factors), key=len)
-        ext = FieldSpec(field.characteristic, extension=tuple(fac[:-1]))
-        ectx = RingCtx(ext, ctx.variables)
-        egens = [_lift_poly(p, ectx) for p in ideal.generators]
-        eideal = IdealHandle(egens, ectx)
-        ef = _lift_poly(f, ectx)
-        eg = _lift_poly(g, ectx)
+        eideal, ef, eg = _lift(ideal, fac, f, g)
+        ext = eideal.ctx.field
         theta = Scalar(ext.generator(), ext)
         if rational:
             b1 = Scalar(ext.embed(rational[0].beta.value), ext)

@@ -16,6 +16,8 @@ thin immutable wrapper used at API boundaries and in tests.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -576,18 +578,20 @@ def _int_divisors(n: int) -> list:
     return small + large[::-1]
 
 
+def _primitive_ints(f: list) -> list:
+    """The primitive integer polynomial that is a positive rational
+    multiple of the nonzero f with Fraction/int coefficients."""
+    f = [Fraction(c) for c in f]
+    den = math.lcm(*(c.denominator for c in f))
+    ints = [int(c * den) for c in f]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
 def _rational_roots(f: list) -> list:
     """Distinct rational roots of a nonzero polynomial with Fraction/int
     coefficients; assumes f(0) != 0."""
-    denlcm = 1
-    for c in f:
-        c = Fraction(c)
-        denlcm = denlcm * c.denominator // _gcd(denlcm, c.denominator)
-    ints = [int(Fraction(c) * denlcm) for c in f]
-    g = 0
-    for c in ints:
-        g = _gcd(g, c)
-    ints = [c // g for c in ints]
+    ints = _primitive_ints(f)
     a0, an = ints[0], ints[-1]
     roots = []
     for p in _int_divisors(a0):
@@ -603,14 +607,8 @@ def _rational_roots(f: list) -> list:
     return sorted(roots)
 
 
-def _gcd(a: int, b: int) -> int:
-    import math
-    return math.gcd(a, b)
-
-
 def _is_rational_square(q: Fraction):
     """Returns sqrt(q) as a Fraction when q is a square in Q, else None."""
-    import math
     if q < 0:
         return None
     n, d = q.numerator, q.denominator
@@ -736,7 +734,6 @@ def _kronecker_factor(ints: list, k: int):
                 coeffs[t] += scale * b
         return coeffs
 
-    import itertools
     for choices in itertools.product(*div_lists):
         coeffs = interp(choices)
         if any(c.denominator != 1 for c in coeffs):
@@ -783,14 +780,7 @@ def _factor_rootless(f: list, field: FieldSpec) -> list:
         if deg > 7:
             raise SolverLimitation(
                 "rootless factorization over Q supported up to degree 7")
-        denlcm = 1
-        for c in f:
-            denlcm = denlcm * Fraction(c).denominator // _gcd(denlcm, Fraction(c).denominator)
-        ints = [int(Fraction(c) * denlcm) for c in f]
-        g0 = 0
-        for c in ints:
-            g0 = _gcd(g0, c)
-        ints = [c // g0 for c in ints]
+        ints = _primitive_ints(f)
         for k in range(2, min(3, deg // 2) + 1):
             g = _kronecker_factor(ints, k)
             if g is not None:

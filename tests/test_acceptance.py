@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 
 from algebroid.decide import (
+    _primitive,
     decide_irreducible,
     value_semigroup,
     verify_certificate,
@@ -234,6 +235,21 @@ def test_criterion_09_certificates_verify_and_mutations_fail():
     dropped = replace(prime, transcript=())
     ok, reason = verify_certificate(dropped)
     assert not ok and "transcript" in reason
+
+
+def test_certificates_check_the_same_on_a_fresh_handle():
+    """The decide handle arrives with a full memo; a handle rebuilt from
+    the same generators starts cold and must give the same answer."""
+    certs = [report(key).certificate for key in SPECS]
+    two = report("double_branch").certificate
+    first, second = two.data
+    bumped = _primitive(first[:-1] + (first[-1] + 1,))
+    certs.append(replace(two, data=(bumped, second)))
+    for cert in certs:
+        cold = IdealHandle(cert.ideal.generators, cert.ideal.ctx)
+        outcome = verify_certificate(cert)
+        assert verify_certificate(replace(cert, ideal=cold)) == outcome
+    assert not outcome[0] and "ray 1" in outcome[1]
 
 
 def test_criterion_10_algebraic_property_suite():

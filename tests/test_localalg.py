@@ -1,10 +1,13 @@
-"""Standard bases, local leading ideals, colengths, intersection numbers."""
+"""Standard bases, local leading ideals, colengths, intersection numbers,
+and the handle memo that keeps them."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from algebroid import localalg
+from algebroid.decide import _initial_handle, _monomial_witness, _screen_round
 from algebroid.errors import ZeroPoly
 from algebroid.groebner import IdealHandle
 from algebroid.localalg import (
@@ -18,6 +21,7 @@ from algebroid.localalg import (
     local_lead_monomials,
     standard_basis,
 )
+from algebroid.parametric import choose_pivot
 from algebroid.polyring import INF, Poly, RingCtx, in_w, ord_w
 from algebroid.scalars import GF, QQ
 
@@ -166,3 +170,70 @@ def test_char_p_local():
     ctx = RingCtx(GF(2), ("x", "y"))
     handle = IdealHandle([ctx.poly("y^2 + x^3 + x^2 y")])
     assert base_weights(handle) == (2, 3)
+
+
+# -------------------------------------------------------------- handle memo
+
+def local_bases(monkeypatch):
+    """A list that grows by one for every local standard basis built."""
+    built = []
+    inner = localalg.buchberger
+
+    def counted(gens, order):
+        built.append(order)
+        return inner(gens, order)
+
+    monkeypatch.setattr(localalg, "buchberger", counted)
+    return built
+
+
+def test_intersection_number_checks_the_ring_before_the_memo():
+    handle = IdealHandle([XY.poly("y^2 - x^3")])
+    other = RingCtx(QQ, ("u", "v"))
+    assert intersection_number(XY.var("x"), handle) == 2
+    # Poly.key() leaves out the ring, so u has the cached x's key
+    assert other.var("u").key() == XY.var("x").key()
+    with pytest.raises(ValueError):
+        intersection_number(other.var("u"), handle)
+    with pytest.raises(ValueError):
+        intersection_number(other.zero(), handle)
+
+
+def test_a_second_intersection_number_builds_no_basis(monkeypatch):
+    built = local_bases(monkeypatch)
+    handle = IdealHandle([XY.poly("(y^2 - x^3)^2 - x^7")])
+    f = XY.poly("y^2 - x^3")
+    first = intersection_number(f, handle, (2, 3))
+    assert built
+    built.clear()
+    assert intersection_number(f, handle, [2, 3]) == first
+    assert built == []
+
+
+def test_choose_pivot_after_base_weights_builds_no_basis(monkeypatch):
+    built = local_bases(monkeypatch)
+    handle = IdealHandle([XYZ.poly("x^3 - y^2"),
+                          XYZ.poly("(z^2 - x*y)^2 - x^2*y*z^2")])
+    w = base_weights(handle)
+    built.clear()
+    assert choose_pivot(handle) == (0, w[0])
+    assert built == []
+
+
+def test_screen_round_after_monomial_witness_builds_no_basis(monkeypatch):
+    built = local_bases(monkeypatch)
+    handle = IdealHandle([XY.poly("y^2 - x^3")])
+    assert _monomial_witness(handle, (2, 3)) is None
+    built.clear()
+    stats = {"parametric_calls": 0}
+    assert _screen_round(handle, (2, 3), prime_mode=True, trunc_cap=None,
+                         stats=stats) == ("radical",)
+    assert built == [] and stats["parametric_calls"] == 0
+
+
+def test_one_initial_handle_per_weight_vector():
+    handle = IdealHandle([XY.poly("(y^2 - x^3)^2 - x^7")])
+    assert _initial_handle(handle, (4, 6)) is _initial_handle(handle, (4, 6))
+    assert _initial_handle(handle, (4, 6)) is _initial_handle(handle, [4, 6])
+    other = _initial_handle(handle, (2, 3))
+    assert other is not _initial_handle(handle, (4, 6))
