@@ -10,14 +10,31 @@ so the polynomial kernels stay fast:
 * simple extension of degree d: a length-d ``tuple`` of base payloads,
   the coordinates with respect to 1, th, ..., th^(d-1).
 
-:class:`FieldSpec` owns the arithmetic on payloads.  :class:`Scalar` is a
-thin immutable wrapper used at API boundaries and in tests.
+:class:`FieldSpec` owns the arithmetic on payloads.  Each field binds its
+kernels once, at construction, by field kind, so ``add``, ``sub``,
+``neg``, ``mul``, ``inv`` and ``is_zero`` do not branch on the field per
+call:
+
+* Q: the ``operator`` functions on ``int``/``Fraction``,
+* F_p: the same operations followed by ``% p``,
+* extensions: coordinate-wise tuple operations, ``is_zero`` as
+  ``not any(a)``, and ``mul``/``inv`` by polynomial arithmetic modulo the
+  defining polynomial (``_ext_mul``, ``_ext_inv``),
+* finite extensions with ``size() <= _ENUM_CAP``: ``mul`` and ``inv``
+  (and so ``div`` and ``pow``) are lookups in an exp list and a log dict
+  over a primitive element.  The tables are built by ``_ext_mul`` on the
+  first multiply or inverse and shared by equal fields.
+
+:class:`Scalar` is a thin immutable wrapper used at API boundaries and in
+tests.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -60,6 +77,101 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# ------------------------------------------------------------- kernels
+# The arithmetic of each field kind as {method name: function}, which
+# FieldSpec.__post_init__ binds as instance attributes.
+
+def _q_inv(a):
+    if not a:
+        raise DivisionByZero("inverse of zero")
+    return Fraction(1) / a if isinstance(a, Fraction) else Fraction(1, a)
+
+
+_Q_KERNELS = {"add": operator.add, "sub": operator.sub, "neg": operator.neg,
+              "mul": operator.mul, "inv": _q_inv, "is_zero": operator.not_}
+
+
+def _prime_kernels(p: int) -> dict:
+    def inv(a):
+        if not a:
+            raise DivisionByZero("inverse of zero")
+        return pow(a, -1, p)
+
+    return {"add": lambda a, b: (a + b) % p, "sub": lambda a, b: (a - b) % p,
+            "neg": lambda a: -a % p, "mul": lambda a, b: a * b % p,
+            "inv": inv, "is_zero": operator.not_}
+
+
+def _extension_kernels(field: "FieldSpec") -> dict:
+    base = field.base()
+    badd, bsub, bneg = base.add, base.sub, base.neg
+    kernels = {"add": lambda a, b: tuple(map(badd, a, b)),
+               "sub": lambda a, b: tuple(map(bsub, a, b)),
+               "neg": lambda a: tuple(map(bneg, a)),
+               "is_zero": lambda a: not any(a),
+               "mul": field._ext_mul, "inv": field._ext_inv}
+    size = field.size()
+    if size is not None and size <= _ENUM_CAP:
+        # the first multiply or inverse swaps in the table kernels
+        def mul(a, b):
+            field._bind(_table_kernels(field))
+            return field.mul(a, b)
+
+        def inv(a):
+            field._bind(_table_kernels(field))
+            return field.inv(a)
+
+        kernels.update(mul=mul, inv=inv)
+    return kernels
+
+
+@functools.lru_cache(maxsize=8)
+def _log_tables(field: "FieldSpec"):
+    """(exp, log) over the first primitive element g of a finite extension
+    field, in ``elements()`` order, with n = size() - 1:
+
+    * ``exp[i] = g^i`` for ``0 <= i < 2n`` and zero for ``2n <= i <= 4n``,
+    * ``log[g^i] = i`` for ``0 <= i < n`` and ``log[0] = 2n``,
+
+    so ``exp[log[a] + log[b]]`` is a*b for every a and b, zero included.
+    Cached per field: every decide parses a fresh but equal FieldSpec."""
+    n = field.size() - 1
+    one, zero, mul = field.one(), field.zero(), field._ext_mul
+
+    def power(a, e):
+        out = one
+        while e:
+            if e & 1:
+                out = mul(out, a)
+            a = mul(a, a)
+            e >>= 1
+        return out
+
+    primes = [r for r in _int_divisors(n) if _is_prime(r)]
+    g = next(a for a in field.elements() if any(a)
+             and all(power(a, n // r) != one for r in primes))
+    exp = [one]
+    for _ in range(n - 1):
+        exp.append(mul(exp[-1], g))
+    log = {a: i for i, a in enumerate(exp)}
+    log[zero] = 2 * n
+    return exp * 2 + [zero] * (2 * n + 1), log
+
+
+def _table_kernels(field: "FieldSpec") -> dict:
+    exp, log = _log_tables(field)
+    n = field.size() - 1
+    zero_log = 2 * n
+
+    def inv(a):
+        k = log[a]
+        if k == zero_log:
+            raise DivisionByZero("inverse of zero")
+        return exp[n - k]
+
+    return {"mul": lambda a, b: exp[log[a] + log[b]], "inv": inv}
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """A base field (Q or F_p) or a simple extension of one.
@@ -67,6 +179,13 @@ class FieldSpec:
     ``extension`` stores the non-leading coefficients (c0, ..., c_{d-1}) of
     the monic defining polynomial th^d + c_{d-1} th^{d-1} + ... + c0, whose
     irreducibility over the base is verified at construction.
+
+    Construction also binds ``add``, ``sub``, ``neg``, ``mul``, ``inv`` and
+    ``is_zero`` as instance attributes, chosen once by field kind (see the
+    module docstring); finite extensions with ``size() <= _ENUM_CAP``
+    multiply and invert through shared log tables.  Only the three
+    dataclass fields take part in equality, hashing, ``repr`` and
+    pickling, which rebuilds the field through its constructor.
     """
 
     characteristic: int = 0
@@ -74,13 +193,15 @@ class FieldSpec:
     ext_var: str = "th"
 
     def __post_init__(self):
-        if self.characteristic != 0 and not _is_prime(self.characteristic):
+        p = self.characteristic
+        if p != 0 and not _is_prime(p):
             raise ValueError("characteristic must be 0 or a prime")
-        # built once: the extension arithmetic asks for it on every operation
-        object.__setattr__(self, "_base", FieldSpec(self.characteristic)
-                           if self.extension is not None else self)
-        if self.extension is not None:
-            base = self.base()
+        if self.extension is None:
+            object.__setattr__(self, "_base", self)
+            self._bind(_prime_kernels(p) if p else _Q_KERNELS)
+        else:
+            base = FieldSpec(p)
+            object.__setattr__(self, "_base", base)
             coeffs = tuple(base.coerce(c) for c in self.extension)
             if len(coeffs) < 2:
                 raise ValueError("extension degree must be at least 2")
@@ -88,6 +209,14 @@ class FieldSpec:
             minpoly = list(coeffs) + [base.one()]
             if not _is_irreducible(minpoly, base):
                 raise ValueError("defining polynomial is reducible")
+            self._bind(_extension_kernels(self))
+
+    def _bind(self, kernels: dict):
+        for name, fn in kernels.items():
+            object.__setattr__(self, name, fn)
+
+    def __reduce__(self):
+        return (FieldSpec, (self.characteristic, self.extension, self.ext_var))
 
     # -------------------------------------------------------- structure
 
@@ -122,14 +251,13 @@ class FieldSpec:
                 vec += [base.zero()] * (self.degree - len(vec))
                 return tuple(vec)
             return self.embed(base.coerce(x))
-        if self.characteristic:
-            if isinstance(x, Fraction):
-                if x.denominator % self.characteristic == 0:
-                    raise ZeroDivisionError("denominator vanishes mod p")
-                return (x.numerator * pow(x.denominator, -1, self.characteristic)) % self.characteristic
-            return int(x) % self.characteristic
+        p = self.characteristic
+        if isinstance(x, Fraction) and p:
+            if x.denominator % p == 0:
+                raise ZeroDivisionError("denominator vanishes mod p")
+            return x.numerator * pow(x.denominator, -1, p) % p
         if isinstance(x, (int, Fraction)):
-            return x
+            return x % p if p else x
         raise TypeError(f"cannot coerce {x!r} into {self}")
 
     def embed(self, base_value):
@@ -155,6 +283,7 @@ class FieldSpec:
         return n % self.characteristic if self.characteristic else n
 
     # ------------------------------------------------------- arithmetic
+    # add, sub, neg, mul, inv and is_zero are bound in __post_init__.
 
     def zero(self):
         return self.from_int(0)
@@ -162,53 +291,8 @@ class FieldSpec:
     def one(self):
         return self.from_int(1)
 
-    def is_zero(self, a) -> bool:
-        if self.extension is not None:
-            return all(self.base().is_zero(c) for c in a)
-        return not a
-
     def eq(self, a, b) -> bool:
         return self.is_zero(self.sub(a, b))
-
-    def add(self, a, b):
-        if self.extension is not None:
-            base = self.base()
-            return tuple(base.add(x, y) for x, y in zip(a, b))
-        if self.characteristic:
-            return (a + b) % self.characteristic
-        return a + b
-
-    def neg(self, a):
-        if self.extension is not None:
-            base = self.base()
-            return tuple(base.neg(x) for x in a)
-        if self.characteristic:
-            return (-a) % self.characteristic
-        return -a
-
-    def sub(self, a, b):
-        if self.extension is not None:
-            base = self.base()
-            return tuple(base.sub(x, y) for x, y in zip(a, b))
-        if self.characteristic:
-            return (a - b) % self.characteristic
-        return a - b
-
-    def mul(self, a, b):
-        if self.extension is not None:
-            return self._ext_mul(a, b)
-        if self.characteristic:
-            return (a * b) % self.characteristic
-        return a * b
-
-    def inv(self, a):
-        if self.is_zero(a):
-            raise DivisionByZero("inverse of zero")
-        if self.extension is not None:
-            return self._ext_inv(a)
-        if self.characteristic:
-            return pow(a, -1, self.characteristic)
-        return Fraction(1) / a if isinstance(a, Fraction) else Fraction(1, a)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -225,6 +309,9 @@ class FieldSpec:
         return out
 
     def _ext_mul(self, a, b):
+        """Product by convolution and reduction modulo the defining
+        polynomial; the kernel of fields without tables, and what builds
+        the tables."""
         base = self.base()
         d = self.degree
         conv = [base.zero()] * (2 * d - 1)
@@ -245,6 +332,10 @@ class FieldSpec:
         return tuple(conv[:d])
 
     def _ext_inv(self, a):
+        """Inverse by the extended Euclidean algorithm against the defining
+        polynomial."""
+        if not any(a):
+            raise DivisionByZero("inverse of zero")
         base = self.base()
         minpoly = list(self.extension) + [base.one()]
         g, s, _ = _uv_ext_gcd(list(a), minpoly, base)

@@ -1,12 +1,18 @@
 """Field arithmetic and univariate root extraction."""
 
+import copy
+import hashlib
+import itertools
+import json
+import operator
+import pickle
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from algebroid import scalars
+from algebroid import assert_preconditions, cli, decide_irreducible, scalars
 from algebroid.errors import (AlgebroidError, DivisionByZero, FieldMismatch,
                               SolverLimitation, ZeroPoly)
 from algebroid.scalars import (
@@ -22,6 +28,7 @@ from algebroid.scalars import (
     _is_prime,
     _pth_root_payload,
 )
+from algebroid.polyring import RingCtx
 
 
 def test_rational_arithmetic():
@@ -293,3 +300,152 @@ def test_a_false_root_raises_a_typed_error(monkeypatch):
     monkeypatch.setattr(scalars, "_roots_in_field", lambda f, field: [5])
     with pytest.raises(AlgebroidError, match="root extraction"):
         univariate_roots([-2, 0, 1], QQ)
+
+
+# ------------------------------------------------- kernels bound per field
+
+F5TH = GF(5, (2, 0))  # F_5[th]/(th^2 + 2)
+ONE_FIELD_PER_KIND = pytest.mark.parametrize(
+    "field", [QQ, GF(7), F5TH], ids=["Q", "F7", "F5th"])
+
+
+@ONE_FIELD_PER_KIND
+def test_coerce_rejects_what_is_not_an_int_or_fraction(field):
+    for bad in (2.5, 2.0, "3"):
+        with pytest.raises(TypeError, match="cannot coerce"):
+            field.coerce(bad)
+        with pytest.raises(TypeError, match="cannot coerce"):
+            Scalar(bad, field)
+    assert field.coerce(True) == field.one()
+
+
+@ONE_FIELD_PER_KIND
+def test_fields_rings_and_polys_survive_pickle_and_deepcopy(field):
+    ctx = RingCtx(field, ("x", "y"))
+    f = ctx.poly("x^2 + 3*y - 1")
+    for obj in (field, ctx, f):
+        for copy_of in (lambda o: pickle.loads(pickle.dumps(o)),
+                        copy.deepcopy):
+            other = copy_of(obj)
+            assert other == obj and hash(other) == hash(obj)
+            assert repr(other) == repr(obj)
+    twin = pickle.loads(pickle.dumps(field))
+    assert repr(twin) == (f"FieldSpec(characteristic={field.characteristic}, "
+                          f"extension={field.extension!r}, ext_var='th')")
+    two = twin.from_int(2)
+    assert twin.eq(twin.mul(two, twin.inv(two)), twin.one())
+    g = copy.deepcopy(f)
+    assert g * g - f * f == ctx.zero()
+
+
+def _reference_pow(field, a, n):
+    """a^n by square-and-multiply on the convolution kernel alone."""
+    if n < 0:
+        a, n = field._ext_inv(a), -n
+    out = field.one()
+    while n:
+        if n & 1:
+            out = field._ext_mul(out, a)
+        a = field._ext_mul(a, a)
+        n >>= 1
+    return out
+
+
+def _check_against_reference(field, pairs, elements):
+    """mul, div, inv and pow of the bound kernels equal those built from
+    _ext_mul and _ext_inv alone."""
+    inverse = {a: field._ext_inv(a) for a in elements if any(a)}
+    for a, b in pairs:
+        assert field.mul(a, b) == field._ext_mul(a, b)
+        if any(b):
+            assert field.div(a, b) == field._ext_mul(a, inverse[b])
+    q = field.size()
+    for a in elements:
+        if any(a):
+            assert field.inv(a) == inverse[a]
+            for n in (-q, -5, -2, -1, 1, 2, 3, q - 2, q - 1, q, 2 * q + 1):
+                assert field.pow(a, n) == _reference_pow(field, a, n)
+        assert field.pow(a, 0) == field.one()
+    zero = field.zero()
+    assert field.pow(zero, 3) == zero
+    for inv in (field.inv, field._ext_inv, lambda a: field.pow(a, -1)):
+        with pytest.raises(DivisionByZero):
+            inv(zero)
+
+
+@pytest.mark.parametrize("p, ext", [(5, (2, 0)), (3, (1, 0)), (2, (1, 1, 0)),
+                                    (7, (-2, 0, 0))])
+def test_tables_agree_with_the_reference_kernels_on_every_pair(p, ext):
+    field = GF(p, ext)
+    elements = list(field.elements())
+    _check_against_reference(field, itertools.product(elements, repeat=2),
+                             elements)
+
+
+@pytest.mark.parametrize("p, ext, tabled", [
+    (2, (1, 0, 0, 1) + (0,) * 8, True),    # th^12 + th^3 + 1, q = 4096
+    (3, (2, 0, 0, 1, 0, 0, 0, 0), False),  # th^8 + th^3 + 2, q = 6561
+])
+def test_kernels_at_the_table_size_boundary(p, ext, tabled):
+    field = GF(p, ext)
+    rng = random.Random(f"{p}:{len(ext)}")
+    elements = [tuple(rng.randrange(p) for _ in ext) for _ in range(60)]
+    elements.append(field.zero())
+    pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(300)]
+    _check_against_reference(field, pairs, elements)
+    assert (field.size() <= scalars._ENUM_CAP) == tabled
+    assert (vars(field)["mul"] == field._ext_mul) != tabled
+
+
+def test_kernels_are_bound_once_per_field():
+    for field in (QQ, GF(7), F5TH, FieldSpec(0, (-2, 0))):
+        for name in ("add", "sub", "neg", "mul", "inv", "is_zero"):
+            assert name in vars(field)
+            assert getattr(field, name) is getattr(field, name)
+    assert QQ.add is operator.add and QQ.is_zero is operator.not_
+
+
+def test_equal_fields_share_one_table(monkeypatch):
+    calls = []
+    ext_mul = FieldSpec._ext_mul
+
+    def counted(self, a, b):
+        calls.append(self)
+        return ext_mul(self, a, b)
+
+    scalars._log_tables.cache_clear()
+    monkeypatch.setattr(FieldSpec, "_ext_mul", counted)
+    try:
+        first, second = GF(5, (2, 0)), GF(5, (2, 0))
+        assert first is not second and not calls
+        th = first.generator()
+        assert first.mul(th, th) == (3, 0)
+        built = len(calls)
+        assert built > 0
+        assert second.inv(th) == (0, 2) and second.mul(th, th) == (3, 0)
+        assert len(calls) == built
+        assert scalars._log_tables.cache_info().misses == 1
+        assert scalars._log_tables(first) is scalars._log_tables(second)
+    finally:
+        scalars._log_tables.cache_clear()
+
+
+SPACE_2_F5TH = """char 5
+ext th^2 + 2
+vars x y z
+ideal:
+x^3 - y^2
+(z^2 - x*y)^2 - x*y*z^3
+"""
+
+
+def test_the_space_curve_over_f5th_keeps_its_certificate():
+    handle = assert_preconditions(cli.parse_ideal_text(SPACE_2_F5TH))
+    report = decide_irreducible(handle)
+    doc = cli.certificate_json(report.certificate)
+    assert (report.verdict, doc["kind"], doc["data"]) == \
+        ("irreducible", "prime_tropism", [8, 12, 10, 25])
+    assert doc["transcript"][0]["poly"]["text"] == "x*y + 4*z^2"
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "8af9e67776062c02aba909f0d3c46e931c1605b10453b4cbf4ab4dab55c785a6"
