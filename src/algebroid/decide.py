@@ -35,11 +35,13 @@ from .errors import (
 from .groebner import (
     IdealHandle,
     _as_handle,
+    buchberger,
     contains_monomial,
     eliminate,
     fresh_names,
     ideal_membership,
     krull_dimension,
+    monomial_staircase,
     radical_membership,
 )
 from .localalg import base_weights, initial_ideal, intersection_number
@@ -76,12 +78,55 @@ def _initial_handle(handle: IdealHandle, w: Sequence[int]) -> IdealHandle:
         initial_ideal(handle, w), handle.ctx))
 
 
+def _monomial_free(handle: IdealHandle, w: Sequence[int]) -> bool:
+    """Whether the initial ideal K of the handle at w contains no monomial.
+
+    K is w-homogeneous and every w_j is positive, so its zero set is
+    stable under t.p = (t^w_1 p_1, ...) and meets the torus exactly when
+    its slice at x_i = 1 does, over the algebraic closure and in any
+    characteristic.  The slice is taken at the variable of largest weight
+    (the lowest index on ties); for a curve it is zero-dimensional, of
+    some length D.  K contains a monomial exactly when the slice is the
+    unit ideal or the product m of the other variables is nilpotent
+    modulo it, that is, when m^(2^k) reduces to zero for the first
+    2^k >= D.  Raises WrongDimension when the slice is not finite."""
+    w = tuple(w)
+    K = _initial_handle(handle, w)
+    ctx = K.ctx
+    n = ctx.nvars
+    i = max(range(n), key=lambda k: (w[k], -k))
+    small = RingCtx(ctx.field, ctx.variables[:i] + ctx.variables[i + 1:])
+    order = DegRevLex()
+    gb = buchberger([Poly.from_items(((m[:i] + m[i + 1:], c)
+                                      for m, c in g.terms.items()), small)
+                     for g in K.generators], order)
+    stairs = monomial_staircase([g.lead(order)[0] for g in gb], n - 1)
+    if stairs is None:
+        raise WrongDimension(
+            f"the initial ideal at weight {w} is not one-dimensional: its "
+            f"slice {ctx.variables[i]} = 1 is not finite")
+    if not stairs:
+        return False
+    p = normal_form(small.mono((1,) * (n - 1)), gb, order)
+    span = 1
+    while span < len(stairs) and not p.is_zero():
+        p = normal_form(p * p, gb, order)
+        span *= 2
+    return not p.is_zero()
+
+
 # ------------------------------------------------------------ certificates
 
 @dataclass(frozen=True)
 class Certificate:
     """Replayable evidence for a verdict: the (possibly extended) ideal,
-    the kind of witness, its data, and the adjunction transcript."""
+    the kind of witness, its data, and the adjunction transcript.
+
+    The ideal has graph shape: generators in ``base_vars`` only, then
+    exactly ``ctx.var(name) - fdef`` for each transcript entry, in order,
+    each ``fdef`` in the variables before ``name``.  Its quotient ring is
+    then that of the base generators' ideal, which the certificate is
+    about."""
 
     kind: str            # prime_tropism | monomial_witness | two_tropisms
     ideal: IdealHandle
@@ -112,12 +157,56 @@ def _proportional(w1: Sequence[int], w2: Sequence[int]) -> bool:
 def _ray_is_tropism(handle: IdealHandle, ray: Sequence[int]) -> bool:
     if any(not isinstance(e, int) or e <= 0 for e in ray):
         return False
-    return contains_monomial(_initial_handle(handle, ray)) is None
+    return _monomial_free(handle, ray)
+
+
+def _graph_shape_error(cert: Certificate) -> Optional[str]:
+    """Why the certified ideal lacks the graph shape that ``Certificate``
+    describes, or None when it has it."""
+    ctx = cert.ideal.ctx
+    names = tuple(name for name, _ in cert.transcript)
+    if tuple(cert.base_vars) + names != ctx.variables:
+        return "transcript does not span the certificate ring"
+    base = len(cert.base_vars)
+    gens = cert.ideal.generators
+    head = len(gens) - len(names)
+    if head < 0:
+        return "the certified ideal has fewer generators than the transcript"
+    if any(i >= base for g in gens[:head] for i in g.variables_used()):
+        return ("a base generator of the certified ideal uses an adjoined "
+                "variable")
+    for k, ((name, fdef), gen) in enumerate(zip(cert.transcript, gens[head:])):
+        if fdef.ctx != ctx:
+            return "adjoined definition lives in a foreign ring"
+        if any(i >= base + k for i in fdef.variables_used()):
+            return "adjoined definition uses later variables"
+        if gen != ctx.var(name) - fdef:
+            return (f"generator {head + k + 1} of the certified ideal is not "
+                    f"the transcript relation of {name}")
+    return None
+
+
+def _tropism_refusal(handle: IdealHandle, w: tuple,
+                     where: str) -> Optional[str]:
+    """Why w is not a tropism of the certified ideal, or None when it is."""
+    try:
+        free = _monomial_free(handle, w)
+    except WrongDimension:
+        return f"initial ideal at {where} is not one-dimensional"
+    return None if free else f"initial ideal at {where} contains a monomial"
 
 
 def verify_certificate(cert: Certificate) -> Tuple[bool, str]:
     """Recheck a certificate from its recorded data alone; returns
-    (ok, reason) and never raises for a merely invalid certificate."""
+    (ok, reason) and never raises for a merely invalid certificate.
+
+    The certified ideal must have the graph shape of ``Certificate``, so
+    every transcript relation is a member by inspection; any other
+    generating set is refused, even of the same ideal.  Tropisms are
+    checked from scratch by the sliced test of ``_monomial_free``."""
+    shape = _graph_shape_error(cert)
+    if shape is not None:
+        return False, shape
     handle = cert.ideal
     ctx = handle.ctx
     if cert.kind == "prime_tropism":
@@ -129,8 +218,9 @@ def verify_certificate(cert: Certificate) -> Tuple[bool, str]:
             return False, "recomputed base weights differ from the certified tropism"
         if gcd_weights(w) != 1:
             return False, "certified tropism is not primitive"
-        if contains_monomial(_initial_handle(handle, w)) is not None:
-            return False, "initial ideal at the certified tropism contains a monomial"
+        refusal = _tropism_refusal(handle, w, "the certified tropism")
+        if refusal is not None:
+            return False, refusal
     elif cert.kind == "monomial_witness":
         wit = cert.data
         if not isinstance(wit, Poly) or wit.is_zero():
@@ -157,21 +247,11 @@ def verify_certificate(cert: Certificate) -> Tuple[bool, str]:
             if _primitive(ray) != ray:
                 return False, f"ray {k + 1} is not primitive"
         for k, ray in enumerate(rays):
-            if contains_monomial(_initial_handle(handle, ray)) is not None:
-                return False, f"initial ideal at ray {k + 1} contains a monomial"
+            refusal = _tropism_refusal(handle, ray, f"ray {k + 1}")
+            if refusal is not None:
+                return False, refusal
     else:
         return False, f"unknown certificate kind: {cert.kind}"
-    names = tuple(name for name, _ in cert.transcript)
-    if tuple(cert.base_vars) + names != ctx.variables:
-        return False, "transcript does not span the certificate ring"
-    base = len(cert.base_vars)
-    for k, (name, fdef) in enumerate(cert.transcript):
-        if fdef.ctx.variables != ctx.variables:
-            return False, "adjoined definition lives in a foreign ring"
-        if any(i >= base + k for i in fdef.variables_used()):
-            return False, "adjoined definition uses later variables"
-        if not ideal_membership(ctx.var(name) - fdef, handle):
-            return False, "adjoined relation is not a member of the certified ideal"
     return True, "ok"
 
 
@@ -333,11 +413,10 @@ def _descend(handle: IdealHandle, w: tuple, f: Poly, value: int, *,
 def _monomial_witness(handle: IdealHandle, w: tuple) -> Optional[Poly]:
     """A monic monomial inside the weighted initial ideal, preferring one
     that appears as the initial form of a generator; None if the initial
-    ideal is monomial-free."""
-    in_handle = _initial_handle(handle, w)
-    found = contains_monomial(in_handle)
-    if found is None:
+    ideal is monomial-free (by the sliced test of ``_monomial_free``)."""
+    if _monomial_free(handle, w):
         return None
+    in_handle = _initial_handle(handle, w)
     ctx = handle.ctx
     for g in handle.generators:
         if g.is_zero():
@@ -352,7 +431,7 @@ def _monomial_witness(handle: IdealHandle, w: tuple) -> Optional[Poly]:
             m = next(iter(g.terms))
             if any(m):
                 return ctx.mono(m)
-    return ctx.mono(found)
+    return ctx.mono(contains_monomial(in_handle))
 
 
 # --------------------------------------------------------------- ray search

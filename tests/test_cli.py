@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from algebroid.cli import certificate_from_json, main, parse_ideal_text
+from algebroid.cli import (_poly_json, certificate_from_json, main,
+                           parse_ideal_text)
 from algebroid.decide import verify_certificate
 from algebroid.groebner import ideal_membership
 from algebroid.polyring import parse_poly
@@ -192,6 +193,14 @@ def test_tropism_true_on_the_char_two_tower(tmp_path, capsys):
     assert "tropism: true" in out
 
 
+def test_tropism_on_a_surface_exits_two(tmp_path, capsys):
+    path = write(tmp_path, "char 0\nvars x y z\nideal:\ny^2 - x^3\n")
+    code, out, err = run(capsys, "tropism", path, "--weights", "2 3 1")
+    assert code == 2
+    assert "tropism" not in out
+    assert "not one-dimensional" in err and "(2, 3, 1)" in err
+
+
 def test_imprimitive_weights_are_never_a_tropism(tmp_path, capsys):
     path = write(tmp_path, CUSP)
     code, out, _ = run(capsys, "tropism", path, "--weights", "4,6")
@@ -262,6 +271,51 @@ def test_flipped_verdict_fails_verification(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(out_path))
     assert code == 1
     assert "verdict" in out
+
+
+def _reshaped(gens, how):
+    """The generator list of a one-adjunction certificate rewritten into
+    another generating set of the same ideal."""
+    g, rel, x = gens[0], gens[-1], gens[0].ctx.var(0)
+    if how == "extra":
+        return gens + [g]
+    if how == "reordered":
+        return [rel] + gens[:-1]
+    if how == "equivalent":
+        return gens[:-1] + [rel + x * g]
+    return [g + x * rel] + gens[1:]
+
+
+@pytest.mark.parametrize(
+    "how", ["extra", "reordered", "equivalent", "adjoined_in_base"])
+def test_a_certificate_off_the_graph_shape_fails_verification(
+        tmp_path, capsys, how):
+    _, doc = report_for(tmp_path, ONE_STEP)
+    cert = certificate_from_json(doc)
+    assert len(cert.transcript) == 1
+    gens = _reshaped(list(cert.ideal.generators), how)
+    doc["certificate"]["generators"] = [_poly_json(g) for g in gens]
+    out_path = tmp_path / "reshaped.json"
+    out_path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(out_path))
+    assert code == 1
+    assert "generator" in out
+
+
+def test_a_surface_certificate_fails_verification(tmp_path, capsys):
+    _, doc = report_for(tmp_path, DOUBLE_BRANCH)
+    cert = doc["certificate"]
+    cert["ring"]["vars"] = ["x", "y", "z"]
+    cert["base_vars"] = ["x", "y", "z"]
+    cert["transcript"] = []
+    cert["generators"] = [{"text": "y^2 - x^3",
+                           "terms": [[[0, 2, 0], "1"], [[3, 0, 0], "-1"]]}]
+    cert["data"] = [[2, 3, 1], [2, 3, 5]]
+    out_path = tmp_path / "surface.json"
+    out_path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(out_path))
+    assert code == 1
+    assert "not one-dimensional" in out
 
 
 @pytest.mark.parametrize("bad", ["1/0", "abc", 0.5])

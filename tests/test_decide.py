@@ -1,12 +1,16 @@
 """Tests for the irreducibility decision and its certificates."""
 
+import random
 from dataclasses import replace
+from math import gcd, prod
 
 import pytest
 
 from algebroid.decide import (
     Certificate,
     _balanced,
+    _initial_handle,
+    _monomial_free,
     assert_preconditions,
     decide_irreducible,
     value_semigroup,
@@ -23,7 +27,7 @@ from algebroid.groebner import IdealHandle, contains_monomial, ideal_membership
 from algebroid.localalg import base_weights, initial_ideal
 from algebroid.parametric import parametric_intersection
 from algebroid.polyring import RingCtx, parse_poly
-from algebroid.scalars import GF, QQ
+from algebroid.scalars import GF, QQ, FieldSpec
 from algebroid.semigroups import membership
 
 
@@ -331,3 +335,180 @@ BIG = 5 * 10 ** 16
 def test_balanced_ranks_by_the_exact_centre(lo, hi, nf, lam, lam_total,
                                             expected):
     assert _balanced(lo, hi, nf, lam, lam_total) == expected
+
+
+# ------------------------------------------------------ sliced monomial test
+
+F5TH = GF(5, (2, 0))  # F_5[th]/(th^2 + 2)
+SLICE_FIELDS = [QQ, GF(2), GF(7), F5TH]
+SLICE_IDS = ["Q", "F2", "F7", "F5th"]
+
+
+def _agrees(handle, w, expected=None):
+    """The sliced test against the Rabinowitsch search on the same initial
+    ideal, and against the known answer when there is one."""
+    got = _monomial_free(handle, w)
+    K = _initial_handle(handle, w)
+    assert got == (contains_monomial(IdealHandle(K.generators, K.ctx)) is None)
+    if expected is not None:
+        assert got == expected
+    return got
+
+
+def _distinct_scalars(rng, field: FieldSpec, count):
+    """count distinct field elements, zero allowed."""
+    if field.characteristic == 0:
+        pool = list(range(-6, 7))
+    else:
+        pool = list(field.elements())
+    return rng.sample(pool, min(count, len(pool)))
+
+
+@pytest.mark.parametrize("field", SLICE_FIELDS, ids=SLICE_IDS)
+def test_sliced_test_on_seeded_plane_products(field):
+    """prod_k (y^a - c_k x^b), with distinct c_k, at w = (a, b) / gcd, and the
+    same times x.  The zero set meets the torus exactly when some c_k is
+    nonzero; x adds the y-axis, which does not."""
+    ctx = RingCtx(field, ("x", "y"))
+    x, y = ctx.var("x"), ctx.var("y")
+    rng = random.Random(f"slice-plane-{field!r}")
+    for _ in range(6):
+        a, b = rng.randint(1, 3), rng.randint(1, 4)
+        g = gcd(a, b)
+        w = (a // g, b // g)
+        cs = _distinct_scalars(rng, field, rng.randint(1, 3))
+        f = prod((y ** a - ctx.const(c) * x ** b for c in cs), start=ctx.one())
+        meets = any(not field.is_zero(field.coerce(c)) for c in cs)
+        _agrees(IdealHandle([f], ctx), w, meets)
+        _agrees(IdealHandle([x * f], ctx), w, meets)
+
+
+@pytest.mark.parametrize("field", SLICE_FIELDS, ids=SLICE_IDS)
+def test_sliced_test_on_a_space_curve_with_an_axis(field):
+    """A torus curve y^a = c x^b, z^e = d x^f times the fat z-axis (x^2, y^2),
+    and the fat axis alone: the axis never meets the torus, and when z is
+    the heaviest coordinate the slice sees only the axis, where xy is
+    nilpotent but not zero."""
+    ctx = RingCtx(field, ("x", "y", "z"))
+    x, y, z = ctx.var("x"), ctx.var("y"), ctx.var("z")
+    rng = random.Random(f"slice-space-{field!r}")
+    axis = [x ** 2, y ** 2]
+    for _ in range(3):
+        a, b, e, f = (rng.randint(1, 3) for _ in range(4))
+        w = (a * e, b * e, f * a)
+        g = gcd(gcd(*w[:2]), w[2])
+        w = tuple(v // g for v in w)
+        c, d = _distinct_scalars(rng, field, 2)
+        curve = [y ** a - ctx.const(c) * x ** b,
+                 z ** e - ctx.const(d) * x ** f]
+        meets = all(not field.is_zero(field.coerce(v)) for v in (c, d))
+        product = [p * q for p in curve for q in axis]
+        _agrees(IdealHandle(product, ctx), w, meets)
+        _agrees(IdealHandle(axis, ctx), w, False)
+
+
+@pytest.mark.parametrize("field", SLICE_FIELDS, ids=SLICE_IDS)
+def test_sliced_test_on_unit_and_nilpotent_slices(field):
+    ctx = RingCtx(field, ("x", "y"))
+    cases = [
+        ("y^2", (1, 2), False),        # slice y = 1 is the unit ideal
+        ("y^2", (2, 1), False),        # slice x = 1 is (y^2): y nilpotent
+        ("x*y", (1, 1), False),        # a tie slices at x
+        ("y^2 - x^2", (1, 1), True),
+        ("y^2 - x^3", (2, 3), True),   # 2 divides a weight, also over F_2
+        ("y^4 - x^6", (2, 3), True),   # a double branch, still a tropism
+        ("(y^2 - x^3)*y^3", (2, 3), True),
+    ]
+    for text, w, expected in cases:
+        _agrees(IdealHandle([parse_poly(text, ctx)], ctx), w, expected)
+
+
+SPACE_CURVES = [
+    (("x^3 - y^2", "(z^2 - x*y)^2 - x^2*y*z^2"), [(4, 6, 5)]),
+    (("x^3 - y^2", "(z^2 - x*y)^2 - x*y*z^3"), [(4, 6, 5)]),
+    (("x^3 - y^2", "(z^2 - x^2*y)^2 - x^3*y^2*z"), [(4, 6, 7)]),
+    (("(x^3 + y^2)*x - y*z^2", "y^2 - x*z", "z^3 - (x^3 + y^2)*y"),
+     [(5, 6, 7)]),
+    (("x^2 + y^3 + z^3", "x*y + y*z + z*x"),
+     [(6, 5, 5), (3, 3, 2), (3, 2, 3), (2, 3, 3)]),
+]
+
+
+@pytest.mark.parametrize("field", SLICE_FIELDS, ids=SLICE_IDS)
+def test_sliced_test_on_the_initial_ideals_of_the_space_curves(field):
+    for texts, rays in SPACE_CURVES:
+        I, _ = space_ideal(*texts, field=field)
+        for w in rays:
+            _agrees(I, w)
+
+
+@pytest.mark.parametrize("field", SLICE_FIELDS, ids=SLICE_IDS)
+def test_sliced_test_on_the_certified_rays(field):
+    I, _ = space_ideal("x^3 - y^2", "(z^2 - x*y)^2 - x^2*y*z^2", field=field)
+    cert = decide_irreducible(I).certificate
+    rays = cert.data if cert.kind == "two_tropisms" else [cert.data]
+    for w in rays:
+        assert _agrees(cert.ideal, w)
+
+
+def test_sliced_test_names_a_surface_slice():
+    I, _ = space_ideal("y^2 - x^3")
+    with pytest.raises(WrongDimension, match=r"\(2, 3, 1\)"):
+        _monomial_free(I, (2, 3, 1))
+
+
+def test_a_surface_certificate_is_refused_not_raised():
+    I, _ = space_ideal("y^2 - x^3")
+    cert = Certificate("two_tropisms", I, ((2, 3, 1), (2, 3, 5)),
+                       ("x", "y", "z"))
+    assert verify_certificate(cert) == (
+        False, "initial ideal at ray 1 is not one-dimensional")
+
+
+# ------------------------------------------------------------- graph shape
+
+def _graph_mutants(cert):
+    """Certificates for the same ideal whose generators leave the graph
+    shape: each used to pass the membership check of the transcript."""
+    gens = cert.ideal.generators
+    ctx = cert.ideal.ctx
+    head = len(gens) - len(cert.transcript)
+    g, x, rel = gens[0], ctx.var(0), gens[-1]
+    return {
+        "extra generator": gens + (g,),
+        "reordered generators": (rel,) + gens[:-1],
+        "equivalent relation": gens[:-1] + (rel + x * g,),
+        "base generator with an adjoined variable":
+            (g + x * rel,) + gens[1:],
+        "relation among the base generators":
+            gens[:head] + (rel,) + gens[head:],
+    }
+
+
+def _one_adjunction_certificate():
+    I, _ = plane_ideal("(y^2 - x^3)^2 - x^2*y^3")
+    cert = decide_irreducible(I).certificate
+    assert [n for n, _ in cert.transcript] == ["z"]
+    return cert
+
+
+def test_graph_shape_mutants_are_the_same_ideal_but_refused():
+    cert = _one_adjunction_certificate()
+    for label, gens in _graph_mutants(cert).items():
+        assert same_ideal(gens, cert.ideal.generators, cert.ideal.ctx), label
+        bad = replace(cert, ideal=IdealHandle(gens, cert.ideal.ctx))
+        ok, reason = verify_certificate(bad)
+        assert not ok, label
+        assert "generator" in reason, (label, reason)
+    assert verify_certificate(cert) == (True, "ok")
+
+
+def test_graph_shape_refuses_a_two_ray_certificate_with_a_reordered_pair():
+    I, _ = plane_ideal("(y^2 - x^3)^2 - x^7")
+    cert = decide_irreducible(I).certificate
+    gens = cert.ideal.generators
+    swapped = gens[:-2] + (gens[-1], gens[-2])
+    bad = replace(cert, ideal=IdealHandle(swapped, cert.ideal.ctx))
+    ok, reason = verify_certificate(bad)
+    assert not ok
+    assert "transcript relation" in reason
