@@ -20,6 +20,7 @@ ideals is constructed and verified exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
@@ -444,19 +445,22 @@ def _balanced(lo: int, hi: int, nf: int, lam: int,
                   key=lambda u: (abs(u * lam_total - nf * lam), u))
 
 
-def _recovered_attachments(verdict: Verdict) -> List[Tuple[str, Poly]]:
+def _recovered_attachments(J: IdealHandle,
+                           names: tuple) -> List[Tuple[str, Poly]]:
     """The adjoined names with their defining polynomials, read back from
-    the trailing generators of the verdict's extended ideal."""
-    J = verdict.ideal
-    names = verdict.adjoined
-    out = []
-    tail = J.generators[-len(names):]
-    for name, gen in zip(names, tail):
-        out.append((name, J.ctx.var(name) - gen))
-    return out
+    the trailing generators of the extended ideal J."""
+    return [(name, J.ctx.var(name) - gen)
+            for name, gen in zip(names, J.generators[-len(names):])]
 
 
-def _first_tropism_pair(J: IdealHandle, pool) -> Optional[tuple]:
+def _first_tropism_pair(J: IdealHandle, wb: tuple, lam_total: int, offsets,
+                        head=()) -> Optional[tuple]:
+    """The first two tropisms of J, sorted, among the candidate rays:
+    ``head`` first, then k*wb + tail for each (k, tail) that
+    ``offsets(lam)`` yields, for lam = 1 .. lam_total - 1 in turn."""
+    pool = chain(head, (tuple(k * e for e in wb) + tail
+                        for lam in range(1, lam_total)
+                        for k, tail in offsets(lam)))
     hits: List[tuple] = []
     seen = set()
     for cand in pool:
@@ -477,58 +481,65 @@ def _rays_for_false(handle: IdealHandle, w: tuple, verdict: Verdict,
                     f: Poly, g: Poly):
     """Construct and verify two weight rays with monomial-free initial
     ideals witnessing the pencil verdict.  Returns (J, rays, extra)
-    where extra lists adjunctions to append to the transcript."""
+    where extra lists adjunctions to append to the transcript.
+
+    With w = lam_total*wb, wb primitive, a branch of base valuation
+    lam*wb gives the monomial g order lam*vbar, vbar = wb . (exponent of
+    g), and nf = lam_total*vbar; its ray is lam*wb followed by the
+    attachments' orders, which each case yields per lam.  In case 1 f
+    has order u != lam*vbar.  In case 2 f has order lam*vbar too, so the
+    branch raises one v_k = f - beta_k*g at most, by e in 1..d_k with
+    d_k = values[k] - nf: the tail is (lam*vbar + e, lam*vbar) or its
+    swap, and e = d_k at lam = lam_total - 1, where the one other branch
+    raises the other v_k, so lam_total = 2 leaves two candidates.  Case 3
+    tries the saturation's exact ray first.  Hits are verified exactly,
+    so a wrong candidate can only end in CertificateSearchFailed."""
     lam_total = gcd_weights(w)
     wb = tuple(e // lam_total for e in w)
+    vbar = wdot(wb, next(iter(g.terms)))
+    nf = lam_total * vbar
     J = verdict.ideal
-    extra = _recovered_attachments(verdict)
-    pool: List[tuple] = []
+    extra = _recovered_attachments(J, verdict.adjoined)
+    head: tuple = ()
     if verdict.case == 1:
-        nf = intersection_number(f, handle)
         dbar = ord_w(f, w) // lam_total
-        c = next(iter(g.terms))
-        vbar = wdot(wb, c)
-        for lam in range(1, lam_total):
+
+        def offsets(lam):
             lam2 = lam_total - lam
-            v1, v2 = lam * vbar, lam2 * vbar
-            lo, hi = lam * dbar, nf - lam2 * dbar
-            for u in _balanced(lo, hi, nf, lam, lam_total):
-                u2 = nf - u
-                if (u - v1) * (u2 - v2) < 0:
-                    pool.append(tuple(lam * e for e in wb) + (u, v1))
-                    pool.append(tuple(lam2 * e for e in wb) + (u2, v2))
+            for u in _balanced(lam * dbar, nf - lam2 * dbar, nf, lam,
+                               lam_total):
+                if u != lam * vbar:
+                    yield lam, (u, lam * vbar)
+                    yield lam2, (nf - u, lam2 * vbar)
     elif verdict.case == 2:
-        nf = intersection_number(f, handle)
-        dbar = ord_w(f, w) // lam_total
-        ctxJ = J.ctx
-        jumps = [intersection_number(ctxJ.var(n), J) - nf
-                 for n in verdict.adjoined]
+        jumps = [value - nf for value in verdict.values]
         assert all(isinstance(d, int) and d >= 1 for d in jumps), \
             "a two-parameter verdict must raise both attached values"
-        d1, d2 = jumps
-        for lam in range(1, lam_total):
-            lam2 = lam_total - lam
-            lo, hi = lam * dbar, nf - lam2 * dbar
-            for u in _balanced(lo, hi, nf, lam, lam_total):
-                base = tuple(lam * e for e in wb)
-                for d in range(d1, 0, -1):
-                    pool.append(base + (u + d, u))
-                for d in range(d2, 0, -1):
-                    pool.append(base + (u, u + d))
+        if INF in verdict.values:
+            name = verdict.adjoined[verdict.values.index(INF)]
+            raise CertificateSearchFailed(
+                f"the case-2 pencil value of {name} is infinite: it vanishes "
+                "on a branch, and the ray search needs finite values")
+
+        def offsets(lam):
+            v = lam * vbar
+            for k, d in enumerate(jumps):
+                for e in range(d, 0, -1) if lam < lam_total - 1 else (d,):
+                    yield lam, (v + e, v) if k == 0 else (v, v + e)
     else:
         hb = project(extra[0][1], handle.ctx, range(handle.ctx.nvars))
         out = _saturate(handle, hb)
         n_h = intersection_number(hb, out)
-        pool.append(tuple(base_weights(out)) + (n_h,))
-        for lam in range(1, lam_total):
-            base = tuple(lam * e for e in wb)
-            for H in range(1, n_h + 1):
-                pool.append(base + (H,))
-    pair = _first_tropism_pair(J, pool)
+        head = (tuple(base_weights(out)) + (n_h,),)
+
+        def offsets(lam):
+            return ((lam, (H,)) for H in range(1, n_h + 1))
+    pair = _first_tropism_pair(J, wb, lam_total, offsets, head)
     if pair is not None:
         return J, pair, extra
     if verdict.case == 3:
-        return _rays_bent_attachment(handle, hb, out, n_h, wb, lam_total)
+        return _rays_bent_attachment(handle, hb, head[0], wb, lam_total,
+                                     offsets)
     raise CertificateSearchFailed(
         "no pair of weight rays with monomial-free initial ideals was "
         "found in the search window")
@@ -551,30 +562,28 @@ def _saturate(handle: IdealHandle, h: Poly) -> IdealHandle:
                        ctx)
 
 
-def _rays_bent_attachment(handle: IdealHandle, hb: Poly, out: IdealHandle,
-                          n_h: int, wb: tuple, lam_total: int):
+def _rays_bent_attachment(handle: IdealHandle, hb: Poly, exact: tuple,
+                          wb: tuple, lam_total: int, offsets):
     """The attachment vanishes on some components, so its ideal is one
     finite ray short of a pair.  Adding a single high monomial leaves the
     other components' orders alone while giving the vanishing ones the
-    exactly known order M * wb_i, restoring a verifiable second ray."""
+    exactly known order M * wb_i, restoring a verifiable second ray.
+    ``exact`` is the saturation's ray, ending in the attachment's
+    intersection number n_h there, and ``offsets`` the case-3 tails."""
     ctx = handle.ctx
     i = min(range(len(wb)), key=lambda k: wb[k])
-    exact = _primitive(tuple(base_weights(out)) + (n_h,))
-    M = n_h + 1
+    M = exact[-1] + 1
+    exact = _primitive(exact)
     for _ in range(_PERTURB_BUMPS):
         if not _proportional(exact, wb + (M * wb[i],)):
             break
         M += 1
     bent = hb + ctx.mono(tuple(M if k == i else 0 for k in range(ctx.nvars)))
     J2, (name,) = _extend_with(handle, (bent,))
-    pool: List[tuple] = [exact, wb + (M * wb[i],)]
-    for lam in range(1, lam_total):
-        base = tuple(lam * e for e in wb)
-        for H in range(1, n_h + 1):
-            pool.append(base + (H,))
-    pair = _first_tropism_pair(J2, pool)
+    pair = _first_tropism_pair(J2, wb, lam_total, offsets,
+                               (exact, wb + (M * wb[i],)))
     if pair is not None:
-        return J2, pair, [(name, J2.ctx.var(name) - J2.generators[-1])]
+        return J2, pair, _recovered_attachments(J2, (name,))
     raise CertificateSearchFailed(
         "no monomial bend of the vanishing attachment exposed two weight "
         "rays in the search window")

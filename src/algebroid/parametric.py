@@ -456,7 +456,14 @@ def parametric_intersection(f: Poly, g: Poly, ideal: IdealHandle,
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of the three-way test: 'false' with an enlarged ideal, or
-    'not_false' with the unique exceptional parameter."""
+    'not_false' with the unique exceptional parameter.
+
+    In case 2, ``values[k]`` is the pencil's exceptional value at
+    ``betas[k]`` (a lifted conjugate pair shares its factor's): the
+    intersection number of v_k = f - beta_k*g, and of ``adjoined[k]`` in
+    the enlarged ideal.  f and g have order lam*vbar on a branch of base
+    valuation lam*wb (g a monomial of wb-weight vbar), so a branch raises
+    one v_k at most; INF means that v_k vanishes on a branch."""
 
     result: str
     ideal: Optional[IdealHandle] = None
@@ -467,6 +474,7 @@ class Verdict:
     adjoined: tuple = ()
     value: object = None
     truncation: int = 0
+    values: tuple = ()
 
 
 def _extend_with(ideal: IdealHandle, attachments) -> Tuple[IdealHandle, tuple]:
@@ -510,22 +518,26 @@ def parametric_test(f: Poly, g: Poly, ideal: IdealHandle,
             J, names = _extend_with(ideal, (f - g.scale(b1.value),
                                             f - g.scale(b2.value)))
             return Verdict("false", ideal=J, case=2, betas=(b1, b2),
-                           adjoined=names, truncation=po.truncation)
+                           adjoined=names, truncation=po.truncation,
+                           values=(rational[0].value, rational[1].value))
         if field.extension is not None:
             raise CertificateSearchFailed(
                 "two exceptional parameters need a field extension, but the "
                 "base field is already an extension")
-        fac = min((ev.factor for ev in factors), key=len)
+        conj = min(factors, key=lambda ev: len(ev.factor))
+        fac = conj.factor
         eideal, ef, eg = _lift(ideal, fac, f, g)
         ext = eideal.ctx.field
         theta = Scalar(ext.generator(), ext)
         if rational:
             b1 = Scalar(ext.embed(rational[0].beta.value), ext)
             b2 = theta
+            values = (rational[0].value, conj.value)
         elif len(fac) == 3:
             b1 = theta
             # the other root of a quadratic a^2 + m1 a + m0 is -m1 - theta
             b2 = Scalar(ext.neg(ext.add(ext.embed(fac[1]), theta.value)), ext)
+            values = (conj.value, conj.value)
         else:
             raise CertificateSearchFailed(
                 "conjugate parameters beyond a quadratic class are not "
@@ -534,7 +546,7 @@ def parametric_test(f: Poly, g: Poly, ideal: IdealHandle,
                                          ef - eg.scale(b2.value)))
         return Verdict("false", ideal=J, case=2, betas=(b1, b2),
                        minimal_poly=tuple(fac), adjoined=names,
-                       truncation=po.truncation)
+                       truncation=po.truncation, values=values)
     ev = rational[0] if rational else None
     if ev is None:
         raise CertificateSearchFailed(

@@ -1,0 +1,121 @@
+"""The case-2 ray search, built from the pencil's own values.
+
+A case-2 verdict carries the exceptional values of its two attachments,
+and the ray search reads its jumps from them instead of recounting
+intersection numbers in the extended ideal J.  These tests check the
+identity that rests on, the cost it saves (two tropism tests when
+lam_total = 2, no intersection number on J), and the rays of the
+stretch curve.  The module is not in the ``python -O`` rerun: it holds
+no library invariant that ``-O`` could strip, and its decides are slow.
+"""
+
+import functools
+
+import pytest
+
+from algebroid import decide, localalg, parametric
+from algebroid.decide import decide_irreducible, verify_certificate
+from algebroid.groebner import IdealHandle
+from algebroid.localalg import intersection_number
+from algebroid.polyring import RingCtx, parse_poly
+from algebroid.scalars import GF, QQ
+
+FIELDS = {"Q": QQ, "F101": GF(101), "F7": GF(7)}
+
+# The double-branch curves of the benchmark's two_branch workload.
+DOUBLE_BRANCH = {
+    "dbl-2-3-7-0": ("x y", ("(y^2 - x^3)^2 - x^7",)),
+    "dbl-2-3-8-0": ("x y", ("(y^2 - x^3)^2 - x^8",)),
+    "dbl-2-5-11-0": ("x y", ("(y^2 - x^5)^2 - x^11",)),
+    "dbl-2-5-12-0": ("x y", ("(y^2 - x^5)^2 - x^12",)),
+    "dbl-3-4-8-1": ("x y", ("(y^3 - x^4)^2 - x^8*y",)),
+    "space-pair": ("x y z", ("x^3 - y^2", "(z^2 - x*y)^2 - x^2*y*z^2")),
+}
+
+# Curves whose two pencil parameters are conjugate over the base field,
+# so the verdict lifts to a quadratic extension; with their rays.
+CONJUGATE = {
+    "conj-2-3-7": ("x y", ("(y^2 - x^3)^2 + x^7",),
+                   {(2, 3, 7, 8), (2, 3, 8, 7)}),
+    "conj-2-3-8": ("x y", ("(y^2 - x^3)^2 + 2*x^8",),
+                   {(2, 3, 8, 10), (2, 3, 10, 8)}),
+    "conj-3-4-8": ("x y", ("(y^3 - x^4)^2 + x^8*y",),
+                   {(3, 4, 14, 16), (3, 4, 16, 14)}),
+}
+
+CASES = ([(cid, fid) for cid in DOUBLE_BRANCH for fid in FIELDS]
+         + [("conj-2-3-7", "Q"), ("conj-2-3-7", "F7"),
+            ("conj-2-3-8", "Q"), ("conj-3-4-8", "Q")])
+
+
+def _ideal(variables, texts, field):
+    ctx = RingCtx(field, tuple(variables.split()))
+    return IdealHandle(tuple(parse_poly(t, ctx) for t in texts), ctx)
+
+
+@functools.lru_cache(maxsize=None)
+def _instrumented(cid, fid):
+    """Decide one curve, recording the case-2 verdict, the number of
+    tropism tests and the ideal of every intersection number asked."""
+    variables, texts = (DOUBLE_BRANCH[cid] if cid in DOUBLE_BRANCH
+                        else CONJUGATE[cid][:2])
+    verdicts, tested, asked = [], [], []
+    rays_for_false = decide._rays_for_false
+    ray_is_tropism = decide._ray_is_tropism
+
+    def record_verdict(handle, w, verdict, f, g):
+        verdicts.append((verdict, w))
+        return rays_for_false(handle, w, verdict, f, g)
+
+    def count_test(handle, ray):
+        tested.append(ray)
+        return ray_is_tropism(handle, ray)
+
+    def record_ideal(f, ideal, w=None):
+        asked.append(ideal)
+        return intersection_number(f, ideal, w)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decide, "_rays_for_false", record_verdict)
+        mp.setattr(decide, "_ray_is_tropism", count_test)
+        for module in (decide, localalg, parametric):
+            mp.setattr(module, "intersection_number", record_ideal)
+        rep = decide_irreducible(_ideal(variables, texts, FIELDS[fid]))
+    (verdict, w), = verdicts
+    return rep, verdict, w, tested, asked
+
+
+@pytest.mark.parametrize("cid, fid", CASES)
+def test_case2_values_are_the_intersection_numbers_in_J(cid, fid):
+    rep, verdict, _, _, _ = _instrumented(cid, fid)
+    assert verdict.result == "false" and verdict.case == 2
+    assert (verdict.minimal_poly is not None) == (cid in CONJUGATE)
+    J = verdict.ideal
+    assert verdict.values == tuple(
+        intersection_number(J.ctx.var(name), J) for name in verdict.adjoined)
+    assert rep.verdict == "reducible"
+    assert rep.certificate.kind == "two_tropisms"
+    if cid in CONJUGATE:
+        assert set(rep.certificate.data) == CONJUGATE[cid][2]
+    assert verify_certificate(rep.certificate) == (True, "ok")
+
+
+@pytest.mark.parametrize("cid, fid", CASES)
+def test_case2_search_tests_two_rays_and_counts_nothing_in_J(cid, fid):
+    rep, verdict, w, tested, asked = _instrumented(cid, fid)
+    assert decide.gcd_weights(w) == 2
+    assert len(tested) == 2
+    assert set(tested) == set(rep.certificate.data)
+    J = verdict.ideal
+    assert not any(ideal is J or getattr(ideal, "ctx", None) == J.ctx
+                   for ideal in asked)
+
+
+def test_stretch_curve_rays_over_F7():
+    I = _ideal("x y", ("((y^2 - x^3)^2 - x^5*y)^2 - x^11*y^2",), GF(7))
+    rep = decide_irreducible(I)
+    assert rep.verdict == "reducible"
+    assert rep.certificate.kind == "two_tropisms"
+    assert set(rep.certificate.data) == {(4, 6, 13, 28, 29),
+                                         (4, 6, 13, 29, 28)}
+    assert verify_certificate(rep.certificate) == (True, "ok")

@@ -1,6 +1,7 @@
 """Tests for the irreducibility decision and its certificates."""
 
 import random
+import sys
 from dataclasses import replace
 from math import gcd, prod
 
@@ -17,6 +18,7 @@ from algebroid.decide import (
     verify_certificate,
 )
 from algebroid.errors import (
+    CertificateSearchFailed,
     InfiniteWeight,
     NonRadicalSuspected,
     NotPrime,
@@ -237,6 +239,25 @@ def test_generous_truncation_cap_changes_nothing():
     rep = decide_irreducible(I, trunc_cap=64)
     assert set(rep.certificate.data) == {(2, 3, 7, 8), (2, 3, 8, 7)}
     assert rep.stats["truncation_high_water"] <= 64
+
+
+CASE2_DEFECT = "a two-parameter verdict must raise both attached values"
+
+
+def test_an_infinite_case2_value_is_a_typed_error_under_python_O():
+    # both pencil values of the node are infinite: each attachment y -+ x
+    # vanishes on a branch.  The ray search keeps its assert for that
+    # until infinite values get a bent attachment, and under -O raises a
+    # typed error naming the value instead of failing in range(INF).
+    I, _ = plane_ideal("(y - x)*(y + x)")
+    if sys.flags.optimize:
+        with pytest.raises(CertificateSearchFailed,
+                           match="pencil value of z1 is infinite"):
+            decide_irreducible(I)
+    else:
+        with pytest.raises(AssertionError) as info:
+            decide_irreducible(I)
+        assert str(info.value) == CASE2_DEFECT
 
 
 # ------------------------------------------------------------ preconditions
