@@ -40,7 +40,7 @@ from .decide import (Certificate, DecisionReport, _monomial_witness,
 from .errors import AlgebroidError, ParseError
 from .groebner import IdealHandle
 from .localalg import initial_ideal, intersection_number
-from .polyring import INF, Poly, RingCtx, parse_poly
+from .polyring import _EXPONENT_CAP, INF, Poly, RingCtx, parse_poly
 from .scalars import FieldSpec
 from .semigroups import conductor, gcd_weights, membership
 
@@ -200,6 +200,9 @@ def _poly_parse(obj: dict, ctx: RingCtx) -> Poly:
         m = tuple(int(e) for e in mono)
         if len(m) != ctx.nvars or any(e < 0 for e in m):
             raise ParseError(f"bad exponent vector {mono!r}")
+        if any(e > _EXPONENT_CAP for e in m):
+            raise ParseError(f"exponent vector {mono!r} exceeds "
+                             f"_EXPONENT_CAP = {_EXPONENT_CAP}")
         items.append((m, _coeff_parse(ctx.field, coeff)))
     return Poly.from_items(items, ctx)
 

@@ -36,6 +36,7 @@ from .errors import (
 from .groebner import (
     IdealHandle,
     _as_handle,
+    _reduce_basis,
     buchberger,
     contains_monomial,
     eliminate,
@@ -73,10 +74,27 @@ def _to_ctx(f: Poly, big: RingCtx) -> Poly:
 
 
 def _initial_handle(handle: IdealHandle, w: Sequence[int]) -> IdealHandle:
-    """The handle of the initial ideal at w, one per weight vector."""
+    """The handle of the initial ideal K at w, one per weight vector, with
+    its reduced DegRevLex basis already in its memo, found by interreducing
+    its generators alone.
+
+    Those generators are the initial forms in_w(s) of a standard basis of
+    J under the local order (lowest w-degree first, DegRevLex among
+    equals), so LM_local(s) = LM_drl(in_w(s)).  Let h in K be nonzero and
+    h_d its w-homogeneous component holding LM_drl(h).  K is
+    w-homogeneous, so h_d lies in K and h_d = in_w(f) for some f in J;
+    then LM_drl(h) = LM_drl(h_d) = LM_local(f) lies in <LM_local(s)> =
+    <LM_drl(in_w(s))>.  The forms are thus a DegRevLex Groebner basis of
+    K, and the reduced basis, being unique, is the one Buchberger gives."""
     w = tuple(w)
-    return handle.cached(("initial", w), lambda: IdealHandle(
-        initial_ideal(handle, w), handle.ctx))
+
+    def build() -> IdealHandle:
+        K = IdealHandle(initial_ideal(handle, w), handle.ctx)
+        order = DegRevLex()
+        K.cached(("groebner", order), lambda: [p for p, _ in _reduce_basis(
+            [(g, ()) for g in K.generators], order)])
+        return K
+    return handle.cached(("initial", w), build)
 
 
 def _monomial_free(handle: IdealHandle, w: Sequence[int]) -> bool:
@@ -90,7 +108,9 @@ def _monomial_free(handle: IdealHandle, w: Sequence[int]) -> bool:
     some length D.  K contains a monomial exactly when the slice is the
     unit ideal or the product m of the other variables is nilpotent
     modulo it, that is, when m^(2^k) reduces to zero for the first
-    2^k >= D.  Raises WrongDimension when the slice is not finite."""
+    2^k >= D.  The slice is taken of K's reduced DegRevLex basis, which
+    ``_initial_handle`` found without S-pairs.  Raises WrongDimension when
+    the slice is not finite."""
     w = tuple(w)
     K = _initial_handle(handle, w)
     ctx = K.ctx
@@ -100,7 +120,7 @@ def _monomial_free(handle: IdealHandle, w: Sequence[int]) -> bool:
     order = DegRevLex()
     gb = buchberger([Poly.from_items(((m[:i] + m[i + 1:], c)
                                       for m, c in g.terms.items()), small)
-                     for g in K.generators], order)
+                     for g in K.groebner(order)], order)
     stairs = monomial_staircase([g.lead(order)[0] for g in gb], n - 1)
     if stairs is None:
         raise WrongDimension(

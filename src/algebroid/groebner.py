@@ -209,9 +209,12 @@ class IdealHandle:
     ``build()`` to make it on first use.  The keys in use are
     ("groebner", order), ("hom", w) for the local standard basis,
     ("pivot", i) for the pivot reducer, ("intersection", f.key(), w) and
-    ("initial", w) for the initial ideal's handle.  The memo has no size
-    bound: every entry answers a call made on this handle, and the entries
-    go with it.  A handle's generators must not change after it is built.
+    ("initial", w) for the initial ideal's handle.  An initial handle is
+    built with its ("groebner", DegRevLex()) entry already filled, by
+    interreduction alone (``decide._initial_handle``).  The memo has no
+    size bound: every entry answers a call made on this handle, and the
+    entries go with it.  A handle's generators must not change after it
+    is built.
     """
 
     def __init__(self, generators: Iterable[Poly], ctx: Optional[RingCtx] = None):

@@ -115,7 +115,9 @@ def local_lead_monomials(ideal: IdealLike,
 
 def initial_ideal(ideal: IdealLike, w: Sequence[int]) -> List[Poly]:
     """Generators of the ideal of lowest-w-degree forms: the initial forms
-    of a standard basis, deduplicated."""
+    of a standard basis, deduplicated.  Their DegRevLex leads are the
+    local leads of that basis, so they form a DegRevLex Groebner basis of
+    the initial ideal."""
     handle = _as_handle(ideal)
     w = _check_weights(w, handle.ctx.nvars)
     seen = set()

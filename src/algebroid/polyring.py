@@ -569,6 +569,10 @@ def normal_form(f: Poly, divisors: Sequence[Poly], order: TermOrder) -> Poly:
 # ------------------------------------------------------------------ parser
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z0-9_]*|\*\*|[-+*/^()])")
+# Largest exponent of a variable that parsed input may carry.  The decider's
+# cost grows with it: the intersection number of y on y^2 - x^N counts a
+# staircase of N monomials one by one.
+_EXPONENT_CAP = 1000
 
 
 def _tokenize(text: str):
@@ -584,9 +588,22 @@ def _tokenize(text: str):
     return toks
 
 
+def _top_exponents(p: Poly) -> tuple:
+    """The largest exponent of each variable among the terms of p."""
+    return tuple(map(max, zip(*p.terms, (0,) * p.ctx.nvars)))
+
+
+def _refuse_above_cap(top: int) -> None:
+    if top > _EXPONENT_CAP:
+        raise ParseError(
+            f"an exponent exceeds _EXPONENT_CAP = {_EXPONENT_CAP}")
+
+
 def parse_poly(text: str, ctx: RingCtx) -> Poly:
     """Parse '+ - * / ^' arithmetic with implicit multiplication, integer
-    and fractional coefficients, and parentheses."""
+    and fractional coefficients, and parentheses.  A power or product
+    whose exponents could pass ``_EXPONENT_CAP`` raises ParseError before
+    it is computed."""
     toks = _tokenize(text)
     pos = 0
 
@@ -613,13 +630,19 @@ def parse_poly(text: str, ctx: RingCtx) -> Poly:
             acc = acc + t if op == "+" else acc - t
         return acc
 
+    def times(acc: Poly) -> Poly:
+        rhs = parse_factor()
+        _refuse_above_cap(max(map(operator.add, _top_exponents(acc),
+                                  _top_exponents(rhs)), default=0))
+        return acc * rhs
+
     def parse_term() -> Poly:
         acc = parse_factor()
         while True:
             nxt = peek()
             if nxt == "*":
                 take()
-                acc = acc * parse_factor()
+                acc = times(acc)
             elif nxt == "/":
                 take()
                 d = parse_factor()
@@ -630,7 +653,7 @@ def parse_poly(text: str, ctx: RingCtx) -> Poly:
                 acc = acc.scale(ctx.field.inv(d.constant_coeff()))
             elif nxt is not None and (nxt.isdigit() or nxt == "("
                                       or re.fullmatch(r"[A-Za-z_]\w*", nxt)):
-                acc = acc * parse_factor()
+                acc = times(acc)
             else:
                 return acc
 
@@ -648,6 +671,8 @@ def parse_poly(text: str, ctx: RingCtx) -> Poly:
             take()
             if neg:
                 raise ParseError("negative exponents are not allowed")
+            _refuse_above_cap(_EXPONENT_CAP + 1 if len(e) > 9 else
+                              int(e) * max((1, *_top_exponents(base))))
             return base ** int(e)
         return base
 

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -22,6 +23,8 @@ CHAR2_TOWER = ("char 2\nvars x y z\nideal:\n"
 CUSP = "char 0\nvars x y\nideal:\nx^3 - y^2\n"
 QUARTIC = "char 0\nvars x y\nideal:\nx^3 - y^4\n"
 ONE_STEP = "char 0\nvars x y\nideal:\n(y^2 - x^3)^2 - x^2*y^3\n"
+# Its base weights would enumerate a staircase of 3,000,000 monomials.
+HUGE_EXPONENT = "char 0\nvars x y\nideal:\ny^2 - x^3000000\n"
 MINORS = ("char 0\nvars x y z\nideal:\n"
           "(x^3 + y^2)*x - y*z^2\ny^2 - x*z\nz^3 - (x^3 + y^2)*y\n")
 
@@ -335,6 +338,31 @@ def test_unreadable_json_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(out_path))
     assert code == 2
     assert "error:" in err
+
+
+def test_an_ideal_file_above_the_exponent_cap_exits_two_at_once(
+        tmp_path, capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "decide", write(tmp_path, HUGE_EXPONENT))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert "line 4: an exponent exceeds _EXPONENT_CAP = 1000" in err
+
+
+def test_a_certificate_above_the_exponent_cap_exits_two_at_once(
+        tmp_path, capsys):
+    _, doc = report_for(tmp_path, CUSP)
+    cert = doc["certificate"]
+    cert["generators"] = [{"text": "y^2 - x^3000000",
+                           "terms": [[[0, 2], "1"], [[3000000, 0], "-1"]]}]
+    cert["data"] = [2, 3000000]
+    out_path = tmp_path / "huge.json"
+    out_path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "verify", str(out_path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert "exceeds _EXPONENT_CAP = 1000" in err
 
 
 # ------------------------------------------------------------- packaging

@@ -7,6 +7,7 @@ from math import gcd, prod
 
 import pytest
 
+from algebroid import decide, groebner
 from algebroid.decide import (
     Certificate,
     _balanced,
@@ -25,10 +26,15 @@ from algebroid.errors import (
     TruncationExhausted,
     WrongDimension,
 )
-from algebroid.groebner import IdealHandle, contains_monomial, ideal_membership
+from algebroid.groebner import (
+    IdealHandle,
+    buchberger,
+    contains_monomial,
+    ideal_membership,
+)
 from algebroid.localalg import base_weights, initial_ideal
 from algebroid.parametric import parametric_intersection
-from algebroid.polyring import RingCtx, parse_poly
+from algebroid.polyring import DegRevLex, RingCtx, parse_poly
 from algebroid.scalars import GF, QQ, FieldSpec
 from algebroid.semigroups import membership
 
@@ -484,6 +490,160 @@ def test_a_surface_certificate_is_refused_not_raised():
                        ("x", "y", "z"))
     assert verify_certificate(cert) == (
         False, "initial ideal at ray 1 is not one-dimensional")
+
+
+# ---------------------------------------- initial ideals with their basis
+
+# The curves of the benchmark's two_branch and prime_tower workloads.
+TWO_BRANCH_CURVES = {
+    "dbl-2-3-7-0": ("x y", ("(y^2 - x^3)^2 - x^7",)),
+    "dbl-2-3-8-0": ("x y", ("(y^2 - x^3)^2 - x^8",)),
+    "dbl-2-5-11-0": ("x y", ("(y^2 - x^5)^2 - x^11",)),
+    "dbl-2-5-12-0": ("x y", ("(y^2 - x^5)^2 - x^12",)),
+    "dbl-3-4-8-1": ("x y", ("(y^3 - x^4)^2 - x^8*y",)),
+    "space-pair": ("x y z", ("x^3 - y^2", "(z^2 - x*y)^2 - x^2*y*z^2")),
+    "tangent-pair": ("x y", ("(y - x^2)*(y - x^2 - x^3)",)),
+}
+# Over F_2 these are squares, (y^2 + x^3 + x^4)^2 and (y^2 + x^5 + x^6)^2,
+# so not radical.
+NOT_RADICAL_OVER_F2 = ("dbl-2-3-8-0", "dbl-2-5-12-0")
+PRIME_TOWER_CURVES = {
+    "tower-1": ("x y", ("(y^2 - x^3)^2 - x^2*y^3",)),
+    "tower-2": ("x y", ("(y^3 - x^4)^2 - x^9",)),
+    "tower-3": ("x y", ("(y^2 - x^5)^2 - x^9*y",)),
+    "space-1": ("x y z", ("x^3 - y^2", "(z^2 - x^2*y)^2 - x^3*y^2*z")),
+    "space-2": ("x y z", ("x^3 - y^2", "(z^2 - x*y)^2 - x*y*z^3")),
+    "implicit-6-9-10": ("x y", (
+        "x^10 - x^9 - 6*x^8*y + 3*x^6*y^2 - 2*x^5*y^3 - 3*x^3*y^4 + y^6",)),
+    "implicit-4-6-7-9": ("x y", (
+        "x^9 - 2*x^8 + 5*x^7 + 4*x^6*y - x^6 + 4*x^5*y + 4*x^4*y^2"
+        " + 2*x^3*y^2 - y^4",)),
+}
+STRETCH_CURVE = ("x y", ("((y^2 - x^3)^2 - x^5*y)^2 - x^11*y^2",))
+
+
+def _curve(variables, texts, field):
+    ctx = RingCtx(field, tuple(variables.split()))
+    return IdealHandle(tuple(parse_poly(t, ctx) for t in texts), ctx)
+
+
+def _decide_recording_initial_handles(I, case2_defect_ok=False):
+    """Decide I, certificate check included, and return every (handle, w,
+    K) that ``_initial_handle`` handed out.  With ``case2_defect_ok`` the
+    known case-2 defect (a typed error under -O) ends the decide but keeps
+    the handles built before it."""
+    built = []
+    inner = decide._initial_handle
+
+    def record(handle, w):
+        K = inner(handle, w)
+        built.append((handle, tuple(w), K))
+        return K
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decide, "_initial_handle", record)
+        try:
+            decide_irreducible(I)
+        except (AssertionError, CertificateSearchFailed) as exc:
+            if not (case2_defect_ok and (str(exc) == CASE2_DEFECT
+                                         or "is infinite" in str(exc))):
+                raise
+    return built
+
+
+def _check_the_seeded_bases(built):
+    """Each initial handle's seeded DegRevLex basis is the one Buchberger
+    gives on its generators, and the sliced test answers on a fresh handle
+    as on the decide's, in agreement with ``contains_monomial``."""
+    assert built
+    for handle, w, K in {id(t[2]): t for t in built}.values():
+        seeded = K.groebner(DegRevLex())
+        assert seeded == buchberger(list(K.generators), DegRevLex())
+        fresh = IdealHandle(handle.generators, handle.ctx)
+        assert _agrees(fresh, w) == _monomial_free(handle, w)
+
+
+@pytest.mark.parametrize("field", SLICE_FIELDS, ids=SLICE_IDS)
+def test_seeded_bases_of_the_two_branch_curves(field):
+    for cid, (variables, texts) in TWO_BRANCH_CURVES.items():
+        if field.characteristic == 2 and cid in NOT_RADICAL_OVER_F2:
+            continue
+        _check_the_seeded_bases(_decide_recording_initial_handles(
+            _curve(variables, texts, field)))
+
+
+@pytest.mark.parametrize("field", SLICE_FIELDS, ids=SLICE_IDS)
+def test_seeded_bases_of_the_prime_tower_curves(field):
+    for variables, texts in PRIME_TOWER_CURVES.values():
+        _check_the_seeded_bases(_decide_recording_initial_handles(
+            _curve(variables, texts, field)))
+
+
+def test_seeded_bases_of_the_stretch_curve_over_F7():
+    _check_the_seeded_bases(_decide_recording_initial_handles(
+        _curve(*STRETCH_CURVE, GF(7))))
+
+
+@pytest.mark.parametrize("field", SLICE_FIELDS, ids=SLICE_IDS)
+def test_seeded_bases_of_seeded_plane_products(field):
+    """prod_k (y^a - c_k x^b) with a, b coprime and distinct nonzero c_k:
+    one branch per c_k.  Two or more branches of one (a, b) end in the
+    known case-2 defect, after the initial ideals at the base weights."""
+    ctx = RingCtx(field, ("x", "y"))
+    x, y = ctx.var("x"), ctx.var("y")
+    rng = random.Random(f"seeded-basis-{field!r}")
+    nonzero = [c for c in _distinct_scalars(rng, field, 13)
+               if not field.is_zero(field.coerce(c))]
+    for _ in range(4):
+        a, b = rng.choice([(1, 1), (1, 2), (2, 3), (3, 2), (2, 5), (3, 4)])
+        cs = rng.sample(nonzero, min(rng.randint(1, 3), len(nonzero)))
+        f = prod((y ** a - ctx.const(c) * x ** b for c in cs), start=ctx.one())
+        _check_the_seeded_bases(_decide_recording_initial_handles(
+            IdealHandle([f], ctx), case2_defect_ok=True))
+
+
+def _count_buchberger_inputs(monkeypatch):
+    """Record (initial handle, slice size) as the sliced test runs, and the
+    generators of every other Buchberger call."""
+    events, calls = [], []
+    inner_handle, inner_slice = decide._initial_handle, decide.buchberger
+    inner_global = groebner.buchberger
+
+    def record_handle(handle, w):
+        K = inner_handle(handle, w)
+        events.append(K)
+        return K
+
+    def record_slice(gens, order):
+        events.append(len(gens))
+        return inner_slice(gens, order)
+
+    def record_global(gens, order):
+        calls.append(tuple(gens))
+        return inner_global(gens, order)
+
+    monkeypatch.setattr(decide, "_initial_handle", record_handle)
+    monkeypatch.setattr(decide, "buchberger", record_slice)
+    monkeypatch.setattr(groebner, "buchberger", record_global)
+    return events, calls
+
+
+@pytest.mark.parametrize("cid", [*TWO_BRANCH_CURVES, *PRIME_TOWER_CURVES])
+def test_no_buchberger_on_initial_generators_and_slices_stay_small(
+        monkeypatch, cid):
+    events, calls = _count_buchberger_inputs(monkeypatch)
+    curve = TWO_BRANCH_CURVES.get(cid) or PRIME_TOWER_CURVES[cid]
+    decide_irreducible(_curve(*curve, QQ))
+    handles = [e for e in events if isinstance(e, IdealHandle)]
+    assert handles
+    assert not any(gens == K.generators for K in handles for gens in calls)
+    # _monomial_free asks for K just before it slices K's basis
+    slices = [(events[k - 1], size) for k, size in enumerate(events)
+              if isinstance(size, int)]
+    assert slices
+    for K, size in slices:
+        assert isinstance(K, IdealHandle)
+        assert size <= len(K.groebner(DegRevLex()))
 
 
 # ------------------------------------------------------------- graph shape

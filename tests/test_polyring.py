@@ -7,6 +7,7 @@ import pytest
 
 from algebroid.errors import ParseError, ZeroPoly
 from algebroid.polyring import (
+    _EXPONENT_CAP,
     INF,
     BlockOrder,
     DegRevLex,
@@ -64,6 +65,16 @@ def test_parse_rejects_garbage():
         CTX.poly("x ^ y")
     with pytest.raises(ParseError):
         CTX.poly("(x + y")
+
+
+def test_parse_refuses_exponents_above_the_cap():
+    assert _EXPONENT_CAP == 1000
+    assert CTX.poly("x^1000*y").terms == {(1000, 1, 0): 1}
+    assert CTX.poly("(x^10)^100 - x^500 x^500").is_zero()
+    for text in ("y^2 - x^3000000", "x^1001", "x^1000*x", "x^1000 x",
+                 "(x^40)^30", "(x + y^2)^501", "2^1001", "x^" + "9" * 5000):
+        with pytest.raises(ParseError, match="_EXPONENT_CAP = 1000"):
+            CTX.poly(text)
 
 
 def test_arithmetic_basics():
