@@ -493,10 +493,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except AlgebroidError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (AlgebroidError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -145,9 +145,10 @@ class Certificate:
 
     The ideal has graph shape: generators in ``base_vars`` only, then
     exactly ``ctx.var(name) - fdef`` for each transcript entry, in order,
-    each ``fdef`` in the variables before ``name``.  Its quotient ring is
-    then that of the base generators' ideal, which the certificate is
-    about."""
+    each ``fdef`` in the variables before ``name``; for two_tropisms the
+    last is the one pencil attachment, whose order ends each ray.  The
+    quotient ring is that of the base generators' ideal, which the
+    certificate is about."""
 
     kind: str            # prime_tropism | monomial_witness | two_tropisms
     ideal: IdealHandle
@@ -176,8 +177,6 @@ def _proportional(w1: Sequence[int], w2: Sequence[int]) -> bool:
 
 
 def _ray_is_tropism(handle: IdealHandle, ray: Sequence[int]) -> bool:
-    if any(not isinstance(e, int) or e <= 0 for e in ray):
-        return False
     return _monomial_free(handle, ray)
 
 
@@ -348,15 +347,8 @@ def _nf_ratio_resolves(m1: tuple, m2: tuple, in_gb: List[Poly],
     if set(q1.terms) != set(q2.terms):
         return False
     field = ctx.field
-    ratio = None
-    for m, c1 in q1.terms.items():
-        c2 = q2.terms[m]
-        r = field.div(c1, c2)
-        if ratio is None:
-            ratio = r
-        elif not field.eq(ratio, r):
-            return False
-    return True
+    ratios = [field.div(c, q2.terms[m]) for m, c in q1.terms.items()]
+    return all(field.eq(ratios[0], r) for r in ratios)
 
 
 def _screen_round(handle: IdealHandle, w: tuple, *, prime_mode: bool,
@@ -506,21 +498,31 @@ def _rays_for_false(handle: IdealHandle, w: tuple, verdict: Verdict,
     With w = lam_total*wb, wb primitive, a branch of base valuation
     lam*wb gives the monomial g order lam*vbar, vbar = wb . (exponent of
     g), and nf = lam_total*vbar; its ray is lam*wb followed by the
-    attachments' orders, which each case yields per lam.  In case 1 f
-    has order u != lam*vbar.  In case 2 f has order lam*vbar too, so the
-    branch raises one v_k = f - beta_k*g at most, by e in 1..d_k with
-    d_k = values[k] - nf: the tail is (lam*vbar + e, lam*vbar) or its
-    swap, and e = d_k at lam = lam_total - 1, where the one other branch
-    raises the other v_k, so lam_total = 2 leaves two candidates.  Case 3
-    tries the saturation's exact ray first.  Hits are verified exactly,
-    so a wrong candidate can only end in CertificateSearchFailed."""
+    attachments' orders, which each case yields per lam.  Two tropisms
+    of any graph-shaped extension prove two branches, and every tropism
+    of J projects to one of J1 = I + (z1 - h1), J less its last variable
+    and relation, where two-attachment verdicts are searched.  Case 1
+    drops g, whose order the base ray fixes; f has order u != lam*vbar,
+    so the tails (u,) and (nf - u,) are not proportional.  Case 2 drops
+    v2.  As b1 != b2, no branch raises both v_k = f - b_k*g above
+    lam*vbar.  values[1] > nf, so a branch raises v2; its J1 ray is
+    lam*(wb, vbar), the head.  values[0] > nf, so a branch raises v1, by
+    e in 1..d1 = values[0] - nf (e = d1 at lam = lam_total - 1, where the
+    one other branch raises v2); its ray lam*wb + (lam*vbar + e,) is not
+    proportional to the head, and lam_total = 2 leaves two candidates.
+    Case 3 tries the saturation's exact ray first.  Hits are verified
+    exactly, so a wrong candidate can only end in CertificateSearchFailed."""
     lam_total = gcd_weights(w)
     wb = tuple(e // lam_total for e in w)
     vbar = wdot(wb, next(iter(g.terms)))
     nf = lam_total * vbar
     J = verdict.ideal
-    extra = _recovered_attachments(J, verdict.adjoined)
     head: tuple = ()
+    if len(verdict.adjoined) == 2:
+        small = RingCtx(J.ctx.field, J.ctx.variables[:-1])
+        J = IdealHandle([project(p, small, range(small.nvars))
+                         for p in J.generators[:-1]], small)
+    extra = _recovered_attachments(J, verdict.adjoined[:1])
     if verdict.case == 1:
         dbar = ord_w(f, w) // lam_total
 
@@ -529,8 +531,8 @@ def _rays_for_false(handle: IdealHandle, w: tuple, verdict: Verdict,
             for u in _balanced(lam * dbar, nf - lam2 * dbar, nf, lam,
                                lam_total):
                 if u != lam * vbar:
-                    yield lam, (u, lam * vbar)
-                    yield lam2, (nf - u, lam2 * vbar)
+                    yield lam, (u,)
+                    yield lam2, (nf - u,)
     elif verdict.case == 2:
         jumps = [value - nf for value in verdict.values]
         assert all(isinstance(d, int) and d >= 1 for d in jumps), \
@@ -540,12 +542,12 @@ def _rays_for_false(handle: IdealHandle, w: tuple, verdict: Verdict,
             raise CertificateSearchFailed(
                 f"the case-2 pencil value of {name} is infinite: it vanishes "
                 "on a branch, and the ray search needs finite values")
+        head = (wb + (vbar,),)
 
         def offsets(lam):
-            v = lam * vbar
-            for k, d in enumerate(jumps):
-                for e in range(d, 0, -1) if lam < lam_total - 1 else (d,):
-                    yield lam, (v + e, v) if k == 0 else (v, v + e)
+            d = jumps[0]
+            for e in range(d, 0, -1) if lam < lam_total - 1 else (d,):
+                yield lam, (lam * vbar + e,)
     else:
         hb = project(extra[0][1], handle.ctx, range(handle.ctx.nvars))
         out = _saturate(handle, hb)
@@ -645,14 +647,12 @@ def decide_irreducible(ideal, iter_cap: int = 256,
     def reducible_monomial(wit: Poly) -> DecisionReport:
         cert = Certificate("monomial_witness", handle, wit, base_vars,
                            _final_transcript(transcript, handle.ctx))
-        stats["final_weights"] = tuple(w)
         return _certified("reducible", cert, stats)
 
     def reducible_rays(verdict: Verdict, f: Poly, g: Poly) -> DecisionReport:
         J, rays, extra = _rays_for_false(handle, w, verdict, f, g)
         cert = Certificate("two_tropisms", J, rays, base_vars,
                            _final_transcript(transcript + extra, J.ctx))
-        stats["final_weights"] = tuple(w)
         return _certified("reducible", cert, stats)
 
     wit = _monomial_witness(handle, w)
@@ -685,11 +685,11 @@ def decide_irreducible(ideal, iter_cap: int = 256,
         handle, (name,) = _extend_with(handle, (f,))
         transcript.append((name, f))
         w = w + (value,)
-        stats["weight_history"].append(tuple(w))
+        stats["weight_history"].append(w)
+        stats["final_weights"] = w
         wit = _monomial_witness(handle, w)
         if wit is not None:
             return reducible_monomial(wit)
-    stats["final_weights"] = tuple(w)
     cert = Certificate("prime_tropism", handle, tuple(w), base_vars,
                        _final_transcript(transcript, handle.ctx))
     return _certified("irreducible", cert, stats)

@@ -692,7 +692,10 @@ def parse_poly(text: str, ctx: RingCtx) -> Poly:
             return -parse_base()
         if tok.isdigit():
             take()
-            return ctx.const(int(tok))
+            try:
+                return ctx.const(int(tok))
+            except ValueError:  # past Python's int-string digit limit
+                raise ParseError(f"a {len(tok)}-digit literal is too long")
         if re.fullmatch(r"[A-Za-z_]\w*", tok):
             take()
             return ctx.var(ctx.index(tok))

@@ -2,11 +2,12 @@
 
 A case-2 verdict carries the exceptional values of its two attachments,
 and the ray search reads its jumps from them instead of recounting
-intersection numbers in the extended ideal J.  These tests check the
-identity that rests on, the cost it saves (two tropism tests when
-lam_total = 2, no intersection number on J), and the rays of the
-stretch curve.  The module is not in the ``python -O`` rerun: it holds
-no library invariant that ``-O`` could strip, and its decides are slow.
+intersection numbers in the extended ideal J.  It searches and certifies
+in J1, J without its second attachment.  These tests check the identity
+the jumps rest on, the cost it saves (two tropism tests when lam_total =
+2, no intersection number on J), that the rays J carries project onto
+the certificate's, and the rays of the stretch curve over F_7 and Q.
+The module is also run under ``python -O``.
 """
 
 import functools
@@ -17,7 +18,7 @@ from algebroid import decide, localalg, parametric
 from algebroid.decide import decide_irreducible, verify_certificate
 from algebroid.groebner import IdealHandle
 from algebroid.localalg import intersection_number
-from algebroid.polyring import RingCtx, parse_poly
+from algebroid.polyring import RingCtx, parse_poly, wdot
 from algebroid.scalars import GF, QQ
 
 FIELDS = {"Q": QQ, "F101": GF(101), "F7": GF(7)}
@@ -36,11 +37,11 @@ DOUBLE_BRANCH = {
 # so the verdict lifts to a quadratic extension; with their rays.
 CONJUGATE = {
     "conj-2-3-7": ("x y", ("(y^2 - x^3)^2 + x^7",),
-                   {(2, 3, 7, 8), (2, 3, 8, 7)}),
+                   {(2, 3, 7), (2, 3, 8)}),
     "conj-2-3-8": ("x y", ("(y^2 - x^3)^2 + 2*x^8",),
-                   {(2, 3, 8, 10), (2, 3, 10, 8)}),
+                   {(2, 3, 8), (2, 3, 10)}),
     "conj-3-4-8": ("x y", ("(y^3 - x^4)^2 + x^8*y",),
-                   {(3, 4, 14, 16), (3, 4, 16, 14)}),
+                   {(3, 4, 14), (3, 4, 16)}),
 }
 
 CASES = ([(cid, fid) for cid in DOUBLE_BRANCH for fid in FIELDS]
@@ -55,8 +56,9 @@ def _ideal(variables, texts, field):
 
 @functools.lru_cache(maxsize=None)
 def _instrumented(cid, fid):
-    """Decide one curve, recording the case-2 verdict, the number of
-    tropism tests and the ideal of every intersection number asked."""
+    """Decide one curve, recording the case-2 verdict with its handle and
+    monomial g, the tropism tests and the ideal of every intersection
+    number asked."""
     variables, texts = (DOUBLE_BRANCH[cid] if cid in DOUBLE_BRANCH
                         else CONJUGATE[cid][:2])
     verdicts, tested, asked = [], [], []
@@ -64,7 +66,7 @@ def _instrumented(cid, fid):
     ray_is_tropism = decide._ray_is_tropism
 
     def record_verdict(handle, w, verdict, f, g):
-        verdicts.append((verdict, w))
+        verdicts.append((verdict, w, handle, g))
         return rays_for_false(handle, w, verdict, f, g)
 
     def count_test(handle, ray):
@@ -81,13 +83,13 @@ def _instrumented(cid, fid):
         for module in (decide, localalg, parametric):
             mp.setattr(module, "intersection_number", record_ideal)
         rep = decide_irreducible(_ideal(variables, texts, FIELDS[fid]))
-    (verdict, w), = verdicts
-    return rep, verdict, w, tested, asked
+    (verdict, w, handle, g), = verdicts
+    return rep, verdict, w, tested, asked, handle, g
 
 
 @pytest.mark.parametrize("cid, fid", CASES)
 def test_case2_values_are_the_intersection_numbers_in_J(cid, fid):
-    rep, verdict, _, _, _ = _instrumented(cid, fid)
+    rep, verdict, *_ = _instrumented(cid, fid)
     assert verdict.result == "false" and verdict.case == 2
     assert (verdict.minimal_poly is not None) == (cid in CONJUGATE)
     J = verdict.ideal
@@ -102,7 +104,7 @@ def test_case2_values_are_the_intersection_numbers_in_J(cid, fid):
 
 @pytest.mark.parametrize("cid, fid", CASES)
 def test_case2_search_tests_two_rays_and_counts_nothing_in_J(cid, fid):
-    rep, verdict, w, tested, asked = _instrumented(cid, fid)
+    rep, verdict, w, tested, asked, _, _ = _instrumented(cid, fid)
     assert decide.gcd_weights(w) == 2
     assert len(tested) == 2
     assert set(tested) == set(rep.certificate.data)
@@ -111,11 +113,38 @@ def test_case2_search_tests_two_rays_and_counts_nothing_in_J(cid, fid):
                    for ideal in asked)
 
 
-def test_stretch_curve_rays_over_F7():
-    I = _ideal("x y", ("((y^2 - x^3)^2 - x^5*y)^2 - x^11*y^2",), GF(7))
-    rep = decide_irreducible(I)
+@pytest.mark.parametrize("cid, fid", CASES)
+def test_the_two_attachment_rays_project_onto_the_certificate(cid, fid):
+    """The rays the two-attachment search certified are still tropisms of
+    J, on a fresh handle, and drop onto the certificate's rays in J1."""
+    rep, verdict, w, _, _, handle, g = _instrumented(cid, fid)
+    J = verdict.ideal
+    wb = tuple(e // 2 for e in w)
+    vbar = wdot(wb, next(iter(g.terms)))
+    d1, d2 = (value - 2 * vbar for value in verdict.values)
+    old = {wb + (vbar + d1, vbar), wb + (vbar, vbar + d2)}
+    cold = IdealHandle(J.generators, J.ctx)
+    assert all(decide._monomial_free(cold, ray) for ray in old)
+    assert {ray[:-1] for ray in old} == set(rep.certificate.data)
+    assert rep.certificate.ideal.ctx.nvars == handle.ctx.nvars + 1
+    assert rep.certificate.ideal.ctx.variables == J.ctx.variables[:-1]
+
+
+STRETCH = "((y^2 - x^3)^2 - x^5*y)^2 - x^11*y^2"
+
+
+def _check_stretch_curve(field):
+    rep = decide_irreducible(_ideal("x y", (STRETCH,), field))
     assert rep.verdict == "reducible"
     assert rep.certificate.kind == "two_tropisms"
-    assert set(rep.certificate.data) == {(4, 6, 13, 28, 29),
-                                         (4, 6, 13, 29, 28)}
+    assert set(rep.certificate.data) == {(4, 6, 13, 28), (4, 6, 13, 29)}
+    assert [n for n, _ in rep.certificate.transcript] == ["z", "z1"]
     assert verify_certificate(rep.certificate) == (True, "ok")
+
+
+def test_stretch_curve_rays_over_F7():
+    _check_stretch_curve(GF(7))
+
+
+def test_stretch_curve_rays_over_Q():
+    _check_stretch_curve(QQ)

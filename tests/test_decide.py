@@ -135,8 +135,8 @@ def test_double_branch_plane_curve_rays():
     rep = decide_irreducible(I)
     assert rep.verdict == "reducible"
     assert rep.certificate.kind == "two_tropisms"
-    assert set(rep.certificate.data) == {(2, 3, 7, 8), (2, 3, 8, 7)}
-    assert rep.certificate.ideal.ctx.nvars == 4
+    assert set(rep.certificate.data) == {(2, 3, 7), (2, 3, 8)}
+    assert rep.certificate.ideal.ctx.nvars == 3
     assert verify_certificate(rep.certificate) == (True, "ok")
     assert rep.stats["parametric_calls"] >= 2
 
@@ -169,7 +169,7 @@ def test_space_curve_rays():
     I, _ = space_ideal("x^3 - y^2", "(z^2 - x*y)^2 - x^2*y*z^2")
     rep = decide_irreducible(I)
     assert rep.verdict == "reducible"
-    assert set(rep.certificate.data) == {(4, 6, 5, 14, 12), (4, 6, 5, 12, 14)}
+    assert set(rep.certificate.data) == {(4, 6, 5, 12), (4, 6, 5, 14)}
     assert verify_certificate(rep.certificate) == (True, "ok")
 
 
@@ -208,6 +208,71 @@ def test_symmetric_family_witness_and_component_rays():
     assert tuple(a + b for a, b in zip(*rays)) == bw
 
 
+def _cusp_branch(k, c):
+    """The implicit equation of the branch (t^2, t^3 + c*t^k), k >= 4, on
+    which y^2 - x^3 has order 3 + k."""
+    if k % 2 == 0:
+        return f"((y - ({c})*x^{k // 2})^2 - x^3)"
+    return f"(y^2 - x^3*(1 + ({c})*x^{(k - 3) // 2})^2)"
+
+
+def _seeded_case1_curves(seed=14, count=4):
+    """Products of two such branches with k2 = k1 + 2: the binomial
+    y^2 - x^3 has value 6 + k1 + k2, even, and its orders on the branches
+    straddle that of a monomial of the same weight, so the pencil's
+    generic value drops (case 1).  Larger k1 and wider gaps decide the
+    same way but cost more: k1 = 6 or 7 takes seconds for the rays of J
+    below, and a gap of 4 has the search test costly non-tropisms
+    (CHANGES.md, FOUND)."""
+    rng = random.Random(seed)
+    out = set()
+    while len(out) < count:
+        k1 = rng.randrange(4, 6)
+        out.add((k1, k1 + 2, rng.choice((1, 2, -1, 3)),
+                 rng.choice((1, -2, 5))))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=str)
+@pytest.mark.parametrize("k1, k2, c1, c2", _seeded_case1_curves())
+def test_case1_rays_are_found_and_certified_in_one_attachment(
+        k1, k2, c1, c2, field):
+    I, _ = plane_ideal(_cusp_branch(k1, c1) + "*" + _cusp_branch(k2, c2),
+                       field)
+    verdicts, tested = [], []
+    rays_for_false = decide._rays_for_false
+    ray_is_tropism = decide._ray_is_tropism
+
+    def record(handle, w, verdict, f, g):
+        verdicts.append((verdict, w, handle, g))
+        return rays_for_false(handle, w, verdict, f, g)
+
+    def count_test(handle, ray):
+        tested.append(ray)
+        return ray_is_tropism(handle, ray)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decide, "_rays_for_false", record)
+        mp.setattr(decide, "_ray_is_tropism", count_test)
+        rep = decide_irreducible(I)
+    (verdict, w, handle, g), = verdicts
+    assert verdict.case == 1 and w == (4, 6)
+    cert = rep.certificate
+    assert rep.verdict == "reducible" and cert.kind == "two_tropisms"
+    assert set(cert.data) == {(2, 3, 3 + k1), (2, 3, 3 + k2)}
+    # the first balanced u and its mirror nf - u are the two branches
+    assert sorted(tested) == sorted(cert.data)
+    assert cert.ideal.ctx.nvars == handle.ctx.nvars + 1
+    assert verify_certificate(cert) == (True, "ok")
+    # the two-attachment rays lam*wb + (u, lam*vbar) of J drop onto them
+    (a, b), = g.terms
+    vbar = 2 * a + 3 * b
+    J = verdict.ideal
+    cold = IdealHandle(J.generators, J.ctx)
+    for u in (3 + k1, 3 + k2):
+        assert decide._monomial_free(cold, (2, 3, u, vbar))
+
+
 def test_permuting_variables_keeps_the_verdict():
     ctx = RingCtx(QQ, ("a", "b", "c"))
     gens = (parse_poly("c^3 - a^2", ctx),
@@ -243,7 +308,7 @@ def test_truncation_cap_too_small():
 def test_generous_truncation_cap_changes_nothing():
     I, _ = plane_ideal("(y^2 - x^3)^2 - x^7")
     rep = decide_irreducible(I, trunc_cap=64)
-    assert set(rep.certificate.data) == {(2, 3, 7, 8), (2, 3, 8, 7)}
+    assert set(rep.certificate.data) == {(2, 3, 7), (2, 3, 8)}
     assert rep.stats["truncation_high_water"] <= 64
 
 
@@ -685,8 +750,12 @@ def test_graph_shape_mutants_are_the_same_ideal_but_refused():
 
 
 def test_graph_shape_refuses_a_two_ray_certificate_with_a_reordered_pair():
-    I, _ = plane_ideal("(y^2 - x^3)^2 - x^7")
+    ctx = RingCtx(GF(7), ("x", "y"))
+    I = IdealHandle(
+        [parse_poly("((y^2 - x^3)^2 - x^5*y)^2 - x^11*y^2", ctx)], ctx)
     cert = decide_irreducible(I).certificate
+    assert cert.kind == "two_tropisms"
+    assert [n for n, _ in cert.transcript] == ["z", "z1"]
     gens = cert.ideal.generators
     swapped = gens[:-2] + (gens[-1], gens[-2])
     bad = replace(cert, ideal=IdealHandle(swapped, cert.ideal.ctx))

@@ -1,5 +1,5 @@
-"""The scalar, semigroup, local algebra, decide, parametric and
-acceptance tests under ``python -O``, and a lint that keeps plain
+"""The scalar, semigroup, local algebra, decide, parametric, case-2 ray
+and acceptance tests under ``python -O``, and a lint that keeps plain
 ``assert`` out of the library.
 
 ``-O`` strips plain ``assert`` statements from the library, so an
@@ -17,7 +17,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FILES = ("tests/test_scalars.py", "tests/test_semigroups.py",
          "tests/test_localalg.py", "tests/test_decide.py",
-         "tests/test_parametric.py", "tests/test_acceptance.py")
+         "tests/test_parametric.py", "tests/test_case2_rays.py",
+         "tests/test_acceptance.py")
 # (module, function) -> number of plain asserts allowed there.  The case-2
 # assert in the ray search stays until that search is rebuilt: the benchmark
 # recognises the known defect by its AssertionError.

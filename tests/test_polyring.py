@@ -77,6 +77,12 @@ def test_parse_refuses_exponents_above_the_cap():
             CTX.poly(text)
 
 
+def test_parse_refuses_an_integer_literal_python_cannot_convert():
+    assert CTX.poly("7" * 4000 + "*x").terms == {(1, 0, 0): int("7" * 4000)}
+    with pytest.raises(ParseError, match="5000-digit literal is too long"):
+        CTX.poly("y^2 - " + "7" * 5000 + "*x^3")
+
+
 def test_arithmetic_basics():
     x, y = CTX.var("x"), CTX.var("y")
     assert (x + y) * (x - y) == x ** 2 - y ** 2
