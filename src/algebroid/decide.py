@@ -8,13 +8,15 @@ semigroup; ``decide_irreducible`` answers prime/not-prime and always
 ships a certificate that ``verify_certificate`` can replay from scratch,
 without re-running the decision.
 
-The engine follows one loop shape: compute the weight vector, screen the
+Both entry points run one loop: compute the weight vector, screen the
 binomial relations of the weight semigroup through the three-way pencil
 test, descend the surviving combination until its value escapes the
-semigroup, adjoin a new variable recording it, and repeat.  Reducibility
-surfaces either as a monomial in a weighted initial ideal or as a pencil
-verdict, from which a pair of weight rays with monomial-free initial
-ideals is constructed and verified exactly.
+semigroup, adjoin a new variable recording it, and repeat.  The decide
+stops at primitive weights; the value semigroup runs until every
+binomial resolves.  Reducibility surfaces either as a monomial in a
+weighted initial ideal or as a pencil verdict, from which a pair of
+weight rays with monomial-free initial ideals is constructed and
+verified exactly.
 """
 
 from __future__ import annotations
@@ -146,9 +148,9 @@ class Certificate:
     The ideal has graph shape: generators in ``base_vars`` only, then
     exactly ``ctx.var(name) - fdef`` for each transcript entry, in order,
     each ``fdef`` in the variables before ``name``; for two_tropisms the
-    last is the one pencil attachment, whose order ends each ray.  The
-    quotient ring is that of the base generators' ideal, which the
-    certificate is about."""
+    last is the pencil verdict's one attachment, whose order ends each
+    ray.  The quotient ring is that of the base generators' ideal, which
+    the certificate is about."""
 
     kind: str            # prime_tropism | monomial_witness | two_tropisms
     ideal: IdealHandle
@@ -317,18 +319,15 @@ def assert_preconditions(ideal) -> IdealHandle:
 
 # -------------------------------------------------------------- the engine
 
-def _call_test(f: Poly, g: Poly, handle: IdealHandle, *, prime_mode: bool,
+def _call_test(f: Poly, g: Poly, handle: IdealHandle, *, error: type,
                trunc_cap: Optional[int], stats: dict) -> Verdict:
     stats["parametric_calls"] += 1
     try:
         v = parametric_test(f, g, handle, trunc_cap=trunc_cap)
     except ContextViolation as exc:
-        if prime_mode:
-            raise NotPrime(
-                f"a degenerate direction vanished on the curve: {exc}") from exc
-        raise NonRadicalSuspected(
-            "a degenerate direction vanished on the curve; this cannot "
-            "happen for a radical input") from exc
+        raise error(
+            "a degenerate direction vanished on the curve, which cannot "
+            f"happen for a radical input: {exc}") from exc
     stats["truncation_high_water"] = max(stats["truncation_high_water"],
                                          v.truncation)
     return v
@@ -351,13 +350,14 @@ def _nf_ratio_resolves(m1: tuple, m2: tuple, in_gb: List[Poly],
     return all(field.eq(ratios[0], r) for r in ratios)
 
 
-def _screen_round(handle: IdealHandle, w: tuple, *, prime_mode: bool,
+def _screen_round(handle: IdealHandle, w: tuple, *, error: type,
                   trunc_cap: Optional[int], stats: dict):
     """Run the pencil test over the binomial generators of the weight
     semigroup's relation ideal.  Returns ("false", verdict, f, g) on
     reducibility evidence, ("candidate", f, N) with the lowest-degree
     resolved binomial escaping the initial ideal, or ("radical",) when
-    every binomial resolves inside it."""
+    every binomial resolves inside it.  A broken input contract raises
+    ``error``."""
     ctx = handle.ctx
     in_handle = _initial_handle(handle, w)
     in_gb = in_handle.groebner(DegRevLex())
@@ -371,8 +371,8 @@ def _screen_round(handle: IdealHandle, w: tuple, *, prime_mode: bool,
             continue
         f = ctx.mono(m1)
         g = ctx.mono(m2)
-        v = _call_test(f, g, handle, prime_mode=prime_mode,
-                       trunc_cap=trunc_cap, stats=stats)
+        v = _call_test(f, g, handle, error=error, trunc_cap=trunc_cap,
+                       stats=stats)
         if v.result == "false":
             return ("false", v, f, g)
         cand = f - g.scale(v.beta.value)
@@ -382,18 +382,17 @@ def _screen_round(handle: IdealHandle, w: tuple, *, prime_mode: bool,
     escapes.sort(key=lambda t: (t[0], t[1]))
     _, _, f, value = escapes[0]
     if not radical_membership(f, in_handle):
-        err = NotPrime if prime_mode else NonRadicalSuspected
-        raise err("the resolved binomial does not vanish on the initial "
-                  "ideal's zero set; the input contract is violated")
+        raise error("the resolved binomial does not vanish on the initial "
+                    "ideal's zero set; the input contract is violated")
     if ideal_membership(f, in_handle):
-        err = NotPrime if prime_mode else NonRadicalSuspected
-        raise err("the resolved binomial lies in the initial ideal despite "
-                  "the normal-form screen; the input contract is violated")
+        raise error("the resolved binomial lies in the initial ideal "
+                    "despite the normal-form screen; the input contract is "
+                    "violated")
     return ("candidate", f, value)
 
 
 def _descend(handle: IdealHandle, w: tuple, f: Poly, value: int, *,
-             prime_mode: bool, iter_cap: int, trunc_cap: Optional[int],
+             error: type, iter_cap: int, trunc_cap: Optional[int],
              stats: dict):
     """Lower f by monomials of matching weight until its intersection
     value escapes the semigroup of w.  Returns ("done", f, N) or
@@ -407,16 +406,11 @@ def _descend(handle: IdealHandle, w: tuple, f: Poly, value: int, *,
         steps += 1
         stats["descent_steps"] += 1
         if steps > iter_cap:
-            if prime_mode:
-                raise NotPrime(
-                    f"descent exceeded {iter_cap} steps; non-termination "
-                    "indicates the input is not prime")
-            raise NonRadicalSuspected(
-                f"descent exceeded {iter_cap} steps; on radical inputs the "
-                "loop terminates, so the input is likely not radical")
+            raise error(f"descent exceeded {iter_cap} steps; on radical "
+                        "inputs it terminates")
         g = ctx.mono(wit)
-        v = _call_test(f, g, handle, prime_mode=prime_mode,
-                       trunc_cap=trunc_cap, stats=stats)
+        v = _call_test(f, g, handle, error=error, trunc_cap=trunc_cap,
+                       stats=stats)
         if v.result == "false":
             return ("false", v, f, g)
         f = f - g.scale(v.beta.value)
@@ -457,12 +451,10 @@ def _balanced(lo: int, hi: int, nf: int, lam: int,
                   key=lambda u: (abs(u * lam_total - nf * lam), u))
 
 
-def _recovered_attachments(J: IdealHandle,
-                           names: tuple) -> List[Tuple[str, Poly]]:
-    """The adjoined names with their defining polynomials, read back from
-    the trailing generators of the extended ideal J."""
-    return [(name, J.ctx.var(name) - gen)
-            for name, gen in zip(names, J.generators[-len(names):])]
+def _recovered_attachment(J: IdealHandle, name: str) -> Tuple[str, Poly]:
+    """The adjoined name with its defining polynomial, read back from the
+    last generator of the extended ideal J."""
+    return name, J.ctx.var(name) - J.generators[-1]
 
 
 def _first_tropism_pair(J: IdealHandle, wb: tuple, lam_total: int, offsets,
@@ -492,37 +484,32 @@ def _first_tropism_pair(J: IdealHandle, wb: tuple, lam_total: int, offsets,
 def _rays_for_false(handle: IdealHandle, w: tuple, verdict: Verdict,
                     f: Poly, g: Poly):
     """Construct and verify two weight rays with monomial-free initial
-    ideals witnessing the pencil verdict.  Returns (J, rays, extra)
-    where extra lists adjunctions to append to the transcript.
+    ideals witnessing the pencil verdict, in its ideal J = I + (v - h).
+    Returns (J, rays, extra) where extra lists adjunctions to append to
+    the transcript.
 
     With w = lam_total*wb, wb primitive, a branch of base valuation
     lam*wb gives the monomial g order lam*vbar, vbar = wb . (exponent of
-    g), and nf = lam_total*vbar; its ray is lam*wb followed by the
-    attachments' orders, which each case yields per lam.  Two tropisms
-    of any graph-shaped extension prove two branches, and every tropism
-    of J projects to one of J1 = I + (z1 - h1), J less its last variable
-    and relation, where two-attachment verdicts are searched.  Case 1
-    drops g, whose order the base ray fixes; f has order u != lam*vbar,
-    so the tails (u,) and (nf - u,) are not proportional.  Case 2 drops
-    v2.  As b1 != b2, no branch raises both v_k = f - b_k*g above
-    lam*vbar.  values[1] > nf, so a branch raises v2; its J1 ray is
-    lam*(wb, vbar), the head.  values[0] > nf, so a branch raises v1, by
-    e in 1..d1 = values[0] - nf (e = d1 at lam = lam_total - 1, where the
-    one other branch raises v2); its ray lam*wb + (lam*vbar + e,) is not
-    proportional to the head, and lam_total = 2 leaves two candidates.
-    Case 3 tries the saturation's exact ray first.  Hits are verified
-    exactly, so a wrong candidate can only end in CertificateSearchFailed."""
+    g), and nf = lam_total*vbar; its ray is lam*wb followed by the order
+    of h, which each case yields per lam.  Two tropisms of any
+    graph-shaped extension prove two branches.  Case 1 attaches h = f, of
+    order u != lam*vbar, so the tails (u,) and (nf - u,) are not
+    proportional.  Case 2 attaches h = v1 = f - b1*g.  As b1 != b2, no
+    branch raises both v_k = f - b_k*g above lam*vbar.  values[1] > nf,
+    so a branch raises v2; its ray is lam*(wb, vbar), the head.
+    values[0] > nf, so a branch raises v1, by e in 1..d1 = values[0] - nf
+    (e = d1 at lam = lam_total - 1, where the one other branch raises
+    v2); its ray lam*wb + (lam*vbar + e,) is not proportional to the
+    head, and lam_total = 2 leaves two candidates.  Case 3 tries the
+    saturation's exact ray first.  Hits are verified exactly, so a wrong
+    candidate can only end in CertificateSearchFailed."""
     lam_total = gcd_weights(w)
     wb = tuple(e // lam_total for e in w)
     vbar = wdot(wb, next(iter(g.terms)))
     nf = lam_total * vbar
     J = verdict.ideal
     head: tuple = ()
-    if len(verdict.adjoined) == 2:
-        small = RingCtx(J.ctx.field, J.ctx.variables[:-1])
-        J = IdealHandle([project(p, small, range(small.nvars))
-                         for p in J.generators[:-1]], small)
-    extra = _recovered_attachments(J, verdict.adjoined[:1])
+    extra = [_recovered_attachment(J, verdict.adjoined[0])]
     if verdict.case == 1:
         dbar = ord_w(f, w) // lam_total
 
@@ -538,10 +525,11 @@ def _rays_for_false(handle: IdealHandle, w: tuple, verdict: Verdict,
         assert all(isinstance(d, int) and d >= 1 for d in jumps), \
             "a two-parameter verdict must raise both attached values"
         if INF in verdict.values:
-            name = verdict.adjoined[verdict.values.index(INF)]
+            k = verdict.values.index(INF) + 1
             raise CertificateSearchFailed(
-                f"the case-2 pencil value of {name} is infinite: it vanishes "
-                "on a branch, and the ray search needs finite values")
+                f"the case-2 pencil value of v{k} is infinite: v{k} = f - "
+                f"beta_{k}*g vanishes on a branch, and the ray search needs "
+                "finite values")
         head = (wb + (vbar,),)
 
         def offsets(lam):
@@ -601,11 +589,11 @@ def _rays_bent_attachment(handle: IdealHandle, hb: Poly, exact: tuple,
             break
         M += 1
     bent = hb + ctx.mono(tuple(M if k == i else 0 for k in range(ctx.nvars)))
-    J2, (name,) = _extend_with(handle, (bent,))
+    J2, name = _extend_with(handle, bent)
     pair = _first_tropism_pair(J2, wb, lam_total, offsets,
                                (exact, wb + (M * wb[i],)))
     if pair is not None:
-        return J2, pair, _recovered_attachments(J2, (name,))
+        return J2, pair, [_recovered_attachment(J2, name)]
     raise CertificateSearchFailed(
         "no monomial bend of the vanishing attachment exposed two weight "
         "rays in the search window")
@@ -613,20 +601,53 @@ def _rays_bent_attachment(handle: IdealHandle, hb: Poly, exact: tuple,
 
 # ----------------------------------------------------------- entry points
 
-def _final_transcript(entries: List[Tuple[str, Poly]],
-                      ctx: RingCtx) -> tuple:
-    return tuple((name, _to_ctx(p, ctx)) for name, p in entries)
+def _adjunction_loop(handle: IdealHandle, error: type, *,
+                     primitive_stops: bool, iter_cap: int,
+                     trunc_cap: Optional[int]):
+    """The loop both entry points run: look for a monomial witness, stop
+    at primitive weights when ``primitive_stops``, screen the binomial
+    relations, descend the surviving candidate, adjoin it, and repeat.
 
-
-def _fresh_stats(w: tuple) -> dict:
-    return {
-        "outer_iterations": 0,
-        "descent_steps": 0,
-        "parametric_calls": 0,
-        "truncation_high_water": 0,
-        "final_weights": tuple(w),
-        "weight_history": [tuple(w)],
-    }
+    Returns (end, handle, w, transcript, stats, detail) at the stop, end
+    being "monomial" (detail the witness), "primitive", "radical" (every
+    binomial resolved inside the initial ideal) or "false" (detail the
+    pencil's (verdict, f, g)).  A broken input contract raises
+    ``error``."""
+    w = base_weights(handle)
+    if any(e is INF for e in w):
+        raise InfiniteWeight(
+            "base weights are not all finite; run assert_preconditions")
+    transcript: List[Tuple[str, Poly]] = []
+    stats = {"outer_iterations": 0, "descent_steps": 0, "parametric_calls": 0,
+             "truncation_high_water": 0, "final_weights": w,
+             "weight_history": [w]}
+    while True:
+        wit = _monomial_witness(handle, w)
+        if wit is not None:
+            return "monomial", handle, w, transcript, stats, wit
+        if primitive_stops and gcd_weights(w) == 1:
+            return "primitive", handle, w, transcript, stats, None
+        stats["outer_iterations"] += 1
+        if stats["outer_iterations"] > iter_cap:
+            raise error(f"the outer loop exceeded {iter_cap} rounds; on "
+                        "radical inputs it ends in finitely many")
+        outcome = _screen_round(handle, w, error=error, trunc_cap=trunc_cap,
+                                stats=stats)
+        if outcome[0] == "radical":
+            return "radical", handle, w, transcript, stats, None
+        if outcome[0] == "candidate":
+            _, f, value = outcome
+            outcome = _descend(handle, w, f, value, error=error,
+                               iter_cap=iter_cap, trunc_cap=trunc_cap,
+                               stats=stats)
+        if outcome[0] == "false":
+            return "false", handle, w, transcript, stats, outcome[1:]
+        _, f, value = outcome
+        handle, name = _extend_with(handle, f)
+        transcript.append((name, f))
+        w = w + (value,)
+        stats["weight_history"].append(w)
+        stats["final_weights"] = w
 
 
 def decide_irreducible(ideal, iter_cap: int = 256,
@@ -636,63 +657,26 @@ def decide_irreducible(ideal, iter_cap: int = 256,
     radical, unmixed of dimension one, with finite base weights (run
     assert_preconditions first)."""
     handle = _as_handle(ideal)
-    base_vars = handle.ctx.variables
-    w = base_weights(handle)
-    if any(e is INF for e in w):
-        raise InfiniteWeight(
-            "base weights are not all finite; run assert_preconditions")
-    transcript: List[Tuple[str, Poly]] = []
-    stats = _fresh_stats(w)
-
-    def reducible_monomial(wit: Poly) -> DecisionReport:
-        cert = Certificate("monomial_witness", handle, wit, base_vars,
-                           _final_transcript(transcript, handle.ctx))
-        return _certified("reducible", cert, stats)
-
-    def reducible_rays(verdict: Verdict, f: Poly, g: Poly) -> DecisionReport:
-        J, rays, extra = _rays_for_false(handle, w, verdict, f, g)
-        cert = Certificate("two_tropisms", J, rays, base_vars,
-                           _final_transcript(transcript + extra, J.ctx))
-        return _certified("reducible", cert, stats)
-
-    wit = _monomial_witness(handle, w)
-    if wit is not None:
-        return reducible_monomial(wit)
-    while gcd_weights(w) != 1:
-        stats["outer_iterations"] += 1
-        if stats["outer_iterations"] > iter_cap:
-            raise NonRadicalSuspected(
-                f"the outer loop exceeded {iter_cap} rounds without the "
-                "weights becoming primitive")
-        outcome = _screen_round(handle, w, prime_mode=False,
-                                trunc_cap=trunc_cap, stats=stats)
-        if outcome[0] == "false":
-            _, verdict, f, g = outcome
-            return reducible_rays(verdict, f, g)
-        if outcome[0] == "radical":
-            raise NonRadicalSuspected(
-                "every binomial relation resolved inside the initial ideal "
-                "while the weights share a factor; radical unmixed inputs "
-                "cannot do this")
-        _, f, value = outcome
-        outcome = _descend(handle, w, f, value, prime_mode=False,
-                           iter_cap=iter_cap, trunc_cap=trunc_cap,
-                           stats=stats)
-        if outcome[0] == "false":
-            _, verdict, f, g = outcome
-            return reducible_rays(verdict, f, g)
-        _, f, value = outcome
-        handle, (name,) = _extend_with(handle, (f,))
-        transcript.append((name, f))
-        w = w + (value,)
-        stats["weight_history"].append(w)
-        stats["final_weights"] = w
-        wit = _monomial_witness(handle, w)
-        if wit is not None:
-            return reducible_monomial(wit)
-    cert = Certificate("prime_tropism", handle, tuple(w), base_vars,
-                       _final_transcript(transcript, handle.ctx))
-    return _certified("irreducible", cert, stats)
+    end, J, w, transcript, stats, detail = _adjunction_loop(
+        handle, NonRadicalSuspected, primitive_stops=True,
+        iter_cap=iter_cap, trunc_cap=trunc_cap)
+    if end == "radical":
+        raise NonRadicalSuspected(
+            "every binomial relation resolved inside the initial ideal "
+            "while the weights share a factor; radical unmixed inputs "
+            "cannot do this")
+    if end == "false":
+        J, data, extra = _rays_for_false(J, w, *detail)
+        kind, transcript = "two_tropisms", transcript + extra
+    elif end == "monomial":
+        kind, data = "monomial_witness", detail
+    else:
+        kind, data = "prime_tropism", tuple(w)
+    cert = Certificate(kind, J, data, handle.ctx.variables,
+                       tuple((name, _to_ctx(p, J.ctx))
+                             for name, p in transcript))
+    return _certified("irreducible" if end == "primitive" else "reducible",
+                      cert, stats)
 
 
 def value_semigroup(ideal, iter_cap: int = 256,
@@ -701,35 +685,12 @@ def value_semigroup(ideal, iter_cap: int = 256,
     """For a prime curve ideal, return an isomorphic presentation whose
     weight vector generates the value semigroup.  A non-prime input
     surfaces as NotPrime."""
-    handle = _as_handle(ideal)
-    w = base_weights(handle)
-    if any(e is INF for e in w):
-        raise InfiniteWeight(
-            "base weights are not all finite; run assert_preconditions")
-    stats = _fresh_stats(w)
-    rounds = 0
-    while True:
-        if _monomial_witness(handle, w) is not None:
-            raise NotPrime("the weighted initial ideal contains a monomial")
-        rounds += 1
-        if rounds > iter_cap:
-            raise NotPrime(
-                f"the outer loop exceeded {iter_cap} rounds; the value "
-                "semigroup of a prime ideal is reached in finitely many")
-        outcome = _screen_round(handle, w, prime_mode=True,
-                                trunc_cap=trunc_cap, stats=stats)
-        if outcome[0] == "radical":
-            return handle, w
-        if outcome[0] == "false":
-            raise NotPrime(
-                f"the pencil test returned false (case {outcome[1].case})")
-        _, f, value = outcome
-        outcome = _descend(handle, w, f, value, prime_mode=True,
-                           iter_cap=iter_cap, trunc_cap=trunc_cap,
-                           stats=stats)
-        if outcome[0] == "false":
-            raise NotPrime(
-                f"the pencil test returned false (case {outcome[1].case})")
-        _, f, value = outcome
-        handle, _ = _extend_with(handle, (f,))
-        w = w + (value,)
+    end, handle, w, _, _, detail = _adjunction_loop(
+        _as_handle(ideal), NotPrime, primitive_stops=False,
+        iter_cap=iter_cap, trunc_cap=trunc_cap)
+    if end == "monomial":
+        raise NotPrime("the weighted initial ideal contains a monomial")
+    if end == "false":
+        raise NotPrime(
+            f"the pencil test returned false (case {detail[0].case})")
+    return handle, w

@@ -1,6 +1,6 @@
-"""Names for variables adjoined during completion and descent: single
-letters z, u, v, ... for one new function, numbered pairs z1, z2 for two,
-always skipping anything already taken."""
+"""Names for variables adjoined during completion, descent and the pencil
+test, one new function at a time: single letters z, u, v, ..., then
+numbered z1, z2, ..., always skipping anything already taken."""
 
 from __future__ import annotations
 
@@ -18,15 +18,3 @@ def next_single(existing: Sequence[str]) -> str:
     while f"z{i}" in taken:
         i += 1
     return f"z{i}"
-
-
-def next_pair(existing: Sequence[str]):
-    taken = set(existing)
-    for stem in _SINGLE_STEMS:
-        a, b = f"{stem}1", f"{stem}2"
-        if a not in taken and b not in taken:
-            return a, b
-    i = 1
-    while f"z{i}a" in taken or f"z{i}b" in taken:
-        i += 1
-    return f"z{i}a", f"z{i}b"

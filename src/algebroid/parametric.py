@@ -38,7 +38,7 @@ from .localalg import (
     dehomogenize,
     intersection_number,
 )
-from .naming import next_pair, next_single
+from .naming import next_single
 from .polyring import (
     INF,
     HomogenizedLocalOrder,
@@ -458,12 +458,14 @@ class Verdict:
     """Outcome of the three-way test: 'false' with an enlarged ideal, or
     'not_false' with the unique exceptional parameter.
 
-    In case 2, ``values[k]`` is the pencil's exceptional value at
-    ``betas[k]`` (a lifted conjugate pair shares its factor's): the
-    intersection number of v_k = f - beta_k*g, and of ``adjoined[k]`` in
-    the enlarged ideal.  f and g have order lam*vbar on a branch of base
-    valuation lam*wb (g a monomial of wb-weight vbar), so a branch raises
-    one v_k at most; INF means that v_k vanishes on a branch."""
+    A 'false' verdict's ideal is I + (v - h), one variable ``adjoined``
+    for the attachment h a certificate keeps: f in case 1, f - beta_1*g
+    in case 2 and f - beta*g in case 3.  In case 2, ``values[k]`` is the
+    pencil's exceptional value at ``betas[k]`` (a lifted conjugate pair
+    shares its factor's): the intersection number of v_k = f - beta_k*g.
+    f and g have order lam*vbar on a branch of base valuation lam*wb (g a
+    monomial of wb-weight vbar), so a branch raises one v_k at most; INF
+    means that v_k vanishes on a branch."""
 
     result: str
     ideal: Optional[IdealHandle] = None
@@ -477,19 +479,15 @@ class Verdict:
     values: tuple = ()
 
 
-def _extend_with(ideal: IdealHandle, attachments) -> Tuple[IdealHandle, tuple]:
-    """Adjoin one fresh variable per attached polynomial, returning the
-    enlarged ideal <I, v_k - p_k> and the new names."""
+def _extend_with(ideal: IdealHandle, p: Poly) -> Tuple[IdealHandle, str]:
+    """Adjoin one fresh variable v for p, returning the enlarged ideal
+    <I, v - p> and the new name."""
     ctx = ideal.ctx
-    if len(attachments) == 2:
-        names = next_pair(ctx.variables)
-    else:
-        names = (next_single(ctx.variables),)
-    big = ctx.extend(names)
-    gens = [embed(p, big) for p in ideal.generators]
-    for name, p in zip(names, attachments):
-        gens.append(big.var(name) - embed(p, big))
-    return IdealHandle(gens, big), tuple(names)
+    name = next_single(ctx.variables)
+    big = ctx.extend((name,))
+    gens = [embed(g, big) for g in ideal.generators]
+    gens.append(big.var(name) - embed(p, big))
+    return IdealHandle(gens, big), name
 
 
 def parametric_test(f: Poly, g: Poly, ideal: IdealHandle,
@@ -504,8 +502,8 @@ def parametric_test(f: Poly, g: Poly, ideal: IdealHandle,
     po = parametric_intersection(f, g, ideal, pivot, trunc_cap=trunc_cap)
     nf = intersection_number(f, ideal)
     if po.generic_value < nf:
-        J, names = _extend_with(ideal, (f, g))
-        return Verdict("false", ideal=J, case=1, adjoined=names,
+        J, name = _extend_with(ideal, f)
+        return Verdict("false", ideal=J, case=1, adjoined=(name,),
                        truncation=po.truncation)
     rational = [ev for ev in po.exceptional if ev.beta is not None]
     factors = [ev for ev in po.exceptional if ev.factor is not None]
@@ -515,10 +513,9 @@ def parametric_test(f: Poly, g: Poly, ideal: IdealHandle,
     if total >= 2:
         if len(rational) >= 2:
             b1, b2 = rational[0].beta, rational[1].beta
-            J, names = _extend_with(ideal, (f - g.scale(b1.value),
-                                            f - g.scale(b2.value)))
+            J, name = _extend_with(ideal, f - g.scale(b1.value))
             return Verdict("false", ideal=J, case=2, betas=(b1, b2),
-                           adjoined=names, truncation=po.truncation,
+                           adjoined=(name,), truncation=po.truncation,
                            values=(rational[0].value, rational[1].value))
         if field.extension is not None:
             raise CertificateSearchFailed(
@@ -542,10 +539,9 @@ def parametric_test(f: Poly, g: Poly, ideal: IdealHandle,
             raise CertificateSearchFailed(
                 "conjugate parameters beyond a quadratic class are not "
                 "materializable")
-        J, names = _extend_with(eideal, (ef - eg.scale(b1.value),
-                                         ef - eg.scale(b2.value)))
+        J, name = _extend_with(eideal, ef - eg.scale(b1.value))
         return Verdict("false", ideal=J, case=2, betas=(b1, b2),
-                       minimal_poly=tuple(fac), adjoined=names,
+                       minimal_poly=tuple(fac), adjoined=(name,),
                        truncation=po.truncation, values=values)
     ev = rational[0] if rational else None
     if ev is None:
@@ -561,6 +557,6 @@ def parametric_test(f: Poly, g: Poly, ideal: IdealHandle,
         raise ContextViolation(
             "the degenerate combination vanishes on the curve; the test "
             "requires directions outside the radical")
-    J, names = _extend_with(ideal, (h,))
-    return Verdict("false", ideal=J, case=3, betas=(beta,), adjoined=names,
+    J, name = _extend_with(ideal, h)
+    return Verdict("false", ideal=J, case=3, betas=(beta,), adjoined=(name,),
                    truncation=po.truncation)

@@ -1,13 +1,15 @@
 """The case-2 ray search, built from the pencil's own values.
 
-A case-2 verdict carries the exceptional values of its two attachments,
-and the ray search reads its jumps from them instead of recounting
-intersection numbers in the extended ideal J.  It searches and certifies
-in J1, J without its second attachment.  These tests check the identity
-the jumps rest on, the cost it saves (two tropism tests when lam_total =
-2, no intersection number on J), that the rays J carries project onto
-the certificate's, and the rays of the stretch curve over F_7 and Q.
-The module is also run under ``python -O``.
+A case-2 verdict carries the pencil's exceptional values v_k = f -
+beta_k*g, and the ray search reads its jumps from them instead of
+recounting intersection numbers.  Its ideal J1 = I + (v1 - h1) keeps one
+attachment, where the search runs and the certificate lives.  These
+tests build the ideal J with both attachments from the recorded handle,
+f, g and betas (``pencil_attachments``), and check the identity the
+jumps rest on, the cost it saves (two tropism tests when lam_total = 2,
+no intersection number on J1), that the rays J carries project onto the
+certificate's, and the rays of the stretch curve over F_7 and Q.  The
+module is also run under ``python -O``.
 """
 
 import functools
@@ -20,6 +22,7 @@ from algebroid.groebner import IdealHandle
 from algebroid.localalg import intersection_number
 from algebroid.polyring import RingCtx, parse_poly, wdot
 from algebroid.scalars import GF, QQ
+from pencil_attachments import two_attachment_ideal
 
 FIELDS = {"Q": QQ, "F101": GF(101), "F7": GF(7)}
 
@@ -56,8 +59,8 @@ def _ideal(variables, texts, field):
 
 @functools.lru_cache(maxsize=None)
 def _instrumented(cid, fid):
-    """Decide one curve, recording the case-2 verdict with its handle and
-    monomial g, the tropism tests and the ideal of every intersection
+    """Decide one curve, recording the case-2 verdict with its handle, f
+    and monomial g, the tropism tests and the ideal of every intersection
     number asked."""
     variables, texts = (DOUBLE_BRANCH[cid] if cid in DOUBLE_BRANCH
                         else CONJUGATE[cid][:2])
@@ -66,7 +69,7 @@ def _instrumented(cid, fid):
     ray_is_tropism = decide._ray_is_tropism
 
     def record_verdict(handle, w, verdict, f, g):
-        verdicts.append((verdict, w, handle, g))
+        verdicts.append((verdict, w, handle, f, g))
         return rays_for_false(handle, w, verdict, f, g)
 
     def count_test(handle, ray):
@@ -83,18 +86,22 @@ def _instrumented(cid, fid):
         for module in (decide, localalg, parametric):
             mp.setattr(module, "intersection_number", record_ideal)
         rep = decide_irreducible(_ideal(variables, texts, FIELDS[fid]))
-    (verdict, w, handle, g), = verdicts
-    return rep, verdict, w, tested, asked, handle, g
+    (verdict, w, handle, f, g), = verdicts
+    return rep, verdict, w, tested, asked, handle, f, g
 
 
 @pytest.mark.parametrize("cid, fid", CASES)
 def test_case2_values_are_the_intersection_numbers_in_J(cid, fid):
-    rep, verdict, *_ = _instrumented(cid, fid)
+    rep, verdict, _, _, _, handle, f, g = _instrumented(cid, fid)
     assert verdict.result == "false" and verdict.case == 2
     assert (verdict.minimal_poly is not None) == (cid in CONJUGATE)
-    J = verdict.ideal
+    J = two_attachment_ideal(handle, f, g, verdict)
     assert verdict.values == tuple(
-        intersection_number(J.ctx.var(name), J) for name in verdict.adjoined)
+        intersection_number(J.ctx.var(name), J)
+        for name in J.ctx.variables[-2:])
+    J1 = verdict.ideal
+    (name,) = verdict.adjoined
+    assert intersection_number(J1.ctx.var(name), J1) == verdict.values[0]
     assert rep.verdict == "reducible"
     assert rep.certificate.kind == "two_tropisms"
     if cid in CONJUGATE:
@@ -104,7 +111,7 @@ def test_case2_values_are_the_intersection_numbers_in_J(cid, fid):
 
 @pytest.mark.parametrize("cid, fid", CASES)
 def test_case2_search_tests_two_rays_and_counts_nothing_in_J(cid, fid):
-    rep, verdict, w, tested, asked, _, _ = _instrumented(cid, fid)
+    rep, verdict, w, tested, asked, *_ = _instrumented(cid, fid)
     assert decide.gcd_weights(w) == 2
     assert len(tested) == 2
     assert set(tested) == set(rep.certificate.data)
@@ -115,16 +122,16 @@ def test_case2_search_tests_two_rays_and_counts_nothing_in_J(cid, fid):
 
 @pytest.mark.parametrize("cid, fid", CASES)
 def test_the_two_attachment_rays_project_onto_the_certificate(cid, fid):
-    """The rays the two-attachment search certified are still tropisms of
-    J, on a fresh handle, and drop onto the certificate's rays in J1."""
-    rep, verdict, w, _, _, handle, g = _instrumented(cid, fid)
-    J = verdict.ideal
+    """wb + (vbar + d1, vbar) and wb + (vbar, vbar + d2) are tropisms of
+    J, which attaches both v1 and v2, and drop onto the certificate's
+    rays in J1."""
+    rep, verdict, w, _, _, handle, f, g = _instrumented(cid, fid)
+    J = two_attachment_ideal(handle, f, g, verdict)
     wb = tuple(e // 2 for e in w)
     vbar = wdot(wb, next(iter(g.terms)))
     d1, d2 = (value - 2 * vbar for value in verdict.values)
     old = {wb + (vbar + d1, vbar), wb + (vbar, vbar + d2)}
-    cold = IdealHandle(J.generators, J.ctx)
-    assert all(decide._monomial_free(cold, ray) for ray in old)
+    assert all(decide._monomial_free(J, ray) for ray in old)
     assert {ray[:-1] for ray in old} == set(rep.certificate.data)
     assert rep.certificate.ideal.ctx.nvars == handle.ctx.nvars + 1
     assert rep.certificate.ideal.ctx.variables == J.ctx.variables[:-1]
@@ -138,7 +145,7 @@ def _check_stretch_curve(field):
     assert rep.verdict == "reducible"
     assert rep.certificate.kind == "two_tropisms"
     assert set(rep.certificate.data) == {(4, 6, 13, 28), (4, 6, 13, 29)}
-    assert [n for n, _ in rep.certificate.transcript] == ["z", "z1"]
+    assert [n for n, _ in rep.certificate.transcript] == ["z", "u"]
     assert verify_certificate(rep.certificate) == (True, "ok")
 
 

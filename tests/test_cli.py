@@ -92,6 +92,14 @@ def test_decide_verify_flag_reports_to_stderr(tmp_path, capsys):
     assert "re-checked" not in out
 
 
+def test_an_iter_cap_of_zero_exits_two_naming_the_cap(tmp_path, capsys):
+    path = write(tmp_path, ONE_STEP)
+    code, out, err = run(capsys, "decide", "--iter-cap", "0", path)
+    assert code == 2
+    assert out == ""
+    assert "exceeded 0 rounds" in err
+
+
 def test_malformed_file_exits_two(tmp_path, capsys):
     path = write(tmp_path, "char 0\nvars x y\nx^3 - y^2\n")
     code, _, err = run(capsys, "decide", path)

@@ -34,9 +34,10 @@ from algebroid.groebner import (
 )
 from algebroid.localalg import base_weights, initial_ideal
 from algebroid.parametric import parametric_intersection
-from algebroid.polyring import DegRevLex, RingCtx, parse_poly
+from algebroid.polyring import DegRevLex, RingCtx, embed, parse_poly
 from algebroid.scalars import GF, QQ, FieldSpec
 from algebroid.semigroups import membership
+from pencil_attachments import two_attachment_ideal
 
 
 def plane_ideal(text, field=QQ):
@@ -244,7 +245,7 @@ def test_case1_rays_are_found_and_certified_in_one_attachment(
     ray_is_tropism = decide._ray_is_tropism
 
     def record(handle, w, verdict, f, g):
-        verdicts.append((verdict, w, handle, g))
+        verdicts.append((verdict, w, handle, f, g))
         return rays_for_false(handle, w, verdict, f, g)
 
     def count_test(handle, ray):
@@ -255,7 +256,7 @@ def test_case1_rays_are_found_and_certified_in_one_attachment(
         mp.setattr(decide, "_rays_for_false", record)
         mp.setattr(decide, "_ray_is_tropism", count_test)
         rep = decide_irreducible(I)
-    (verdict, w, handle, g), = verdicts
+    (verdict, w, handle, f, g), = verdicts
     assert verdict.case == 1 and w == (4, 6)
     cert = rep.certificate
     assert rep.verdict == "reducible" and cert.kind == "two_tropisms"
@@ -264,13 +265,13 @@ def test_case1_rays_are_found_and_certified_in_one_attachment(
     assert sorted(tested) == sorted(cert.data)
     assert cert.ideal.ctx.nvars == handle.ctx.nvars + 1
     assert verify_certificate(cert) == (True, "ok")
-    # the two-attachment rays lam*wb + (u, lam*vbar) of J drop onto them
+    # the rays lam*wb + (u, lam*vbar) of J, which attaches both f and g,
+    # drop onto them
     (a, b), = g.terms
     vbar = 2 * a + 3 * b
-    J = verdict.ideal
-    cold = IdealHandle(J.generators, J.ctx)
+    J = two_attachment_ideal(handle, f, g, verdict)
     for u in (3 + k1, 3 + k2):
-        assert decide._monomial_free(cold, (2, 3, u, vbar))
+        assert decide._monomial_free(J, (2, 3, u, vbar))
 
 
 def test_permuting_variables_keeps_the_verdict():
@@ -323,7 +324,7 @@ def test_an_infinite_case2_value_is_a_typed_error_under_python_O():
     I, _ = plane_ideal("(y - x)*(y + x)")
     if sys.flags.optimize:
         with pytest.raises(CertificateSearchFailed,
-                           match="pencil value of z1 is infinite"):
+                           match="pencil value of v1 is infinite"):
             decide_irreducible(I)
     else:
         with pytest.raises(AssertionError) as info:
@@ -755,10 +756,39 @@ def test_graph_shape_refuses_a_two_ray_certificate_with_a_reordered_pair():
         [parse_poly("((y^2 - x^3)^2 - x^5*y)^2 - x^11*y^2", ctx)], ctx)
     cert = decide_irreducible(I).certificate
     assert cert.kind == "two_tropisms"
-    assert [n for n, _ in cert.transcript] == ["z", "z1"]
+    assert [n for n, _ in cert.transcript] == ["z", "u"]
     gens = cert.ideal.generators
     swapped = gens[:-2] + (gens[-1], gens[-2])
     bad = replace(cert, ideal=IdealHandle(swapped, cert.ideal.ctx))
     ok, reason = verify_certificate(bad)
     assert not ok
     assert "transcript relation" in reason
+
+
+# ------------------------------------------------------------ the shared loop
+
+def test_an_iter_cap_of_zero_stops_both_entry_points_at_the_cap():
+    I = _curve(*PRIME_TOWER_CURVES["tower-1"], QQ)
+    with pytest.raises(NonRadicalSuspected, match="exceeded 0 rounds"):
+        decide_irreducible(I, iter_cap=0)
+    with pytest.raises(NotPrime, match="exceeded 0 rounds"):
+        value_semigroup(I, iter_cap=0)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+@pytest.mark.parametrize("cid", PRIME_TOWER_CURVES)
+def test_the_decide_transcript_is_a_prefix_of_the_value_semigroup_tower(
+        cid, field):
+    """Both entry points run one loop; the decide stops it at primitive
+    weights, so its tower is where the value semigroup's begins."""
+    curve = PRIME_TOWER_CURVES[cid]
+    cert = decide_irreducible(_curve(*curve, field)).certificate
+    tower, w = value_semigroup(_curve(*curve, field))
+    assert cert.kind == "prime_tropism" and cert.transcript
+    n = cert.ideal.ctx.nvars
+    assert tower.ctx.variables[:n] == cert.ideal.ctx.variables
+    head = len(cert.ideal.generators) - len(cert.transcript)
+    for k, (name, fdef) in enumerate(cert.transcript):
+        assert tower.generators[head + k] == (
+            tower.ctx.var(name) - embed(fdef, tower.ctx))
+    assert cert.data == w[:n]

@@ -8,7 +8,7 @@ import pytest
 
 from algebroid import localalg
 from algebroid.decide import _initial_handle, _monomial_witness, _screen_round
-from algebroid.errors import ZeroPoly
+from algebroid.errors import NotPrime, ZeroPoly
 from algebroid.groebner import IdealHandle
 from algebroid.localalg import (
     base_weights,
@@ -226,7 +226,7 @@ def test_screen_round_after_monomial_witness_builds_no_basis(monkeypatch):
     assert _monomial_witness(handle, (2, 3)) is None
     built.clear()
     stats = {"parametric_calls": 0}
-    assert _screen_round(handle, (2, 3), prime_mode=True, trunc_cap=None,
+    assert _screen_round(handle, (2, 3), error=NotPrime, trunc_cap=None,
                          stats=stats) == ("radical",)
     assert built == [] and stats["parametric_calls"] == 0
 

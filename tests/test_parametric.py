@@ -12,8 +12,9 @@ from algebroid.parametric import (
     parametric_intersection,
     parametric_test,
 )
-from algebroid.polyring import INF, RingCtx, parse_poly
+from algebroid.polyring import INF, RingCtx, parse_poly, project
 from algebroid.scalars import GF, QQ
+from pencil_attachments import two_attachment_ideal
 
 
 def double_branch_ideal(field=QQ):
@@ -78,10 +79,15 @@ def test_double_branch_verdict_two_parameters():
     assert v.result == "false"
     assert v.case == 2
     assert sorted(b.value for b in v.betas) == [-1, 1]
-    assert v.adjoined == ("z1", "z2")
-    assert v.ideal.ctx.variables == ("x", "y", "z1", "z2")
-    # the enlarged ideal splits the weights of the two branches
-    assert base_weights(v.ideal) == (4, 6, 15, 15)
+    assert v.adjoined == ("z",)
+    assert v.ideal.ctx.variables == ("x", "y", "z")
+    assert base_weights(v.ideal) == (4, 6, 15)
+    # both attachments split the weights of the two branches, and the
+    # verdict keeps the first
+    J = two_attachment_ideal(I, f, g, v)
+    assert base_weights(J) == (4, 6, 15, 15)
+    assert v.ideal.generators == tuple(
+        project(p, v.ideal.ctx, range(3)) for p in J.generators[:-1])
 
 
 def test_space_curve_basis_and_matrix():
@@ -112,7 +118,9 @@ def test_space_curve_parametric_intersection():
     }
     v = parametric_test(f, g, I)
     assert v.result == "false" and v.case == 2
-    assert base_weights(v.ideal) == (8, 12, 10, 26, 26)
+    assert base_weights(v.ideal) == (8, 12, 10, 26)
+    assert base_weights(two_attachment_ideal(I, f, g, v)) == (
+        8, 12, 10, 26, 26)
 
 
 def test_equal_inputs_give_infinite_exception():
@@ -177,8 +185,10 @@ def test_case_one_drop():
     v = parametric_test(f - g, f + g, I)
     assert v.result == "false"
     assert v.case == 1
-    assert v.adjoined == ("z1", "z2")
-    assert base_weights(v.ideal) == (4, 6, 15, 15)
+    assert v.adjoined == ("z",)
+    assert base_weights(v.ideal) == (4, 6, 15)
+    assert base_weights(two_attachment_ideal(I, f - g, f + g, v)) == (
+        4, 6, 15, 15)
 
 
 def test_case_three_false_branch():
