@@ -312,8 +312,9 @@ def assert_preconditions(ideal) -> IdealHandle:
     if any(e is INF for e in w):
         bad = handle.ctx.variables[[e is INF for e in w].index(True)]
         raise InfiniteWeight(
-            f"intersection number of {bad} is infinite; the input is not "
-            "an unmixed curve germ through the origin")
+            f"intersection number of {bad} is infinite: {bad} vanishes on "
+            "some but not all branches of the curve, so a radical input is "
+            "reducible; no certificate kind covers this case yet")
     return handle
 
 

@@ -60,7 +60,8 @@ class WrongDimension(AlgebroidError):
 
 class InfiniteWeight(AlgebroidError):
     """Some coordinate has infinite intersection number after
-    normalization; the input violates the unmixedness contract."""
+    normalization: it vanishes on some but not all branches, a reducible
+    case that no certificate kind covers yet."""
 
 
 class NotPrime(AlgebroidError):

@@ -8,6 +8,13 @@ module are computed through a certificate-tracked division: every monomial
 gets a rewrite rule "monomial = span-of-basis + pivot * rest" extracted
 from a homogenized basis with its cofactors, and rules are applied layer
 by layer in the pivot exponent, so truncation at pivot^N is exact.
+
+The method requires A = O/I to be a free module of rank I(t) over k[[t]],
+t the pivot.  Then multiplication by a nonzerodivisor h is injective on A
+and I(h) = dim A/hA = ord_t det(M_h).  Determinants are multiplicative,
+so a monomial's value is a . w from the base weights w: the pencil reads
+the values of its monomial f and g from the handle's memo and builds no
+standard basis of I + (x^a).
 """
 
 from __future__ import annotations
@@ -371,15 +378,46 @@ def _lift(ideal: IdealHandle, fac: tuple, f: Poly, g: Poly) -> tuple:
             _lift_poly(f, ectx), _lift_poly(g, ectx))
 
 
+def _pencil_value(f: Poly, ideal: IdealHandle):
+    """I(f) for the pencil: a . w for a one-term f = c x^a, w the base
+    weights, INF when some a_i > 0 meets an INF weight; any other f asks
+    ``intersection_number``.
+
+    With A = O/I free over k[[t]], I(h) = ord_t det(M_h) for every
+    nonzerodivisor h.  M_{x^a} is the product of the M_{x_i}^{a_i}, so
+    I(x^a) = sum a_i I(x_i).  A coordinate of infinite value is a zero
+    divisor, and so is every multiple of it.  ``parametric_intersection``
+    checks the value it gets against the determinant it computes."""
+    if len(f.terms) != 1:
+        return intersection_number(f, ideal)
+    (a,) = f.terms
+    total = 0
+    for ai, wi in zip(a, base_weights(ideal)):
+        if ai:
+            if wi is INF:
+                return INF
+            total += ai * wi
+    return total
+
+
+def _order_at(D: dict, d: int) -> Optional[int]:
+    """The pivot order of the coefficient of a^d in a determinant D, None
+    when that coefficient is zero (to the truncation)."""
+    return min((e for (k, e) in D if k == d), default=None)
+
+
 def parametric_intersection(f: Poly, g: Poly, ideal: IdealHandle,
                             pivot: Union[int, str, None] = None,
                             trunc_cap: Optional[int] = None) -> ParametricOrder:
     """Compute det(M_f - a M_g) and read off the generic intersection
     value and every exceptional parameter with its value; infinite values
-    come from the exact staircase computation, never from truncation."""
+    come from the exact staircase computation, never from truncation.
+    The quotient must be free over the pivot's series ring (module
+    docstring); a determinant whose a^0 or a^n coefficient disagrees
+    with the values of f or g raises ``AlgebroidError``."""
     field = ideal.ctx.field
-    nf = intersection_number(f, ideal)
-    ng = intersection_number(g, ideal)
+    nf = _pencil_value(f, ideal)
+    ng = _pencil_value(g, ideal)
     if nf is INF or ng is INF or nf != ng:
         raise UnequalBase(f"intersection numbers differ: {nf} vs {ng}")
     basis = free_basis(ideal, pivot)
@@ -409,11 +447,16 @@ def parametric_intersection(f: Poly, g: Poly, ideal: IdealHandle,
             row.append(e)
         entries.append(tuple(row))
     D = _det(entries, n, field, N)
+    # det(M_f) and det(-M_g) are the coefficients of a^0 and a^n
+    for d, name, value in ((0, "f", nf), (n, "g", ng)):
+        order = _order_at(D, d)
+        if order != value:
+            raise AlgebroidError(
+                f"parametric intersection: det(M_{name}) has pivot order "
+                f"{order}, not the base value {value}; the quotient is not "
+                "a free module over the pivot series ring")
     coeffs = _coefficients(D, field)
-    k0 = min(coeffs, default=None)
-    if k0 is None or k0 > nf:
-        raise AlgebroidError("parametric intersection: the determinant "
-                             "order is not at or below the base value")
+    k0 = min(coeffs)
     # normalize the sign so the leading parameter coefficient at the
     # generic order is positive (when the field orders payloads)
     if field.characteristic == 0 and field.extension is None \
@@ -500,8 +543,8 @@ def parametric_test(f: Poly, g: Poly, ideal: IdealHandle,
     otherwise."""
     field = ideal.ctx.field
     po = parametric_intersection(f, g, ideal, pivot, trunc_cap=trunc_cap)
-    nf = intersection_number(f, ideal)
-    if po.generic_value < nf:
+    # the a^0 coefficient is det(M_f), of order I(f)
+    if po.generic_value < _order_at(po.determinant, 0):
         J, name = _extend_with(ideal, f)
         return Verdict("false", ideal=J, case=1, adjoined=(name,),
                        truncation=po.truncation)

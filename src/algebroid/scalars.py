@@ -82,9 +82,14 @@ def _is_prime(n: int) -> bool:
 # FieldSpec.__post_init__ binds as instance attributes.
 
 def _q_inv(a):
+    """1/a, an ``int`` when a is a unit fraction (+-1/k, +-1 included), so
+    monic bases over Q stay integral where they can."""
     if not a:
         raise DivisionByZero("inverse of zero")
-    return Fraction(1) / a if isinstance(a, Fraction) else Fraction(1, a)
+    num, den = a.numerator, a.denominator
+    if num == 1 or num == -1:
+        return num * den
+    return Fraction(den, num)
 
 
 _Q_KERNELS = {"add": operator.add, "sub": operator.sub, "neg": operator.neg,

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -9,12 +10,13 @@ import time
 
 import pytest
 
-from algebroid.cli import (_poly_json, certificate_from_json, main,
-                           parse_ideal_text)
-from algebroid.decide import verify_certificate
+from algebroid.cli import (_poly_json, certificate_from_json,
+                           certificate_json, main, parse_ideal_text)
+from algebroid.decide import decide_irreducible, verify_certificate
 from algebroid.groebner import ideal_membership
 from algebroid.polyring import parse_poly
-from algebroid.scalars import GF
+from algebroid.scalars import GF, QQ
+from test_decide import PRIME_TOWER_CURVES, TWO_BRANCH_CURVES, _curve
 
 DOUBLE_BRANCH = "char 0\nvars x y\nideal:\n(y^2 - x^3)^2 - x^7\n"
 CHAR2_PLANE = "char 2\nvars x y\nideal:\n(y^2 + x^3)^2 + x^7\n"
@@ -378,6 +380,54 @@ def test_a_certificate_above_the_exponent_cap_exits_two_at_once(
     assert time.perf_counter() - start < 1
     assert code == 2
     assert "exceeds _EXPONENT_CAP = 1000" in err
+
+
+# -------------------------------------------------------- certificate pins
+
+# SHA-256 of json.dumps(certificate_json(cert), sort_keys=True) for the
+# benchmark's table curves.  A change that claims bit-identical
+# certificates keeps these; one that changes a certificate says why and
+# re-pins it.
+CERTIFICATE_PINS = {
+    ("dbl-2-3-7-0", "QQ"): "df180dce68d281bcf78b67bf3aa0faa88c3047358bc44cd5846cf3459deb7d0b",
+    ("dbl-2-3-7-0", "F101"): "c5bed58185f91426e661dcd5f23af3070591bde1f370170e2472ddd4178ad05c",
+    ("dbl-2-3-8-0", "QQ"): "533a67f15b3f10ae84c816649c79c397593a6792c1a3538cd64011a4c0a3facf",
+    ("dbl-2-3-8-0", "F101"): "2b13bedfec3b16fcd7b4093783d34a028f4bc60e6cbcfb8ff993ab6590a45d31",
+    ("dbl-2-5-11-0", "QQ"): "96b303fbabc0705e61fa0ec6221a94eed3c6875dae4977822b19b6b24cac6811",
+    ("dbl-2-5-11-0", "F101"): "c09005edc03999fe6021eef8489604e9a0733071c6aab78d470124e3469344e3",
+    ("dbl-2-5-12-0", "QQ"): "6e1f7ce845e5d57c98a67579cddf3cf19698ed7ee7b3d15ad61c22bc6c81a53d",
+    ("dbl-2-5-12-0", "F101"): "7f1a6db5030849f009f8af697ecdd827aedb7704b924704668c3e6a1d5cc694f",
+    ("dbl-3-4-8-1", "QQ"): "d2797574729d42aea7c90851c81cd9b7e36e77fbfb4937c6bc0ec779445be71e",
+    ("dbl-3-4-8-1", "F101"): "dcb559db92389742169df310a4da89286b35e439cccf8d38629291a6f8b06ecf",
+    ("space-pair", "QQ"): "d5ba5f7d6d5b09d13bbff4912e010a16df5aa21ddeb17f3d8cd73e0a4b147aab",
+    ("space-pair", "F101"): "990284505b20cb407b4389052f08808c3c8926983cd4b035543d809e898162d7",
+    ("tangent-pair", "QQ"): "1a4e161cc88e809d2ab2505abb2a07715c6d920db2c636e8b5aceb448a1d948a",
+    ("tangent-pair", "F101"): "61b8e4416f98f6c632ab1ef181a7cac0f7b59e9d7f817cae8ddefb045f0ed1db",
+    ("tower-1", "QQ"): "9b5ea8a1311193199243cf77dc42cff8d2ace33a9231a0429e0b451277486c38",
+    ("tower-1", "F101"): "4cca990b24fa46fdd4592b1fa423ec650c27663c47e30a9874a3e05d32820af7",
+    ("tower-2", "QQ"): "89b40ca4944e00e662af77a145abfc61df67c672876873fbd009791f332f29ea",
+    ("tower-2", "F101"): "de7f47698150d59cf8284aaa2102630c444a9d5079e4e7c9001ec3e92d786df1",
+    ("tower-3", "QQ"): "64a1100b86d94f0b7c231a3eb69235ac34f5b48261890427c0b1315ea0ed932b",
+    ("tower-3", "F101"): "fbb556acf605e9cad57a56787f5162aaffe754866704ed54f08d57824be4c784",
+    ("space-1", "QQ"): "56f6a1f7e22583deab701214080b897cb8958284f8c7d024449df21001c4284a",
+    ("space-1", "F101"): "38b0d388f352d607624a55bee8e51233ee77bc221f02e96009ff4238076d8c55",
+    ("space-2", "QQ"): "0e5527b437a3e6e78bb881c75c05a0b75bb6fdafe11a5343adba87bf3209550d",
+    ("space-2", "F101"): "d02ff8c43b68dba8720fe23920f029bcdb61dc4de4ff051fd33676a2f2c28e1a",
+    ("implicit-6-9-10", "QQ"): "0a8aab34e834eb96a12155181b46f18f9eb0155566fc979d24b68a793e483cc4",
+    ("implicit-6-9-10", "F101"): "066755bf71466ba9367b503740c4ddc884b2250e247b8d9522b0ee420f97cbb7",
+    ("implicit-4-6-7-9", "QQ"): "3e89d62a15782f22f89bdba2c2abd36f167b4560544921fc9cc374b550117445",
+    ("implicit-4-6-7-9", "F101"): "86aae0a597c21b199e0e7e90de74dfbd9bdd72d07de4d6741ff4a8dc2d33db55",
+}
+
+
+@pytest.mark.parametrize("cid, fid", CERTIFICATE_PINS)
+def test_table_certificates_match_their_pins(cid, fid):
+    curve = TWO_BRANCH_CURVES.get(cid) or PRIME_TOWER_CURVES[cid]
+    field = {"QQ": QQ, "F101": GF(101)}[fid]
+    cert = decide_irreducible(_curve(*curve, field)).certificate
+    text = json.dumps(certificate_json(cert), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        CERTIFICATE_PINS[cid, fid]
 
 
 # ------------------------------------------------------------- packaging

@@ -349,10 +349,22 @@ def test_preconditions_drop_member_variables():
     assert [str(g) for g in h.generators] == ["-z^3 + y^2"]
 
 
-def test_preconditions_reject_union_with_an_axis():
-    I, _ = plane_ideal("x*y")
-    with pytest.raises(InfiniteWeight):
+def _assert_infinite_weight_names(text, var):
+    I, _ = plane_ideal(text)
+    with pytest.raises(InfiniteWeight) as info:
         assert_preconditions(I)
+    assert str(info.value) == (
+        f"intersection number of {var} is infinite: {var} vanishes on some "
+        "but not all branches of the curve, so a radical input is "
+        "reducible; no certificate kind covers this case yet")
+
+
+def test_preconditions_reject_union_with_an_axis():
+    _assert_infinite_weight_names("x*y", "x")
+
+
+def test_preconditions_reject_a_branch_on_a_coordinate_axis():
+    _assert_infinite_weight_names("y*(y - x^2)", "y")
 
 
 def test_preconditions_reject_wrong_dimension():

@@ -1,11 +1,20 @@
 """Tests for the multiplication-matrix method."""
 
+from itertools import product
+
 import pytest
 
-from algebroid.errors import ContextViolation, InfinitePivot, UnequalBase
+from algebroid.decide import value_semigroup
+from algebroid.errors import (
+    AlgebroidError,
+    ContextViolation,
+    InfinitePivot,
+    UnequalBase,
+)
 from algebroid.groebner import IdealHandle
 from algebroid.localalg import intersection_number, base_weights
 from algebroid.parametric import (
+    _pencil_value,
     choose_pivot,
     free_basis,
     mult_matrix,
@@ -15,6 +24,7 @@ from algebroid.parametric import (
 from algebroid.polyring import INF, RingCtx, parse_poly, project
 from algebroid.scalars import GF, QQ
 from pencil_attachments import two_attachment_ideal
+from test_decide import PRIME_TOWER_CURVES, TWO_BRANCH_CURVES, _curve
 
 
 def double_branch_ideal(field=QQ):
@@ -145,6 +155,18 @@ def test_unequal_base_values():
         parametric_intersection(ctx.var("x"), ctx.var("y"), I)
 
 
+def test_a_quotient_that_is_not_free_fails_the_determinant_check():
+    # y^2 = x^3 with an embedded point: z is torsion and y*z = 0, so M_y
+    # has a zero column while the colength of I + (y) is 4
+    ctx = RingCtx(QQ, ("x", "y", "z"))
+    I = IdealHandle(tuple(parse_poly(t, ctx) for t in (
+        "y^2 - x^3", "z^2", "x*z", "y*z")), ctx)
+    assert base_weights(I) == (3, 4, INF)
+    with pytest.raises(AlgebroidError, match=r"det\(M_f\) has pivot order "
+                       r"None, not the base value 4"):
+        parametric_intersection(ctx.var("y"), ctx.var("y"), I)
+
+
 def test_infinite_pivot():
     ctx = RingCtx(QQ, ("x", "y"))
     I = IdealHandle((parse_poly("x*y", ctx),), ctx)
@@ -248,3 +270,43 @@ def test_mult_matrix_rejects_foreign_basis():
     B = free_basis(J)
     with pytest.raises(ValueError):
         mult_matrix(ctx.var("x"), B, I, 8)
+
+
+# ------------------------------------------- pencil values from base weights
+
+def _assert_additive(handle):
+    """For every monomial of total degree <= 3, the pencil's value (a . w
+    from the base weights) is the colength that a fresh handle computes."""
+    ctx = handle.ctx
+    fresh = IdealHandle(handle.generators, ctx)
+    for a in product(range(4), repeat=ctx.nvars):
+        if sum(a) <= 3:
+            m = ctx.mono(a)
+            assert _pencil_value(m, handle) == intersection_number(m, fresh), a
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+@pytest.mark.parametrize("cid", [*TWO_BRANCH_CURVES, *PRIME_TOWER_CURVES])
+def test_monomial_values_add_up_from_the_base_weights(cid, field):
+    curve = TWO_BRANCH_CURVES.get(cid) or PRIME_TOWER_CURVES[cid]
+    _assert_additive(_curve(*curve, field))
+    if cid in PRIME_TOWER_CURVES:
+        tower, w = value_semigroup(_curve(*curve, field))
+        assert tower.ctx.nvars > len(curve[0].split())
+        _assert_additive(tower)
+
+
+def test_a_monomial_pencil_builds_no_intersection_number():
+    I, ctx = double_branch_ideal()
+    assert base_weights(I) == (4, 6)
+    before = set(I._memo)
+    v = parametric_test(parse_poly("y^2", ctx), parse_poly("x^3", ctx), I)
+    assert v.result == "not_false" and v.value == 14
+    assert not [k for k in set(I._memo) - before if k[0] == "intersection"]
+
+
+def test_a_non_monomial_still_asks_for_its_intersection_number():
+    I, ctx = double_branch_ideal()
+    f = parse_poly("y^2 - x^3", ctx)
+    assert _pencil_value(f, I) == 14
+    assert ("intersection", f.key(), (1, 1)) in I._memo

@@ -40,6 +40,16 @@ def test_rational_arithmetic():
     assert not (a - a)
 
 
+def test_unit_fraction_inverses_over_q_are_ints():
+    for a, inverse in ((1, 1), (-1, -1), (Fraction(1), 1),
+                       (Fraction(1, 3), 3), (Fraction(-1, 3), -3)):
+        assert type(QQ.inv(a)) is int and QQ.inv(a) == inverse
+    assert QQ.inv(2) == Fraction(1, 2)
+    assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    with pytest.raises(DivisionByZero):
+        QQ.inv(Fraction(0))
+
+
 def test_prime_field_inverse():
     f5 = GF(5)
     two = Scalar(2, f5)

@@ -74,6 +74,12 @@ def test_membership_matches_the_division_reference(w):
             N, basis, key, QQ, positions, len(w)), N
 
 
+@pytest.mark.parametrize("w", [(2, 3), (4, 6, 13), (8, 12, 10, 26)], ids=str)
+def test_toric_bases_over_q_have_int_coefficients(w):
+    gb = semigroups._elimination_data(w)[0]
+    assert all(type(c) is int for g in gb for c in g.terms.values())
+
+
 def test_membership_for_huge_n():
     start = time.perf_counter()
     c = membership(10 ** 12 + 1, (3, 5))
