@@ -14,12 +14,17 @@ t the pivot.  Then multiplication by a nonzerodivisor h is injective on A
 and I(h) = dim A/hA = ord_t det(M_h).  Determinants are multiplicative,
 so a monomial's value is a . w from the base weights w: the pencil reads
 the values of its monomial f and g from the handle's memo and builds no
-standard basis of I + (x^a).
+standard basis of I + (x^a).  The determinant det(M_f - a M_g) is taken
+over integer minors: over Q each row is scaled to integers, over F_p each
+minor is reduced once per row step, so no Fraction enters its products.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import (
@@ -255,66 +260,70 @@ def mult_matrix(g: Poly, basis: FreeBasis, ideal: IdealHandle,
 
 # --------------------------------------- bivariate (parameter, pivot) dicts
 
-def _badd(a: dict, b: dict, field: FieldSpec) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        prev = out.get(k)
-        val = c if prev is None else field.add(prev, c)
-        if field.is_zero(val):
-            out.pop(k, None)
-        else:
-            out[k] = val
-    return out
-
-
 def _bneg(a: dict, field: FieldSpec) -> dict:
     return {k: field.neg(c) for k, c in a.items()}
 
 
-def _bmul(a: dict, b: dict, field: FieldSpec, N: int) -> dict:
-    out: dict = {}
-    for (d1, e1), c1 in a.items():
-        for (d2, e2), c2 in b.items():
-            e = e1 + e2
-            if e >= N:
-                continue
-            key = (d1 + d2, e)
-            c = field.mul(c1, c2)
-            prev = out.get(key)
-            val = c if prev is None else field.add(prev, c)
-            if field.is_zero(val):
-                out.pop(key, None)
-            else:
-                out[key] = val
-    return out
-
-
 def _det(entries, n: int, field: FieldSpec, N: int) -> dict:
     """Determinant by memoized expansion over column subsets (only ring
-    operations, valid with truncated-series zero divisors)."""
-    cur = {0: {(0, 0): field.one()}}
-    for i in range(n):
+    operations, valid with truncated-series zero divisors).
+
+    Inside, the term (d, e) is the int key e*(n+1) + d.  Entries are at
+    most linear in the parameter, so a minor's degree in it is at most n,
+    keys add as terms multiply, and ``key < N*(n+1)`` is the truncation at
+    pivot^N.  Over Q and F_p the minors hold plain ints.  Over Q each row
+    is scaled by the lcm of its denominators, and the result is divided by
+    the product of the scales.  Over F_p products accumulate unreduced,
+    and each minor is reduced once per row step.  Extension fields run the
+    same expansion on their field kernels."""
+    m, p, ints = n + 1, field.characteristic, field.extension is None
+    cap = N * m
+    mul, add, neg = ((operator.mul, operator.add, operator.neg) if ints
+                     else (field.mul, field.add, field.neg))
+    scale, rows = 1, []
+    for row in entries:
+        if ints and not p:
+            s = math.lcm(*(c.denominator for a in row for c in a.values()))
+            scale *= s
+            row = [{k: c.numerator * (s // c.denominator)
+                    for k, c in a.items()} for a in row]
+        rows.append([sorted((e * m + d, c) for (d, e), c in a.items())
+                     for a in row])
+    cur = {0: {0: 1 if ints else field.one()}}
+    for i, row in enumerate(rows):
         nxt: dict = {}
         for mask, minor in cur.items():
-            k = bin(mask).count("1")
-            for j in range(n):
+            for j, a in enumerate(row):
                 bit = 1 << j
-                if mask & bit:
+                if mask & bit or not a:
                     continue
-                a = entries[i][j]
-                if not a:
-                    continue
-                term = _bmul(minor, a, field, N)
-                if not term:
-                    continue
-                if (k + bin(mask & (bit - 1)).count("1")) % 2:
-                    term = _bneg(term, field)
-                prev = nxt.get(mask | bit)
-                nxt[mask | bit] = term if prev is None else _badd(prev, term, field)
-        cur = {m: v for m, v in nxt.items() if v}
+                acc = nxt.setdefault(mask | bit, {})
+                items = minor.items()
+                if (i + (mask & (bit - 1)).bit_count()) & 1:
+                    items = [(k, neg(c)) for k, c in items]
+                for k1, c1 in items:
+                    lim = cap - k1
+                    for k2, c2 in a:
+                        if k2 >= lim:
+                            break
+                        k = k1 + k2
+                        c = mul(c1, c2)
+                        acc[k] = add(acc[k], c) if k in acc else c
+        cur = {}
+        for mask, acc in nxt.items():
+            if p and ints:
+                acc = {k: c % p for k, c in acc.items()}
+            acc = {k: c for k, c in acc.items() if not field.is_zero(c)}
+            if acc:
+                cur[mask] = acc
         if not cur:
             return {}
-    return cur.get((1 << n) - 1, {})
+    out = {}
+    for k, c in cur[(1 << n) - 1].items():
+        if scale != 1:
+            c = c // scale if c % scale == 0 else Fraction(c, scale)
+        out[k % m, k // m] = c
+    return out
 
 
 # ------------------------------------------------------- parametric orders
@@ -431,21 +440,10 @@ def parametric_intersection(f: Poly, g: Poly, ideal: IdealHandle,
     Mf = mult_matrix(f, basis, ideal, N)
     Mg = mult_matrix(g, basis, ideal, N)
     n = basis.rank
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = dict(Mf.entries[i][j])
-            for (d, xe), c in Mg.entries[i][j].items():
-                key = (1, xe)
-                prev = e.get(key)
-                val = field.neg(c) if prev is None else field.sub(prev, c)
-                if field.is_zero(val):
-                    e.pop(key, None)
-                else:
-                    e[key] = val
-            row.append(e)
-        entries.append(tuple(row))
+    # M_f - a M_g: the entries of M_f and M_g are constant in a
+    entries = [[{**fe, **{(1, e): field.neg(c) for (_, e), c in ge.items()}}
+                for fe, ge in zip(frow, grow)]
+               for frow, grow in zip(Mf.entries, Mg.entries)]
     D = _det(entries, n, field, N)
     # det(M_f) and det(-M_g) are the coefficients of a^0 and a^n
     for d, name, value in ((0, "f", nf), (n, "g", ng)):

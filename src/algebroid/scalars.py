@@ -44,6 +44,7 @@ from .errors import (AlgebroidError, DivisionByZero, FieldMismatch,
 
 _ENUM_CAP = 4096        # largest finite field we will enumerate exhaustively
 _KRONECKER_CAP = 500000  # candidate cap for integer factor search
+_KRONECKER_VALUE_CAP = 10 ** 12  # largest |value| split by trial division
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -685,22 +686,58 @@ def _primitive_ints(f: list) -> list:
 
 
 def _rational_roots(f: list) -> list:
-    """Distinct rational roots of a nonzero polynomial with Fraction/int
-    coefficients; assumes f(0) != 0."""
-    ints = _primitive_ints(f)
-    a0, an = ints[0], ints[-1]
-    roots = []
-    for p in _int_divisors(a0):
-        for q in _int_divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in roots:
-                    continue
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0:
-                    roots.append(cand)
-    return sorted(roots)
+    """Distinct rational roots of a squarefree nonzero polynomial with
+    Fraction/int coefficients, by p-adic lifting (Loos 1983) and rational
+    reconstruction (Wang 1981).
+
+    Let g = a0 + ... + an a^n be f's primitive integer multiple, a root 0
+    split off.  A root p/q in lowest terms has p | a0 and q | an.  Let l be
+    the first prime not dividing an with g squarefree mod l; only primes
+    dividing an*disc(g) fail, and disc(g) != 0.  As q is a unit mod l,
+    p/q mod l is a simple root of g mod l.  Newton's step lifts each
+    simple root mod l to the unique root mod M = l^(2^k) above it, so p/q
+    mod M is one of the lifts.  With M > 2|a0||an|, a lift r is congruent
+    to at most one fraction p/q with |p| <= |a0| and 0 < q <= |an|: two,
+    p/q and p'/q', would give M | pq' - p'q with |pq' - p'q| < M.  The
+    extended Euclidean algorithm on (M, r), stopped at the first remainder
+    <= |a0|, finds that fraction (von zur Gathen and Gerhard, Modern
+    Computer Algebra, Sect. 5.10).  So every rational root is a candidate;
+    a candidate is kept only when it vanishes exactly."""
+    ints, roots = _primitive_ints(f), []
+    while not ints[0]:
+        ints, roots = ints[1:], [Fraction(0)]
+    n, a0, an = len(ints) - 1, abs(ints[0]), abs(ints[-1])
+    if not n:
+        return roots
+    deriv = [i * c for i, c in enumerate(ints)][1:]
+
+    def at(h, x, mod):
+        return functools.reduce(lambda acc, c: (acc * x + c) % mod,
+                                reversed(h), 0)
+
+    # a nonzero disc(g) is at most bound, so its primes multiply to that
+    bound, l = n ** n * sum(map(abs, ints)) ** (2 * n), 2
+    while an % l == 0 or _uv_deg(uv_gcd(
+            [c % l for c in ints], [c % l for c in deriv], FieldSpec(l))):
+        bound //= l if an % l else 1
+        if not bound:
+            raise AlgebroidError("rational roots: not squarefree")
+        l = next(q for q in itertools.count(l + 1) if _is_prime(q))
+    lifts, M = [r for r in range(l) if not at(ints, r, l)], l
+    while M <= 2 * a0 * an:
+        M *= M
+        lifts = [(r - at(ints, r, M) * pow(at(deriv, r, M), -1, M)) % M
+                 for r in lifts]
+    for r in lifts:
+        r0, r1, t0, t1 = M, r, 0, 1
+        while r1 > a0:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        cand = Fraction(r1, t1)
+        if r1 and abs(cand.numerator) <= a0 and cand.denominator <= an \
+                and not uv_eval(ints, cand, QQ):
+            roots.append(cand)
+    return sorted(set(roots))
 
 
 def _is_rational_square(q: Fraction):
@@ -801,6 +838,9 @@ def _kronecker_factor(ints: list, k: int):
     div_lists = []
     total = 1
     for v in vals:
+        if abs(v) > _KRONECKER_VALUE_CAP:
+            raise SolverLimitation(
+                "factor search: a value exceeds _KRONECKER_VALUE_CAP")
         ds = _int_divisors(v)
         signed = []
         for d in ds:

@@ -1,13 +1,16 @@
 """Tests for the irreducibility decision and its certificates."""
 
+import hashlib
 import random
+import re
 import sys
+import time
 from dataclasses import replace
 from math import gcd, prod
 
 import pytest
 
-from algebroid import decide, groebner
+from algebroid import decide, groebner, parametric
 from algebroid.decide import (
     Certificate,
     _balanced,
@@ -804,3 +807,92 @@ def test_the_decide_transcript_is_a_prefix_of_the_value_semigroup_tower(
         assert tower.generators[head + k] == (
             tower.ctx.var(name) - embed(fdef, tower.ctx))
     assert cert.data == w[:n]
+
+
+# --------------------------------------------- pencil determinant pins
+
+# For each table curve and field: SHA-256 over the space-joined digests,
+# in call order, of the pencil determinants its decide computes; each
+# digest is the SHA-256 of repr(sorted (d, e, str(payload)) items) of one
+# ParametricOrder.determinant.  A change to the determinant kernel keeps
+# these.
+DETERMINANT_PINS = {
+    ("dbl-2-3-7-0", "QQ"): "a1a3cc0056a124630a63bedca445e3cdd076a04b38e6d3651553009e0342e57d",
+    ("dbl-2-3-7-0", "F101"): "e8edee44bc3200e4db681e88dc8647bc9383d3f9b0ca7514583ce388d1e014f9",
+    ("dbl-2-3-8-0", "QQ"): "90a9d40db55554f9b31c990c58251ce79a88a7b80eb882d9671430b8c9029c84",
+    ("dbl-2-3-8-0", "F101"): "aafef3c499459170e9de583b03e2c634c9297f4584dbbeb9de4dfeddf396ebc3",
+    ("dbl-2-5-11-0", "QQ"): "e78a3a2e56de06801caa6e53560eeb071eb5a8bb114fa8d7a68dc96891fb0e5c",
+    ("dbl-2-5-11-0", "F101"): "67ce04197c0dee849376e0cfa2621cffa8fc08c80f1c152e21d26a5aef42b10f",
+    ("dbl-2-5-12-0", "QQ"): "aded532a969a9da2b8a2a7df563eb54daaa2cc78836094bb199a7a3f9e194faa",
+    ("dbl-2-5-12-0", "F101"): "5695f8557f442fda1e9a547c9593e06176e3ff46921bf3170f347a35c3660122",
+    ("dbl-3-4-8-1", "QQ"): "a2dba2c31e261f1d9e751fb12203916e43ec6e0186f0a225f2a49a8cdc7029b1",
+    ("dbl-3-4-8-1", "F101"): "d2159bdbf84c99c8ca9bdaeea9ff234e7ca6c72029e4355587dd09f57ae71c15",
+    ("space-pair", "QQ"): "76ba11a908aa181493f63b32105ea3973a71e7a8fc33308a0541327db2081e4b",
+    ("space-pair", "F101"): "d7f0ae17c27c37b04d8cc1ca491c62b9ff4522b60041c6e24d8a04e9182ae03a",
+    ("tangent-pair", "QQ"): "30a9175361648876887c1c85763392b6069fc37534686d4df6b3addeaf41d522",
+    ("tangent-pair", "F101"): "94cb6c0b2a9cfabf46cc173fd9298f8499f216bd2cc5c19979370df33fbd81cf",
+    ("tower-1", "QQ"): "08e1269ceee9d25545e0cf09d90b38f66b34d8250f2dcbfcd3b346b06fe9b99e",
+    ("tower-1", "F101"): "9a2596f10d4aa7fd97e771b1be7bda56320d8f3918bbbc5677fe93f53b7b59ba",
+    ("tower-2", "QQ"): "91df1aaa43800a1fdd9b634df9cee54286210a68b8a0e0f26c1e89f022b625dc",
+    ("tower-2", "F101"): "3f079f5ac6ddb6ca83d8a82884dccca5451057bf3ec189f5f2943742ef15f2c4",
+    ("tower-3", "QQ"): "04cc212b0560f1256dd7bcc590acf1aebfaff866ff52136c3d410a28190cbbb1",
+    ("tower-3", "F101"): "6a457729d16cd84f0a394c539bddb07769ced7ff6ce9338d9a99ce1098d963e1",
+    ("space-1", "QQ"): "fccfc8871726a99599e0fe7f701bd77b0f37338ef6988aba3c91683174ce688b",
+    ("space-1", "F101"): "ded1f96cbe1222fb78636324baac8079a771edf584938bea4d2f41561d56fc28",
+    ("space-2", "QQ"): "1d5e3b90d9244062601359c47de6348411737f4db22e18bbec6451db1a7834f9",
+    ("space-2", "F101"): "4ff61c9022900b5e9f0090a5c475a67526ddba83c5280a4f59db132741651cfb",
+    ("implicit-6-9-10", "QQ"): "8f9d4012c6b034be61413ea9231d742a8c363f658acf8775dec612bda7f32b3c",
+    ("implicit-6-9-10", "F101"): "85ec3c19db3e8192823998ed31ce40680d599520983a0feca51f4bf8cc3e376d",
+    ("implicit-4-6-7-9", "QQ"): "96b21a6a6c6f91182baa4958df31c80236b94627bb947b083714d791dda6c265",
+    ("implicit-4-6-7-9", "F101"): "79f4995962a94b44d150665301931ccd689f0294020a00e66f9bc78032fe67f8",
+}
+
+
+def _determinant_digest(curve, field):
+    digests = []
+    inner = parametric.parametric_intersection
+
+    def record(*args, **kwargs):
+        po = inner(*args, **kwargs)
+        items = sorted((d, e, str(c)) for (d, e), c in po.determinant.items())
+        digests.append(hashlib.sha256(repr(items).encode()).hexdigest())
+        return po
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parametric, "parametric_intersection", record)
+        decide_irreducible(_curve(*curve, field))
+    assert digests
+    return hashlib.sha256(" ".join(digests).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("cid, fid", DETERMINANT_PINS)
+def test_pencil_determinants_of_the_table_curves_match_their_pins(cid, fid):
+    curve = TWO_BRANCH_CURVES.get(cid) or PRIME_TOWER_CURVES[cid]
+    field = {"QQ": QQ, "F101": GF(101)}[fid]
+    assert _determinant_digest(curve, field) == DETERMINANT_PINS[cid, fid]
+
+
+# ------------------------------------------- curves with large coefficients
+
+def _scaled(texts, a, b):
+    """The generators after x -> a*x, y -> b*y."""
+    out = []
+    for t in texts:
+        t = re.sub(r"\bx\b", f"({a}*x)", t)
+        out.append(re.sub(r"\by\b", f"({b}*y)", t))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("cid, a, b, verdict, kind", [
+    ("dbl-2-3-7-0", 100003, 100019, "reducible", "two_tropisms"),
+    ("tower-2", 10000019, 10000079, "irreducible", "prime_tropism"),
+])
+def test_large_scalings_decide_within_two_seconds(cid, a, b, verdict, kind):
+    """The pencil's rational roots come from p-adic lifting, not from the
+    divisors of coefficients that grow with the scaling."""
+    variables, texts = TWO_BRANCH_CURVES.get(cid) or PRIME_TOWER_CURVES[cid]
+    I = _curve(variables, _scaled(texts, a, b), QQ)
+    start = time.perf_counter()
+    report = decide_irreducible(I)
+    assert time.perf_counter() - start < 2
+    assert (report.verdict, report.certificate.kind) == (verdict, kind)

@@ -1,5 +1,7 @@
 """Tests for the multiplication-matrix method."""
 
+import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -14,6 +16,7 @@ from algebroid.errors import (
 from algebroid.groebner import IdealHandle
 from algebroid.localalg import intersection_number, base_weights
 from algebroid.parametric import (
+    _det,
     _pencil_value,
     choose_pivot,
     free_basis,
@@ -22,7 +25,8 @@ from algebroid.parametric import (
     parametric_test,
 )
 from algebroid.polyring import INF, RingCtx, parse_poly, project
-from algebroid.scalars import GF, QQ
+from algebroid.scalars import GF, QQ, FieldSpec
+from oracles import det_perm
 from pencil_attachments import two_attachment_ideal
 from test_decide import PRIME_TOWER_CURVES, TWO_BRANCH_CURVES, _curve
 
@@ -310,3 +314,95 @@ def test_a_non_monomial_still_asks_for_its_intersection_number():
     f = parse_poly("y^2 - x^3", ctx)
     assert _pencil_value(f, I) == 14
     assert ("intersection", f.key(), (1, 1)) in I._memo
+
+
+# ---------------------------------------- the determinant against an oracle
+
+DET_FIELDS = [QQ, GF(2), GF(7), GF(101), FieldSpec(5, extension=(2, 0))]
+
+
+def _series_ops(field, N):
+    """Ring operations on {(parameter exponent, pivot exponent): payload}
+    truncated at pivot^N, for ``det_perm``."""
+
+    def add(a, b):
+        out = dict(a)
+        for k, c in b.items():
+            out[k] = field.add(out[k], c) if k in out else c
+        return {k: c for k, c in out.items() if not field.is_zero(c)}
+
+    def mul(a, b):
+        out = {}
+        for (d1, e1), c1 in a.items():
+            for (d2, e2), c2 in b.items():
+                if e1 + e2 < N:
+                    out = add(out, {(d1 + d2, e1 + e2): field.mul(c1, c2)})
+        return out
+
+    def neg(a):
+        return {k: field.neg(c) for k, c in a.items()}
+
+    return add, mul, neg
+
+
+def _payload(rng, field):
+    if field.extension is not None:
+        return tuple(rng.randrange(field.characteristic) for _ in range(2))
+    if field.characteristic:
+        return rng.randrange(field.characteristic)
+    return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 7, 12)))
+
+
+def _pencil_entry(rng, field, N):
+    """A random entry linear in the parameter, with pivot exponents up to
+    N (terms at N lie past the truncation)."""
+    out = {}
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        c = _payload(rng, field)
+        if not field.is_zero(c):
+            out[rng.randint(0, 1), rng.choice((0, 1, 2, N - 1, N))] = c
+    return out
+
+
+def _seeded_matrices(field):
+    rng = random.Random(f"det:{field}")
+    for n in range(1, 7):
+        for shape in ("random", "zero row", "equal rows"):
+            for _ in range(3 if n < 6 else 1):
+                N = rng.randint(2, 6)
+                rows = [[_pencil_entry(rng, field, N) for _ in range(n)]
+                        for _ in range(n)]
+                if shape == "zero row":
+                    rows[rng.randrange(n)] = [{} for _ in range(n)]
+                elif shape == "equal rows" and n > 1:
+                    rows[1] = list(rows[0])
+                yield rows, n, N
+
+
+@pytest.mark.parametrize("field", DET_FIELDS, ids=str)
+def test_the_determinant_agrees_with_permutation_expansion(field):
+    p = field.characteristic
+    empty = 0
+    for rows, n, N in _seeded_matrices(field):
+        add, mul, neg = _series_ops(field, N)
+        # the product with 1 truncates a 1 x 1 determinant too
+        want = mul({(0, 0): field.one()}, det_perm(rows, add, mul, neg, {}))
+        got = _det(tuple(tuple(r) for r in rows), n, field, N)
+        assert got == want, (rows, N)
+        assert not any(field.is_zero(c) for c in got.values())
+        assert all(e < N and 0 <= d <= n for d, e in got)
+        if p and field.extension is None:
+            assert all(type(c) is int and 0 <= c < p for c in got.values())
+        empty += not got
+    assert empty >= 6
+
+
+def test_the_determinant_over_q_divides_out_the_row_scales():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    rows = (({(0, 0): half, (1, 1): -third}, {(0, 2): Fraction(5, 6)}),
+            ({(1, 0): Fraction(-3, 4)}, {(0, 0): 2, (1, 3): third}))
+    D = _det(rows, 2, QQ, 4)
+    # (1/2 - a t/3)(2 + a t^3/3) + (5/6) t^2 (3/4) a
+    assert D == {(0, 0): 1, (1, 1): Fraction(-2, 3), (1, 2): Fraction(5, 8),
+                 (1, 3): Fraction(1, 6)}
+    assert type(D[0, 0]) is int

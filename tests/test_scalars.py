@@ -271,6 +271,65 @@ def test_roots_big_rootless_degree_is_limited():
         univariate_roots(f, QQ)
 
 
+def _seeded_root_products(rng, count):
+    """Products of distinct linear factors q*a - p with 1- to 12-digit p
+    and q, times rootless quadratics a^2 + b*a + b^2 + c (c > 0), as
+    ascending int lists, with the roots p/q."""
+    for _ in range(count):
+        roots = set()
+        for _ in range(rng.randint(0, 4)):
+            p = rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(1, 12))
+            roots.add(Fraction(p, rng.randint(1, 10 ** rng.randint(1, 12))))
+        f = [1]
+        for r in roots:
+            f = uv_mul(f, [-r.numerator, r.denominator], QQ)
+        quads = {(b * b + rng.randint(1, 99), b)
+                 for b in (rng.randint(-50, 50)
+                           for _ in range(rng.randint(0 if roots else 1, 2)))}
+        for c0, b in quads:
+            f = uv_mul(f, [c0, b, 1], QQ)
+        yield f, roots
+
+
+def test_rational_roots_agree_with_sympy_on_seeded_products():
+    sympy = pytest.importorskip("sympy")
+    a = sympy.Symbol("a")
+    for f, roots in _seeded_root_products(random.Random(18), 60):
+        theirs = sympy.Poly(list(reversed(f)), a).ground_roots()
+        want = sorted(Fraction(int(r.p), int(r.q)) for r in theirs)
+        assert want == sorted(roots)
+        assert scalars._rational_roots(f) == want
+        assert scalars._rational_roots([Fraction(c, 7) for c in f]) == want
+
+
+def test_rational_roots_of_large_coefficients_come_fast():
+    # the divisors of a0 and an were searched up to their square roots
+    f = uv_mul([-(10 ** 12 + 39), 10 ** 12 - 11], [-(2 ** 61 - 1), 3], QQ)
+    start = time.perf_counter()
+    assert scalars._rational_roots(f) == sorted(
+        [Fraction(10 ** 12 + 39, 10 ** 12 - 11), Fraction(2 ** 61 - 1, 3)])
+    assert time.perf_counter() - start < 0.5
+
+
+def test_rational_roots_include_zero_and_refuse_a_square():
+    assert scalars._rational_roots([0, 1, 1]) == [-1, 0]
+    with pytest.raises(AlgebroidError, match="not squarefree"):
+        scalars._rational_roots([1, 2, 1])
+
+
+def test_an_extension_by_a_polynomial_with_root_zero_is_refused():
+    # th^2 + th = th (th + 1) passed as irreducible over Q
+    with pytest.raises(ValueError, match="reducible"):
+        FieldSpec(0, extension=(0, 1))
+
+
+def test_the_factor_search_refuses_large_values():
+    # (a^2 + 10^7)(a^2 + 10^7 + 1) is rootless; its value at 0 is about 10^14
+    f = uv_mul([10 ** 7, 0, 1], [10 ** 7 + 1, 0, 1], QQ)
+    with pytest.raises(SolverLimitation, match="_KRONECKER_VALUE_CAP"):
+        univariate_roots(f, QQ)
+
+
 def test_scalar_hash_consistent():
     a = Scalar(Fraction(2, 1), QQ)
     b = Scalar(2, QQ)
