@@ -482,8 +482,7 @@ def _first_tropism_pair(J: IdealHandle, wb: tuple, lam_total: int, offsets,
     return None
 
 
-def _rays_for_false(handle: IdealHandle, w: tuple, verdict: Verdict,
-                    f: Poly, g: Poly):
+def _rays_for_false(w: tuple, verdict: Verdict, f: Poly, g: Poly):
     """Construct and verify two weight rays with monomial-free initial
     ideals witnessing the pencil verdict, in its ideal J = I + (v - h).
     Returns (J, rays, extra) where extra lists adjunctions to append to
@@ -495,15 +494,18 @@ def _rays_for_false(handle: IdealHandle, w: tuple, verdict: Verdict,
     of h, which each case yields per lam.  Two tropisms of any
     graph-shaped extension prove two branches.  Case 1 attaches h = f, of
     order u != lam*vbar, so the tails (u,) and (nf - u,) are not
-    proportional.  Case 2 attaches h = v1 = f - b1*g.  As b1 != b2, no
-    branch raises both v_k = f - b_k*g above lam*vbar.  values[1] > nf,
-    so a branch raises v2; its ray is lam*(wb, vbar), the head.
-    values[0] > nf, so a branch raises v1, by e in 1..d1 = values[0] - nf
-    (e = d1 at lam = lam_total - 1, where the one other branch raises
-    v2); its ray lam*wb + (lam*vbar + e,) is not proportional to the
-    head, and lam_total = 2 leaves two candidates.  Case 3 tries the
-    saturation's exact ray first.  Hits are verified exactly, so a wrong
-    candidate can only end in CertificateSearchFailed."""
+    proportional.  Case 2 attaches h = v1 = f - beta*g, and with finite
+    values: as beta != beta_2, no branch raises both v_k = f - beta_k*g
+    above lam*vbar.  values[1] > nf, so a branch raises v2; its ray is
+    lam*(wb, vbar), the head.  values[0] > nf, so a branch raises v1, by
+    e in 1..d1 = values[0] - nf (e = d1 at lam = lam_total - 1, where the
+    one other branch raises v2); its ray lam*wb + (lam*vbar + e,) is not
+    proportional to the head, and lam_total = 2 leaves two candidates.
+    In case 3, and in case 2 with an INF value, h may vanish on a branch:
+    saturate I (J's generators but the last, over J's field) by h, try
+    its exact ray, the tails 1..n_h, then ``_rays_bent_attachment``.
+    Hits are verified exactly, so a wrong candidate can only end in
+    CertificateSearchFailed."""
     lam_total = gcd_weights(w)
     wb = tuple(e // lam_total for e in w)
     vbar = wdot(wb, next(iter(g.terms)))
@@ -511,6 +513,7 @@ def _rays_for_false(handle: IdealHandle, w: tuple, verdict: Verdict,
     J = verdict.ideal
     head: tuple = ()
     extra = [_recovered_attachment(J, verdict.adjoined[0])]
+    vanishing = verdict.case == 3 or INF in verdict.values
     if verdict.case == 1:
         dbar = ord_w(f, w) // lam_total
 
@@ -521,25 +524,19 @@ def _rays_for_false(handle: IdealHandle, w: tuple, verdict: Verdict,
                 if u != lam * vbar:
                     yield lam, (u,)
                     yield lam2, (nf - u,)
-    elif verdict.case == 2:
-        jumps = [value - nf for value in verdict.values]
-        assert all(isinstance(d, int) and d >= 1 for d in jumps), \
-            "a two-parameter verdict must raise both attached values"
-        if INF in verdict.values:
-            k = verdict.values.index(INF) + 1
-            raise CertificateSearchFailed(
-                f"the case-2 pencil value of v{k} is infinite: v{k} = f - "
-                f"beta_{k}*g vanishes on a branch, and the ray search needs "
-                "finite values")
+    elif not vanishing:
+        d = verdict.values[0] - nf
         head = (wb + (vbar,),)
 
         def offsets(lam):
-            d = jumps[0]
             for e in range(d, 0, -1) if lam < lam_total - 1 else (d,):
                 yield lam, (lam * vbar + e,)
     else:
-        hb = project(extra[0][1], handle.ctx, range(handle.ctx.nvars))
-        out = _saturate(handle, hb)
+        ctx = RingCtx(J.ctx.field, J.ctx.variables[:-1])
+        base = IdealHandle([project(p, ctx, range(ctx.nvars))
+                            for p in J.generators[:-1]], ctx)
+        hb = project(extra[0][1], ctx, range(ctx.nvars))
+        out = _saturate(base, hb)
         n_h = intersection_number(hb, out)
         head = (tuple(base_weights(out)) + (n_h,),)
 
@@ -548,8 +545,8 @@ def _rays_for_false(handle: IdealHandle, w: tuple, verdict: Verdict,
     pair = _first_tropism_pair(J, wb, lam_total, offsets, head)
     if pair is not None:
         return J, pair, extra
-    if verdict.case == 3:
-        return _rays_bent_attachment(handle, hb, head[0], wb, lam_total,
+    if vanishing:
+        return _rays_bent_attachment(base, hb, head[0], wb, lam_total,
                                      offsets)
     raise CertificateSearchFailed(
         "no pair of weight rays with monomial-free initial ideals was "
@@ -575,12 +572,20 @@ def _saturate(handle: IdealHandle, h: Poly) -> IdealHandle:
 
 def _rays_bent_attachment(handle: IdealHandle, hb: Poly, exact: tuple,
                           wb: tuple, lam_total: int, offsets):
-    """The attachment vanishes on some components, so its ideal is one
-    finite ray short of a pair.  Adding a single high monomial leaves the
-    other components' orders alone while giving the vanishing ones the
-    exactly known order M * wb_i, restoring a verifiable second ray.
-    ``exact`` is the saturation's ray, ending in the attachment's
-    intersection number n_h there, and ``offsets`` the case-3 tails."""
+    """The attachment hb vanishes on some branches, so its ideal is one
+    finite ray short of a pair: attach hb + x_i^M instead, wb_i the
+    least entry of wb.  ``exact`` is the saturation's ray, ending in
+    n_h, the intersection number of hb on the branches B where it does
+    not vanish, and ``offsets`` the tails tried before.
+
+    M = n_h + 1 bends only the vanishing branches.  n_h is the sum of
+    ord_B(hb) over those B, and ord_B(x_i) >= 1, so M*ord_B(x_i) > n_h >=
+    ord_B(hb) and hb + x_i^M keeps the order ord_B(hb) on each.  On a
+    branch of base valuation lam*wb where hb vanishes, the bent order is
+    exactly M*lam*wb_i, so every such branch has the ray (wb, M*wb_i),
+    and M is raised until that ray is not proportional to ``exact``.
+    (M from ord_B(x_i) >= wb_i would be smaller, but that bound fails on
+    branches whose ray is off wb.)"""
     ctx = handle.ctx
     i = min(range(len(wb)), key=lambda k: wb[k])
     M = exact[-1] + 1
@@ -667,7 +672,7 @@ def decide_irreducible(ideal, iter_cap: int = 256,
             "while the weights share a factor; radical unmixed inputs "
             "cannot do this")
     if end == "false":
-        J, data, extra = _rays_for_false(J, w, *detail)
+        J, data, extra = _rays_for_false(w, *detail)
         kind, transcript = "two_tropisms", transcript + extra
     elif end == "monomial":
         kind, data = "monomial_witness", detail

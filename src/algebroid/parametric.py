@@ -497,22 +497,23 @@ def parametric_intersection(f: Poly, g: Poly, ideal: IdealHandle,
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of the three-way test: 'false' with an enlarged ideal, or
-    'not_false' with the unique exceptional parameter.
+    'not_false' with the unique exceptional parameter ``beta``.
 
     A 'false' verdict's ideal is I + (v - h), one variable ``adjoined``
-    for the attachment h a certificate keeps: f in case 1, f - beta_1*g
-    in case 2 and f - beta*g in case 3.  In case 2, ``values[k]`` is the
-    pencil's exceptional value at ``betas[k]`` (a lifted conjugate pair
-    shares its factor's): the intersection number of v_k = f - beta_k*g.
-    f and g have order lam*vbar on a branch of base valuation lam*wb (g a
-    monomial of wb-weight vbar), so a branch raises one v_k at most; INF
-    means that v_k vanishes on a branch."""
+    for the attachment h a certificate keeps: f in case 1, f - beta*g in
+    cases 2 and 3.  In case 2, beta is a base-field root of the pencil if
+    one exists, else a root of its smallest conjugate class, and then the
+    ideal lives over the extension by ``minimal_poly``.  ``values`` are
+    the exceptional values at beta and at one other parameter beta_2: the
+    intersection numbers of v_k = f - beta_k*g.  f and g have order
+    lam*vbar on a branch of base valuation lam*wb (g a monomial of
+    wb-weight vbar), so a branch raises one v_k at most, and conjugate
+    branches share their value; INF means that v_k vanishes on a branch."""
 
     result: str
     ideal: Optional[IdealHandle] = None
     beta: Optional[Scalar] = None
     case: int = 0
-    betas: tuple = ()
     minimal_poly: Optional[tuple] = None
     adjoined: tuple = ()
     value: object = None
@@ -552,38 +553,26 @@ def parametric_test(f: Poly, g: Poly, ideal: IdealHandle,
     if total < 1:
         raise AlgebroidError("pencil test: no degenerate direction found")
     if total >= 2:
-        if len(rational) >= 2:
-            b1, b2 = rational[0].beta, rational[1].beta
-            J, name = _extend_with(ideal, f - g.scale(b1.value))
-            return Verdict("false", ideal=J, case=2, betas=(b1, b2),
+        if rational:
+            ev, other = (rational + factors)[:2]
+            J, name = _extend_with(ideal, f - g.scale(ev.beta.value))
+            return Verdict("false", ideal=J, case=2, beta=ev.beta,
                            adjoined=(name,), truncation=po.truncation,
-                           values=(rational[0].value, rational[1].value))
+                           values=(ev.value, other.value))
         if field.extension is not None:
             raise CertificateSearchFailed(
                 "two exceptional parameters need a field extension, but the "
                 "base field is already an extension")
+        # conjugate branches share their value, so one root theta of the
+        # smallest class stands for all of them
         conj = min(factors, key=lambda ev: len(ev.factor))
-        fac = conj.factor
-        eideal, ef, eg = _lift(ideal, fac, f, g)
-        ext = eideal.ctx.field
-        theta = Scalar(ext.generator(), ext)
-        if rational:
-            b1 = Scalar(ext.embed(rational[0].beta.value), ext)
-            b2 = theta
-            values = (rational[0].value, conj.value)
-        elif len(fac) == 3:
-            b1 = theta
-            # the other root of a quadratic a^2 + m1 a + m0 is -m1 - theta
-            b2 = Scalar(ext.neg(ext.add(ext.embed(fac[1]), theta.value)), ext)
-            values = (conj.value, conj.value)
-        else:
-            raise CertificateSearchFailed(
-                "conjugate parameters beyond a quadratic class are not "
-                "materializable")
-        J, name = _extend_with(eideal, ef - eg.scale(b1.value))
-        return Verdict("false", ideal=J, case=2, betas=(b1, b2),
-                       minimal_poly=tuple(fac), adjoined=(name,),
-                       truncation=po.truncation, values=values)
+        eideal, ef, eg = _lift(ideal, conj.factor, f, g)
+        theta = Scalar(eideal.ctx.field.generator(), eideal.ctx.field)
+        J, name = _extend_with(eideal, ef - eg.scale(theta.value))
+        return Verdict("false", ideal=J, case=2, beta=theta,
+                       minimal_poly=conj.factor, adjoined=(name,),
+                       truncation=po.truncation,
+                       values=(conj.value, conj.value))
     ev = rational[0] if rational else None
     if ev is None:
         raise CertificateSearchFailed(
@@ -599,5 +588,5 @@ def parametric_test(f: Poly, g: Poly, ideal: IdealHandle,
             "the degenerate combination vanishes on the curve; the test "
             "requires directions outside the radical")
     J, name = _extend_with(ideal, h)
-    return Verdict("false", ideal=J, case=3, betas=(beta,), adjoined=(name,),
+    return Verdict("false", ideal=J, case=3, beta=beta, adjoined=(name,),
                    truncation=po.truncation)

@@ -5,7 +5,7 @@ beta_k*g, and the ray search reads its jumps from them instead of
 recounting intersection numbers.  Its ideal J1 = I + (v1 - h1) keeps one
 attachment, where the search runs and the certificate lives.  These
 tests build the ideal J with both attachments from the recorded handle,
-f, g and betas (``pencil_attachments``), and check the identity the
+f, g and verdict (``pencil_attachments``), and check the identity the
 jumps rest on, the cost it saves (two tropism tests when lam_total = 2,
 no intersection number on J1), that the rays J carries project onto the
 certificate's, and the rays of the stretch curve over F_7 and Q.  The
@@ -19,7 +19,7 @@ import pytest
 from algebroid import decide, localalg, parametric
 from algebroid.decide import decide_irreducible, verify_certificate
 from algebroid.groebner import IdealHandle
-from algebroid.localalg import intersection_number
+from algebroid.localalg import base_weights, intersection_number
 from algebroid.polyring import RingCtx, parse_poly, wdot
 from algebroid.scalars import GF, QQ
 from pencil_attachments import two_attachment_ideal
@@ -65,12 +65,14 @@ def _instrumented(cid, fid):
     variables, texts = (DOUBLE_BRANCH[cid] if cid in DOUBLE_BRANCH
                         else CONJUGATE[cid][:2])
     verdicts, tested, asked = [], [], []
-    rays_for_false = decide._rays_for_false
+    pencil_test = decide.parametric_test
     ray_is_tropism = decide._ray_is_tropism
 
-    def record_verdict(handle, w, verdict, f, g):
-        verdicts.append((verdict, w, handle, f, g))
-        return rays_for_false(handle, w, verdict, f, g)
+    def record_verdict(f, g, handle, **kw):
+        verdict = pencil_test(f, g, handle, **kw)
+        if verdict.result == "false":
+            verdicts.append((verdict, base_weights(handle), handle, f, g))
+        return verdict
 
     def count_test(handle, ray):
         tested.append(ray)
@@ -81,7 +83,7 @@ def _instrumented(cid, fid):
         return intersection_number(f, ideal, w)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(decide, "_rays_for_false", record_verdict)
+        mp.setattr(decide, "parametric_test", record_verdict)
         mp.setattr(decide, "_ray_is_tropism", count_test)
         for module in (decide, localalg, parametric):
             mp.setattr(module, "intersection_number", record_ideal)

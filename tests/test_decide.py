@@ -3,9 +3,9 @@
 import hashlib
 import random
 import re
-import sys
 import time
 from dataclasses import replace
+from fractions import Fraction
 from math import gcd, prod
 
 import pytest
@@ -244,19 +244,21 @@ def test_case1_rays_are_found_and_certified_in_one_attachment(
     I, _ = plane_ideal(_cusp_branch(k1, c1) + "*" + _cusp_branch(k2, c2),
                        field)
     verdicts, tested = [], []
-    rays_for_false = decide._rays_for_false
+    pencil_test = decide.parametric_test
     ray_is_tropism = decide._ray_is_tropism
 
-    def record(handle, w, verdict, f, g):
-        verdicts.append((verdict, w, handle, f, g))
-        return rays_for_false(handle, w, verdict, f, g)
+    def record(f, g, handle, **kw):
+        verdict = pencil_test(f, g, handle, **kw)
+        if verdict.result == "false":
+            verdicts.append((verdict, base_weights(handle), handle, f, g))
+        return verdict
 
     def count_test(handle, ray):
         tested.append(ray)
         return ray_is_tropism(handle, ray)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(decide, "_rays_for_false", record)
+        mp.setattr(decide, "parametric_test", record)
         mp.setattr(decide, "_ray_is_tropism", count_test)
         rep = decide_irreducible(I)
     (verdict, w, handle, f, g), = verdicts
@@ -316,23 +318,76 @@ def test_generous_truncation_cap_changes_nothing():
     assert rep.stats["truncation_high_water"] <= 64
 
 
-CASE2_DEFECT = "a two-parameter verdict must raise both attached values"
+# Curves on which an attached pencil combination vanishes on a branch, or
+# whose two parameters form a conjugate class, with the four case-2 probes
+# of the benchmark: (curve, {field id: (rays, extension of the
+# certificate's field, None for the base field)}).
+_LINES = ((1, 1, 1), (1, 1, 2))
+VANISHING_ATTACHMENTS = {
+    "node": ("(y - x)*(y + x)", {fid: (_LINES, None)
+                                 for fid in ("Q", "F7", "F101")}),
+    "triple-point": ("(y - x)*(y - 2*x)*(y - 3*x)", {
+        fid: (((1, 1, 1), (1, 1, 3)), None) for fid in ("Q", "F7", "F101")}),
+    "conj-lines": ("y^2 + x^2", {"Q": (_LINES, (1, 0)),
+                                 "F7": (_LINES, (1, 0)),
+                                 "F101": (_LINES, None)}),
+    "cubic-lines": ("y^3 - 2*x^3", {
+        fid: (((1, 1, 1), (1, 1, 3)), ext) for fid, ext in (
+            ("Q", (Fraction(-1, 2), 0, 0)), ("F7", (3, 0, 0)),
+            ("F101", None))}),
+    "cubic-cusps": ("(y^2 - x^3)^3 - 2*x^12", {
+        fid: (((2, 3, 8), (2, 3, 10)), ext) for fid, ext in (
+            ("Q", (2, 0, 0)), ("F7", (2, 0, 0)), ("F101", None))}),
+    "cubic-e6": ("(y^3 - x^4)^3 - 2*x^13", {
+        fid: (((3, 4, 13), (3, 4, 14)), ext) for fid, ext in (
+            ("Q", (2, 0, 0)), ("F7", (2, 0, 0)), ("F101", None))}),
+    "quartic-lines": ("y^4 + x^4", {
+        fid: (((1, 1, 1), (1, 1, 4)), ext) for fid, ext in (
+            ("Q", (1, 0, 0, 0)), ("F7", (1, 3)), ("F101", (10, 0)))}),
+    "quintic-lines": ("y^5 - 3*x^5", {
+        fid: (((1, 1, 1), (1, 1, 5)), ext) for fid, ext in (
+            ("Q", (Fraction(-1, 3), 0, 0, 0, 0)), ("F7", None),
+            ("F101", (67, 0, 0, 0, 0)))}),
+    "mixed-classes": ("(y^2 - 2*x^3)*(y^4 + x^6)", {
+        fid: (((2, 3, 6), (2, 3, 26)), None) for fid in ("Q", "F7", "F101")}),
+    "case2-cusps": ("(y^2 - x^3)*(y^2 - 2*x^3)", {
+        fid: (((2, 3, 6), (2, 3, 14)), None) for fid in ("Q", "F7", "F101")}),
+    "case2-e6": ("(y^3 - x^4)*(y^3 - 2*x^4)", {
+        fid: (((3, 4, 12), (3, 4, 39)), None) for fid in ("Q", "F7", "F101")}),
+    "case2-three": ("(y - x^2)*(y - x^2 - x^3)*(y + x^2)", {
+        "Q": (((1, 2, 2), (1, 2, 5)), None),
+        "F7": (((1, 2, 2), (1, 2, 3)), None),
+        "F101": (((1, 2, 2), (1, 2, 3)), None)}),
+    "case2-tacnode": ("(y^2 - x^3)^2 - x^4*y^2", {
+        fid: (((2, 3, 7), (2, 3, 16)), None) for fid in ("Q", "F7", "F101")}),
+}
+PIN_FIELDS = {"Q": QQ, "F7": GF(7), "F101": GF(101)}
 
 
-def test_an_infinite_case2_value_is_a_typed_error_under_python_O():
-    # both pencil values of the node are infinite: each attachment y -+ x
-    # vanishes on a branch.  The ray search keeps its assert for that
-    # until infinite values get a bent attachment, and under -O raises a
-    # typed error naming the value instead of failing in range(INF).
-    I, _ = plane_ideal("(y - x)*(y + x)")
-    if sys.flags.optimize:
-        with pytest.raises(CertificateSearchFailed,
-                           match="pencil value of v1 is infinite"):
-            decide_irreducible(I)
-    else:
-        with pytest.raises(AssertionError) as info:
-            decide_irreducible(I)
-        assert str(info.value) == CASE2_DEFECT
+@pytest.mark.parametrize("cid, fid", [
+    pytest.param(cid, fid, id=f"{cid}-{fid}")
+    for cid, (_, pins) in VANISHING_ATTACHMENTS.items() for fid in pins])
+def test_vanishing_attachments_get_verified_certificates(cid, fid):
+    text, pins = VANISHING_ATTACHMENTS[cid]
+    rays, extension = pins[fid]
+    I, _ = plane_ideal(text, PIN_FIELDS[fid])
+    rep = decide_irreducible(I)
+    cert = rep.certificate
+    assert rep.verdict == "reducible" and cert.kind == "two_tropisms"
+    assert cert.data == rays
+    assert cert.ideal.ctx.field.extension == extension
+    assert verify_certificate(cert) == (True, "ok")
+
+
+def test_a_conjugate_pair_over_an_extension_base_field_is_a_typed_limit():
+    # th is not a square in F_5(th), so the pencil's two parameters, the
+    # square roots of th, would need a tower of extensions
+    ctx = RingCtx(F5TH, ("x", "y"))
+    x, y = ctx.var("x"), ctx.var("y")
+    f = (y ** 2 - x ** 3) ** 2 - ctx.const(F5TH.generator()) * x ** 7
+    with pytest.raises(CertificateSearchFailed,
+                       match="the base field is already an extension"):
+        decide_irreducible(IdealHandle([f], ctx))
 
 
 # ------------------------------------------------------------ preconditions
@@ -608,11 +663,9 @@ def _curve(variables, texts, field):
     return IdealHandle(tuple(parse_poly(t, ctx) for t in texts), ctx)
 
 
-def _decide_recording_initial_handles(I, case2_defect_ok=False):
-    """Decide I, certificate check included, and return every (handle, w,
-    K) that ``_initial_handle`` handed out.  With ``case2_defect_ok`` the
-    known case-2 defect (a typed error under -O) ends the decide but keeps
-    the handles built before it."""
+def _decide_recording_initial_handles(I):
+    """Decide I, certificate check included, and return the report with
+    every (handle, w, K) that ``_initial_handle`` handed out."""
     built = []
     inner = decide._initial_handle
 
@@ -623,13 +676,8 @@ def _decide_recording_initial_handles(I, case2_defect_ok=False):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(decide, "_initial_handle", record)
-        try:
-            decide_irreducible(I)
-        except (AssertionError, CertificateSearchFailed) as exc:
-            if not (case2_defect_ok and (str(exc) == CASE2_DEFECT
-                                         or "is infinite" in str(exc))):
-                raise
-    return built
+        rep = decide_irreducible(I)
+    return rep, built
 
 
 def _check_the_seeded_bases(built):
@@ -650,26 +698,26 @@ def test_seeded_bases_of_the_two_branch_curves(field):
         if field.characteristic == 2 and cid in NOT_RADICAL_OVER_F2:
             continue
         _check_the_seeded_bases(_decide_recording_initial_handles(
-            _curve(variables, texts, field)))
+            _curve(variables, texts, field))[1])
 
 
 @pytest.mark.parametrize("field", SLICE_FIELDS, ids=SLICE_IDS)
 def test_seeded_bases_of_the_prime_tower_curves(field):
     for variables, texts in PRIME_TOWER_CURVES.values():
         _check_the_seeded_bases(_decide_recording_initial_handles(
-            _curve(variables, texts, field)))
+            _curve(variables, texts, field))[1])
 
 
 def test_seeded_bases_of_the_stretch_curve_over_F7():
     _check_the_seeded_bases(_decide_recording_initial_handles(
-        _curve(*STRETCH_CURVE, GF(7))))
+        _curve(*STRETCH_CURVE, GF(7)))[1])
 
 
 @pytest.mark.parametrize("field", SLICE_FIELDS, ids=SLICE_IDS)
 def test_seeded_bases_of_seeded_plane_products(field):
     """prod_k (y^a - c_k x^b) with a, b coprime and distinct nonzero c_k:
-    one branch per c_k.  Two or more branches of one (a, b) end in the
-    known case-2 defect, after the initial ideals at the base weights."""
+    one branch per c_k, so the curve is reducible exactly when it has two
+    or more factors."""
     ctx = RingCtx(field, ("x", "y"))
     x, y = ctx.var("x"), ctx.var("y")
     rng = random.Random(f"seeded-basis-{field!r}")
@@ -679,8 +727,9 @@ def test_seeded_bases_of_seeded_plane_products(field):
         a, b = rng.choice([(1, 1), (1, 2), (2, 3), (3, 2), (2, 5), (3, 4)])
         cs = rng.sample(nonzero, min(rng.randint(1, 3), len(nonzero)))
         f = prod((y ** a - ctx.const(c) * x ** b for c in cs), start=ctx.one())
-        _check_the_seeded_bases(_decide_recording_initial_handles(
-            IdealHandle([f], ctx), case2_defect_ok=True))
+        rep, built = _decide_recording_initial_handles(IdealHandle([f], ctx))
+        assert rep.verdict == ("reducible" if len(cs) >= 2 else "irreducible")
+        _check_the_seeded_bases(built)
 
 
 def _count_buchberger_inputs(monkeypatch):

@@ -19,10 +19,8 @@ FILES = ("tests/test_scalars.py", "tests/test_semigroups.py",
          "tests/test_localalg.py", "tests/test_decide.py",
          "tests/test_parametric.py", "tests/test_case2_rays.py",
          "tests/test_acceptance.py")
-# (module, function) -> number of plain asserts allowed there.  The case-2
-# assert in the ray search stays until that search is rebuilt: the benchmark
-# recognises the known defect by its AssertionError.
-ALLOWED_ASSERTS = {("decide", "_rays_for_false"): 1}
+# (module, function) -> number of plain asserts allowed there.
+ALLOWED_ASSERTS = {}
 
 
 def _asserts_by_function(tree):
@@ -42,7 +40,7 @@ def _asserts_by_function(tree):
     return counts
 
 
-def test_the_library_has_no_plain_asserts_but_the_allowed_one():
+def test_the_library_has_no_plain_asserts():
     found = {}
     for path in sorted((ROOT / "src" / "algebroid").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))

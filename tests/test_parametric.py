@@ -92,7 +92,10 @@ def test_double_branch_verdict_two_parameters():
     v = parametric_test(f, g, I)
     assert v.result == "false"
     assert v.case == 2
-    assert sorted(b.value for b in v.betas) == [-1, 1]
+    # the verdict attaches one root; the pencil has both, -1 and 1
+    roots = sorted(ev.beta.value
+                   for ev in parametric_intersection(f, g, I).exceptional)
+    assert roots == [-1, 1] and v.beta.value in roots
     assert v.adjoined == ("z",)
     assert v.ideal.ctx.variables == ("x", "y", "z")
     assert base_weights(v.ideal) == (4, 6, 15)
@@ -225,7 +228,7 @@ def test_case_three_false_branch():
     v = parametric_test(f, g, I)
     assert v.result == "false"
     assert v.case == 3
-    assert [b.value for b in v.betas] == [1]
+    assert v.beta.value == 1
     assert v.adjoined == ("z",)
 
 
@@ -261,11 +264,30 @@ def test_conjugate_parameters_need_an_extension():
     v = parametric_test(f, g, I)
     assert v.result == "false" and v.case == 2
     assert v.minimal_poly == (-2, 0, 1)
-    th = v.betas[0]
+    th = v.beta
     assert (th * th).value == th.field.from_int(2)
-    assert v.betas[1] == -th
+    assert v.values == (15, 15)
     # the enlarged ideal lives over the quadratic extension
     assert v.ideal.ctx.field.extension == (-2, 0)
+
+
+def test_a_base_field_root_beside_a_conjugate_class_stays_in_the_base_field():
+    # branches y^2 = 2x^3 and y^2 = +-i x^3: the pencil of y^2, x^3 has the
+    # root 2 over Q and the class a^2 + 1, and the verdict attaches f - 2g
+    ctx = RingCtx(QQ, ("x", "y"))
+    I = IdealHandle((parse_poly("(y^2 - 2*x^3)*(y^4 + x^6)", ctx),), ctx)
+    f, g = parse_poly("y^2", ctx), parse_poly("x^3", ctx)
+    po = parametric_intersection(f, g, I)
+    assert sorted((str(ev.beta), ev.factor) for ev in po.exceptional) == [
+        ("2", None), ("None", (1, 0, 1))]
+    v = parametric_test(f, g, I)
+    assert v.result == "false" and v.case == 2
+    assert v.beta.value == 2 and v.minimal_poly is None
+    assert v.values == (INF, INF)
+    J = v.ideal
+    assert J.ctx.field == QQ
+    assert project(J.ctx.var("z") - J.generators[-1], ctx, range(2)) == (
+        f - g.scale(2))
 
 
 def test_mult_matrix_rejects_foreign_basis():
