@@ -343,15 +343,7 @@ def _print_report(report: DecisionReport) -> None:
 def cmd_decide(args: argparse.Namespace) -> int:
     handle = load_ideal_file(args.path, char_override=args.char_override)
     handle = assert_preconditions(handle)
-    report = decide_irreducible(handle, iter_cap=args.iter_cap,
-                                trunc_cap=args.trunc_cap)
-    if args.verify:
-        ok, reason = verify_certificate(report.certificate)
-        if not ok:
-            print(f"error: certificate failed verification: {reason}",
-                  file=sys.stderr)
-            return 2
-        print("certificate re-checked: ok", file=sys.stderr)
+    report = decide_irreducible(handle, iter_cap=args.iter_cap)
     if args.json:
         print(json.dumps(report_json(report), indent=2))
     else:
@@ -444,10 +436,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="ideal file")
     p.add_argument("--json", action="store_true",
                    help="emit the full report as JSON on stdout")
-    p.add_argument("--verify", action="store_true",
-                   help="re-check the certificate before reporting")
-    p.add_argument("--trunc-cap", type=int, default=None, metavar="N",
-                   help="cap on truncation orders in the pencil tests")
     p.add_argument("--iter-cap", type=int, default=256, metavar="N",
                    help="cap on loop rounds (guards non-radical input)")
     p.add_argument("--char-override", type=int, default=None, metavar="P",

@@ -41,12 +41,11 @@ from .groebner import (
     _reduce_basis,
     buchberger,
     contains_monomial,
-    eliminate,
-    fresh_names,
     ideal_membership,
     krull_dimension,
     monomial_staircase,
     radical_membership,
+    saturate,
 )
 from .localalg import base_weights, initial_ideal, intersection_number
 from .parametric import Verdict, _extend_with, _lift_poly, parametric_test
@@ -63,8 +62,6 @@ from .polyring import (
     wdot,
 )
 from .semigroups import gcd_weights, membership, prim_generators
-
-_PERTURB_BUMPS = 8
 
 
 def _to_ctx(f: Poly, big: RingCtx) -> Poly:
@@ -321,10 +318,10 @@ def assert_preconditions(ideal) -> IdealHandle:
 # -------------------------------------------------------------- the engine
 
 def _call_test(f: Poly, g: Poly, handle: IdealHandle, *, error: type,
-               trunc_cap: Optional[int], stats: dict) -> Verdict:
+               stats: dict) -> Verdict:
     stats["parametric_calls"] += 1
     try:
-        v = parametric_test(f, g, handle, trunc_cap=trunc_cap)
+        v = parametric_test(f, g, handle)
     except ContextViolation as exc:
         raise error(
             "a degenerate direction vanished on the curve, which cannot "
@@ -352,7 +349,7 @@ def _nf_ratio_resolves(m1: tuple, m2: tuple, in_gb: List[Poly],
 
 
 def _screen_round(handle: IdealHandle, w: tuple, *, error: type,
-                  trunc_cap: Optional[int], stats: dict):
+                  stats: dict):
     """Run the pencil test over the binomial generators of the weight
     semigroup's relation ideal.  Returns ("false", verdict, f, g) on
     reducibility evidence, ("candidate", f, N) with the lowest-degree
@@ -372,8 +369,7 @@ def _screen_round(handle: IdealHandle, w: tuple, *, error: type,
             continue
         f = ctx.mono(m1)
         g = ctx.mono(m2)
-        v = _call_test(f, g, handle, error=error, trunc_cap=trunc_cap,
-                       stats=stats)
+        v = _call_test(f, g, handle, error=error, stats=stats)
         if v.result == "false":
             return ("false", v, f, g)
         cand = f - g.scale(v.beta.value)
@@ -393,8 +389,7 @@ def _screen_round(handle: IdealHandle, w: tuple, *, error: type,
 
 
 def _descend(handle: IdealHandle, w: tuple, f: Poly, value: int, *,
-             error: type, iter_cap: int, trunc_cap: Optional[int],
-             stats: dict):
+             error: type, iter_cap: int, stats: dict):
     """Lower f by monomials of matching weight until its intersection
     value escapes the semigroup of w.  Returns ("done", f, N) or
     ("false", verdict, f, g)."""
@@ -410,8 +405,7 @@ def _descend(handle: IdealHandle, w: tuple, f: Poly, value: int, *,
             raise error(f"descent exceeded {iter_cap} steps; on radical "
                         "inputs it terminates")
         g = ctx.mono(wit)
-        v = _call_test(f, g, handle, error=error, trunc_cap=trunc_cap,
-                       stats=stats)
+        v = _call_test(f, g, handle, error=error, stats=stats)
         if v.result == "false":
             return ("false", v, f, g)
         f = f - g.scale(v.beta.value)
@@ -536,7 +530,7 @@ def _rays_for_false(w: tuple, verdict: Verdict, f: Poly, g: Poly):
         base = IdealHandle([project(p, ctx, range(ctx.nvars))
                             for p in J.generators[:-1]], ctx)
         hb = project(extra[0][1], ctx, range(ctx.nvars))
-        out = _saturate(base, hb)
+        out = saturate(base, hb)
         n_h = intersection_number(hb, out)
         head = (tuple(base_weights(out)) + (n_h,),)
 
@@ -553,47 +547,28 @@ def _rays_for_false(w: tuple, verdict: Verdict, f: Poly, g: Poly):
         "found in the search window")
 
 
-def _saturate(handle: IdealHandle, h: Poly) -> IdealHandle:
-    """The components of the ideal on which h does not vanish, computed
-    by inverting h with a leading helper variable and eliminating it."""
-    ctx = handle.ctx
-    name = fresh_names(ctx.variables, "sat_t")[0]
-    big = RingCtx(ctx.field, (name,) + ctx.variables)
-
-    def up(p: Poly) -> Poly:
-        return Poly({(0,) + m: c for m, c in p.terms.items()}, big)
-
-    gens = [up(g) for g in handle.generators]
-    gens.append(big.one() - big.var(0) * up(h))
-    kept = eliminate(IdealHandle(gens, big), 1)
-    return IdealHandle([project(g, ctx, range(1, big.nvars)) for g in kept],
-                       ctx)
-
-
 def _rays_bent_attachment(handle: IdealHandle, hb: Poly, exact: tuple,
                           wb: tuple, lam_total: int, offsets):
     """The attachment hb vanishes on some branches, so its ideal is one
     finite ray short of a pair: attach hb + x_i^M instead, wb_i the
-    least entry of wb.  ``exact`` is the saturation's ray, ending in
-    n_h, the intersection number of hb on the branches B where it does
-    not vanish, and ``offsets`` the tails tried before.
+    least entry of wb.  ``exact`` is the saturation's ray (bw, n_h): bw
+    its base weights, finite and at least 1 as every x_i vanishes at the
+    origin and on no branch, and n_h the intersection number of hb on
+    the branches B where it does not vanish.  ``offsets`` gives the
+    tails tried before.
 
     M = n_h + 1 bends only the vanishing branches.  n_h is the sum of
     ord_B(hb) over those B, and ord_B(x_i) >= 1, so M*ord_B(x_i) > n_h >=
     ord_B(hb) and hb + x_i^M keeps the order ord_B(hb) on each.  On a
     branch of base valuation lam*wb where hb vanishes, the bent order is
-    exactly M*lam*wb_i, so every such branch has the ray (wb, M*wb_i),
-    and M is raised until that ray is not proportional to ``exact``.
-    (M from ord_B(x_i) >= wb_i would be smaller, but that bound fails on
-    branches whose ray is off wb.)"""
+    exactly M*lam*wb_i, so every such branch has the ray (wb, M*wb_i).
+    That ray is never proportional to ``exact``: (wb, M*wb_i) = c*(bw,
+    n_h) would give n_h = M*bw_i >= M = n_h + 1.  (M from ord_B(x_i) >=
+    wb_i would be smaller, but that bound fails on branches whose ray is
+    off wb.)"""
     ctx = handle.ctx
     i = min(range(len(wb)), key=lambda k: wb[k])
     M = exact[-1] + 1
-    exact = _primitive(exact)
-    for _ in range(_PERTURB_BUMPS):
-        if not _proportional(exact, wb + (M * wb[i],)):
-            break
-        M += 1
     bent = hb + ctx.mono(tuple(M if k == i else 0 for k in range(ctx.nvars)))
     J2, name = _extend_with(handle, bent)
     pair = _first_tropism_pair(J2, wb, lam_total, offsets,
@@ -608,8 +583,7 @@ def _rays_bent_attachment(handle: IdealHandle, hb: Poly, exact: tuple,
 # ----------------------------------------------------------- entry points
 
 def _adjunction_loop(handle: IdealHandle, error: type, *,
-                     primitive_stops: bool, iter_cap: int,
-                     trunc_cap: Optional[int]):
+                     primitive_stops: bool, iter_cap: int):
     """The loop both entry points run: look for a monomial witness, stop
     at primitive weights when ``primitive_stops``, screen the binomial
     relations, descend the surviving candidate, adjoin it, and repeat.
@@ -637,15 +611,13 @@ def _adjunction_loop(handle: IdealHandle, error: type, *,
         if stats["outer_iterations"] > iter_cap:
             raise error(f"the outer loop exceeded {iter_cap} rounds; on "
                         "radical inputs it ends in finitely many")
-        outcome = _screen_round(handle, w, error=error, trunc_cap=trunc_cap,
-                                stats=stats)
+        outcome = _screen_round(handle, w, error=error, stats=stats)
         if outcome[0] == "radical":
             return "radical", handle, w, transcript, stats, None
         if outcome[0] == "candidate":
             _, f, value = outcome
             outcome = _descend(handle, w, f, value, error=error,
-                               iter_cap=iter_cap, trunc_cap=trunc_cap,
-                               stats=stats)
+                               iter_cap=iter_cap, stats=stats)
         if outcome[0] == "false":
             return "false", handle, w, transcript, stats, outcome[1:]
         _, f, value = outcome
@@ -656,16 +628,14 @@ def _adjunction_loop(handle: IdealHandle, error: type, *,
         stats["final_weights"] = w
 
 
-def decide_irreducible(ideal, iter_cap: int = 256,
-                       trunc_cap: Optional[int] = None) -> DecisionReport:
+def decide_irreducible(ideal, iter_cap: int = 256) -> DecisionReport:
     """Decide whether the curve ideal is prime, returning a report whose
     certificate has already passed verification.  The input must be
     radical, unmixed of dimension one, with finite base weights (run
     assert_preconditions first)."""
     handle = _as_handle(ideal)
     end, J, w, transcript, stats, detail = _adjunction_loop(
-        handle, NonRadicalSuspected, primitive_stops=True,
-        iter_cap=iter_cap, trunc_cap=trunc_cap)
+        handle, NonRadicalSuspected, primitive_stops=True, iter_cap=iter_cap)
     if end == "radical":
         raise NonRadicalSuspected(
             "every binomial relation resolved inside the initial ideal "
@@ -685,15 +655,12 @@ def decide_irreducible(ideal, iter_cap: int = 256,
                       cert, stats)
 
 
-def value_semigroup(ideal, iter_cap: int = 256,
-                    trunc_cap: Optional[int] = None
-                    ) -> Tuple[IdealHandle, tuple]:
+def value_semigroup(ideal, iter_cap: int = 256) -> Tuple[IdealHandle, tuple]:
     """For a prime curve ideal, return an isomorphic presentation whose
     weight vector generates the value semigroup.  A non-prime input
     surfaces as NotPrime."""
     end, handle, w, _, _, detail = _adjunction_loop(
-        _as_handle(ideal), NotPrime, primitive_stops=False,
-        iter_cap=iter_cap, trunc_cap=trunc_cap)
+        _as_handle(ideal), NotPrime, primitive_stops=False, iter_cap=iter_cap)
     if end == "monomial":
         raise NotPrime("the weighted initial ideal contains a monomial")
     if end == "false":

@@ -1,6 +1,7 @@
 """Buchberger's algorithm over exact fields and the ideal-level queries
 built on it: membership, radical membership, monomial content, staircases,
-colength, Krull dimension of the leading-term ideal and elimination.
+colength, Krull dimension of the leading-term ideal, elimination and
+saturation.
 
 There is one Buchberger loop.  It runs on rows (p, cofactors), where the
 cofactors express p in the input generators and are an empty tuple unless
@@ -30,10 +31,10 @@ from .polyring import (
     RingCtx,
     TermOrder,
     division,
-    embed,
     mono_divisible,
     mono_lcm,
     normal_form,
+    project,
 )
 
 _WITNESS_POWER_CAP = 256
@@ -208,7 +209,7 @@ class IdealHandle:
     ``cached(key, build)`` returns the value stored under ``key``, calling
     ``build()`` to make it on first use.  The keys in use are
     ("groebner", order), ("hom", w) for the local standard basis,
-    ("pivot", i) for the pivot reducer, ("intersection", f.key(), w) and
+    ("pivot", i) for the pivot reducer, ("intersection", f.key()) and
     ("initial", w) for the initial ideal's handle.  An initial handle is
     built with its ("groebner", DegRevLex()) entry already filled, by
     interreduction alone (``decide._initial_handle``).  The memo has no
@@ -277,18 +278,27 @@ def fresh_names(existing: Sequence[str], stem: str, count: int = 1) -> List[str]
     return out
 
 
+def _inverted(handle: IdealHandle, h: Poly) -> IdealHandle:
+    """The ideal plus (1 - t*h), in the ring with a fresh variable t put
+    first: its zero set is that of the ideal where h does not vanish."""
+    ctx = handle.ctx
+    name = fresh_names(ctx.variables, "inv_t")[0]
+    big = RingCtx(ctx.field, (name,) + ctx.variables)
+
+    def up(p: Poly) -> Poly:
+        return Poly({(0,) + m: c for m, c in p.terms.items()}, big)
+
+    gens = [up(g) for g in handle.generators]
+    gens.append(big.one() - big.var(0) * up(h))
+    return IdealHandle(gens, big)
+
+
 def radical_membership(f: Poly, ideal) -> bool:
     """Whether f vanishes on the zero set of the ideal (f in its radical),
     by the inverted-variable trick."""
-    handle = _as_handle(ideal)
-    ctx = handle.ctx
     if f.is_zero():
         return True
-    name = fresh_names(ctx.variables, "rab_t")[0]
-    big = ctx.extend([name])
-    gens = [embed(g, big) for g in handle.generators]
-    gens.append(big.one() - big.var(name) * embed(f, big))
-    return is_unit_ideal(IdealHandle(gens, big))
+    return is_unit_ideal(_inverted(_as_handle(ideal), f))
 
 
 def contains_monomial(ideal) -> Optional[tuple]:
@@ -341,11 +351,11 @@ def _monos_of_degree(n: int, deg: int):
 
 # --------------------------------------------------------- staircase sizes
 
-def monomial_staircase(lt_monomials: Sequence[tuple], nvars: int) -> Optional[set]:
+def monomial_staircase(leads: Sequence[tuple], nvars: int) -> Optional[set]:
     """The set of monomials outside the monomial ideal generated by the
     given leading monomials; None when there are infinitely many, empty
     when 1 is among them."""
-    gens = [tuple(m) for m in lt_monomials]
+    gens = [tuple(m) for m in leads]
     if any(not any(m) for m in gens):
         return set()
     for i in range(nvars):
@@ -379,7 +389,7 @@ def colength(ideal) -> object:
     return INF if stairs is None else len(stairs)
 
 
-def krull_dimension(ideal, lt_monomials: Optional[Sequence[tuple]] = None) -> int:
+def krull_dimension(ideal) -> int:
     """Dimension of the leading-term ideal's zero set: the largest number
     of variables meeting no generator's support.  Raises SolverLimitation
     on more than ``_KRULL_VARIABLE_CAP`` variables."""
@@ -389,10 +399,7 @@ def krull_dimension(ideal, lt_monomials: Optional[Sequence[tuple]] = None) -> in
         raise SolverLimitation(
             f"krull_dimension supports at most _KRULL_VARIABLE_CAP = "
             f"{_KRULL_VARIABLE_CAP} variables, got {n}")
-    if lt_monomials is None:
-        gb = handle.groebner()
-        lt_monomials = [g.lead(DegRevLex())[0] for g in gb]
-    gens = [tuple(m) for m in lt_monomials]
+    gens = [g.lead(DegRevLex())[0] for g in handle.groebner()]
     if any(not any(m) for m in gens):
         raise UnitIdeal("dimension of the unit ideal")
     supports = [frozenset(i for i, e in enumerate(m) if e) for m in gens]
@@ -417,3 +424,13 @@ def eliminate(ideal, front: int) -> List[Poly]:
         if all(all(e == 0 for e in m[:front]) for m in g.terms):
             out.append(g)
     return out
+
+
+def saturate(ideal, h: Poly) -> IdealHandle:
+    """The saturation of the ideal by h: the components on which h does
+    not vanish, computed by inverting h and eliminating the inverse."""
+    handle = _as_handle(ideal)
+    ctx = handle.ctx
+    kept = eliminate(_inverted(handle, h), 1)
+    return IdealHandle([project(g, ctx, range(1, ctx.nvars + 1))
+                        for g in kept], ctx)

@@ -8,7 +8,7 @@ ideals, colengths, intersection numbers, base weights) reads off the local
 leading monomials of such a basis.
 
 The homogenized basis for each w and the intersection number of each
-(f, w) are kept in the memo of the ideal's handle, so asking a handle
+f are kept in the memo of the ideal's handle, so asking a handle
 again, directly or through ``base_weights``, builds no second basis.
 Sequences of generators get a fresh handle, and so a cold memo, per call.
 """
@@ -144,21 +144,20 @@ def local_colength(ideal: IdealLike, w: Optional[Sequence[int]] = None):
     return INF if stairs is None else len(stairs)
 
 
-def intersection_number(f: Poly, ideal: IdealLike,
-                        w: Optional[Sequence[int]] = None):
+def intersection_number(f: Poly, ideal: IdealLike):
     """Colength of the ideal together with f; INF when f is a zero divisor
-    direction (or lies in the ideal)."""
+    direction (or lies in the ideal).  A local colength does not depend
+    on the local order, so it is taken under all-ones weights."""
     handle = _as_handle(ideal)
     ctx = handle.ctx
     if f.ctx != ctx:
         raise ValueError("f and the ideal are in different rings")
-    w = _check_weights(w if w is not None else (1,) * ctx.nvars, ctx.nvars)
 
     def build():
         if f.is_zero():
-            return local_colength(handle, w)
-        return local_colength(IdealHandle(handle.generators + (f,), ctx), w)
-    return handle.cached(("intersection", f.key(), w), build)
+            return local_colength(handle)
+        return local_colength(IdealHandle(handle.generators + (f,), ctx))
+    return handle.cached(("intersection", f.key()), build)
 
 
 def base_weights(ideal: IdealLike) -> tuple:

@@ -415,28 +415,28 @@ def _order_at(D: dict, d: int) -> Optional[int]:
     return min((e for (k, e) in D if k == d), default=None)
 
 
-def parametric_intersection(f: Poly, g: Poly, ideal: IdealHandle,
-                            pivot: Union[int, str, None] = None,
-                            trunc_cap: Optional[int] = None) -> ParametricOrder:
-    """Compute det(M_f - a M_g) and read off the generic intersection
-    value and every exceptional parameter with its value; infinite values
-    come from the exact staircase computation, never from truncation.
-    The quotient must be free over the pivot's series ring (module
-    docstring); a determinant whose a^0 or a^n coefficient disagrees
-    with the values of f or g raises ``AlgebroidError``."""
+def parametric_intersection(f: Poly, g: Poly,
+                            ideal: IdealHandle) -> ParametricOrder:
+    """Compute det(M_f - a M_g) over the cheapest pivot and read off the
+    generic intersection value and every exceptional parameter with its
+    value; infinite values come from the exact staircase computation,
+    never from truncation.  The quotient must be free over the pivot's
+    series ring (module docstring); a determinant whose a^0 or a^n
+    coefficient disagrees with the values of f or g raises
+    ``AlgebroidError``.
+
+    The truncation N = 2*(nf + ng) + 8 lies past the generic value,
+    which is at most nf, the order of the a^0 coefficient.  A fixed N
+    hides no jump: a root at which no coefficient below N is seen to be
+    nonzero takes its value from the exact ``intersection_number``, INF
+    included."""
     field = ideal.ctx.field
     nf = _pencil_value(f, ideal)
     ng = _pencil_value(g, ideal)
     if nf is INF or ng is INF or nf != ng:
         raise UnequalBase(f"intersection numbers differ: {nf} vs {ng}")
-    basis = free_basis(ideal, pivot)
+    basis = free_basis(ideal)
     N = 2 * (nf + ng) + 8
-    if trunc_cap is not None:
-        if trunc_cap < nf + 2:
-            raise TruncationExhausted(
-                f"truncation cap {trunc_cap} is below the base value "
-                f"{nf} plus slack; no jump could be observed")
-        N = min(N, trunc_cap)
     Mf = mult_matrix(f, basis, ideal, N)
     Mg = mult_matrix(g, basis, ideal, N)
     n = basis.rank
@@ -532,16 +532,14 @@ def _extend_with(ideal: IdealHandle, p: Poly) -> Tuple[IdealHandle, str]:
     return IdealHandle(gens, big), name
 
 
-def parametric_test(f: Poly, g: Poly, ideal: IdealHandle,
-                    pivot: Union[int, str, None] = None,
-                    trunc_cap: Optional[int] = None) -> Verdict:
+def parametric_test(f: Poly, g: Poly, ideal: IdealHandle) -> Verdict:
     """Decide whether f, g certify reducibility: 'false' when the generic
     value drops or two exceptional parameters exist (the enlarged ideal
     then carries two weight rays), or when the unique exceptional
     direction degenerates; 'not_false' with the unique parameter
     otherwise."""
     field = ideal.ctx.field
-    po = parametric_intersection(f, g, ideal, pivot, trunc_cap=trunc_cap)
+    po = parametric_intersection(f, g, ideal)
     # the a^0 coefficient is det(M_f), of order I(f)
     if po.generic_value < _order_at(po.determinant, 0):
         J, name = _extend_with(ideal, f)

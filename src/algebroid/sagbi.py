@@ -10,8 +10,7 @@ new branch function and strictly enlarges the semigroup when adjoined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import TruncationExhausted, ZeroPoly
 from .naming import next_single
@@ -312,11 +311,10 @@ def sagbi_check(xi: Parametrization) -> bool:
     return True
 
 
-def sagbi_complete(xi: Parametrization,
-                   trunc_cap: int = _DEFAULT_TRUNC_CAP) -> Parametrization:
+def sagbi_complete(xi: Parametrization) -> Parametrization:
     """Adjoin irreducible remainders until the check passes.  Components
     must be exact polynomials so precision can be raised when a window is
-    exhausted (doubling up to trunc_cap)."""
+    exhausted (doubling up to _DEFAULT_TRUNC_CAP)."""
     for s in xi.components:
         if not s.exact:
             raise ValueError("completion needs exact polynomial components")
@@ -347,6 +345,6 @@ def sagbi_complete(xi: Parametrization,
             polys.append(new_poly)
             names.append(next_single(names))
         except TruncationExhausted:
-            if 2 * N > trunc_cap:
+            if 2 * N > _DEFAULT_TRUNC_CAP:
                 raise
             N *= 2

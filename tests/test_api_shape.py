@@ -1,0 +1,40 @@
+"""The parameters of the library's entry points and the options of
+``algebroid decide``, pinned so that a setting removed because no caller
+set it does not come back unnoticed."""
+
+import inspect
+
+import pytest
+
+from algebroid.cli import main
+from algebroid.decide import decide_irreducible, value_semigroup
+from algebroid.groebner import krull_dimension
+from algebroid.localalg import intersection_number
+from algebroid.parametric import parametric_intersection, parametric_test
+from algebroid.sagbi import sagbi_complete
+
+SIGNATURES = {
+    decide_irreducible: ("ideal", "iter_cap"),
+    value_semigroup: ("ideal", "iter_cap"),
+    parametric_test: ("f", "g", "ideal"),
+    parametric_intersection: ("f", "g", "ideal"),
+    intersection_number: ("f", "ideal"),
+    krull_dimension: ("ideal",),
+    sagbi_complete: ("xi",),
+}
+
+
+@pytest.mark.parametrize("func", SIGNATURES, ids=lambda f: f.__name__)
+def test_entry_points_take_only_their_pinned_parameters(func):
+    assert tuple(inspect.signature(func).parameters) == SIGNATURES[func]
+
+
+@pytest.mark.parametrize("flag", [("--trunc-cap", "8"), ("--verify",)],
+                         ids=["trunc-cap", "verify"])
+def test_decide_refuses_removed_flags(tmp_path, capsys, flag):
+    path = tmp_path / "curve.ideal"
+    path.write_text("char 0\nvars x y\nideal:\n(y^2 - x^3)^2 - x^7\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["decide", *flag, str(path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -68,8 +68,8 @@ def _instrumented(cid, fid):
     pencil_test = decide.parametric_test
     ray_is_tropism = decide._ray_is_tropism
 
-    def record_verdict(f, g, handle, **kw):
-        verdict = pencil_test(f, g, handle, **kw)
+    def record_verdict(f, g, handle):
+        verdict = pencil_test(f, g, handle)
         if verdict.result == "false":
             verdicts.append((verdict, base_weights(handle), handle, f, g))
         return verdict
@@ -78,9 +78,9 @@ def _instrumented(cid, fid):
         tested.append(ray)
         return ray_is_tropism(handle, ray)
 
-    def record_ideal(f, ideal, w=None):
+    def record_ideal(f, ideal):
         asked.append(ideal)
-        return intersection_number(f, ideal, w)
+        return intersection_number(f, ideal)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(decide, "parametric_test", record_verdict)

@@ -86,14 +86,6 @@ def test_decide_json_has_the_advertised_shape(tmp_path):
     assert set(doc["stats"]) >= {"outer_iterations", "parametric_calls"}
 
 
-def test_decide_verify_flag_reports_to_stderr(tmp_path, capsys):
-    path = write(tmp_path, CHAR2_PLANE)
-    code, out, err = run(capsys, "decide", "--verify", path)
-    assert code == 0
-    assert "re-checked: ok" in err
-    assert "re-checked" not in out
-
-
 def test_an_iter_cap_of_zero_exits_two_naming_the_cap(tmp_path, capsys):
     path = write(tmp_path, ONE_STEP)
     code, out, err = run(capsys, "decide", "--iter-cap", "0", path)

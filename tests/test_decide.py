@@ -26,7 +26,6 @@ from algebroid.errors import (
     InfiniteWeight,
     NonRadicalSuspected,
     NotPrime,
-    TruncationExhausted,
     WrongDimension,
 )
 from algebroid.groebner import (
@@ -247,8 +246,8 @@ def test_case1_rays_are_found_and_certified_in_one_attachment(
     pencil_test = decide.parametric_test
     ray_is_tropism = decide._ray_is_tropism
 
-    def record(f, g, handle, **kw):
-        verdict = pencil_test(f, g, handle, **kw)
+    def record(f, g, handle):
+        verdict = pencil_test(f, g, handle)
         if verdict.result == "false":
             verdicts.append((verdict, base_weights(handle), handle, f, g))
         return verdict
@@ -302,20 +301,6 @@ def test_non_radical_input_is_flagged():
         decide_irreducible(I)
     with pytest.raises(NotPrime):
         value_semigroup(I)
-
-
-def test_truncation_cap_too_small():
-    I, ctx = plane_ideal("(y^2 - x^3)^2 - x^7")
-    with pytest.raises(TruncationExhausted):
-        parametric_intersection(parse_poly("x^3 - y^2", ctx),
-                                parse_poly("x^2*y", ctx), I, trunc_cap=10)
-
-
-def test_generous_truncation_cap_changes_nothing():
-    I, _ = plane_ideal("(y^2 - x^3)^2 - x^7")
-    rep = decide_irreducible(I, trunc_cap=64)
-    assert set(rep.certificate.data) == {(2, 3, 7), (2, 3, 8)}
-    assert rep.stats["truncation_high_water"] <= 64
 
 
 # Curves on which an attached pencil combination vanishes on a branch, or

@@ -1,6 +1,6 @@
 """Groebner engine: the S-polynomial and the one Buchberger loop on plain
 and cofactor rows (checked against their references), membership,
-staircases, colength, dimension and elimination."""
+staircases, colength, dimension, elimination and saturation."""
 
 import random
 from fractions import Fraction
@@ -24,6 +24,7 @@ from algebroid.groebner import (
     krull_dimension,
     monomial_staircase,
     radical_membership,
+    saturate,
 )
 from algebroid.polyring import (
     INF,
@@ -346,6 +347,19 @@ def test_eliminate():
     kept = eliminate(handle, 1)
     assert len(kept) == 1
     assert kept[0] == ctx.poly("x^4 - y")
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_saturate_keeps_the_components_off_h(field):
+    ctx = RingCtx(field, ("x", "y"))
+    handle = IdealHandle([ctx.poly("y*(y - x^2)")])
+
+    def reduced(h):
+        return saturate(handle, ctx.poly(h)).groebner(DegRevLex())
+
+    assert reduced("y") == IdealHandle([ctx.poly("y - x^2")]).groebner()
+    assert reduced("x") == handle.groebner()
+    assert reduced("x*y^2 - x^3*y") == [ctx.one()]
 
 
 def test_fresh_names_avoid_collisions():

@@ -203,10 +203,10 @@ def test_a_second_intersection_number_builds_no_basis(monkeypatch):
     built = local_bases(monkeypatch)
     handle = IdealHandle([XY.poly("(y^2 - x^3)^2 - x^7")])
     f = XY.poly("y^2 - x^3")
-    first = intersection_number(f, handle, (2, 3))
+    first = intersection_number(f, handle)
     assert built
     built.clear()
-    assert intersection_number(f, handle, [2, 3]) == first
+    assert intersection_number(f, handle) == first
     assert built == []
 
 
@@ -226,7 +226,7 @@ def test_screen_round_after_monomial_witness_builds_no_basis(monkeypatch):
     assert _monomial_witness(handle, (2, 3)) is None
     built.clear()
     stats = {"parametric_calls": 0}
-    assert _screen_round(handle, (2, 3), error=NotPrime, trunc_cap=None,
+    assert _screen_round(handle, (2, 3), error=NotPrime,
                          stats=stats) == ("radical",)
     assert built == [] and stats["parametric_calls"] == 0
 

@@ -1,6 +1,6 @@
 """The scalar, semigroup, local algebra, decide, parametric, case-2 ray
-and acceptance tests under ``python -O``, and a lint that keeps plain
-``assert`` out of the library.
+and acceptance tests under ``python -O``, and lints that keep plain
+``assert`` and unused imports out of the library.
 
 ``-O`` strips plain ``assert`` statements from the library, so an
 invariant it kept with one would go unchecked; these tests show that the
@@ -47,6 +47,29 @@ def test_the_library_has_no_plain_asserts():
         for func, n in _asserts_by_function(tree).items():
             found[(path.stem, func)] = n
     assert found == ALLOWED_ASSERTS
+
+
+def _unused_imports(tree):
+    """Names a module imports but never reads."""
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.add("annotations")   # from __future__ import annotations
+    return sorted(name for name in imported if name not in used)
+
+
+def test_the_library_imports_nothing_it_does_not_use():
+    found = {}
+    for path in sorted((ROOT / "src" / "algebroid").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        unused = _unused_imports(ast.parse(path.read_text(),
+                                           filename=str(path)))
+        if unused:
+            found[path.stem] = unused
+    assert found == {}
 
 
 def test_the_decider_tests_pass_under_python_O():

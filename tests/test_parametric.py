@@ -335,7 +335,7 @@ def test_a_non_monomial_still_asks_for_its_intersection_number():
     I, ctx = double_branch_ideal()
     f = parse_poly("y^2 - x^3", ctx)
     assert _pencil_value(f, I) == 14
-    assert ("intersection", f.key(), (1, 1)) in I._memo
+    assert ("intersection", f.key()) in I._memo
 
 
 # ---------------------------------------- the determinant against an oracle
