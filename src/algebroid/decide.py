@@ -47,7 +47,8 @@ from .groebner import (
     radical_membership,
     saturate,
 )
-from .localalg import base_weights, initial_ideal, intersection_number
+from .localalg import (base_weights, initial_ideal, intersection_number,
+                       restrict)
 from .parametric import Verdict, _extend_with, _lift_poly, parametric_test
 from .polyring import (
     INF,
@@ -142,12 +143,14 @@ class Certificate:
     """Replayable evidence for a verdict: the (possibly extended) ideal,
     the kind of witness, its data, and the adjunction transcript.
 
-    The ideal has graph shape: generators in ``base_vars`` only, then
+    The ideal J has graph shape: generators in ``base_vars`` only, then
     exactly ``ctx.var(name) - fdef`` for each transcript entry, in order,
-    each ``fdef`` in the variables before ``name``; for two_tropisms the
-    last is the pencil verdict's one attachment, whose order ends each
-    ray.  The quotient ring is that of the base generators' ideal, which
-    the certificate is about."""
+    each ``fdef`` in the variables before ``name``, zero at the origin;
+    for two_tropisms the last is the pencil verdict's one attachment,
+    whose order ends each ray.  The quotient ring is that of the base
+    generators' ideal I, which the certificate is about: z_j maps to h_j*,
+    its ``fdef`` with earlier names substituted, so the intersection
+    number I_J(z_j) of z_j with J is I_I(h_j*)."""
 
     kind: str            # prime_tropism | monomial_witness | two_tropisms
     ideal: IdealHandle
@@ -199,10 +202,26 @@ def _graph_shape_error(cert: Certificate) -> Optional[str]:
             return "adjoined definition lives in a foreign ring"
         if any(i >= base + k for i in fdef.variables_used()):
             return "adjoined definition uses later variables"
+        if not ctx.field.is_zero(fdef.constant_coeff()):
+            return f"adjoined definition of {name} does not vanish at the origin"
         if gen != ctx.var(name) - fdef:
             return (f"generator {head + k + 1} of the certified ideal is not "
                     f"the transcript relation of {name}")
     return None
+
+
+def _certified_weights(cert: Certificate) -> tuple:
+    """Base weights of the certified ideal J in the base ring, or in J's
+    when there is no transcript: I_J(x_i) = I_I(x_i), I_J(z_j) = I_I(h_j*)."""
+    J, nbase, k = cert.ideal, len(cert.base_vars), len(cert.transcript)
+    base = restrict(J.generators[:len(J.generators) - k], J.ctx,
+                    range(nbase, J.ctx.nvars)) if k else J
+    stars: List[Poly] = []
+    for _, fdef in cert.transcript:
+        pad = [base.ctx.zero()] * (k - len(stars))
+        stars.append(fdef.subs(dict(enumerate(stars + pad, nbase))))
+    return base_weights(base) + tuple(intersection_number(h, base)
+                                      for h in stars)
 
 
 def _tropism_refusal(handle: IdealHandle, w: tuple,
@@ -221,18 +240,22 @@ def verify_certificate(cert: Certificate) -> Tuple[bool, str]:
 
     The certified ideal must have the graph shape of ``Certificate``, so
     every transcript relation is a member by inspection; any other
-    generating set is refused, even of the same ideal.  Tropisms are
-    checked from scratch by the sliced test of ``_monomial_free``."""
+    generating set is refused, even of the same ideal.  Base weights are
+    recomputed in the base ring (``_certified_weights``), tropisms in the
+    certified ring by the sliced test of ``_monomial_free``."""
     shape = _graph_shape_error(cert)
     if shape is not None:
         return False, shape
     handle = cert.ideal
     ctx = handle.ctx
+    if cert.kind in ("prime_tropism", "monomial_witness"):
+        bw = _certified_weights(cert)
+        if any(e <= 0 for e in bw):
+            return False, "base weights are not all positive"
     if cert.kind == "prime_tropism":
         w = tuple(cert.data)
         if len(w) != ctx.nvars:
             return False, "weight data does not match the ring variables"
-        bw = base_weights(handle)
         if bw != w:
             return False, "recomputed base weights differ from the certified tropism"
         if gcd_weights(w) != 1:
@@ -244,13 +267,12 @@ def verify_certificate(cert: Certificate) -> Tuple[bool, str]:
         wit = cert.data
         if not isinstance(wit, Poly) or wit.is_zero():
             return False, "witness is not a nonzero polynomial"
-        w = base_weights(handle)
-        if any(e is INF for e in w):
+        if any(e is INF for e in bw):
             return False, "base weights are not all finite"
-        form = in_w(wit, w)
+        form = in_w(wit, bw)
         if len(form.terms) != 1 or not any(next(iter(form.terms))):
             return False, "witness initial form is not a single monomial"
-        if not ideal_membership(form, _initial_handle(handle, w)):
+        if not ideal_membership(form, _initial_handle(handle, bw)):
             return False, "witness initial form does not lie in the initial ideal"
     elif cert.kind == "two_tropisms":
         rays = tuple(tuple(r) for r in cert.data)
@@ -296,15 +318,7 @@ def assert_preconditions(ideal) -> IdealHandle:
     members = [i for i in range(ctx.nvars)
                if ideal_membership(ctx.var(i), handle)]
     if members:
-        keep = [i for i in range(ctx.nvars) if i not in members]
-        small = RingCtx(ctx.field, tuple(ctx.variables[i] for i in keep))
-        zeroed = {i: 0 for i in members}
-        gens = []
-        for g in handle.generators:
-            img = project(g.subs(zeroed), small, keep)
-            if not img.is_zero():
-                gens.append(img)
-        handle = IdealHandle(gens, small)
+        handle = restrict(handle.generators, ctx, members)
     w = base_weights(handle)
     if any(e is INF for e in w):
         bad = handle.ctx.variables[[e is INF for e in w].index(True)]
@@ -526,10 +540,8 @@ def _rays_for_false(w: tuple, verdict: Verdict, f: Poly, g: Poly):
             for e in range(d, 0, -1) if lam < lam_total - 1 else (d,):
                 yield lam, (lam * vbar + e,)
     else:
-        ctx = RingCtx(J.ctx.field, J.ctx.variables[:-1])
-        base = IdealHandle([project(p, ctx, range(ctx.nvars))
-                            for p in J.generators[:-1]], ctx)
-        hb = project(extra[0][1], ctx, range(ctx.nvars))
+        base = restrict(J.generators[:-1], J.ctx, [J.ctx.nvars - 1])
+        hb = project(extra[0][1], base.ctx, range(base.ctx.nvars))
         out = saturate(base, hb)
         n_h = intersection_number(hb, out)
         head = (tuple(base_weights(out)) + (n_h,),)

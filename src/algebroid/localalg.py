@@ -5,7 +5,10 @@ w-degree first' is computed by homogenizing the generators with an extra
 variable, running Buchberger under a compatible global order, and setting
 the homogenizing variable back to 1.  Everything downstream (initial
 ideals, colengths, intersection numbers, base weights) reads off the local
-leading monomials of such a basis.
+leading monomials of such a basis.  An intersection number is taken in
+the smallest ring that carries it: K[[x]]/(I + (x_i)) is K[[x without
+x_i]]/I|_{x_i=0}, and a certificate's base weights are taken in its base
+ring (see ``decide.Certificate``).
 
 The homogenized basis for each w and the intersection number of each
 f are kept in the memo of the ideal's handle, so asking a handle
@@ -144,10 +147,22 @@ def local_colength(ideal: IdealLike, w: Optional[Sequence[int]] = None):
     return INF if stairs is None else len(stairs)
 
 
+def restrict(generators: Sequence[Poly], ctx: RingCtx, drop) -> IdealHandle:
+    """The generators' ideal with the variables at positions ``drop`` set
+    to zero, in the ring without them (zero images left out)."""
+    keep = [i for i in range(ctx.nvars) if i not in drop]
+    small = RingCtx(ctx.field, tuple(ctx.variables[i] for i in keep))
+    gens = (Poly({tuple(m[i] for i in keep): c for m, c in g.terms.items()
+                  if not any(m[i] for i in drop)}, small)
+            for g in generators)
+    return IdealHandle([g for g in gens if not g.is_zero()], small)
+
+
 def intersection_number(f: Poly, ideal: IdealLike):
     """Colength of the ideal together with f; INF when f is a zero divisor
     direction (or lies in the ideal).  A local colength does not depend
-    on the local order, so it is taken under all-ones weights."""
+    on the local order, so it is taken under all-ones weights; for f a
+    multiple of x_i, of the ideal restricted to x_i = 0 (the same ring)."""
     handle = _as_handle(ideal)
     ctx = handle.ctx
     if f.ctx != ctx:
@@ -156,6 +171,9 @@ def intersection_number(f: Poly, ideal: IdealLike):
     def build():
         if f.is_zero():
             return local_colength(handle)
+        if len(f.terms) == 1 and f.total_degree() == 1:
+            return local_colength(restrict(handle.generators, ctx,
+                                           f.variables_used()))
         return local_colength(IdealHandle(handle.generators + (f,), ctx))
     return handle.cached(("intersection", f.key()), build)
 

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -12,9 +13,11 @@ import pytest
 
 from algebroid.cli import (_poly_json, certificate_from_json,
                            certificate_json, main, parse_ideal_text)
-from algebroid.decide import decide_irreducible, verify_certificate
-from algebroid.groebner import ideal_membership
-from algebroid.polyring import parse_poly
+from algebroid.decide import (Certificate, _certified_weights,
+                              decide_irreducible, verify_certificate)
+from algebroid.groebner import IdealHandle, ideal_membership
+from algebroid.localalg import base_weights
+from algebroid.polyring import RingCtx, parse_poly
 from algebroid.scalars import GF, QQ
 from test_decide import PRIME_TOWER_CURVES, TWO_BRANCH_CURVES, _curve
 
@@ -323,6 +326,97 @@ def test_a_surface_certificate_fails_verification(tmp_path, capsys):
     assert "not one-dimensional" in out
 
 
+def _crafted_report(tmp_path, verdict, variables, gens, kind, data,
+                    transcript=(), base_vars=None):
+    """A report file holding a hand-made certificate over Q."""
+    ctx = RingCtx(QQ, tuple(variables.split()))
+    if kind == "monomial_witness":
+        data = ctx.poly(data)
+    cert = Certificate(kind, IdealHandle([ctx.poly(g) for g in gens], ctx),
+                       data, tuple((base_vars or variables).split()),
+                       tuple((n, ctx.poly(t)) for n, t in transcript))
+    path = tmp_path / "crafted.json"
+    path.write_text(json.dumps({"verdict": verdict,
+                                "certificate": certificate_json(cert)}))
+    return str(path)
+
+
+def test_a_witness_for_the_unit_ideal_is_refused_without_a_traceback(
+        tmp_path):
+    path = _crafted_report(tmp_path, "reducible", "x y", ["1 + x"],
+                           "monomial_witness", "x")
+    proc = subprocess.run([sys.executable, "-m", "algebroid", "verify", path],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "base weights are not all positive" in proc.stdout
+    assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_a_definition_off_the_origin_is_refused(tmp_path, capsys):
+    path = _crafted_report(tmp_path, "irreducible", "x y z",
+                           ["y^2 - x^3", "z - 1 - x"], "prime_tropism",
+                           (2, 3, 0), [("z", "1 + x")], "x y")
+    code, out, _ = run(capsys, "verify", path)
+    assert code == 1
+    assert "adjoined definition of z does not vanish at the origin" in out
+
+
+def _single_field_mutants(doc):
+    """(label, document) for each one-field change of a decided report's
+    certificate: a weight or ray entry set to 0, negated or bumped by 1, a
+    constant added to a base generator or a transcript definition, a
+    generator dropped, or the last base variable dropped."""
+    cert = certificate_from_json(doc)
+    gens = cert.ideal.generators
+
+    def variant():
+        m = copy.deepcopy(doc)
+        return m, m["certificate"]
+
+    if cert.kind != "monomial_witness":
+        prime = cert.kind == "prime_tropism"
+        for r, ray in enumerate([cert.data] if prime else cert.data):
+            for i, e in enumerate(ray):
+                for new in (0, -e, e + 1):
+                    m, c = variant()
+                    (c["data"] if prime else c["data"][r])[i] = new
+                    yield f"data[{r}][{i}] = {new}", m
+    for i, g in enumerate(gens[:len(gens) - len(cert.transcript)]):
+        m, c = variant()
+        c["generators"][i] = _poly_json(g + g.ctx.one())
+        yield f"constant added to generator {i}", m
+    for j, (name, fdef) in enumerate(cert.transcript):
+        m, c = variant()
+        c["transcript"][j]["poly"] = _poly_json(fdef + fdef.ctx.one())
+        yield f"constant added to {name}", m
+    for i in range(len(gens)):
+        m, c = variant()
+        del c["generators"][i]
+        yield f"generator {i} dropped", m
+    m, c = variant()
+    c["base_vars"].pop()
+    yield "base_vars shortened", m
+
+
+@pytest.mark.parametrize("text, kind", [
+    (ONE_STEP, "prime_tropism"), (DOUBLE_BRANCH, "two_tropisms"),
+    (MINORS, "monomial_witness")], ids=["prime", "two_tropisms", "witness"])
+def test_every_single_field_mutant_is_refused(tmp_path, capsys, text, kind):
+    """``main`` turns library errors into exit 2; anything else would
+    escape it as a traceback."""
+    _, doc = report_for(tmp_path, text)
+    assert doc["certificate"]["kind"] == kind
+    accepted = []
+    for label, mutant in _single_field_mutants(doc):
+        path = tmp_path / "mutant.json"
+        path.write_text(json.dumps(mutant))
+        code, out, err = run(capsys, "verify", str(path))
+        assert "Traceback" not in out + err
+        if code not in (1, 2):
+            accepted.append(label)
+    assert not accepted
+
+
 @pytest.mark.parametrize("bad", ["1/0", "abc", 0.5])
 def test_malformed_coefficient_exits_two(tmp_path, capsys, bad):
     _, doc = report_for(tmp_path, CUSP)
@@ -420,6 +514,37 @@ def test_table_certificates_match_their_pins(cid, fid):
     text = json.dumps(certificate_json(cert), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         CERTIFICATE_PINS[cid, fid]
+
+
+# The pinned prime certificates, a branch with two adjoined coordinates
+# (semigroup <8, 12, 26, 53>) and a monomial witness.
+BASE_RING_CASES = {
+    **{(cid, fid): PRIME_TOWER_CURVES[cid]
+       for cid, fid in CERTIFICATE_PINS if cid in PRIME_TOWER_CURVES},
+    **{("three-pair", fid): ("x y", (
+        "((y^2 - x^3)^2 - x^5*y)^2 - x^10*(y^2 - x^3)",))
+       for fid in ("QQ", "F101")},
+    ("minors", "QQ"): ("x y z", tuple(MINORS.split("\n")[3:6])),
+}
+
+
+@pytest.mark.parametrize("cid, fid", BASE_RING_CASES)
+def test_certified_weights_in_the_base_ring_match_the_certified_ring(
+        cid, fid):
+    """The base ring's weights are the certified ideal's, and checking a
+    certificate with a transcript on a fresh handle leaves no intersection
+    number in its memo: no local standard basis is taken in its ring."""
+    field = {"QQ": QQ, "F101": GF(101)}[fid]
+    cert = decide_irreducible(_curve(*BASE_RING_CASES[cid, fid],
+                                     field)).certificate
+    assert cert.kind != "two_tropisms"
+    fresh = IdealHandle(cert.ideal.generators, cert.ideal.ctx)
+    assert _certified_weights(cert) == base_weights(fresh)
+    cold = IdealHandle(cert.ideal.generators, cert.ideal.ctx)
+    assert verify_certificate(Certificate(
+        cert.kind, cold, cert.data, cert.base_vars, cert.transcript))[0]
+    if cert.transcript:
+        assert not [k for k in cold._memo if k[0] == "intersection"]
 
 
 # ------------------------------------------------------------- packaging

@@ -32,6 +32,7 @@ from oracles import (
     s_ord,
     staircase_count,
 )
+from test_decide import PRIME_TOWER_CURVES, TWO_BRANCH_CURVES, _curve
 
 XY = RingCtx(QQ, ("x", "y"))
 XYZ = RingCtx(QQ, ("x", "y", "z"))
@@ -103,6 +104,34 @@ def test_intersection_number_matches_branch_oracle():
             assert got == INF or got >= N
         else:
             assert got == expect
+
+
+def _coordinates_against_the_joined_ideal(handle):
+    """Each coordinate's intersection number, taken in the ring without it,
+    beside the colength of the ideal joined with it."""
+    ctx = handle.ctx
+    got = tuple(intersection_number(ctx.var(i), handle)
+                for i in range(ctx.nvars))
+    assert got == tuple(
+        local_colength(IdealHandle(handle.generators + (ctx.var(i),), ctx))
+        for i in range(ctx.nvars))
+    return got
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+@pytest.mark.parametrize("cid", {**TWO_BRANCH_CURVES, **PRIME_TOWER_CURVES})
+def test_coordinates_are_restricted_on_the_table_curves(cid, field):
+    curve = {**TWO_BRANCH_CURVES, **PRIME_TOWER_CURVES}[cid]
+    assert INF not in _coordinates_against_the_joined_ideal(
+        _curve(*curve, field))
+
+
+@pytest.mark.parametrize("variables, gens, expect", [
+    ("x", ["x^2"], (1,)), ("x", ["1 + x"], (0,)), ("x y", ["x"], (INF, 1))])
+def test_coordinates_are_restricted_at_the_edges(variables, gens, expect):
+    ctx = RingCtx(QQ, tuple(variables.split()))
+    handle = IdealHandle([ctx.poly(g) for g in gens], ctx)
+    assert _coordinates_against_the_joined_ideal(handle) == expect
 
 
 def test_initial_ideal_cusp():
