@@ -14,15 +14,14 @@ test, descend the surviving combination until its value escapes the
 semigroup, adjoin a new variable recording it, and repeat.  The decide
 stops at primitive weights; the value semigroup runs until every
 binomial resolves.  Reducibility surfaces either as a monomial in a
-weighted initial ideal or as a pencil verdict, from which a pair of
-weight rays with monomial-free initial ideals is constructed and
-verified exactly.
+weighted initial ideal or as a pencil verdict, whose determinant's
+Newton polygon gives a pair of weight rays that the certificate check
+proves monomial-free exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
@@ -49,7 +48,8 @@ from .groebner import (
 )
 from .localalg import (base_weights, initial_ideal, intersection_number,
                        restrict)
-from .parametric import Verdict, _extend_with, _lift_poly, parametric_test
+from .parametric import (Verdict, _coefficients, _extend_with, _lift_poly,
+                         _pencil_determinant, parametric_test)
 from .polyring import (
     INF,
     DegRevLex,
@@ -62,6 +62,7 @@ from .polyring import (
     project,
     wdot,
 )
+from .scalars import FieldSpec, uv_add, uv_mul
 from .semigroups import gcd_weights, membership, prim_generators
 
 
@@ -178,10 +179,6 @@ def _proportional(w1: Sequence[int], w2: Sequence[int]) -> bool:
                for i in range(len(w1)) for j in range(i + 1, len(w1)))
 
 
-def _ray_is_tropism(handle: IdealHandle, ray: Sequence[int]) -> bool:
-    return _monomial_free(handle, ray)
-
-
 def _graph_shape_error(cert: Certificate) -> Optional[str]:
     """Why the certified ideal lacks the graph shape that ``Certificate``
     describes, or None when it has it."""
@@ -296,8 +293,16 @@ def verify_certificate(cert: Certificate) -> Tuple[bool, str]:
     return True, "ok"
 
 
+_RAYS_LIMIT = ("the pencil's rays assume that every branch's base valuation "
+               "is a multiple of the primitive base weights wb")
+
+
 def _certified(verdict: str, cert: Certificate, stats: dict) -> DecisionReport:
     ok, reason = verify_certificate(cert)
+    if not ok and cert.kind == "two_tropisms":
+        raise CertificateSearchFailed(
+            f"{_RAYS_LIMIT}, and the pair read from the pencil failed "
+            f"verification: {reason}")
     if not ok:
         raise CertificateSearchFailed(
             f"internal: produced certificate failed verification: {reason}")
@@ -341,7 +346,7 @@ def _call_test(f: Poly, g: Poly, handle: IdealHandle, *, error: type,
             "a degenerate direction vanished on the curve, which cannot "
             f"happen for a radical input: {exc}") from exc
     stats["truncation_high_water"] = max(stats["truncation_high_water"],
-                                         v.truncation)
+                                         v.pencil.truncation)
     return v
 
 
@@ -450,15 +455,7 @@ def _monomial_witness(handle: IdealHandle, w: tuple) -> Optional[Poly]:
     return ctx.mono(contains_monomial(in_handle))
 
 
-# --------------------------------------------------------------- ray search
-
-def _balanced(lo: int, hi: int, nf: int, lam: int,
-              lam_total: int) -> List[int]:
-    """lo..hi nearest the centre nf * lam / lam_total first, the smaller
-    of two equally near first; compared exactly, in integers."""
-    return sorted(range(lo, hi + 1),
-                  key=lambda u: (abs(u * lam_total - nf * lam), u))
-
+# ------------------------------------------------------------------- rays
 
 def _recovered_attachment(J: IdealHandle, name: str) -> Tuple[str, Poly]:
     """The adjoined name with its defining polynomial, read back from the
@@ -466,130 +463,120 @@ def _recovered_attachment(J: IdealHandle, name: str) -> Tuple[str, Poly]:
     return name, J.ctx.var(name) - J.generators[-1]
 
 
-def _first_tropism_pair(J: IdealHandle, wb: tuple, lam_total: int, offsets,
-                        head=()) -> Optional[tuple]:
-    """The first two tropisms of J, sorted, among the candidate rays:
-    ``head`` first, then k*wb + tail for each (k, tail) that
-    ``offsets(lam)`` yields, for lam = 1 .. lam_total - 1 in turn."""
-    pool = chain(head, (tuple(k * e for e in wb) + tail
-                        for lam in range(1, lam_total)
-                        for k, tail in offsets(lam)))
-    hits: List[tuple] = []
-    seen = set()
-    for cand in pool:
-        if any(e <= 0 for e in cand):
-            continue
-        ray = _primitive(cand)
-        if ray in seen:
-            continue
-        seen.add(ray)
-        if _ray_is_tropism(J, ray):
-            hits.append(ray)
-            if len(hits) == 2:
-                return tuple(sorted(hits))
-    return None
+def _polygon_rays(D: dict, beta, field: FieldSpec, wb: tuple, vbar: int,
+                  pivot: int) -> List[tuple]:
+    """The primitive ray of each segment, left to right, of the lower
+    convex hull of the points (k, pivot order of the a^k coefficient of
+    D(a + beta)), D a determinant {(a exponent, pivot exponent): payload}
+    over ``field``: ((k2 - k1)*wb, (k2 - k1)*vbar + (e1 - e2)*wb[pivot])
+    for the segment from (k1, e1) to (k2, e2)."""
+    orders: dict = {}
+    for e, ck in sorted(_coefficients(D, field).items()):
+        shifted: list = []
+        for c in reversed(ck):      # Horner: ck(a + beta)
+            shifted = uv_add(uv_mul(shifted, [beta, field.one()], field),
+                             [c], field)
+        for k, c in enumerate(shifted):
+            if not field.is_zero(c):
+                orders.setdefault(k, e)
+    hull: List[tuple] = []
+    for k, e in sorted(orders.items()):
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (e - hull[-2][1])
+                                 <= (hull[-1][1] - hull[-2][1])
+                                 * (k - hull[-2][0])):
+            hull.pop()
+        hull.append((k, e))
+    return [_primitive(tuple((k2 - k1) * b for b in wb)
+                       + ((k2 - k1) * vbar + (e1 - e2) * wb[pivot],))
+            for (k1, e1), (k2, e2) in zip(hull, hull[1:])]
 
 
-def _rays_for_false(w: tuple, verdict: Verdict, f: Poly, g: Poly):
-    """Construct and verify two weight rays with monomial-free initial
-    ideals witnessing the pencil verdict, in its ideal J = I + (v - h).
-    Returns (J, rays, extra) where extra lists adjunctions to append to
-    the transcript.
+def _rays_for_false(handle: IdealHandle, w: tuple, verdict: Verdict, f: Poly,
+                    g: Poly):
+    """Two weight rays witnessing the pencil verdict on the handle, in the
+    verdict's ideal J = I + (v - h), read from the Newton polygon of its
+    determinant D(a) = det(M_f - a M_g); the certificate's verification
+    is their one test.  Returns (J, rays, extra), extra the adjunctions
+    to append to the transcript.
 
-    With w = lam_total*wb, wb primitive, a branch of base valuation
-    lam*wb gives the monomial g order lam*vbar, vbar = wb . (exponent of
-    g), and nf = lam_total*vbar; its ray is lam*wb followed by the order
-    of h, which each case yields per lam.  Two tropisms of any
-    graph-shaped extension prove two branches.  Case 1 attaches h = f, of
-    order u != lam*vbar, so the tails (u,) and (nf - u,) are not
-    proportional.  Case 2 attaches h = v1 = f - beta*g, and with finite
-    values: as beta != beta_2, no branch raises both v_k = f - beta_k*g
-    above lam*vbar.  values[1] > nf, so a branch raises v2; its ray is
-    lam*(wb, vbar), the head.  values[0] > nf, so a branch raises v1, by
-    e in 1..d1 = values[0] - nf (e = d1 at lam = lam_total - 1, where the
-    one other branch raises v2); its ray lam*wb + (lam*vbar + e,) is not
-    proportional to the head, and lam_total = 2 leaves two candidates.
-    In case 3, and in case 2 with an INF value, h may vanish on a branch:
-    saturate I (J's generators but the last, over J's field) by h, try
-    its exact ray, the tails 1..n_h, then ``_rays_bent_attachment``.
-    Hits are verified exactly, so a wrong candidate can only end in
-    CertificateSearchFailed."""
+    Over k((t)), t the pivot, the roots of D(a + beta) are the values of
+    h/g, h = f - beta*g (beta = 0 in case 1), at the ord_B(t) points of
+    each branch B, of t-order (ord_B(h) - ord_B(g)) / ord_B(t).  So the
+    segment from (k1, e1) to (k2, e2) of the lower hull of the points (k,
+    t-order of the a^k coefficient) gathers branches whose ord_B(t) add
+    up to k2 - k1 and whose ord_B(h) - ord_B(g) add up to e1 - e2, in any
+    characteristic.  A branch of base valuation lam*wb (w = lam_total*wb,
+    wb primitive) has ord_B(t) = lam*wb_t and ord_B(g) = lam*vbar, so its
+    ray (lam*wb, ord_B(h)) is its segment's in ``_polygon_rays``.  Case 1
+    has branches with ord_B(f) below and above lam*vbar, case 2 one that
+    raises h and one that raises f - beta_2*g: two segments at least, and
+    the two smallest rays are certified.  When h vanishes on some
+    branches and the others share one ray, ``_rays_bent_attachment``
+    bends h.
+
+    Every hull vertex lies at or below the left end, of order top: I(h),
+    nf in case 1, and when h vanishes on some branches n_h plus the order
+    of g on them, at most n_h + nf, n_h = I(h) on the saturation of I by
+    h.  D is recomputed at top + 1 when top reaches its truncation.  A
+    branch whose base valuation is not a multiple of wb breaks the rays;
+    CertificateSearchFailed names that limit, here for rays that are not
+    positive and in ``_certified`` for a pair that fails verification."""
     lam_total = gcd_weights(w)
     wb = tuple(e // lam_total for e in w)
     vbar = wdot(wb, next(iter(g.terms)))
     nf = lam_total * vbar
-    J = verdict.ideal
-    head: tuple = ()
+    J, po = verdict.ideal, verdict.pencil
+    field = J.ctx.field
     extra = [_recovered_attachment(J, verdict.adjoined[0])]
-    vanishing = verdict.case == 3 or INF in verdict.values
-    if verdict.case == 1:
-        dbar = ord_w(f, w) // lam_total
-
-        def offsets(lam):
-            lam2 = lam_total - lam
-            for u in _balanced(lam * dbar, nf - lam2 * dbar, nf, lam,
-                               lam_total):
-                if u != lam * vbar:
-                    yield lam, (u,)
-                    yield lam2, (nf - u,)
-    elif not vanishing:
-        d = verdict.values[0] - nf
-        head = (wb + (vbar,),)
-
-        def offsets(lam):
-            for e in range(d, 0, -1) if lam < lam_total - 1 else (d,):
-                yield lam, (lam * vbar + e,)
-    else:
+    if verdict.value is INF:
         base = restrict(J.generators[:-1], J.ctx, [J.ctx.nvars - 1])
         hb = project(extra[0][1], base.ctx, range(base.ctx.nvars))
-        out = saturate(base, hb)
-        n_h = intersection_number(hb, out)
-        head = (tuple(base_weights(out)) + (n_h,),)
-
-        def offsets(lam):
-            return ((lam, (H,)) for H in range(1, n_h + 1))
-    pair = _first_tropism_pair(J, wb, lam_total, offsets, head)
-    if pair is not None:
-        return J, pair, extra
-    if vanishing:
-        return _rays_bent_attachment(base, hb, head[0], wb, lam_total,
-                                     offsets)
+        n_h = intersection_number(hb, saturate(base, hb))
+        top = n_h + nf
+    else:
+        top = nf if verdict.case == 1 else verdict.value
+    D = (po.determinant if top < po.truncation
+         else _pencil_determinant(f, g, handle, top + 1))
+    if po.field != field:
+        D = {k: field.embed(c) for k, c in D.items()}
+    beta = field.zero() if verdict.case == 1 else verdict.beta.value
+    rays = _polygon_rays(D, beta, field, wb, vbar, po.pivot)
+    if rays and all(e > 0 for ray in rays for e in ray):
+        if len(rays) >= 2:
+            return J, tuple(sorted(rays)[:2]), extra
+        if verdict.value is INF:
+            return _rays_bent_attachment(base, hb, rays[0], n_h, wb)
     raise CertificateSearchFailed(
-        "no pair of weight rays with monomial-free initial ideals was "
-        "found in the search window")
+        f"{_RAYS_LIMIT}: the pencil's Newton polygon gives the rays {rays}, "
+        "not all positive or too few")
 
 
-def _rays_bent_attachment(handle: IdealHandle, hb: Poly, exact: tuple,
-                          wb: tuple, lam_total: int, offsets):
-    """The attachment hb vanishes on some branches, so its ideal is one
-    finite ray short of a pair: attach hb + x_i^M instead, wb_i the
-    least entry of wb.  ``exact`` is the saturation's ray (bw, n_h): bw
-    its base weights, finite and at least 1 as every x_i vanishes at the
-    origin and on no branch, and n_h the intersection number of hb on
-    the branches B where it does not vanish.  ``offsets`` gives the
-    tails tried before.
+def _rays_bent_attachment(handle: IdealHandle, hb: Poly, ray: tuple,
+                          n_h: int, wb: tuple):
+    """The attachment hb vanishes on some branches, and the others share
+    ``ray``, so its ideal is one finite ray short of a pair: attach hb +
+    x_i^M instead, wb_i the least entry of wb.  n_h is the intersection
+    number of hb on the branches B where it does not vanish; their base
+    valuations add up to some bw, at least 1 in each entry as every x_i
+    vanishes at the origin and on no branch, and ``ray`` is the
+    primitive form of (bw, n_h).
 
     M = n_h + 1 bends only the vanishing branches.  n_h is the sum of
     ord_B(hb) over those B, and ord_B(x_i) >= 1, so M*ord_B(x_i) > n_h >=
     ord_B(hb) and hb + x_i^M keeps the order ord_B(hb) on each.  On a
     branch of base valuation lam*wb where hb vanishes, the bent order is
     exactly M*lam*wb_i, so every such branch has the ray (wb, M*wb_i).
-    That ray is never proportional to ``exact``: (wb, M*wb_i) = c*(bw,
+    That ray is never proportional to ``ray``: (wb, M*wb_i) = c*(bw,
     n_h) would give n_h = M*bw_i >= M = n_h + 1.  (M from ord_B(x_i) >=
     wb_i would be smaller, but that bound fails on branches whose ray is
     off wb.)"""
     ctx = handle.ctx
     i = min(range(len(wb)), key=lambda k: wb[k])
-    M = exact[-1] + 1
+    M = n_h + 1
     bent = hb + ctx.mono(tuple(M if k == i else 0 for k in range(ctx.nvars)))
     J2, name = _extend_with(handle, bent)
-    pair = _first_tropism_pair(J2, wb, lam_total, offsets,
-                               (exact, wb + (M * wb[i],)))
-    if pair is not None:
-        return J2, pair, [_recovered_attachment(J2, name)]
-    raise CertificateSearchFailed(
-        "no monomial bend of the vanishing attachment exposed two weight "
-        "rays in the search window")
+    pair = tuple(sorted((ray, _primitive(wb + (M * wb[i],)))))
+    return J2, pair, [_recovered_attachment(J2, name)]
 
 
 # ----------------------------------------------------------- entry points
@@ -654,7 +641,7 @@ def decide_irreducible(ideal, iter_cap: int = 256) -> DecisionReport:
             "while the weights share a factor; radical unmixed inputs "
             "cannot do this")
     if end == "false":
-        J, data, extra = _rays_for_false(w, *detail)
+        J, data, extra = _rays_for_false(J, w, *detail)
         kind, transcript = "two_tropisms", transcript + extra
     elif end == "monomial":
         kind, data = "monomial_witness", detail

@@ -415,6 +415,20 @@ def _order_at(D: dict, d: int) -> Optional[int]:
     return min((e for (k, e) in D if k == d), default=None)
 
 
+def _pencil_determinant(f: Poly, g: Poly, ideal: IdealHandle,
+                        N: int) -> dict:
+    """det(M_f - a M_g) over the cheapest pivot, truncated at pivot^N."""
+    basis = free_basis(ideal)
+    Mf = mult_matrix(f, basis, ideal, N)
+    Mg = mult_matrix(g, basis, ideal, N)
+    neg = ideal.ctx.field.neg
+    # M_f - a M_g: the entries of M_f and M_g are constant in a
+    entries = [[{**fe, **{(1, e): neg(c) for (_, e), c in ge.items()}}
+                for fe, ge in zip(frow, grow)]
+               for frow, grow in zip(Mf.entries, Mg.entries)]
+    return _det(entries, basis.rank, ideal.ctx.field, N)
+
+
 def parametric_intersection(f: Poly, g: Poly,
                             ideal: IdealHandle) -> ParametricOrder:
     """Compute det(M_f - a M_g) over the cheapest pivot and read off the
@@ -437,14 +451,8 @@ def parametric_intersection(f: Poly, g: Poly,
         raise UnequalBase(f"intersection numbers differ: {nf} vs {ng}")
     basis = free_basis(ideal)
     N = 2 * (nf + ng) + 8
-    Mf = mult_matrix(f, basis, ideal, N)
-    Mg = mult_matrix(g, basis, ideal, N)
     n = basis.rank
-    # M_f - a M_g: the entries of M_f and M_g are constant in a
-    entries = [[{**fe, **{(1, e): field.neg(c) for (_, e), c in ge.items()}}
-                for fe, ge in zip(frow, grow)]
-               for frow, grow in zip(Mf.entries, Mg.entries)]
-    D = _det(entries, n, field, N)
+    D = _pencil_determinant(f, g, ideal, N)
     # det(M_f) and det(-M_g) are the coefficients of a^0 and a^n
     for d, name, value in ((0, "f", nf), (n, "g", ng)):
         order = _order_at(D, d)
@@ -503,12 +511,12 @@ class Verdict:
     for the attachment h a certificate keeps: f in case 1, f - beta*g in
     cases 2 and 3.  In case 2, beta is a base-field root of the pencil if
     one exists, else a root of its smallest conjugate class, and then the
-    ideal lives over the extension by ``minimal_poly``.  ``values`` are
-    the exceptional values at beta and at one other parameter beta_2: the
-    intersection numbers of v_k = f - beta_k*g.  f and g have order
-    lam*vbar on a branch of base valuation lam*wb (g a monomial of
-    wb-weight vbar), so a branch raises one v_k at most, and conjugate
-    branches share their value; INF means that v_k vanishes on a branch."""
+    ideal lives over the extension by ``minimal_poly``.  ``value`` is the
+    exceptional value at beta, the intersection number of f - beta*g, INF
+    when it vanishes on a branch; a case-1 verdict has none.  ``pencil``
+    is the ParametricOrder the verdict was read from: its determinant
+    carries every branch's ray (``decide._rays_for_false``), and its
+    exceptional values those of the other parameters."""
 
     result: str
     ideal: Optional[IdealHandle] = None
@@ -517,8 +525,7 @@ class Verdict:
     minimal_poly: Optional[tuple] = None
     adjoined: tuple = ()
     value: object = None
-    truncation: int = 0
-    values: tuple = ()
+    pencil: Optional[ParametricOrder] = None
 
 
 def _extend_with(ideal: IdealHandle, p: Poly) -> Tuple[IdealHandle, str]:
@@ -543,8 +550,7 @@ def parametric_test(f: Poly, g: Poly, ideal: IdealHandle) -> Verdict:
     # the a^0 coefficient is det(M_f), of order I(f)
     if po.generic_value < _order_at(po.determinant, 0):
         J, name = _extend_with(ideal, f)
-        return Verdict("false", ideal=J, case=1, adjoined=(name,),
-                       truncation=po.truncation)
+        return Verdict("false", ideal=J, case=1, adjoined=(name,), pencil=po)
     rational = [ev for ev in po.exceptional if ev.beta is not None]
     factors = [ev for ev in po.exceptional if ev.factor is not None]
     total = len(rational) + sum(len(ev.factor) - 1 for ev in factors)
@@ -552,11 +558,10 @@ def parametric_test(f: Poly, g: Poly, ideal: IdealHandle) -> Verdict:
         raise AlgebroidError("pencil test: no degenerate direction found")
     if total >= 2:
         if rational:
-            ev, other = (rational + factors)[:2]
+            ev = rational[0]
             J, name = _extend_with(ideal, f - g.scale(ev.beta.value))
             return Verdict("false", ideal=J, case=2, beta=ev.beta,
-                           adjoined=(name,), truncation=po.truncation,
-                           values=(ev.value, other.value))
+                           adjoined=(name,), value=ev.value, pencil=po)
         if field.extension is not None:
             raise CertificateSearchFailed(
                 "two exceptional parameters need a field extension, but the "
@@ -569,8 +574,7 @@ def parametric_test(f: Poly, g: Poly, ideal: IdealHandle) -> Verdict:
         J, name = _extend_with(eideal, ef - eg.scale(theta.value))
         return Verdict("false", ideal=J, case=2, beta=theta,
                        minimal_poly=conj.factor, adjoined=(name,),
-                       truncation=po.truncation,
-                       values=(conj.value, conj.value))
+                       value=conj.value, pencil=po)
     ev = rational[0] if rational else None
     if ev is None:
         raise CertificateSearchFailed(
@@ -579,7 +583,7 @@ def parametric_test(f: Poly, g: Poly, ideal: IdealHandle) -> Verdict:
     beta = ev.beta
     if ev.value is not INF:
         return Verdict("not_false", beta=beta, case=3, value=ev.value,
-                       truncation=po.truncation)
+                       pencil=po)
     h = f - g.scale(beta.value)
     if radical_membership(h, ideal):
         raise ContextViolation(
@@ -587,4 +591,4 @@ def parametric_test(f: Poly, g: Poly, ideal: IdealHandle) -> Verdict:
             "requires directions outside the radical")
     J, name = _extend_with(ideal, h)
     return Verdict("false", ideal=J, case=3, beta=beta, adjoined=(name,),
-                   truncation=po.truncation)
+                   value=INF, pencil=po)

@@ -1,15 +1,17 @@
-"""The case-2 ray search, built from the pencil's own values.
+"""Case-2 rays, read from the pencil's Newton polygon.
 
-A case-2 verdict carries the pencil's exceptional values v_k = f -
-beta_k*g, and the ray search reads its jumps from them instead of
-recounting intersection numbers.  Its ideal J1 = I + (v1 - h1) keeps one
-attachment, where the search runs and the certificate lives.  These
-tests build the ideal J with both attachments from the recorded handle,
-f, g and verdict (``pencil_attachments``), and check the identity the
-jumps rest on, the cost it saves (two tropism tests when lam_total = 2,
-no intersection number on J1), that the rays J carries project onto the
-certificate's, and the rays of the stretch curve over F_7 and Q.  The
-module is also run under ``python -O``.
+A case-2 verdict carries its pencil, and ``decide._rays_for_false`` reads
+the rays of its ideal J1 = I + (v1 - h1), which keeps one attachment,
+from the Newton polygon of the determinant with no tropism test and no
+intersection number on J1; the certificate's verification is the one
+exact check.  These tests build the ideal J with both attachments from
+the recorded handle, f, g and verdict (``pencil_attachments``), and check
+that the verdict's value and the pencil's other exceptional value are the
+intersection numbers of both attachments, that the sliced test runs on
+the certificate's ideal once per certified ray and only in verification,
+that the rays J carries project onto the certificate's, and the rays of
+the stretch curve over F_7 and Q.  The module is also run under
+``python -O``.
 """
 
 import functools
@@ -23,6 +25,7 @@ from algebroid.localalg import base_weights, intersection_number
 from algebroid.polyring import RingCtx, parse_poly, wdot
 from algebroid.scalars import GF, QQ
 from pencil_attachments import two_attachment_ideal
+from test_decide import record_tropism_checks, verified_rays
 
 FIELDS = {"Q": QQ, "F101": GF(101), "F7": GF(7)}
 
@@ -60,13 +63,12 @@ def _ideal(variables, texts, field):
 @functools.lru_cache(maxsize=None)
 def _instrumented(cid, fid):
     """Decide one curve, recording the case-2 verdict with its handle, f
-    and monomial g, the tropism tests and the ideal of every intersection
-    number asked."""
+    and monomial g, the sliced tropism tests and the ideal of every
+    intersection number asked."""
     variables, texts = (DOUBLE_BRANCH[cid] if cid in DOUBLE_BRANCH
                         else CONJUGATE[cid][:2])
-    verdicts, tested, asked = [], [], []
+    verdicts, asked = [], []
     pencil_test = decide.parametric_test
-    ray_is_tropism = decide._ray_is_tropism
 
     def record_verdict(f, g, handle):
         verdict = pencil_test(f, g, handle)
@@ -74,22 +76,32 @@ def _instrumented(cid, fid):
             verdicts.append((verdict, base_weights(handle), handle, f, g))
         return verdict
 
-    def count_test(handle, ray):
-        tested.append(ray)
-        return ray_is_tropism(handle, ray)
-
     def record_ideal(f, ideal):
         asked.append(ideal)
         return intersection_number(f, ideal)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(decide, "parametric_test", record_verdict)
-        mp.setattr(decide, "_ray_is_tropism", count_test)
+        checks = record_tropism_checks(mp)
         for module in (decide, localalg, parametric):
             mp.setattr(module, "intersection_number", record_ideal)
         rep = decide_irreducible(_ideal(variables, texts, FIELDS[fid]))
     (verdict, w, handle, f, g), = verdicts
-    return rep, verdict, w, tested, asked, handle, f, g
+    return rep, verdict, w, checks, asked, handle, f, g
+
+
+def _values(verdict):
+    """The exceptional values at beta and at the second parameter of
+    ``two_attachment_ideal``: another base-field root, or a conjugate of
+    beta, which shares its class's value."""
+    if verdict.minimal_poly is not None:
+        other = next(ev for ev in verdict.pencil.exceptional
+                     if ev.factor == verdict.minimal_poly)
+    else:
+        other = next(ev for ev in verdict.pencil.exceptional
+                     if ev.beta is not None
+                     and ev.beta.value != verdict.beta.value)
+    return verdict.value, other.value
 
 
 @pytest.mark.parametrize("cid, fid", CASES)
@@ -98,12 +110,12 @@ def test_case2_values_are_the_intersection_numbers_in_J(cid, fid):
     assert verdict.result == "false" and verdict.case == 2
     assert (verdict.minimal_poly is not None) == (cid in CONJUGATE)
     J = two_attachment_ideal(handle, f, g, verdict)
-    assert verdict.values == tuple(
+    assert _values(verdict) == tuple(
         intersection_number(J.ctx.var(name), J)
         for name in J.ctx.variables[-2:])
     J1 = verdict.ideal
     (name,) = verdict.adjoined
-    assert intersection_number(J1.ctx.var(name), J1) == verdict.values[0]
+    assert intersection_number(J1.ctx.var(name), J1) == verdict.value
     assert rep.verdict == "reducible"
     assert rep.certificate.kind == "two_tropisms"
     if cid in CONJUGATE:
@@ -113,10 +125,10 @@ def test_case2_values_are_the_intersection_numbers_in_J(cid, fid):
 
 @pytest.mark.parametrize("cid, fid", CASES)
 def test_case2_search_tests_two_rays_and_counts_nothing_in_J(cid, fid):
-    rep, verdict, w, tested, asked, *_ = _instrumented(cid, fid)
+    rep, verdict, w, checks, asked, *_ = _instrumented(cid, fid)
     assert decide.gcd_weights(w) == 2
-    assert len(tested) == 2
-    assert set(tested) == set(rep.certificate.data)
+    assert verified_rays(checks, rep.certificate) == sorted(
+        rep.certificate.data)
     J = verdict.ideal
     assert not any(ideal is J or getattr(ideal, "ctx", None) == J.ctx
                    for ideal in asked)
@@ -131,7 +143,7 @@ def test_the_two_attachment_rays_project_onto_the_certificate(cid, fid):
     J = two_attachment_ideal(handle, f, g, verdict)
     wb = tuple(e // 2 for e in w)
     vbar = wdot(wb, next(iter(g.terms)))
-    d1, d2 = (value - 2 * vbar for value in verdict.values)
+    d1, d2 = (value - 2 * vbar for value in _values(verdict))
     old = {wb + (vbar + d1, vbar), wb + (vbar, vbar + d2)}
     assert all(decide._monomial_free(J, ray) for ray in old)
     assert {ray[:-1] for ray in old} == set(rep.certificate.data)

@@ -13,7 +13,6 @@ import pytest
 from algebroid import decide, groebner, parametric
 from algebroid.decide import (
     Certificate,
-    _balanced,
     _initial_handle,
     _monomial_free,
     assert_preconditions,
@@ -225,8 +224,7 @@ def _seeded_case1_curves(seed=14, count=4):
     straddle that of a monomial of the same weight, so the pencil's
     generic value drops (case 1).  Larger k1 and wider gaps decide the
     same way but cost more: k1 = 6 or 7 takes seconds for the rays of J
-    below, and a gap of 4 has the search test costly non-tropisms
-    (CHANGES.md, FOUND)."""
+    below.  Wider gaps are in ``POLYGON_RAYS``."""
     rng = random.Random(seed)
     out = set()
     while len(out) < count:
@@ -236,15 +234,45 @@ def _seeded_case1_curves(seed=14, count=4):
     return sorted(out)
 
 
+def record_tropism_checks(mp):
+    """Record (handle, ray, inside verification) for each sliced tropism
+    test that ``decide`` runs while ``mp`` is active."""
+    checks, depth = [], []
+    inner_free, inner_verify = decide._monomial_free, decide.verify_certificate
+
+    def free(handle, w):
+        checks.append((handle, tuple(w), bool(depth)))
+        return inner_free(handle, w)
+
+    def verify(cert):
+        depth.append(cert)
+        try:
+            return inner_verify(cert)
+        finally:
+            depth.pop()
+
+    mp.setattr(decide, "_monomial_free", free)
+    mp.setattr(decide, "verify_certificate", verify)
+    return checks
+
+
+def verified_rays(checks, cert):
+    """The sorted rays tested on the certificate's ideal, each of them
+    inside verification."""
+    on_cert = [(ray, inside) for handle, ray, inside in checks
+               if handle is cert.ideal]
+    assert all(inside for _, inside in on_cert)
+    return sorted(ray for ray, _ in on_cert)
+
+
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=str)
 @pytest.mark.parametrize("k1, k2, c1, c2", _seeded_case1_curves())
 def test_case1_rays_are_found_and_certified_in_one_attachment(
         k1, k2, c1, c2, field):
     I, _ = plane_ideal(_cusp_branch(k1, c1) + "*" + _cusp_branch(k2, c2),
                        field)
-    verdicts, tested = [], []
+    verdicts = []
     pencil_test = decide.parametric_test
-    ray_is_tropism = decide._ray_is_tropism
 
     def record(f, g, handle):
         verdict = pencil_test(f, g, handle)
@@ -252,21 +280,17 @@ def test_case1_rays_are_found_and_certified_in_one_attachment(
             verdicts.append((verdict, base_weights(handle), handle, f, g))
         return verdict
 
-    def count_test(handle, ray):
-        tested.append(ray)
-        return ray_is_tropism(handle, ray)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(decide, "parametric_test", record)
-        mp.setattr(decide, "_ray_is_tropism", count_test)
+        checks = record_tropism_checks(mp)
         rep = decide_irreducible(I)
     (verdict, w, handle, f, g), = verdicts
     assert verdict.case == 1 and w == (4, 6)
     cert = rep.certificate
     assert rep.verdict == "reducible" and cert.kind == "two_tropisms"
     assert set(cert.data) == {(2, 3, 3 + k1), (2, 3, 3 + k2)}
-    # the first balanced u and its mirror nf - u are the two branches
-    assert sorted(tested) == sorted(cert.data)
+    # the two rays are tested once each, by the verification
+    assert verified_rays(checks, cert) == sorted(cert.data)
     assert cert.ideal.ctx.nvars == handle.ctx.nvars + 1
     assert verify_certificate(cert) == (True, "ok")
     # the rays lam*wb + (u, lam*vbar) of J, which attaches both f and g,
@@ -276,6 +300,84 @@ def test_case1_rays_are_found_and_certified_in_one_attachment(
     J = two_attachment_ideal(handle, f, g, verdict)
     for u in (3 + k1, 3 + k2):
         assert decide._monomial_free(J, (2, 3, u, vbar))
+
+
+def _three_cusp_branches(ks):
+    return "*".join(_cusp_branch(k, c) for k, c in zip(ks, (1, 2, 3)))
+
+
+# Curves whose rays a search over candidate rays found slowly or never:
+# (curve, field ids, rays, truncations at which the pencil determinant is
+# recomputed for the hull).  Case 1 with the branches' orders of y^2 - x^3
+# far apart, case 1 with three branches (lam_total = 3), a vanishing
+# attachment whose hull's left end may pass the truncation N = 32, and a
+# finite value 66 past N = 56.
+POLYGON_RAYS = {
+    "wide-gap-2-4": ("((y - x^2)^2 - x^3)*((y - x^4)^2 - x^3)", ("Q", "F7"),
+                     ((2, 3, 7), (2, 3, 11)), []),
+    "wide-gap-3-5": ("((y - x^3)^2 - x^3)*((y - 5*x^5)^2 - x^3)",
+                     ("Q", "F7"), ((2, 3, 9), (2, 3, 13)), []),
+    "three-cusps-4-5-6": (_three_cusp_branches((4, 5, 6)), ("Q", "F7"),
+                          ((2, 3, 7), (2, 3, 8)), []),
+    "three-cusps-5-6-7": (_three_cusp_branches((5, 6, 7)), ("F7",),
+                          ((2, 3, 8), (2, 3, 9)), []),
+    "lines-12-14": ("(y - x^2)*(y - x^2 - x^12)*(y - x^2 - x^14)",
+                    ("F7", "F101"), ((1, 2, 12), (1, 2, 14)), [33]),
+    "cusps-value-66": ("(y^2 - x^3 - x^30)*(y^2 - 2*x^3)", ("F7", "F101"),
+                       ((2, 3, 6), (2, 3, 60)), [67]),
+}
+
+
+@pytest.mark.parametrize("cid, fid", [
+    pytest.param(cid, fid, id=f"{cid}-{fid}")
+    for cid, (_, fids, _, _) in POLYGON_RAYS.items() for fid in fids])
+def test_rays_come_from_the_pencil_newton_polygon(cid, fid):
+    text, _, rays, recomputed = POLYGON_RAYS[cid]
+    I, _ = plane_ideal(text, PIN_FIELDS[fid])
+    truncations = []
+    inner = decide._pencil_determinant
+
+    def record(f, g, ideal, N):
+        truncations.append(N)
+        return inner(f, g, ideal, N)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decide, "_pencil_determinant", record)
+        checks = record_tropism_checks(mp)
+        rep = decide_irreducible(I)
+    cert = rep.certificate
+    assert rep.verdict == "reducible" and cert.kind == "two_tropisms"
+    assert cert.data == rays
+    assert verified_rays(checks, cert) == list(rays)
+    assert truncations == recomputed
+    assert verify_certificate(cert) == (True, "ok")
+
+
+# Branches whose base valuation is not a multiple of the primitive weights:
+# (t^2, t^3), (t, t^5) and (t^3, t) at w = (6, 9), where the polygon gives
+# a ray that is not positive, and (t^2, t), (t^3, t), (t^4, t) at w = (9, 3),
+# where the pair it gives fails verification.
+OFF_WB = {
+    "cusp-and-two-lines": ("(y^2 - x^3)*(y - x^5)*(x - y^3)",
+                           "(2, 3, -8)], not all positive"),
+    "three-parabolas": ("(x - y^2)*(x - y^3)*(x - y^4)",
+                        "failed verification: initial ideal at ray 1 "
+                        "contains a monomial"),
+}
+
+
+@pytest.mark.parametrize("fid", ["Q", "F7", "F101"])
+@pytest.mark.parametrize("cid", OFF_WB)
+def test_branches_off_the_primitive_weights_are_a_typed_limit(cid, fid):
+    text, how = OFF_WB[cid]
+    I, _ = plane_ideal(text, PIN_FIELDS[fid])
+    with pytest.raises(CertificateSearchFailed) as info:
+        decide_irreducible(I)
+    message = str(info.value)
+    assert message.startswith(
+        "the pencil's rays assume that every branch's base valuation is a "
+        "multiple of the primitive base weights wb")
+    assert how in message
 
 
 def test_permuting_variables_keeps_the_verdict():
@@ -466,23 +568,6 @@ def test_unknown_kind_is_rejected():
     ok, reason = verify_certificate(replace(cert, kind="oracle"))
     assert not ok
     assert "unknown" in reason
-
-
-BIG = 5 * 10 ** 16
-
-
-@pytest.mark.parametrize("lo, hi, nf, lam, lam_total, expected", [
-    (0, 4, 5, 1, 2, [2, 3, 1, 4, 0]),           # centre 5/2: a tie
-    (0, 6, 7, 1, 3, [2, 3, 1, 4, 0, 5, 6]),     # centre 7/3
-    (1, 5, 10, 1, 3, [3, 4, 2, 5, 1]),          # centre 10/3
-    (3, 9, 20, 2, 3, [9, 8, 7, 6, 5, 4, 3]),    # centre 40/3, above hi
-    # centre BIG + 3/2, where a float centre rounds to BIG and every
-    # candidate would tie
-    (BIG, BIG + 3, 2 * BIG + 3, 1, 2, [BIG + 1, BIG + 2, BIG, BIG + 3]),
-])
-def test_balanced_ranks_by_the_exact_centre(lo, hi, nf, lam, lam_total,
-                                            expected):
-    assert _balanced(lo, hi, nf, lam, lam_total) == expected
 
 
 # ------------------------------------------------------ sliced monomial test

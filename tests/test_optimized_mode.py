@@ -1,6 +1,7 @@
 """The scalar, semigroup, local algebra, decide, parametric, case-2 ray
 and acceptance tests under ``python -O``, and lints that keep plain
-``assert`` and unused imports out of the library.
+``assert``, unused imports and private definitions nothing in the library
+reads out of the library.
 
 ``-O`` strips plain ``assert`` statements from the library, so an
 invariant it kept with one would go unchecked; these tests show that the
@@ -70,6 +71,34 @@ def test_the_library_imports_nothing_it_does_not_use():
         if unused:
             found[path.stem] = unused
     assert found == {}
+
+
+def _unread_private_definitions(trees):
+    """(module, name) of each ``_name`` function, class or method, dunders
+    aside, that no module reads as a Name, an Attribute or an import
+    alias."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return sorted(
+        (stem, node.name) for stem, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+        and node.name not in read)
+
+
+def test_every_private_definition_has_a_reader_in_the_library():
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted((ROOT / "src" / "algebroid").glob("*.py"))}
+    assert _unread_private_definitions(trees) == []
 
 
 def test_the_decider_tests_pass_under_python_O():

@@ -266,7 +266,9 @@ def test_conjugate_parameters_need_an_extension():
     assert v.minimal_poly == (-2, 0, 1)
     th = v.beta
     assert (th * th).value == th.field.from_int(2)
-    assert v.values == (15, 15)
+    assert v.value == 15
+    assert [other.value for other in v.pencil.exceptional
+            if other.factor == v.minimal_poly] == [15]
     # the enlarged ideal lives over the quadratic extension
     assert v.ideal.ctx.field.extension == (-2, 0)
 
@@ -283,7 +285,8 @@ def test_a_base_field_root_beside_a_conjugate_class_stays_in_the_base_field():
     v = parametric_test(f, g, I)
     assert v.result == "false" and v.case == 2
     assert v.beta.value == 2 and v.minimal_poly is None
-    assert v.values == (INF, INF)
+    assert v.value == INF
+    assert [ev.value for ev in v.pencil.exceptional if ev.beta is None] == [INF]
     J = v.ideal
     assert J.ctx.field == QQ
     assert project(J.ctx.var("z") - J.generators[-1], ctx, range(2)) == (
