@@ -42,9 +42,9 @@ from .groebner import (
     contains_monomial,
     ideal_membership,
     krull_dimension,
-    monomial_staircase,
     radical_membership,
     saturate,
+    staircase_size,
 )
 from .localalg import (base_weights, initial_ideal, intersection_number,
                        restrict)
@@ -110,31 +110,35 @@ def _monomial_free(handle: IdealHandle, w: Sequence[int]) -> bool:
     unit ideal or the product m of the other variables is nilpotent
     modulo it, that is, when m^(2^k) reduces to zero for the first
     2^k >= D.  The slice is taken of K's reduced DegRevLex basis, which
-    ``_initial_handle`` found without S-pairs.  Raises WrongDimension when
-    the slice is not finite."""
+    ``_initial_handle`` found without S-pairs.  The verdict is kept in
+    the handle's memo under ("free", w).  Raises WrongDimension when the
+    slice is not finite."""
     w = tuple(w)
-    K = _initial_handle(handle, w)
-    ctx = K.ctx
-    n = ctx.nvars
-    i = max(range(n), key=lambda k: (w[k], -k))
-    small = RingCtx(ctx.field, ctx.variables[:i] + ctx.variables[i + 1:])
-    order = DegRevLex()
-    gb = buchberger([Poly.from_items(((m[:i] + m[i + 1:], c)
-                                      for m, c in g.terms.items()), small)
-                     for g in K.groebner(order)], order)
-    stairs = monomial_staircase([g.lead(order)[0] for g in gb], n - 1)
-    if stairs is None:
-        raise WrongDimension(
-            f"the initial ideal at weight {w} is not one-dimensional: its "
-            f"slice {ctx.variables[i]} = 1 is not finite")
-    if not stairs:
-        return False
-    p = normal_form(small.mono((1,) * (n - 1)), gb, order)
-    span = 1
-    while span < len(stairs) and not p.is_zero():
-        p = normal_form(p * p, gb, order)
-        span *= 2
-    return not p.is_zero()
+
+    def build() -> bool:
+        K = _initial_handle(handle, w)
+        ctx = K.ctx
+        n = ctx.nvars
+        i = max(range(n), key=lambda k: (w[k], -k))
+        small = RingCtx(ctx.field, ctx.variables[:i] + ctx.variables[i + 1:])
+        order = DegRevLex()
+        gb = buchberger([Poly.from_items(((m[:i] + m[i + 1:], c)
+                                          for m, c in g.terms.items()), small)
+                         for g in K.groebner(order)], order)
+        length = staircase_size([g.lead(order)[0] for g in gb], n - 1)
+        if length is None:
+            raise WrongDimension(
+                f"the initial ideal at weight {w} is not one-dimensional: "
+                f"its slice {ctx.variables[i]} = 1 is not finite")
+        if not length:
+            return False
+        p = normal_form(small.mono((1,) * (n - 1)), gb, order)
+        span = 1
+        while span < length and not p.is_zero():
+            p = normal_form(p * p, gb, order)
+            span *= 2
+        return not p.is_zero()
+    return handle.cached(("free", w), build)
 
 
 # ------------------------------------------------------------ certificates

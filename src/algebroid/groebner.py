@@ -51,17 +51,24 @@ _KRULL_VARIABLE_CAP = 16
 Row = Tuple[Poly, Tuple[Poly, ...]]
 
 
-def buchberger(gens: Sequence[Poly], order: TermOrder) -> List[Poly]:
+def buchberger(gens: Sequence[Poly], order: TermOrder, *,
+               reduced: bool = True) -> List[Poly]:
     """Reduced Groebner basis under a global order, deterministically
-    sorted by ascending leading monomial."""
-    return [p for p, _ in _buchberger_rows([(g, ()) for g in gens], order)]
+    sorted by ascending leading monomial.  With ``reduced=False`` it is
+    a minimal monic basis instead: the reduced basis's leads, with the
+    tails the loop left, not reduced by the other elements."""
+    rows = _buchberger_rows([(g, ()) for g in gens], order)
+    if reduced:
+        return [p for p, _ in _reduce_basis(rows, order)]
+    return [p.scale(p.ctx.field.inv(p.lead(order)[1]))
+            for p, _ in _minimal_rows(rows, order)]
 
 
 def buchberger_tagged(rows: Sequence[Row], order: TermOrder) -> List[Row]:
     """Buchberger on rows (p, cofactors): every output row satisfies
     p == sum(cofactor_k * original_k) whenever the inputs do.  The output
     polynomials form the reduced Groebner basis."""
-    return _buchberger_rows(rows, order)
+    return _reduce_basis(_buchberger_rows(rows, order), order)
 
 
 def _spoly(a: Row, b: Row, order: TermOrder) -> Row:
@@ -109,7 +116,8 @@ def _row_nf(row: Row, basis: Sequence[Poly], tags: Sequence[tuple],
 
 
 def _buchberger_rows(rows: Sequence[Row], order: TermOrder) -> List[Row]:
-    """The Buchberger loop, on rows.
+    """The Buchberger loop, on rows; returns a Groebner basis, which the
+    callers make minimal or reduced.
 
     Pairs are kept by the Gebauer-Moller update (Becker-Weispfenning,
     Alg. UPDATE).  When a row h enters, a new pair (g, h) is dropped when
@@ -176,20 +184,27 @@ def _buchberger_rows(rows: Sequence[Row], order: TermOrder) -> List[Row]:
                     order)
         if not r[0].is_zero():
             update(r)
-    return _reduce_basis([work[k] for k in active], order)
+    return [work[k] for k in active]
 
 
-def _reduce_basis(rows: List[Row], order: TermOrder) -> List[Row]:
-    """The reduced basis from a Groebner basis: drop each row whose lead
-    another kept lead divides, reduce the rest by each other, make them
-    monic.  Sorted by ascending leading monomial: no kept lead divides
-    another, so each reduction keeps its row's lead."""
+def _minimal_rows(rows: List[Row], order: TermOrder) -> List[Row]:
+    """The rows of a Groebner basis whose lead no other kept lead divides,
+    the first of equal leads kept, sorted by ascending leading monomial."""
     rows = sorted(rows, key=lambda r: order.key(r[0].lead(order)[0]))
     kept: List[Row] = []
     for r in rows:
         lm = r[0].lead(order)[0]
         if not any(mono_divisible(lm, k[0].lead(order)[0]) for k in kept):
             kept.append(r)
+    return kept
+
+
+def _reduce_basis(rows: List[Row], order: TermOrder) -> List[Row]:
+    """The reduced basis from a Groebner basis: keep the minimal rows,
+    reduce them by each other, make them monic.  Sorted by ascending
+    leading monomial: no kept lead divides another, so each reduction
+    keeps its row's lead."""
+    kept = _minimal_rows(rows, order)
     out = []
     for i, row in enumerate(kept):
         others = kept[:i] + kept[i + 1:]
@@ -209,9 +224,10 @@ class IdealHandle:
     ``cached(key, build)`` returns the value stored under ``key``, calling
     ``build()`` to make it on first use.  The keys in use are
     ("groebner", order), ("hom", w) for the local standard basis,
-    ("pivot", i) for the pivot reducer, ("intersection", f.key()) and
-    ("initial", w) for the initial ideal's handle.  An initial handle is
-    built with its ("groebner", DegRevLex()) entry already filled, by
+    ("pivot", i) for the pivot reducer, ("intersection", f.key()),
+    ("initial", w) for the initial ideal's handle and ("free", w) for the
+    sliced test's verdict (``decide._monomial_free``).  An initial handle
+    is built with its ("groebner", DegRevLex()) entry already filled, by
     interreduction alone (``decide._initial_handle``).  The memo has no
     size bound: every entry answers a call made on this handle, and the
     entries go with it.  A handle's generators must not change after it
@@ -377,6 +393,39 @@ def monomial_staircase(leads: Sequence[tuple], nvars: int) -> Optional[set]:
     return seen
 
 
+def staircase_size(leads: Sequence[tuple], nvars: int) -> Optional[int]:
+    """The number of monomials outside the monomial ideal generated by the
+    given leading monomials, ``len(monomial_staircase(...))`` without
+    building the set: None when there are infinitely many, 0 when 1 is
+    among them.
+
+    Below the least pure power x_1^top, the monomials with first exponent
+    e are counted by the staircase, in the other variables, of the
+    generators whose first exponent is at most e; that slice changes only
+    where e reaches some generator's first exponent.  Without a pure
+    power of x_1, or of a later variable (which then has none in the
+    slice at e = 0), the staircase is infinite."""
+    gens = [tuple(m) for m in leads]
+    if any(not any(m) for m in gens):
+        return 0
+    if not nvars:
+        return 1
+    pure = [m[0] for m in gens if not any(m[1:])]
+    if not pure:
+        return None
+    top = min(pure)
+    total = start = 0
+    for stop in sorted({m[0] for m in gens if m[0] < top} | {top}):
+        if stop > start:
+            inner = staircase_size([m[1:] for m in gens if m[0] <= start],
+                                   nvars - 1)
+            if inner is None:
+                return None
+            total += (stop - start) * inner
+        start = stop
+    return total
+
+
 def colength(ideal) -> object:
     """Dimension of the quotient as a vector space (INF when infinite),
     measured by the degrevlex staircase."""
@@ -384,9 +433,9 @@ def colength(ideal) -> object:
     gb = handle.groebner()
     if not gb:
         return INF if handle.ctx.nvars else 1
-    stairs = monomial_staircase([g.lead(DegRevLex())[0] for g in gb],
-                                handle.ctx.nvars)
-    return INF if stairs is None else len(stairs)
+    size = staircase_size([g.lead(DegRevLex())[0] for g in gb],
+                          handle.ctx.nvars)
+    return INF if size is None else size
 
 
 def krull_dimension(ideal) -> int:

@@ -5,7 +5,13 @@ w-degree first' is computed by homogenizing the generators with an extra
 variable, running Buchberger under a compatible global order, and setting
 the homogenizing variable back to 1.  Everything downstream (initial
 ideals, colengths, intersection numbers, base weights) reads off the local
-leading monomials of such a basis.  An intersection number is taken in
+leading monomials of such a basis or its initial forms.  Neither depends
+on the tails, so the basis is the Buchberger loop's minimal monic one,
+never tail-reduced: the leads are those of the reduced basis, and any
+standard basis's initial forms generate the initial ideal, whose reduced
+basis ``decide._initial_handle`` finds by interreducing them.  Colengths
+count the staircase of the leads without building it
+(``groebner.staircase_size``).  An intersection number is taken in
 the smallest ring that carries it: K[[x]]/(I + (x_i)) is K[[x without
 x_i]]/I|_{x_i=0}, and a certificate's base weights are taken in its base
 ring (see ``decide.Certificate``).
@@ -26,7 +32,7 @@ from .groebner import (
     _as_handle,
     buchberger,
     fresh_names,
-    monomial_staircase,
+    staircase_size,
 )
 from .polyring import (
     INF,
@@ -84,20 +90,21 @@ def dehomogenize(F: Poly, ctx: RingCtx) -> Poly:
 
 
 def _hom_groebner(handle: IdealHandle, w: tuple):
-    """The homogenized Groebner basis for the weighted local order, with
-    its ring and order, from the handle's memo."""
+    """The homogenized minimal Groebner basis for the weighted local order,
+    with its ring and order, from the handle's memo."""
     def build():
         big = hom_ring(handle.ctx)
         order = HomogenizedLocalOrder(w)
         hom = [homogenize(g, w, big) for g in handle.generators
                if not g.is_zero()]
-        return buchberger(hom, order), big, order
+        return buchberger(hom, order, reduced=False), big, order
     return handle.cached(("hom", w), build)
 
 
 def standard_basis(ideal: IdealLike, w: Optional[Sequence[int]] = None) -> List[Poly]:
     """Standard basis for the local order 'smallest w-degree first,
-    degrevlex among equals' (w defaults to all ones)."""
+    degrevlex among equals' (w defaults to all ones): minimal and monic,
+    its tails not reduced."""
     handle = _as_handle(ideal)
     w = _check_weights(w if w is not None else (1,) * handle.ctx.nvars,
                        handle.ctx.nvars)
@@ -143,8 +150,8 @@ def local_colength(ideal: IdealLike, w: Optional[Sequence[int]] = None):
     leads = local_lead_monomials(handle, w)
     if not leads:
         return INF if handle.ctx.nvars else 1
-    stairs = monomial_staircase(leads, handle.ctx.nvars)
-    return INF if stairs is None else len(stairs)
+    size = staircase_size(leads, handle.ctx.nvars)
+    return INF if size is None else size
 
 
 def restrict(generators: Sequence[Poly], ctx: RingCtx, drop) -> IdealHandle:

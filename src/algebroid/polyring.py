@@ -13,6 +13,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, prod
 from typing import Iterable, Sequence, Union
 
 from .errors import ParseError, ZeroPoly
@@ -573,6 +574,10 @@ _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z0-9_]*|\*\*|[-+*/^()])")
 # cost grows with it: the intersection number of y on y^2 - x^N counts a
 # staircase of N monomials one by one.
 _EXPONENT_CAP = 1000
+# Largest number of terms a product or power in parsed input may have, as
+# bounded from its operands before it is expanded: (x + y + z)^100 has
+# 5151 terms and took seconds to expand.
+_TERM_CAP = 1000
 
 
 def _tokenize(text: str):
@@ -599,11 +604,22 @@ def _refuse_above_cap(top: int) -> None:
             f"an exponent exceeds _EXPONENT_CAP = {_EXPONENT_CAP}")
 
 
+def _refuse_above_term_cap(bound: int) -> None:
+    if bound > _TERM_CAP:
+        raise ParseError(
+            f"a product or power could have more than _TERM_CAP = "
+            f"{_TERM_CAP} terms")
+
+
 def parse_poly(text: str, ctx: RingCtx) -> Poly:
     """Parse '+ - * / ^' arithmetic with implicit multiplication, integer
     and fractional coefficients, and parentheses.  A power or product
-    whose exponents could pass ``_EXPONENT_CAP`` raises ParseError before
-    it is computed."""
+    whose exponents could pass ``_EXPONENT_CAP``, or whose terms could
+    pass ``_TERM_CAP``, raises ParseError before it is computed.  The
+    term bound of A*B is the smaller of len(A)*len(B) and the number of
+    monomials under the sum of their top exponents; that of A^e, of the
+    C(len(A) + e - 1, e) products of e terms and the monomials under e
+    times A's top exponents."""
     toks = _tokenize(text)
     pos = 0
 
@@ -632,8 +648,11 @@ def parse_poly(text: str, ctx: RingCtx) -> Poly:
 
     def times(acc: Poly) -> Poly:
         rhs = parse_factor()
-        _refuse_above_cap(max(map(operator.add, _top_exponents(acc),
-                                  _top_exponents(rhs)), default=0))
+        top = tuple(map(operator.add, _top_exponents(acc),
+                        _top_exponents(rhs)))
+        _refuse_above_cap(max(top, default=0))
+        _refuse_above_term_cap(min(len(acc) * len(rhs),
+                                   prod(t + 1 for t in top)))
         return acc * rhs
 
     def parse_term() -> Poly:
@@ -673,7 +692,11 @@ def parse_poly(text: str, ctx: RingCtx) -> Poly:
                 raise ParseError("negative exponents are not allowed")
             _refuse_above_cap(_EXPONENT_CAP + 1 if len(e) > 9 else
                               int(e) * max((1, *_top_exponents(base))))
-            return base ** int(e)
+            e = int(e)
+            _refuse_above_term_cap(min(
+                comb(max(len(base) + e - 1, 0), e),
+                prod(e * t + 1 for t in _top_exponents(base))))
+            return base ** e
         return base
 
     def parse_base() -> Poly:

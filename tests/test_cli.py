@@ -30,6 +30,8 @@ QUARTIC = "char 0\nvars x y\nideal:\nx^3 - y^4\n"
 ONE_STEP = "char 0\nvars x y\nideal:\n(y^2 - x^3)^2 - x^2*y^3\n"
 # Its base weights would enumerate a staircase of 3,000,000 monomials.
 HUGE_EXPONENT = "char 0\nvars x y\nideal:\ny^2 - x^3000000\n"
+# 5151 terms once expanded, which took seconds.
+HUGE_POWER = "char 0\nvars x y z\nideal:\n(x + y + z)^100\nz - x*y\n"
 MINORS = ("char 0\nvars x y z\nideal:\n"
           "(x^3 + y^2)*x - y*z^2\ny^2 - x*z\nz^3 - (x^3 + y^2)*y\n")
 
@@ -443,6 +445,16 @@ def test_an_ideal_file_above_the_exponent_cap_exits_two_at_once(
     assert time.perf_counter() - start < 1
     assert code == 2
     assert "line 4: an exponent exceeds _EXPONENT_CAP = 1000" in err
+
+
+def test_an_ideal_file_above_the_term_cap_exits_two_at_once(
+        tmp_path, capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "decide", write(tmp_path, HUGE_POWER))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert ("line 4: a product or power could have more than "
+            "_TERM_CAP = 1000 terms") in err
 
 
 def test_an_overlong_integer_literal_exits_two(tmp_path, capsys):

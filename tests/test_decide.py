@@ -11,6 +11,7 @@ from math import gcd, prod
 import pytest
 
 from algebroid import decide, groebner, parametric
+from algebroid.cli import certificate_from_json, certificate_json
 from algebroid.decide import (
     Certificate,
     _initial_handle,
@@ -844,6 +845,36 @@ def test_no_buchberger_on_initial_generators_and_slices_stay_small(
     for K, size in slices:
         assert isinstance(K, IdealHandle)
         assert size <= len(K.groebner(DegRevLex()))
+
+
+def _slice_bases(monkeypatch):
+    """A list that grows by one for every slice basis the sliced test
+    builds."""
+    built = []
+    inner = decide.buchberger
+
+    def counted(gens, order, **kwargs):
+        built.append(len(gens))
+        return inner(gens, order, **kwargs)
+
+    monkeypatch.setattr(decide, "buchberger", counted)
+    return built
+
+
+@pytest.mark.parametrize("cid", PRIME_TOWER_CURVES)
+def test_the_self_check_reuses_the_sliced_test_of_the_decide(
+        monkeypatch, cid):
+    built = _slice_bases(monkeypatch)
+    rep = decide_irreducible(_curve(*PRIME_TOWER_CURVES[cid], QQ))
+    assert rep.certificate.kind == "prime_tropism"
+    # one slice per weight the loop tested, none for the self-check
+    assert len(built) == len(rep.stats["weight_history"])
+    built.clear()
+    assert verify_certificate(rep.certificate) == (True, "ok")
+    assert built == []
+    rebuilt = certificate_from_json(certificate_json(rep.certificate))
+    assert verify_certificate(rebuilt) == (True, "ok")
+    assert len(built) == 1
 
 
 # ------------------------------------------------------------- graph shape

@@ -25,6 +25,7 @@ from algebroid.groebner import (
     monomial_staircase,
     radical_membership,
     saturate,
+    staircase_size,
 )
 from algebroid.polyring import (
     INF,
@@ -35,6 +36,7 @@ from algebroid.polyring import (
     Poly,
     RingCtx,
     WeightedOrder,
+    normal_form,
 )
 from algebroid.scalars import GF, QQ
 
@@ -155,6 +157,21 @@ def test_buchberger_matches_the_chain_criterion_reference(field):
                 for t, g in zip(tags, gens):
                     combo = combo + t * g
                 assert combo == p
+
+
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=str)
+def test_the_minimal_basis_has_the_reduced_leads_and_ideal(field):
+    ctx = RingCtx(field, ("x", "y", "h"))
+    rng = random.Random(43)
+    for order in GROEBNER_ORDERS:
+        for _ in range(10):
+            gens = _random_ideal(rng, ctx)
+            reduced = buchberger(gens, order)
+            minimal = buchberger(gens, order, reduced=False)
+            assert [g.lead(order) for g in minimal] == \
+                [(g.lead(order)[0], field.one()) for g in reduced]
+            for a, b in ((minimal, reduced), (reduced, minimal)):
+                assert all(normal_form(g, b, order).is_zero() for g in a)
 
 
 @pytest.mark.parametrize("field", DIVISION_FIELDS, ids=str)
@@ -316,6 +333,35 @@ def test_staircase_count_matches_oracle():
             assert all(len(m) == n for m in got)
             assert not any(all(a >= b for a, b in zip(m, g))
                            for m in got for g in gens)
+
+
+@pytest.mark.parametrize("pure_powers", [False, True])
+def test_staircase_size_counts_the_staircase(pure_powers):
+    rng = random.Random(f"staircase-size-{pure_powers}")
+    sizes = set()
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        gens = [tuple(rng.randint(0, 4) for _ in range(n))
+                for _ in range(rng.randint(0, 5))]
+        if pure_powers:
+            gens += [tuple(rng.randint(1, 5) if k == i else 0
+                           for k in range(n)) for i in range(n)]
+        stairs = monomial_staircase(gens, n)
+        expected = None if stairs is None else len(stairs)
+        assert staircase_size(gens, n) == expected, (gens, n)
+        assert staircase_count(gens, n) == expected, (gens, n)
+        sizes.add(expected if expected in (None, 0) else "positive")
+    assert sizes == ({0, "positive"} if pure_powers
+                     else {None, 0, "positive"})
+
+
+def test_staircase_size_at_the_edges():
+    assert staircase_size([], 0) == len(monomial_staircase([], 0)) == 1
+    assert staircase_size([()], 0) == 0
+    assert staircase_size([], 2) is None
+    assert staircase_size([(0, 0)], 2) == 0
+    assert staircase_size([(3, 0), (0, 2)], 2) == 6
+    assert staircase_size([(2, 0, 0), (0, 2, 0), (1, 1, 1)], 3) is None
 
 
 def test_colength_examples():

@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from algebroid import localalg
-from algebroid.decide import _initial_handle, _monomial_witness, _screen_round
+from algebroid import decide, localalg, parametric
+from algebroid.decide import (_initial_handle, _monomial_witness,
+                              _screen_round, decide_irreducible)
 from algebroid.errors import NotPrime, ZeroPoly
-from algebroid.groebner import IdealHandle
+from algebroid.groebner import (IdealHandle, _as_handle, buchberger,
+                                ideal_membership, monomial_staircase)
 from algebroid.localalg import (
     base_weights,
     dehomogenize,
@@ -22,7 +24,8 @@ from algebroid.localalg import (
     standard_basis,
 )
 from algebroid.parametric import choose_pivot
-from algebroid.polyring import INF, Poly, RingCtx, in_w, ord_w
+from algebroid.polyring import (INF, HomogenizedLocalOrder, Poly, RingCtx,
+                                in_w, mono_divisible, ord_w)
 from algebroid.scalars import GF, QQ
 
 from oracles import (
@@ -156,7 +159,6 @@ def test_initial_ideal_generates_all_informs():
     handle = IdealHandle([XYZ.poly("y^2 - x^3"), XYZ.poly("z - x*y")])
     w = (2, 3, 5)
     forms = initial_ideal(handle, w)
-    from algebroid.groebner import ideal_membership
     rng = random.Random(41)
     gens = list(handle.generators)
     for _ in range(15):
@@ -208,9 +210,9 @@ def local_bases(monkeypatch):
     built = []
     inner = localalg.buchberger
 
-    def counted(gens, order):
+    def counted(gens, order, **kwargs):
         built.append(order)
-        return inner(gens, order)
+        return inner(gens, order, **kwargs)
 
     monkeypatch.setattr(localalg, "buchberger", counted)
     return built
@@ -266,3 +268,88 @@ def test_one_initial_handle_per_weight_vector():
     assert _initial_handle(handle, (4, 6)) is _initial_handle(handle, [4, 6])
     other = _initial_handle(handle, (2, 3))
     assert other is not _initial_handle(handle, (4, 6))
+
+
+# ---------------------------------------- minimal against reduced bases
+
+def _reduced_hom_groebner(handle, w):
+    """The local basis as the reduced Groebner basis of the same
+    homogenised generators, kept under a key of its own."""
+    def build():
+        big = hom_ring(handle.ctx)
+        order = HomogenizedLocalOrder(w)
+        hom = [homogenize(g, w, big) for g in handle.generators
+               if not g.is_zero()]
+        return buchberger(hom, order), big, order
+    return handle.cached(("reduced hom", w), build)
+
+
+def _staircase_length(leads, nvars):
+    stairs = monomial_staircase(leads, nvars)
+    return None if stairs is None else len(stairs)
+
+
+def _minimal_generators(monomials):
+    monomials = set(monomials)
+    return sorted(m for m in monomials if not any(
+        o != m and mono_divisible(m, o) for o in monomials))
+
+
+def _decide_recording_local_work(I):
+    """Decide I, certificate check included; return the report, every
+    (handle, w) whose local basis was asked for, and every intersection
+    number as (ideal, f, value)."""
+    bases, numbers = {}, {}
+    inner_hom, inner_number = localalg._hom_groebner, intersection_number
+
+    def hom(handle, w):
+        bases[id(handle), w] = (handle, w)
+        return inner_hom(handle, w)
+
+    def number(f, ideal):
+        value = inner_number(f, ideal)
+        numbers[id(ideal), f.key()] = (ideal, f, value)
+        return value
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(localalg, "_hom_groebner", hom)
+        for module in (localalg, decide, parametric):
+            mp.setattr(module, "intersection_number", number)
+        rep = decide_irreducible(I)
+    return rep, list(bases.values()), list(numbers.values())
+
+
+def _check_against_reduced_bases(rep, bases, numbers):
+    """At every weight the decide visited and at each certified ray, the
+    minimal bases give the local lead ideal, initial ideal and
+    intersection numbers that the reduced bases give."""
+    seen = {w for _, w in bases}
+    rays = (rep.certificate.data if rep.certificate.kind == "two_tropisms"
+            else ())
+    assert set(rep.stats["weight_history"]) | set(rays) <= seen
+    got = [(_minimal_generators(local_lead_monomials(handle, w)),
+            initial_ideal(handle, w)) for handle, w in bases]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(localalg, "_hom_groebner", _reduced_hom_groebner)
+        mp.setattr(localalg, "staircase_size", _staircase_length)
+        for (handle, w), (leads, forms) in zip(bases, got):
+            fresh = IdealHandle(handle.generators, handle.ctx)
+            assert leads == _minimal_generators(
+                local_lead_monomials(fresh, w)), w
+            ref = IdealHandle(initial_ideal(fresh, w), handle.ctx)
+            assert all(ideal_membership(f, ref) for f in forms), w
+            mine = IdealHandle(forms, handle.ctx)
+            assert all(ideal_membership(f, mine) for f in ref.generators), w
+        for ideal, f, value in numbers:
+            handle = _as_handle(ideal)
+            fresh = IdealHandle(handle.generators, handle.ctx)
+            assert intersection_number(f, fresh) == value, f
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+@pytest.mark.parametrize("cid", {**TWO_BRANCH_CURVES, **PRIME_TOWER_CURVES})
+def test_minimal_local_bases_agree_with_reduced_ones(cid, field):
+    curve = {**TWO_BRANCH_CURVES, **PRIME_TOWER_CURVES}[cid]
+    rep, bases, numbers = _decide_recording_local_work(_curve(*curve, field))
+    assert bases and numbers
+    _check_against_reduced_bases(rep, bases, numbers)

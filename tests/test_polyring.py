@@ -8,6 +8,7 @@ import pytest
 from algebroid.errors import ParseError, ZeroPoly
 from algebroid.polyring import (
     _EXPONENT_CAP,
+    _TERM_CAP,
     INF,
     BlockOrder,
     DegRevLex,
@@ -74,6 +75,21 @@ def test_parse_refuses_exponents_above_the_cap():
     for text in ("y^2 - x^3000000", "x^1001", "x^1000*x", "x^1000 x",
                  "(x^40)^30", "(x + y^2)^501", "2^1001", "x^" + "9" * 5000):
         with pytest.raises(ParseError, match="_EXPONENT_CAP = 1000"):
+            CTX.poly(text)
+
+
+def test_parse_refuses_terms_above_the_cap_before_expanding():
+    assert _TERM_CAP == 1000
+    # bounds at the cap: C(44, 2) = 946, 1000 = 10 * 100, 1000 = 10^3
+    assert len(CTX.poly("(x + y + z)^42")) == 946
+    assert len(CTX.poly("(1 + x + x^2 + x^3 + x^4 + x^5 + x^6 + x^7 + x^8"
+                        " + x^9)*(1 + y)^99")) == 1000
+    assert len(CTX.poly("(1 + x)^9 (1 + y)^9 (1 + z)^9")) == 1000
+    assert CTX.poly("(x - x)^5 + (0)^0 + (x + y)^0") == CTX.const(2)
+    for text in ("(x + y + z)^100", "(x + y + z)^44", "(1 + x)^1000",
+                 "((x + y + z)^10)^5", "(1 + x)^10 (1 + y)^10 (1 + z)^10",
+                 "(1 + x + y)^40 * (1 + x + y)^40"):
+        with pytest.raises(ParseError, match="_TERM_CAP = 1000"):
             CTX.poly(text)
 
 
