@@ -164,6 +164,18 @@ def load_ideal_file(path: str,
 
 # ------------------------------------------------------------ JSON codec
 
+def _json_int(obj, what: str) -> int:
+    if type(obj) is not int:  # refuses bools, floats and strings
+        raise ParseError(f"{what} must be a JSON integer, got {obj!r}")
+    return obj
+
+
+def _json_names(obj, what: str) -> tuple:
+    if not isinstance(obj, list) or not all(isinstance(v, str) for v in obj):
+        raise ParseError(f"{what} must be a list of strings, got {obj!r}")
+    return tuple(obj)
+
+
 def _coeff_json(field: FieldSpec, c):
     if field.extension is not None:
         return [_coeff_json(field.base(), x) for x in c]
@@ -176,8 +188,8 @@ def _coeff_parse(field: FieldSpec, obj):
         if len(vec) != field.degree:
             raise ParseError("extension coefficient has the wrong length")
         return vec
-    if isinstance(obj, float):
-        raise ParseError(f"bad coefficient {obj!r}: floats are not exact")
+    if isinstance(obj, (bool, float)):
+        raise ParseError(f"bad coefficient {obj!r}: not an exact number")
     try:
         q = Fraction(obj)
         return field.coerce(int(q) if q.denominator == 1 else q)
@@ -197,7 +209,7 @@ def _poly_json(p: Poly) -> dict:
 def _poly_parse(obj: dict, ctx: RingCtx) -> Poly:
     items = []
     for mono, coeff in obj["terms"]:
-        m = tuple(int(e) for e in mono)
+        m = tuple(_json_int(e, "an exponent") for e in mono)
         if len(m) != ctx.nvars or any(e < 0 for e in m):
             raise ParseError(f"bad exponent vector {mono!r}")
         if any(e > _EXPONENT_CAP for e in m):
@@ -218,7 +230,9 @@ def _ring_json(ctx: RingCtx) -> dict:
 
 
 def _ring_parse(obj: dict) -> RingCtx:
-    char = int(obj["char"])
+    if not isinstance(obj, dict):
+        raise ParseError("the ring must be a JSON object")
+    char = _json_int(obj["char"], "char")
     ext = obj.get("ext")
     if ext is not None:
         base = FieldSpec(char)
@@ -227,7 +241,7 @@ def _ring_parse(obj: dict) -> RingCtx:
         field = FieldSpec(char, ext)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    return RingCtx(field, tuple(str(v) for v in obj["vars"]))
+    return RingCtx(field, _json_names(obj["vars"], "vars"))
 
 
 def _data_json(cert: Certificate):
@@ -270,27 +284,31 @@ def report_json(report: DecisionReport) -> dict:
 
 def certificate_from_json(doc: dict) -> Certificate:
     """Rebuild a certificate from a decision report document (or from a
-    bare certificate object)."""
+    bare certificate object).  Exponents, weights and ray entries must be
+    JSON integers, and variable names lists of strings."""
+    cert = doc.get("certificate", doc) if isinstance(doc, dict) else None
+    if not isinstance(cert, dict):
+        raise ParseError("the document is not a JSON certificate object")
     try:
-        cert = doc.get("certificate", doc)
         ctx = _ring_parse(cert["ring"])
         handle = IdealHandle([_poly_parse(g, ctx)
                               for g in cert["generators"]], ctx)
         kind = str(cert["kind"])
         if kind == "prime_tropism":
-            data = tuple(int(e) for e in cert["data"])
+            data = tuple(_json_int(e, "a data entry") for e in cert["data"])
         elif kind == "monomial_witness":
             data = _poly_parse(cert["data"], ctx)
         elif kind == "two_tropisms":
-            data = tuple(tuple(int(e) for e in ray) for ray in cert["data"])
+            data = tuple(tuple(_json_int(e, "a ray entry") for e in ray)
+                         for ray in cert["data"])
         else:
             data = cert["data"]
         transcript = tuple((str(t["name"]), _poly_parse(t["poly"], ctx))
                            for t in cert.get("transcript", ()))
-        base_vars = cert.get("base_vars")
-        if base_vars is None:
-            base_vars = ctx.variables[:ctx.nvars - len(transcript)]
-        return Certificate(kind, handle, data, tuple(base_vars), transcript)
+        base_vars = cert.get("base_vars",
+                             list(ctx.variables[:ctx.nvars - len(transcript)]))
+        return Certificate(kind, handle, data,
+                           _json_names(base_vars, "base_vars"), transcript)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed certificate document: {exc}") from None
 

@@ -48,7 +48,7 @@ from .groebner import (
 )
 from .localalg import (base_weights, initial_ideal, intersection_number,
                        restrict)
-from .parametric import (Verdict, _coefficients, _extend_with, _lift_poly,
+from .parametric import (Verdict, _coefficients, _extend_with,
                          _pencil_determinant, parametric_test)
 from .polyring import (
     INF,
@@ -64,14 +64,6 @@ from .polyring import (
 )
 from .scalars import FieldSpec, uv_add, uv_mul
 from .semigroups import gcd_weights, membership, prim_generators
-
-
-def _to_ctx(f: Poly, big: RingCtx) -> Poly:
-    """Carry a polynomial into a larger ring, lifting the coefficient
-    field first when the target is an extension."""
-    if f.ctx.field != big.field:
-        f = _lift_poly(f, RingCtx(big.field, f.ctx.variables))
-    return embed(f, big)
 
 
 def _initial_handle(handle: IdealHandle, w: Sequence[int]) -> IdealHandle:
@@ -91,9 +83,8 @@ def _initial_handle(handle: IdealHandle, w: Sequence[int]) -> IdealHandle:
 
     def build() -> IdealHandle:
         K = IdealHandle(initial_ideal(handle, w), handle.ctx)
-        order = DegRevLex()
-        K.cached(("groebner", order), lambda: [p for p, _ in _reduce_basis(
-            [(g, ()) for g in K.generators], order)])
+        K.cached(("groebner",), lambda: [p for p, _ in _reduce_basis(
+            [(g, None) for g in K.generators], DegRevLex())])
         return K
     return handle.cached(("initial", w), build)
 
@@ -124,7 +115,7 @@ def _monomial_free(handle: IdealHandle, w: Sequence[int]) -> bool:
         order = DegRevLex()
         gb = buchberger([Poly.from_items(((m[:i] + m[i + 1:], c)
                                           for m, c in g.terms.items()), small)
-                         for g in K.groebner(order)], order)
+                         for g in K.groebner()], order)
         length = staircase_size([g.lead(order)[0] for g in gb], n - 1)
         if length is None:
             raise WrongDimension(
@@ -381,7 +372,7 @@ def _screen_round(handle: IdealHandle, w: tuple, *, error: type,
     ``error``."""
     ctx = handle.ctx
     in_handle = _initial_handle(handle, w)
-    in_gb = in_handle.groebner(DegRevLex())
+    in_gb = in_handle.groebner()
     binomials = prim_generators(w, ctx)
     binomials.sort(key=lambda b: (ord_w(b, w), b.key()))
     escapes = []
@@ -652,7 +643,7 @@ def decide_irreducible(ideal, iter_cap: int = 256) -> DecisionReport:
     else:
         kind, data = "prime_tropism", tuple(w)
     cert = Certificate(kind, J, data, handle.ctx.variables,
-                       tuple((name, _to_ctx(p, J.ctx))
+                       tuple((name, embed(p, J.ctx))
                              for name, p in transcript))
     return _certified("irreducible" if end == "primitive" else "reducible",
                       cert, stats)

@@ -3,26 +3,32 @@ built on it: membership, radical membership, monomial content, staircases,
 colength, Krull dimension of the leading-term ideal, elimination and
 saturation.
 
-There is one Buchberger loop.  It runs on rows (p, cofactors), where the
-cofactors express p in the input generators and are an empty tuple unless
-the caller tracks them (``buchberger_tagged``, used by the pivot reducer).
-It drops useless pairs as each row enters, by the Gebauer-Moller criteria
-M, F and B and the product criterion, and divides each S-polynomial only
-by the current minimal basis: the elements whose leads no later lead
-divides.  Each S-polynomial is built in one dict, without the two leads
-or any tail term that cancels.  Its cofactors are built lazily: an S-pair
-is divided with quotients first, and the combination of its two rows'
-cofactors, less the quotients, is formed only when the remainder is
+There is one Buchberger loop.  It runs on rows (p, tag), where the tag
+is one polynomial that every row operation applied to p is applied to as
+well, or None when the caller tracks nothing.  The pivot reducer
+(``buchberger_tagged``) starts each generator at tag 0 and the pivot at
+tag 1, so a row's tag is its cofactor of the pivot: projecting a vector
+of cofactors onto one coordinate commutes with every row operation.
+The loop drops useless pairs as each row enters, by the Gebauer-Moller
+criteria M, F and B and the product criterion, and divides each
+S-polynomial only by the current minimal basis: the elements whose leads
+no later lead divides.  Each S-polynomial is built in one dict, without
+the two leads or any tail term that cancels.  Its tag is built lazily:
+an S-pair is divided with quotients first, and the combination of its
+two rows' tags, less the quotients, is formed only when the remainder is
 nonzero, since half or more of the S-pairs commonly reduce to zero.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+import math
 import operator
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import SolverLimitation, UnitIdeal
+from .naming import next_single
 from .polyring import (
     INF,
     BlockOrder,
@@ -45,10 +51,11 @@ _KRULL_VARIABLE_CAP = 16
 
 # ------------------------------------------------------------- buchberger
 
-# A row (p, cofactors) records p == sum(cofactor_k * original_k); the
-# cofactor tuple is empty when nobody tracks the combination.  An S-pair's
-# row carries a function that builds the tuple (see ``_spoly``).
-Row = Tuple[Poly, Tuple[Poly, ...]]
+# A row (p, tag) carries one tracked polynomial, or None when nobody tracks
+# one: with input tags t_k, p == sum(c_k * original_k) gives
+# tag == sum(c_k * t_k).  An S-pair's row carries a function that builds
+# its tag (see ``_spoly``).
+Row = Tuple[Poly, Optional[Poly]]
 
 
 def buchberger(gens: Sequence[Poly], order: TermOrder, *,
@@ -57,7 +64,7 @@ def buchberger(gens: Sequence[Poly], order: TermOrder, *,
     sorted by ascending leading monomial.  With ``reduced=False`` it is
     a minimal monic basis instead: the reduced basis's leads, with the
     tails the loop left, not reduced by the other elements."""
-    rows = _buchberger_rows([(g, ()) for g in gens], order)
+    rows = _buchberger_rows([(g, None) for g in gens], order)
     if reduced:
         return [p for p, _ in _reduce_basis(rows, order)]
     return [p.scale(p.ctx.field.inv(p.lead(order)[1]))
@@ -65,16 +72,18 @@ def buchberger(gens: Sequence[Poly], order: TermOrder, *,
 
 
 def buchberger_tagged(rows: Sequence[Row], order: TermOrder) -> List[Row]:
-    """Buchberger on rows (p, cofactors): every output row satisfies
-    p == sum(cofactor_k * original_k) whenever the inputs do.  The output
-    polynomials form the reduced Groebner basis."""
+    """Buchberger on rows (p, tag), each operation on p applied to the
+    tag too: an output row p == sum(c_k * p_k) of the input rows (p_k, t_k)
+    has tag == sum(c_k * t_k).  With one-hot input tags an output tag is
+    one coefficient c_k.  The output polynomials form the reduced Groebner
+    basis."""
     return _reduce_basis(_buchberger_rows(rows, order), order)
 
 
 def _spoly(a: Row, b: Row, order: TermOrder) -> Row:
     """The S-polynomial x^uf*f/lc(f) - x^ug*g/lc(g) of two rows; tagged
-    rows give it cofactors as a function that builds them."""
-    (f, ftags), (g, gtags) = a, b
+    rows give it a tag as a function that builds it."""
+    (f, ftag), (g, gtag) = a, b
     (mf, cf), (mg, cg) = f.lead(order), g.lead(order)
     lcm = mono_lcm(mf, mg)
     field = f.ctx.field
@@ -91,28 +100,28 @@ def _spoly(a: Row, b: Row, order: TermOrder) -> Row:
                 del out[t]
             else:
                 out[t] = v
-    tags = (lambda: tuple(s.term_mul(uf, cf) - t.term_mul(ug, cg)
-                          for s, t in zip(ftags, gtags))) if ftags else ()
-    return (Poly(out, f.ctx), tags)
+    tag = None if ftag is None else (
+        lambda: ftag.term_mul(uf, cf) - gtag.term_mul(ug, cg))
+    return (Poly(out, f.ctx), tag)
 
 
-def _row_nf(row: Row, basis: Sequence[Poly], tags: Sequence[tuple],
+def _row_nf(row: Row, basis: Sequence[Poly], tags: Sequence[Optional[Poly]],
             order: TermOrder) -> Row:
     """Normal form of a row against the rows (basis[k], tags[k]), the
-    quotients carried into the cofactors.  Cofactors given as a function
-    (an S-pair's) are called only when the remainder is nonzero."""
-    p, ptags = row
-    if not ptags:
-        return (normal_form(p, basis, order), ptags)
+    quotients carried into the tag.  A tag given as a function (an
+    S-pair's) is called only when the remainder is nonzero."""
+    p, ptag = row
+    if ptag is None:
+        return (normal_form(p, basis, order), None)
     quots, rem = division(p, basis, order, with_quotients=True)
-    if callable(ptags):
+    if callable(ptag):
         if rem.is_zero():
-            return (rem, ptags)
-        ptags = ptags()
-    for q, btags in zip(quots, tags):
+            return (rem, ptag)
+        ptag = ptag()
+    for q, btag in zip(quots, tags):
         if not q.is_zero():
-            ptags = tuple(t - q * bt for t, bt in zip(ptags, btags))
-    return (rem, ptags)
+            ptag = ptag - q * btag
+    return (rem, ptag)
 
 
 def _buchberger_rows(rows: Sequence[Row], order: TermOrder) -> List[Row]:
@@ -133,7 +142,7 @@ def _buchberger_rows(rows: Sequence[Row], order: TermOrder) -> List[Row]:
     leads: list = []
     active: List[int] = []
     reducers: List[Poly] = []
-    reducer_tags: List[tuple] = []
+    reducer_tags: List[Optional[Poly]] = []
     heap: list = []   # pending pairs as (order key of lcm, i, j, lcm)
 
     def update(h: Row) -> None:
@@ -208,10 +217,10 @@ def _reduce_basis(rows: List[Row], order: TermOrder) -> List[Row]:
     out = []
     for i, row in enumerate(kept):
         others = kept[:i] + kept[i + 1:]
-        p, tags = _row_nf(row, [o[0] for o in others], [o[1] for o in others],
-                          order) if others else row
+        p, tag = _row_nf(row, [o[0] for o in others], [o[1] for o in others],
+                         order) if others else row
         c = p.ctx.field.inv(p.lead(order)[1])
-        out.append((p.scale(c), tuple(t.scale(c) for t in tags)))
+        out.append((p.scale(c), None if tag is None else tag.scale(c)))
     return out
 
 
@@ -223,15 +232,15 @@ class IdealHandle:
 
     ``cached(key, build)`` returns the value stored under ``key``, calling
     ``build()`` to make it on first use.  The keys in use are
-    ("groebner", order), ("hom", w) for the local standard basis,
-    ("pivot", i) for the pivot reducer, ("intersection", f.key()),
-    ("initial", w) for the initial ideal's handle and ("free", w) for the
-    sliced test's verdict (``decide._monomial_free``).  An initial handle
-    is built with its ("groebner", DegRevLex()) entry already filled, by
-    interreduction alone (``decide._initial_handle``).  The memo has no
-    size bound: every entry answers a call made on this handle, and the
-    entries go with it.  A handle's generators must not change after it
-    is built.
+    ("groebner",) for the reduced DegRevLex basis, ("hom", w) for the
+    local standard basis, ("pivot", i) for the pivot reducer,
+    ("intersection", f.key()), ("initial", w) for the initial ideal's
+    handle and ("free", w) for the sliced test's verdict
+    (``decide._monomial_free``).  An initial handle is built with its
+    ("groebner",) entry already filled, by interreduction alone
+    (``decide._initial_handle``).  The memo has no size bound: every
+    entry answers a call made on this handle, and the entries go with it.
+    A handle's generators must not change after it is built.
     """
 
     def __init__(self, generators: Iterable[Poly], ctx: Optional[RingCtx] = None):
@@ -253,9 +262,10 @@ class IdealHandle:
             memo[key] = build()
         return memo[key]
 
-    def groebner(self, order: TermOrder = DegRevLex()) -> List[Poly]:
-        return self.cached(("groebner", order),
-                           lambda: buchberger(self.generators, order))
+    def groebner(self) -> List[Poly]:
+        """The reduced DegRevLex Groebner basis, built once."""
+        return self.cached(("groebner",),
+                           lambda: buchberger(self.generators, DegRevLex()))
 
     def __str__(self):
         return "ideal(" + ", ".join(str(g) for g in self.generators) + ")"
@@ -280,25 +290,11 @@ def ideal_membership(f: Poly, ideal) -> bool:
     return normal_form(f, gb, DegRevLex()).is_zero()
 
 
-def fresh_names(existing: Sequence[str], stem: str, count: int = 1) -> List[str]:
-    """``count`` names starting with ``stem`` that avoid the existing ones."""
-    taken = set(existing)
-    out = []
-    i = 0
-    while len(out) < count:
-        cand = stem if i == 0 else f"{stem}{i}"
-        if cand not in taken:
-            out.append(cand)
-            taken.add(cand)
-        i += 1
-    return out
-
-
 def _inverted(handle: IdealHandle, h: Poly) -> IdealHandle:
     """The ideal plus (1 - t*h), in the ring with a fresh variable t put
     first: its zero set is that of the ideal where h does not vanish."""
     ctx = handle.ctx
-    name = fresh_names(ctx.variables, "inv_t")[0]
+    name = next_single(ctx.variables, ("inv_t",))
     big = RingCtx(ctx.field, (name,) + ctx.variables)
 
     def up(p: Poly) -> Poly:
@@ -367,63 +363,53 @@ def _monos_of_degree(n: int, deg: int):
 
 # --------------------------------------------------------- staircase sizes
 
-def monomial_staircase(leads: Sequence[tuple], nvars: int) -> Optional[set]:
-    """The set of monomials outside the monomial ideal generated by the
-    given leading monomials; None when there are infinitely many, empty
-    when 1 is among them."""
-    gens = [tuple(m) for m in leads]
-    if any(not any(m) for m in gens):
-        return set()
-    for i in range(nvars):
-        if not any(all(e == 0 for k, e in enumerate(m) if k != i) and m[i] > 0
-                   for m in gens):
-            return None
-    seen = {(0,) * nvars}
-    frontier = [(0,) * nvars]
-    while frontier:
-        cur = frontier.pop()
-        for i in range(nvars):
-            nxt = cur[:i] + (cur[i] + 1,) + cur[i + 1:]
-            if nxt in seen:
-                continue
-            if any(mono_divisible(nxt, g) for g in gens):
-                continue
-            seen.add(nxt)
-            frontier.append(nxt)
-    return seen
-
-
-def staircase_size(leads: Sequence[tuple], nvars: int) -> Optional[int]:
-    """The number of monomials outside the monomial ideal generated by the
-    given leading monomials, ``len(monomial_staircase(...))`` without
-    building the set: None when there are infinitely many, 0 when 1 is
-    among them.
+def _staircase_boxes(leads: Sequence[tuple], nvars: int) -> Optional[list]:
+    """The monomials outside the monomial ideal generated by the leads as
+    disjoint boxes, each a tuple of one exponent range per variable: None
+    when there are infinitely many, no box when 1 is among them.
 
     Below the least pure power x_1^top, the monomials with first exponent
-    e are counted by the staircase, in the other variables, of the
-    generators whose first exponent is at most e; that slice changes only
-    where e reaches some generator's first exponent.  Without a pure
-    power of x_1, or of a later variable (which then has none in the
-    slice at e = 0), the staircase is infinite."""
+    e are those whose other exponents lie in the staircase of the leads
+    with first exponent at most e; that slice changes only where e
+    reaches some lead's first exponent.  Without a pure power of x_1, or
+    of a later variable (which then has none in the slice at e = 0), the
+    staircase is infinite."""
     gens = [tuple(m) for m in leads]
     if any(not any(m) for m in gens):
-        return 0
+        return []
     if not nvars:
-        return 1
+        return [()]
     pure = [m[0] for m in gens if not any(m[1:])]
     if not pure:
         return None
     top = min(pure)
-    total = start = 0
+    boxes, start = [], 0
     for stop in sorted({m[0] for m in gens if m[0] < top} | {top}):
         if stop > start:
-            inner = staircase_size([m[1:] for m in gens if m[0] <= start],
-                                   nvars - 1)
+            inner = _staircase_boxes([m[1:] for m in gens if m[0] <= start],
+                                     nvars - 1)
             if inner is None:
                 return None
-            total += (stop - start) * inner
+            boxes += [(range(start, stop),) + box for box in inner]
         start = stop
-    return total
+    return boxes
+
+
+def monomial_staircase(leads: Sequence[tuple], nvars: int) -> Optional[set]:
+    """The set of monomials outside the monomial ideal generated by the
+    given leading monomials; None when there are infinitely many, empty
+    when 1 is among them."""
+    boxes = _staircase_boxes(leads, nvars)
+    return None if boxes is None else {
+        m for box in boxes for m in itertools.product(*box)}
+
+
+def staircase_size(leads: Sequence[tuple], nvars: int) -> Optional[int]:
+    """``len(monomial_staircase(...))`` without building the set: None
+    when there are infinitely many monomials, 0 when 1 is among them."""
+    boxes = _staircase_boxes(leads, nvars)
+    return None if boxes is None else sum(math.prod(map(len, box))
+                                          for box in boxes)
 
 
 def colength(ideal) -> object:

@@ -31,9 +31,9 @@ from .groebner import (
     IdealHandle,
     _as_handle,
     buchberger,
-    fresh_names,
     staircase_size,
 )
+from .naming import next_single
 from .polyring import (
     INF,
     HomogenizedLocalOrder,
@@ -60,7 +60,7 @@ def _check_weights(w, nvars: int) -> tuple:
 
 def hom_ring(ctx: RingCtx) -> RingCtx:
     """The ring extended by the homogenizing variable (always last)."""
-    return ctx.extend(fresh_names(ctx.variables, "h"))
+    return ctx.extend((next_single(ctx.variables, ("h",)),))
 
 
 def homogenize(f: Poly, w: tuple, big: RingCtx) -> Poly:

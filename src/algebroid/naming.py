@@ -1,6 +1,6 @@
-"""Names for variables adjoined during completion, descent and the pencil
-test, one new function at a time: single letters z, u, v, ..., then
-numbered z1, z2, ..., always skipping anything already taken."""
+"""Fresh names for adjoined variables, one at a time: the first free stem,
+else the first stem numbered 1, 2, ... that is free.  The default stems
+give z, u, v, ..., then z1, z2, ...."""
 
 from __future__ import annotations
 
@@ -9,12 +9,13 @@ from typing import Sequence
 _SINGLE_STEMS = ("z", "u", "v", "w", "s", "q", "r")
 
 
-def next_single(existing: Sequence[str]) -> str:
+def next_single(existing: Sequence[str],
+                stems: Sequence[str] = _SINGLE_STEMS) -> str:
     taken = set(existing)
-    for stem in _SINGLE_STEMS:
+    for stem in stems:
         if stem not in taken:
             return stem
     i = 1
-    while f"z{i}" in taken:
+    while f"{stems[0]}{i}" in taken:
         i += 1
-    return f"z{i}"
+    return f"{stems[0]}{i}"

@@ -6,8 +6,9 @@ The quotient by a one-dimensional ideal is a free module of finite rank
 over power series in a cheapest variable (the pivot).  Coordinates in that
 module are computed through a certificate-tracked division: every monomial
 gets a rewrite rule "monomial = span-of-basis + pivot * rest" extracted
-from a homogenized basis with its cofactors, and rules are applied layer
-by layer in the pivot exponent, so truncation at pivot^N is exact.
+from a homogenized basis that tracks the pivot's cofactor, and rules are
+applied layer by layer in the pivot exponent, so truncation at pivot^N is
+exact.
 
 The method requires A = O/I to be a free module of rank I(t) over k[[t]],
 t the pivot.  Then multiplication by a nonzerodivisor h is injective on A
@@ -92,10 +93,16 @@ def choose_pivot(ideal: IdealHandle) -> Tuple[int, int]:
 
 class _PivotReducer:
     """Rewrite engine for one (ideal, pivot) pair: memoized rules
-    v = r_v + pivot * b_v (mod I) with r_v supported on the free basis."""
+    v = r_v + pivot * b_v (mod I) with r_v supported on the free basis.
+
+    The rules come from a homogenized standard basis of I + (pivot) whose
+    rows track one polynomial, the pivot's cofactor: every generator of I
+    enters with tag 0 and the pivot with tag 1.  Reducing v leaves rem
+    with tag -c, where v = rem + c * pivot modulo I, so b_v is c; the
+    cofactors of I's own generators multiply members of I, and nothing
+    reads them."""
 
     def __init__(self, handle: IdealHandle, pivot: int):
-        self.handle = handle
         self.pivot = pivot
         ctx = handle.ctx
         self.ctx = ctx
@@ -103,12 +110,9 @@ class _PivotReducer:
         self.big = hom_ring(ctx)
         w = (1,) * ctx.nvars
         self.order = HomogenizedLocalOrder(w)
-        originals = list(handle.generators) + [ctx.var(pivot)]
-        rows = []
-        for k, g in enumerate(originals):
-            tags = [self.big.zero()] * len(originals)
-            tags[k] = self.big.one()
-            rows.append((homogenize(g, w, self.big), tuple(tags)))
+        rows = [(homogenize(g, w, self.big), self.big.zero())
+                for g in handle.generators]
+        rows.append((homogenize(ctx.var(pivot), w, self.big), self.big.one()))
         rows = buchberger_tagged(rows, self.order)
         self.gb = [p for p, _ in rows]
         self.cofactors = [t for _, t in rows]
@@ -133,11 +137,10 @@ class _PivotReducer:
         if cached is not None:
             return cached
         big, field = self.big, self.field
-        zero_tags = tuple(big.zero() for _ in range(len(self.handle.generators) + 1))
         for s in range(_STABILIZE_CAP):
             hom_mono = v + (s,)
-            row = (Poly({hom_mono: field.one()}, big), zero_tags)
-            rem, tags = _row_nf(row, self.gb, self.cofactors, self.order)
+            row = (Poly({hom_mono: field.one()}, big), big.zero())
+            rem, tag = _row_nf(row, self.gb, self.cofactors, self.order)
             r = dehomogenize(rem, self.ctx)
             coords = {}
             ok = True
@@ -149,7 +152,7 @@ class _PivotReducer:
                 coords[idx] = c
             if not ok:
                 continue
-            b = -dehomogenize(tags[-1], self.ctx)
+            b = -dehomogenize(tag, self.ctx)
             rule = (coords, list(b.terms.items()))
             self._rules[v] = rule
             return rule
@@ -371,20 +374,13 @@ def _coefficients(D: dict, field: FieldSpec) -> Dict[int, list]:
     return out
 
 
-def _lift_poly(f: Poly, target_ctx: RingCtx) -> Poly:
-    """Reinterpret a polynomial over the base field inside an extension
-    of it (same variables)."""
-    fld = target_ctx.field
-    return Poly({m: fld.embed(c) for m, c in f.terms.items()}, target_ctx)
-
-
 def _lift(ideal: IdealHandle, fac: tuple, f: Poly, g: Poly) -> tuple:
     """The ideal, f and g lifted to the extension of the base field by a
     root th of the monic ``fac`` (ascending, leading 1 included)."""
     ext = FieldSpec(ideal.ctx.field.characteristic, extension=tuple(fac[:-1]))
     ectx = RingCtx(ext, ideal.ctx.variables)
-    return (IdealHandle([_lift_poly(p, ectx) for p in ideal.generators], ectx),
-            _lift_poly(f, ectx), _lift_poly(g, ectx))
+    return (IdealHandle([embed(p, ectx) for p in ideal.generators], ectx),
+            embed(f, ectx), embed(g, ectx))
 
 
 def _pencil_value(f: Poly, ideal: IdealHandle):

@@ -445,12 +445,15 @@ class Poly:
 # --------------------------------------------------------- ring morphisms
 
 def embed(f: Poly, target: RingCtx) -> Poly:
-    """Reinterpret f inside a ring whose leading variables extend f's ring."""
-    src = f.ctx
-    if target.variables[: src.nvars] != src.variables or target.field != src.field:
+    """Reinterpret f inside a ring whose leading variables extend f's ring,
+    over f's field or a simple extension of it."""
+    src, field = f.ctx, target.field
+    if target.variables[: src.nvars] != src.variables or (
+            field != src.field and field.base() != src.field):
         raise ValueError("target ring does not extend the source ring")
-    pad = target.nvars - src.nvars
-    return Poly({m + (0,) * pad: c for m, c in f.terms.items()}, target)
+    lift = (lambda c: c) if field == src.field else field.embed
+    pad = (0,) * (target.nvars - src.nvars)
+    return Poly({m + pad: lift(c) for m, c in f.terms.items()}, target)
 
 
 def project(f: Poly, target: RingCtx, keep) -> Poly:

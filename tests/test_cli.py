@@ -28,6 +28,8 @@ CHAR2_TOWER = ("char 2\nvars x y z\nideal:\n"
 CUSP = "char 0\nvars x y\nideal:\nx^3 - y^2\n"
 QUARTIC = "char 0\nvars x y\nideal:\nx^3 - y^4\n"
 ONE_STEP = "char 0\nvars x y\nideal:\n(y^2 - x^3)^2 - x^2*y^3\n"
+# decides to a prime_tropism certificate with weights (4, 6, 13)
+PRIME_4_6_13 = "char 0\nvars x y\nideal:\n(y^2 - x^3)^2 - x^5*y\n"
 # Its base weights would enumerate a staircase of 3,000,000 monomials.
 HUGE_EXPONENT = "char 0\nvars x y\nideal:\ny^2 - x^3000000\n"
 # 5151 terms once expanded, which took seconds.
@@ -436,6 +438,62 @@ def test_unreadable_json_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(out_path))
     assert code == 2
     assert "error:" in err
+
+
+def _halves_added(doc):
+    """Half a unit added to every weight and exponent: ``int()`` would
+    truncate them back to the report's own."""
+    cert = doc["certificate"]
+    cert["data"] = [e + 0.5 for e in cert["data"]]
+    for p in cert["generators"] + [t["poly"] for t in cert["transcript"]]:
+        p["terms"] = [[[e + 0.5 for e in m], c] for m, c in p["terms"]]
+
+
+def _set(path, value):
+    """A mutation setting the entry at ``path`` of the certificate."""
+    def mutate(doc):
+        obj = doc["certificate"]
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+    return mutate
+
+
+@pytest.mark.parametrize("text, mutate", [
+    (None, "[1, 2]"),
+    (None, '"a report"'),
+    (PRIME_4_6_13, "1e400"),
+    (PRIME_4_6_13, _halves_added),
+    (PRIME_4_6_13, _set(("data", 0), True)),
+    (PRIME_4_6_13, _set(("data", 0), "4")),
+    (PRIME_4_6_13, _set(("generators", 0, "terms", 0, 0, 1), "4")),
+    (PRIME_4_6_13, _set(("generators", 0, "terms", 0, 1), True)),
+    (PRIME_4_6_13, _set(("ring", "vars"), "xyz")),
+    (PRIME_4_6_13, _set(("base_vars",), "xy")),
+    (DOUBLE_BRANCH, _set(("data", 0, 0), 2.0)),
+], ids=["list", "string", "char-1e400", "fractional", "bool-weight",
+        "string-weight", "string-exponent", "bool-coefficient", "vars-string",
+        "base-vars-string", "float-ray"])
+def test_a_malformed_document_exits_two_without_a_traceback(
+        tmp_path, text, mutate):
+    """Each document is refused as unreadable (exit 2), not judged an
+    invalid certificate (exit 1) or a valid one."""
+    if text is None:
+        body = mutate
+    else:
+        _, doc = report_for(tmp_path, text)
+        if mutate == "1e400":
+            body = json.dumps(doc).replace('"char": 0', '"char": 1e400')
+        else:
+            mutate(doc)
+            body = json.dumps(doc)
+    path = tmp_path / "malformed.json"
+    path.write_text(body)
+    proc = subprocess.run([sys.executable, "-m", "algebroid", "verify",
+                           str(path)], capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stdout + proc.stderr
 
 
 def test_an_ideal_file_above_the_exponent_cap_exits_two_at_once(

@@ -757,7 +757,7 @@ def _check_the_seeded_bases(built):
     as on the decide's, in agreement with ``contains_monomial``."""
     assert built
     for handle, w, K in {id(t[2]): t for t in built}.values():
-        seeded = K.groebner(DegRevLex())
+        seeded = K.groebner()
         assert seeded == buchberger(list(K.generators), DegRevLex())
         fresh = IdealHandle(handle.generators, handle.ctx)
         assert _agrees(fresh, w) == _monomial_free(handle, w)
@@ -844,7 +844,7 @@ def test_no_buchberger_on_initial_generators_and_slices_stay_small(
     assert slices
     for K, size in slices:
         assert isinstance(K, IdealHandle)
-        assert size <= len(K.groebner(DegRevLex()))
+        assert size <= len(K.groebner())
 
 
 def _slice_bases(monkeypatch):

@@ -1,7 +1,8 @@
 """Groebner engine: the S-polynomial and the one Buchberger loop on plain
-and cofactor rows (checked against their references), membership,
+and tagged rows (checked against their references), membership,
 staircases, colength, dimension, elimination and saturation."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ import pytest
 
 from algebroid import groebner
 from algebroid.errors import SolverLimitation, UnitIdeal
+from algebroid.localalg import hom_ring
+from algebroid.naming import next_single
 from algebroid.groebner import (
     IdealHandle,
     _row_nf,
@@ -18,7 +21,6 @@ from algebroid.groebner import (
     colength,
     contains_monomial,
     eliminate,
-    fresh_names,
     ideal_membership,
     is_unit_ideal,
     krull_dimension,
@@ -125,6 +127,14 @@ def _random_ideal(rng, ctx):
     return gens
 
 
+def _one_hot_rows(gens, k):
+    """Rows (g_i, tag) with tag 1 at generator k and 0 elsewhere: every
+    row a Buchberger run derives from them is tagged with its cofactor
+    of g_k."""
+    return [(g, g.ctx.one() if i == k else g.ctx.zero())
+            for i, g in enumerate(gens)]
+
+
 @pytest.mark.parametrize("field", DIVISION_FIELDS, ids=str)
 def test_buchberger_matches_the_chain_criterion_reference(field):
     ctx = RingCtx(field, ("x", "y", "h"))
@@ -137,25 +147,26 @@ def test_buchberger_matches_the_chain_criterion_reference(field):
             # same polynomials, each with its terms in the same order
             assert [list(g.terms.items()) for g in got] == \
                 [list(r.items()) for r in ref]
-            # The same loop on unit cofactor rows: the same basis, and every
-            # row is the combination its cofactors say.  Run under the pivot
-            # reducer's order over every field, and under every order over
-            # F_7.  Under the global orders over Q and F_5(th) the cofactors
-            # of some of these ideals grow to thousands of terms (2770 on one
-            # over Q), a cost of cofactor tracking itself.
+            # The same loop once per generator k, on rows tagged one-hot at
+            # k: the same basis each time, and each row's tag in run k is its
+            # cofactor of g_k, so the row is the combination the runs say.
+            # Run under the pivot reducer's order over every field, and
+            # under every order over F_7.  Under the global orders over Q
+            # and F_5(th) the cofactors of some of these ideals grow to
+            # thousands of terms (2770 on one over Q), a cost of cofactor
+            # tracking itself.
             if not isinstance(order, HomogenizedLocalOrder) \
                     and field != GF(7):
                 continue
-            rows = [(g, tuple(ctx.one() if k == i else ctx.zero()
-                              for k in range(len(gens))))
-                    for i, g in enumerate(gens)]
-            tagged = buchberger_tagged(rows, order)
-            assert [list(p.terms.items()) for p, _ in tagged] == \
-                [list(g.terms.items()) for g in got]
-            for p, tags in tagged:
+            runs = [buchberger_tagged(_one_hot_rows(gens, k), order)
+                    for k in range(len(gens))]
+            for tagged in runs:
+                assert [list(p.terms.items()) for p, _ in tagged] == \
+                    [list(g.terms.items()) for g in got]
+            for r, p in enumerate(got):
                 combo = ctx.zero()
-                for t, g in zip(tags, gens):
-                    combo = combo + t * g
+                for tagged, g in zip(runs, gens):
+                    combo = combo + tagged[r][1] * g
                 assert combo == p
 
 
@@ -190,7 +201,7 @@ def test_spoly_matches_the_reference(field):
                 g = f.term_mul(u, _random_coeff(rng, field) or 1) + g
             if f.is_zero() or g.is_zero():
                 continue
-            got, _ = _spoly((f, ()), (g, ()), order)
+            got, _ = _spoly((f, None), (g, None), order)
             ref = spoly_reference(f, g, order.key)
             assert got == ref
             assert not any(field.is_zero(c) for c in got.terms.values())
@@ -201,31 +212,36 @@ def test_spoly_matches_the_reference(field):
 def test_spoly_whose_tails_cancel_is_zero():
     ctx = RingCtx(QQ, ("x", "y"))
     f, g = ctx.poly("x*y + y^2"), ctx.poly("x^2 + x*y")
-    got, tags = _spoly((f, ()), (g, ()), Lex())
+    got, tag = _spoly((f, None), (g, None), Lex())
     assert got.is_zero() and got.terms == {}
     assert spoly_reference(f, g, Lex().key).is_zero()
-    assert tags == ()
+    assert tag is None
 
 
 def test_spoly_cofactors_are_built_only_for_a_nonzero_remainder():
     ctx = RingCtx(QQ, ("x", "y"))
-    one, zero = ctx.one(), ctx.zero()
     f, g = ctx.poly("x^2 + y"), ctx.poly("x*y + x")
-    a, b = (f, (one, zero)), (g, (zero, one))
-    s, tags = _spoly(a, b, DegRevLex())
-    # called, the function gives the combination the S-polynomial is
-    ca, cb = tags()
+    # the S-pair of rows tagged one-hot at f, then at g
+    pairs = []
+    for k in range(2):
+        a, b = _one_hot_rows([f, g], k)
+        pairs.append(_spoly(a, b, DegRevLex()))
+    (s, tag_f), (s_g, tag_g) = pairs
+    assert s_g == s
+    # called, the functions give the combination the S-polynomial is
+    ca, cb = tag_f(), tag_g()
     assert ca * f + cb * g == s == spoly_reference(f, g, DegRevLex().key)
 
     def unbuilt():
         raise AssertionError("cofactors built for a zero remainder")
 
     # s divided by itself leaves zero; by f alone it leaves y^2 + y
-    rem, kept = _row_nf((s, unbuilt), [s], [(ca, cb)], DegRevLex())
+    rem, kept = _row_nf((s, unbuilt), [s], [ca], DegRevLex())
     assert rem.is_zero() and kept is unbuilt
-    rem, rtags = _row_nf((s, tags), [f], [(one, zero)], DegRevLex())
-    assert not rem.is_zero()
-    assert rtags[0] * f + rtags[1] * g == rem
+    rem, rtag_f = _row_nf((s, tag_f), [f], [ctx.one()], DegRevLex())
+    rem_g, rtag_g = _row_nf((s, tag_g), [f], [ctx.zero()], DegRevLex())
+    assert not rem.is_zero() and rem_g == rem
+    assert rtag_f * f + rtag_g * g == rem
 
 
 @pytest.mark.parametrize("texts, fewer", [
@@ -271,15 +287,12 @@ def test_buchberger_char_p():
 
 def test_tagged_rows_certify_membership():
     gens = [CTX2.poly("x^2 + y"), CTX2.poly("x y + x")]
-    rows = []
-    for i, g in enumerate(gens):
-        tags = [CTX2.zero(), CTX2.zero()]
-        tags[i] = CTX2.one()
-        rows.append((g, tuple(tags)))
-    out = buchberger_tagged(rows, DegRevLex())
-    assert {str(r[0]) for r in out} == {"x^2 + y", "x*y + x", "y^2 + y"}
-    for p, tags in out:
-        assert tags[0] * gens[0] + tags[1] * gens[1] == p
+    out_f, out_g = (buchberger_tagged(_one_hot_rows(gens, k), DegRevLex())
+                    for k in range(2))
+    assert [p for p, _ in out_f] == [p for p, _ in out_g]
+    assert {str(r[0]) for r in out_f} == {"x^2 + y", "x*y + x", "y^2 + y"}
+    for (p, tag_f), (_, tag_g) in zip(out_f, out_g):
+        assert tag_f * gens[0] + tag_g * gens[1] == p
 
 
 def test_membership_and_unit():
@@ -333,6 +346,44 @@ def test_staircase_count_matches_oracle():
             assert all(len(m) == n for m in got)
             assert not any(all(a >= b for a, b in zip(m, g))
                            for m in got for g in gens)
+
+
+def _brute_staircase(gens, n):
+    """The staircase by enumeration: empty when a generator is 1, None
+    when some variable has no pure power, else every monomial of the box
+    below the least pure powers that no generator divides."""
+    if any(not any(g) for g in gens):
+        return set()
+    bounds = []
+    for i in range(n):
+        pure = [g[i] for g in gens
+                if g[i] and not any(e for k, e in enumerate(g) if k != i)]
+        if not pure:
+            return None
+        bounds.append(min(pure))
+    return {m for m in itertools.product(*map(range, bounds))
+            if not any(all(a >= b for a, b in zip(m, g)) for g in gens)}
+
+
+@pytest.mark.parametrize("pure_powers", [False, True])
+def test_staircase_members_match_a_brute_force_enumeration(pure_powers):
+    rng = random.Random(f"staircase-members-{pure_powers}")
+    kinds = set()
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        gens = [tuple(rng.randint(0, 3) for _ in range(n))
+                for _ in range(rng.randint(0, 5))]
+        if pure_powers:
+            gens += [tuple(rng.randint(1, 4) if k == i else 0
+                           for k in range(n)) for i in range(n)]
+        expected = _brute_staircase(gens, n)
+        got = monomial_staircase(gens, n)
+        assert got == expected, (gens, n)
+        assert staircase_size(gens, n) == \
+            (None if got is None else len(got)), (gens, n)
+        kinds.add("empty" if got == set() else got and "nonempty")
+    assert kinds == ({"empty", "nonempty"} if pure_powers
+                     else {None, "empty", "nonempty"})
 
 
 @pytest.mark.parametrize("pure_powers", [False, True])
@@ -401,7 +452,7 @@ def test_saturate_keeps_the_components_off_h(field):
     handle = IdealHandle([ctx.poly("y*(y - x^2)")])
 
     def reduced(h):
-        return saturate(handle, ctx.poly(h)).groebner(DegRevLex())
+        return saturate(handle, ctx.poly(h)).groebner()
 
     assert reduced("y") == IdealHandle([ctx.poly("y - x^2")]).groebner()
     assert reduced("x") == handle.groebner()
@@ -409,9 +460,18 @@ def test_saturate_keeps_the_components_off_h(field):
 
 
 def test_fresh_names_avoid_collisions():
-    out = fresh_names(("x", "z", "z1"), "z", 3)
-    assert out == ["z2", "z3", "z4"]
-    assert fresh_names(("x",), "z", 2) == ["z", "z1"]
+    taken = ["x", "z", "z1"]
+    for _ in range(3):
+        taken.append(next_single(taken, ("z",)))
+    assert taken[3:] == ["z2", "z3", "z4"]
+    assert next_single(("x",), ("z",)) == "z"
+    assert next_single(("x", "z"), ("z",)) == "z1"
+    assert next_single(("x", "z", "u")) == "v"
+    assert next_single(("z", "u", "v", "w", "s", "q", "r", "z1")) == "z2"
+    # the homogenizing and the inverted variable keep their names
+    assert hom_ring(RingCtx(QQ, ("x", "h"))).variables == ("x", "h", "h1")
+    inv = groebner._inverted(IdealHandle([CTX2.poly("x")]), CTX2.poly("y"))
+    assert inv.ctx.variables == ("inv_t", "x", "y")
 
 
 def test_groebner_cache_reuse():
@@ -419,5 +479,5 @@ def test_groebner_cache_reuse():
     gb1 = handle.groebner()
     gb2 = handle.groebner()
     assert gb1 is gb2
-    lex = handle.groebner(Lex())
-    assert lex is not gb1
+    assert handle._memo[("groebner",)] is gb1
+    assert gb1 == buchberger(handle.generators, DegRevLex())

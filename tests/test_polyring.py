@@ -26,7 +26,7 @@ from algebroid.polyring import (
     ord_w,
     wdot,
 )
-from algebroid.scalars import GF, QQ
+from algebroid.scalars import GF, QQ, FieldSpec
 from oracles import division_maxscan
 
 
@@ -211,6 +211,20 @@ def test_embed_and_subs():
     t = t_ring.var("t")
     h = f.subs({"x": t ** 2, "y": t ** 3, "z": t_ring.zero()})
     assert h.is_zero()
+
+
+def test_embed_lifts_into_a_simple_extension_only():
+    base = RingCtx(GF(5), ("x", "y"))
+    ext = FieldSpec(5, extension=(2, 0))  # th^2 + 2
+    f = base.poly("y^2 - 3*x^3")
+    g = embed(f, RingCtx(ext, ("x", "y", "z")))
+    assert g.terms == {(0, 2, 0): (1, 0), (3, 0, 0): (2, 0)}
+    for target in (RingCtx(GF(7), ("x", "y")), RingCtx(QQ, ("x", "y")),
+                   RingCtx(ext, ("y", "x"))):
+        with pytest.raises(ValueError):
+            embed(f, target)
+    with pytest.raises(ValueError):
+        embed(g, RingCtx(GF(5), ("x", "y", "z")))
 
 
 def test_lead_of_zero_raises():
