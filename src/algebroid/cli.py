@@ -170,6 +170,12 @@ def _json_int(obj, what: str) -> int:
     return obj
 
 
+def _json_str(obj, what: str) -> str:
+    if not isinstance(obj, str):
+        raise ParseError(f"{what} must be a JSON string, got {obj!r}")
+    return obj
+
+
 def _json_names(obj, what: str) -> tuple:
     if not isinstance(obj, list) or not all(isinstance(v, str) for v in obj):
         raise ParseError(f"{what} must be a list of strings, got {obj!r}")
@@ -285,7 +291,8 @@ def report_json(report: DecisionReport) -> dict:
 def certificate_from_json(doc: dict) -> Certificate:
     """Rebuild a certificate from a decision report document (or from a
     bare certificate object).  Exponents, weights and ray entries must be
-    JSON integers, and variable names lists of strings."""
+    JSON integers, the kind and transcript names JSON strings, and
+    variable names lists of strings."""
     cert = doc.get("certificate", doc) if isinstance(doc, dict) else None
     if not isinstance(cert, dict):
         raise ParseError("the document is not a JSON certificate object")
@@ -293,7 +300,7 @@ def certificate_from_json(doc: dict) -> Certificate:
         ctx = _ring_parse(cert["ring"])
         handle = IdealHandle([_poly_parse(g, ctx)
                               for g in cert["generators"]], ctx)
-        kind = str(cert["kind"])
+        kind = _json_str(cert["kind"], "the kind")
         if kind == "prime_tropism":
             data = tuple(_json_int(e, "a data entry") for e in cert["data"])
         elif kind == "monomial_witness":
@@ -303,7 +310,8 @@ def certificate_from_json(doc: dict) -> Certificate:
                          for ray in cert["data"])
         else:
             data = cert["data"]
-        transcript = tuple((str(t["name"]), _poly_parse(t["poly"], ctx))
+        transcript = tuple((_json_str(t["name"], "a transcript name"),
+                            _poly_parse(t["poly"], ctx))
                            for t in cert.get("transcript", ()))
         base_vars = cert.get("base_vars",
                              list(ctx.variables[:ctx.nvars - len(transcript)]))

@@ -15,8 +15,9 @@ class FieldMismatch(AlgebroidError):
 
 class SolverLimitation(AlgebroidError):
     """An exact computation is out of the supported range (for instance
-    factoring a rootless univariate of degree eight or more over Q, or a
-    nested field tower).  Raised instead of returning unverified output."""
+    factoring a polynomial with non-rational coefficients over an
+    extension of Q, or a nested field tower).  Raised instead of returning
+    unverified output."""
 
 
 class UnitIdeal(AlgebroidError):

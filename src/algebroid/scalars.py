@@ -1,5 +1,9 @@
 """Exact field arithmetic: Q, prime fields F_p, and one-step simple
-extensions of either, plus univariate root extraction.
+extensions of either, plus univariate factorisation, whose linear factors
+are the roots: distinct-degree and Cantor-Zassenhaus factorisation over
+every finite field, Berlekamp-Zassenhaus with Hensel lifting over Q, and
+over an extension of Q the rational factors that the degrees allow to
+split (``_extension_factors``).
 
 Field elements are carried as light *payloads* rather than wrapped objects
 so the polynomial kernels stay fast:
@@ -35,6 +39,8 @@ import functools
 import itertools
 import math
 import operator
+import random
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -42,9 +48,7 @@ from typing import Optional, Sequence
 from .errors import (AlgebroidError, DivisionByZero, FieldMismatch,
                      SolverLimitation, ZeroPoly)
 
-_ENUM_CAP = 4096        # largest finite field we will enumerate exhaustively
-_KRONECKER_CAP = 500000  # candidate cap for integer factor search
-_KRONECKER_VALUE_CAP = 10 ** 12  # largest |value| split by trial division
+_ENUM_CAP = 4096        # largest finite field given log tables or enumerated
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -540,19 +544,16 @@ def uv_divmod(f, g, field: FieldSpec):
     g = _uv_trim(g, field)
     if not g:
         raise DivisionByZero("polynomial division by zero")
-    inv_lead = field.inv(g[-1])
-    quot = [field.zero()] * max(0, len(f) - len(g) + 1)
-    rem = list(f)
-    while len(rem) >= len(g) and any(not field.is_zero(c) for c in rem):
-        rem = _uv_trim(rem, field)
-        if len(rem) < len(g):
-            break
-        shift = len(rem) - len(g)
-        c = field.mul(rem[-1], inv_lead)
-        quot[shift] = field.add(quot[shift], c)
+    inv_lead, top = field.inv(g[-1]), len(g) - 1
+    quot = [field.zero()] * max(0, len(f) - top)
+    for shift in range(len(f) - len(g), -1, -1):
+        c = f[shift + top]
+        if field.is_zero(c):
+            continue
+        quot[shift] = c = field.mul(c, inv_lead)
         for i, b in enumerate(g):
-            rem[shift + i] = field.sub(rem[shift + i], field.mul(c, b))
-    return _uv_trim(quot, field), _uv_trim(rem, field)
+            f[shift + i] = field.sub(f[shift + i], field.mul(c, b))
+    return _uv_trim(quot, field), _uv_trim(f[:top], field)
 
 
 def _uv_exact_div(f, g, field: FieldSpec, phase: str) -> list:
@@ -660,7 +661,7 @@ def uv_radical(f, field: FieldSpec) -> list:
     return uv_mul(w, uv_radical(rest, field), field)
 
 
-# ---------------------------------------------------------------- roots
+# ------------------------------------------------------------ factoring
 
 def _int_divisors(n: int) -> list:
     n = abs(n)
@@ -685,61 +686,6 @@ def _primitive_ints(f: list) -> list:
     return [c // g for c in ints]
 
 
-def _rational_roots(f: list) -> list:
-    """Distinct rational roots of a squarefree nonzero polynomial with
-    Fraction/int coefficients, by p-adic lifting (Loos 1983) and rational
-    reconstruction (Wang 1981).
-
-    Let g = a0 + ... + an a^n be f's primitive integer multiple, a root 0
-    split off.  A root p/q in lowest terms has p | a0 and q | an.  Let l be
-    the first prime not dividing an with g squarefree mod l; only primes
-    dividing an*disc(g) fail, and disc(g) != 0.  As q is a unit mod l,
-    p/q mod l is a simple root of g mod l.  Newton's step lifts each
-    simple root mod l to the unique root mod M = l^(2^k) above it, so p/q
-    mod M is one of the lifts.  With M > 2|a0||an|, a lift r is congruent
-    to at most one fraction p/q with |p| <= |a0| and 0 < q <= |an|: two,
-    p/q and p'/q', would give M | pq' - p'q with |pq' - p'q| < M.  The
-    extended Euclidean algorithm on (M, r), stopped at the first remainder
-    <= |a0|, finds that fraction (von zur Gathen and Gerhard, Modern
-    Computer Algebra, Sect. 5.10).  So every rational root is a candidate;
-    a candidate is kept only when it vanishes exactly."""
-    ints, roots = _primitive_ints(f), []
-    while not ints[0]:
-        ints, roots = ints[1:], [Fraction(0)]
-    n, a0, an = len(ints) - 1, abs(ints[0]), abs(ints[-1])
-    if not n:
-        return roots
-    deriv = [i * c for i, c in enumerate(ints)][1:]
-
-    def at(h, x, mod):
-        return functools.reduce(lambda acc, c: (acc * x + c) % mod,
-                                reversed(h), 0)
-
-    # a nonzero disc(g) is at most bound, so its primes multiply to that
-    bound, l = n ** n * sum(map(abs, ints)) ** (2 * n), 2
-    while an % l == 0 or _uv_deg(uv_gcd(
-            [c % l for c in ints], [c % l for c in deriv], FieldSpec(l))):
-        bound //= l if an % l else 1
-        if not bound:
-            raise AlgebroidError("rational roots: not squarefree")
-        l = next(q for q in itertools.count(l + 1) if _is_prime(q))
-    lifts, M = [r for r in range(l) if not at(ints, r, l)], l
-    while M <= 2 * a0 * an:
-        M *= M
-        lifts = [(r - at(ints, r, M) * pow(at(deriv, r, M), -1, M)) % M
-                 for r in lifts]
-    for r in lifts:
-        r0, r1, t0, t1 = M, r, 0, 1
-        while r1 > a0:
-            q = r0 // r1
-            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-        cand = Fraction(r1, t1)
-        if r1 and abs(cand.numerator) <= a0 and cand.denominator <= an \
-                and not uv_eval(ints, cand, QQ):
-            roots.append(cand)
-    return sorted(set(roots))
-
-
 def _is_rational_square(q: Fraction):
     """Returns sqrt(q) as a Fraction when q is a square in Q, else None."""
     if q < 0:
@@ -751,138 +697,108 @@ def _is_rational_square(q: Fraction):
     return None
 
 
-def _roots_in_field(f: list, field: FieldSpec) -> list:
-    """Distinct roots of a squarefree f in the given field (complete: every
-    root in the field is found, or SolverLimitation is raised)."""
-    if field.characteristic == 0:
-        if field.extension is None:
-            return [field.coerce(r) for r in _rational_roots(f)]
-        return sorted(_roots_in_quadratic_extension(f, field),
-                      key=field.sort_key)
-    size = field.size()
-    if size is None or size > _ENUM_CAP:
-        raise SolverLimitation("finite field too large for exhaustive roots")
-    roots = [x for x in field.elements()
-             if field.is_zero(uv_eval(f, x, field))]
-    return sorted(roots, key=field.sort_key)
+def _uv_powmod(g, e: int, m, field: FieldSpec) -> list:
+    """g^e mod m, by squaring."""
+    out, g = [field.one()], uv_divmod(g, m, field)[1]
+    while e:
+        if e & 1:
+            out = uv_divmod(uv_mul(out, g, field), m, field)[1]
+        g = uv_divmod(uv_mul(g, g, field), m, field)[1]
+        e >>= 1
+    return out
 
 
-def _roots_in_quadratic_extension(f: list, field: FieldSpec) -> list:
-    """Roots inside an extension of Q.  Exact and complete for rational
-    coefficients over a degree-2 extension; linear polynomials always work;
-    everything else raises SolverLimitation rather than return a partial
-    answer."""
-    base = field.base()
-    d = field.degree
-    base_coeffs = []
-    for c in f:
-        if any(not base.is_zero(x) for x in c[1:]):
-            base_coeffs = None
-            break
-        base_coeffs.append(c[0])
-    if base_coeffs is None:
-        if _uv_deg(f) == 1:
-            return [field.neg(field.div(f[0], f[1]))]
-        raise SolverLimitation(
-            "root search with genuine extension coefficients over Q "
-            "is only supported for linear polynomials")
-    rr = _rational_roots(base_coeffs)
-    roots = [field.embed(r) for r in rr]
-    rest = uv_monic([Fraction(c) for c in base_coeffs], base)
-    for r in rr:
-        rest = _uv_exact_div(rest, [-Fraction(r), Fraction(1)], base,
-                             "root extraction")
-    if _uv_deg(rest) < 2:
-        return roots
-    for g in _factor_rootless(rest, base):
-        k = _uv_deg(g)
-        if d % k:
-            continue  # an irreducible factor of that degree has no root here
-        if k == 2 and d == 2:
-            # g = a^2 + p a + q has a root in Q[th]/(th^2 + m th + c)
-            # exactly when disc(g)/disc(minpoly) is a rational square.
-            p, q = Fraction(g[1]), Fraction(g[0])
-            c0, c1 = Fraction(field.extension[0]), Fraction(field.extension[1])
-            disc_g = p * p - 4 * q
-            disc_m = c1 * c1 - 4 * c0
-            s = _is_rational_square(disc_g / disc_m)
-            if s is None:
-                continue
-            w = (c1 * s, 2 * s)  # payload with w^2 = disc_g
-            half = Fraction(1, 2)
-            minus_p = field.embed(-p)
-            for sign in (1, -1):
-                signed = w if sign == 1 else field.neg(w)
-                roots.append(field.mul(field.embed(half),
-                                       field.add(minus_p, signed)))
+def _finite_factors(f: list, field: FieldSpec) -> list:
+    """Monic irreducible factors of a monic squarefree f over F_q.
+
+    Distinct-degree factorisation: gcd(f, a^(q^d) - a) collects the
+    factors of degree d, taken for d = 1, 2, ... until what is left, with
+    no factor of degree d or less, has degree below 2(d + 1), and so is
+    irreducible.  Cantor-Zassenhaus then splits each collection (von zur
+    Gathen and Gerhard, Modern Computer Algebra, Alg. 14.3 and 14.8).  The
+    draws come from a generator seeded here, and the set of factors does
+    not depend on them."""
+    q, rng = field.size(), random.Random(0)
+    a = [field.zero(), field.one()]
+    out, power, d = [], a, 0
+    while 2 * (d + 1) <= _uv_deg(f):
+        d += 1
+        power = _uv_powmod(power, q, f, field)
+        g = uv_gcd(f, uv_sub(power, a, field), field)
+        if _uv_deg(g) > 0:
+            out += _equal_degree_split(g, d, field, rng)
+            f = _uv_exact_div(f, g, field, "root extraction")
+            power = uv_divmod(power, f, field)[1]
+    return out + [f] if _uv_deg(f) > 0 else out
+
+
+def _equal_degree_split(g: list, d: int, field: FieldSpec, rng) -> list:
+    """The factors of a monic squarefree g over F_q whose irreducible
+    factors all have degree d.  A random r splits g through gcd(g,
+    r^((q^d - 1)/2) - 1) for odd q, and through gcd(g, T(r)) with the
+    trace T(r) = r + r^2 + ... + r^(2^(kd - 1)) for q = 2^k; each draw
+    splits with probability at least 1/2 (Cantor and Zassenhaus 1981)."""
+    n = _uv_deg(g)
+    if n == d:
+        return [g]
+    p, q, k = field.characteristic, field.size(), field.degree
+    while True:
+        r = _uv_trim([tuple(rng.randrange(p) for _ in range(k))
+                      if field.extension else rng.randrange(p)
+                      for _ in range(n)], field)
+        if _uv_deg(r) < 1:
+            continue
+        if p == 2:
+            probe, t = r, r
+            for _ in range(k * d - 1):
+                t = uv_divmod(uv_mul(t, t, field), g, field)[1]
+                probe = uv_add(probe, t, field)
         else:
-            raise SolverLimitation(
-                "root search inside extensions of Q beyond quadratic "
-                "factors over quadratic extensions is not supported")
-    return roots
+            probe = uv_sub(_uv_powmod(r, (q ** d - 1) // 2, g, field),
+                           [field.one()], field)
+        h = uv_gcd(g, probe, field)
+        if 0 < _uv_deg(h) < n:
+            return (_equal_degree_split(h, d, field, rng)
+                    + _equal_degree_split(_uv_exact_div(
+                        g, h, field, "root extraction"), d, field, rng))
 
 
-def _kronecker_factor(ints: list, k: int):
-    """Search for a degree <= k integer polynomial factor of the primitive
-    integer polynomial ints (no rational roots).  Returns coefficients or
-    None."""
-    pts = [0, 1, -1, 2, -2, 3, -3][: k + 1]
-    vals = []
-    for x in pts:
-        acc = 0
-        for c in reversed(ints):
-            acc = acc * x + c
-        if acc == 0:
-            return None  # would be a rational root; caller excluded those
-        vals.append(acc)
-    div_lists = []
-    total = 1
-    for v in vals:
-        if abs(v) > _KRONECKER_VALUE_CAP:
-            raise SolverLimitation(
-                "factor search: a value exceeds _KRONECKER_VALUE_CAP")
-        ds = _int_divisors(v)
-        signed = []
-        for d in ds:
-            signed.extend((d, -d))
-        div_lists.append(signed)
-        total *= len(signed)
-        if total > _KRONECKER_CAP:
-            raise SolverLimitation("factor search space too large")
+def _mod_ring(m: int):
+    """Z/m under FieldSpec's kernel names, for the uv_* helpers on
+    polynomials whose leading coefficients are units mod m."""
+    return types.SimpleNamespace(**_prime_kernels(m), zero=lambda: 0,
+                                 one=lambda: 1)
 
-    def interp(choices):
-        # Lagrange interpolation through (pts[i], choices[i])
-        coeffs = [Fraction(0)] * (k + 1)
-        for i, (xi, yi) in enumerate(zip(pts, choices)):
-            basis = [Fraction(1)]
-            denom = Fraction(1)
-            for j, xj in enumerate(pts):
-                if j == i:
-                    continue
-                denom *= xi - xj
-                nxt = [Fraction(0)] * (len(basis) + 1)
-                for t, b in enumerate(basis):
-                    nxt[t + 1] += b
-                    nxt[t] -= xj * b
-                basis = nxt
-            scale = Fraction(yi) / denom
-            for t, b in enumerate(basis):
-                coeffs[t] += scale * b
-        return coeffs
 
-    for choices in itertools.product(*div_lists):
-        coeffs = interp(choices)
-        if any(c.denominator != 1 for c in coeffs):
-            continue
-        g = [int(c) for c in coeffs]
-        while g and g[-1] == 0:
-            g.pop()
-        if len(g) < 2:
-            continue
-        q, r = _int_poly_divmod(ints, g)
-        if r is not None and not any(r):
-            return g
-    return None
+def _hensel_lift(g: list, factors: list, l: int, M: int) -> list:
+    """Monic lifts mod M = l^(2^k) of the monic factors mod l of the
+    integer polynomial g, where g = lc(g) * prod(factors) mod l and the
+    factors are coprime mod l.  The factors are split in two halves, u
+    (times lc(g)) and w, lifted together by quadratic Hensel steps (von zur
+    Gathen and Gerhard, Alg. 15.10), then each half in turn."""
+    if len(factors) == 1:
+        return [uv_monic(g, _mod_ring(M))]
+    field, half = FieldSpec(l), len(factors) // 2
+    u = functools.reduce(functools.partial(uv_mul, field=field),
+                         factors[:half], [g[-1] % l])
+    w = functools.reduce(functools.partial(uv_mul, field=field),
+                         factors[half:], [1])
+    unit, s, t = _uv_ext_gcd(u, w, field)
+    s, t = (uv_scale(field.inv(unit[0]), h, field) for h in (s, t))
+    m = l
+    while m < M:
+        m *= m
+        ring = _mod_ring(m)
+        mul, add, sub = (functools.partial(op, field=ring)
+                         for op in (uv_mul, uv_add, uv_sub))
+        e = sub(g, mul(u, w))
+        q, r = uv_divmod(mul(s, e), w, ring)
+        u, w = add(u, add(mul(t, e), mul(q, u))), add(w, r)
+        b = sub(add(mul(s, u), mul(t, w)), [1])
+        c, d = uv_divmod(mul(s, b), w, ring)
+        s, t = sub(s, d), sub(t, add(mul(t, b), mul(c, u)))
+    return (_hensel_lift(u, factors[:half], l, M)
+            + _hensel_lift(w, factors[half:], l, M))
 
 
 def _int_poly_divmod(f: list, g: list):
@@ -905,71 +821,123 @@ def _int_poly_divmod(f: list, g: list):
     return q, f
 
 
-def _factor_rootless(f: list, field: FieldSpec) -> list:
-    """Split a monic squarefree polynomial with no roots in the field into
-    irreducible factors.  Raises SolverLimitation beyond the supported
-    degree range."""
-    deg = _uv_deg(f)
-    if deg <= 3:
+def _rational_factors(f: list) -> list:
+    """Monic irreducible factors over Q of a squarefree nonzero polynomial
+    with Fraction/int coefficients, by Berlekamp-Zassenhaus (von zur
+    Gathen and Gerhard, Modern Computer Algebra, Alg. 15.19).
+
+    Let g be f's primitive integer multiple, a factor a split off, and n
+    its degree.  Let l be the first prime not dividing lc(g) with g
+    squarefree mod l; only primes dividing lc(g)*disc(g) fail, and
+    disc(g) != 0.  The factors of g mod l are lifted to M = l^(2^k) >
+    2*|lc(g)|*2^n*||g||_2.  By Mignotte's bound every integer factor h of
+    g has lc(g)/lc(h)*h below M/2 in each coefficient, so it is the
+    symmetric residue of lc(g) times the product of h's lifts.  Products
+    of the lifts are tried fewest first as exact divisors; a factor found
+    with the fewest lifts is irreducible, and what is left when no
+    product of at most half the remaining lifts divides is irreducible."""
+    g, out = _primitive_ints(f), []
+    if not g[0]:
+        g, out = g[1:], [[0, 1]]
+    n, lc = _uv_deg(g), abs(g[-1])
+    if n <= 1:
+        return out + [uv_monic(g, QQ)] if n else out
+    deriv = [i * c for i, c in enumerate(g)][1:]
+    # a nonzero disc(g) is at most bound, so its primes multiply to that
+    bound, l = n ** n * sum(map(abs, g)) ** (2 * n), 2
+    while lc % l == 0 or _uv_deg(uv_gcd(
+            [c % l for c in g], [c % l for c in deriv], FieldSpec(l))):
+        bound //= l if lc % l else 1
+        if not bound:
+            raise AlgebroidError("rational factors: not squarefree")
+        l = next(q for q in itertools.count(l + 1) if _is_prime(q))
+    field = FieldSpec(l)
+    modular = _finite_factors(uv_monic([c % l for c in g], field), field)
+    if len(modular) == 1:
+        return out + [uv_monic(g, QQ)]
+    M = l
+    while M * M <= 4 * lc * lc * 4 ** n * sum(c * c for c in g):
+        M *= M
+    lifts, ring = _hensel_lift(g, modular, l, M), _mod_ring(M)
+    factors, s = [], 1
+    while 2 * s <= len(lifts):
+        for chosen in itertools.combinations(range(len(lifts)), s):
+            v = functools.reduce(functools.partial(uv_mul, field=ring),
+                                 (lifts[i] for i in chosen), [g[-1] % M])
+            v = _primitive_ints([c - M if 2 * c > M else c for c in v])
+            q, r = _int_poly_divmod(g, v)
+            if r is not None and not any(r):
+                factors.append(v)
+                g = q
+                lifts = [u for i, u in enumerate(lifts) if i not in chosen]
+                break
+        else:
+            s += 1
+    return out + [uv_monic(h, QQ) for h in factors + [g]]
+
+
+def _extension_factors(f: list, field: FieldSpec) -> list:
+    """Monic irreducible factors of a monic squarefree f over an extension
+    K of Q of degree d.  Exact and complete where it answers: a linear f,
+    and an f with rational coefficients, whose factors over Q of degree k
+    stay whole over K when gcd(k, d) = 1, and split by the discriminant
+    rule when k = d = 2.  Everything else raises SolverLimitation rather
+    than return a partial answer."""
+    if _uv_deg(f) == 1:
         return [f]
-    if field.characteristic == 0 and field.extension is None:
-        if deg > 7:
-            raise SolverLimitation(
-                "rootless factorization over Q supported up to degree 7")
-        ints = _primitive_ints(f)
-        for k in range(2, min(3, deg // 2) + 1):
-            g = _kronecker_factor(ints, k)
-            if g is not None:
-                gq = uv_monic([field.coerce(Fraction(c)) for c in g], field)
-                q = _uv_exact_div(f, gq, field, "rootless factorization")
-                return sorted(_factor_rootless(gq, field) + _factor_rootless(q, field),
-                              key=lambda h: (len(h), [field.sort_key(c) for c in h]))
-        return [f]
-    size = field.size()
-    if size is None:
+    if any(any(c[1:]) for c in f):
         raise SolverLimitation(
-            "rootless factorization over a characteristic-0 extension "
-            "is not supported")
-    # finite field: trial division by monic polynomials of low degree
-    for k in range(2, deg // 2 + 1):
-        if size ** k > _ENUM_CAP * 8:
-            raise SolverLimitation("trial-division space too large")
-        for g in _monic_polys(field, k):
-            _, r = uv_divmod(f, g, field)
-            if not r:
-                q, _ = uv_divmod(f, g, field)
-                return sorted(_factor_rootless(g, field) + _factor_rootless(q, field),
-                              key=lambda h: (len(h), [field.sort_key(c) for c in h]))
-    return [f]
+            "factoring with genuine extension coefficients over Q "
+            "is only supported for linear polynomials")
+    d, out = field.degree, []
+    for g in _rational_factors([c[0] for c in f]):
+        k = _uv_deg(g)
+        s = None
+        if k == 2 and d == 2:
+            # g = a^2 + p a + q has a root in Q[th]/(th^2 + m th + c)
+            # exactly when disc(g)/disc(minpoly) is a rational square.
+            p, q = Fraction(g[1]), Fraction(g[0])
+            c0, c1 = Fraction(field.extension[0]), Fraction(field.extension[1])
+            s = _is_rational_square((p * p - 4 * q) / (c1 * c1 - 4 * c0))
+        elif math.gcd(k, d) != 1:
+            raise SolverLimitation(
+                "factoring inside extensions of Q beyond quadratic "
+                "factors over quadratic extensions is not supported")
+        if s is None:
+            out.append([field.embed(c) for c in g])
+            continue
+        w = (c1 * s, 2 * s)  # payload with w^2 = disc_g
+        half, minus_p = field.embed(Fraction(1, 2)), field.embed(-p)
+        for signed in (w, field.neg(w)):
+            root = field.mul(half, field.add(minus_p, signed))
+            out.append([field.neg(root), field.one()])
+    return out
 
 
-def _monic_polys(field: FieldSpec, deg: int):
-    """All monic polynomials of exact degree deg over a small finite field."""
-    elems = list(field.elements())
-    def rec(i, acc):
-        if i == deg:
-            yield acc + [field.one()]
-            return
-        for e in elems:
-            yield from rec(i + 1, acc + [e])
-    yield from rec(0, [])
+def _irreducible_factors(f: list, field: FieldSpec) -> list:
+    """Monic irreducible factors of a monic squarefree f of positive
+    degree, sorted by (degree, coefficients), by one factoriser per field
+    kind.  Their product is checked against f."""
+    if field.characteristic:
+        factors = _finite_factors(f, field)
+    elif field.extension is None:
+        factors = _rational_factors(f)
+    else:
+        factors = _extension_factors(f, field)
+    product = functools.reduce(functools.partial(uv_mul, field=field),
+                               factors, [field.one()])
+    if uv_sub(product, f, field):
+        raise AlgebroidError(
+            "root extraction: the factors do not multiply back to the "
+            "polynomial")
+    return sorted(factors,
+                  key=lambda h: (len(h), [field.sort_key(c) for c in h]))
 
 
 def _is_irreducible(f: list, field: FieldSpec) -> bool:
     f = uv_monic(f, field)
-    deg = _uv_deg(f)
-    if deg <= 0:
-        return False
-    if deg == 1:
-        return True
-    rad = uv_radical(f, field)
-    if _uv_deg(rad) != deg:
-        return False
-    if _roots_in_field(f, field):
-        return False
-    if deg <= 3:
-        return True
-    return len(_factor_rootless(f, field)) == 1
+    return (_uv_deg(f) > 0 and _uv_deg(uv_radical(f, field)) == _uv_deg(f)
+            and len(_irreducible_factors(f, field)) == 1)
 
 
 def univariate_roots(coeffs, field: Optional[FieldSpec] = None):
@@ -978,7 +946,8 @@ def univariate_roots(coeffs, field: Optional[FieldSpec] = None):
 
     ``coeffs`` may be Scalars or raw payloads (index = degree).  Returns
     ``(roots, residual)`` where roots is a sorted list of Scalars and
-    residual a list of monic coefficient tuples (leading 1 included).
+    residual a list of monic coefficient tuples (leading 1 included),
+    sorted by degree and then by coefficients.
     """
     coeffs = list(coeffs)
     if field is None:
@@ -996,17 +965,11 @@ def univariate_roots(coeffs, field: Optional[FieldSpec] = None):
     while field.is_zero(f[0]):
         f = f[1:]
         shift += 1
-    rad = uv_radical(f, field) if _uv_deg(f) >= 1 else [field.one()]
-    roots = list(_roots_in_field(rad, field)) if _uv_deg(rad) >= 1 else []
-    rest = rad
-    for r in roots:
-        rest = _uv_exact_div(rest, [field.neg(r), field.one()], field,
-                             "root extraction")
+    factors = _irreducible_factors(uv_radical(f, field), field) \
+        if _uv_deg(f) >= 1 else []
+    roots = [field.neg(h[0]) for h in factors if len(h) == 2]
     if shift:
-        roots.insert(0, field.zero())
-    residual = []
-    if _uv_deg(rest) >= 2:
-        residual = [tuple(h) for h in _factor_rootless(uv_monic(rest, field), field)]
+        roots.append(field.zero())
     scalar_roots = sorted((Scalar(r, field) for r in roots),
                           key=lambda s: field.sort_key(s.value))
-    return scalar_roots, residual
+    return scalar_roots, [tuple(h) for h in factors if len(h) > 2]

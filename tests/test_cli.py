@@ -253,6 +253,21 @@ def test_extension_field_report_round_trips(tmp_path, capsys):
     assert "ok" in out
 
 
+def test_extensions_of_a_large_prime_field(tmp_path, capsys):
+    def decide(ext):
+        text = (f"char 1000003\next {ext}\nvars x y\nideal:\n"
+                "(y^2 - th*x^3)^2 - x^7\n")
+        return run(capsys, "decide", write(tmp_path, text))
+
+    # 1000003 = 3 mod 8, so 2 is not a square and th^2 - 2 is irreducible
+    code, out, _ = decide("th^2 - 2")
+    assert code == 1 and "verdict: reducible" in out
+    # 1000003 = 1 mod 3, so -3 is a square and th^2 + 3 splits
+    code, _, err = decide("th^2 + 3")
+    assert code == 2
+    assert "line 2: defining polynomial is reducible" in err
+
+
 def test_scaled_ray_fails_verification(tmp_path, capsys):
     _, doc = report_for(tmp_path, DOUBLE_BRANCH)
     doc["certificate"]["data"][0] = [
@@ -471,9 +486,11 @@ def _set(path, value):
     (PRIME_4_6_13, _set(("ring", "vars"), "xyz")),
     (PRIME_4_6_13, _set(("base_vars",), "xy")),
     (DOUBLE_BRANCH, _set(("data", 0, 0), 2.0)),
+    (DOUBLE_BRANCH, _set(("kind",), ["two_tropisms"])),
+    (PRIME_4_6_13, _set(("transcript", 0, "name"), 7)),
 ], ids=["list", "string", "char-1e400", "fractional", "bool-weight",
         "string-weight", "string-exponent", "bool-coefficient", "vars-string",
-        "base-vars-string", "float-ray"])
+        "base-vars-string", "float-ray", "list-kind", "number-name"])
 def test_a_malformed_document_exits_two_without_a_traceback(
         tmp_path, text, mutate):
     """Each document is refused as unreadable (exit 2), not judged an

@@ -26,6 +26,7 @@ from algebroid.errors import (
     InfiniteWeight,
     NonRadicalSuspected,
     NotPrime,
+    TruncationExhausted,
     WrongDimension,
 )
 from algebroid.groebner import (
@@ -476,6 +477,39 @@ def test_a_conjugate_pair_over_an_extension_base_field_is_a_typed_limit():
     with pytest.raises(CertificateSearchFailed,
                        match="the base field is already an extension"):
         decide_irreducible(IdealHandle([f], ctx))
+
+
+# the curves that stopped at the pencil's root extraction while roots over
+# F_p were found by enumerating the field, up to 4096 elements
+LARGE_PRIME_CURVES = {
+    "quartic": ("(y^2 - 2*x^3)^2 - 3*x^7", "reducible"),
+    "conjugate": ("(y^3 - 1000003*x^4)^2 - 7*x^9", "reducible"),
+    "prime": ("(y^2 - x^3)^2 - 10000000019*x^2*y^3", "irreducible"),
+}
+
+
+@pytest.mark.parametrize("cid", LARGE_PRIME_CURVES)
+def test_curves_over_a_large_prime_field_get_verified_certificates(cid):
+    text, verdict = LARGE_PRIME_CURVES[cid]
+    I, _ = plane_ideal(text, GF(1000003))
+    rep = decide_irreducible(I)
+    assert rep.verdict == verdict
+    assert verify_certificate(rep.certificate) == (True, "ok")
+
+
+@pytest.mark.xfail(strict=True, raises=TruncationExhausted, reason=(
+    "with pivot x the unit's zero y = -1 lies on the fibre x = 0, so the "
+    "pivot reducer's identity v = r + t*b (mod I) holds for no "
+    "homogenising power; only a normal form that allows units has one"))
+@pytest.mark.parametrize("text", [
+    "((y^2 - x^3)^2 - x^7)*(1 + x + y)",
+    "(y^2 - x^3)*(y^2 - 2*x^3)*(1 + y)",
+])
+def test_a_unit_factor_meeting_the_pivot_fibre_is_a_known_limit(text):
+    I, _ = plane_ideal(text, GF(101))
+    rep = decide_irreducible(I)
+    assert rep.verdict == "reducible"
+    assert verify_certificate(rep.certificate) == (True, "ok")
 
 
 # ------------------------------------------------------------ preconditions

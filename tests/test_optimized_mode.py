@@ -1,7 +1,7 @@
 """The scalar, semigroup, local algebra, decide, parametric, case-2 ray
 and acceptance tests under ``python -O``, and lints that keep plain
-``assert``, unused imports and private definitions nothing in the library
-reads out of the library.
+``assert``, unused imports and private definitions and constants nothing
+in the library reads out of the library.
 
 ``-O`` strips plain ``assert`` statements from the library, so an
 invariant it kept with one would go unchecked; these tests show that the
@@ -73,26 +73,36 @@ def test_the_library_imports_nothing_it_does_not_use():
     assert found == {}
 
 
+def _private_definitions(tree):
+    """The ``_name`` functions, classes and methods of one module, and its
+    module-level ``_NAME = ...`` assignments, dunders aside."""
+    names = [node.name for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))]
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names
+            if name.startswith("_") and not name.endswith("__")]
+
+
 def _unread_private_definitions(trees):
-    """(module, name) of each ``_name`` function, class or method, dunders
-    aside, that no module reads as a Name, an Attribute or an import
-    alias."""
+    """(module, name) of each private definition that no module reads as a
+    loaded Name, an Attribute or an import alias."""
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Store):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
             elif isinstance(node, ast.alias):
                 read.add(node.name)
-    return sorted(
-        (stem, node.name) for stem, tree in trees.items()
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef))
-        and node.name.startswith("_") and not node.name.endswith("__")
-        and node.name not in read)
+    return sorted((stem, name) for stem, tree in trees.items()
+                  for name in _private_definitions(tree) if name not in read)
 
 
 def test_every_private_definition_has_a_reader_in_the_library():

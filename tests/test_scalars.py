@@ -14,16 +14,19 @@ import pytest
 
 from algebroid import assert_preconditions, cli, decide_irreducible, scalars
 from algebroid.errors import (AlgebroidError, DivisionByZero, FieldMismatch,
-                              SolverLimitation, ZeroPoly)
+                              ZeroPoly)
 from algebroid.scalars import (
     GF,
     QQ,
     FieldSpec,
     Scalar,
     univariate_roots,
+    uv_deriv,
     uv_divmod,
+    uv_eval,
     uv_gcd,
     uv_mul,
+    uv_monic,
     uv_radical,
     _is_prime,
     _pth_root_payload,
@@ -264,11 +267,10 @@ def test_roots_inside_quadratic_extension():
     assert len(residual) == 1
 
 
-def test_roots_big_rootless_degree_is_limited():
-    # degree 8, no rational roots: outside the supported window
-    f = [QQ.one()] + [QQ.zero()] * 7 + [QQ.one()]  # a^8 + 1
-    with pytest.raises(SolverLimitation):
-        univariate_roots(f, QQ)
+def test_a_rootless_octic_stays_whole():
+    # a^8 + 1 is irreducible over Q and splits modulo every prime
+    f = [QQ.one()] + [QQ.zero()] * 7 + [QQ.one()]
+    assert univariate_roots(f, QQ) == ([], [tuple(f)])
 
 
 def _seeded_root_products(rng, count):
@@ -291,6 +293,11 @@ def _seeded_root_products(rng, count):
         yield f, roots
 
 
+def _rational_roots(f):
+    """The rational roots of f, read from its linear factors over Q."""
+    return sorted(-h[0] for h in scalars._rational_factors(f) if len(h) == 2)
+
+
 def test_rational_roots_agree_with_sympy_on_seeded_products():
     sympy = pytest.importorskip("sympy")
     a = sympy.Symbol("a")
@@ -298,23 +305,117 @@ def test_rational_roots_agree_with_sympy_on_seeded_products():
         theirs = sympy.Poly(list(reversed(f)), a).ground_roots()
         want = sorted(Fraction(int(r.p), int(r.q)) for r in theirs)
         assert want == sorted(roots)
-        assert scalars._rational_roots(f) == want
-        assert scalars._rational_roots([Fraction(c, 7) for c in f]) == want
+        assert _rational_roots(f) == want
+        assert _rational_roots([Fraction(c, 7) for c in f]) == want
 
 
 def test_rational_roots_of_large_coefficients_come_fast():
     # the divisors of a0 and an were searched up to their square roots
     f = uv_mul([-(10 ** 12 + 39), 10 ** 12 - 11], [-(2 ** 61 - 1), 3], QQ)
     start = time.perf_counter()
-    assert scalars._rational_roots(f) == sorted(
+    assert _rational_roots(f) == sorted(
         [Fraction(10 ** 12 + 39, 10 ** 12 - 11), Fraction(2 ** 61 - 1, 3)])
     assert time.perf_counter() - start < 0.5
 
 
 def test_rational_roots_include_zero_and_refuse_a_square():
-    assert scalars._rational_roots([0, 1, 1]) == [-1, 0]
+    assert _rational_roots([0, 1, 1]) == [-1, 0]
     with pytest.raises(AlgebroidError, match="not squarefree"):
-        scalars._rational_roots([1, 2, 1])
+        _rational_roots([1, 2, 1])
+
+
+def _monic_fractions(poly):
+    """A sympy Poly's coefficients, ascending and divided by its leading
+    one, as Fractions."""
+    coeffs = [Fraction(int(c.p), int(c.q))
+              for c in reversed(poly.all_coeffs())]
+    return tuple(c / coeffs[-1] for c in coeffs)
+
+
+def _seeded_squarefree_products(rng, count, field):
+    """Squarefree products of 1-4 random polynomials of degree 1-4 with
+    coefficients in [-9, 9] (reduced into ``field``), as payload lists."""
+    made = 0
+    while made < count:
+        f = [1]
+        for _ in range(rng.randint(1, 4)):
+            deg = rng.randint(1, 4)
+            f = uv_mul(f, [field.coerce(rng.randint(-9, 9))
+                           for _ in range(deg)]
+                       + [field.coerce(rng.randint(1, 9))], field)
+        if len(f) > 1 and len(uv_gcd(f, uv_deriv(f, field), field)) == 1:
+            made += 1
+            yield f
+
+
+def test_rational_factors_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    a = sympy.Symbol("a")
+    inputs = [f for f, _ in _seeded_root_products(random.Random(18), 60)]
+    inputs += list(_seeded_squarefree_products(random.Random(25), 120, QQ))
+    for f in inputs:
+        _, theirs = sympy.Poly(list(reversed(f)), a).factor_list()
+        want = sorted((len(h), h) for h in (
+            _monic_fractions(h) for h, _ in theirs))
+        got = scalars._irreducible_factors(uv_monic(f, QQ), QQ)
+        assert [(len(h), tuple(h)) for h in got] == want
+        roots, residual = univariate_roots(f, QQ)
+        assert [r.value for r in roots] == sorted(
+            -h[1][0] for h in want if h[0] == 2)
+        assert residual == [h[1] for h in want if h[0] > 2]
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 1000003])
+def test_finite_factors_agree_with_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    a, field = sympy.Symbol("a"), GF(p)
+    for f in _seeded_squarefree_products(random.Random(p), 60, field):
+        f = uv_monic(f, field)
+        _, theirs = sympy.Poly(list(reversed(f)), a, modulus=p).factor_list()
+        want = sorted((len(h), h) for h in (
+            tuple(int(c) % p for c in reversed(h.all_coeffs()))
+            for h, _ in theirs))
+        got = scalars._irreducible_factors(f, field)
+        assert [(len(h), tuple(h)) for h in got] == want
+
+
+@pytest.mark.parametrize("field", [GF(2, (1, 1)), GF(3, (1, 0)),
+                                   GF(5, (2, 0))], ids=["F4", "F9", "F25"])
+def test_extension_factors_agree_with_enumeration(field):
+    # over F_4 = F_2[th]/(th^2 + th + 1), F_9 = F_3[th]/(th^2 + 1) and
+    # F_25 = F_5[th]/(th^2 + 2)
+    rng, elements = random.Random(field.size()), list(field.elements())
+    for _ in range(80):
+        f = [tuple(rng.randrange(field.characteristic) for _ in range(2))
+             for _ in range(rng.randint(1, 5))] + [field.one()]
+        rad = uv_radical(f, field)
+        roots, residual = univariate_roots(f, field)
+        assert [r.value for r in roots] == sorted(
+            (x for x in elements if field.is_zero(uv_eval(f, x, field))),
+            key=field.sort_key)
+        product = [field.one()]
+        for h in [[field.neg(r.value), field.one()] for r in roots] + residual:
+            product = uv_mul(product, h, field)
+        assert product == rad
+        for h in residual:  # irreducible: no monic divisor of low degree
+            assert all(uv_divmod(h, [*low, field.one()], field)[1]
+                       for k in range(1, (len(h) - 1) // 2 + 1)
+                       for low in itertools.product(elements, repeat=k))
+
+
+def test_the_swinnerton_dyer_polynomial_of_four_roots_stays_whole():
+    # the minimal polynomial of sqrt(2) + sqrt(3) + sqrt(5) + sqrt(7) has
+    # degree 16 and splits into factors of degree at most 2 modulo every
+    # prime
+    sympy = pytest.importorskip("sympy")
+    a = sympy.Symbol("a")
+    poly = sympy.minimal_polynomial(
+        sum(sympy.sqrt(q) for q in (2, 3, 5, 7)), a, polys=True)
+    f = [int(c) for c in reversed(poly.all_coeffs())]
+    assert len(f) == 17
+    start = time.perf_counter()
+    assert univariate_roots(f, QQ) == ([], [tuple(f)])
+    assert time.perf_counter() - start < 5
 
 
 def test_an_extension_by_a_polynomial_with_root_zero_is_refused():
@@ -323,11 +424,11 @@ def test_an_extension_by_a_polynomial_with_root_zero_is_refused():
         FieldSpec(0, extension=(0, 1))
 
 
-def test_the_factor_search_refuses_large_values():
+def test_a_quartic_with_large_values_splits_into_its_quadratics():
     # (a^2 + 10^7)(a^2 + 10^7 + 1) is rootless; its value at 0 is about 10^14
     f = uv_mul([10 ** 7, 0, 1], [10 ** 7 + 1, 0, 1], QQ)
-    with pytest.raises(SolverLimitation, match="_KRONECKER_VALUE_CAP"):
-        univariate_roots(f, QQ)
+    assert univariate_roots(f, QQ) == (
+        [], [(10 ** 7, 0, 1), (10 ** 7 + 1, 0, 1)])
 
 
 def test_scalar_hash_consistent():
@@ -366,7 +467,7 @@ def test_an_inexact_division_in_the_squarefree_part_raises(monkeypatch):
 
 def test_a_false_root_raises_a_typed_error(monkeypatch):
     # 5 is not a root of x^2 - 2
-    monkeypatch.setattr(scalars, "_roots_in_field", lambda f, field: [5])
+    monkeypatch.setattr(scalars, "_rational_factors", lambda f: [[-5, 1]])
     with pytest.raises(AlgebroidError, match="root extraction"):
         univariate_roots([-2, 0, 1], QQ)
 
