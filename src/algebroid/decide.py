@@ -53,6 +53,7 @@ from .parametric import (Verdict, _coefficients, _extend_with,
 from .polyring import (
     INF,
     DegRevLex,
+    InvLex,
     Poly,
     RingCtx,
     embed,
@@ -66,25 +67,34 @@ from .scalars import FieldSpec, uv_add, uv_mul
 from .semigroups import gcd_weights, membership, prim_generators
 
 
+class _InitialHandle(IdealHandle):
+    """The handle of a weighted initial ideal, whose basis and queries
+    are under InvLex (see ``_initial_handle``)."""
+
+    order = InvLex()
+
+
 def _initial_handle(handle: IdealHandle, w: Sequence[int]) -> IdealHandle:
     """The handle of the initial ideal K at w, one per weight vector, with
-    its reduced DegRevLex basis already in its memo, found by interreducing
+    its reduced InvLex basis already in its memo, found by interreducing
     its generators alone.
 
     Those generators are the initial forms in_w(s) of a standard basis of
-    J under the local order (lowest w-degree first, DegRevLex among
-    equals), so LM_local(s) = LM_drl(in_w(s)).  Let h in K be nonzero and
-    h_d its w-homogeneous component holding LM_drl(h).  K is
+    J under the local order (lowest w-degree first, InvLex among equals),
+    so LM_local(s) = LM_T(in_w(s)) with T = InvLex.  Let h in K be
+    nonzero and h_d its w-homogeneous component holding LM_T(h).  K is
     w-homogeneous, so h_d lies in K and h_d = in_w(f) for some f in J;
-    then LM_drl(h) = LM_drl(h_d) = LM_local(f) lies in <LM_local(s)> =
-    <LM_drl(in_w(s))>.  The forms are thus a DegRevLex Groebner basis of
-    K, and the reduced basis, being unique, is the one Buchberger gives."""
+    then LM_T(h) = LM_T(h_d) = LM_local(f) lies in <LM_local(s)> =
+    <LM_T(in_w(s))>.  The forms are thus a T-Groebner basis of K, and
+    the reduced basis, being unique, is the one Buchberger gives.  Any
+    global order T breaking the local order's ties would do; InvLex lets
+    each adjoined coordinate lead its own relation."""
     w = tuple(w)
 
     def build() -> IdealHandle:
-        K = IdealHandle(initial_ideal(handle, w), handle.ctx)
+        K = _InitialHandle(initial_ideal(handle, w), handle.ctx)
         K.cached(("groebner",), lambda: [p for p, _ in _reduce_basis(
-            [(g, None) for g in K.generators], DegRevLex())])
+            [(g, None) for g in K.generators], K.order)])
         return K
     return handle.cached(("initial", w), build)
 
@@ -100,10 +110,11 @@ def _monomial_free(handle: IdealHandle, w: Sequence[int]) -> bool:
     some length D.  K contains a monomial exactly when the slice is the
     unit ideal or the product m of the other variables is nilpotent
     modulo it, that is, when m^(2^k) reduces to zero for the first
-    2^k >= D.  The slice is taken of K's reduced DegRevLex basis, which
-    ``_initial_handle`` found without S-pairs.  The verdict is kept in
-    the handle's memo under ("free", w).  Raises WrongDimension when the
-    slice is not finite."""
+    2^k >= D.  The slice is taken of K's reduced InvLex basis, which
+    ``_initial_handle`` found without S-pairs; the slice's own basis is
+    built under DegRevLex.  The verdict is kept in the handle's memo
+    under ("free", w).  Raises WrongDimension when the slice is not
+    finite."""
     w = tuple(w)
 
     def build() -> bool:
@@ -345,13 +356,12 @@ def _call_test(f: Poly, g: Poly, handle: IdealHandle, *, error: type,
     return v
 
 
-def _nf_ratio_resolves(m1: tuple, m2: tuple, in_gb: List[Poly],
-                       ctx: RingCtx) -> bool:
+def _nf_ratio_resolves(m1: tuple, m2: tuple, in_handle: IdealHandle) -> bool:
     """Whether some scalar multiple x^a - lambda x^b already lies in the
     weighted initial ideal (then the pencil test carries no information)."""
-    order = DegRevLex()
-    q1 = normal_form(ctx.mono(m1), in_gb, order)
-    q2 = normal_form(ctx.mono(m2), in_gb, order)
+    ctx, gb, order = in_handle.ctx, in_handle.groebner(), in_handle.order
+    q1 = normal_form(ctx.mono(m1), gb, order)
+    q2 = normal_form(ctx.mono(m2), gb, order)
     if q1.is_zero() or q2.is_zero():
         raise AlgebroidError("screening: a monomial inside the initial "
                              "ideal survived the monomial check")
@@ -372,14 +382,13 @@ def _screen_round(handle: IdealHandle, w: tuple, *, error: type,
     ``error``."""
     ctx = handle.ctx
     in_handle = _initial_handle(handle, w)
-    in_gb = in_handle.groebner()
     binomials = prim_generators(w, ctx)
     binomials.sort(key=lambda b: (ord_w(b, w), b.key()))
     escapes = []
     for b in binomials:
         items = sorted(b.terms.items(), reverse=True)
         (m1, _), (m2, _) = items
-        if _nf_ratio_resolves(m1, m2, in_gb, ctx):
+        if _nf_ratio_resolves(m1, m2, in_handle):
             continue
         f = ctx.mono(m1)
         g = ctx.mono(m2)

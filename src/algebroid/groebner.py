@@ -230,18 +230,25 @@ class IdealHandle:
     """An ideal given by generators, with one memo of the results that
     depend on those generators alone.
 
+    ``order`` is the global order of the handle's Groebner basis and of
+    every query read from it (membership, monomial content, colength,
+    Krull dimension): DegRevLex, except on the initial ideals of
+    ``decide._initial_handle``, whose basis is the reduced InvLex one.
+
     ``cached(key, build)`` returns the value stored under ``key``, calling
     ``build()`` to make it on first use.  The keys in use are
-    ("groebner",) for the reduced DegRevLex basis, ("hom", w) for the
-    local standard basis, ("pivot", i) for the pivot reducer,
+    ("groebner",) for the reduced basis under ``order``, ("hom", w) for
+    the local standard basis, ("pivot", i) for the pivot reducer,
     ("intersection", f.key()), ("initial", w) for the initial ideal's
     handle and ("free", w) for the sliced test's verdict
     (``decide._monomial_free``).  An initial handle is built with its
-    ("groebner",) entry already filled, by interreduction alone
-    (``decide._initial_handle``).  The memo has no size bound: every
-    entry answers a call made on this handle, and the entries go with it.
-    A handle's generators must not change after it is built.
+    ("groebner",) entry already filled, by interreduction alone.  The
+    memo has no size bound: every entry answers a call made on this
+    handle, and the entries go with it.  A handle's generators must not
+    change after it is built.
     """
+
+    order: TermOrder = DegRevLex()
 
     def __init__(self, generators: Iterable[Poly], ctx: Optional[RingCtx] = None):
         gens = tuple(generators)
@@ -263,9 +270,9 @@ class IdealHandle:
         return memo[key]
 
     def groebner(self) -> List[Poly]:
-        """The reduced DegRevLex Groebner basis, built once."""
+        """The reduced Groebner basis under ``order``, built once."""
         return self.cached(("groebner",),
-                           lambda: buchberger(self.generators, DegRevLex()))
+                           lambda: buchberger(self.generators, self.order))
 
     def __str__(self):
         return "ideal(" + ", ".join(str(g) for g in self.generators) + ")"
@@ -287,7 +294,7 @@ def ideal_membership(f: Poly, ideal) -> bool:
     gb = handle.groebner()
     if not gb:
         return f.is_zero()
-    return normal_form(f, gb, DegRevLex()).is_zero()
+    return normal_form(f, gb, handle.order).is_zero()
 
 
 def _inverted(handle: IdealHandle, h: Poly) -> IdealHandle:
@@ -332,7 +339,7 @@ def contains_monomial(ideal) -> Optional[tuple]:
     power = None
     for k in range(1, _WITNESS_POWER_CAP + 1):
         cand = tuple(k for _ in range(n))
-        if normal_form(ctx.mono(cand), gb, DegRevLex()).is_zero():
+        if normal_form(ctx.mono(cand), gb, handle.order).is_zero():
             power = cand
             break
     if power is None:
@@ -346,7 +353,7 @@ def contains_monomial(ideal) -> Optional[tuple]:
             seen += 1
             if seen > _WITNESS_ENUM_CAP:
                 return power
-            if normal_form(ctx.mono(m), gb, DegRevLex()).is_zero():
+            if normal_form(ctx.mono(m), gb, handle.order).is_zero():
                 return m
     return power
 
@@ -414,12 +421,12 @@ def staircase_size(leads: Sequence[tuple], nvars: int) -> Optional[int]:
 
 def colength(ideal) -> object:
     """Dimension of the quotient as a vector space (INF when infinite),
-    measured by the degrevlex staircase."""
+    measured by the staircase of the handle's basis."""
     handle = _as_handle(ideal)
     gb = handle.groebner()
     if not gb:
         return INF if handle.ctx.nvars else 1
-    size = staircase_size([g.lead(DegRevLex())[0] for g in gb],
+    size = staircase_size([g.lead(handle.order)[0] for g in gb],
                           handle.ctx.nvars)
     return INF if size is None else size
 
@@ -434,7 +441,7 @@ def krull_dimension(ideal) -> int:
         raise SolverLimitation(
             f"krull_dimension supports at most _KRULL_VARIABLE_CAP = "
             f"{_KRULL_VARIABLE_CAP} variables, got {n}")
-    gens = [g.lead(DegRevLex())[0] for g in handle.groebner()]
+    gens = [g.lead(handle.order)[0] for g in handle.groebner()]
     if any(not any(m) for m in gens):
         raise UnitIdeal("dimension of the unit ideal")
     supports = [frozenset(i for i, e in enumerate(m) if e) for m in gens]

@@ -1,15 +1,19 @@
 """Local (power-series) algebra through weighted homogenization.
 
 A standard basis of an ideal with respect to the local order 'smallest
-w-degree first' is computed by homogenizing the generators with an extra
-variable, running Buchberger under a compatible global order, and setting
-the homogenizing variable back to 1.  Everything downstream (initial
-ideals, colengths, intersection numbers, base weights) reads off the local
-leading monomials of such a basis or its initial forms.  Neither depends
-on the tails, so the basis is the Buchberger loop's minimal monic one,
-never tail-reduced: the leads are those of the reduced basis, and any
-standard basis's initial forms generate the initial ideal, whose reduced
-basis ``decide._initial_handle`` finds by interreducing them.  Colengths
+w-degree first, inverse lex among equals' is computed by homogenizing
+the generators with an extra variable, running Buchberger under a
+compatible global order (``polyring.HomogenizedLocalOrder``), and
+setting the homogenizing variable back to 1.  Inverse lex makes the last
+variable the largest, so an adjoined coordinate, always last, leads its
+own relation and is eliminated by it.
+Everything downstream (initial ideals, colengths, intersection numbers,
+base weights) reads off the local leading monomials of such a basis or
+its initial forms.  Neither depends on the tails, so the basis is the
+Buchberger loop's minimal monic one, never tail-reduced: the leads are
+those of the reduced basis, and any standard basis's initial forms
+generate the initial ideal, whose reduced InvLex basis
+``decide._initial_handle`` finds by interreducing them.  Colengths
 count the staircase of the leads without building it
 (``groebner.staircase_size``).  An intersection number is taken in
 the smallest ring that carries it: K[[x]]/(I + (x_i)) is K[[x without
@@ -103,7 +107,7 @@ def _hom_groebner(handle: IdealHandle, w: tuple):
 
 def standard_basis(ideal: IdealLike, w: Optional[Sequence[int]] = None) -> List[Poly]:
     """Standard basis for the local order 'smallest w-degree first,
-    degrevlex among equals' (w defaults to all ones): minimal and monic,
+    inverse lex among equals' (w defaults to all ones): minimal and monic,
     its tails not reduced."""
     handle = _as_handle(ideal)
     w = _check_weights(w if w is not None else (1,) * handle.ctx.nvars,
@@ -125,9 +129,9 @@ def local_lead_monomials(ideal: IdealLike,
 
 def initial_ideal(ideal: IdealLike, w: Sequence[int]) -> List[Poly]:
     """Generators of the ideal of lowest-w-degree forms: the initial forms
-    of a standard basis, deduplicated.  Their DegRevLex leads are the
-    local leads of that basis, so they form a DegRevLex Groebner basis of
-    the initial ideal."""
+    of a standard basis, deduplicated.  Their InvLex leads are the local
+    leads of that basis, so they form an InvLex Groebner basis of the
+    initial ideal (see ``decide._initial_handle``)."""
     handle = _as_handle(ideal)
     w = _check_weights(w, handle.ctx.nvars)
     seen = set()

@@ -75,6 +75,15 @@ class DegRevLex(TermOrder):
 
 
 @dataclass(frozen=True)
+class InvLex(TermOrder):
+    """Lex in which the last variable compares first: later variables
+    are larger."""
+
+    def key(self, mono):
+        return mono[::-1]
+
+
+@dataclass(frozen=True)
 class WeightedOrder(TermOrder):
     """Compare by weighted degree first, break ties with another order."""
 
@@ -103,7 +112,9 @@ class BlockOrder(TermOrder):
 class HomogenizedLocalOrder(TermOrder):
     """Global order on K[x_1..x_n, h] (h last) whose leading terms, after
     setting h = 1 on a w-homogenized polynomial, realize the local order
-    'smallest w-degree first, degrevlex among equals'."""
+    'smallest w-degree first, inverse lex among equals'.  Inverse lex
+    makes the last variable the largest, so an adjoined coordinate,
+    always last, leads its own relation."""
 
     weights: tuple  # positive integer weights for the x-variables only
 
@@ -112,7 +123,7 @@ class HomogenizedLocalOrder(TermOrder):
         wa = 0
         for wi, ai in zip(self.weights, a):
             wa += wi * ai
-        return (wa + c, -wa, (sum(a), tuple(-e for e in reversed(a))))
+        return (wa + c, -wa, a[::-1])
 
 
 # ------------------------------------------------------------------- ring

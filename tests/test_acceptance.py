@@ -1,14 +1,18 @@
 """Acceptance gate: ten end-to-end criteria, one test (one pass/fail
-line under ``pytest -v``) per criterion.  All arithmetic is exact, so
-every comparison below is strict equality; the timed criteria carry
-their own wall-clock budgets."""
+line under ``pytest -v``) per criterion, and the hard inputs pinned with
+a budget each.  All arithmetic is exact, so every comparison below is
+strict equality; the timed criteria carry their own wall-clock
+budgets."""
 
+import hashlib
+import json
 import random
 import time
 from dataclasses import replace
 
 import pytest
 
+from algebroid.cli import certificate_json
 from algebroid.decide import (
     _primitive,
     decide_irreducible,
@@ -279,6 +283,33 @@ def test_criterion_10_algebraic_property_suite():
     with pytest.raises(ContextViolation):
         parametric_test(parse_poly("y^2", cusp_ctx),
                         parse_poly("x^3", cusp_ctx), cusp)
+
+
+# Inputs whose local standard bases once cost seconds: the bend curve,
+# whose saturation bends the attachment, and a tacnode probe.  Each
+# certificate's digest is the SHA-256 of its sorted-key JSON.
+HARD_INPUTS = {
+    "bend-Q": ("(y^2 - x^3)*((y^2 - x^3)^2 - x^7)", QQ, (
+        "fff44674a6fc95803b38a82fc13c6e49d2a88240f01e354c8c9ec473c3a616e9")),
+    "bend-F101": ("(y^2 - x^3)*((y^2 - x^3)^2 - x^7)", GF(101), (
+        "da9770b3f84b78d8b6b55dce213042a0b25e237098c22a16e6f2ef443a6257f7")),
+    "tacnode-Q": ("(y^2 - x^3)^2 - x^4*y^2", QQ, (
+        "09338f4b28c4158c617295d8e6b1f83dd0149f9e263b689b93330ea3dcae37a8")),
+}
+
+
+@pytest.mark.parametrize("case", HARD_INPUTS)
+def test_hard_inputs_certify_within_their_budget(case):
+    text, field, pin = HARD_INPUTS[case]
+    handle, _ = handle_of(("x", "y"), text, field=field)
+    start = time.monotonic()
+    rep = decide_irreducible(handle)
+    assert time.monotonic() - start < 1.0
+    assert rep.verdict == "reducible"
+    assert rep.certificate.kind == "two_tropisms"
+    assert verify_certificate(rep.certificate) == (True, "ok")
+    text = json.dumps(certificate_json(rep.certificate), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == pin
 
 
 def test_suite_runtime_stays_under_budget():

@@ -37,7 +37,7 @@ from algebroid.groebner import (
 )
 from algebroid.localalg import base_weights, initial_ideal
 from algebroid.parametric import parametric_intersection
-from algebroid.polyring import DegRevLex, RingCtx, embed, parse_poly
+from algebroid.polyring import RingCtx, embed, parse_poly
 from algebroid.scalars import GF, QQ, FieldSpec
 from algebroid.semigroups import membership
 from pencil_attachments import two_attachment_ideal
@@ -786,13 +786,13 @@ def _decide_recording_initial_handles(I):
 
 
 def _check_the_seeded_bases(built):
-    """Each initial handle's seeded DegRevLex basis is the one Buchberger
+    """Each initial handle's seeded basis is the one Buchberger
     gives on its generators, and the sliced test answers on a fresh handle
     as on the decide's, in agreement with ``contains_monomial``."""
     assert built
     for handle, w, K in {id(t[2]): t for t in built}.values():
         seeded = K.groebner()
-        assert seeded == buchberger(list(K.generators), DegRevLex())
+        assert seeded == buchberger(list(K.generators), K.order)
         fresh = IdealHandle(handle.generators, handle.ctx)
         assert _agrees(fresh, w) == _monomial_free(handle, w)
 

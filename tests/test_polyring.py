@@ -199,7 +199,7 @@ def test_homogenized_local_order_prefers_small_weight():
     f = ctx.poly("y^2 h^2 - x^3 h^2 + x^4")
     m, _ = f.lead(order)
     assert m in ((0, 2, 2), (3, 0, 2))  # weight-6 part leads
-    assert m == (3, 0, 2)  # degrevlex tie break prefers x^3
+    assert m == (0, 2, 2)  # inverse lex tie break prefers y^2
 
 
 def test_embed_and_subs():
