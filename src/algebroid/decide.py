@@ -11,12 +11,16 @@ without re-running the decision.
 Both entry points run one loop: compute the weight vector, screen the
 binomial relations of the weight semigroup through the three-way pencil
 test, descend the surviving combination until its value escapes the
-semigroup, adjoin a new variable recording it, and repeat.  The decide
-stops at primitive weights; the value semigroup runs until every
-binomial resolves.  Reducibility surfaces either as a monomial in a
-weighted initial ideal or as a pencil verdict, whose determinant's
-Newton polygon gives a pair of weight rays that the certificate check
-proves monomial-free exactly.
+semigroup, adjoin a new variable recording it, and repeat.  The screen
+walks the binomials by w-degree and stops before the first one above
+the lowest degree d with an escape.  The kept candidate is the least
+escape of degree d either way; a higher pencil that would have answered
+"false" goes untested, which is sound because ``_certified`` verifies
+every certificate.  The decide stops at primitive weights; the value
+semigroup runs until every binomial resolves.  Reducibility surfaces
+either as a monomial in a weighted initial ideal or as a pencil verdict,
+whose determinant's Newton polygon gives a pair of weight rays that the
+certificate check proves monomial-free exactly.
 """
 
 from __future__ import annotations
@@ -375,11 +379,20 @@ def _nf_ratio_resolves(m1: tuple, m2: tuple, in_handle: IdealHandle) -> bool:
 def _screen_round(handle: IdealHandle, w: tuple, *, error: type,
                   stats: dict):
     """Run the pencil test over the binomial generators of the weight
-    semigroup's relation ideal.  Returns ("false", verdict, f, g) on
-    reducibility evidence, ("candidate", f, N) with the lowest-degree
-    resolved binomial escaping the initial ideal, or ("radical",) when
-    every binomial resolves inside it.  A broken input contract raises
-    ``error``."""
+    semigroup's relation ideal, by (w-degree, key).  Returns ("false",
+    verdict, f, g) on reducibility evidence, ("candidate", f, N) with the
+    lowest-degree resolved binomial escaping the initial ideal, or
+    ("radical",) when every binomial resolves inside it.  A broken input
+    contract raises ``error``.
+
+    Once an escape of w-degree d is found, the walk stops before the
+    first binomial of degree above d.  Every binomial of degree d is
+    still tested, so the candidate, the least escape by (d, key), is the
+    one a walk over all binomials keeps; the "radical" end has no escape
+    and so still tests them all.  A binomial above d that would have
+    answered "false" or raised is left untested: the verdict never rests
+    on the screen having seen it, because ``_certified`` verifies every
+    certificate."""
     ctx = handle.ctx
     in_handle = _initial_handle(handle, w)
     binomials = prim_generators(w, ctx)
@@ -388,6 +401,9 @@ def _screen_round(handle: IdealHandle, w: tuple, *, error: type,
     for b in binomials:
         items = sorted(b.terms.items(), reverse=True)
         (m1, _), (m2, _) = items
+        d = wdot(w, m1)
+        if escapes and d > escapes[0][0]:
+            break
         if _nf_ratio_resolves(m1, m2, in_handle):
             continue
         f = ctx.mono(m1)
@@ -396,11 +412,10 @@ def _screen_round(handle: IdealHandle, w: tuple, *, error: type,
         if v.result == "false":
             return ("false", v, f, g)
         cand = f - g.scale(v.beta.value)
-        escapes.append((wdot(w, m1), cand.key(), cand, v.value))
+        escapes.append((d, cand.key(), cand, v.value))
     if not escapes:
         return ("radical",)
-    escapes.sort(key=lambda t: (t[0], t[1]))
-    _, _, f, value = escapes[0]
+    _, _, f, value = min(escapes, key=lambda t: t[:2])
     if not radical_membership(f, in_handle):
         raise error("the resolved binomial does not vanish on the initial "
                     "ideal's zero set; the input contract is violated")
@@ -415,10 +430,17 @@ def _descend(handle: IdealHandle, w: tuple, f: Poly, value: int, *,
              error: type, iter_cap: int, stats: dict):
     """Lower f by monomials of matching weight until its intersection
     value escapes the semigroup of w.  Returns ("done", f, N) or
-    ("false", verdict, f, g)."""
+    ("false", verdict, f, g).
+
+    Each f arrives with its value, the exceptional value of the pencil
+    that made it, so that value seeds the handle's intersection memo and
+    the next pencil builds no local standard basis for it.  That pencil
+    still checks that det(M_f) has exactly this pivot order, so a wrong
+    seed raises ``AlgebroidError``."""
     ctx = handle.ctx
     steps = 0
     while True:
+        handle.cached(("intersection", f.key()), lambda: value)
         wit = membership(value, w)
         if wit is None:
             return ("done", f, value)

@@ -49,6 +49,7 @@ from .errors import (AlgebroidError, DivisionByZero, FieldMismatch,
                      SolverLimitation, ZeroPoly)
 
 _ENUM_CAP = 4096        # largest finite field given log tables or enumerated
+_SUBSET_CAP = 1024      # most factor subsets recombined over Q
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -835,7 +836,9 @@ def _rational_factors(f: list) -> list:
     symmetric residue of lc(g) times the product of h's lifts.  Products
     of the lifts are tried fewest first as exact divisors; a factor found
     with the fewest lifts is irreducible, and what is left when no
-    product of at most half the remaining lifts divides is irreducible."""
+    product of at most half the remaining lifts divides is irreducible.
+    The subsets grow exponentially with the number of lifts, so past
+    _SUBSET_CAP of them SolverLimitation is raised."""
     g, out = _primitive_ints(f), []
     if not g[0]:
         g, out = g[1:], [[0, 1]]
@@ -859,9 +862,14 @@ def _rational_factors(f: list) -> list:
     while M * M <= 4 * lc * lc * 4 ** n * sum(c * c for c in g):
         M *= M
     lifts, ring = _hensel_lift(g, modular, l, M), _mod_ring(M)
-    factors, s = [], 1
+    factors, s, tried = [], 1, 0
     while 2 * s <= len(lifts):
         for chosen in itertools.combinations(range(len(lifts)), s):
+            tried += 1
+            if tried > _SUBSET_CAP:
+                raise SolverLimitation(
+                    f"rational factors: recombining {len(modular)} modular "
+                    f"factors tried more than {_SUBSET_CAP} subsets")
             v = functools.reduce(functools.partial(uv_mul, field=ring),
                                  (lifts[i] for i in chosen), [g[-1] % M])
             v = _primitive_ints([c - M if 2 * c > M else c for c in v])

@@ -22,6 +22,7 @@ from algebroid.decide import (
     verify_certificate,
 )
 from algebroid.errors import (
+    AlgebroidError,
     CertificateSearchFailed,
     InfiniteWeight,
     NonRadicalSuspected,
@@ -35,7 +36,8 @@ from algebroid.groebner import (
     contains_monomial,
     ideal_membership,
 )
-from algebroid.localalg import base_weights, initial_ideal
+from algebroid.localalg import (base_weights, initial_ideal,
+                                intersection_number)
 from algebroid.parametric import parametric_intersection
 from algebroid.polyring import RingCtx, embed, parse_poly
 from algebroid.scalars import GF, QQ, FieldSpec
@@ -995,65 +997,190 @@ def test_the_decide_transcript_is_a_prefix_of_the_value_semigroup_tower(
 
 # --------------------------------------------- pencil determinant pins
 
-# For each table curve and field: SHA-256 over the space-joined digests,
-# in call order, of the pencil determinants its decide computes; each
-# digest is the SHA-256 of repr(sorted (d, e, str(payload)) items) of one
-# ParametricOrder.determinant.  A change to the determinant kernel keeps
-# these.
+# For each pencil the decide of a table curve runs, keyed (curve, field,
+# str(f), str(g)): the SHA-256 of repr(sorted (d, e, str(payload)) items)
+# of its ParametricOrder.determinant, as computed before the screen
+# stopped at the lowest escaping degree.  A change to the determinant
+# kernel keeps these.  PARAMETRIC_CALLS pins the pencils each decide runs,
+# so a return to screening every binomial fails as well.
 DETERMINANT_PINS = {
-    ("dbl-2-3-7-0", "QQ"): "a1a3cc0056a124630a63bedca445e3cdd076a04b38e6d3651553009e0342e57d",
-    ("dbl-2-3-7-0", "F101"): "e8edee44bc3200e4db681e88dc8647bc9383d3f9b0ca7514583ce388d1e014f9",
-    ("dbl-2-3-8-0", "QQ"): "90a9d40db55554f9b31c990c58251ce79a88a7b80eb882d9671430b8c9029c84",
-    ("dbl-2-3-8-0", "F101"): "aafef3c499459170e9de583b03e2c634c9297f4584dbbeb9de4dfeddf396ebc3",
-    ("dbl-2-5-11-0", "QQ"): "e78a3a2e56de06801caa6e53560eeb071eb5a8bb114fa8d7a68dc96891fb0e5c",
-    ("dbl-2-5-11-0", "F101"): "67ce04197c0dee849376e0cfa2621cffa8fc08c80f1c152e21d26a5aef42b10f",
-    ("dbl-2-5-12-0", "QQ"): "aded532a969a9da2b8a2a7df563eb54daaa2cc78836094bb199a7a3f9e194faa",
-    ("dbl-2-5-12-0", "F101"): "5695f8557f442fda1e9a547c9593e06176e3ff46921bf3170f347a35c3660122",
-    ("dbl-3-4-8-1", "QQ"): "a2dba2c31e261f1d9e751fb12203916e43ec6e0186f0a225f2a49a8cdc7029b1",
-    ("dbl-3-4-8-1", "F101"): "d2159bdbf84c99c8ca9bdaeea9ff234e7ca6c72029e4355587dd09f57ae71c15",
-    ("space-pair", "QQ"): "76ba11a908aa181493f63b32105ea3973a71e7a8fc33308a0541327db2081e4b",
-    ("space-pair", "F101"): "d7f0ae17c27c37b04d8cc1ca491c62b9ff4522b60041c6e24d8a04e9182ae03a",
-    ("tangent-pair", "QQ"): "30a9175361648876887c1c85763392b6069fc37534686d4df6b3addeaf41d522",
-    ("tangent-pair", "F101"): "94cb6c0b2a9cfabf46cc173fd9298f8499f216bd2cc5c19979370df33fbd81cf",
-    ("tower-1", "QQ"): "08e1269ceee9d25545e0cf09d90b38f66b34d8250f2dcbfcd3b346b06fe9b99e",
-    ("tower-1", "F101"): "9a2596f10d4aa7fd97e771b1be7bda56320d8f3918bbbc5677fe93f53b7b59ba",
-    ("tower-2", "QQ"): "91df1aaa43800a1fdd9b634df9cee54286210a68b8a0e0f26c1e89f022b625dc",
-    ("tower-2", "F101"): "3f079f5ac6ddb6ca83d8a82884dccca5451057bf3ec189f5f2943742ef15f2c4",
-    ("tower-3", "QQ"): "04cc212b0560f1256dd7bcc590acf1aebfaff866ff52136c3d410a28190cbbb1",
-    ("tower-3", "F101"): "6a457729d16cd84f0a394c539bddb07769ced7ff6ce9338d9a99ce1098d963e1",
-    ("space-1", "QQ"): "fccfc8871726a99599e0fe7f701bd77b0f37338ef6988aba3c91683174ce688b",
-    ("space-1", "F101"): "ded1f96cbe1222fb78636324baac8079a771edf584938bea4d2f41561d56fc28",
-    ("space-2", "QQ"): "1d5e3b90d9244062601359c47de6348411737f4db22e18bbec6451db1a7834f9",
-    ("space-2", "F101"): "4ff61c9022900b5e9f0090a5c475a67526ddba83c5280a4f59db132741651cfb",
-    ("implicit-6-9-10", "QQ"): "8f9d4012c6b034be61413ea9231d742a8c363f658acf8775dec612bda7f32b3c",
-    ("implicit-6-9-10", "F101"): "85ec3c19db3e8192823998ed31ce40680d599520983a0feca51f4bf8cc3e376d",
-    ("implicit-4-6-7-9", "QQ"): "96b21a6a6c6f91182baa4958df31c80236b94627bb947b083714d791dda6c265",
-    ("implicit-4-6-7-9", "F101"): "79f4995962a94b44d150665301931ccd689f0294020a00e66f9bc78032fe67f8",
+    ("dbl-2-3-7-0", "QQ", "x^3", "y^2"):
+        "5b494230d812fbb0ed9590ec5964b4b349bc004b4b27d5bf4d69baedfaf586df",
+    ("dbl-2-3-7-0", "QQ", "x^3 - y^2", "x^2*y"):
+        "b4b60dee4936cac2e2f59db105ead3d09aff70d46e826a4d8375be614f81a672",
+    ("dbl-2-3-7-0", "F101", "x^3", "y^2"):
+        "8c4dc288ea48190516c43d6d85980110980223448f01448c78697f5ac9ee863e",
+    ("dbl-2-3-7-0", "F101", "x^3 + 100*y^2", "x^2*y"):
+        "7d90000c279337384cf6c3d7b83be432eb71cbfdeaf5d19f630c654cbde4ad4c",
+    ("dbl-2-3-8-0", "QQ", "x^3", "y^2"):
+        "ac69eb63cfcd0922e91aca49e78904b0ab45b2e2bacf8213c84370e868e68be6",
+    ("dbl-2-3-8-0", "QQ", "x^3 - y^2", "x*y^2"):
+        "7f36ea3aa7692057965abb44a0283532654de90af747042f5c7f72286fed6067",
+    ("dbl-2-3-8-0", "F101", "x^3", "y^2"):
+        "efec4b626d7921b398d9b20f437be1cfd487dca4817ba26ecd51992c08ac1117",
+    ("dbl-2-3-8-0", "F101", "x^3 + 100*y^2", "x*y^2"):
+        "02ac36a438da356af53c64e495e0478c078115800179048d39f1eba0506449c5",
+    ("dbl-2-5-11-0", "QQ", "x^5", "y^2"):
+        "48532b9314dcadd7bd3c581643cfb8d3cfca67d6396a5dcf45f646d26f2b4cc2",
+    ("dbl-2-5-11-0", "QQ", "x^5 - y^2", "x^3*y"):
+        "74fff8875c180f4404992e0848a2d5f4e184ad952478e80e5d0c83fd7aac97de",
+    ("dbl-2-5-11-0", "F101", "x^5", "y^2"):
+        "72849d67f64328660a33614f887d1b1043eba3f3de26ce3be382bf23b3db6479",
+    ("dbl-2-5-11-0", "F101", "x^5 + 100*y^2", "x^3*y"):
+        "4334a2029515b5c9bbfe46a571dc457ddadc297a236374b3a2ae7bdcd22351ca",
+    ("dbl-2-5-12-0", "QQ", "x^5", "y^2"):
+        "7b96d0c079efad9f46b84b72571f8b5de632936ea6b018f7422e4b33c4f2cfa6",
+    ("dbl-2-5-12-0", "QQ", "x^5 - y^2", "x*y^2"):
+        "bdea3dc88dea2020d9662bc1984aef4cb74caba79b0744f11108d8a78d23232a",
+    ("dbl-2-5-12-0", "F101", "x^5", "y^2"):
+        "de419dc89e07fa307da925a80cdd888f0d483f9fe2cf2cbddd75fdeb05e646c2",
+    ("dbl-2-5-12-0", "F101", "x^5 + 100*y^2", "x*y^2"):
+        "4e877605c1b311a4e5a1db0fc32654989487efd1ed2352a83ccae36b9293f175",
+    ("dbl-3-4-8-1", "QQ", "x^4", "y^3"):
+        "e003b615bf5e0bb2f6546ac558fe5732752a4022d25da05835ac2e8d1519f11e",
+    ("dbl-3-4-8-1", "QQ", "x^4 - y^3", "x^2*y^2"):
+        "b0dbfcf9c5900641a4b41f01c88438cd368882b1bb4e9046216145b0a32e1fbe",
+    ("dbl-3-4-8-1", "F101", "x^4", "y^3"):
+        "079c7c9f14e8c8a5ba394cee9ff360e21d377e087ec3ce51a44926c42769cf6d",
+    ("dbl-3-4-8-1", "F101", "x^4 + 100*y^3", "x^2*y^2"):
+        "867ec49c496aa7b79166387908f2880ca2a3ef4979a074edf8131d88df4c8b2d",
+    ("space-pair", "QQ", "x*y", "z^2"):
+        "c5d7059ca799d105068b6409d482a6f96f06fe6ecf7c1b08bb8f1ade5cc47244",
+    ("space-pair", "QQ", "x*y - z^2", "y^2"):
+        "62e469b0d813cf5ef306415e9d92fdd8024259f9e986eea03e7707acf7b85940",
+    ("space-pair", "F101", "x*y", "z^2"):
+        "efbae6c479d7230b1e60c79e66b513b5076268811ccd430d5324de1c2fcf29d2",
+    ("space-pair", "F101", "x*y + 100*z^2", "y^2"):
+        "2fbcd3a69e88231a96d779786fb7762a9ee7808aa7321cc12b7381dc6fb1ec64",
+    ("tangent-pair", "QQ", "x^2", "y"):
+        "2c25ebc28bd0921cd3ee7f8aa9930cef5fd8d72546476452881506cc3fa29d83",
+    ("tangent-pair", "F101", "x^2", "y"):
+        "0ddc863b1fb1557de197e52ddb2db7de60f0aa622829c98a4397a429f84abd51",
+    ("tower-1", "QQ", "x^3", "y^2"):
+        "13d1d78a2dd059ad57930c920348d92d02a426be1425c39ed7cae646f9d37c93",
+    ("tower-1", "F101", "x^3", "y^2"):
+        "87f6185e1fc7cd76d18444c779f3792ab2d43c252b3b9fc31655a4186ed34143",
+    ("tower-2", "QQ", "x^4", "y^3"):
+        "8fe51f256cb06327e876e6becae8f3144d3ca9a63eabfadd7c513498eab4b327",
+    ("tower-2", "F101", "x^4", "y^3"):
+        "c163c9c4e28149ee4c9ef80404ea250fb23fc3daf8917f5efa78b8a363c35a1b",
+    ("tower-3", "QQ", "x^5", "y^2"):
+        "94c4583333422b95ec0a77c4cd0c326784a639697e0d7361b5d8b55b579c4e7e",
+    ("tower-3", "F101", "x^5", "y^2"):
+        "edad2f01703688864dc0013ded12180d211559003d96c8eff69671b4295edba2",
+    ("space-1", "QQ", "x^2*y", "z^2"):
+        "7d50d5a87d6659cac6c9af6357a95edc5e0a4f29947d3bf55005c1949145f775",
+    ("space-1", "F101", "x^2*y", "z^2"):
+        "2b1838e2e930b9b8b280001fed6c9905f2a1821a5f9531fc3065ec2b16bd61fe",
+    ("space-2", "QQ", "x*y", "z^2"):
+        "98bbd983f6504df81debe71f7ea8fab64e22eb08a8ae105267505a10235328ec",
+    ("space-2", "F101", "x*y", "z^2"):
+        "e905eae18e850f9e5dc909346f9f897b2b663243fdee878acdfd647def2d1638",
+    ("implicit-6-9-10", "QQ", "x^3", "y^2"):
+        "30f2f5a51bc2f2ce36491dacef80322f0873a49e18579d05073f22f7b21d2288",
+    ("implicit-6-9-10", "F101", "x^3", "y^2"):
+        "6d5e8d8721ccb3064304196b9e8a75af58ab4bf5be554343a164d7db3f130f7e",
+    ("implicit-4-6-7-9", "QQ", "x^3", "y^2"):
+        "ff34ffec0f64f015ba510f382187df6e0a670611f1ea1d881462f5882914bc58",
+    ("implicit-4-6-7-9", "F101", "x^3", "y^2"):
+        "5e079de671fca2e9f57b4af182e961f9bbb059cc05507fadee1753792f8573ff",
+}
+PARAMETRIC_CALLS = {
+    ("dbl-2-3-7-0", "QQ"): 2,
+    ("dbl-2-3-7-0", "F101"): 2,
+    ("dbl-2-3-8-0", "QQ"): 2,
+    ("dbl-2-3-8-0", "F101"): 2,
+    ("dbl-2-5-11-0", "QQ"): 2,
+    ("dbl-2-5-11-0", "F101"): 2,
+    ("dbl-2-5-12-0", "QQ"): 2,
+    ("dbl-2-5-12-0", "F101"): 2,
+    ("dbl-3-4-8-1", "QQ"): 2,
+    ("dbl-3-4-8-1", "F101"): 2,
+    ("space-pair", "QQ"): 2,
+    ("space-pair", "F101"): 2,
+    ("tangent-pair", "QQ"): 1,
+    ("tangent-pair", "F101"): 1,
+    ("tower-1", "QQ"): 1,
+    ("tower-1", "F101"): 1,
+    ("tower-2", "QQ"): 1,
+    ("tower-2", "F101"): 1,
+    ("tower-3", "QQ"): 1,
+    ("tower-3", "F101"): 1,
+    ("space-1", "QQ"): 1,
+    ("space-1", "F101"): 1,
+    ("space-2", "QQ"): 1,
+    ("space-2", "F101"): 1,
+    ("implicit-6-9-10", "QQ"): 1,
+    ("implicit-6-9-10", "F101"): 1,
+    ("implicit-4-6-7-9", "QQ"): 1,
+    ("implicit-4-6-7-9", "F101"): 1,
 }
 
 
-def _determinant_digest(curve, field):
-    digests = []
+def _determinants(curve, field):
+    """The decide's report and its (str(f), str(g), digest) per pencil."""
+    pencils = []
     inner = parametric.parametric_intersection
 
-    def record(*args, **kwargs):
-        po = inner(*args, **kwargs)
+    def record(f, g, ideal):
+        po = inner(f, g, ideal)
         items = sorted((d, e, str(c)) for (d, e), c in po.determinant.items())
-        digests.append(hashlib.sha256(repr(items).encode()).hexdigest())
+        pencils.append((str(f), str(g),
+                        hashlib.sha256(repr(items).encode()).hexdigest()))
         return po
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(parametric, "parametric_intersection", record)
-        decide_irreducible(_curve(*curve, field))
-    assert digests
-    return hashlib.sha256(" ".join(digests).encode()).hexdigest()
+        rep = decide_irreducible(_curve(*curve, field))
+    return rep, pencils
 
 
-@pytest.mark.parametrize("cid, fid", DETERMINANT_PINS)
+@pytest.mark.parametrize("cid, fid", PARAMETRIC_CALLS)
 def test_pencil_determinants_of_the_table_curves_match_their_pins(cid, fid):
     curve = TWO_BRANCH_CURVES.get(cid) or PRIME_TOWER_CURVES[cid]
     field = {"QQ": QQ, "F101": GF(101)}[fid]
-    assert _determinant_digest(curve, field) == DETERMINANT_PINS[cid, fid]
+    rep, pencils = _determinants(curve, field)
+    assert rep.stats["parametric_calls"] == PARAMETRIC_CALLS[cid, fid]
+    assert len(pencils) == PARAMETRIC_CALLS[cid, fid]
+    for f, g, digest in pencils:
+        assert DETERMINANT_PINS.get((cid, fid, f, g)) == digest, (f, g)
+
+
+# --------------------------------------------- values the descent holds
+
+@pytest.mark.parametrize("cid", [
+    *(cid for cid in TWO_BRANCH_CURVES if cid != "tangent-pair"), "stretch"])
+def test_each_descent_step_reads_its_value_from_the_memo(cid):
+    """The screen's candidate and each descent step seed the handle's
+    intersection memo with the value their pencil found, so every pencil
+    on a polynomial f with several terms finds I(f) there."""
+    curve = STRETCH_CURVE if cid == "stretch" else TWO_BRANCH_CURVES[cid]
+    seen = []
+    inner = parametric._pencil_value
+
+    def record(f, ideal):
+        if len(f.terms) > 1:
+            seen.append(("intersection", f.key()) in ideal._memo)
+        return inner(f, ideal)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parametric, "_pencil_value", record)
+        rep = decide_irreducible(_curve(*curve, QQ))
+    assert rep.stats["descent_steps"] >= 1
+    assert seen and all(seen)
+
+
+def test_a_wrong_value_in_the_intersection_memo_is_caught_by_the_pencil():
+    """I(x^3 - y^2) = 14 on (y^2 - x^3)^2 - x^7; a memo seeded with 16,
+    the value of x^4, fails the pencil's check of det(M_f)."""
+    I = _curve(*TWO_BRANCH_CURVES["dbl-2-3-7-0"], QQ)
+    ctx = I.ctx
+    f = parse_poly("x^3 - y^2", ctx)
+    assert intersection_number(f, _curve(*TWO_BRANCH_CURVES["dbl-2-3-7-0"],
+                                         QQ)) == 14
+    I.cached(("intersection", f.key()), lambda: 16)
+    with pytest.raises(AlgebroidError, match=r"det\(M_f\) has pivot order 14"):
+        parametric.parametric_test(f, parse_poly("x^4", ctx), I)
 
 
 # ------------------------------------------- curves with large coefficients

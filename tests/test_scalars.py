@@ -14,7 +14,7 @@ import pytest
 
 from algebroid import assert_preconditions, cli, decide_irreducible, scalars
 from algebroid.errors import (AlgebroidError, DivisionByZero, FieldMismatch,
-                              ZeroPoly)
+                              SolverLimitation, ZeroPoly)
 from algebroid.scalars import (
     GF,
     QQ,
@@ -416,6 +416,22 @@ def test_the_swinnerton_dyer_polynomial_of_four_roots_stays_whole():
     start = time.perf_counter()
     assert univariate_roots(f, QQ) == ([], [tuple(f)])
     assert time.perf_counter() - start < 5
+
+
+def test_the_swinnerton_dyer_polynomial_of_five_roots_is_a_typed_limit():
+    # degree 32, 16 quadratic factors modulo 19: recombination would try
+    # 39,202 subsets before the polynomial came back whole
+    sympy = pytest.importorskip("sympy")
+    a = sympy.Symbol("a")
+    poly = sympy.minimal_polynomial(
+        sum(sympy.sqrt(q) for q in (2, 3, 5, 7, 11)), a, polys=True)
+    f = [int(c) for c in reversed(poly.all_coeffs())]
+    assert len(f) == 33
+    start = time.perf_counter()
+    cap = scalars._SUBSET_CAP
+    with pytest.raises(SolverLimitation, match=f"more than {cap} subsets"):
+        univariate_roots(f, QQ)
+    assert time.perf_counter() - start < 2
 
 
 def test_an_extension_by_a_polynomial_with_root_zero_is_refused():
