@@ -37,7 +37,9 @@ class NotPrimitive(AlgebroidError):
 
 
 class TruncationExhausted(AlgebroidError):
-    """A truncated computation hit its precision cap before a decision."""
+    """A truncated computation hit its precision cap before a decision,
+    or no pivot has a free basis: the pivot's hyperplane meets the curve
+    away from the origin, for every coordinate when no pivot is named."""
 
 
 class InfinitePivot(AlgebroidError):

@@ -3,12 +3,15 @@ series ring, multiplication matrices, parametric determinants
 det(M_f - a M_g), and the three-way test built on them.
 
 The quotient by a one-dimensional ideal is a free module of finite rank
-over power series in a cheapest variable (the pivot).  Coordinates in that
-module are computed through a certificate-tracked division: every monomial
-gets a rewrite rule "monomial = span-of-basis + pivot * rest" extracted
-from a homogenized basis that tracks the pivot's cofactor, and rules are
-applied layer by layer in the pivot exponent, so truncation at pivot^N is
-exact.
+over power series in a cheapest variable (the pivot) t.  Its basis is the
+staircase of the DegRevLex Groebner basis of I + (t), whose rows track
+t's cofactor, so every monomial gets a rewrite rule "monomial =
+span-of-basis + t * rest" (mod I); rules are applied layer by layer in
+the t exponent, so truncation at t^N is exact.  The staircase is a basis
+of K[x]/(I + (t)); when it has I(t) elements, the local colength, the
+hyperplane t = 0 meets the curve only at the origin, so it lifts a basis
+of A/tA and, by Nakayama, is a free basis of A.  Otherwise the pivot is
+refused at once, and ``choose_pivot`` takes the next coordinate.
 
 The method requires A = O/I to be a free module of rank I(t) over k[[t]],
 t the pivot.  Then multiplication by a nonzerodivisor h is injective on A
@@ -44,24 +47,10 @@ from .groebner import (
     monomial_staircase,
     radical_membership,
 )
-from .localalg import (
-    base_weights,
-    hom_ring,
-    homogenize,
-    dehomogenize,
-    intersection_number,
-)
+from .localalg import base_weights, intersection_number
 from .naming import next_single
-from .polyring import (
-    INF,
-    HomogenizedLocalOrder,
-    Poly,
-    RingCtx,
-    embed,
-)
+from .polyring import INF, DegRevLex, Poly, RingCtx, embed
 from .scalars import FieldSpec, Scalar, univariate_roots, uv_divmod, uv_eval
-
-_STABILIZE_CAP = 400
 
 
 # --------------------------------------------------------------- free basis
@@ -69,8 +58,8 @@ _STABILIZE_CAP = 400
 @dataclass(frozen=True)
 class FreeBasis:
     """Monomial basis of the quotient as a module over series in the
-    pivot variable: the staircase complement of the leading ideal of
-    I + <pivot>, in the non-pivot variables."""
+    pivot variable: the staircase of the Groebner basis of I + <pivot>,
+    in the non-pivot variables (module docstring)."""
 
     pivot: int
     gamma: tuple
@@ -82,46 +71,50 @@ class FreeBasis:
 
 def choose_pivot(ideal: IdealHandle) -> Tuple[int, int]:
     """The variable with the smallest finite intersection number (ties to
-    the earlier variable), together with that number."""
+    the earlier variable) whose hyperplane meets the curve only at the
+    origin, with that number; ``TruncationExhausted`` with each
+    coordinate's global and local colength of I + (x_i) when none does."""
     finite = [(n, i) for i, n in enumerate(base_weights(ideal))
               if n is not INF]
     if not finite:
         raise InfinitePivot("every coordinate has infinite intersection number")
-    n, i = min(finite)
-    return i, n
+    for n, i in sorted(finite):
+        if _built(ideal, i).rank == n:
+            return i, n
+    names = ideal.ctx.variables
+    raise TruncationExhausted(
+        "every coordinate hyperplane meets the curve away from the origin: "
+        + ", ".join(f"I + ({names[i]}) has colength {_built(ideal, i).rank} "
+                    f"globally, {n} at the origin" for n, i in finite))
 
 
 class _PivotReducer:
     """Rewrite engine for one (ideal, pivot) pair: memoized rules
-    v = r_v + pivot * b_v (mod I) with r_v supported on the free basis.
+    v = r_v + pivot * b_v (mod I) with r_v supported on the staircase
+    ``gamma``, of ``rank`` elements (INF when it is infinite).
 
-    The rules come from a homogenized standard basis of I + (pivot) whose
+    The rules come from the DegRevLex Groebner basis of I + (pivot), whose
     rows track one polynomial, the pivot's cofactor: every generator of I
-    enters with tag 0 and the pivot with tag 1.  Reducing v leaves rem
-    with tag -c, where v = rem + c * pivot modulo I, so b_v is c; the
-    cofactors of I's own generators multiply members of I, and nothing
-    reads them."""
+    enters with tag 0 and the pivot with tag 1.  Reducing v leaves its
+    normal form r_v with tag -c, where v = r_v + c * pivot modulo I, so
+    b_v is c; the cofactors of I's own generators multiply members of I,
+    and nothing reads them."""
 
     def __init__(self, handle: IdealHandle, pivot: int):
         self.pivot = pivot
         ctx = handle.ctx
         self.ctx = ctx
         self.field = ctx.field
-        self.big = hom_ring(ctx)
-        w = (1,) * ctx.nvars
-        self.order = HomogenizedLocalOrder(w)
-        rows = [(homogenize(g, w, self.big), self.big.zero())
-                for g in handle.generators]
-        rows.append((homogenize(ctx.var(pivot), w, self.big), self.big.one()))
+        self.order = DegRevLex()
+        rows = [(g, ctx.zero()) for g in handle.generators]
+        rows.append((ctx.var(pivot), ctx.one()))
         rows = buchberger_tagged(rows, self.order)
         self.gb = [p for p, _ in rows]
         self.cofactors = [t for _, t in rows]
-        lt = {p.lead(self.order)[0][:-1] for p in self.gb}
-        members = monomial_staircase(lt, ctx.nvars)
-        if members is None:
-            raise InfinitePivot(
-                f"pivot {ctx.variables[pivot]} has infinite intersection number")
-        self.gamma = tuple(sorted(members))
+        members = monomial_staircase(
+            [p.lead(self.order)[0] for p in self.gb], ctx.nvars)
+        self.rank = INF if members is None else len(members)
+        self.gamma = tuple(sorted(members or ()))
         self.gamma_index = {m: i for i, m in enumerate(self.gamma)}
         self._rules: Dict[tuple, tuple] = {}
 
@@ -131,33 +124,14 @@ class _PivotReducer:
     def _rule(self, v: tuple):
         """v (pivot exponent zero) = r + pivot*b (mod I): returns
         (r: {gamma_index: payload}, b: list of (monomial, payload))."""
-        if v in self.gamma_index:
-            return ({self.gamma_index[v]: self.field.one()}, [])
-        cached = self._rules.get(v)
-        if cached is not None:
-            return cached
-        big, field = self.big, self.field
-        for s in range(_STABILIZE_CAP):
-            hom_mono = v + (s,)
-            row = (Poly({hom_mono: field.one()}, big), big.zero())
-            rem, tag = _row_nf(row, self.gb, self.cofactors, self.order)
-            r = dehomogenize(rem, self.ctx)
-            coords = {}
-            ok = True
-            for m, c in r.terms.items():
-                idx = self.gamma_index.get(m)
-                if idx is None:
-                    ok = False
-                    break
-                coords[idx] = c
-            if not ok:
-                continue
-            b = -dehomogenize(tag, self.ctx)
-            rule = (coords, list(b.terms.items()))
+        rule = self._rules.get(v)
+        if rule is None:
+            rem, tag = _row_nf((self.ctx.mono(v), self.ctx.zero()), self.gb,
+                               self.cofactors, self.order)
+            rule = ({self.gamma_index[m]: c for m, c in rem.terms.items()},
+                    list((-tag).terms.items()))
             self._rules[v] = rule
-            return rule
-        raise TruncationExhausted(
-            f"rewrite of {v} did not stabilize within {_STABILIZE_CAP} steps")
+        return rule
 
     def coordinates(self, f: Poly, N: int) -> List[Dict[int, object]]:
         """Basis coordinates of f mod I as truncated series in the pivot:
@@ -207,14 +181,32 @@ class _PivotReducer:
         return out
 
 
-def _reducer(handle: IdealHandle, pivot: int) -> _PivotReducer:
+def _built(handle: IdealHandle, pivot: int) -> _PivotReducer:
+    """The handle's reducer for this pivot, before the fibre check."""
     return handle.cached(("pivot", pivot),
                          lambda: _PivotReducer(handle, pivot))
 
 
+def _reducer(handle: IdealHandle, pivot: int) -> _PivotReducer:
+    """The pivot reducer, once its staircase has I(t) elements, t the
+    pivot; a larger one means t = 0 meets the curve away from the origin,
+    and the staircase is no free basis, so ``TruncationExhausted``."""
+    n = intersection_number(handle.ctx.var(pivot), handle)
+    name = handle.ctx.variables[pivot]
+    if n is INF:
+        raise InfinitePivot(f"pivot {name} has infinite intersection number")
+    red = _built(handle, pivot)
+    if red.rank != n:
+        raise TruncationExhausted(
+            f"pivot {name}: the hyperplane {name} = 0 meets the curve away "
+            f"from the origin, since I + ({name}) has colength {red.rank} "
+            f"globally but {n} at the origin")
+    return red
+
+
 def free_basis(ideal: IdealHandle, pivot: Union[int, str, None] = None) -> FreeBasis:
     """Free-module basis over series in the pivot variable; the pivot
-    defaults to the cheapest variable."""
+    defaults to ``choose_pivot``'s."""
     if pivot is None:
         pivot, _ = choose_pivot(ideal)
     elif isinstance(pivot, str):

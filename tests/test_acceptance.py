@@ -286,8 +286,10 @@ def test_criterion_10_algebraic_property_suite():
 
 
 # Inputs whose local standard bases once cost seconds: the bend curve,
-# whose saturation bends the attachment, and a tacnode probe.  Each
-# certificate's digest is the SHA-256 of its sorted-key JSON.
+# whose saturation bends the attachment, and a tacnode probe; and a
+# double branch whose pivot rules once ran past a cap of 400 homogenising
+# powers.  Each certificate's digest is the SHA-256 of its sorted-key
+# JSON.
 HARD_INPUTS = {
     "bend-Q": ("(y^2 - x^3)*((y^2 - x^3)^2 - x^7)", QQ, (
         "fff44674a6fc95803b38a82fc13c6e49d2a88240f01e354c8c9ec473c3a616e9")),
@@ -295,6 +297,8 @@ HARD_INPUTS = {
         "da9770b3f84b78d8b6b55dce213042a0b25e237098c22a16e6f2ef443a6257f7")),
     "tacnode-Q": ("(y^2 - x^3)^2 - x^4*y^2", QQ, (
         "09338f4b28c4158c617295d8e6b1f83dd0149f9e263b689b93330ea3dcae37a8")),
+    "x999-Q": ("(y^2 - x^3)^2 - x^999", QQ, (
+        "547c29f8d3444757071d2e87b45232c3de667cf0f6531625642a648f986cc026")),
 }
 
 

@@ -1,6 +1,7 @@
 """Tests for the irreducibility decision and its certificates."""
 
 import hashlib
+import json
 import random
 import re
 import time
@@ -38,8 +39,8 @@ from algebroid.groebner import (
 )
 from algebroid.localalg import (base_weights, initial_ideal,
                                 intersection_number)
-from algebroid.parametric import parametric_intersection
-from algebroid.polyring import RingCtx, embed, parse_poly
+from algebroid.parametric import choose_pivot, parametric_intersection
+from algebroid.polyring import RingCtx, embed, in_w, parse_poly
 from algebroid.scalars import GF, QQ, FieldSpec
 from algebroid.semigroups import membership
 from pencil_attachments import two_attachment_ideal
@@ -169,6 +170,44 @@ def test_minor_relations_monomial_witness():
     assert rep.certificate.data == parse_poly("x*y^2", ctx)
     assert rep.stats["parametric_calls"] == 0
     assert verify_certificate(rep.certificate) == (True, "ok")
+
+
+# A curve whose monomial witness comes from the initial ideal's basis,
+# not from a generator's initial form: the bend of its attachment leaves
+# no generator monomial at w = (6, 9, 22).
+BASIS_WITNESS_PINS = {
+    "Q": "e83d290753fb8804050c07932b00f59cbaad5c6ef07ba0a74c43b7650134a730",
+    "F101": "64b597e61933164a103575416593d09bf3dd756d647c317813539bd375e0352a",
+}
+
+
+@pytest.mark.parametrize("fid", BASIS_WITNESS_PINS)
+def test_a_monomial_witness_from_the_initial_ideal_basis(fid, monkeypatch):
+    calls = []
+    inner = decide._monomial_witness
+
+    def record(handle, w):
+        wit = inner(handle, w)
+        calls.append((handle, w, wit))
+        return wit
+
+    def refuse(ideal):
+        raise AssertionError("the last-resort monomial search ran")
+
+    monkeypatch.setattr(decide, "_monomial_witness", record)
+    monkeypatch.setattr(decide, "contains_monomial", refuse)
+    I, _ = plane_ideal("((y^2 - x^3)^2 - x^7)*(y^2 - x^3 - x^4)",
+                       PIN_FIELDS[fid])
+    rep = decide_irreducible(I)
+    assert rep.verdict == "reducible"
+    assert rep.certificate.kind == "monomial_witness"
+    (handle, w, wit), = [c for c in calls if c[2] is not None]
+    assert w == (6, 9, 22)
+    assert all(len(in_w(g, w).terms) > 1 for g in handle.generators)
+    assert wit in _initial_handle(handle, w).generators
+    assert verify_certificate(rep.certificate) == (True, "ok")
+    text = json.dumps(certificate_json(rep.certificate), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == BASIS_WITNESS_PINS[fid]
 
 
 def test_space_curve_rays():
@@ -499,14 +538,71 @@ def test_curves_over_a_large_prime_field_get_verified_certificates(cid):
     assert verify_certificate(rep.certificate) == (True, "ok")
 
 
+# Curves through (0, -1), so the hyperplane x = 0 meets them away from
+# the origin, and the pivot falls to y, whose hyperplane meets them only
+# there: two conics, a cusp product and a unit factor.  Each
+# certificate's digest is the SHA-256 of its sorted-key JSON.
+FIBRE_CURVES = {
+    ("conics", "Q"): ("(y - x^2 + y^2)*(y + x^2)", (
+        "7aa73da92bf7f23b5f20681ce962c459b18c544d0f207785365a21ae14cb2927")),
+    ("conics", "F101"): ("(y - x^2 + y^2)*(y + x^2)", (
+        "6a0b1afbecf18bbc8e63cf492e45958a3e8612db9fcc171e5b6bff4cd6b4d953")),
+    ("cusps", "Q"): ("(y^2 - x^3 + y^3)*(y^2 - 2*x^3)", (
+        "592e9d4f02c911e722b4551f3b1e27bd03efb4eac8d0d9ab6f8d9551e59e9937")),
+    ("cusps", "F101"): ("(y^2 - x^3 + y^3)*(y^2 - 2*x^3)", (
+        "b17b1a1e281e22eb873ad78fbb048088881f07521b2c98d97f156b73f4123e9f")),
+    ("unit", "Q"): ("(y^2 - x^3)*(y^2 - 2*x^3)*(1 + y)", (
+        "526a91886beebe8894174fce14ad2807df88774ee9ee0d09e56fdbb88b250858")),
+    ("unit", "F101"): ("(y^2 - x^3)*(y^2 - 2*x^3)*(1 + y)", (
+        "e8f37107cf8ab9dd7f836abc3c2a14c20157e9465b7a432808b8192acc0a25d0")),
+}
+
+
+@pytest.mark.parametrize("cid, fid", FIBRE_CURVES)
+def test_a_curve_off_the_first_pivot_fibre_certifies_on_the_next(cid, fid):
+    text, pin = FIBRE_CURVES[cid, fid]
+    I, _ = plane_ideal(text, PIN_FIELDS[fid])
+    start = time.monotonic()
+    rep = decide_irreducible(I)
+    assert time.monotonic() - start < 1.0
+    assert choose_pivot(I) == (1, base_weights(I)[1])
+    assert base_weights(I)[0] < base_weights(I)[1]
+    assert rep.verdict == "reducible"
+    assert verify_certificate(rep.certificate) == (True, "ok")
+    text = json.dumps(certificate_json(rep.certificate), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == pin
+
+
+# Curves that both coordinate hyperplanes meet away from the origin, with
+# the global and local colengths of I + (x) and of I + (y).
+FIBRE_LIMITS = {
+    "line-conic": ("(x + 2*y)*((y + 3*x) - (x + 2*y)^2)", (3, 2), (3, 2)),
+    "unit": ("((y^2 - x^3)^2 - x^7)*(1 + x + y)", (5, 4), (8, 6)),
+}
+
+
+@pytest.mark.parametrize("fid", ["Q", "F101"])
+@pytest.mark.parametrize("cid", FIBRE_LIMITS)
+def test_a_curve_every_coordinate_hyperplane_meets_elsewhere_is_refused(
+        cid, fid):
+    text, x, y = FIBRE_LIMITS[cid]
+    I, _ = plane_ideal(text, PIN_FIELDS[fid])
+    start = time.monotonic()
+    with pytest.raises(TruncationExhausted) as info:
+        decide_irreducible(I)
+    assert time.monotonic() - start < 0.5
+    assert str(info.value) == (
+        "every coordinate hyperplane meets the curve away from the origin: "
+        f"I + (x) has colength {x[0]} globally, {x[1]} at the origin, "
+        f"I + (y) has colength {y[0]} globally, {y[1]} at the origin")
+
+
 @pytest.mark.xfail(strict=True, raises=TruncationExhausted, reason=(
-    "with pivot x the unit's zero y = -1 lies on the fibre x = 0, so the "
-    "pivot reducer's identity v = r + t*b (mod I) holds for no "
-    "homogenising power; only a normal form that allows units has one"))
-@pytest.mark.parametrize("text", [
-    "((y^2 - x^3)^2 - x^7)*(1 + x + y)",
-    "(y^2 - x^3)*(y^2 - 2*x^3)*(1 + y)",
-])
+    "the unit's zero set 1 + x + y = 0 meets both x = 0 and y = 0 on the "
+    "curve, so no coordinate pivot has a free basis from a global Groebner "
+    "basis; only a normal form that allows units, or a pivot that is a "
+    "linear form, has one"))
+@pytest.mark.parametrize("text", ["((y^2 - x^3)^2 - x^7)*(1 + x + y)"])
 def test_a_unit_factor_meeting_the_pivot_fibre_is_a_known_limit(text):
     I, _ = plane_ideal(text, GF(101))
     rep = decide_irreducible(I)

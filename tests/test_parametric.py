@@ -11,6 +11,7 @@ from algebroid.errors import (
     AlgebroidError,
     ContextViolation,
     InfinitePivot,
+    TruncationExhausted,
     UnequalBase,
 )
 from algebroid.groebner import IdealHandle
@@ -181,6 +182,21 @@ def test_infinite_pivot():
         choose_pivot(I)
     with pytest.raises(InfinitePivot):
         free_basis(I, "x")
+
+
+def test_a_pivot_whose_hyperplane_meets_the_curve_elsewhere_is_refused():
+    # y = -1 lies on both the conic y - x^2 + y^2 and the hyperplane x = 0
+    ctx = RingCtx(QQ, ("x", "y"))
+    I = IdealHandle((parse_poly("(y - x^2 + y^2)*(y + x^2)", ctx),), ctx)
+    assert base_weights(I) == (2, 4)
+    with pytest.raises(TruncationExhausted) as info:
+        free_basis(I, "x")
+    assert str(info.value) == (
+        "pivot x: the hyperplane x = 0 meets the curve away from the origin, "
+        "since I + (x) has colength 3 globally but 2 at the origin")
+    assert choose_pivot(I) == (1, 4)
+    B = free_basis(I)
+    assert (B.pivot, B.gamma) == (1, ((0, 0), (1, 0), (2, 0), (3, 0)))
 
 
 def test_substitution_consistency():
