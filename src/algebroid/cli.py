@@ -30,6 +30,7 @@ return 0 on success and 2 on error.  Diagnostics go to stderr.
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -45,6 +46,10 @@ from .scalars import FieldSpec
 from .semigroups import conductor, gcd_weights, membership
 
 _EXT_NAME = "th"
+# Coefficient strings read with int instead of Fraction: ASCII digits
+# only.  str.isdigit accepts "²", which Fraction refuses, so every other
+# string is left to Fraction and is accepted or refused as before.
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 # ------------------------------------------------------------ ideal files
@@ -197,6 +202,8 @@ def _coeff_parse(field: FieldSpec, obj):
     if isinstance(obj, (bool, float)):
         raise ParseError(f"bad coefficient {obj!r}: not an exact number")
     try:
+        if isinstance(obj, str) and _INTEGER.fullmatch(obj):
+            return field.coerce(int(obj))
         q = Fraction(obj)
         return field.coerce(int(q) if q.denominator == 1 else q)
     except (ValueError, TypeError, ZeroDivisionError) as exc:

@@ -217,18 +217,21 @@ def _graph_shape_error(cert: Certificate) -> Optional[str]:
     return None
 
 
-def _certified_weights(cert: Certificate) -> tuple:
-    """Base weights of the certified ideal J in the base ring, or in J's
-    when there is no transcript: I_J(x_i) = I_I(x_i), I_J(z_j) = I_I(h_j*)."""
+def _certified_weights(cert: Certificate):
+    """Base weights of the certified ideal J, one entry at a time, in the
+    base ring, or in J's when there is no transcript: I_J(x_i) = I_I(x_i),
+    I_J(z_j) = I_I(h_j*).  Each entry is computed only when it is asked
+    for, so a caller that stops early takes no later intersection number."""
     J, nbase, k = cert.ideal, len(cert.base_vars), len(cert.transcript)
     base = restrict(J.generators[:len(J.generators) - k], J.ctx,
                     range(nbase, J.ctx.nvars)) if k else J
+    for i in range(base.ctx.nvars):
+        yield intersection_number(base.ctx.var(i), base)
     stars: List[Poly] = []
     for _, fdef in cert.transcript:
         pad = [base.ctx.zero()] * (k - len(stars))
         stars.append(fdef.subs(dict(enumerate(stars + pad, nbase))))
-    return base_weights(base) + tuple(intersection_number(h, base)
-                                      for h in stars)
+        yield intersection_number(stars[-1], base)
 
 
 def _tropism_refusal(handle: IdealHandle, w: tuple,
@@ -249,28 +252,34 @@ def verify_certificate(cert: Certificate) -> Tuple[bool, str]:
     every transcript relation is a member by inspection; any other
     generating set is refused, even of the same ideal.  Base weights are
     recomputed in the base ring (``_certified_weights``), tropisms in the
-    certified ring by the sliced test of ``_monomial_free``."""
+    certified ring by the sliced test of ``_monomial_free``.  A prime
+    tropism is compared with the recomputed weights entry by entry and
+    refused at the first entry that differs, before any later entry is
+    computed."""
     shape = _graph_shape_error(cert)
     if shape is not None:
         return False, shape
     handle = cert.ideal
     ctx = handle.ctx
-    if cert.kind in ("prime_tropism", "monomial_witness"):
-        bw = _certified_weights(cert)
-        if any(e <= 0 for e in bw):
-            return False, "base weights are not all positive"
     if cert.kind == "prime_tropism":
         w = tuple(cert.data)
         if len(w) != ctx.nvars:
             return False, "weight data does not match the ring variables"
-        if bw != w:
-            return False, "recomputed base weights differ from the certified tropism"
+        for got, want in zip(_certified_weights(cert), w):
+            if got <= 0:
+                return False, "base weights are not all positive"
+            if got != want:
+                return False, ("recomputed base weights differ from the "
+                               "certified tropism")
         if gcd_weights(w) != 1:
             return False, "certified tropism is not primitive"
         refusal = _tropism_refusal(handle, w, "the certified tropism")
         if refusal is not None:
             return False, refusal
     elif cert.kind == "monomial_witness":
+        bw = tuple(_certified_weights(cert))
+        if any(e <= 0 for e in bw):
+            return False, "base weights are not all positive"
         wit = cert.data
         if not isinstance(wit, Poly) or wit.is_zero():
             return False, "witness is not a nonzero polynomial"

@@ -17,6 +17,15 @@ the two leads or any tail term that cancels.  Its tag is built lazily:
 an S-pair is divided with quotients first, and the combination of its
 two rows' tags, less the quotients, is formed only when the remainder is
 nonzero, since half or more of the S-pairs commonly reduce to zero.
+
+Over Q the rows are fraction-free: each row's polynomial is a primitive
+integer polynomial.  S-polynomials are (lc(g)/d)*x^uf*f - (lc(f)/d)*x^ug*g
+with d = gcd(lc(f), lc(g)), reductions take the integer steps of
+``polyring._scaled_division``, and a remainder's content is removed
+once, as it enters.  Each row is a nonzero multiple of the row field
+arithmetic would hold, so the leads, pairs and reductions agree, and the
+rows, made monic where they leave the loop, give the same bases, term
+order included.  Tags follow every scaling.
 """
 
 from __future__ import annotations
@@ -36,7 +45,8 @@ from .polyring import (
     Poly,
     RingCtx,
     TermOrder,
-    division,
+    _integral,
+    _scaled_division,
     mono_divisible,
     mono_lcm,
     normal_form,
@@ -80,16 +90,41 @@ def buchberger_tagged(rows: Sequence[Row], order: TermOrder) -> List[Row]:
     return _reduce_basis(_buchberger_rows(rows, order), order)
 
 
+def _primitive_row(row: Row) -> Row:
+    """Over Q, the row divided by the content of its polynomial, so the
+    polynomial is a primitive integer one; over other fields, the row
+    itself."""
+    p, tag = row
+    field = p.ctx.field
+    if not _integral(field):
+        return row
+    values = p.terms.values()
+    den = math.lcm(*(v.denominator for v in values))
+    num = math.gcd(*(v.numerator for v in values))
+    if den == num == 1:
+        return row
+    p = Poly({m: v.numerator * (den // v.denominator) // num
+              for m, v in p.terms.items()}, p.ctx)
+    return (p, None if tag is None else tag.scale(field.div(den, num)))
+
+
 def _spoly(a: Row, b: Row, order: TermOrder) -> Row:
-    """The S-polynomial x^uf*f/lc(f) - x^ug*g/lc(g) of two rows; tagged
-    rows give it a tag as a function that builds it."""
+    """A nonzero multiple of the S-polynomial x^uf*f/lc(f) - x^ug*g/lc(g)
+    of two rows: (lc(g)/d)*x^uf*f - (lc(f)/d)*x^ug*g with d the gcd of
+    the leads when both are integers over Q, the S-polynomial itself
+    otherwise.  Tagged rows give it a tag as a function that builds it."""
     (f, ftag), (g, gtag) = a, b
     (mf, cf), (mg, cg) = f.lead(order), g.lead(order)
     lcm = mono_lcm(mf, mg)
     field = f.ctx.field
     sub, mul, is_zero, zero = field.sub, field.mul, field.is_zero, field.zero()
-    uf, cf = tuple(map(operator.sub, lcm, mf)), field.inv(cf)
-    ug, cg = tuple(map(operator.sub, lcm, mg)), field.inv(cg)
+    if _integral(field) and type(cf) is int and type(cg) is int:
+        d = math.gcd(cf, cg)
+        cf, cg = cg // d, cf // d
+    else:
+        cf, cg = field.inv(cf), field.inv(cg)
+    uf = tuple(map(operator.sub, lcm, mf))
+    ug = tuple(map(operator.sub, lcm, mg))
     out = {tuple(map(operator.add, m, uf)): mul(c, cf)
            for m, c in f.terms.items() if m != mf}
     for m, c in g.terms.items():
@@ -107,17 +142,21 @@ def _spoly(a: Row, b: Row, order: TermOrder) -> Row:
 
 def _row_nf(row: Row, basis: Sequence[Poly], tags: Sequence[Optional[Poly]],
             order: TermOrder) -> Row:
-    """Normal form of a row against the rows (basis[k], tags[k]), the
-    quotients carried into the tag.  A tag given as a function (an
-    S-pair's) is called only when the remainder is nonzero."""
+    """s times the normal form of a row against the rows (basis[k],
+    tags[k]), the quotients carried into the tag, for the nonzero integer
+    s of ``polyring._scaled_division``; s is 1 when every lead is 1.  A
+    tag given as a function (an S-pair's) is called only when the
+    remainder is nonzero."""
     p, ptag = row
+    scale, quots, rem = _scaled_division(p, basis, order, ptag is not None)
     if ptag is None:
-        return (normal_form(p, basis, order), None)
-    quots, rem = division(p, basis, order, with_quotients=True)
+        return (rem, None)
     if callable(ptag):
         if rem.is_zero():
             return (rem, ptag)
         ptag = ptag()
+    if scale != 1:
+        ptag = ptag.scale(scale)
     for q, btag in zip(quots, tags):
         if not q.is_zero():
             ptag = ptag - q * btag
@@ -186,13 +225,13 @@ def _buchberger_rows(rows: Sequence[Row], order: TermOrder) -> List[Row]:
 
     for row in rows:
         if not row[0].is_zero():
-            update(row)
+            update(_primitive_row(row))
     while heap:
         _, i, j, _ = heapq.heappop(heap)
         r = _row_nf(_spoly(work[i], work[j], order), reducers, reducer_tags,
                     order)
         if not r[0].is_zero():
-            update(r)
+            update(_primitive_row(r))
     return [work[k] for k in active]
 
 

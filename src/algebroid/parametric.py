@@ -126,6 +126,7 @@ class _PivotReducer:
         (r: {gamma_index: payload}, b: list of (monomial, payload))."""
         rule = self._rules.get(v)
         if rule is None:
+            # the basis is monic, so the row comes back unscaled
             rem, tag = _row_nf((self.ctx.mono(v), self.ctx.zero()), self.gb,
                                self.cofactors, self.order)
             rule = ({self.gamma_index[m]: c for m, c in rem.terms.items()},

@@ -13,7 +13,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import comb, gcd, prod
 from typing import Iterable, Sequence, Union
 
 from .errors import ParseError, ZeroPoly
@@ -71,7 +71,7 @@ class Lex(TermOrder):
 @dataclass(frozen=True)
 class DegRevLex(TermOrder):
     def key(self, mono):
-        return (sum(mono), tuple(-e for e in reversed(mono)))
+        return (sum(mono), tuple(map(operator.neg, mono[::-1])))
 
 
 @dataclass(frozen=True)
@@ -119,11 +119,9 @@ class HomogenizedLocalOrder(TermOrder):
     weights: tuple  # positive integer weights for the x-variables only
 
     def key(self, mono):
-        a, c = mono[:-1], mono[-1]
-        wa = 0
-        for wi, ai in zip(self.weights, a):
-            wa += wi * ai
-        return (wa + c, -wa, a[::-1])
+        a = mono[:-1]
+        wa = sum(map(operator.mul, self.weights, a))
+        return (wa + mono[-1], -wa, a[::-1])
 
 
 # ------------------------------------------------------------------- ring
@@ -513,12 +511,26 @@ class _Desc:
         return other.key < self.key
 
 
-def division(f: Poly, divisors: Sequence[Poly], order: TermOrder,
-             with_quotients: bool = False):
-    """Multivariate division by an ordered list under a global order.
+def _integral(field: FieldSpec) -> bool:
+    """Whether division keeps integer polynomials integral: over Q."""
+    return field.characteristic == 0 and field.extension is None
 
-    Returns the remainder, or (quotients, remainder) when requested; no
-    remainder term is divisible by any divisor's leading monomial.
+
+def _scaled_division(f: Poly, divisors: Sequence[Poly], order: TermOrder,
+                     with_quotients: bool = False):
+    """The one division loop under a global order: returns (s, quotients,
+    remainder) with s*f == sum(q_k * divisors[k]) + remainder for a
+    nonzero integer s; quotients is None unless requested.  No remainder
+    term is divisible by any divisor's leading monomial.
+
+    Each step p <- a*p - b*x^q*g cancels p's largest divisible term c*x^m
+    with the first divisor g whose lead lc*x^lm divides it, q = m - lm.
+    Over Q, when c and lc are both integers, (a, b) = (lc/d, c/d) with
+    d = gcd(c, lc), so integer polynomials stay integral; otherwise, and
+    over every other field, (a, b) = (1, c/lc), the field step.  Each step
+    is a nonzero multiple of the field step by the same divisor, so the
+    remainder is s times the field remainder term for term, and s is 1
+    when every lead is 1.
 
     Terms are taken largest first from a heap keyed once per monomial as
     it enters the work set.  A monomial that cancelled leaves a stale heap
@@ -531,9 +543,11 @@ def division(f: Poly, divisors: Sequence[Poly], order: TermOrder,
     field = f.ctx.field
     sub, mul, div, is_zero = field.sub, field.mul, field.div, field.is_zero
     zero, ge, isub, iadd = field.zero(), operator.ge, operator.sub, operator.add
+    integral = _integral(field)
     key = order.key
     leads = [g.lead(order) for g in divisors]
     quots = [dict() for _ in divisors] if with_quotients else None
+    scale = 1
     rem = {}
     work = dict(f.terms)
     heap = [_Desc(key(m), m) for m in work]
@@ -547,7 +561,16 @@ def division(f: Poly, divisors: Sequence[Poly], order: TermOrder,
             if not all(map(ge, m, lm)):
                 continue
             q = tuple(map(isub, m, lm))
-            factor = div(c, lc)
+            if integral and type(c) is int and type(lc) is int:
+                d = gcd(c, lc)
+                a, factor = lc // d, c // d
+                if a != 1:
+                    scale *= a
+                    for part in (work, rem, *(quots or ())):
+                        for t, v in part.items():
+                            part[t] = v * a
+            else:
+                factor = div(c, lc)
             if with_quotients:
                 s = field.add(quots[i].get(q, zero), factor)
                 if is_zero(s):
@@ -573,8 +596,23 @@ def division(f: Poly, divisors: Sequence[Poly], order: TermOrder,
             rem[m] = c
     remainder = Poly(rem, f.ctx)
     if with_quotients:
-        return [Poly(q, f.ctx) for q in quots], remainder
-    return remainder
+        quots = [Poly(q, f.ctx) for q in quots]
+    return scale, quots, remainder
+
+
+def division(f: Poly, divisors: Sequence[Poly], order: TermOrder,
+             with_quotients: bool = False):
+    """Multivariate division by an ordered list under a global order.
+
+    Returns the remainder, or (quotients, remainder) when requested; no
+    remainder term is divisible by any divisor's leading monomial.  The
+    loop is ``_scaled_division``'s, its scale divided out once."""
+    scale, quots, rem = _scaled_division(f, divisors, order, with_quotients)
+    if scale != 1:
+        inv = f.ctx.field.inv(scale)
+        rem = rem.scale(inv)
+        quots = quots and [q.scale(inv) for q in quots]
+    return (quots, rem) if with_quotients else rem
 
 
 def normal_form(f: Poly, divisors: Sequence[Poly], order: TermOrder) -> Poly:

@@ -44,6 +44,7 @@ from algebroid.scalars import GF, QQ
 from algebroid.semigroups import membership, prim_generators
 
 from oracles import semi_member
+from test_decide import _three_cusp_branches
 
 _SUITE_START = time.monotonic()
 
@@ -286,10 +287,11 @@ def test_criterion_10_algebraic_property_suite():
 
 
 # Inputs whose local standard bases once cost seconds: the bend curve,
-# whose saturation bends the attachment, and a tacnode probe; and a
-# double branch whose pivot rules once ran past a cap of 400 homogenising
-# powers.  Each certificate's digest is the SHA-256 of its sorted-key
-# JSON.
+# whose saturation bends the attachment, and a tacnode probe; a double
+# branch whose pivot rules once ran past a cap of 400 homogenising
+# powers; and three cusp branches over Q, whose Buchberger rows grew
+# fractions until they were kept integral.  Each certificate's digest is
+# the SHA-256 of its sorted-key JSON.
 HARD_INPUTS = {
     "bend-Q": ("(y^2 - x^3)*((y^2 - x^3)^2 - x^7)", QQ, (
         "fff44674a6fc95803b38a82fc13c6e49d2a88240f01e354c8c9ec473c3a616e9")),
@@ -299,6 +301,8 @@ HARD_INPUTS = {
         "09338f4b28c4158c617295d8e6b1f83dd0149f9e263b689b93330ea3dcae37a8")),
     "x999-Q": ("(y^2 - x^3)^2 - x^999", QQ, (
         "547c29f8d3444757071d2e87b45232c3de667cf0f6531625642a648f986cc026")),
+    "three-cusps-5-6-7-Q": (_three_cusp_branches((5, 6, 7)), QQ, (
+        "6d42617ce3137c56ea1848b82a8e80d8cd57772c025e001aa2d4d0487344b59c")),
 }
 
 

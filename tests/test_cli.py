@@ -8,13 +8,15 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
-from algebroid.cli import (_poly_json, certificate_from_json,
+from algebroid.cli import (_coeff_parse, _poly_json, certificate_from_json,
                            certificate_json, main, parse_ideal_text)
 from algebroid.decide import (Certificate, _certified_weights,
                               decide_irreducible, verify_certificate)
+from algebroid.errors import ParseError
 from algebroid.groebner import IdealHandle, ideal_membership
 from algebroid.localalg import base_weights
 from algebroid.polyring import RingCtx, parse_poly
@@ -447,6 +449,22 @@ def test_malformed_coefficient_exits_two(tmp_path, capsys, bad):
     assert "bad coefficient" in err
 
 
+@pytest.mark.parametrize("text", ["7", "-12", "-0", "007", "٣", "1_0",
+                                  " 7", "7 ", "+5", "3/4", "-6/3", "1e3",
+                                  "", "-", "²", "1" * 5000])
+@pytest.mark.parametrize("field", (QQ, GF(101)), ids=str)
+def test_coefficient_strings_are_read_as_fraction_reads_them(field, text):
+    """Plain ASCII integers are read with int; every string is accepted
+    or refused, and read to the same value, exactly as Fraction does."""
+    try:
+        want = field.coerce(Fraction(text))
+    except ValueError:
+        with pytest.raises(ParseError, match="bad coefficient"):
+            _coeff_parse(field, text)
+    else:
+        assert _coeff_parse(field, text) == want
+
+
 def test_unreadable_json_exits_two(tmp_path, capsys):
     out_path = tmp_path / "broken.json"
     out_path.write_text("{not json")
@@ -626,7 +644,7 @@ def test_certified_weights_in_the_base_ring_match_the_certified_ring(
                                      field)).certificate
     assert cert.kind != "two_tropisms"
     fresh = IdealHandle(cert.ideal.generators, cert.ideal.ctx)
-    assert _certified_weights(cert) == base_weights(fresh)
+    assert tuple(_certified_weights(cert)) == base_weights(fresh)
     cold = IdealHandle(cert.ideal.generators, cert.ideal.ctx)
     assert verify_certificate(Certificate(
         cert.kind, cold, cert.data, cert.base_vars, cert.transcript))[0]

@@ -1062,6 +1062,38 @@ def test_graph_shape_refuses_a_two_ray_certificate_with_a_reordered_pair():
     assert "transcript relation" in reason
 
 
+@pytest.mark.parametrize("field", (QQ, GF(101)), ids=str)
+def test_a_bumped_base_weight_is_refused_at_its_own_entry(field):
+    """Each table prime certificate with one base-weight entry raised by
+    one is refused for differing weights, on a cold handle, after the
+    intersection numbers of the base variables up to that entry and of no
+    transcript polynomial."""
+    taken = []
+
+    def counted(f, ideal):
+        taken.append(f)
+        return intersection_number(f, ideal)
+
+    with_transcript = 0
+    for variables, texts in PRIME_TOWER_CURVES.values():
+        cert = decide_irreducible(_curve(variables, texts, field)).certificate
+        assert cert.kind == "prime_tropism"
+        with_transcript += bool(cert.transcript)
+        for i in range(len(cert.base_vars)):
+            w = list(cert.data)
+            w[i] += 1
+            bumped = replace(cert, data=tuple(w), ideal=IdealHandle(
+                cert.ideal.generators, cert.ideal.ctx))
+            taken.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(decide, "intersection_number", counted)
+                assert verify_certificate(bumped) == (False, (
+                    "recomputed base weights differ from the certified "
+                    "tropism"))
+            assert [str(f) for f in taken] == list(cert.base_vars[:i + 1])
+    assert with_transcript
+
+
 # ------------------------------------------------------------ the shared loop
 
 def test_an_iter_cap_of_zero_stops_both_entry_points_at_the_cap():

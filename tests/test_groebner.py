@@ -4,11 +4,13 @@ staircases, colength, dimension, elimination and saturation."""
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from algebroid import groebner
+from algebroid import (decide, groebner, localalg, parametric, polyring,
+                       semigroups)
 from algebroid.errors import SolverLimitation, UnitIdeal
 from algebroid.localalg import hom_ring
 from algebroid.naming import next_single
@@ -39,11 +41,13 @@ from algebroid.polyring import (
     RingCtx,
     WeightedOrder,
     normal_form,
+    parse_poly,
 )
 from algebroid.scalars import GF, QQ
 
 import oracles
 from oracles import buchberger_chain, spoly_reference, staircase_count
+from test_decide import PRIME_TOWER_CURVES, TWO_BRANCH_CURVES
 from test_polyring import DIVISION_FIELDS, _random_coeff, _random_field_poly
 
 CTX = RingCtx(QQ, ("x", "y", "z"))
@@ -170,6 +174,109 @@ def test_buchberger_matches_the_chain_criterion_reference(field):
                 assert combo == p
 
 
+def _texts(polys):
+    """Each polynomial's terms in dict order, coefficients as printed."""
+    return [[(m, str(c)) for m, c in p.terms.items()] for p in polys]
+
+
+def _three_bases(rows, order):
+    """buchberger and buchberger(reduced=False) on the rows' polynomials,
+    and buchberger_tagged on the rows when they carry tags, tags included,
+    as term lists."""
+    gens = [p for p, _ in rows]
+    out = [_texts(buchberger(gens, order)),
+           _texts(buchberger(gens, order, reduced=False))]
+    if rows[0][1] is not None:
+        tagged = buchberger_tagged(rows, order)
+        out += [_texts(p for p, _ in tagged), _texts(t for _, t in tagged)]
+    return out
+
+
+def _field_steps(monkeypatch):
+    """Make the loop take field steps over Q too, as it did before its
+    rows were kept integral."""
+    for module in (polyring, groebner):
+        monkeypatch.setattr(module, "_integral", lambda field: False)
+
+
+def _integer_ideal(rng, ctx, fractions):
+    """Generators with leads of any size: integers, or with ``fractions``
+    a mix of ints and Fractions."""
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        items = []
+        for _ in range(rng.randint(1, 4)):
+            c = rng.choice((-1, 1)) * rng.randint(1, 6)
+            if fractions and rng.randint(0, 1):
+                c = Fraction(c, rng.randint(1, 3))
+            items.append(((rng.randint(0, 2), rng.randint(0, 2),
+                           rng.randint(0, 2)), c))
+        gens.append(Poly.from_items(items, ctx))
+    return gens
+
+
+def _scaled_table_calls(monkeypatch):
+    """Every (rows, order) that Buchberger's loop is given while deciding
+    the benchmark's table curves over Q, each under a seeded scaling
+    x -> a*x, y -> b*y; untagged rows carry None."""
+    calls = []
+
+    def plain(gens, order, **kwargs):
+        gens = list(gens)
+        calls.append(([(g, None) for g in gens], order))
+        return buchberger(gens, order, **kwargs)
+
+    def tagged(rows, order):
+        calls.append((list(rows), order))
+        return buchberger_tagged(rows, order)
+
+    for module in (groebner, localalg, decide, semigroups):
+        monkeypatch.setattr(module, "buchberger", plain)
+    monkeypatch.setattr(parametric, "buchberger_tagged", tagged)
+    rng = random.Random("integral-rows")
+    for variables, texts in (*TWO_BRANCH_CURVES.values(),
+                             *PRIME_TOWER_CURVES.values()):
+        ctx = RingCtx(QQ, tuple(variables.split()))
+        a, b = (rng.choice((-1, 1)) * rng.randint(1, 12) for _ in range(2))
+        decide.decide_irreducible(IdealHandle([parse_poly(
+            re.sub(r"\by\b", f"({b}*y)", re.sub(r"\bx\b", f"({a}*x)", t)),
+            ctx) for t in texts], ctx))
+    monkeypatch.undo()
+    return calls
+
+
+def test_integral_rows_give_the_bases_of_field_steps(monkeypatch):
+    """Over Q the loop keeps primitive integer rows; every basis it
+    returns, plain, minimal or tagged, is the one field steps give, term
+    order and printed coefficients included.  Inputs: random ideals with
+    non-unit leads, with and without Fraction coefficients, under the
+    global orders but Lex, tagged under the homogenised local order; and
+    every call the decider makes on the scaled table curves, their
+    homogenised local bases and pivot reducers included.  The reduced bases of the random
+    ideals under the two orders the decider uses are the chain-criterion
+    reference's."""
+    ctx = RingCtx(QQ, ("x", "y", "h"))
+    rng = random.Random(47)
+    cases = _scaled_table_calls(monkeypatch)
+    assert any(isinstance(o, HomogenizedLocalOrder) for _, o in cases)
+    assert any(rows[0][1] is not None for rows, _ in cases)
+    # not under Lex: field steps take 30 s on one of these Lex bases
+    for order in GROEBNER_ORDERS[1:]:
+        local = isinstance(order, HomogenizedLocalOrder)
+        for k in range(8):
+            gens = _integer_ideal(rng, ctx, k % 2)
+            if local or isinstance(order, DegRevLex):
+                ref = buchberger_chain([g.terms for g in gens], order.key, QQ)
+                assert [list(g.terms.items())
+                        for g in buchberger(gens, order)] == \
+                    [list(r.items()) for r in ref]
+            cases.append((_one_hot_rows(gens, 0) if local else
+                          [(g, None) for g in gens], order))
+    integral = [_three_bases(rows, order) for rows, order in cases]
+    _field_steps(monkeypatch)
+    assert [_three_bases(rows, order) for rows, order in cases] == integral
+
+
 @pytest.mark.parametrize("field", DIVISION_FIELDS, ids=str)
 def test_the_minimal_basis_has_the_reduced_leads_and_ideal(field):
     ctx = RingCtx(field, ("x", "y", "h"))
@@ -263,8 +370,8 @@ def test_buchberger_reduces_no_more_s_polynomials_than_the_reference(
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(groebner, "normal_form",
-                        counted("buchberger", groebner.normal_form))
+    monkeypatch.setattr(groebner, "_scaled_division",
+                        counted("buchberger", groebner._scaled_division))
     monkeypatch.setattr(oracles, "division_maxscan",
                         counted("reference", oracles.division_maxscan))
     got = buchberger(gens, DegRevLex())

@@ -9,6 +9,7 @@ from algebroid.errors import ParseError, ZeroPoly
 from algebroid.polyring import (
     _EXPONENT_CAP,
     _TERM_CAP,
+    _scaled_division,
     INF,
     BlockOrder,
     DegRevLex,
@@ -291,6 +292,66 @@ def test_division_matches_the_max_scan_reference(field):
             assert [list(q.terms.items()) for q in quots] == \
                 [list(q.items()) for q in ref_quots]
             assert normal_form(f, divisors, order) == rem
+
+
+def _random_integer_poly(rng, ctx, nterms):
+    """An integer polynomial over Q, its coefficients ints with leads of
+    any size, so division takes fraction-free steps."""
+    items = [((rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)),
+              rng.choice((-1, 1)) * rng.randint(1, 12))
+             for _ in range(rng.randint(1, nterms))]
+    return Poly.from_items(items, ctx)
+
+
+def test_integer_division_matches_the_max_scan_reference():
+    """Over Q with integer coefficients each step is a multiple of the
+    field step: ``_scaled_division`` returns s*f = sum(q*g) + r with s
+    times the reference remainder, and ``division`` divides s out to give
+    the reference itself, term order included."""
+    ctx = RingCtx(QQ, ("x", "y", "h"))
+    rng = random.Random(37)
+    scaled = 0
+    for order in DIVISION_ORDERS:
+        for _ in range(12):
+            f = _random_integer_poly(rng, ctx, 8)
+            divisors = [_random_integer_poly(rng, ctx, 4)
+                        for _ in range(rng.randint(1, 3))]
+            ref_quots, ref_rem = division_maxscan(
+                f.terms, [g.terms for g in divisors], order.key, QQ)
+            s, quots, rem = _scaled_division(f, divisors, order,
+                                             with_quotients=True)
+            scaled += s != 1
+            assert isinstance(s, int) and s != 0
+            assert all(type(c) is int for c in rem.terms.values())
+            assert list(rem.terms.items()) == \
+                [(m, s * c) for m, c in ref_rem.items()]
+            # the identity needs a monomial order: under (2, INF, 1) with a
+            # DegRevLex tie a remainder monomial can recur
+            if INF not in getattr(order, "weights", ()):
+                combo = rem
+                for q, g in zip(quots, divisors):
+                    combo = combo + q * g
+                assert combo == f.scale(s)
+            quots, rem = division(f, divisors, order, with_quotients=True)
+            assert list(rem.terms.items()) == list(ref_rem.items())
+            assert [list(q.terms.items()) for q in quots] == \
+                [list(q.items()) for q in ref_quots]
+    assert scaled > 20
+
+
+def test_order_keys_match_their_reference_formulas():
+    rng = random.Random(59)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        mono = tuple(rng.randint(0, 9) for _ in range(n + 1))
+        assert DegRevLex().key(mono) == \
+            (sum(mono), tuple(-e for e in reversed(mono)))
+        w = tuple(rng.randint(1, 9) for _ in range(n))
+        wa = 0
+        for wi, ai in zip(w, mono[:-1]):
+            wa += wi * ai
+        assert HomogenizedLocalOrder(w).key(mono) == \
+            (wa + mono[-1], -wa, mono[:-1][::-1])
 
 
 def test_lead_follows_the_order_asked_for():
