@@ -42,7 +42,6 @@ from .groebner import (
     IdealHandle,
     _as_handle,
     _reduce_basis,
-    buchberger,
     contains_monomial,
     ideal_membership,
     krull_dimension,
@@ -56,7 +55,6 @@ from .parametric import (Verdict, _coefficients, _extend_with,
                          _pencil_determinant, parametric_test)
 from .polyring import (
     INF,
-    DegRevLex,
     InvLex,
     Poly,
     RingCtx,
@@ -92,7 +90,9 @@ def _initial_handle(handle: IdealHandle, w: Sequence[int]) -> IdealHandle:
     <LM_T(in_w(s))>.  The forms are thus a T-Groebner basis of K, and
     the reduced basis, being unique, is the one Buchberger gives.  Any
     global order T breaking the local order's ties would do; InvLex lets
-    each adjoined coordinate lead its own relation."""
+    each adjoined coordinate lead its own relation, and makes x_0 the
+    smallest variable, so K's basis slices at x_0 = 1 without S-pairs
+    (see ``_monomial_free``)."""
     w = tuple(w)
 
     def build() -> IdealHandle:
@@ -108,34 +108,44 @@ def _monomial_free(handle: IdealHandle, w: Sequence[int]) -> bool:
 
     K is w-homogeneous and every w_j is positive, so its zero set is
     stable under t.p = (t^w_1 p_1, ...) and meets the torus exactly when
-    its slice at x_i = 1 does, over the algebraic closure and in any
-    characteristic.  The slice is taken at the variable of largest weight
-    (the lowest index on ties); for a curve it is zero-dimensional, of
-    some length D.  K contains a monomial exactly when the slice is the
-    unit ideal or the product m of the other variables is nilpotent
-    modulo it, that is, when m^(2^k) reduces to zero for the first
-    2^k >= D.  The slice is taken of K's reduced InvLex basis, which
-    ``_initial_handle`` found without S-pairs; the slice's own basis is
-    built under DegRevLex.  The verdict is kept in the handle's memo
-    under ("free", w).  Raises WrongDimension when the slice is not
-    finite."""
+    any of its slices x_i = 1 does, over the algebraic closure and in any
+    characteristic.  The slice is taken at x_0 = 1; for a curve it is
+    zero-dimensional, of some length D.  K contains a monomial exactly
+    when the slice is the unit ideal or the product m = x_1...x_{n-1} is
+    nilpotent modulo it, that is, when m^(2^k) reduces to zero for the
+    first 2^k >= D.  The verdict is kept in the handle's memo under
+    ("free", w).  Raises WrongDimension when the slice is not finite.
+
+    The slice's basis is K's reduced InvLex basis, which
+    ``_initial_handle`` found without S-pairs, at x_0 = 1, under InvLex
+    in x' = x_1..x_{n-1} (Cox, Little & O'Shea, ch. 8 section 4):
+    - InvLex compares x_0 last.  Each basis element is w-homogeneous and
+      w_0 > 0, so two of its terms never share their x' part: x_0 = 1
+      merges no terms and keeps the lead.
+    - Let h = H(1, x') with H in K, and h_r its terms of w'-degree r mod
+      w_0.  Then h_r = G(1, x') for G = sum x_0^((e - d)/w_0) H_d over
+      the w-homogeneous components H_d of H with d = r mod w_0, e the
+      largest such d.  G is w-homogeneous and in K, and LT(G) =
+      x_0^a LT(h_r).  So LT(h), the lead of one h_r, is divisible by the
+      lead of a basis element at x_0 = 1: the basis at x_0 = 1 is an
+      InvLex Groebner basis of the slice.
+    - Only the WrongDimension refusal depends on which slice is taken,
+      and only when K is not a curve: each slice misses the components
+      of K that lie inside its own hyperplane."""
     w = tuple(w)
 
     def build() -> bool:
         K = _initial_handle(handle, w)
-        ctx = K.ctx
+        ctx, order = K.ctx, K.order
         n = ctx.nvars
-        i = max(range(n), key=lambda k: (w[k], -k))
-        small = RingCtx(ctx.field, ctx.variables[:i] + ctx.variables[i + 1:])
-        order = DegRevLex()
-        gb = buchberger([Poly.from_items(((m[:i] + m[i + 1:], c)
-                                          for m, c in g.terms.items()), small)
-                         for g in K.groebner()], order)
+        small = RingCtx(ctx.field, ctx.variables[1:])
+        gb = [Poly({m[1:]: c for m, c in g.terms.items()}, small)
+              for g in K.groebner()]
         length = staircase_size([g.lead(order)[0] for g in gb], n - 1)
         if length is None:
             raise WrongDimension(
                 f"the initial ideal at weight {w} is not one-dimensional: "
-                f"its slice {ctx.variables[i]} = 1 is not finite")
+                f"its slice {ctx.variables[0]} = 1 is not finite")
         if not length:
             return False
         p = normal_form(small.mono((1,) * (n - 1)), gb, order)

@@ -77,20 +77,11 @@ def homogenize(f: Poly, w: tuple, big: RingCtx) -> Poly:
 
 
 def dehomogenize(F: Poly, ctx: RingCtx) -> Poly:
-    """Set the trailing homogenizing variable to 1."""
-    field = ctx.field
-    out = {}
-    for m, c in F.terms.items():
-        key = m[:-1]
-        if key in out:
-            s = field.add(out[key], c)
-            if field.is_zero(s):
-                del out[key]
-            else:
-                out[key] = s
-        else:
-            out[key] = c
-    return Poly(out, ctx)
+    """Set the trailing homogenizing variable to 1.  F must be homogeneous
+    for the weights with the last variable's weight 1, as ``homogenize``
+    and the homogenized basis give it: then two terms never share their
+    other exponents, and no terms merge."""
+    return Poly({m[:-1]: c for m, c in F.terms.items()}, ctx)
 
 
 def _hom_groebner(handle: IdealHandle, w: tuple):

@@ -1,5 +1,5 @@
 """Sparse multivariate polynomials over a FieldSpec, term orders, weighted
-orders and initial forms.
+degrees and initial forms.
 
 Monomials are exponent tuples, polynomials are dicts from monomial to
 coefficient payload.  Weight vectors may contain ``INF`` entries; a term
@@ -63,12 +63,6 @@ class TermOrder:
 
 
 @dataclass(frozen=True)
-class Lex(TermOrder):
-    def key(self, mono):
-        return mono
-
-
-@dataclass(frozen=True)
 class DegRevLex(TermOrder):
     def key(self, mono):
         return (sum(mono), tuple(map(operator.neg, mono[::-1])))
@@ -81,17 +75,6 @@ class InvLex(TermOrder):
 
     def key(self, mono):
         return mono[::-1]
-
-
-@dataclass(frozen=True)
-class WeightedOrder(TermOrder):
-    """Compare by weighted degree first, break ties with another order."""
-
-    weights: tuple
-    tie: TermOrder = DegRevLex()
-
-    def key(self, mono):
-        return (wdot(self.weights, mono), self.tie.key(mono))
 
 
 @dataclass(frozen=True)

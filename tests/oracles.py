@@ -14,13 +14,17 @@ meaningful:
 * Buchberger's algorithm with the product and chain criteria, every
   S-polynomial divided by all polynomials found so far,
 * the S-polynomial of two polynomial objects from their own term products
-  and subtraction.
+  and subtraction,
+* the term orders Lex and WeightedOrder, which the library does not use;
+  each gives the library's ``key`` (larger key = larger monomial), so
+  the library divides and builds bases under them.
 
 Preconditions raise ValueError rather than assert, so they hold under
 ``python -O`` too.
 """
 
 import heapq
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
@@ -241,6 +245,47 @@ def staircase_count(generators, nvars):
             m2[i] += 1
             stack.append(tuple(m2))
     return len(seen)
+
+
+# -------------------------------------------------------------- term orders
+
+@dataclass(frozen=True)
+class Lex:
+    def key(self, mono):
+        return mono
+
+
+@dataclass(frozen=True)
+class _DegRevLex:
+    def key(self, mono):
+        return (sum(mono), tuple(-e for e in reversed(mono)))
+
+
+def _wdot(w, a):
+    """Weighted degree of a monomial; infinite entries count only on
+    positive exponents."""
+    total = 0
+    for wi, ai in zip(w, a):
+        if ai == 0:
+            continue
+        if wi == float("inf"):
+            return wi
+        total += wi * ai
+    return total
+
+
+@dataclass(frozen=True)
+class WeightedOrder:
+    """Compare by weighted degree first, break ties with another order.
+    With an infinite weight this is a monomial order only when the tie
+    ranks that variable first and agrees with the finite weights on the
+    others."""
+
+    weights: tuple
+    tie: object = _DegRevLex()
+
+    def key(self, mono):
+        return (_wdot(self.weights, mono), self.tie.key(mono))
 
 
 # ----------------------------------------------------------------- division

@@ -44,7 +44,9 @@ from algebroid.scalars import GF, QQ
 from algebroid.semigroups import membership, prim_generators
 
 from oracles import semi_member
-from test_decide import _three_cusp_branches
+from test_decide import (_check_the_seeded_bases,
+                         _decide_recording_initial_handles,
+                         _three_cusp_branches)
 
 _SUITE_START = time.monotonic()
 
@@ -318,6 +320,15 @@ def test_hard_inputs_certify_within_their_budget(case):
     assert verify_certificate(rep.certificate) == (True, "ok")
     text = json.dumps(certificate_json(rep.certificate), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == pin
+
+
+@pytest.mark.parametrize("case", HARD_INPUTS)
+def test_the_sliced_test_agrees_at_the_hard_input_rays(case):
+    """At every weight and certified ray of the decide, the sliced test
+    answers as the Rabinowitsch search does."""
+    text, field, _ = HARD_INPUTS[case]
+    handle, _ = handle_of(("x", "y"), text, field=field)
+    _check_the_seeded_bases(*_decide_recording_initial_handles(handle))
 
 
 def test_suite_runtime_stays_under_budget():

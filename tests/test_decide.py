@@ -1,6 +1,7 @@
 """Tests for the irreducibility decision and its certificates."""
 
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -752,9 +753,9 @@ def test_sliced_test_on_seeded_plane_products(field):
 @pytest.mark.parametrize("field", SLICE_FIELDS, ids=SLICE_IDS)
 def test_sliced_test_on_a_space_curve_with_an_axis(field):
     """A torus curve y^a = c x^b, z^e = d x^f times the fat z-axis (x^2, y^2),
-    and the fat axis alone: the axis never meets the torus, and when z is
-    the heaviest coordinate the slice sees only the axis, where xy is
-    nilpotent but not zero."""
+    and the fat axis alone: the axis never meets the torus, and it lies
+    inside x = 0, so the slice x = 1 misses it and is the unit ideal on
+    the axis alone."""
     ctx = RingCtx(field, ("x", "y", "z"))
     x, y, z = ctx.var("x"), ctx.var("y"), ctx.var("z")
     rng = random.Random(f"slice-space-{field!r}")
@@ -777,9 +778,10 @@ def test_sliced_test_on_a_space_curve_with_an_axis(field):
 def test_sliced_test_on_unit_and_nilpotent_slices(field):
     ctx = RingCtx(field, ("x", "y"))
     cases = [
-        ("y^2", (1, 2), False),        # slice y = 1 is the unit ideal
-        ("y^2", (2, 1), False),        # slice x = 1 is (y^2): y nilpotent
-        ("x*y", (1, 1), False),        # a tie slices at x
+        ("x^2", (1, 2), False),        # slice x = 1 is the unit ideal
+        ("y^2", (1, 2), False),        # slice x = 1 is (y^2): y nilpotent
+        ("y^2", (2, 1), False),        # the same slice at any weight
+        ("x*y", (1, 1), False),        # slice x = 1 is (y)
         ("y^2 - x^2", (1, 1), True),
         ("y^2 - x^3", (2, 3), True),   # 2 divides a weight, also over F_2
         ("y^4 - x^6", (2, 3), True),   # a double branch, still a tropism
@@ -829,6 +831,19 @@ def test_a_surface_certificate_is_refused_not_raised():
                        ("x", "y", "z"))
     assert verify_certificate(cert) == (
         False, "initial ideal at ray 1 is not one-dimensional")
+
+
+def test_a_certificate_with_a_plane_inside_x0_is_refused():
+    """(x*y, x*z) is the plane x = 0 and the x-axis.  The slice x = 1 sees
+    only the axis, where y*z vanishes, so each ray's initial ideal, the
+    ideal itself, contains a monomial."""
+    I, _ = space_ideal("x*y", "x*z")
+    rays = ((1, 2, 3), (1, 3, 2))
+    for w in rays:
+        assert not _agrees(I, w)
+    cert = Certificate("two_tropisms", I, rays, ("x", "y", "z"))
+    assert verify_certificate(cert) == (
+        False, "initial ideal at ray 1 contains a monomial")
 
 
 # ---------------------------------------- initial ideals with their basis
@@ -883,11 +898,18 @@ def _decide_recording_initial_handles(I):
     return rep, built
 
 
-def _check_the_seeded_bases(built):
+def _check_the_seeded_bases(rep, built):
     """Each initial handle's seeded basis is the one Buchberger
     gives on its generators, and the sliced test answers on a fresh handle
-    as on the decide's, in agreement with ``contains_monomial``."""
+    as on the decide's, in agreement with ``contains_monomial``.  Among
+    the weights checked are every weight of the decide's history and
+    every certified ray."""
     assert built
+    cert = rep.certificate
+    rays = {"prime_tropism": (cert.data,),
+            "two_tropisms": cert.data}.get(cert.kind, ())
+    assert set(rep.stats["weight_history"]) | set(map(tuple, rays)) <= \
+        {w for _, w, _ in built}
     for handle, w, K in {id(t[2]): t for t in built}.values():
         seeded = K.groebner()
         assert seeded == buchberger(list(K.generators), K.order)
@@ -900,20 +922,20 @@ def test_seeded_bases_of_the_two_branch_curves(field):
     for cid, (variables, texts) in TWO_BRANCH_CURVES.items():
         if field.characteristic == 2 and cid in NOT_RADICAL_OVER_F2:
             continue
-        _check_the_seeded_bases(_decide_recording_initial_handles(
-            _curve(variables, texts, field))[1])
+        _check_the_seeded_bases(*_decide_recording_initial_handles(
+            _curve(variables, texts, field)))
 
 
 @pytest.mark.parametrize("field", SLICE_FIELDS, ids=SLICE_IDS)
 def test_seeded_bases_of_the_prime_tower_curves(field):
     for variables, texts in PRIME_TOWER_CURVES.values():
-        _check_the_seeded_bases(_decide_recording_initial_handles(
-            _curve(variables, texts, field))[1])
+        _check_the_seeded_bases(*_decide_recording_initial_handles(
+            _curve(variables, texts, field)))
 
 
 def test_seeded_bases_of_the_stretch_curve_over_F7():
-    _check_the_seeded_bases(_decide_recording_initial_handles(
-        _curve(*STRETCH_CURVE, GF(7)))[1])
+    _check_the_seeded_bases(*_decide_recording_initial_handles(
+        _curve(*STRETCH_CURVE, GF(7))))
 
 
 @pytest.mark.parametrize("field", SLICE_FIELDS, ids=SLICE_IDS)
@@ -932,81 +954,113 @@ def test_seeded_bases_of_seeded_plane_products(field):
         f = prod((y ** a - ctx.const(c) * x ** b for c in cs), start=ctx.one())
         rep, built = _decide_recording_initial_handles(IdealHandle([f], ctx))
         assert rep.verdict == ("reducible" if len(cs) >= 2 else "irreducible")
-        _check_the_seeded_bases(built)
+        _check_the_seeded_bases(rep, built)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "F101"])
+def test_seeded_bases_of_every_variable_order_of_the_space_pair(field):
+    """The slice is at the first variable: with z first it has the
+    largest weight, with x first the smallest."""
+    variables, texts = TWO_BRANCH_CURVES["space-pair"]
+    for perm in itertools.permutations(variables.split()):
+        rep, built = _decide_recording_initial_handles(
+            _curve(" ".join(perm), texts, field))
+        assert rep.verdict == "reducible"
+        _check_the_seeded_bases(rep, built)
 
 
 def _count_buchberger_inputs(monkeypatch):
-    """Record (initial handle, slice size) as the sliced test runs, and the
-    generators of every other Buchberger call."""
-    events, calls = [], []
-    inner_handle, inner_slice = decide._initial_handle, decide.buchberger
-    inner_global = groebner.buchberger
+    """Record every initial handle the decide asks for, the generators of
+    every Buchberger call, whether each sliced test got K's handle, and
+    the Buchberger loops the sliced test runs once it holds it."""
+    handles, calls, built, sliced = [], [], [], []
+    inner_free, inner_handle = decide._monomial_free, decide._initial_handle
+    inner_global, inner_rows = groebner.buchberger, groebner._buchberger_rows
+    holds_K = []
+
+    def record_free(handle, w):
+        holds_K.append(False)
+        try:
+            return inner_free(handle, w)
+        finally:
+            built.append(holds_K.pop())
 
     def record_handle(handle, w):
         K = inner_handle(handle, w)
-        events.append(K)
+        handles.append(K)
+        if holds_K:
+            holds_K[-1] = True
         return K
 
-    def record_slice(gens, order):
-        events.append(len(gens))
-        return inner_slice(gens, order)
-
-    def record_global(gens, order):
+    def record_global(gens, order, **kwargs):
         calls.append(tuple(gens))
-        return inner_global(gens, order)
+        return inner_global(gens, order, **kwargs)
 
+    def record_rows(rows, order):
+        if holds_K and holds_K[-1]:
+            sliced.append(len(rows))
+        return inner_rows(rows, order)
+
+    monkeypatch.setattr(decide, "_monomial_free", record_free)
     monkeypatch.setattr(decide, "_initial_handle", record_handle)
-    monkeypatch.setattr(decide, "buchberger", record_slice)
     monkeypatch.setattr(groebner, "buchberger", record_global)
-    return events, calls
+    monkeypatch.setattr(groebner, "_buchberger_rows", record_rows)
+    return handles, calls, built, sliced
 
 
 @pytest.mark.parametrize("cid", [*TWO_BRANCH_CURVES, *PRIME_TOWER_CURVES])
 def test_no_buchberger_on_initial_generators_and_slices_stay_small(
         monkeypatch, cid):
-    events, calls = _count_buchberger_inputs(monkeypatch)
+    """No Buchberger loop runs on an initial ideal's generators, and the
+    sliced test, once it holds K's handle, runs none at all: its slice
+    basis is K's own basis at x_0 = 1."""
+    handles, calls, built, sliced = _count_buchberger_inputs(monkeypatch)
     curve = TWO_BRANCH_CURVES.get(cid) or PRIME_TOWER_CURVES[cid]
     decide_irreducible(_curve(*curve, QQ))
-    handles = [e for e in events if isinstance(e, IdealHandle)]
-    assert handles
+    assert handles and calls and any(built)
     assert not any(gens == K.generators for K in handles for gens in calls)
-    # _monomial_free asks for K just before it slices K's basis
-    slices = [(events[k - 1], size) for k, size in enumerate(events)
-              if isinstance(size, int)]
-    assert slices
-    for K, size in slices:
-        assert isinstance(K, IdealHandle)
-        assert size <= len(K.groebner())
+    assert sliced == []
 
 
-def _slice_bases(monkeypatch):
-    """A list that grows by one for every slice basis the sliced test
-    builds."""
-    built = []
-    inner = decide.buchberger
+def _sliced_tests(monkeypatch):
+    """A list that grows by one for every sliced test built, with the
+    staircase leads it counted and those of its K's basis at x_0 = 1."""
+    built, last_K = [], []
+    inner_size, inner_handle = decide.staircase_size, decide._initial_handle
 
-    def counted(gens, order, **kwargs):
-        built.append(len(gens))
-        return inner(gens, order, **kwargs)
+    def record_handle(handle, w):
+        K = inner_handle(handle, w)
+        last_K[:] = [K]
+        return K
 
-    monkeypatch.setattr(decide, "buchberger", counted)
+    def counted(leads, nvars):
+        K = last_K[0]
+        built.append((list(leads), [g.lead(K.order)[0][1:]
+                                    for g in K.groebner()]))
+        return inner_size(leads, nvars)
+
+    monkeypatch.setattr(decide, "_initial_handle", record_handle)
+    monkeypatch.setattr(decide, "staircase_size", counted)
     return built
 
 
 @pytest.mark.parametrize("cid", PRIME_TOWER_CURVES)
 def test_the_self_check_reuses_the_sliced_test_of_the_decide(
         monkeypatch, cid):
-    built = _slice_bases(monkeypatch)
+    built = _sliced_tests(monkeypatch)
     rep = decide_irreducible(_curve(*PRIME_TOWER_CURVES[cid], QQ))
     assert rep.certificate.kind == "prime_tropism"
-    # one slice per weight the loop tested, none for the self-check
+    # one sliced test per weight the loop tested, none for the self-check,
+    # each counting the leads of its K's basis with x_0 dropped
     assert len(built) == len(rep.stats["weight_history"])
+    assert all(leads == ours for leads, ours in built)
     built.clear()
     assert verify_certificate(rep.certificate) == (True, "ok")
     assert built == []
     rebuilt = certificate_from_json(certificate_json(rep.certificate))
     assert verify_certificate(rebuilt) == (True, "ok")
     assert len(built) == 1
+    assert all(leads == ours for leads, ours in built)
 
 
 # ------------------------------------------------------------- graph shape

@@ -36,17 +36,16 @@ from algebroid.polyring import (
     BlockOrder,
     DegRevLex,
     HomogenizedLocalOrder,
-    Lex,
     Poly,
     RingCtx,
-    WeightedOrder,
     normal_form,
     parse_poly,
 )
 from algebroid.scalars import GF, QQ
 
 import oracles
-from oracles import buchberger_chain, spoly_reference, staircase_count
+from oracles import (Lex, WeightedOrder, buchberger_chain, spoly_reference,
+                     staircase_count)
 from test_decide import PRIME_TOWER_CURVES, TWO_BRANCH_CURVES
 from test_polyring import DIVISION_FIELDS, _random_coeff, _random_field_poly
 
@@ -230,7 +229,7 @@ def _scaled_table_calls(monkeypatch):
         calls.append((list(rows), order))
         return buchberger_tagged(rows, order)
 
-    for module in (groebner, localalg, decide, semigroups):
+    for module in (groebner, localalg, semigroups):
         monkeypatch.setattr(module, "buchberger", plain)
     monkeypatch.setattr(parametric, "buchberger_tagged", tagged)
     rng = random.Random("integral-rows")

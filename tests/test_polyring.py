@@ -14,10 +14,8 @@ from algebroid.polyring import (
     BlockOrder,
     DegRevLex,
     HomogenizedLocalOrder,
-    Lex,
     Poly,
     RingCtx,
-    WeightedOrder,
     division,
     embed,
     in_w,
@@ -28,7 +26,7 @@ from algebroid.polyring import (
     wdot,
 )
 from algebroid.scalars import GF, QQ, FieldSpec
-from oracles import division_maxscan
+from oracles import Lex, WeightedOrder, division_maxscan
 
 
 CTX = RingCtx(QQ, ("x", "y", "z"))
