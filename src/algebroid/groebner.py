@@ -1,7 +1,6 @@
 """Buchberger's algorithm over exact fields and the ideal-level queries
 built on it: membership, radical membership, monomial content, staircases,
-colength, Krull dimension of the leading-term ideal, elimination and
-saturation.
+Krull dimension of the leading-term ideal, elimination and saturation.
 
 There is one Buchberger loop.  It runs on rows (p, tag), where the tag
 is one polynomial that every row operation applied to p is applied to as
@@ -39,7 +38,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from .errors import SolverLimitation, UnitIdeal
 from .naming import next_single
 from .polyring import (
-    INF,
     BlockOrder,
     DegRevLex,
     Poly,
@@ -456,18 +454,6 @@ def staircase_size(leads: Sequence[tuple], nvars: int) -> Optional[int]:
     boxes = _staircase_boxes(leads, nvars)
     return None if boxes is None else sum(math.prod(map(len, box))
                                           for box in boxes)
-
-
-def colength(ideal) -> object:
-    """Dimension of the quotient as a vector space (INF when infinite),
-    measured by the staircase of the handle's basis."""
-    handle = _as_handle(ideal)
-    gb = handle.groebner()
-    if not gb:
-        return INF if handle.ctx.nvars else 1
-    size = staircase_size([g.lead(handle.order)[0] for g in gb],
-                          handle.ctx.nvars)
-    return INF if size is None else size
 
 
 def krull_dimension(ideal) -> int:

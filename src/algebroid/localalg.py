@@ -120,22 +120,14 @@ def local_lead_monomials(ideal: IdealLike,
 
 def initial_ideal(ideal: IdealLike, w: Sequence[int]) -> List[Poly]:
     """Generators of the ideal of lowest-w-degree forms: the initial forms
-    of a standard basis, deduplicated.  Their InvLex leads are the local
-    leads of that basis, so they form an InvLex Groebner basis of the
-    initial ideal (see ``decide._initial_handle``)."""
+    of a standard basis.  Their InvLex leads are the local leads of that
+    basis, so they form an InvLex Groebner basis of the initial ideal (see
+    ``decide._initial_handle``).  The basis is minimal, so its local leads
+    are distinct and non-zero, and so no form is zero and no two are
+    equal."""
     handle = _as_handle(ideal)
     w = _check_weights(w, handle.ctx.nvars)
-    seen = set()
-    out = []
-    for s in standard_basis(handle, w):
-        if s.is_zero():
-            continue
-        form = in_w(s, w)
-        k = form.key()
-        if k not in seen:
-            seen.add(k)
-            out.append(form)
-    return out
+    return [in_w(s, w) for s in standard_basis(handle, w)]
 
 
 def local_colength(ideal: IdealLike, w: Optional[Sequence[int]] = None):

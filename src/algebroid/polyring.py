@@ -17,7 +17,7 @@ from math import comb, gcd, prod
 from typing import Iterable, Sequence, Union
 
 from .errors import ParseError, ZeroPoly
-from .scalars import FieldSpec, Scalar
+from .scalars import FieldSpec, Scalar, _power
 
 INF = float("inf")
 
@@ -309,14 +309,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = self.ctx.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, Poly.__mul__, self.ctx.one())
 
     def scale(self, c) -> "Poly":
         field = self.ctx.field

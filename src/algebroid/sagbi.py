@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import TruncationExhausted, ZeroPoly
 from .naming import next_single
 from .polyring import INF, Poly, RingCtx
-from .scalars import FieldSpec, Scalar
+from .scalars import FieldSpec, Scalar, _power
 from .semigroups import conductor, gcd_weights, membership, prim_generators
 
 _DEFAULT_TRUNC_CAP = 4096
@@ -132,15 +132,9 @@ class TruncSeries:
     def __pow__(self, n: int) -> "TruncSeries":
         if n < 0:
             raise ValueError("negative series power")
-        out = TruncSeries.from_terms([(0, self.field.one())],
+        one = TruncSeries.from_terms([(0, self.field.one())],
                                      self.precision, self.field)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, TruncSeries.__mul__, one)
 
     def as_polynomial(self, ctx: RingCtx) -> Poly:
         """The shown terms as a polynomial in the single variable of ctx;

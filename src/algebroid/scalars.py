@@ -31,6 +31,11 @@ call:
 
 :class:`Scalar` is a thin immutable wrapper used at API boundaries and in
 tests.
+
+``_power`` is the library's one square-and-multiply loop: field powers,
+the primitive-element test of the log tables, ``a^(q^d)`` mod f in
+finite-field factoring, and the powers of ``Poly`` and ``TruncSeries``
+all call it.
 """
 
 from __future__ import annotations
@@ -81,6 +86,21 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _power(a, n: int, mul, one):
+    """a^n for n >= 0 by right-to-left binary powering (Knuth, TAOCP
+    vol. 2, 4.6.3), with ``mul`` the product and ``one`` its identity.
+    It squares only while a higher bit of n is left: n.bit_length() - 1
+    squarings and popcount(n) products ``out = mul(out, a)``."""
+    out = one
+    while True:
+        if n & 1:
+            out = mul(out, a)
+        n >>= 1
+        if not n:
+            return out
+        a = mul(a, a)
 
 
 # ------------------------------------------------------------- kernels
@@ -148,19 +168,9 @@ def _log_tables(field: "FieldSpec"):
     Cached per field: every decide parses a fresh but equal FieldSpec."""
     n = field.size() - 1
     one, zero, mul = field.one(), field.zero(), field._ext_mul
-
-    def power(a, e):
-        out = one
-        while e:
-            if e & 1:
-                out = mul(out, a)
-            a = mul(a, a)
-            e >>= 1
-        return out
-
     primes = [r for r in _int_divisors(n) if _is_prime(r)]
     g = next(a for a in field.elements() if any(a)
-             and all(power(a, n // r) != one for r in primes))
+             and all(_power(a, n // r, mul, one) != one for r in primes))
     exp = [one]
     for _ in range(n - 1):
         exp.append(mul(exp[-1], g))
@@ -311,13 +321,7 @@ class FieldSpec:
     def pow(self, a, n: int):
         if n < 0:
             return self.pow(self.inv(a), -n)
-        out = self.one()
-        while n:
-            if n & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return out
+        return _power(a, n, self.mul, self.one())
 
     def _ext_mul(self, a, b):
         """Product by convolution and reduction modulo the defining
@@ -700,13 +704,9 @@ def _is_rational_square(q: Fraction):
 
 def _uv_powmod(g, e: int, m, field: FieldSpec) -> list:
     """g^e mod m, by squaring."""
-    out, g = [field.one()], uv_divmod(g, m, field)[1]
-    while e:
-        if e & 1:
-            out = uv_divmod(uv_mul(out, g, field), m, field)[1]
-        g = uv_divmod(uv_mul(g, g, field), m, field)[1]
-        e >>= 1
-    return out
+    return _power(uv_divmod(g, m, field)[1], e,
+                  lambda a, b: uv_divmod(uv_mul(a, b, field), m, field)[1],
+                  [field.one()])
 
 
 def _finite_factors(f: list, field: FieldSpec) -> list:

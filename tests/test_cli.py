@@ -8,10 +8,12 @@ import json
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from algebroid import decide
 from algebroid.cli import (_coeff_parse, _poly_json, certificate_from_json,
                            certificate_json, main, parse_ideal_text)
 from algebroid.decide import (Certificate, _certified_weights,
@@ -38,6 +40,8 @@ HUGE_EXPONENT = "char 0\nvars x y\nideal:\ny^2 - x^3000000\n"
 HUGE_POWER = "char 0\nvars x y z\nideal:\n(x + y + z)^100\nz - x*y\n"
 MINORS = ("char 0\nvars x y z\nideal:\n"
           "(x^3 + y^2)*x - y*z^2\ny^2 - x*z\nz^3 - (x^3 + y^2)*y\n")
+# two_tropisms with the transcript z, u
+STRETCH = "char 0\nvars x y\nideal:\n((y^2 - x^3)^2 - x^5*y)^2 - x^11*y^2\n"
 
 
 def write(tmp_path, text, name="curve.ideal"):
@@ -115,6 +119,47 @@ def test_missing_header_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "decide", path)
     assert code == 2
     assert "char" in err
+
+
+# (ideal file, --weights for ``tropism`` or None for ``decide``, message)
+UNTRUSTED_INPUT_REFUSALS = {
+    "char-zero": ("char zero\nvars x y\nideal:\ny^2 - x^3\n", None,
+                  "line 1: 'char' expects an integer, got 'zero'"),
+    "char-4": ("char 4\nvars x y\nideal:\ny^2 - x^3\n", None,
+               "characteristic must be 0 or a prime"),
+    "no-vars": ("char 0\nideal:\ny^2 - x^3\n", None,
+                "missing 'vars <names>' line"),
+    "duplicate-vars": ("char 0\nvars x x\nideal:\nx^2 - x^3\n", None,
+                       "duplicate variable names"),
+    "no-ideal": ("char 0\nvars x y\n", None,
+                 "missing 'ideal:' section with generators"),
+    "th-variable": ("char 3\next th^2 + 1\nvars th y\nideal:\ny^2 - th^3\n",
+                    None, "variable name 'th' is reserved by the ext line"),
+    "ext-unparsable": ("char 3\next th^2 +\nvars x y\nideal:\ny^2 - x^3\n",
+                       None, "line 2: bad extension polynomial: "
+                             "unexpected end of input"),
+    "ext-zero": ("char 3\next 0\nvars x y\nideal:\ny^2 - x^3\n", None,
+                 "line 2: extension polynomial is zero"),
+    "ext-linear": ("char 3\next th + 1\nvars x y\nideal:\ny^2 - x^3\n", None,
+                   "line 2: extension degree must be at least two"),
+    "ext-not-monic": ("char 3\next 2*th^2 + 1\nvars x y\nideal:\ny^2 - x^3\n",
+                      None, "line 2: extension polynomial must be monic"),
+    "ext-reducible": ("char 3\next th^2 - 1\nvars x y\nideal:\ny^2 - x^3\n",
+                      None, "line 2: defining polynomial is reducible"),
+    "zero-generators": ("char 0\nvars x y\nideal:\nx - x\n0\n", None,
+                        "the ideal has no nonzero generator"),
+    "weights-not-integers": (CUSP, "1,x", "weights must be integers: '1,x'"),
+    "weights-not-positive": (CUSP, "0,1", "weights must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", UNTRUSTED_INPUT_REFUSALS)
+def test_a_malformed_ideal_file_or_weight_vector_exits_two(
+        tmp_path, capsys, case):
+    text, weights, message = UNTRUSTED_INPUT_REFUSALS[case]
+    argv = ["decide"] if weights is None else ["tropism", "--weights", weights]
+    code, out, err = run(capsys, *argv, write(tmp_path, text))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_wrong_dimension_exits_two(tmp_path, capsys):
@@ -221,6 +266,24 @@ def test_imprimitive_weights_are_never_a_tropism(tmp_path, capsys):
     assert code == 0
     assert "tropism: false" in out
     assert "factor 2" in out
+
+
+@pytest.mark.parametrize("char", ["0", "101"])
+def test_a_witness_that_only_the_monomial_search_finds(
+        tmp_path, capsys, monkeypatch, char):
+    """The initial ideal at (1, 1, 1) is the ideal itself, two lines in
+    coordinate planes.  It holds y*z = y*(z + y - x) - (y^2 - x*y), yet no
+    generator and no element of its reduced InvLex basis is a monomial,
+    so only the last tier of ``_monomial_witness`` finds one."""
+    calls = []
+    inner = decide.contains_monomial
+    monkeypatch.setattr(decide, "contains_monomial",
+                        lambda handle: calls.append(handle) or inner(handle))
+    path = write(tmp_path, f"char {char}\nvars x y z\nideal:\n"
+                           "z + y - x\ny^2 - x*y\n")
+    code, out, _ = run(capsys, "tropism", path, "--weights", "1,1,1")
+    assert (code, out) == (0, "tropism: false\nwitness: y*z\n")
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------- verify
@@ -347,18 +410,22 @@ def test_a_surface_certificate_fails_verification(tmp_path, capsys):
     assert "not one-dimensional" in out
 
 
-def _crafted_report(tmp_path, verdict, variables, gens, kind, data,
-                    transcript=(), base_vars=None):
-    """A report file holding a hand-made certificate over Q."""
+def _crafted_doc(verdict, variables, gens, kind, data, transcript=(),
+                 base_vars=None):
+    """A report document holding a hand-made certificate over Q."""
     ctx = RingCtx(QQ, tuple(variables.split()))
     if kind == "monomial_witness":
         data = ctx.poly(data)
     cert = Certificate(kind, IdealHandle([ctx.poly(g) for g in gens], ctx),
                        data, tuple((base_vars or variables).split()),
                        tuple((n, ctx.poly(t)) for n, t in transcript))
+    return {"verdict": verdict, "certificate": certificate_json(cert)}
+
+
+def _crafted_report(tmp_path, *args, **kwargs):
+    """A report file holding ``_crafted_doc(*args, **kwargs)``."""
     path = tmp_path / "crafted.json"
-    path.write_text(json.dumps({"verdict": verdict,
-                                "certificate": certificate_json(cert)}))
+    path.write_text(json.dumps(_crafted_doc(*args, **kwargs)))
     return str(path)
 
 
@@ -506,9 +573,17 @@ def _set(path, value):
     (DOUBLE_BRANCH, _set(("data", 0, 0), 2.0)),
     (DOUBLE_BRANCH, _set(("kind",), ["two_tropisms"])),
     (PRIME_4_6_13, _set(("transcript", 0, "name"), 7)),
+    (PRIME_4_6_13, _set(("ring",), [0, ["x", "y", "z"]])),
+    (PRIME_4_6_13, _set(("ring", "char"), 4)),
+    (PRIME_4_6_13, _set(("generators", 0, "terms", 0, 0), [1, 0])),
+    (PRIME_4_6_13, _set(("ring", "ext"), [1])),
+    (PRIME_4_6_13, _set(("generators",), {"terms": []})),
+    (PRIME_4_6_13, _set(("generators", 0, "terms"), None)),
 ], ids=["list", "string", "char-1e400", "fractional", "bool-weight",
         "string-weight", "string-exponent", "bool-coefficient", "vars-string",
-        "base-vars-string", "float-ray", "list-kind", "number-name"])
+        "base-vars-string", "float-ray", "list-kind", "number-name",
+        "ring-list", "char-4", "short-exponent", "ext-one",
+        "generators-object", "null-terms"])
 def test_a_malformed_document_exits_two_without_a_traceback(
         tmp_path, text, mutate):
     """Each document is refused as unreadable (exit 2), not judged an
@@ -529,6 +604,73 @@ def test_a_malformed_document_exits_two_without_a_traceback(
     assert proc.returncode == 2, proc.stdout
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+# ------------------------------------------------------ verifier refusals
+
+def _definition(variables, text):
+    """The JSON of ``text`` in the ring over Q with these variables."""
+    return _poly_json(RingCtx(QQ, tuple(variables.split())).poly(text))
+
+
+# refusal -> (decided ideal file or ``_crafted_doc`` arguments, one-field
+# mutation or None, reason)
+VERIFIER_REFUSALS = {
+    "short-generators": (
+        ONE_STEP, _set(("generators",), []),
+        "the certified ideal has fewer generators than the transcript"),
+    "later-variable": (
+        STRETCH, _set(("transcript", 0, "poly"),
+                      _definition("x y z u", "x^3 - y^2 + u")),
+        "adjoined definition uses later variables"),
+    "dropped-weight": (
+        ONE_STEP, lambda doc: doc["certificate"]["data"].pop(),
+        "weight data does not match the ring variables"),
+    "imprimitive-tropism": (
+        ("irreducible", "x y", ["(y^2 - x^3)^2 - x^7"], "prime_tropism",
+         (4, 6)), None,
+        "certified tropism is not primitive"),
+    "tropism-with-monomial": (
+        ("irreducible", "x y", ["(y^2 - x^3)*(y - x^2)"], "prime_tropism",
+         (3, 5)), None,
+        "initial ideal at the certified tropism contains a monomial"),
+    "zero-witness": (
+        MINORS, _set(("data",), {"text": "0", "terms": []}),
+        "witness is not a nonzero polynomial"),
+    "binomial-witness": (
+        MINORS, _set(("data",), _definition("x y z", "x*y^2 + x^2*z")),
+        "witness initial form is not a single monomial"),
+    "three-rays": (
+        DOUBLE_BRANCH, lambda doc: doc["certificate"]["data"].append([2, 3, 9]),
+        "certificate does not carry exactly two rays"),
+}
+
+
+@pytest.mark.parametrize("case", VERIFIER_REFUSALS)
+def test_each_verifier_refusal_names_its_reason(tmp_path, capsys, case):
+    source, mutate, reason = VERIFIER_REFUSALS[case]
+    if isinstance(source, str):
+        _, doc = report_for(tmp_path, source)
+    else:
+        doc = _crafted_doc(*source)
+    if mutate is not None:
+        mutate(doc)
+    assert verify_certificate(certificate_from_json(doc)) == (False, reason)
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out, err) == (1, f"certificate: invalid ({reason})\n", "")
+
+
+def test_a_definition_from_a_foreign_ring_is_refused(tmp_path):
+    """JSON has one ring per certificate, so only the API can carry it."""
+    _, doc = report_for(tmp_path, ONE_STEP)
+    cert = certificate_from_json(doc)
+    (name, fdef), = cert.transcript
+    foreign = RingCtx(GF(101), fdef.ctx.variables)
+    cert = replace(cert, transcript=((name, parse_poly(str(fdef), foreign)),))
+    assert verify_certificate(cert) == (
+        False, "adjoined definition lives in a foreign ring")
 
 
 def test_an_ideal_file_above_the_exponent_cap_exits_two_at_once(

@@ -211,6 +211,25 @@ def test_a_monomial_witness_from_the_initial_ideal_basis(fid, monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == BASIS_WITNESS_PINS[fid]
 
 
+@pytest.mark.parametrize("field", (QQ, GF(101)), ids=str)
+def test_the_monomial_search_is_the_witness_of_last_resort(field,
+                                                           monkeypatch):
+    """(z + y - x, y^2 - x*y) is its own initial ideal K at (1, 1, 1).  K
+    holds y*z, but neither the generators nor K's reduced InvLex basis
+    holds a monomial, so ``contains_monomial`` runs, once."""
+    calls = []
+    inner = decide.contains_monomial
+    monkeypatch.setattr(decide, "contains_monomial",
+                        lambda handle: calls.append(handle) or inner(handle))
+    I, ctx = space_ideal("z + y - x", "y^2 - x*y", field=field)
+    w = (1, 1, 1)
+    basis = _initial_handle(I, w).generators
+    assert same_ideal(basis, I.generators, ctx)
+    assert all(len(g.terms) > 1 for g in I.generators + basis)
+    assert decide._monomial_witness(I, w) == ctx.poly("y*z")
+    assert len(calls) == 1
+
+
 def test_space_curve_rays():
     I, _ = space_ideal("x^3 - y^2", "(z^2 - x*y)^2 - x^2*y*z^2")
     rep = decide_irreducible(I)

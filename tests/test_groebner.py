@@ -20,7 +20,6 @@ from algebroid.groebner import (
     _spoly,
     buchberger,
     buchberger_tagged,
-    colength,
     contains_monomial,
     eliminate,
     ideal_membership,
@@ -519,12 +518,6 @@ def test_staircase_size_at_the_edges():
     assert staircase_size([(0, 0)], 2) == 0
     assert staircase_size([(3, 0), (0, 2)], 2) == 6
     assert staircase_size([(2, 0, 0), (0, 2, 0), (1, 1, 1)], 3) is None
-
-
-def test_colength_examples():
-    assert colength(IdealHandle([CTX2.poly("x^2"), CTX2.poly("y^3")])) == 6
-    assert colength(IdealHandle([CTX2.poly("x^2 - y"), CTX2.poly("y^2")])) == 4
-    assert colength(IdealHandle([CTX2.poly("x")])) == INF
 
 
 def test_krull_dimension():

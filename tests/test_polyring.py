@@ -1,6 +1,8 @@
 """Polynomial ring arithmetic, orders, initial forms and parsing."""
 
+import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -90,6 +92,19 @@ def test_parse_refuses_terms_above_the_cap_before_expanding():
                  "(1 + x + y)^40 * (1 + x + y)^40"):
         with pytest.raises(ParseError, match="_TERM_CAP = 1000"):
             CTX.poly(text)
+
+
+def test_a_sum_of_ten_large_powers_parses_within_three_seconds():
+    """Each (x + y + k*z)^42 takes five squarings and three products; a
+    sixth squaring, p^32 * p^32, once took most of the parse.  The hash
+    pins the polynomial the earlier loop gave."""
+    text = " + ".join(f"(x + y + {k}*z)^42" for k in range(1, 11))
+    start = time.perf_counter()
+    p = CTX.poly(text)
+    elapsed = time.perf_counter() - start
+    assert hashlib.sha256(str(p).encode()).hexdigest() == (
+        "867f3a5b4e98d76eb36f61496b54b2ca783c54fb22ad93b7252dc7ceacfec420")
+    assert elapsed < 3.0, f"{elapsed:.2f} s"
 
 
 def test_parse_refuses_an_integer_literal_python_cannot_convert():

@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from algebroid import assert_preconditions, cli, decide_irreducible, scalars
+from algebroid import (assert_preconditions, cli, decide_irreducible, polyring,
+                       sagbi, scalars)
 from algebroid.errors import (AlgebroidError, DivisionByZero, FieldMismatch,
                               SolverLimitation, ZeroPoly)
 from algebroid.scalars import (
@@ -32,6 +33,7 @@ from algebroid.scalars import (
     _pth_root_payload,
 )
 from algebroid.polyring import RingCtx
+from algebroid.sagbi import TruncSeries
 
 
 def test_rational_arithmetic():
@@ -635,3 +637,143 @@ def test_the_space_curve_over_f5th_keeps_its_certificate():
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "8af9e67776062c02aba909f0d3c46e931c1605b10453b4cbf4ab4dab55c785a6"
+
+
+# ----------------------------------------------------------------- powers
+
+def _repeated(mul, one, a, n):
+    """a^n as n products, the reference for every power."""
+    out = one
+    for _ in range(n):
+        out = mul(out, a)
+    return out
+
+
+def _random_element(field, rng):
+    if field.extension is not None:
+        return tuple(_random_element(field.base(), rng)
+                     for _ in range(field.degree))
+    if field.characteristic:
+        return rng.randrange(field.characteristic)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+
+def test_power_squares_only_below_the_top_bit():
+    """Each element is a fresh one-entry list holding its exponent, so a
+    squaring is the one product of an element with itself."""
+    for n in range(71):
+        squares, products = [], []
+
+        def mul(a, b):
+            (squares if a is b else products).append(b[0])
+            return [a[0] + b[0]]
+
+        assert scalars._power([1], n, mul, [0]) == [n]
+        assert len(squares) == max(n.bit_length() - 1, 0)
+        assert len(products) == bin(n).count("1")
+
+
+POWER_FIELDS = {"Q": QQ, "F7": GF(7), "F25": F5TH,
+                "F3^8": GF(3, (2, 0, 0, 1, 0, 0, 0, 0)),
+                "Q(sqrt-2)": FieldSpec(0, (2, 0))}
+
+
+@pytest.mark.parametrize("fid", POWER_FIELDS)
+def test_field_powers_equal_repeated_products(fid):
+    field = POWER_FIELDS[fid]
+    rng = random.Random(fid)
+    for _ in range(6):
+        a = _random_element(field, rng)
+        for n in range(-4, 20):
+            if n < 0 and field.is_zero(a):
+                continue
+            base = field.inv(a) if n < 0 else a
+            assert field.pow(a, n) == _repeated(field.mul, field.one(),
+                                                base, abs(n))
+
+
+@pytest.mark.parametrize("p, ext", [(5, (2, 0)), (3, (1, 0)), (2, (1, 1, 0))],
+                         ids=["F25", "F9", "F8"])
+def test_the_log_tables_start_from_the_first_primitive_element(p, ext):
+    field = GF(p, ext)
+    n = field.size() - 1
+
+    def order(a):
+        k, b = 1, a
+        while b != field.one():
+            b, k = field._ext_mul(b, a), k + 1
+        return k
+
+    g = next(a for a in field.elements() if any(a) and order(a) == n)
+    exp, log = scalars._log_tables.__wrapped__(field)
+    assert exp[:n] == [_repeated(field._ext_mul, field.one(), g, i)
+                       for i in range(n)]
+
+
+@pytest.mark.parametrize("fid", ["Q", "F7", "F25"])
+def test_powers_modulo_a_polynomial_equal_repeated_products(fid):
+    field = POWER_FIELDS[fid]
+    rng = random.Random(fid)
+    for _ in range(3):
+        m = [_random_element(field, rng) for _ in range(4)] + [field.one()]
+        g = [_random_element(field, rng) for _ in range(7)]
+
+        def mulmod(a, b):
+            return uv_divmod(uv_mul(a, b, field), m, field)[1]
+
+        reduced = uv_divmod(g, m, field)[1]
+        for e in range(20):
+            assert scalars._uv_powmod(g, e, m, field) == _repeated(
+                mulmod, [field.one()], reduced, e)
+
+
+@pytest.mark.parametrize("field", (QQ, GF(101)), ids=str)
+def test_polynomial_powers_equal_repeated_products(field):
+    ctx = RingCtx(field, ("x", "y"))
+    rng = random.Random(str(field))
+    for _ in range(4):
+        p = ctx.poly(" + ".join(
+            f"{rng.randint(-5, 5)}*x^{rng.randrange(3)}*y^{rng.randrange(3)}"
+            for _ in range(3)))
+        for n in range(12):
+            assert p ** n == _repeated(operator.mul, ctx.one(), p, n)
+    with pytest.raises(ValueError, match="negative polynomial power"):
+        ctx.var(0) ** -1
+
+
+def test_series_powers_equal_repeated_products():
+    rng = random.Random(3)
+    for N in (4, 9):
+        one = TruncSeries.from_terms([(0, 1)], N, QQ)
+        for _ in range(4):
+            s = TruncSeries.from_terms(
+                [(rng.randrange(N), rng.randint(-3, 3)) for _ in range(3)],
+                N, QQ)
+            for n in range(10):
+                got, want = s ** n, _repeated(operator.mul, one, s, n)
+                assert (got.coeffs, got.exact) == (want.coeffs, want.exact)
+    with pytest.raises(ValueError, match="negative series power"):
+        one ** -1
+
+
+def test_every_power_runs_the_one_loop(monkeypatch):
+    """FieldSpec.pow, the log tables, _uv_powmod and the powers of Poly
+    and TruncSeries each reach ``_power``."""
+    power, calls = scalars._power, []
+
+    def spy(a, n, mul, one):
+        calls.append(n)
+        return power(a, n, mul, one)
+
+    for module in (scalars, polyring, sagbi):
+        monkeypatch.setattr(module, "_power", spy)
+    f9 = GF(3, (1, 0))
+    runs = [(lambda: GF(7).pow(3, 5), {5}),
+            (lambda: scalars._log_tables.__wrapped__(f9), {4}),
+            (lambda: scalars._uv_powmod([0, 1], 7, [1, 0, 1], GF(7)), {7}),
+            (lambda: RingCtx(QQ, ("x",)).poly("x + 1") ** 3, {3}),
+            (lambda: TruncSeries.from_terms([(1, 1)], 5, QQ) ** 2, {2})]
+    for run, exponents in runs:
+        calls.clear()
+        run()
+        assert calls and set(calls) == exponents
