@@ -457,6 +457,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------ entry point
 
+def _positive_int(text: str) -> int:
+    """An argparse type: the integer ``text`` spells, when it is at least 1."""
+    value = int(text) if text.strip().isdigit() else 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, not {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="algebroid",
@@ -469,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="ideal file")
     p.add_argument("--json", action="store_true",
                    help="emit the full report as JSON on stdout")
-    p.add_argument("--iter-cap", type=int, default=256, metavar="N",
+    p.add_argument("--iter-cap", type=_positive_int, default=256, metavar="N",
                    help="cap on loop rounds (guards non-radical input)")
     p.add_argument("--char-override", type=int, default=None, metavar="P",
                    help="replace the char declared in the file")

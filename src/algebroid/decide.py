@@ -51,8 +51,9 @@ from .groebner import (
 )
 from .localalg import (base_weights, initial_ideal, intersection_number,
                        restrict)
-from .parametric import (Verdict, _coefficients, _extend_with,
-                         _pencil_determinant, parametric_test)
+from .naming import next_single
+from .parametric import (Verdict, _coefficients, _pencil_determinant,
+                         parametric_test)
 from .polyring import (
     INF,
     InvLex,
@@ -62,7 +63,6 @@ from .polyring import (
     in_w,
     normal_form,
     ord_w,
-    project,
     wdot,
 )
 from .scalars import FieldSpec, uv_add, uv_mul
@@ -502,12 +502,6 @@ def _monomial_witness(handle: IdealHandle, w: tuple) -> Optional[Poly]:
 
 # ------------------------------------------------------------------- rays
 
-def _recovered_attachment(J: IdealHandle, name: str) -> Tuple[str, Poly]:
-    """The adjoined name with its defining polynomial, read back from the
-    last generator of the extended ideal J."""
-    return name, J.ctx.var(name) - J.generators[-1]
-
-
 def _polygon_rays(D: dict, beta, field: FieldSpec, wb: tuple, vbar: int,
                   pivot: int) -> List[tuple]:
     """The primitive ray of each segment, left to right, of the lower
@@ -539,10 +533,11 @@ def _polygon_rays(D: dict, beta, field: FieldSpec, wb: tuple, vbar: int,
 def _rays_for_false(handle: IdealHandle, w: tuple, verdict: Verdict, f: Poly,
                     g: Poly):
     """Two weight rays witnessing the pencil verdict on the handle, in the
-    verdict's ideal J = I + (v - h), read from the Newton polygon of its
-    determinant D(a) = det(M_f - a M_g); the certificate's verification
-    is their one test.  Returns (J, rays, extra), extra the adjunctions
-    to append to the transcript.
+    ideal J = I + (v - h) that adjoins the verdict's attachment h to its
+    ring I, read from the Newton polygon of its determinant D(a) =
+    det(M_f - a M_g); the certificate's verification is their one test.
+    Returns (h, rays), h the attachment to adjoin: the verdict's, or its
+    bend from ``_rays_bent_attachment``.
 
     Over k((t)), t the pivot, the roots of D(a + beta) are the values of
     h/g, h = f - beta*g (beta = 0 in case 1), at the ord_B(t) points of
@@ -570,13 +565,10 @@ def _rays_for_false(handle: IdealHandle, w: tuple, verdict: Verdict, f: Poly,
     wb = tuple(e // lam_total for e in w)
     vbar = wdot(wb, next(iter(g.terms)))
     nf = lam_total * vbar
-    J, po = verdict.ideal, verdict.pencil
-    field = J.ctx.field
-    extra = [_recovered_attachment(J, verdict.adjoined[0])]
+    I, h, po = verdict.ideal, verdict.attachment, verdict.pencil
+    field = I.ctx.field
     if verdict.value is INF:
-        base = restrict(J.generators[:-1], J.ctx, [J.ctx.nvars - 1])
-        hb = project(extra[0][1], base.ctx, range(base.ctx.nvars))
-        n_h = intersection_number(hb, saturate(base, hb))
+        n_h = intersection_number(h, saturate(I, h))
         top = n_h + nf
     else:
         top = nf if verdict.case == 1 else verdict.value
@@ -588,20 +580,20 @@ def _rays_for_false(handle: IdealHandle, w: tuple, verdict: Verdict, f: Poly,
     rays = _polygon_rays(D, beta, field, wb, vbar, po.pivot)
     if rays and all(e > 0 for ray in rays for e in ray):
         if len(rays) >= 2:
-            return J, tuple(sorted(rays)[:2]), extra
+            return h, tuple(sorted(rays)[:2])
         if verdict.value is INF:
-            return _rays_bent_attachment(base, hb, rays[0], n_h, wb)
+            return _rays_bent_attachment(h, rays[0], n_h, wb)
     raise CertificateSearchFailed(
         f"{_RAYS_LIMIT}: the pencil's Newton polygon gives the rays {rays}, "
         "not all positive or too few")
 
 
-def _rays_bent_attachment(handle: IdealHandle, hb: Poly, ray: tuple,
-                          n_h: int, wb: tuple):
+def _rays_bent_attachment(hb: Poly, ray: tuple, n_h: int, wb: tuple):
     """The attachment hb vanishes on some branches, and the others share
-    ``ray``, so its ideal is one finite ray short of a pair: attach hb +
-    x_i^M instead, wb_i the least entry of wb.  n_h is the intersection
-    number of hb on the branches B where it does not vanish; their base
+    ``ray``, so its ideal is one finite ray short of a pair: returns the
+    attachment to adjoin instead, hb + x_i^M with wb_i the least entry of
+    wb, and the pair of rays it carries.  n_h is the intersection number
+    of hb on the branches B where it does not vanish; their base
     valuations add up to some bw, at least 1 in each entry as every x_i
     vanishes at the origin and on no branch, and ``ray`` is the
     primitive form of (bw, n_h).
@@ -615,16 +607,25 @@ def _rays_bent_attachment(handle: IdealHandle, hb: Poly, ray: tuple,
     n_h) would give n_h = M*bw_i >= M = n_h + 1.  (M from ord_B(x_i) >=
     wb_i would be smaller, but that bound fails on branches whose ray is
     off wb.)"""
-    ctx = handle.ctx
+    ctx = hb.ctx
     i = min(range(len(wb)), key=lambda k: wb[k])
     M = n_h + 1
     bent = hb + ctx.mono(tuple(M if k == i else 0 for k in range(ctx.nvars)))
-    J2, name = _extend_with(handle, bent)
-    pair = tuple(sorted((ray, _primitive(wb + (M * wb[i],)))))
-    return J2, pair, [_recovered_attachment(J2, name)]
+    return bent, tuple(sorted((ray, _primitive(wb + (M * wb[i],)))))
 
 
 # ----------------------------------------------------------- entry points
+
+def _extend_with(ideal: IdealHandle, p: Poly) -> Tuple[IdealHandle, str]:
+    """Adjoin one fresh variable v for p, returning the enlarged ideal
+    <I, v - p> and the new name; every certificate's ring is built here."""
+    ctx = ideal.ctx
+    name = next_single(ctx.variables)
+    big = ctx.extend((name,))
+    gens = [embed(g, big) for g in ideal.generators]
+    gens.append(big.var(name) - embed(p, big))
+    return IdealHandle(gens, big), name
+
 
 def _adjunction_loop(handle: IdealHandle, error: type, *,
                      primitive_stops: bool, iter_cap: int):
@@ -636,7 +637,9 @@ def _adjunction_loop(handle: IdealHandle, error: type, *,
     being "monomial" (detail the witness), "primitive", "radical" (every
     binomial resolved inside the initial ideal) or "false" (detail the
     pencil's (verdict, f, g)).  A broken input contract raises
-    ``error``."""
+    ``error``; an ``iter_cap`` below 1 raises ValueError before any work."""
+    if iter_cap < 1:
+        raise ValueError(f"iter_cap must be a positive integer, not {iter_cap}")
     w = base_weights(handle)
     if any(e is INF for e in w):
         raise InfiniteWeight(
@@ -686,8 +689,11 @@ def decide_irreducible(ideal, iter_cap: int = 256) -> DecisionReport:
             "while the weights share a factor; radical unmixed inputs "
             "cannot do this")
     if end == "false":
-        J, data, extra = _rays_for_false(J, w, *detail)
-        kind, transcript = "two_tropisms", transcript + extra
+        h, data = _rays_for_false(J, w, *detail)
+        # h lives in the verdict's ring: the loop's handle, or its lift
+        J, name = _extend_with(detail[0].ideal, h)
+        transcript.append((name, h))
+        kind = "two_tropisms"
     elif end == "monomial":
         kind, data = "monomial_witness", detail
     else:

@@ -48,7 +48,6 @@ from .groebner import (
     radical_membership,
 )
 from .localalg import base_weights, intersection_number
-from .naming import next_single
 from .polyring import INF, DegRevLex, Poly, RingCtx, embed
 from .scalars import FieldSpec, Scalar, univariate_roots, uv_divmod, uv_eval
 
@@ -493,53 +492,43 @@ def parametric_intersection(f: Poly, g: Poly,
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of the three-way test: 'false' with an enlarged ideal, or
+    """Outcome of the three-way test: 'false' with an attachment, or
     'not_false' with the unique exceptional parameter ``beta``.
 
-    A 'false' verdict's ideal is I + (v - h), one variable ``adjoined``
-    for the attachment h a certificate keeps: f in case 1, f - beta*g in
-    cases 2 and 3.  In case 2, beta is a base-field root of the pencil if
-    one exists, else a root of its smallest conjugate class, and then the
-    ideal lives over the extension by ``minimal_poly``.  ``value`` is the
-    exceptional value at beta, the intersection number of f - beta*g, INF
-    when it vanishes on a branch; a case-1 verdict has none.  ``pencil``
-    is the ParametricOrder the verdict was read from: its determinant
-    carries every branch's ray (``decide._rays_for_false``), and its
-    exceptional values those of the other parameters."""
+    A 'false' verdict's ``attachment`` is the h that a certificate adjoins
+    as a new coordinate v - h (``decide._extend_with``): f in case 1,
+    f - beta*g in cases 2 and 3.  ``ideal`` is the ring h lives in: the
+    tested handle, or, when beta is a root theta of the pencil's smallest
+    conjugate class because case 2 found no base-field root, that handle
+    lifted to the extension by ``minimal_poly``, f and g with it.
+    ``value`` is the exceptional value at beta, the intersection number
+    of f - beta*g, INF when it vanishes on a branch; a case-1 verdict has
+    none.  ``pencil`` is the ParametricOrder the
+    verdict was read from: its determinant carries every branch's ray
+    (``decide._rays_for_false``), and its exceptional values those of the
+    other parameters."""
 
     result: str
     ideal: Optional[IdealHandle] = None
     beta: Optional[Scalar] = None
     case: int = 0
     minimal_poly: Optional[tuple] = None
-    adjoined: tuple = ()
+    attachment: Optional[Poly] = None
     value: object = None
     pencil: Optional[ParametricOrder] = None
 
 
-def _extend_with(ideal: IdealHandle, p: Poly) -> Tuple[IdealHandle, str]:
-    """Adjoin one fresh variable v for p, returning the enlarged ideal
-    <I, v - p> and the new name."""
-    ctx = ideal.ctx
-    name = next_single(ctx.variables)
-    big = ctx.extend((name,))
-    gens = [embed(g, big) for g in ideal.generators]
-    gens.append(big.var(name) - embed(p, big))
-    return IdealHandle(gens, big), name
-
-
 def parametric_test(f: Poly, g: Poly, ideal: IdealHandle) -> Verdict:
     """Decide whether f, g certify reducibility: 'false' when the generic
-    value drops or two exceptional parameters exist (the enlarged ideal
-    then carries two weight rays), or when the unique exceptional
-    direction degenerates; 'not_false' with the unique parameter
-    otherwise."""
+    value drops or two exceptional parameters exist, or when the unique
+    exceptional direction degenerates, each with the attachment whose
+    adjoined coordinate carries two weight rays; 'not_false' with the
+    unique parameter otherwise.  No ring is extended here."""
     field = ideal.ctx.field
     po = parametric_intersection(f, g, ideal)
     # the a^0 coefficient is det(M_f), of order I(f)
     if po.generic_value < _order_at(po.determinant, 0):
-        J, name = _extend_with(ideal, f)
-        return Verdict("false", ideal=J, case=1, adjoined=(name,), pencil=po)
+        return Verdict("false", ideal=ideal, case=1, attachment=f, pencil=po)
     rational = [ev for ev in po.exceptional if ev.beta is not None]
     factors = [ev for ev in po.exceptional if ev.factor is not None]
     total = len(rational) + sum(len(ev.factor) - 1 for ev in factors)
@@ -548,9 +537,9 @@ def parametric_test(f: Poly, g: Poly, ideal: IdealHandle) -> Verdict:
     if total >= 2:
         if rational:
             ev = rational[0]
-            J, name = _extend_with(ideal, f - g.scale(ev.beta.value))
-            return Verdict("false", ideal=J, case=2, beta=ev.beta,
-                           adjoined=(name,), value=ev.value, pencil=po)
+            return Verdict("false", ideal=ideal, case=2, beta=ev.beta,
+                           attachment=f - g.scale(ev.beta.value),
+                           value=ev.value, pencil=po)
         if field.extension is not None:
             raise CertificateSearchFailed(
                 "two exceptional parameters need a field extension, but the "
@@ -560,9 +549,9 @@ def parametric_test(f: Poly, g: Poly, ideal: IdealHandle) -> Verdict:
         conj = min(factors, key=lambda ev: len(ev.factor))
         eideal, ef, eg = _lift(ideal, conj.factor, f, g)
         theta = Scalar(eideal.ctx.field.generator(), eideal.ctx.field)
-        J, name = _extend_with(eideal, ef - eg.scale(theta.value))
-        return Verdict("false", ideal=J, case=2, beta=theta,
-                       minimal_poly=conj.factor, adjoined=(name,),
+        return Verdict("false", ideal=eideal, case=2, beta=theta,
+                       minimal_poly=conj.factor,
+                       attachment=ef - eg.scale(theta.value),
                        value=conj.value, pencil=po)
     ev = rational[0] if rational else None
     if ev is None:
@@ -578,6 +567,5 @@ def parametric_test(f: Poly, g: Poly, ideal: IdealHandle) -> Verdict:
         raise ContextViolation(
             "the degenerate combination vanishes on the curve; the test "
             "requires directions outside the radical")
-    J, name = _extend_with(ideal, h)
-    return Verdict("false", ideal=J, case=3, beta=beta, adjoined=(name,),
+    return Verdict("false", ideal=ideal, case=3, beta=beta, attachment=h,
                    value=INF, pencil=po)

@@ -327,12 +327,6 @@ class Poly:
         return Poly({mono_mul(m, mono): field.mul(c, coeff)
                      for m, c in self.terms.items()}, self.ctx)
 
-    def monic(self, order: TermOrder) -> "Poly":
-        if not self.terms:
-            return self
-        _, c = self.lead(order)
-        return self.scale(self.ctx.field.inv(c))
-
     def _coerce_operand(self, other):
         if isinstance(other, Poly):
             return other

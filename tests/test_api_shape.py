@@ -1,7 +1,9 @@
-"""The parameters of the library's entry points and the options of
-``algebroid decide``, pinned so that a setting removed because no caller
-set it does not come back unnoticed."""
+"""The parameters of the library's entry points, the fields of the
+pencil's ``Verdict`` and the options of ``algebroid decide``, pinned so
+that a setting removed because no caller set it does not come back
+unnoticed."""
 
+import dataclasses
 import inspect
 
 import pytest
@@ -10,7 +12,8 @@ from algebroid.cli import main
 from algebroid.decide import decide_irreducible, value_semigroup
 from algebroid.groebner import krull_dimension
 from algebroid.localalg import intersection_number
-from algebroid.parametric import parametric_intersection, parametric_test
+from algebroid.parametric import (Verdict, parametric_intersection,
+                                  parametric_test)
 from algebroid.sagbi import sagbi_complete
 
 SIGNATURES = {
@@ -27,6 +30,14 @@ SIGNATURES = {
 @pytest.mark.parametrize("func", SIGNATURES, ids=lambda f: f.__name__)
 def test_entry_points_take_only_their_pinned_parameters(func):
     assert tuple(inspect.signature(func).parameters) == SIGNATURES[func]
+
+
+def test_the_verdict_has_only_its_pinned_fields():
+    """A false verdict returns its attachment and the ring it lives in;
+    the ring that adjoins it is built by the decide."""
+    assert tuple(f.name for f in dataclasses.fields(Verdict)) == (
+        "result", "ideal", "beta", "case", "minimal_poly", "attachment",
+        "value", "pencil")
 
 
 @pytest.mark.parametrize("flag", [("--trunc-cap", "8"), ("--verify",)],

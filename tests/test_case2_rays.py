@@ -1,7 +1,7 @@
 """Case-2 rays, read from the pencil's Newton polygon.
 
 A case-2 verdict carries its pencil, and ``decide._rays_for_false`` reads
-the rays of its ideal J1 = I + (v1 - h1), which keeps one attachment,
+the rays of the ideal J1 = I + (v1 - h1), which adjoins its attachment,
 from the Newton polygon of the determinant with no tropism test and no
 intersection number on J1; the certificate's verification is the one
 exact check.  These tests build the ideal J with both attachments from
@@ -113,8 +113,7 @@ def test_case2_values_are_the_intersection_numbers_in_J(cid, fid):
     assert _values(verdict) == tuple(
         intersection_number(J.ctx.var(name), J)
         for name in J.ctx.variables[-2:])
-    J1 = verdict.ideal
-    (name,) = verdict.adjoined
+    J1, name = decide._extend_with(verdict.ideal, verdict.attachment)
     assert intersection_number(J1.ctx.var(name), J1) == verdict.value
     assert rep.verdict == "reducible"
     assert rep.certificate.kind == "two_tropisms"
@@ -129,9 +128,8 @@ def test_case2_search_tests_two_rays_and_counts_nothing_in_J(cid, fid):
     assert decide.gcd_weights(w) == 2
     assert verified_rays(checks, rep.certificate) == sorted(
         rep.certificate.data)
-    J = verdict.ideal
-    assert not any(ideal is J or getattr(ideal, "ctx", None) == J.ctx
-                   for ideal in asked)
+    J, _ = decide._extend_with(verdict.ideal, verdict.attachment)
+    assert not any(getattr(ideal, "ctx", None) == J.ctx for ideal in asked)
 
 
 @pytest.mark.parametrize("cid, fid", CASES)

@@ -101,10 +101,26 @@ def test_decide_json_has_the_advertised_shape(tmp_path):
 
 def test_an_iter_cap_of_zero_exits_two_naming_the_cap(tmp_path, capsys):
     path = write(tmp_path, ONE_STEP)
-    code, out, err = run(capsys, "decide", "--iter-cap", "0", path)
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["decide", "--iter-cap", "0", path])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
     assert out == ""
-    assert "exceeded 0 rounds" in err
+    assert ("argument --iter-cap: must be a positive integer, not '0'"
+            in err)
+
+
+@pytest.mark.parametrize("cap", ["-3", "2.5", "many"])
+def test_an_iter_cap_that_is_not_a_positive_integer_exits_two(tmp_path, cap):
+    """The flag is refused before the file is read, so a radical input is
+    never blamed for it."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "algebroid", "decide", "--iter-cap", cap,
+         write(tmp_path, DOUBLE_BRANCH)], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert (f"argument --iter-cap: must be a positive integer, not '{cap}'"
+            in proc.stderr)
+    assert "Traceback" not in proc.stderr
 
 
 def test_malformed_file_exits_two(tmp_path, capsys):
@@ -643,6 +659,29 @@ VERIFIER_REFUSALS = {
     "three-rays": (
         DOUBLE_BRANCH, lambda doc: doc["certificate"]["data"].append([2, 3, 9]),
         "certificate does not carry exactly two rays"),
+    "renamed-transcript": (
+        ONE_STEP, _set(("transcript", 0, "name"), "w"),
+        "transcript does not span the certificate ring"),
+    "adjoined-in-base": (
+        ONE_STEP, _set(("generators", 0),
+                       _definition("x y z", "(y^2 - x^3)^2 - x^2*y^3 + z")),
+        "a base generator of the certified ideal uses an adjoined variable"),
+    "other-relation": (
+        ONE_STEP, _set(("transcript", 0, "poly"), _definition("x y z", "y^2")),
+        "generator 2 of the certified ideal is not the transcript relation "
+        "of z"),
+    "infinite-weight": (
+        ("reducible", "x y", ["x*y"], "monomial_witness", "x"), None,
+        "base weights are not all finite"),
+    "witness-outside": (
+        ("reducible", "x y", ["y^2 - x^3"], "monomial_witness", "x"), None,
+        "witness initial form does not lie in the initial ideal"),
+    "zero-ray-entry": (
+        DOUBLE_BRANCH, _set(("data", 0, 0), 0),
+        "ray entries must be positive integers"),
+    "unknown-kind": (
+        DOUBLE_BRANCH, _set(("kind",), "three_tropisms"),
+        "unknown certificate kind: three_tropisms"),
 }
 
 
@@ -660,6 +699,21 @@ def test_each_verifier_refusal_names_its_reason(tmp_path, capsys, case):
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "verify", str(path))
     assert (code, out, err) == (1, f"certificate: invalid ({reason})\n", "")
+
+
+def test_a_claimed_verdict_that_does_not_match_the_kind_is_refused(
+        tmp_path, capsys):
+    """The certificate itself is valid, so only ``algebroid verify``,
+    which reads the report's verdict, refuses it."""
+    _, doc = report_for(tmp_path, DOUBLE_BRANCH)
+    assert verify_certificate(certificate_from_json(doc)) == (True, "ok")
+    doc["verdict"] = "irreducible"
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out, err) == (
+        1, "certificate: invalid (the claimed verdict does not match the "
+        "kind)\n", "")
 
 
 def test_a_definition_from_a_foreign_ring_is_refused(tmp_path):

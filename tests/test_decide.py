@@ -1170,11 +1170,38 @@ def test_a_bumped_base_weight_is_refused_at_its_own_entry(field):
 # ------------------------------------------------------------ the shared loop
 
 def test_an_iter_cap_of_zero_stops_both_entry_points_at_the_cap():
+    """A cap below 1 is a bad argument, not evidence against the input."""
     I = _curve(*PRIME_TOWER_CURVES["tower-1"], QQ)
-    with pytest.raises(NonRadicalSuspected, match="exceeded 0 rounds"):
+    with pytest.raises(ValueError, match="iter_cap must be a positive "
+                       "integer, not 0"):
         decide_irreducible(I, iter_cap=0)
-    with pytest.raises(NotPrime, match="exceeded 0 rounds"):
+    with pytest.raises(ValueError, match="iter_cap must be a positive "
+                       "integer, not 0"):
         value_semigroup(I, iter_cap=0)
+
+
+@pytest.mark.parametrize("entry", [decide_irreducible, value_semigroup])
+def test_a_negative_iter_cap_is_refused_before_any_work(entry, monkeypatch):
+    I = _curve(*TWO_BRANCH_CURVES["dbl-2-3-7-0"], QQ)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the loop began")
+
+    monkeypatch.setattr(decide, "base_weights", no_work)
+    with pytest.raises(ValueError, match="not -3"):
+        entry(I, iter_cap=-3)
+    assert I._memo == {}
+
+
+def test_an_iter_cap_of_one_is_enough_for_one_round():
+    rep = decide_irreducible(_curve(*TWO_BRANCH_CURVES["dbl-2-3-7-0"], QQ),
+                             iter_cap=1)
+    assert rep.verdict == "reducible"
+    assert rep.stats["outer_iterations"] == 1
+    # this branch pair needs a second round, after adjoining z
+    stretch = ("x y", ("((y^2 - x^3)^2 - x^5*y)^2 - x^11*y^2",))
+    with pytest.raises(NonRadicalSuspected, match="exceeded 1 rounds"):
+        decide_irreducible(_curve(*stretch, QQ), iter_cap=1)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)

@@ -1,7 +1,8 @@
 """The scalar, semigroup, local algebra, decide, parametric, case-2 ray
 and acceptance tests under ``python -O``, and lints that keep plain
-``assert``, unused imports and private definitions and constants nothing
-in the library reads out of the library.
+``assert``, unused imports, private definitions and constants nothing
+in the library reads, and public definitions nothing in the library,
+the demos or the benchmark reads out of the library.
 
 ``-O`` strips plain ``assert`` statements from the library, so an
 invariant it kept with one would go unchecked; these tests show that the
@@ -73,12 +74,17 @@ def test_the_library_imports_nothing_it_does_not_use():
     assert found == {}
 
 
+def _definitions(tree):
+    """The functions, classes and methods of one module."""
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))]
+
+
 def _private_definitions(tree):
     """The ``_name`` functions, classes and methods of one module, and its
     module-level ``_NAME = ...`` assignments, dunders aside."""
-    names = [node.name for node in ast.walk(tree)
-             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef))]
+    names = _definitions(tree)
     for node in tree.body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) \
@@ -88,11 +94,11 @@ def _private_definitions(tree):
             if name.startswith("_") and not name.endswith("__")]
 
 
-def _unread_private_definitions(trees):
-    """(module, name) of each private definition that no module reads as a
-    loaded Name, an Attribute or an import alias."""
+def _read_names(trees):
+    """The names the modules read as a loaded Name, an Attribute or an
+    import alias."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx,
                                                              ast.Store):
@@ -101,14 +107,36 @@ def _unread_private_definitions(trees):
                 read.add(node.attr)
             elif isinstance(node, ast.alias):
                 read.add(node.name)
+    return read
+
+
+def _library_trees():
+    return {path.stem: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted((ROOT / "src" / "algebroid").glob("*.py"))}
+
+
+def _unread_private_definitions(trees):
+    """(module, name) of each private definition that no module reads."""
+    read = _read_names(trees.values())
     return sorted((stem, name) for stem, tree in trees.items()
                   for name in _private_definitions(tree) if name not in read)
 
 
 def test_every_private_definition_has_a_reader_in_the_library():
-    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
-             for path in sorted((ROOT / "src" / "algebroid").glob("*.py"))}
-    assert _unread_private_definitions(trees) == []
+    assert _unread_private_definitions(_library_trees()) == []
+
+
+def test_every_public_definition_has_a_reader():
+    """Each public function, method or class of the library is read in
+    the library, the demos or the benchmark; the tests alone keep none."""
+    trees = _library_trees()
+    readers = [ast.parse(path.read_text(), filename=str(path))
+               for folder in ("demos", "perfbench")
+               for path in sorted((ROOT / folder).glob("*.py"))]
+    read = _read_names([*trees.values(), *readers])
+    assert sorted((stem, name) for stem, tree in trees.items()
+                  for name in _definitions(tree)
+                  if not name.startswith("_") and name not in read) == []
 
 
 def test_the_decider_tests_pass_under_python_O():

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from algebroid.decide import value_semigroup
+from algebroid.decide import _extend_with, value_semigroup
 from algebroid.errors import (
     AlgebroidError,
     ContextViolation,
@@ -97,15 +97,17 @@ def test_double_branch_verdict_two_parameters():
     roots = sorted(ev.beta.value
                    for ev in parametric_intersection(f, g, I).exceptional)
     assert roots == [-1, 1] and v.beta.value in roots
-    assert v.adjoined == ("z",)
-    assert v.ideal.ctx.variables == ("x", "y", "z")
-    assert base_weights(v.ideal) == (4, 6, 15)
+    assert v.ideal is I and v.attachment == f - g.scale(v.beta.value)
+    J1, name = _extend_with(v.ideal, v.attachment)
+    assert name == "z"
+    assert J1.ctx.variables == ("x", "y", "z")
+    assert base_weights(J1) == (4, 6, 15)
     # both attachments split the weights of the two branches, and the
     # verdict keeps the first
     J = two_attachment_ideal(I, f, g, v)
     assert base_weights(J) == (4, 6, 15, 15)
-    assert v.ideal.generators == tuple(
-        project(p, v.ideal.ctx, range(3)) for p in J.generators[:-1])
+    assert J1.generators == tuple(
+        project(p, J1.ctx, range(3)) for p in J.generators[:-1])
 
 
 def test_space_curve_basis_and_matrix():
@@ -136,7 +138,8 @@ def test_space_curve_parametric_intersection():
     }
     v = parametric_test(f, g, I)
     assert v.result == "false" and v.case == 2
-    assert base_weights(v.ideal) == (8, 12, 10, 26)
+    assert base_weights(_extend_with(v.ideal, v.attachment)[0]) == (
+        8, 12, 10, 26)
     assert base_weights(two_attachment_ideal(I, f, g, v)) == (
         8, 12, 10, 26, 26)
 
@@ -230,8 +233,10 @@ def test_case_one_drop():
     v = parametric_test(f - g, f + g, I)
     assert v.result == "false"
     assert v.case == 1
-    assert v.adjoined == ("z",)
-    assert base_weights(v.ideal) == (4, 6, 15)
+    assert v.attachment == f - g
+    J1, name = _extend_with(v.ideal, v.attachment)
+    assert name == "z"
+    assert base_weights(J1) == (4, 6, 15)
     assert base_weights(two_attachment_ideal(I, f - g, f + g, v)) == (
         4, 6, 15, 15)
 
@@ -245,7 +250,8 @@ def test_case_three_false_branch():
     assert v.result == "false"
     assert v.case == 3
     assert v.beta.value == 1
-    assert v.adjoined == ("z",)
+    assert v.attachment == f - g
+    assert _extend_with(v.ideal, v.attachment)[1] == "z"
 
 
 def test_not_false_on_irreducible_curve():
@@ -285,7 +291,7 @@ def test_conjugate_parameters_need_an_extension():
     assert v.value == 15
     assert [other.value for other in v.pencil.exceptional
             if other.factor == v.minimal_poly] == [15]
-    # the enlarged ideal lives over the quadratic extension
+    # the attachment's ring lives over the quadratic extension
     assert v.ideal.ctx.field.extension == (-2, 0)
 
 
@@ -303,10 +309,47 @@ def test_a_base_field_root_beside_a_conjugate_class_stays_in_the_base_field():
     assert v.beta.value == 2 and v.minimal_poly is None
     assert v.value == INF
     assert [ev.value for ev in v.pencil.exceptional if ev.beta is None] == [INF]
-    J = v.ideal
+    J, _ = _extend_with(v.ideal, v.attachment)
     assert J.ctx.field == QQ
     assert project(J.ctx.var("z") - J.generators[-1], ctx, range(2)) == (
         f - g.scale(2))
+
+
+FALSE_VERDICTS = {
+    "case-1": ("(y^2-x^3)^2 - x^7", "y^2-x^3 - x^2*y", "y^2-x^3 + x^2*y", 1),
+    "case-2": ("(y^2-x^3)^2 - x^7", "y^2-x^3", "x^2*y", 2),
+    "case-2-conjugate": ("(y^2-x^3)^2 - 2*x^7", "y^2-x^3", "x^2*y", 2),
+    "case-3": ("(y-x^2)*(y-x^2-x^3)", "x^3 + x*(y-x^2)", "x^3", 3),
+}
+
+
+@pytest.mark.parametrize("cid", FALSE_VERDICTS)
+def test_a_false_verdict_returns_its_attachment_and_builds_no_ring(
+        cid, monkeypatch):
+    """The pencil returns h in its ring; ``decide`` alone adjoins it.  The
+    only rings extended meanwhile are the local order's homogenisations,
+    by the fresh stem h, never by the coordinate z that would carry h."""
+    curve, ftext, gtext, case = FALSE_VERDICTS[cid]
+    ctx = RingCtx(QQ, ("x", "y"))
+    I = IdealHandle((parse_poly(curve, ctx),), ctx)
+    f, g = parse_poly(ftext, ctx), parse_poly(gtext, ctx)
+    extended = []
+    extend = RingCtx.extend
+
+    def record(self, names):
+        extended.append(tuple(names))
+        return extend(self, names)
+
+    monkeypatch.setattr(RingCtx, "extend", record)
+    v = parametric_test(f, g, I)
+    assert (v.result, v.case) == ("false", case)
+    assert set(extended) <= {("h",)}
+    assert v.ideal.ctx.variables == ctx.variables
+    assert v.attachment.ctx == v.ideal.ctx
+    if v.minimal_poly is None:
+        assert v.ideal is I
+    else:
+        assert v.ideal.ctx.field.extension == v.minimal_poly[:-1]
 
 
 def test_mult_matrix_rejects_foreign_basis():
