@@ -130,11 +130,12 @@ def initial_ideal(ideal: IdealLike, w: Sequence[int]) -> List[Poly]:
     return [in_w(s, w) for s in standard_basis(handle, w)]
 
 
-def local_colength(ideal: IdealLike, w: Optional[Sequence[int]] = None):
+def local_colength(ideal: IdealLike):
     """Vector-space dimension of the power-series quotient, INF when the
-    quotient is not finite dimensional."""
+    quotient is not finite dimensional.  It does not depend on the local
+    order, so it is counted under all-ones weights."""
     handle = _as_handle(ideal)
-    leads = local_lead_monomials(handle, w)
+    leads = local_lead_monomials(handle)
     if not leads:
         return INF if handle.ctx.nvars else 1
     size = staircase_size(leads, handle.ctx.nvars)

@@ -3,15 +3,17 @@ series ring, multiplication matrices, parametric determinants
 det(M_f - a M_g), and the three-way test built on them.
 
 The quotient by a one-dimensional ideal is a free module of finite rank
-over power series in a cheapest variable (the pivot) t.  Its basis is the
-staircase of the DegRevLex Groebner basis of I + (t), whose rows track
-t's cofactor, so every monomial gets a rewrite rule "monomial =
-span-of-basis + t * rest" (mod I); rules are applied layer by layer in
-the t exponent, so truncation at t^N is exact.  The staircase is a basis
-of K[x]/(I + (t)); when it has I(t) elements, the local colength, the
-hyperplane t = 0 meets the curve only at the origin, so it lifts a basis
-of A/tA and, by Nakayama, is a free basis of A.  Otherwise the pivot is
-refused at once, and ``choose_pivot`` takes the next coordinate.
+over power series in a cheapest variable (the pivot) t.  One object,
+``FreeBasis``, is that basis and the engine that writes elements on it.
+Its basis is the staircase of the DegRevLex Groebner basis of I + (t),
+whose rows track t's cofactor, so every monomial gets a rewrite rule
+"monomial = span-of-basis + t * rest" (mod I); rules are applied layer
+by layer in the t exponent, so truncation at t^N is exact.  The
+staircase is a basis of K[x]/(I + (t)); when it has I(t) elements, the
+local colength, the hyperplane t = 0 meets the curve only at the origin,
+so it lifts a basis of A/tA and, by Nakayama, is a free basis of A.
+``free_basis`` returns the basis only after that check; otherwise the
+pivot is refused at once, and ``choose_pivot`` takes the next coordinate.
 
 The method requires A = O/I to be a free module of rank I(t) over k[[t]],
 t the pivot.  Then multiplication by a nonzerodivisor h is injective on A
@@ -54,20 +56,6 @@ from .scalars import FieldSpec, Scalar, univariate_roots, uv_divmod, uv_eval
 
 # --------------------------------------------------------------- free basis
 
-@dataclass(frozen=True)
-class FreeBasis:
-    """Monomial basis of the quotient as a module over series in the
-    pivot variable: the staircase of the Groebner basis of I + <pivot>,
-    in the non-pivot variables (module docstring)."""
-
-    pivot: int
-    gamma: tuple
-
-    @property
-    def rank(self) -> int:
-        return len(self.gamma)
-
-
 def choose_pivot(ideal: IdealHandle) -> Tuple[int, int]:
     """The variable with the smallest finite intersection number (ties to
     the earlier variable) whose hyperplane meets the curve only at the
@@ -87,17 +75,20 @@ def choose_pivot(ideal: IdealHandle) -> Tuple[int, int]:
                     f"globally, {n} at the origin" for n, i in finite))
 
 
-class _PivotReducer:
-    """Rewrite engine for one (ideal, pivot) pair: memoized rules
-    v = r_v + pivot * b_v (mod I) with r_v supported on the staircase
-    ``gamma``, of ``rank`` elements (INF when it is infinite).
+class FreeBasis:
+    """The monomial basis ``gamma`` of the quotient over series in the
+    pivot variable, of ``rank`` elements (INF when it is infinite), and
+    its rewrite engine: memoized rules v = r_v + pivot * b_v (mod I) with
+    r_v supported on ``gamma`` (module docstring).
 
     The rules come from the DegRevLex Groebner basis of I + (pivot), whose
     rows track one polynomial, the pivot's cofactor: every generator of I
     enters with tag 0 and the pivot with tag 1.  Reducing v leaves its
     normal form r_v with tag -c, where v = r_v + c * pivot modulo I, so
     b_v is c; the cofactors of I's own generators multiply members of I,
-    and nothing reads them."""
+    and nothing reads them.  ``gamma`` is the staircase of that basis, in
+    the non-pivot variables; it is a free basis once ``free_basis`` has
+    checked its rank."""
 
     def __init__(self, handle: IdealHandle, pivot: int):
         self.pivot = pivot
@@ -116,9 +107,6 @@ class _PivotReducer:
         self.gamma = tuple(sorted(members or ()))
         self.gamma_index = {m: i for i, m in enumerate(self.gamma)}
         self._rules: Dict[tuple, tuple] = {}
-
-    def basis(self) -> FreeBasis:
-        return FreeBasis(self.pivot, self.gamma)
 
     def _rule(self, v: tuple):
         """v (pivot exponent zero) = r + pivot*b (mod I): returns
@@ -181,14 +169,14 @@ class _PivotReducer:
         return out
 
 
-def _built(handle: IdealHandle, pivot: int) -> _PivotReducer:
-    """The handle's reducer for this pivot, before the fibre check."""
+def _built(handle: IdealHandle, pivot: int) -> FreeBasis:
+    """The handle's basis for this pivot, before the fibre check."""
     return handle.cached(("pivot", pivot),
-                         lambda: _PivotReducer(handle, pivot))
+                         lambda: FreeBasis(handle, pivot))
 
 
-def _reducer(handle: IdealHandle, pivot: int) -> _PivotReducer:
-    """The pivot reducer, once its staircase has I(t) elements, t the
+def _reducer(handle: IdealHandle, pivot: int) -> FreeBasis:
+    """The pivot's basis, once its staircase has I(t) elements, t the
     pivot; a larger one means t = 0 meets the curve away from the origin,
     and the staircase is no free basis, so ``TruncationExhausted``."""
     n = intersection_number(handle.ctx.var(pivot), handle)
@@ -211,53 +199,24 @@ def free_basis(ideal: IdealHandle, pivot: Union[int, str, None] = None) -> FreeB
         pivot, _ = choose_pivot(ideal)
     elif isinstance(pivot, str):
         pivot = ideal.ctx.index(pivot)
-    return _reducer(ideal, pivot).basis()
+    return _reducer(ideal, pivot)
 
 
 # ------------------------------------------------------------ matrices
 
-@dataclass(frozen=True)
-class SeriesMatrix:
-    """Square matrix whose entries are polynomials in the parameter with
-    truncated-series coefficients in the pivot variable: dicts mapping
-    (parameter_exponent, pivot_exponent) to field payloads."""
-
-    entries: tuple
-    truncation: int
-    pivot: int
-    field: FieldSpec
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-
-def mult_matrix(g: Poly, basis: FreeBasis, ideal: IdealHandle,
-                N: int) -> SeriesMatrix:
+def mult_matrix(g: Poly, basis: FreeBasis, N: int) -> List[list]:
     """Matrix of multiplication by g on the free basis, coefficients
-    truncated at pivot^N."""
-    red = _reducer(ideal, basis.pivot)
-    if red.gamma != basis.gamma:
-        raise ValueError("basis does not belong to this ideal and pivot")
-    ctx = ideal.ctx
-    cols = []
-    for gm in basis.gamma:
-        prod = g.term_mul(gm, ctx.field.one())
-        cols.append(red.coordinates(prod, N))
-    entries = []
-    for i in range(len(basis.gamma)):
-        row = []
-        for j in range(len(basis.gamma)):
-            row.append({(0, e): c for e, c in cols[j][i].items()})
-        entries.append(tuple(row))
-    return SeriesMatrix(tuple(entries), N, basis.pivot, ctx.field)
+    truncated at pivot^N: rows of ``_det`` entries {(0, pivot_exponent):
+    payload}, constant in the parameter."""
+    if g.ctx != basis.ctx:
+        raise ValueError("g and the basis are in different rings")
+    one = basis.field.one()
+    cols = [basis.coordinates(g.term_mul(m, one), N) for m in basis.gamma]
+    return [[{(0, e): c for e, c in col[i].items()} for col in cols]
+            for i in range(basis.rank)]
 
 
 # --------------------------------------- bivariate (parameter, pivot) dicts
-
-def _bneg(a: dict, field: FieldSpec) -> dict:
-    return {k: field.neg(c) for k, c in a.items()}
-
 
 def _det(entries, n: int, field: FieldSpec, N: int) -> dict:
     """Determinant by memoized expansion over column subsets (only ring
@@ -403,18 +362,16 @@ def _order_at(D: dict, d: int) -> Optional[int]:
     return min((e for (k, e) in D if k == d), default=None)
 
 
-def _pencil_determinant(f: Poly, g: Poly, ideal: IdealHandle,
+def _pencil_determinant(f: Poly, g: Poly, basis: FreeBasis,
                         N: int) -> dict:
-    """det(M_f - a M_g) over the cheapest pivot, truncated at pivot^N."""
-    basis = free_basis(ideal)
-    Mf = mult_matrix(f, basis, ideal, N)
-    Mg = mult_matrix(g, basis, ideal, N)
-    neg = ideal.ctx.field.neg
+    """det(M_f - a M_g) on the free basis, truncated at pivot^N."""
+    neg = basis.field.neg
     # M_f - a M_g: the entries of M_f and M_g are constant in a
     entries = [[{**fe, **{(1, e): neg(c) for (_, e), c in ge.items()}}
                 for fe, ge in zip(frow, grow)]
-               for frow, grow in zip(Mf.entries, Mg.entries)]
-    return _det(entries, basis.rank, ideal.ctx.field, N)
+               for frow, grow in zip(mult_matrix(f, basis, N),
+                                     mult_matrix(g, basis, N))]
+    return _det(entries, basis.rank, basis.field, N)
 
 
 def parametric_intersection(f: Poly, g: Poly,
@@ -440,7 +397,7 @@ def parametric_intersection(f: Poly, g: Poly,
     basis = free_basis(ideal)
     N = 2 * (nf + ng) + 8
     n = basis.rank
-    D = _pencil_determinant(f, g, ideal, N)
+    D = _pencil_determinant(f, g, basis, N)
     # det(M_f) and det(-M_g) are the coefficients of a^0 and a^n
     for d, name, value in ((0, "f", nf), (n, "g", ng)):
         order = _order_at(D, d)
@@ -455,7 +412,7 @@ def parametric_intersection(f: Poly, g: Poly,
     # generic order is positive (when the field orders payloads)
     if field.characteristic == 0 and field.extension is None \
             and coeffs[k0][-1] < 0:
-        D = _bneg(D, field)
+        D = {k: field.neg(c) for k, c in D.items()}
         coeffs = _coefficients(D, field)
     roots, residual = univariate_roots(coeffs[k0], field)
     # the jump at a root or residual factor is the first higher c_k that

@@ -948,8 +948,8 @@ def _is_irreducible(f: list, field: FieldSpec) -> bool:
             and len(_irreducible_factors(f, field)) == 1)
 
 
-def univariate_roots(coeffs, field: Optional[FieldSpec] = None):
-    """All roots of a nonzero univariate polynomial in its own field, plus
+def univariate_roots(coeffs, field: FieldSpec):
+    """All roots of a nonzero univariate polynomial over ``field``, plus
     the rootless irreducible factors of degree >= 2 of its squarefree part.
 
     ``coeffs`` may be Scalars or raw payloads (index = degree).  Returns
@@ -957,14 +957,6 @@ def univariate_roots(coeffs, field: Optional[FieldSpec] = None):
     residual a list of monic coefficient tuples (leading 1 included),
     sorted by degree and then by coefficients.
     """
-    coeffs = list(coeffs)
-    if field is None:
-        for c in coeffs:
-            if isinstance(c, Scalar):
-                field = c.field
-                break
-        else:
-            raise ValueError("field must be given for raw payloads")
     f = _uv_trim([field.coerce(c) for c in coeffs], field)
     if not f:
         raise ZeroPoly("root extraction of the zero polynomial")

@@ -190,8 +190,8 @@ def test_criterion_06_determinant_order_equals_colength():
         f = parse_poly(expr, ctx)
         n = intersection_number(f, handle)
         basis = free_basis(handle, pivot)
-        matrix = mult_matrix(f, basis, handle, 2 * n + 6)
-        det = _det(matrix.entries, basis.rank, ctx.field, 2 * n + 6)
+        det = _det(mult_matrix(f, basis, 2 * n + 6), basis.rank, ctx.field,
+                   2 * n + 6)
         assert det and min(e for (_, e) in det) == n
 
 

@@ -11,10 +11,11 @@ import pytest
 from algebroid.cli import main
 from algebroid.decide import decide_irreducible, value_semigroup
 from algebroid.groebner import krull_dimension
-from algebroid.localalg import intersection_number
-from algebroid.parametric import (Verdict, parametric_intersection,
-                                  parametric_test)
+from algebroid.localalg import intersection_number, local_colength
+from algebroid.parametric import (Verdict, free_basis, mult_matrix,
+                                  parametric_intersection, parametric_test)
 from algebroid.sagbi import sagbi_complete
+from algebroid.scalars import univariate_roots
 
 SIGNATURES = {
     decide_irreducible: ("ideal", "iter_cap"),
@@ -22,6 +23,10 @@ SIGNATURES = {
     parametric_test: ("f", "g", "ideal"),
     parametric_intersection: ("f", "g", "ideal"),
     intersection_number: ("f", "ideal"),
+    local_colength: ("ideal",),
+    free_basis: ("ideal", "pivot"),
+    mult_matrix: ("g", "basis", "N"),
+    univariate_roots: ("coeffs", "field"),
     krull_dimension: ("ideal",),
     sagbi_complete: ("xi",),
 }

@@ -11,7 +11,8 @@ from algebroid.decide import (_initial_handle, _monomial_witness,
                               _screen_round, decide_irreducible)
 from algebroid.errors import NotPrime, ZeroPoly
 from algebroid.groebner import (IdealHandle, _as_handle, buchberger,
-                                ideal_membership, monomial_staircase)
+                                ideal_membership, monomial_staircase,
+                                staircase_size)
 from algebroid.localalg import (
     base_weights,
     dehomogenize,
@@ -194,7 +195,8 @@ def test_colength_weight_independence():
     assert base == 8  # <y^2 - x^3, x^4>: staircase of <y^2, x^4>
     for _ in range(5):
         w = (rng.randint(1, 5), rng.randint(1, 5))
-        assert local_colength(IdealHandle(gens), w) == base
+        leads = local_lead_monomials(IdealHandle(gens), w)
+        assert staircase_size(leads, 2) == base
 
 
 def test_char_p_local():

@@ -14,6 +14,7 @@ from algebroid.errors import (
     TruncationExhausted,
     UnequalBase,
 )
+from algebroid import parametric
 from algebroid.groebner import IdealHandle
 from algebroid.localalg import intersection_number, base_weights
 from algebroid.parametric import (
@@ -56,11 +57,11 @@ def test_double_branch_pivot_and_basis():
 def test_double_branch_multiplication_matrices():
     I, ctx = double_branch_ideal()
     B = free_basis(I)
-    Mx = mult_matrix(ctx.var("x"), B, I, 16)
+    Mx = mult_matrix(ctx.var("x"), B, 16)
     for i in range(4):
         for j in range(4):
-            assert Mx.entries[i][j] == ({(0, 1): 1} if i == j else {})
-    My = mult_matrix(ctx.var("y"), B, I, 16)
+            assert Mx[i][j] == ({(0, 1): 1} if i == j else {})
+    My = mult_matrix(ctx.var("y"), B, 16)
     expected = [
         [{}, {}, {}, {(0, 6): -1, (0, 7): 1}],
         [{(0, 0): 1}, {}, {}, {}],
@@ -69,7 +70,7 @@ def test_double_branch_multiplication_matrices():
     ]
     for i in range(4):
         for j in range(4):
-            assert My.entries[i][j] == expected[i][j]
+            assert My[i][j] == expected[i][j]
 
 
 def test_double_branch_parametric_intersection():
@@ -115,8 +116,8 @@ def test_space_curve_basis_and_matrix():
     B = free_basis(I)
     assert [ctx.mono(m).__str__() for m in B.gamma] == [
         "1", "z", "z^2", "z^3", "y", "y*z", "y*z^2", "y*z^3"]
-    Mz = mult_matrix(ctx.var("z"), B, I, 12)
-    col = [Mz.entries[i][7] for i in range(8)]
+    Mz = mult_matrix(ctx.var("z"), B, 12)
+    col = [Mz[i][7] for i in range(8)]
     assert col[2] == {(0, 4): 2, (0, 5): 1}
     assert col[4] == {(0, 5): -1}
     for i in (0, 1, 3, 5, 6, 7):
@@ -219,10 +220,10 @@ def test_determinant_order_matches_colength():
     for expr in ("y^2", "z^2-x*y", "x^3", "y^2+z^2", "x*z", "y*z"):
         f = parse_poly(expr, ctx)
         n = intersection_number(f, I)
-        Mf = mult_matrix(f, B, I, 2 * n + 6)
+        Mf = mult_matrix(f, B, 2 * n + 6)
         # lowest pivot order appearing in det(M_f)
         from algebroid.parametric import _det
-        D = _det(Mf.entries, B.rank, ctx.field, 2 * n + 6)
+        D = _det(Mf, B.rank, ctx.field, 2 * n + 6)
         assert min(e for (_, e) in D) == n
 
 
@@ -352,12 +353,37 @@ def test_a_false_verdict_returns_its_attachment_and_builds_no_ring(
         assert v.ideal.ctx.field.extension == v.minimal_poly[:-1]
 
 
-def test_mult_matrix_rejects_foreign_basis():
+def test_a_pencil_resolves_its_pivot_and_free_basis_once():
+    """``parametric_intersection`` chooses the pivot and checks its free
+    basis once, and the determinant and both matrices read that basis."""
     I, ctx = double_branch_ideal()
+    calls = {"_reducer": 0, "choose_pivot": 0}
+
+    def counted(name):
+        inner = getattr(parametric, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            mp.setattr(parametric, name, counted(name))
+        po = parametric_intersection(parse_poly("y^2-x^3", ctx),
+                                     parse_poly("x^2*y", ctx), I)
+    assert po.generic_value == 14
+    assert calls == {"_reducer": 1, "choose_pivot": 1}
+
+
+def test_mult_matrix_rejects_foreign_basis():
+    """The basis carries its ring, and a polynomial from another ring is
+    refused."""
+    _, ctx = double_branch_ideal()
     J, _ = space_curve()
     B = free_basis(J)
-    with pytest.raises(ValueError):
-        mult_matrix(ctx.var("x"), B, I, 8)
+    with pytest.raises(ValueError, match="different rings"):
+        mult_matrix(ctx.var("x"), B, 8)
 
 
 # ------------------------------------------- pencil values from base weights

@@ -1,4 +1,4 @@
-"""The pivot reducer's free basis: ``parametric._PivotReducer`` takes its
+"""The pivot reducer's free basis: ``parametric.FreeBasis`` takes its
 basis and rewrite rules from the global DegRevLex Groebner basis of
 I + (pivot).  A copy of the reducer as it was before, whose rules came
 from a homogenised local standard basis tried at growing homogenising
@@ -46,7 +46,7 @@ SPACE_CURVES = {
 _CAP = 400
 
 
-class _HomogenisedReducer(parametric._PivotReducer):
+class _HomogenisedReducer(parametric.FreeBasis):
     """The reducer as it was: its basis is the local staircase of I +
     (pivot), and each rule tries homogenising powers s = 0, 1, ... of a
     homogenised standard basis until the remainder lies on that basis."""
@@ -97,15 +97,15 @@ def _run(make, homogenised):
     pencils = []
     inner = parametric._pencil_determinant
 
-    def record(f, g, ideal, N):
-        D = inner(f, g, ideal, N)
+    def record(f, g, basis, N):
+        D = inner(f, g, basis, N)
         pencils.append((str(f), str(g), N, D))
         return D
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(parametric, "_pencil_determinant", record)
         if homogenised:
-            mp.setattr(parametric, "_PivotReducer", _HomogenisedReducer)
+            mp.setattr(parametric, "FreeBasis", _HomogenisedReducer)
         try:
             rep = decide_irreducible(make())
             outcome = (rep.verdict, rep.certificate.kind, json.dumps(
@@ -173,17 +173,19 @@ def test_both_reducers_agree_where_the_two_staircases_differ(cid, fid):
     truncation, has the same determinant over either basis."""
     handle, ref = (_curve(*SPACE_CURVES[cid], FIELDS[fid]) for _ in "ab")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(parametric, "_PivotReducer", _HomogenisedReducer)
+        mp.setattr(parametric, "FreeBasis", _HomogenisedReducer)
         ref_gamma = parametric.free_basis(ref).gamma
     assert parametric.free_basis(handle).gamma != ref_gamma
     pencils = _equal_value_pencils(handle, 4)
     assert len(pencils) >= 3
     for f, g in pencils:
         n = parametric._pencil_value(f, handle)
-        D = parametric._pencil_determinant(f, g, handle, 4 * n + 8)
+        D = parametric._pencil_determinant(
+            f, g, parametric.free_basis(handle), 4 * n + 8)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(parametric, "_PivotReducer", _HomogenisedReducer)
-            ref_D = parametric._pencil_determinant(f, g, ref, 4 * n + 8)
+            mp.setattr(parametric, "FreeBasis", _HomogenisedReducer)
+            ref_D = parametric._pencil_determinant(
+                f, g, parametric.free_basis(ref), 4 * n + 8)
         assert D and D == ref_D, (str(f), str(g))
 
 

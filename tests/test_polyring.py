@@ -262,7 +262,7 @@ DIVISION_ORDERS = (
     Lex(),
     DegRevLex(),
     WeightedOrder((2, 3, 1)),
-    WeightedOrder((2, INF, 1)),
+    WeightedOrder((INF, 2, 1), BlockOrder(1, Lex(), WeightedOrder((2, 1)))),
     WeightedOrder((1, 1, 2), Lex()),
     BlockOrder(1),
     BlockOrder(2, Lex(), DegRevLex()),
@@ -305,6 +305,30 @@ def test_division_matches_the_max_scan_reference(field):
             assert [list(q.terms.items()) for q in quots] == \
                 [list(q.items()) for q in ref_quots]
             assert normal_form(f, divisors, order) == rem
+            assert _combination(quots, divisors, rem) == f
+
+
+def _combination(quots, divisors, rem):
+    """sum(q_k * g_k) + r, which a division must give back as f."""
+    total = rem
+    for q, g in zip(quots, divisors):
+        total = total + q * g
+    return total
+
+
+@pytest.mark.parametrize("field", DIVISION_FIELDS, ids=str)
+def test_division_gives_back_its_dividend_under_every_order(field):
+    """An INF weight with a DegRevLex tie is not a monomial order: under
+    (2, INF, 1) this division let a remainder monomial recur and lost a
+    term.  Every order the tests divide by must give f back."""
+    ctx = RingCtx(field, ("x", "y", "h"))
+    f = ctx.poly("8*x^3*y^3*h^2 - 11*x^2*y*h^3 - 5*x*y^2*h^2 - 4*x^2*h^2"
+                 " + 12*x*y*h")
+    divisors = [ctx.poly("-2*x*h^2 + 2*x*y - 3*x*h - 6*y^2"),
+                ctx.poly("-8*x^2*y^3*h^3 - 8*x^3*y - 11*x*y^2*h")]
+    for order in DIVISION_ORDERS:
+        quots, rem = division(f, divisors, order, with_quotients=True)
+        assert _combination(quots, divisors, rem) == f, order
 
 
 def _random_integer_poly(rng, ctx, nterms):
@@ -338,13 +362,7 @@ def test_integer_division_matches_the_max_scan_reference():
             assert all(type(c) is int for c in rem.terms.values())
             assert list(rem.terms.items()) == \
                 [(m, s * c) for m, c in ref_rem.items()]
-            # the identity needs a monomial order: under (2, INF, 1) with a
-            # DegRevLex tie a remainder monomial can recur
-            if INF not in getattr(order, "weights", ()):
-                combo = rem
-                for q, g in zip(quots, divisors):
-                    combo = combo + q * g
-                assert combo == f.scale(s)
+            assert _combination(quots, divisors, rem) == f.scale(s)
             quots, rem = division(f, divisors, order, with_quotients=True)
             assert list(rem.terms.items()) == list(ref_rem.items())
             assert [list(q.terms.items()) for q in quots] == \
