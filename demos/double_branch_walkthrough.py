@@ -44,7 +44,7 @@ def main():
                                      parse_poly("x^2*y", ctx), curve)
     print("generic pencil value:", pencil.generic_value)
     for ev in pencil.exceptional:
-        print(f"  a = {ev.beta.value}: value jumps to {ev.value}")
+        print(f"  a = {ev.beta}: value jumps to {ev.value}")
     for k in (14, 15):
         ascending = [str(c) for c in pencil.coefficient(k)]
         print(f"determinant coefficients at order {k}:", ascending)

@@ -42,7 +42,6 @@ from .groebner import (
     IdealHandle,
     _as_handle,
     _reduce_basis,
-    contains_monomial,
     ideal_membership,
     krull_dimension,
     radical_membership,
@@ -103,18 +102,44 @@ def _initial_handle(handle: IdealHandle, w: Sequence[int]) -> IdealHandle:
     return handle.cached(("initial", w), build)
 
 
-def _monomial_free(handle: IdealHandle, w: Sequence[int]) -> bool:
-    """Whether the initial ideal K of the handle at w contains no monomial.
+def _form_monomial(gens: Sequence[Poly], w: Sequence[int]) -> Optional[tuple]:
+    """The exponent of the first one-term initial form at w of a nonzero
+    element of gens that is not a constant, or None."""
+    for g in gens:
+        if not g.is_zero():
+            form = in_w(g, w)
+            if len(form.terms) == 1:
+                m = next(iter(form.terms))
+                if any(m):
+                    return m
+    return None
 
+
+def _monomial_free(handle: IdealHandle, w: Sequence[int]) -> bool:
+    """Whether the initial ideal K of the handle at w contains no monomial
+    (``_slice_power``)."""
+    return _slice_power(handle, w) is None
+
+
+def _slice_power(handle: IdealHandle, w: Sequence[int]) -> Optional[int]:
+    """None when the initial ideal K of the handle at w contains no
+    monomial; otherwise an s >= 1 with x_0^a * (x_1...x_{n-1})^s in K for
+    some a >= 0.  The answer is kept in the handle's memo under
+    ("free", w).  Raises WrongDimension when the slice is not finite.
+
+    A generator whose initial form at w is a nonconstant monomial x^m
+    puts x^m in K, and x^m divides x_0^s * (x_1...x_{n-1})^s for
+    s = max(m); K is then not built at all.  Otherwise the test is sliced.
     K is w-homogeneous and every w_j is positive, so its zero set is
     stable under t.p = (t^w_1 p_1, ...) and meets the torus exactly when
     any of its slices x_i = 1 does, over the algebraic closure and in any
     characteristic.  The slice is taken at x_0 = 1; for a curve it is
     zero-dimensional, of some length D.  K contains a monomial exactly
-    when the slice is the unit ideal or the product m = x_1...x_{n-1} is
-    nilpotent modulo it, that is, when m^(2^k) reduces to zero for the
-    first 2^k >= D.  The verdict is kept in the handle's memo under
-    ("free", w).  Raises WrongDimension when the slice is not finite.
+    when the product m = x_1...x_{n-1} is nilpotent modulo the slice, the
+    unit ideal included, that is, when m^s reduces to zero for a power of
+    two s, the first s >= D at the latest; s is the least such power.
+    Then m^s = H(1, x') for some H in K, and m^s is its own h_r below, so
+    x_0^a * m^s lies in K for some a >= 0.
 
     The slice's basis is K's reduced InvLex basis, which
     ``_initial_handle`` found without S-pairs, at x_0 = 1, under InvLex
@@ -134,7 +159,10 @@ def _monomial_free(handle: IdealHandle, w: Sequence[int]) -> bool:
       of K that lie inside its own hyperplane."""
     w = tuple(w)
 
-    def build() -> bool:
+    def build() -> Optional[int]:
+        m = _form_monomial(handle.generators, w)
+        if m is not None:
+            return max(m)
         K = _initial_handle(handle, w)
         ctx, order = K.ctx, K.order
         n = ctx.nvars
@@ -146,14 +174,12 @@ def _monomial_free(handle: IdealHandle, w: Sequence[int]) -> bool:
             raise WrongDimension(
                 f"the initial ideal at weight {w} is not one-dimensional: "
                 f"its slice {ctx.variables[0]} = 1 is not finite")
-        if not length:
-            return False
         p = normal_form(small.mono((1,) * (n - 1)), gb, order)
         span = 1
         while span < length and not p.is_zero():
             p = normal_form(p * p, gb, order)
             span *= 2
-        return not p.is_zero()
+        return span if p.is_zero() else None
     return handle.cached(("free", w), build)
 
 
@@ -438,7 +464,7 @@ def _screen_round(handle: IdealHandle, w: tuple, *, error: type,
         v = _call_test(f, g, handle, error=error, stats=stats)
         if v.result == "false":
             return ("false", v, f, g)
-        cand = f - g.scale(v.beta.value)
+        cand = f - g.scale(v.beta)
         escapes.append((d, cand.key(), cand, v.value))
     if not escapes:
         return ("radical",)
@@ -476,32 +502,31 @@ def _descend(handle: IdealHandle, w: tuple, f: Poly, value: int, *,
         v = _call_test(f, g, handle, error=error, stats=stats)
         if v.result == "false":
             return ("false", v, f, g)
-        f = f - g.scale(v.beta.value)
+        f = f - g.scale(v.beta)
         value = v.value
 
 
 def _monomial_witness(handle: IdealHandle, w: tuple) -> Optional[Poly]:
-    """A monic monomial inside the weighted initial ideal, preferring one
-    that appears as the initial form of a generator; None if the initial
-    ideal is monomial-free (by the sliced test of ``_monomial_free``)."""
+    """A monic monomial inside the weighted initial ideal K, None if K is
+    monomial-free (by the sliced test of ``_monomial_free``).  It is the
+    first one that appears as the initial form of a generator, else in
+    K's generators, else x_0^a * (x_1...x_{n-1})^s with the s of
+    ``_slice_power`` and the least a, found by normal forms in K."""
     if _monomial_free(handle, w):
         return None
-    in_handle = _initial_handle(handle, w)
     ctx = handle.ctx
-    for g in handle.generators:
-        if g.is_zero():
-            continue
-        form = in_w(g, w)
-        if len(form.terms) == 1:
-            m = next(iter(form.terms))
-            if any(m):
-                return ctx.mono(m)
-    for g in in_handle.generators:
-        if len(g.terms) == 1:
-            m = next(iter(g.terms))
-            if any(m):
-                return ctx.mono(m)
-    return ctx.mono(contains_monomial(in_handle))
+    m = (_form_monomial(handle.generators, w)
+         or _form_monomial(_initial_handle(handle, w).generators, w))
+    if m is not None:
+        return ctx.mono(m)
+    K, x0 = _initial_handle(handle, w), ctx.var(0)
+    gb = K.groebner()
+    mono = ctx.mono((0,) + (_slice_power(handle, w),) * (ctx.nvars - 1))
+    # x_0 * (mono - r) lies in K, so NF(x_0 * mono) = NF(x_0 * r)
+    r = normal_form(mono, gb, K.order)
+    while not r.is_zero():
+        mono, r = mono * x0, normal_form(r * x0, gb, K.order)
+    return mono
 
 
 # ------------------------------------------------------------------- rays
@@ -580,7 +605,7 @@ def _rays_for_false(handle: IdealHandle, w: tuple, verdict: Verdict, f: Poly,
          else _pencil_determinant(f, g, free_basis(handle), top + 1))
     if po.field != field:
         D = {k: field.embed(c) for k, c in D.items()}
-    beta = field.zero() if verdict.case == 1 else verdict.beta.value
+    beta = field.zero() if verdict.case == 1 else verdict.beta
     rays = _polygon_rays(D, beta, field, wb, vbar, po.pivot)
     if rays and all(e > 0 for ray in rays for e in ray):
         if len(rays) >= 2:

@@ -9,10 +9,6 @@ class DivisionByZero(AlgebroidError):
     """Inversion of the zero element of a field."""
 
 
-class FieldMismatch(AlgebroidError):
-    """Two scalars (or a scalar and a ring) disagree on their field."""
-
-
 class SolverLimitation(AlgebroidError):
     """An exact computation is out of the supported range (for instance
     factoring a polynomial with non-rational coefficients over an

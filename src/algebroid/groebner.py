@@ -277,8 +277,8 @@ class IdealHandle:
     ("groebner",) for the reduced basis under ``order``, ("hom", w) for
     the local standard basis, ("pivot", i) for the pivot reducer,
     ("intersection", f.key()), ("initial", w) for the initial ideal's
-    handle and ("free", w) for the sliced test's verdict
-    (``decide._monomial_free``).  An initial handle is built with its
+    handle and ("free", w) for the sliced test's answer
+    (``decide._slice_power``).  An initial handle is built with its
     ("groebner",) entry already filled, by interreduction alone.  The
     memo has no size bound: every entry answers a call made on this
     handle, and the entries go with it.  A handle's generators must not

@@ -51,7 +51,7 @@ from .groebner import (
 )
 from .localalg import base_weights, intersection_number
 from .polyring import INF, DegRevLex, Poly, RingCtx, embed
-from .scalars import FieldSpec, Scalar, univariate_roots, uv_divmod, uv_eval
+from .scalars import FieldSpec, univariate_roots, uv_divmod, uv_eval
 
 
 # --------------------------------------------------------------- free basis
@@ -284,12 +284,13 @@ def _det(entries, n: int, field: FieldSpec, N: int) -> dict:
 
 @dataclass(frozen=True)
 class ExceptionalValue:
-    """One exceptional parameter: either a field element beta or the
-    monic minimal polynomial (coefficient tuple, ascending, leading 1
-    included) of a conjugate class, with the intersection value there."""
+    """One exceptional parameter: either a root beta, a payload of the
+    pencil's ``ParametricOrder.field``, or the monic minimal polynomial
+    (coefficient tuple, ascending, leading 1 included) of a conjugate
+    class, with the intersection value there."""
 
     value: object  # int or INF
-    beta: Optional[Scalar] = None
+    beta: object = None
     factor: Optional[tuple] = None
 
 
@@ -421,9 +422,9 @@ def parametric_intersection(f: Poly, g: Poly,
     exceptional = []
     for r in roots:
         val = next((k for k, ck in higher
-                    if not field.is_zero(uv_eval(ck, r.value, field))), None)
+                    if not field.is_zero(uv_eval(ck, r, field))), None)
         if val is None:
-            val = intersection_number(f - g.scale(r.value), ideal)
+            val = intersection_number(f - g.scale(r), ideal)
         exceptional.append(ExceptionalValue(value=val, beta=r))
     for fac in residual:
         val = next((k for k, ck in higher
@@ -450,26 +451,29 @@ def parametric_intersection(f: Poly, g: Poly,
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of the three-way test: 'false' with an attachment, or
-    'not_false' with the unique exceptional parameter ``beta``.
+    'not_false' with the unique exceptional parameter ``beta``, a payload
+    of the tested handle's field.
 
     A 'false' verdict's ``attachment`` is the h that a certificate adjoins
     as a new coordinate v - h (``decide._extend_with``): f in case 1,
-    f - beta*g in cases 2 and 3.  ``ideal`` is the ring h lives in: the
-    tested handle, or, when beta is a root theta of the pencil's smallest
-    conjugate class because case 2 found no base-field root, that handle
-    lifted to the extension by ``minimal_poly``, f and g with it.
+    f - beta*g in cases 2 and 3.  ``ideal`` is the ring h lives in, and
+    beta a payload of its field: the tested handle, or, when beta is a
+    root theta of the pencil's smallest conjugate class because case 2
+    found no base-field root, that handle lifted to the extension k(theta),
+    f and g with it.  A verdict lifts only over a base field, so its
+    class is ``ideal.ctx.field.extension + (1,)`` exactly when ``ideal``
+    is not the tested handle.
+
     ``value`` is the exceptional value at beta, the intersection number
     of f - beta*g, INF when it vanishes on a branch; a case-1 verdict has
-    none.  ``pencil`` is the ParametricOrder the
-    verdict was read from: its determinant carries every branch's ray
-    (``decide._rays_for_false``), and its exceptional values those of the
-    other parameters."""
+    none.  ``pencil`` is the ParametricOrder the verdict was read from:
+    its determinant carries every branch's ray (``decide._rays_for_false``),
+    and its exceptional values those of the other parameters."""
 
     result: str
     ideal: Optional[IdealHandle] = None
-    beta: Optional[Scalar] = None
+    beta: object = None
     case: int = 0
-    minimal_poly: Optional[tuple] = None
     attachment: Optional[Poly] = None
     value: object = None
     pencil: Optional[ParametricOrder] = None
@@ -495,7 +499,7 @@ def parametric_test(f: Poly, g: Poly, ideal: IdealHandle) -> Verdict:
         if rational:
             ev = rational[0]
             return Verdict("false", ideal=ideal, case=2, beta=ev.beta,
-                           attachment=f - g.scale(ev.beta.value),
+                           attachment=f - g.scale(ev.beta),
                            value=ev.value, pencil=po)
         if field.extension is not None:
             raise CertificateSearchFailed(
@@ -505,10 +509,9 @@ def parametric_test(f: Poly, g: Poly, ideal: IdealHandle) -> Verdict:
         # smallest class stands for all of them
         conj = min(factors, key=lambda ev: len(ev.factor))
         eideal, ef, eg = _lift(ideal, conj.factor, f, g)
-        theta = Scalar(eideal.ctx.field.generator(), eideal.ctx.field)
+        theta = eideal.ctx.field.generator()
         return Verdict("false", ideal=eideal, case=2, beta=theta,
-                       minimal_poly=conj.factor,
-                       attachment=ef - eg.scale(theta.value),
+                       attachment=ef - eg.scale(theta),
                        value=conj.value, pencil=po)
     ev = rational[0] if rational else None
     if ev is None:
@@ -519,7 +522,7 @@ def parametric_test(f: Poly, g: Poly, ideal: IdealHandle) -> Verdict:
     if ev.value is not INF:
         return Verdict("not_false", beta=beta, case=3, value=ev.value,
                        pencil=po)
-    h = f - g.scale(beta.value)
+    h = f - g.scale(beta)
     if radical_membership(h, ideal):
         raise ContextViolation(
             "the degenerate combination vanishes on the curve; the test "

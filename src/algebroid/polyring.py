@@ -17,7 +17,7 @@ from math import comb, gcd, prod
 from typing import Iterable, Sequence, Union
 
 from .errors import ParseError, ZeroPoly
-from .scalars import FieldSpec, Scalar, _power
+from .scalars import FieldSpec, _power
 
 INF = float("inf")
 
@@ -330,7 +330,7 @@ class Poly:
     def _coerce_operand(self, other):
         if isinstance(other, Poly):
             return other
-        if isinstance(other, (int, Fraction, Scalar, tuple)):
+        if isinstance(other, (int, Fraction, tuple)):
             return self.ctx.const(other)
         return NotImplemented
 

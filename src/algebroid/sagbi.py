@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import TruncationExhausted, ZeroPoly
 from .naming import next_single
 from .polyring import INF, Poly, RingCtx
-from .scalars import FieldSpec, Scalar, _power
+from .scalars import FieldSpec, _power
 from .semigroups import conductor, gcd_weights, membership, prim_generators
 
 _DEFAULT_TRUNC_CAP = 4096
@@ -29,12 +29,7 @@ class TruncSeries:
     __slots__ = ("coeffs", "field", "exact")
 
     def __init__(self, coeffs: Sequence, field: FieldSpec, exact: bool = False):
-        vals = []
-        for c in coeffs:
-            if isinstance(c, Scalar):
-                c = c.value
-            vals.append(field.coerce(c))
-        self.coeffs = tuple(vals)
+        self.coeffs = tuple(field.coerce(c) for c in coeffs)
         self.field = field
         self.exact = exact
 
@@ -54,8 +49,6 @@ class TruncSeries:
         for e, c in terms:
             if e >= N:
                 raise ValueError("term beyond the truncation window")
-            if isinstance(c, Scalar):
-                c = c.value
             coeffs[e] = field.add(coeffs[e], field.coerce(c))
         return TruncSeries(coeffs, field, exact=True)
 
@@ -104,8 +97,6 @@ class TruncSeries:
 
     def scale(self, c) -> "TruncSeries":
         f = self.field
-        if isinstance(c, Scalar):
-            c = c.value
         c = f.coerce(c)
         return TruncSeries([f.mul(c, a) for a in self.coeffs], f, self.exact)
 

@@ -29,9 +29,6 @@ call:
   over a primitive element.  The tables are built by ``_ext_mul`` on the
   first multiply or inverse and shared by equal fields.
 
-:class:`Scalar` is a thin immutable wrapper used at API boundaries and in
-tests.
-
 ``_power`` is the library's one square-and-multiply loop: field powers,
 the primitive-element test of the log tables, ``a^(q^d)`` mod f in
 finite-field factoring, and the powers of ``Poly`` and ``TruncSeries``
@@ -50,8 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import (AlgebroidError, DivisionByZero, FieldMismatch,
-                     SolverLimitation, ZeroPoly)
+from .errors import AlgebroidError, DivisionByZero, SolverLimitation, ZeroPoly
 
 _ENUM_CAP = 4096        # largest finite field given log tables or enumerated
 _SUBSET_CAP = 1024      # most factor subsets recombined over Q
@@ -257,12 +253,6 @@ class FieldSpec:
     # ------------------------------------------------------- conversion
 
     def coerce(self, x):
-        if isinstance(x, Scalar):
-            if x.field != self:
-                if x.field == self.base():
-                    return self.embed(x.value)
-                raise FieldMismatch(f"scalar over {x.field} used over {self}")
-            return x.value
         if self.extension is not None:
             base = self.base()
             if isinstance(x, tuple):
@@ -414,77 +404,6 @@ class FieldSpec:
             return f"F{self.characteristic}"
         body = uv_str(list(self.extension) + [self.base().one()], self.base(), self.ext_var)
         return f"{self.base()}[{self.ext_var}]/({body})"
-
-
-@dataclass(frozen=True)
-class Scalar:
-    """An exact field element tied to its field."""
-
-    value: object
-    field: FieldSpec
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.field.coerce(self.value))
-
-    def _peer(self, other) -> "Scalar":
-        if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise FieldMismatch(f"{self.field} vs {other.field}")
-            return other
-        return Scalar(other, self.field)
-
-    def __add__(self, other):
-        other = self._peer(other)
-        return Scalar(self.field.add(self.value, other.value), self.field)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Scalar(self.field.neg(self.value), self.field)
-
-    def __sub__(self, other):
-        other = self._peer(other)
-        return Scalar(self.field.sub(self.value, other.value), self.field)
-
-    def __rsub__(self, other):
-        return self._peer(other) - self
-
-    def __mul__(self, other):
-        other = self._peer(other)
-        return Scalar(self.field.mul(self.value, other.value), self.field)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._peer(other)
-        return Scalar(self.field.div(self.value, other.value), self.field)
-
-    def __rtruediv__(self, other):
-        return self._peer(other) / self
-
-    def __pow__(self, n: int):
-        return Scalar(self.field.pow(self.value, n), self.field)
-
-    def inv(self) -> "Scalar":
-        return Scalar(self.field.inv(self.value), self.field)
-
-    def __bool__(self):
-        return not self.field.is_zero(self.value)
-
-    def __eq__(self, other):
-        if isinstance(other, Scalar) and other.field != self.field:
-            return False
-        other = self._peer(other)
-        return self.field.eq(self.value, other.value)
-
-    def __hash__(self):
-        return hash((self.field, self.field.sort_key(self.value)))
-
-    def __str__(self):
-        return self.field.payload_str(self.value)
-
-    def __repr__(self):
-        return f"Scalar({self}, {self.field})"
 
 
 QQ = FieldSpec(0)
@@ -952,10 +871,10 @@ def univariate_roots(coeffs, field: FieldSpec):
     """All roots of a nonzero univariate polynomial over ``field``, plus
     the rootless irreducible factors of degree >= 2 of its squarefree part.
 
-    ``coeffs`` may be Scalars or raw payloads (index = degree).  Returns
-    ``(roots, residual)`` where roots is a sorted list of Scalars and
-    residual a list of monic coefficient tuples (leading 1 included),
-    sorted by degree and then by coefficients.
+    ``coeffs`` (index = degree) are values that ``field.coerce`` takes.
+    Returns ``(roots, residual)`` where roots is a list of payloads sorted
+    by ``field.sort_key`` and residual a list of monic coefficient tuples
+    (leading 1 included), sorted by degree and then by coefficients.
     """
     f = _uv_trim([field.coerce(c) for c in coeffs], field)
     if not f:
@@ -970,6 +889,5 @@ def univariate_roots(coeffs, field: FieldSpec):
     roots = [field.neg(h[0]) for h in factors if len(h) == 2]
     if shift:
         roots.append(field.zero())
-    scalar_roots = sorted((Scalar(r, field) for r in roots),
-                          key=lambda s: field.sort_key(s.value))
-    return scalar_roots, [tuple(h) for h in factors if len(h) > 2]
+    return (sorted(roots, key=field.sort_key),
+            [tuple(h) for h in factors if len(h) > 2])

@@ -17,7 +17,6 @@ import functools
 import heapq
 import math
 import threading
-from dataclasses import dataclass
 from operator import add, ge, sub
 from typing import List, Optional
 
@@ -31,31 +30,19 @@ def _is_inf(x) -> bool:
     return x is INF or x == INF
 
 
-@dataclass(frozen=True)
-class SemigroupSpec:
-    """Additive semigroup of nonnegative combinations of the finite
-    generators; INF entries are carried but contribute nothing."""
-
-    generators: tuple
-
-    def __post_init__(self):
-        gens = tuple(self.generators)
-        object.__setattr__(self, "generators", gens)
-        finite = [g for g in gens if not _is_inf(g)]
-        if not finite:
-            raise AllInfinite("no finite generator")
-        for g in finite:
-            if not isinstance(g, int) or g <= 0:
-                raise ValueError("generators must be positive integers or INF")
-
-    def finite_entries(self):
-        return [(i, g) for i, g in enumerate(self.generators) if not _is_inf(g)]
-
-
-def _as_spec(w) -> SemigroupSpec:
-    if isinstance(w, SemigroupSpec):
-        return w
-    return SemigroupSpec(tuple(w))
+def _generators(w) -> tuple:
+    """The weight vector w as a tuple of generators of the additive
+    semigroup of their nonnegative combinations; INF entries are carried
+    but contribute nothing.  Raises AllInfinite when no entry is finite,
+    ValueError when a finite entry is not a positive int."""
+    gens = tuple(w)
+    finite = [g for g in gens if not _is_inf(g)]
+    if not finite:
+        raise AllInfinite("no finite generator")
+    for g in finite:
+        if not isinstance(g, int) or g <= 0:
+            raise ValueError("generators must be positive integers or INF")
+    return gens
 
 
 @functools.lru_cache(maxsize=64)
@@ -101,10 +88,10 @@ def membership(N: int, w) -> Optional[tuple]:
     """A witness exponent c with N = c . w when N lies in the semigroup,
     None otherwise.  The witness is the exponent of NF(t^N) under the
     elimination basis, so repeated runs agree."""
-    spec = _as_spec(w)
+    gens = _generators(w)
     if not isinstance(N, int) or N < 0:
         return None
-    _, positions, rules, powers = _elimination_data(spec.generators)
+    _, positions, rules, powers = _elimination_data(gens)
     with _GROWING:
         while len(powers) < N.bit_length():
             powers.append(_rewrite(tuple(2 * e for e in powers[-1]), rules))
@@ -114,7 +101,7 @@ def membership(N: int, w) -> Optional[tuple]:
             mono = _rewrite(tuple(map(add, mono, powers[k])), rules)
     if mono[0]:
         return None
-    witness = [0] * len(spec.generators)
+    witness = [0] * len(gens)
     for pos, e in zip(positions, mono[1:]):
         witness[pos] = e
     return tuple(witness)
@@ -126,13 +113,13 @@ def prim_generators(w, ctx: Optional[RingCtx] = None) -> List[Poly]:
     w = tuple(w)
     if any(_is_inf(e) for e in w):
         raise ValueError("relation ideal needs all weights finite")
-    spec = _as_spec(w)  # ValueError unless each weight is a positive int
+    gens = _generators(w)  # ValueError unless each weight is a positive int
     if ctx is None:
         ctx = RingCtx(QQ, tuple(f"x{i + 1}" for i in range(len(w))))
     if ctx.nvars != len(w):
         raise ValueError("weight length does not match the ring")
     # every weight is finite, so the elimination ring is t, g0, ..., g(n-1)
-    gb = _elimination_data(spec.generators)[0]
+    gb = _elimination_data(gens)[0]
     coerce = ctx.field.coerce
     return [Poly({m[1:]: coerce(c) for m, c in g.terms.items()}, ctx)
             for g in gb if all(m[0] == 0 for m in g.terms)]
@@ -147,10 +134,10 @@ def gcd_weights(w) -> int:
 
 def conductor(w) -> int:
     """Least c such that every integer >= c lies in the semigroup."""
-    spec = _as_spec(w)
-    gens = sorted({g for _, g in spec.finite_entries()})
-    if gcd_weights(spec.generators) != 1:
+    gens = _generators(w)
+    if gcd_weights(gens) != 1:
         raise NotPrimitive("conductor needs coprime generators")
+    gens = sorted({g for g in gens if not _is_inf(g)})
     # Dijkstra over the residues mod m: the first element of S popped in
     # each class is its least one, the class's Apery element.
     m, apery, heap = gens[0], {}, [0]

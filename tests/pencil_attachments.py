@@ -21,13 +21,13 @@ from algebroid.polyring import embed
 def second_parameter(handle, f, g, verdict):
     """beta_2 of a case-2 verdict, as a field payload of the verdict's
     field."""
-    beta = verdict.beta.value
-    if verdict.minimal_poly is None:
-        return next(ev.beta.value
+    beta = verdict.beta
+    if verdict.ideal is handle:
+        return next(ev.beta
                     for ev in parametric_intersection(f, g, handle).exceptional
-                    if ev.beta is not None and ev.beta.value != beta)
+                    if ev.beta is not None and ev.beta != beta)
     field = verdict.ideal.ctx.field
-    _, m1, _ = verdict.minimal_poly
+    _, m1 = field.extension
     return field.neg(field.add(field.embed(m1), beta))
 
 

@@ -41,8 +41,7 @@ def test_the_verdict_has_only_its_pinned_fields():
     """A false verdict returns its attachment and the ring it lives in;
     the ring that adjoins it is built by the decide."""
     assert tuple(f.name for f in dataclasses.fields(Verdict)) == (
-        "result", "ideal", "beta", "case", "minimal_poly", "attachment",
-        "value", "pencil")
+        "result", "ideal", "beta", "case", "attachment", "value", "pencil")
 
 
 @pytest.mark.parametrize("flag", [("--trunc-cap", "8"), ("--verify",)],

@@ -90,17 +90,19 @@ def _instrumented(cid, fid):
     return rep, verdict, w, checks, asked, handle, f, g
 
 
-def _values(verdict):
+def _values(verdict, handle):
     """The exceptional values at beta and at the second parameter of
     ``two_attachment_ideal``: another base-field root, or a conjugate of
-    beta, which shares its class's value."""
-    if verdict.minimal_poly is not None:
+    beta, which shares its class's value.  beta is a conjugate exactly
+    when the verdict's ring is not the tested handle, and its class is
+    that ring's defining polynomial."""
+    if verdict.ideal is not handle:
+        factor = verdict.ideal.ctx.field.extension + (1,)
         other = next(ev for ev in verdict.pencil.exceptional
-                     if ev.factor == verdict.minimal_poly)
+                     if ev.factor == factor)
     else:
         other = next(ev for ev in verdict.pencil.exceptional
-                     if ev.beta is not None
-                     and ev.beta.value != verdict.beta.value)
+                     if ev.beta is not None and ev.beta != verdict.beta)
     return verdict.value, other.value
 
 
@@ -108,9 +110,9 @@ def _values(verdict):
 def test_case2_values_are_the_intersection_numbers_in_J(cid, fid):
     rep, verdict, _, _, _, handle, f, g = _instrumented(cid, fid)
     assert verdict.result == "false" and verdict.case == 2
-    assert (verdict.minimal_poly is not None) == (cid in CONJUGATE)
+    assert (verdict.ideal is not handle) == (cid in CONJUGATE)
     J = two_attachment_ideal(handle, f, g, verdict)
-    assert _values(verdict) == tuple(
+    assert _values(verdict, handle) == tuple(
         intersection_number(J.ctx.var(name), J)
         for name in J.ctx.variables[-2:])
     J1, name = decide._extend_with(verdict.ideal, verdict.attachment)
@@ -141,7 +143,7 @@ def test_the_two_attachment_rays_project_onto_the_certificate(cid, fid):
     J = two_attachment_ideal(handle, f, g, verdict)
     wb = tuple(e // 2 for e in w)
     vbar = wdot(wb, next(iter(g.terms)))
-    d1, d2 = (value - 2 * vbar for value in _values(verdict))
+    d1, d2 = (value - 2 * vbar for value in _values(verdict, handle))
     old = {wb + (vbar + d1, vbar), wb + (vbar, vbar + d2)}
     assert all(decide._monomial_free(J, ray) for ray in old)
     assert {ray[:-1] for ray in old} == set(rep.certificate.data)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from algebroid import decide
+from algebroid import groebner
 from algebroid.cli import (_coeff_parse, _poly_json, certificate_from_json,
                            certificate_json, main, parse_ideal_text)
 from algebroid.decide import (Certificate, _certified_weights,
@@ -290,16 +290,15 @@ def test_a_witness_that_only_the_monomial_search_finds(
     """The initial ideal at (1, 1, 1) is the ideal itself, two lines in
     coordinate planes.  It holds y*z = y*(z + y - x) - (y^2 - x*y), yet no
     generator and no element of its reduced InvLex basis is a monomial,
-    so only the last tier of ``_monomial_witness`` finds one."""
+    so only the last tier of ``_monomial_witness`` finds one, from the
+    sliced test; ``contains_monomial`` never runs."""
     calls = []
-    inner = decide.contains_monomial
-    monkeypatch.setattr(decide, "contains_monomial",
-                        lambda handle: calls.append(handle) or inner(handle))
+    monkeypatch.setattr(groebner, "contains_monomial", calls.append)
     path = write(tmp_path, f"char {char}\nvars x y z\nideal:\n"
                            "z + y - x\ny^2 - x*y\n")
     code, out, _ = run(capsys, "tropism", path, "--weights", "1,1,1")
     assert (code, out) == (0, "tropism: false\nwitness: y*z\n")
-    assert len(calls) == 1
+    assert calls == []
 
 
 # ----------------------------------------------------------------- verify
@@ -699,6 +698,24 @@ def test_each_verifier_refusal_names_its_reason(tmp_path, capsys, case):
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "verify", str(path))
     assert (code, out, err) == (1, f"certificate: invalid ({reason})\n", "")
+
+
+def test_a_crafted_ray_at_a_monomial_generator_form_is_refused_at_once(
+        tmp_path, capsys):
+    """At (1, 10, 11) the generator y^4 - x^6 has the initial form -x^6,
+    so the initial ideal holds a monomial and the sliced test builds no
+    basis of it; that basis alone took over a minute over Q."""
+    _, doc = report_for(tmp_path, "char 0\nvars x y\nideal:\n"
+                                  "(y^2 - x^3)*(y^2 + x^3)\n")
+    assert doc["certificate"]["kind"] == "two_tropisms"
+    doc["certificate"]["data"][0] = [1, 10, 11]
+    path = tmp_path / "crafted.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (1, "certificate: invalid (initial ideal at "
+                                   "ray 1 contains a monomial)\n", "")
 
 
 def test_a_claimed_verdict_that_does_not_match_the_kind_is_refused(

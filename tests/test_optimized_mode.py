@@ -1,8 +1,9 @@
 """The scalar, semigroup, local algebra, decide, parametric, case-2 ray
 and acceptance tests under ``python -O``, and lints that keep plain
 ``assert``, unused imports, private definitions and constants nothing
-in the library reads, and public definitions nothing in the library,
-the demos or the benchmark reads out of the library.
+in the library reads, public definitions nothing in the library,
+the demos or the benchmark reads, and error classes the library never
+raises or catches out of the library.
 
 ``-O`` strips plain ``assert`` statements from the library, so an
 invariant it kept with one would go unchecked; these tests show that the
@@ -137,6 +138,36 @@ def test_every_public_definition_has_a_reader():
     assert sorted((stem, name) for stem, tree in trees.items()
                   for name in _definitions(tree)
                   if not name.startswith("_") and name not in read) == []
+
+
+def _raised_or_caught(trees):
+    """The names that a raise statement or an except clause of the
+    modules mentions."""
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                target = node.exc
+            elif isinstance(node, ast.ExceptHandler):
+                target = node.type
+            else:
+                continue
+            if target is not None:
+                names |= {n.id for n in ast.walk(target)
+                          if isinstance(n, ast.Name)}
+    return names
+
+
+def test_every_error_class_is_raised_or_caught_in_the_library():
+    """An error class that no library code raises or catches is an
+    orphan: nothing can ever surface it."""
+    trees = _library_trees()
+    classes = [node.name for node in trees["errors"].body
+               if isinstance(node, ast.ClassDef)]
+    assert classes
+    used = _raised_or_caught(tree for stem, tree in trees.items()
+                             if stem != "errors")
+    assert sorted(set(classes) - used) == []
 
 
 def test_the_decider_tests_pass_under_python_O():

@@ -79,7 +79,7 @@ def test_double_branch_parametric_intersection():
     g = parse_poly("x^2*y", ctx)
     po = parametric_intersection(f, g, I)
     assert po.generic_value == 14
-    got = sorted((ev.beta.value, ev.value) for ev in po.exceptional)
+    got = sorted((ev.beta, ev.value) for ev in po.exceptional)
     assert got == [(-1, 15), (1, 15)]
     # determinant is (a+1)^2 (a-1)^2 x^14 - a^4 x^15, coefficient by coefficient
     assert po.determinant == {(0, 14): 1, (2, 14): -2, (4, 14): 1, (4, 15): -1}
@@ -95,10 +95,10 @@ def test_double_branch_verdict_two_parameters():
     assert v.result == "false"
     assert v.case == 2
     # the verdict attaches one root; the pencil has both, -1 and 1
-    roots = sorted(ev.beta.value
+    roots = sorted(ev.beta
                    for ev in parametric_intersection(f, g, I).exceptional)
-    assert roots == [-1, 1] and v.beta.value in roots
-    assert v.ideal is I and v.attachment == f - g.scale(v.beta.value)
+    assert roots == [-1, 1] and v.beta in roots
+    assert v.ideal is I and v.attachment == f - g.scale(v.beta)
     J1, name = _extend_with(v.ideal, v.attachment)
     assert name == "z"
     assert J1.ctx.variables == ("x", "y", "z")
@@ -130,7 +130,7 @@ def test_space_curve_parametric_intersection():
     g = parse_poly("y^2", ctx)
     po = parametric_intersection(f, g, I)
     assert po.generic_value == 24
-    got = sorted((ev.beta.value, ev.value) for ev in po.exceptional)
+    got = sorted((ev.beta, ev.value) for ev in po.exceptional)
     assert got == [(-1, 26), (1, 26)]
     assert po.determinant == {
         (8, 24): 1, (6, 24): -4, (4, 24): 6, (2, 24): -4, (0, 24): 1,
@@ -150,7 +150,7 @@ def test_equal_inputs_give_infinite_exception():
     I = IdealHandle((parse_poly("y^2-x^3", ctx),), ctx)
     po = parametric_intersection(ctx.var("x"), ctx.var("x"), I)
     assert po.generic_value == 2
-    assert [(ev.beta.value, ev.value) for ev in po.exceptional] == [(1, INF)]
+    assert [(ev.beta, ev.value) for ev in po.exceptional] == [(1, INF)]
 
 
 def test_degenerate_direction_is_rejected():
@@ -208,7 +208,7 @@ def test_substitution_consistency():
     f = parse_poly("y^2-x^3", ctx)
     g = parse_poly("x^2*y", ctx)
     po = parametric_intersection(f, g, I)
-    special = {ev.beta.value: ev.value for ev in po.exceptional}
+    special = {ev.beta: ev.value for ev in po.exceptional}
     for alpha in (-2, -1, 0, 1, 3):
         exact = intersection_number(f - g.scale(alpha), I)
         assert exact == special.get(alpha, po.generic_value)
@@ -250,7 +250,7 @@ def test_case_three_false_branch():
     v = parametric_test(f, g, I)
     assert v.result == "false"
     assert v.case == 3
-    assert v.beta.value == 1
+    assert v.beta == 1
     assert v.attachment == f - g
     assert _extend_with(v.ideal, v.attachment)[1] == "z"
 
@@ -260,7 +260,7 @@ def test_not_false_on_irreducible_curve():
     I = IdealHandle((parse_poly("y^2 - x^3 - x^4", ctx),), ctx)
     v = parametric_test(parse_poly("y^2", ctx), parse_poly("x^3", ctx), I)
     assert v.result == "not_false"
-    assert v.beta.value == 1
+    assert v.beta == 1
 
 
 def test_char_two_curve_is_not_falsified():
@@ -269,7 +269,7 @@ def test_char_two_curve_is_not_falsified():
     g = parse_poly("x^2*y", ctx)
     v = parametric_test(f, g, I)
     assert v.result == "not_false"
-    assert v.beta.value == 1
+    assert v.beta == 1
 
 
 def test_conjugate_parameters_need_an_extension():
@@ -286,12 +286,14 @@ def test_conjugate_parameters_need_an_extension():
     assert ev.value == 15
     v = parametric_test(f, g, I)
     assert v.result == "false" and v.case == 2
-    assert v.minimal_poly == (-2, 0, 1)
+    # beta is a root th of the class, read from the verdict's ring
+    field = v.ideal.ctx.field
+    assert v.ideal is not I and field.extension + (1,) == (-2, 0, 1)
     th = v.beta
-    assert (th * th).value == th.field.from_int(2)
+    assert th == field.generator() and field.mul(th, th) == field.from_int(2)
     assert v.value == 15
     assert [other.value for other in v.pencil.exceptional
-            if other.factor == v.minimal_poly] == [15]
+            if other.factor == (-2, 0, 1)] == [15]
     # the attachment's ring lives over the quadratic extension
     assert v.ideal.ctx.field.extension == (-2, 0)
 
@@ -307,7 +309,7 @@ def test_a_base_field_root_beside_a_conjugate_class_stays_in_the_base_field():
         ("2", None), ("None", (1, 0, 1))]
     v = parametric_test(f, g, I)
     assert v.result == "false" and v.case == 2
-    assert v.beta.value == 2 and v.minimal_poly is None
+    assert v.beta == 2 and v.ideal is I
     assert v.value == INF
     assert [ev.value for ev in v.pencil.exceptional if ev.beta is None] == [INF]
     J, _ = _extend_with(v.ideal, v.attachment)
@@ -347,10 +349,29 @@ def test_a_false_verdict_returns_its_attachment_and_builds_no_ring(
     assert set(extended) <= {("h",)}
     assert v.ideal.ctx.variables == ctx.variables
     assert v.attachment.ctx == v.ideal.ctx
-    if v.minimal_poly is None:
-        assert v.ideal is I
+    if cid == "case-2-conjugate":
+        assert v.ideal.ctx.field.extension == (-2, 0)
     else:
-        assert v.ideal.ctx.field.extension == v.minimal_poly[:-1]
+        assert v.ideal is I
+
+
+@pytest.mark.parametrize("cid", FALSE_VERDICTS)
+def test_each_beta_is_a_payload_of_its_ring_field(cid):
+    """Every root the pencil finds is a payload of its field, and the
+    verdict's beta one of its ring's field, the extension's for a
+    conjugate class."""
+    curve, ftext, gtext, _ = FALSE_VERDICTS[cid]
+    ctx = RingCtx(QQ, ("x", "y"))
+    I = IdealHandle((parse_poly(curve, ctx),), ctx)
+    f, g = parse_poly(ftext, ctx), parse_poly(gtext, ctx)
+    po = parametric_intersection(f, g, I)
+    betas = [ev.beta for ev in po.exceptional if ev.beta is not None]
+    assert all(po.field.coerce(beta) == beta for beta in betas)
+    v = parametric_test(f, g, I)
+    if v.case > 1:
+        field = v.ideal.ctx.field
+        assert field.coerce(v.beta) == v.beta
+        assert (v.beta in betas) == (v.ideal is I)
 
 
 def test_a_pencil_resolves_its_pivot_and_free_basis_once():

@@ -14,13 +14,12 @@ import pytest
 
 from algebroid import (assert_preconditions, cli, decide_irreducible, polyring,
                        sagbi, scalars)
-from algebroid.errors import (AlgebroidError, DivisionByZero, FieldMismatch,
+from algebroid.errors import (AlgebroidError, DivisionByZero,
                               SolverLimitation, ZeroPoly)
 from algebroid.scalars import (
     GF,
     QQ,
     FieldSpec,
-    Scalar,
     univariate_roots,
     uv_deriv,
     uv_divmod,
@@ -37,12 +36,11 @@ from algebroid.sagbi import TruncSeries
 
 
 def test_rational_arithmetic():
-    a = Scalar(Fraction(1, 3), QQ)
-    b = Scalar(Fraction(1, 6), QQ)
-    assert a + b == Scalar(Fraction(1, 2), QQ)
-    assert a * 3 == Scalar(1, QQ)
-    assert (a - a) == Scalar(0, QQ)
-    assert not (a - a)
+    a, b = QQ.coerce(Fraction(1, 3)), QQ.coerce(Fraction(1, 6))
+    assert QQ.add(a, b) == Fraction(1, 2)
+    assert QQ.eq(QQ.mul(a, QQ.coerce(3)), QQ.one())
+    assert QQ.eq(QQ.sub(a, a), QQ.zero())
+    assert QQ.is_zero(QQ.sub(a, a))
 
 
 def test_unit_fraction_inverses_over_q_are_ints():
@@ -57,16 +55,11 @@ def test_unit_fraction_inverses_over_q_are_ints():
 
 def test_prime_field_inverse():
     f5 = GF(5)
-    two = Scalar(2, f5)
-    assert two.inv() == Scalar(3, f5)
-    assert two * two.inv() == Scalar(1, f5)
+    two = f5.coerce(2)
+    assert f5.inv(two) == f5.coerce(3)
+    assert f5.mul(two, f5.inv(two)) == f5.one()
     with pytest.raises(DivisionByZero):
-        Scalar(0, f5).inv()
-
-
-def test_field_mismatch_raises():
-    with pytest.raises(FieldMismatch):
-        Scalar(1, QQ) + Scalar(1, GF(5))
+        f5.inv(f5.coerce(0))
 
 
 def test_characteristic_must_be_prime():
@@ -112,12 +105,12 @@ def test_extension_base_is_built_once():
 def test_quadratic_extension_of_q():
     # Q[th]/(th^2 - 2)
     k = FieldSpec(0, extension=(-2, 0))
-    th = Scalar(k.generator(), k)
-    assert th * th == Scalar(2, k)
-    assert (1 + th) * (1 - th) == Scalar(-1, k)
-    assert th.inv() * th == Scalar(1, k)
+    th, one = k.generator(), k.one()
+    assert k.mul(th, th) == k.coerce(2)
+    assert k.mul(k.add(one, th), k.sub(one, th)) == k.coerce(-1)
+    assert k.mul(k.inv(th), th) == one
     # 1/(1+th) = th - 1 since (1+th)(th-1) = th^2 - 1 = 1
-    assert Scalar(1, k) / (1 + th) == th - 1
+    assert k.div(one, k.add(one, th)) == k.sub(th, one)
 
 
 def test_extension_requires_irreducible_minpoly():
@@ -130,9 +123,9 @@ def test_extension_requires_irreducible_minpoly():
 def test_finite_extension_field():
     # F_2[th]/(th^2 + th + 1) = F_4
     f4 = GF(2, extension=(1, 1))
-    th = Scalar(f4.generator(), f4)
-    assert th * th == th + 1
-    assert th ** 3 == Scalar(1, f4)
+    th = f4.generator()
+    assert f4.mul(th, th) == f4.add(th, f4.one())
+    assert f4.pow(th, 3) == f4.one()
     elems = list(f4.elements())
     assert len(elems) == 4
     for e in elems:
@@ -204,7 +197,7 @@ def test_roots_acceptance_shapes():
     # (a+1)^2 (a-1)^2 -> roots {-1, 1}, nothing left over
     f = uv_mul(uv_mul([1, 1], [1, 1], QQ), uv_mul([-1, 1], [-1, 1], QQ), QQ)
     roots, residual = univariate_roots(f, QQ)
-    assert [r.value for r in roots] == [-1, 1]
+    assert roots == [-1, 1]
     assert residual == []
 
 
@@ -212,20 +205,20 @@ def test_roots_rational_and_residual():
     # (2a - 1)(a^2 + 1): one rational root, one irreducible quadratic
     f = uv_mul([-1, 2], [1, 0, 1], QQ)
     roots, residual = univariate_roots(f, QQ)
-    assert [r.value for r in roots] == [Fraction(1, 2)]
+    assert roots == [Fraction(1, 2)]
     assert residual == [(Fraction(1), Fraction(0), Fraction(1))]
 
 
 def test_roots_zero_at_origin():
     roots, residual = univariate_roots([0, 0, -1, 1], QQ)  # a^2 (a - 1)
-    assert [r.value for r in roots] == [0, 1]
+    assert roots == [0, 1]
     assert residual == []
 
 
 def test_roots_over_f3():
     # a^2 - a has roots 0 and 1 over F_3
     roots, residual = univariate_roots([0, -1, 1], GF(3))
-    assert [r.value for r in roots] == [0, 1]
+    assert roots == [0, 1]
     assert residual == []
     # a^2 + 1 is irreducible over F_3
     roots, residual = univariate_roots([1, 0, 1], GF(3))
@@ -259,9 +252,8 @@ def test_roots_inside_quadratic_extension():
     # over Q[th]/(th^2 - 2): a^2 - 2 picks up both th and -th
     k = FieldSpec(0, extension=(-2, 0))
     roots, residual = univariate_roots([k.coerce(-2), k.zero(), k.one()], k)
-    vals = {r.value for r in roots}
     th = k.generator()
-    assert vals == {th, k.neg(th)}
+    assert set(roots) == {th, k.neg(th)}
     assert residual == []
     # a^2 - 3 has no roots there and the limitation is honest
     roots, residual = univariate_roots([k.coerce(-3), k.zero(), k.one()], k)
@@ -362,8 +354,7 @@ def test_rational_factors_agree_with_sympy():
         got = scalars._irreducible_factors(uv_monic(f, QQ), QQ)
         assert [(len(h), tuple(h)) for h in got] == want
         roots, residual = univariate_roots(f, QQ)
-        assert [r.value for r in roots] == sorted(
-            -h[1][0] for h in want if h[0] == 2)
+        assert roots == sorted(-h[1][0] for h in want if h[0] == 2)
         assert residual == [h[1] for h in want if h[0] > 2]
 
 
@@ -392,11 +383,11 @@ def test_extension_factors_agree_with_enumeration(field):
              for _ in range(rng.randint(1, 5))] + [field.one()]
         rad = uv_radical(f, field)
         roots, residual = univariate_roots(f, field)
-        assert [r.value for r in roots] == sorted(
+        assert roots == sorted(
             (x for x in elements if field.is_zero(uv_eval(f, x, field))),
             key=field.sort_key)
         product = [field.one()]
-        for h in [[field.neg(r.value), field.one()] for r in roots] + residual:
+        for h in [[field.neg(r), field.one()] for r in roots] + residual:
             product = uv_mul(product, h, field)
         assert product == rad
         for h in residual:  # irreducible: no monic divisor of low degree
@@ -450,9 +441,9 @@ def test_a_quartic_with_large_values_splits_into_its_quadratics():
 
 
 def test_scalar_hash_consistent():
-    a = Scalar(Fraction(2, 1), QQ)
-    b = Scalar(2, QQ)
-    assert a == b and hash(a) == hash(b)
+    a, b = QQ.coerce(Fraction(2, 1)), QQ.coerce(2)
+    assert QQ.eq(a, b) and QQ.sort_key(a) == QQ.sort_key(b)
+    assert hash(a) == hash(b)
 
 
 def test_property_inverse_round_trip():
@@ -497,13 +488,30 @@ ONE_FIELD_PER_KIND = pytest.mark.parametrize(
     "field", [QQ, GF(7), F5TH], ids=["Q", "F7", "F5th"])
 
 
+@pytest.mark.parametrize(
+    "field", [QQ, GF(7), F5TH, FieldSpec(0, (2, 0))],
+    ids=["Q", "F7", "F5th", "Q(sqrt-2)"])
+def test_roots_are_plain_payloads_sorted_by_the_field(field):
+    # a (a - 1) (a^2 + 2): a^2 + 2 splits as (a - th)(a + th) over the two
+    # extensions by th^2 + 2 and is irreducible over Q and F_7
+    f = uv_mul(uv_mul([0, 1], [-1, 1], QQ), [2, 0, 1], QQ)
+    roots, residual = univariate_roots([field.coerce(c) for c in f], field)
+    payload = tuple if field.extension else (int, Fraction)
+    assert all(isinstance(r, payload) and field.coerce(r) == r
+               for r in roots)
+    assert roots == sorted(roots, key=field.sort_key)
+    want = {field.zero(), field.one()}
+    if field.extension:
+        want |= {field.generator(), field.neg(field.generator())}
+    assert set(roots) == want and len(roots) == len(want)
+    assert residual == ([] if field.extension else [(2, 0, 1)])
+
+
 @ONE_FIELD_PER_KIND
 def test_coerce_rejects_what_is_not_an_int_or_fraction(field):
     for bad in (2.5, 2.0, "3"):
         with pytest.raises(TypeError, match="cannot coerce"):
             field.coerce(bad)
-        with pytest.raises(TypeError, match="cannot coerce"):
-            Scalar(bad, field)
     assert field.coerce(True) == field.one()
 
 

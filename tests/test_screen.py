@@ -66,7 +66,7 @@ def _exhaustive_screen_round(handle, w, *, error, stats):
         v = _call_test(f, g, handle, error=error, stats=stats)
         if v.result == "false":
             return ("false", v, f, g)
-        cand = f - g.scale(v.beta.value)
+        cand = f - g.scale(v.beta)
         escapes.append((wdot(w, m1), cand.key(), cand, v.value))
     if not escapes:
         return ("radical",)

@@ -11,7 +11,6 @@ from algebroid.groebner import buchberger
 from algebroid.polyring import INF, BlockOrder, DegRevLex, RingCtx
 from algebroid.scalars import GF, QQ
 from algebroid.semigroups import (
-    SemigroupSpec,
     conductor,
     gcd_weights,
     membership,
@@ -225,9 +224,9 @@ def test_conductor_definition_holds():
 
 def test_semigroup_spec_validation():
     with pytest.raises(ValueError):
-        SemigroupSpec((0, 3))
+        membership(3, (0, 3))
     with pytest.raises(AllInfinite):
-        SemigroupSpec((INF,))
+        conductor((INF,))
 
 
 def test_oracle_preconditions_hold_under_python_O():
