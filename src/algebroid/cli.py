@@ -42,10 +42,9 @@ from .errors import AlgebroidError, ParseError
 from .groebner import IdealHandle
 from .localalg import initial_ideal, intersection_number
 from .polyring import _EXPONENT_CAP, INF, Poly, RingCtx, parse_poly
-from .scalars import FieldSpec
+from .scalars import _EXT_NAME, FieldSpec
 from .semigroups import conductor, gcd_weights, membership
 
-_EXT_NAME = "th"
 # Coefficient strings read with int instead of Fraction: ASCII digits
 # only.  str.isdigit accepts "²", which Fraction refuses, so every other
 # string is left to Fraction and is accepted or refused as before.
@@ -103,6 +102,7 @@ def parse_ideal_text(text: str,
     char: Optional[int] = None
     ext: Optional[Tuple[int, str]] = None
     names: Optional[tuple] = None
+    names_line = 0
     gen_lines: List[Tuple[int, str]] = []
     in_ideal = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -122,6 +122,7 @@ def parse_ideal_text(text: str,
             ext = (lineno, rest.strip())
         elif head == "vars":
             names = tuple(rest.replace(",", " ").split())
+            names_line = lineno
         else:
             raise ParseError(
                 f"line {lineno}: expected char/ext/vars/ideal:, got {line!r}")
@@ -144,7 +145,10 @@ def parse_ideal_text(text: str,
             raise ParseError(
                 f"variable name {_EXT_NAME!r} is reserved by the ext line")
         field = _extension_field(field, ext[1], ext[0])
-    ctx = RingCtx(field, names)
+    try:
+        ctx = RingCtx(field, names)
+    except ValueError as exc:
+        raise ParseError(f"line {names_line}: {exc}") from None
     parse_ctx = RingCtx(field, (_EXT_NAME,) + names) if ext else ctx
     gens = []
     for lineno, line in gen_lines:

@@ -36,6 +36,7 @@ from .errors import (
     InfiniteWeight,
     NonRadicalSuspected,
     NotPrime,
+    UnitIdeal,
     WrongDimension,
 )
 from .groebner import (
@@ -62,6 +63,7 @@ from .polyring import (
     in_w,
     normal_form,
     ord_w,
+    project,
     wdot,
 )
 from .scalars import FieldSpec, uv_add, uv_mul
@@ -196,8 +198,8 @@ class Certificate:
     for two_tropisms the last is the pencil verdict's one attachment,
     whose order ends each ray.  The quotient ring is that of the base
     generators' ideal I, which the certificate is about: z_j maps to h_j*,
-    its ``fdef`` with earlier names substituted, so the intersection
-    number I_J(z_j) of z_j with J is I_I(h_j*)."""
+    its InvLex remainder modulo the transcript relations, so the
+    intersection number I_J(z_j) of z_j with J is I_I(h_j*)."""
 
     kind: str            # prime_tropism | monomial_witness | two_tropisms
     ideal: IdealHandle
@@ -257,17 +259,23 @@ def _certified_weights(cert: Certificate):
     """Base weights of the certified ideal J, one entry at a time, in the
     base ring, or in J's when there is no transcript: I_J(x_i) = I_I(x_i),
     I_J(z_j) = I_I(h_j*).  Each entry is computed only when it is asked
-    for, so a caller that stops early takes no later intersection number."""
+    for, so a caller that stops early takes no later intersection number.
+
+    h_j* is z_j's InvLex remainder modulo the transcript relations
+    z_k - fdef_k.  By ``_graph_shape_error`` each fdef_k uses only
+    variables before z_k, so z_k leads its relation with coefficient 1.
+    The leads are coprime, so the relations are a Groebner basis
+    (Buchberger's first criterion) and the remainder has no z; being
+    congruent to z_j, it is z_j's image in the base ring."""
     J, nbase, k = cert.ideal, len(cert.base_vars), len(cert.transcript)
-    base = restrict(J.generators[:len(J.generators) - k], J.ctx,
+    head = len(J.generators) - k
+    base = restrict(J.generators[:head], J.ctx,
                     range(nbase, J.ctx.nvars)) if k else J
     for i in range(base.ctx.nvars):
         yield intersection_number(base.ctx.var(i), base)
-    stars: List[Poly] = []
-    for _, fdef in cert.transcript:
-        pad = [base.ctx.zero()] * (k - len(stars))
-        stars.append(fdef.subs(dict(enumerate(stars + pad, nbase))))
-        yield intersection_number(stars[-1], base)
+    for name, _ in cert.transcript:
+        star = normal_form(J.ctx.var(name), J.generators[head:], InvLex())
+        yield intersection_number(project(star, base.ctx, range(nbase)), base)
 
 
 def _tropism_refusal(handle: IdealHandle, w: tuple,
@@ -366,10 +374,14 @@ def _certified(verdict: str, cert: Certificate, stats: dict) -> DecisionReport:
 
 # ------------------------------------------------------------ preconditions
 
+# Every base weight is 0 exactly when the origin is off the curve.
+_OFF_ORIGIN = "the curve does not pass through the origin"
+
+
 def assert_preconditions(ideal) -> IdealHandle:
     """Check dimension, drop variables lying in the ideal (shrinking the
-    ring), and require all-finite base weights.  Radicality is an input
-    contract and is not checked here."""
+    ring), and require positive, finite base weights.  Radicality is an
+    input contract and is not checked here."""
     handle = _as_handle(ideal)
     dim = krull_dimension(handle)
     if dim != 1:
@@ -380,6 +392,8 @@ def assert_preconditions(ideal) -> IdealHandle:
     if members:
         handle = restrict(handle.generators, ctx, members)
     w = base_weights(handle)
+    if 0 in w:
+        raise UnitIdeal(_OFF_ORIGIN)
     if any(e is INF for e in w):
         bad = handle.ctx.variables[[e is INF for e in w].index(True)]
         raise InfiniteWeight(
@@ -670,6 +684,8 @@ def _adjunction_loop(handle: IdealHandle, error: type, *,
     if iter_cap < 1:
         raise ValueError(f"iter_cap must be a positive integer, not {iter_cap}")
     w = base_weights(handle)
+    if 0 in w:
+        raise UnitIdeal(_OFF_ORIGIN)
     if any(e is INF for e in w):
         raise InfiniteWeight(
             "base weights are not all finite; run assert_preconditions")

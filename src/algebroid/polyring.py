@@ -349,38 +349,6 @@ class Poly:
     def __hash__(self):
         return hash((self.ctx, self.key()))
 
-    # substitution ----------------------------------------------------------
-
-    def subs(self, mapping: dict) -> "Poly":
-        """Substitute polynomials for variables; keys are names or indices.
-        Unmapped variables stay themselves."""
-        ctx = self.ctx
-        images = []
-        target_ctx = None
-        for img in mapping.values():
-            if isinstance(img, Poly):
-                target_ctx = img.ctx
-                break
-        target_ctx = target_ctx or ctx
-        for i in range(ctx.nvars):
-            images.append(None)
-        for k, img in mapping.items():
-            i = k if isinstance(k, int) else ctx.index(k)
-            if not isinstance(img, Poly):
-                img = target_ctx.const(img)
-            images[i] = img
-        for i in range(ctx.nvars):
-            if images[i] is None:
-                images[i] = target_ctx.var(ctx.variables[i])
-        out = target_ctx.zero()
-        for m, c in self.terms.items():
-            piece = target_ctx.const(c)
-            for i, e in enumerate(m):
-                if e:
-                    piece = piece * images[i] ** e
-            out = out + piece
-        return out
-
     # display ---------------------------------------------------------------
 
     def __str__(self):
@@ -570,23 +538,12 @@ def _scaled_division(f: Poly, divisors: Sequence[Poly], order: TermOrder,
     return scale, quots, remainder
 
 
-def division(f: Poly, divisors: Sequence[Poly], order: TermOrder,
-             with_quotients: bool = False):
-    """Multivariate division by an ordered list under a global order.
-
-    Returns the remainder, or (quotients, remainder) when requested; no
-    remainder term is divisible by any divisor's leading monomial.  The
-    loop is ``_scaled_division``'s, its scale divided out once."""
-    scale, quots, rem = _scaled_division(f, divisors, order, with_quotients)
-    if scale != 1:
-        inv = f.ctx.field.inv(scale)
-        rem = rem.scale(inv)
-        quots = quots and [q.scale(inv) for q in quots]
-    return (quots, rem) if with_quotients else rem
-
-
 def normal_form(f: Poly, divisors: Sequence[Poly], order: TermOrder) -> Poly:
-    return division(f, divisors, order)
+    """The remainder of f on division by an ordered list under a global
+    order: no term is divisible by any divisor's leading monomial.  The
+    loop is ``_scaled_division``'s, its scale divided out once."""
+    scale, _, rem = _scaled_division(f, divisors, order)
+    return rem if scale == 1 else rem.scale(f.ctx.field.inv(scale))
 
 
 # ------------------------------------------------------------------ parser

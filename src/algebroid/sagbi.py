@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import TruncationExhausted, ZeroPoly
 from .naming import next_single
-from .polyring import INF, Poly, RingCtx
+from .polyring import INF, Poly, RingCtx, ord_w
 from .scalars import FieldSpec, _power
 from .semigroups import conductor, gcd_weights, membership, prim_generators
 
@@ -201,15 +201,26 @@ class Parametrization:
             raise ValueError("polynomial not over the parametrization ring")
         acc = TruncSeries.zero(self.precision, self.field, exact=True)
         for m, c in f.terms.items():
-            piece = TruncSeries.from_terms([(0, c)], self.precision, self.field)
-            for comp, e in zip(self.components, m):
-                if e:
-                    piece = piece * comp ** e
-            acc = acc + piece
+            acc = acc + self._term(m, c)
         return acc
 
-    def leading_coefficients(self):
-        return [s.coefficient(d) for s, d in zip(self.components, self.orders)]
+    def _term(self, m, c) -> TruncSeries:
+        """The series of the term c*x^m at the components."""
+        piece = TruncSeries.from_terms([(0, c)], self.precision, self.field)
+        for comp, e in zip(self.components, m):
+            if e:
+                piece = piece * comp ** e
+        return piece
+
+    def _lead_product(self, m):
+        """The leading coefficient of the series of x^m: the product of
+        the components' leading coefficients to the exponents of m."""
+        field = self.field
+        out = field.one()
+        for s, d, e in zip(self.components, self.orders, m):
+            if e:
+                out = field.mul(out, field.pow(s.coefficient(d), e))
+        return out
 
     def __str__(self):
         return "(" + ", ".join(str(s) for s in self.components) + ")"
@@ -228,7 +239,6 @@ def local_reduce(eta: TruncSeries, xi: Parametrization) -> Tuple[Poly, TruncSeri
         raise ValueError("series does not match the parametrization window")
     field = xi.field
     w = xi.orders
-    lead = xi.leading_coefficients()
     q = xi.ctx.zero()
     zeta = eta
     while True:
@@ -243,17 +253,9 @@ def local_reduce(eta: TruncSeries, xi: Parametrization) -> Tuple[Poly, TruncSeri
         witness = membership(d, w)
         if witness is None:
             return q, zeta
-        denom = field.one()
-        for lc, e in zip(lead, witness):
-            if e:
-                denom = field.mul(denom, field.pow(lc, e))
-        coeff = field.div(zeta.coefficient(d), denom)
+        coeff = field.div(zeta.coefficient(d), xi._lead_product(witness))
         q = q + xi.ctx.mono(witness, coeff)
-        piece = TruncSeries.from_terms([(0, coeff)], xi.precision, field)
-        for comp, e in zip(xi.components, witness):
-            if e:
-                piece = piece * comp ** e
-        zeta = zeta - piece
+        zeta = zeta - xi._term(witness, coeff)
 
 
 def _kernel_binomials(xi: Parametrization) -> List[Poly]:
@@ -263,26 +265,15 @@ def _kernel_binomials(xi: Parametrization) -> List[Poly]:
     ctx = xi.ctx
     field = xi.field
     w = xi.orders
-    lead = xi.leading_coefficients()
     out = []
     for g in prim_generators(w, ctx):
-        ((a, ca), (b, cb)) = sorted(g.terms.items())
+        ((a, ca), (b, _)) = sorted(g.terms.items())
         # normalize to x^a - lam x^b with lam = lead^a / lead^b
-        if field.eq(ca, field.one()):
-            a, b = a, b
-        else:
+        if not field.eq(ca, field.one()):
             a, b = b, a
-        num = field.one()
-        den = field.one()
-        for lc, (ea, eb) in zip(lead, zip(a, b)):
-            if ea:
-                num = field.mul(num, field.pow(lc, ea))
-            if eb:
-                den = field.mul(den, field.pow(lc, eb))
-        lam = field.div(num, den)
+        lam = field.div(xi._lead_product(a), xi._lead_product(b))
         out.append(ctx.mono(a) - ctx.mono(b, lam))
-    wdeg = lambda p: min(sum(e * wi for e, wi in zip(m, w)) for m in p.terms)
-    out.sort(key=lambda p: (wdeg(p), sorted(p.terms)))
+    out.sort(key=lambda p: (ord_w(p, w), sorted(p.terms)))
     return out
 
 

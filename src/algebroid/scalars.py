@@ -51,6 +51,7 @@ from .errors import AlgebroidError, DivisionByZero, SolverLimitation, ZeroPoly
 
 _ENUM_CAP = 4096        # largest finite field given log tables or enumerated
 _SUBSET_CAP = 1024      # most factor subsets recombined over Q
+_EXT_NAME = "th"        # the extension generator's name in payloads and ideal files
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -200,14 +201,13 @@ class FieldSpec:
     Construction also binds ``add``, ``sub``, ``neg``, ``mul``, ``inv`` and
     ``is_zero`` as instance attributes, chosen once by field kind (see the
     module docstring); finite extensions with ``size() <= _ENUM_CAP``
-    multiply and invert through shared log tables.  Only the three
+    multiply and invert through shared log tables.  Only the two
     dataclass fields take part in equality, hashing, ``repr`` and
     pickling, which rebuilds the field through its constructor.
     """
 
     characteristic: int = 0
     extension: Optional[tuple] = None
-    ext_var: str = "th"
 
     def __post_init__(self):
         p = self.characteristic
@@ -233,7 +233,7 @@ class FieldSpec:
             object.__setattr__(self, name, fn)
 
     def __reduce__(self):
-        return (FieldSpec, (self.characteristic, self.extension, self.ext_var))
+        return (FieldSpec, (self.characteristic, self.extension))
 
     # -------------------------------------------------------- structure
 
@@ -365,7 +365,7 @@ class FieldSpec:
             if i == 0:
                 parts.append(str(c))
             else:
-                head = self.ext_var if i == 1 else f"{self.ext_var}^{i}"
+                head = _EXT_NAME if i == 1 else f"{_EXT_NAME}^{i}"
                 parts.append(head if base.eq(c, base.one()) else f"{c}*{head}")
         if not parts:
             return "0"
@@ -402,8 +402,8 @@ class FieldSpec:
             return "Q"
         if self.extension is None:
             return f"F{self.characteristic}"
-        body = uv_str(list(self.extension) + [self.base().one()], self.base(), self.ext_var)
-        return f"{self.base()}[{self.ext_var}]/({body})"
+        body = uv_str(list(self.extension) + [self.base().one()], self.base(), _EXT_NAME)
+        return f"{self.base()}[{_EXT_NAME}]/({body})"
 
 
 QQ = FieldSpec(0)

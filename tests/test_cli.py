@@ -164,6 +164,24 @@ UNTRUSTED_INPUT_REFUSALS = {
                       None, "line 2: defining polynomial is reducible"),
     "zero-generators": ("char 0\nvars x y\nideal:\nx - x\n0\n", None,
                         "the ideal has no nonzero generator"),
+    "char-x": ("char x\nvars x y\nideal:\ny^2 - x^3\n", None,
+               "line 1: 'char' expects an integer, got 'x'"),
+    "char-negative": ("char -3\nvars x y\nideal:\ny^2 - x^3\n", None,
+                      "characteristic must be 0 or a prime"),
+    "vars-bad-name": ("char 0\nvars x 2y\nideal:\nx^2 - x^3\n", None,
+                      "line 2: bad variable name '2y'"),
+    "vars-non-ascii": ("char 0\nvars \u00e9 y\nideal:\ny^2 - y^3\n", None,
+                       "line 2: bad variable name '\u00e9'"),
+    "vars-empty": ("char 0\nvars\nideal:\ny^2 - x^3\n", None,
+                   "missing 'vars <names>' line"),
+    "ext-degree-one": ("char 3\next th\nvars x y\nideal:\ny^2 - x^3\n", None,
+                       "line 2: extension degree must be at least two"),
+    "ext-foreign-variable": ("char 3\next th^2 + y\nvars x y\nideal:\n"
+                             "y^2 - x^3\n", None, "line 2: bad extension "
+                             "polynomial: unknown variable 'y'"),
+    "ext-reducible-over-F5": ("char 5\next th^2 + 1\nvars x y\nideal:\n"
+                              "y^2 - x^3\n", None,
+                              "line 2: defining polynomial is reducible"),
     "weights-not-integers": (CUSP, "1,x", "weights must be integers: '1,x'"),
     "weights-not-positive": (CUSP, "0,1", "weights must be positive"),
 }
@@ -176,6 +194,14 @@ def test_a_malformed_ideal_file_or_weight_vector_exits_two(
     argv = ["decide"] if weights is None else ["tropism", "--weights", weights]
     code, out, err = run(capsys, *argv, write(tmp_path, text))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["decide", "semigroup"])
+@pytest.mark.parametrize("text", ["x - 1", "1 + x"])
+def test_a_curve_off_the_origin_exits_two(tmp_path, capsys, command, text):
+    path = write(tmp_path, f"char 0\nvars x y\nideal:\n{text}\n")
+    assert run(capsys, command, path) == (
+        2, "", "error: the curve does not pass through the origin\n")
 
 
 def test_wrong_dimension_exits_two(tmp_path, capsys):

@@ -16,6 +16,7 @@ from algebroid import decide, groebner, parametric
 from algebroid.cli import certificate_from_json, certificate_json
 from algebroid.decide import (
     Certificate,
+    _certified_weights,
     _initial_handle,
     _monomial_free,
     assert_preconditions,
@@ -30,6 +31,7 @@ from algebroid.errors import (
     NonRadicalSuspected,
     NotPrime,
     TruncationExhausted,
+    UnitIdeal,
     WrongDimension,
 )
 from algebroid.groebner import (
@@ -41,7 +43,7 @@ from algebroid.groebner import (
 from algebroid.localalg import (base_weights, initial_ideal,
                                 intersection_number)
 from algebroid.parametric import choose_pivot, parametric_intersection
-from algebroid.polyring import RingCtx, embed, in_w, parse_poly
+from algebroid.polyring import Poly, RingCtx, embed, in_w, parse_poly
 from algebroid.scalars import GF, QQ, FieldSpec
 from algebroid.semigroups import membership
 from pencil_attachments import two_attachment_ideal
@@ -665,6 +667,17 @@ def test_preconditions_reject_a_branch_on_a_coordinate_axis():
     _assert_infinite_weight_names("y*(y - x^2)", "y")
 
 
+@pytest.mark.parametrize("text", ["x - 1", "1 + x"])
+def test_a_curve_off_the_origin_is_the_unit_ideal(text):
+    """Every base weight is 0 off the origin; both entry points refuse
+    that too, for callers that skip the preconditions."""
+    I, _ = plane_ideal(text)
+    for entry in (assert_preconditions, decide_irreducible, value_semigroup):
+        with pytest.raises(UnitIdeal, match="does not pass through the "
+                           "origin"):
+            entry(I)
+
+
 def test_preconditions_reject_wrong_dimension():
     ctx = RingCtx(QQ, ("x", "y", "z"))
     with pytest.raises(WrongDimension):
@@ -1165,6 +1178,47 @@ def test_a_bumped_base_weight_is_refused_at_its_own_entry(field):
                     "tropism"))
             assert [str(f) for f in taken] == list(cert.base_vars[:i + 1])
     assert with_transcript
+
+
+def _random_definition(rng, ctx, nvars):
+    """A definition of up to three terms of degree one or two in the
+    first nvars variables, zero at the origin."""
+    field = ctx.field
+    items = []
+    for _ in range(rng.randint(1, 3)):
+        e = [0] * ctx.nvars
+        for _ in range(rng.randint(1, 2)):
+            e[rng.randrange(nvars)] += 1
+        if field.extension is not None:
+            c = tuple(rng.randint(0, 4) for _ in range(field.degree))
+        else:
+            c = rng.randint(-3, 3)
+        items.append((tuple(e), field.coerce(c)))
+    return Poly.from_items(items, ctx)
+
+
+@pytest.mark.parametrize("field", (QQ, GF(7), GF(5, (2, 0))), ids=str)
+def test_base_ring_weights_of_random_transcripts_match_the_ring(field):
+    """On random graph-shaped certificates over the cusp, the base-ring
+    weights, which read each h_j* as a normal form, equal the weights of
+    the certified ideal itself, which never forms h_j*."""
+    rng = random.Random(f"transcript-{field!r}")
+    for _ in range(20):
+        names = ("z", "u", "v")[:rng.randint(2, 3)]
+        ctx = RingCtx(field, ("x", "y") + names)
+        defs = []
+        for j in range(len(names)):
+            f = ctx.zero()
+            while f.is_zero():
+                f = _random_definition(rng, ctx, 2 + j)
+            defs.append(f)
+        gens = [parse_poly("y^2 - x^3", ctx)] + [
+            ctx.var(n) - f for n, f in zip(names, defs)]
+        cert = Certificate("prime_tropism", IdealHandle(gens, ctx), (),
+                           ("x", "y"), tuple(zip(names, defs)))
+        assert decide._graph_shape_error(cert) is None
+        assert tuple(_certified_weights(cert)) == \
+            base_weights(IdealHandle(gens, ctx))
 
 
 # ------------------------------------------------------------ the shared loop

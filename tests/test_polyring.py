@@ -17,8 +17,8 @@ from algebroid.polyring import (
     DegRevLex,
     HomogenizedLocalOrder,
     Poly,
+    InvLex,
     RingCtx,
-    division,
     embed,
     in_w,
     mono_divisible,
@@ -198,7 +198,7 @@ def test_division_properties():
     f = CTX.poly("x^2*y + x*y^2 + y^2")
     g1 = CTX.poly("x*y - 1")
     g2 = CTX.poly("y^2 - 1")
-    quots, rem = division(f, [g1, g2], order, with_quotients=True)
+    quots, rem = _division(f, [g1, g2], order)
     assert quots[0] * g1 + quots[1] * g2 + rem == f
     for m in rem.terms:
         assert not mono_divisible(m, g1.lead(order)[0])
@@ -221,10 +221,13 @@ def test_embed_and_subs():
     f = CTX.poly("y^2 - x^3")
     g = embed(f, big)
     assert g.ctx == big and g.terms == {(0, 2, 0, 0): 1, (3, 0, 0, 0): -1}
-    t_ring = RingCtx(QQ, ("t",))
-    t = t_ring.var("t")
-    h = f.subs({"x": t ** 2, "y": t ** 3, "z": t_ring.zero()})
-    assert h.is_zero()
+    # y^2 - x^3 vanishes at (t^2, t^3): under InvLex in (t, x, y) the
+    # relations lead with x and y, so its remainder is its image in t
+    ring = RingCtx(QQ, ("t", "x", "y"))
+    relations = [ring.poly("x - t^2"), ring.poly("y - t^3")]
+    assert normal_form(ring.poly("y^2 - x^3"), relations, InvLex()).is_zero()
+    assert normal_form(ring.poly("y^2 - x^2"), relations, InvLex()) == \
+        ring.poly("t^6 - t^4")
 
 
 def test_embed_lifts_into_a_simple_extension_only():
@@ -297,7 +300,7 @@ def test_division_matches_the_max_scan_reference(field):
             f = _random_field_poly(rng, ctx, 8)
             divisors = [g for g in (_random_field_poly(rng, ctx, 4)
                                     for _ in range(rng.randint(1, 3))) if g]
-            quots, rem = division(f, divisors, order, with_quotients=True)
+            quots, rem = _division(f, divisors, order)
             ref_quots, ref_rem = division_maxscan(
                 f.terms, [g.terms for g in divisors], order.key, field)
             # same terms, reached in the same order
@@ -306,6 +309,16 @@ def test_division_matches_the_max_scan_reference(field):
                 [list(q.items()) for q in ref_quots]
             assert normal_form(f, divisors, order) == rem
             assert _combination(quots, divisors, rem) == f
+
+
+def _division(f, divisors, order):
+    """(quotients, remainder) with f = sum(q_k * g_k) + r: the one
+    division loop with its scale s divided out."""
+    s, quots, rem = _scaled_division(f, divisors, order, True)
+    if s != 1:
+        inv = f.ctx.field.inv(s)
+        quots, rem = [q.scale(inv) for q in quots], rem.scale(inv)
+    return quots, rem
 
 
 def _combination(quots, divisors, rem):
@@ -327,7 +340,7 @@ def test_division_gives_back_its_dividend_under_every_order(field):
     divisors = [ctx.poly("-2*x*h^2 + 2*x*y - 3*x*h - 6*y^2"),
                 ctx.poly("-8*x^2*y^3*h^3 - 8*x^3*y - 11*x*y^2*h")]
     for order in DIVISION_ORDERS:
-        quots, rem = division(f, divisors, order, with_quotients=True)
+        quots, rem = _division(f, divisors, order)
         assert _combination(quots, divisors, rem) == f, order
 
 
@@ -343,8 +356,8 @@ def _random_integer_poly(rng, ctx, nterms):
 def test_integer_division_matches_the_max_scan_reference():
     """Over Q with integer coefficients each step is a multiple of the
     field step: ``_scaled_division`` returns s*f = sum(q*g) + r with s
-    times the reference remainder, and ``division`` divides s out to give
-    the reference itself, term order included."""
+    times the reference remainder, and dividing s out gives the
+    reference itself, term order included, as ``normal_form`` does."""
     ctx = RingCtx(QQ, ("x", "y", "h"))
     rng = random.Random(37)
     scaled = 0
@@ -363,7 +376,7 @@ def test_integer_division_matches_the_max_scan_reference():
             assert list(rem.terms.items()) == \
                 [(m, s * c) for m, c in ref_rem.items()]
             assert _combination(quots, divisors, rem) == f.scale(s)
-            quots, rem = division(f, divisors, order, with_quotients=True)
+            quots, rem = _division(f, divisors, order)
             assert list(rem.terms.items()) == list(ref_rem.items())
             assert [list(q.terms.items()) for q in quots] == \
                 [list(q.items()) for q in ref_quots]
