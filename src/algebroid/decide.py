@@ -199,7 +199,10 @@ class Certificate:
     whose order ends each ray.  The quotient ring is that of the base
     generators' ideal I, which the certificate is about: z_j maps to h_j*,
     its InvLex remainder modulo the transcript relations, so the
-    intersection number I_J(z_j) of z_j with J is I_I(h_j*)."""
+    intersection number I_J(z_j) of z_j with J is I_I(h_j*).  A
+    monomial_witness's monomial lies in the initial ideal K of J at J's
+    base weights; it is read from J's generators or from K alone, not
+    from the standard basis that found K (``_monomial_witness``)."""
 
     kind: str            # prime_tropism | monomial_witness | two_tropisms
     ideal: IdealHandle
@@ -524,13 +527,15 @@ def _monomial_witness(handle: IdealHandle, w: tuple) -> Optional[Poly]:
     """A monic monomial inside the weighted initial ideal K, None if K is
     monomial-free (by the sliced test of ``_monomial_free``).  It is the
     first one that appears as the initial form of a generator, else in
-    K's generators, else x_0^a * (x_1...x_{n-1})^s with the s of
-    ``_slice_power`` and the least a, found by normal forms in K."""
+    K's reduced InvLex basis, else x_0^a * (x_1...x_{n-1})^s with the s
+    of ``_slice_power`` and the least a, found by normal forms in K.  So
+    the witness depends on the generators and K, not on the standard
+    basis whose initial forms generate K."""
     if _monomial_free(handle, w):
         return None
     ctx = handle.ctx
     m = (_form_monomial(handle.generators, w)
-         or _form_monomial(_initial_handle(handle, w).generators, w))
+         or _form_monomial(_initial_handle(handle, w).groebner(), w))
     if m is not None:
         return ctx.mono(m)
     K, x0 = _initial_handle(handle, w), ctx.var(0)

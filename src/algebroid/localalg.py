@@ -4,9 +4,14 @@ A standard basis of an ideal with respect to the local order 'smallest
 w-degree first, inverse lex among equals' is computed by homogenizing
 the generators with an extra variable, running Buchberger under a
 compatible global order (``polyring.HomogenizedLocalOrder``), and
-setting the homogenizing variable back to 1.  Inverse lex makes the last
-variable the largest, so an adjoined coordinate, always last, leads its
-own relation and is eliminated by it.
+setting the homogenizing variable back to 1 (Lazard).  The homogenizing
+grading v need not be w: each adjoined coordinate z with a graph
+relation z - fdef is graded within fdef's own degrees, every other
+variable by w (``_grading``).  Graded by its weight, an intersection
+number above fdef's degrees, z would pad its relation with h and fill
+the basis with rows that are redundant at h = 1.  Inverse lex makes the
+last variable the largest, so an adjoined coordinate, always last, leads
+its own relation and is eliminated by it.
 Everything downstream (initial ideals, colengths, intersection numbers,
 base weights) reads off the local leading monomials of such a basis or
 its initial forms.  Neither depends on the tails, so the basis is the
@@ -67,31 +72,68 @@ def hom_ring(ctx: RingCtx) -> RingCtx:
     return ctx.extend((next_single(ctx.variables, ("h",)),))
 
 
-def homogenize(f: Poly, w: tuple, big: RingCtx) -> Poly:
+def homogenize(f: Poly, v: tuple, big: RingCtx) -> Poly:
     """Pad each term with a power of the last variable of ``big`` so the
-    result is w-homogeneous of degree max_t(w . t)."""
+    result is (v, 1)-homogeneous of degree max_t(v . t)."""
     if f.is_zero():
         raise ZeroPoly("cannot homogenize the zero polynomial")
-    top = max(wdot(w, m) for m in f.terms)
-    return Poly({m + (top - wdot(w, m),): c for m, c in f.terms.items()}, big)
+    top = max(wdot(v, m) for m in f.terms)
+    return Poly({m + (top - wdot(v, m),): c for m, c in f.terms.items()}, big)
 
 
 def dehomogenize(F: Poly, ctx: RingCtx) -> Poly:
     """Set the trailing homogenizing variable to 1.  F must be homogeneous
-    for the weights with the last variable's weight 1, as ``homogenize``
+    for a grading with the last variable's weight 1, as ``homogenize``
     and the homogenized basis give it: then two terms never share their
     other exponents, and no terms merge."""
     return Poly({m[:-1]: c for m, c in F.terms.items()}, ctx)
 
 
+def _grading(generators: Sequence[Poly], w: tuple) -> tuple:
+    """The homogenizing grading v for the local order at w.  Variables are
+    taken in order, starting from v = w.  A variable x_i that a generator
+    holds as a lone linear term c*x_i, its other terms in earlier
+    variables only and none of them constant, has a graph relation
+    c*x_i - fdef; then v_i is w_i clamped into [ord_v(fdef), deg_v(fdef)].
+    Every other variable keeps w_i."""
+    v = list(w)
+    for i in range(len(v)):
+        unit = tuple(int(j == i) for j in range(len(v)))
+        for g in generators:
+            fdef = [m for m in g.terms if m != unit]
+            if unit in g.terms and fdef and all(
+                    any(m[:i]) and not any(m[i:]) for m in fdef):
+                degrees = [wdot(v, m) for m in fdef]
+                v[i] = min(max(w[i], min(degrees)), max(degrees))
+                break
+    return tuple(v)
+
+
 def _hom_groebner(handle: IdealHandle, w: tuple):
     """The homogenized minimal Groebner basis for the weighted local order,
-    with its ring and order, from the handle's memo."""
+    with its ring and order, from the handle's memo.  The generators are
+    homogenized by the grading v of ``_grading``, a function of them and
+    w, so the memo key holds w alone.
+
+    Any positive grading v gives a standard basis (Lazard, EUROCAL 1983;
+    Greuel & Pfister, section 1.7).  Homogenize f by (v, 1) to f^h, and let
+    the F_i^h be the homogenized generators of I.
+    - For a (v, 1)-homogeneous F the first entry of the order's key is
+      constant, so LM(F) = x^a * h^e, where x^a is the local lead of
+      F(x, 1).  The basis elements are (v, 1)-homogeneous, so each sets
+      h = 1 to an element of I with the local lead of its own lead.
+    - For f in I, h^m * f^h lies in the ideal of the F_i^h for some m.
+      Multiplying by h keeps leads, so some basis lead x^b * h^c divides
+      h^m * LM(f^h), and x^b divides LM_loc(f).
+    - Units change no local lead, so this covers I * K[[x]].
+    Nothing in the argument ties v to w: v decides only how many rows
+    Buchberger builds on the way."""
     def build():
         big = hom_ring(handle.ctx)
-        order = HomogenizedLocalOrder(w)
-        hom = [homogenize(g, w, big) for g in handle.generators
-               if not g.is_zero()]
+        gens = [g for g in handle.generators if not g.is_zero()]
+        v = _grading(gens, w)
+        order = HomogenizedLocalOrder(w, v)
+        hom = [homogenize(g, v, big) for g in gens]
         return buchberger(hom, order, reduced=False), big, order
     return handle.cached(("hom", w), build)
 

@@ -94,17 +94,21 @@ class BlockOrder(TermOrder):
 @dataclass(frozen=True)
 class HomogenizedLocalOrder(TermOrder):
     """Global order on K[x_1..x_n, h] (h last) whose leading terms, after
-    setting h = 1 on a w-homogenized polynomial, realize the local order
-    'smallest w-degree first, inverse lex among equals'.  Inverse lex
-    makes the last variable the largest, so an adjoined coordinate,
-    always last, leads its own relation."""
+    setting h = 1 on a polynomial homogeneous for (grading, 1), realize
+    the local order 'smallest w-degree first, inverse lex among equals'
+    with w = ``weights``.  The first key entry is constant on such a
+    polynomial, so the other two pick its lead.  Any positive grading
+    serves (``localalg._hom_groebner``).  Inverse lex makes the last
+    variable the largest, so an adjoined coordinate, always last, leads
+    its own relation."""
 
-    weights: tuple  # positive integer weights for the x-variables only
+    weights: tuple  # the local order's positive weights, x-variables only
+    grading: tuple  # positive homogenising weights, x-variables only
 
     def key(self, mono):
         a = mono[:-1]
-        wa = sum(map(operator.mul, self.weights, a))
-        return (wa + mono[-1], -wa, a[::-1])
+        return (sum(map(operator.mul, self.grading, a)) + mono[-1],
+                -sum(map(operator.mul, self.weights, a)), a[::-1])
 
 
 # ------------------------------------------------------------------- ring

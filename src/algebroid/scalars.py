@@ -573,7 +573,10 @@ def uv_radical(f, field: FieldSpec) -> list:
         return _uv_trim([_pth_root_payload(c, field) for c in rad_g], field)
     common = uv_gcd(f, d, field)
     w = _uv_exact_div(f, common, field, "squarefree part")
-    # strip the factors already in w out of the leftover part
+    if not field.characteristic:
+        return w        # f / gcd(f, f') is the radical in characteristic 0
+    # strip the factors already in w out of the leftover part; what stays
+    # is a p-th power
     rest = common
     while True:
         shared = uv_gcd(rest, w, field)

@@ -175,12 +175,13 @@ def test_minor_relations_monomial_witness():
     assert verify_certificate(rep.certificate) == (True, "ok")
 
 
-# A curve whose monomial witness comes from the initial ideal's basis,
-# not from a generator's initial form: the bend of its attachment leaves
-# no generator monomial at w = (6, 9, 22).
+# A curve whose monomial witness comes from the initial ideal's reduced
+# basis, not from a generator's initial form: the bend of its attachment
+# leaves no generator monomial at w = (6, 9, 22).  K's reduced basis holds
+# the one monomial x^7*z.
 BASIS_WITNESS_PINS = {
-    "Q": "e83d290753fb8804050c07932b00f59cbaad5c6ef07ba0a74c43b7650134a730",
-    "F101": "64b597e61933164a103575416593d09bf3dd756d647c317813539bd375e0352a",
+    "Q": "a330007e112231030cb73c2988889d3e6ffe3256b94e5806ca9478dcbb7ae766",
+    "F101": "ed7196037a68947045790c85688e0882499ef1764f59b29efb0ef6dbd609e50d",
 }
 
 
@@ -207,7 +208,8 @@ def test_a_monomial_witness_from_the_initial_ideal_basis(fid, monkeypatch):
     (handle, w, wit), = [c for c in calls if c[2] is not None]
     assert w == (6, 9, 22)
     assert all(len(in_w(g, w).terms) > 1 for g in handle.generators)
-    assert wit in _initial_handle(handle, w).generators
+    assert wit == parse_poly("x^7*z", handle.ctx)
+    assert wit in _initial_handle(handle, w).groebner()
     assert verify_certificate(rep.certificate) == (True, "ok")
     text = json.dumps(certificate_json(rep.certificate), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == BASIS_WITNESS_PINS[fid]

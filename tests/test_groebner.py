@@ -114,7 +114,7 @@ GROEBNER_ORDERS = (
     DegRevLex(),
     WeightedOrder((INF, 2, 3), BlockOrder(1, Lex(), WeightedOrder((2, 3)))),
     BlockOrder(1),
-    HomogenizedLocalOrder((2, 3)),
+    HomogenizedLocalOrder((2, 3), (2, 3)),
 )
 
 
@@ -295,7 +295,7 @@ def test_spoly_matches_the_reference(field):
     ctx = RingCtx(field, ("x", "y", "h"))
     rng = random.Random(53)
     cancelled = 0
-    for order in (Lex(), DegRevLex(), HomogenizedLocalOrder((2, 3))):
+    for order in (Lex(), DegRevLex(), HomogenizedLocalOrder((2, 3), (2, 3))):
         for k in range(40):
             f = _random_field_poly(rng, ctx, 5)
             g = _random_field_poly(rng, ctx, 5)

@@ -1,10 +1,12 @@
-"""The local order's tie-break: InvLex and HomogenizedLocalOrder are
-monomial orders, the answers a decide reads from local standard bases
-(initial ideals and intersection numbers) are those of the old
-DegRevLex tie-break, and every ordering of the variables of the table
-curves still decides as expected."""
+"""The local order's tie-break and homogenizing grading: InvLex and
+HomogenizedLocalOrder are monomial orders, the answers a decide reads
+from local standard bases (initial ideals and intersection numbers) are
+those of the old DegRevLex tie-break and of the grading by the weights,
+and every ordering of the variables of the table curves still decides
+as expected."""
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from math import prod
@@ -12,20 +14,24 @@ from math import prod
 import pytest
 
 from algebroid import decide, localalg, parametric
-from algebroid.decide import decide_irreducible
+from algebroid.decide import _initial_handle, decide_irreducible
 from algebroid.groebner import IdealHandle, buchberger
-from algebroid.localalg import initial_ideal, intersection_number
+from algebroid.localalg import (base_weights, initial_ideal,
+                                intersection_number, local_colength,
+                                local_lead_monomials)
 from algebroid.polyring import (
     DegRevLex,
     HomogenizedLocalOrder,
     InvLex,
     RingCtx,
     TermOrder,
+    mono_divisible,
     mono_mul,
 )
 from algebroid.scalars import GF, QQ
 
 from test_decide import (
+    F5TH,
     NOT_RADICAL_OVER_F2,
     PRIME_TOWER_CURVES,
     SLICE_FIELDS,
@@ -55,16 +61,20 @@ def _invlex_cases(draw):
 
 @st.composite
 def _local_cases(draw):
-    """Half of the pairs tie on weighted degree and h-exponent, as
-    a + w_i*e_j and a + w_j*e_i, so the tie-break decides them."""
+    """Half of the gradings v are the weights w, half are drawn apart.
+    Half of the pairs tie on v-degree and h-exponent, as a + v_i*e_j and
+    a + v_j*e_i, so the w-degree decides them, or the tie-break when v is
+    w."""
     w = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=4)))
+    v = w if draw(st.booleans()) else tuple(
+        draw(st.lists(st.integers(1, 9), min_size=len(w), max_size=len(w))))
     a, b, c = draw(_monomials(len(w) + 1, 3))
     if len(w) > 1 and draw(st.booleans()):
         i, j = draw(st.lists(st.integers(0, len(w) - 1), min_size=2,
                              max_size=2, unique=True))
-        b = tuple(e + (w[j] if k == i else 0) for k, e in enumerate(a))
-        a = tuple(e + (w[i] if k == j else 0) for k, e in enumerate(a))
-    return HomogenizedLocalOrder(w), (a, b, c)
+        b = tuple(e + (v[j] if k == i else 0) for k, e in enumerate(a))
+        a = tuple(e + (v[i] if k == j else 0) for k, e in enumerate(a))
+    return HomogenizedLocalOrder(w, v), (a, b, c)
 
 
 def _check_monomial_order(order, a, b, c):
@@ -101,11 +111,11 @@ def test_homogenized_local_order_is_a_monomial_order_refining_the_degrees(
         case):
     order, (a, b, c) = case
     _check_monomial_order(order, a, b, c)
-    w = order.weights
+    w, v = order.weights, order.grading
 
     def degrees(m):
-        wa = sum(wi * e for wi, e in zip(w, m))
-        return (wa + m[-1], -wa)
+        return (sum(vi * e for vi, e in zip(v, m)) + m[-1],
+                -sum(wi * e for wi, e in zip(w, m)))
 
     if degrees(a) < degrees(b):
         assert order.key(a) < order.key(b)
@@ -118,11 +128,13 @@ class _DegRevLexTieOrder(TermOrder):
     """The homogenized local order with its former DegRevLex tie-break."""
 
     weights: tuple
+    grading: tuple
 
     def key(self, mono):
         a, c = mono[:-1], mono[-1]
         wa = sum(wi * ai for wi, ai in zip(self.weights, a))
-        return (wa + c, -wa, (sum(a), tuple(-e for e in reversed(a))))
+        va = sum(vi * ai for vi, ai in zip(self.grading, a))
+        return (va + c, -wa, (sum(a), tuple(-e for e in reversed(a))))
 
 
 def _under_the_old_tie_break(answer):
@@ -206,6 +218,69 @@ def test_seeded_plane_products_read_the_old_tie_breaks_answers(field):
         _check_against_the_old_tie_break(
             IdealHandle([f], ctx),
             "reducible" if len(cs) >= 2 else "irreducible")
+
+
+# ---------------------------------- the grading, against grading by w
+
+def _graph_ideal(rng, field, k):
+    """The curve (y^a - c x^b)^2 - c' x^(2b+1) with k = 1 or 2 adjoined
+    coordinates, by graph relations z - fdef_1 and maybe u - fdef_2, where
+    fdef_1 = y^a - c x^b and fdef_2 = z^2 - c' x^(2b+1), as a tower of
+    approximate roots has them.  One definition ends in a high-degree
+    tail, as a bent attachment does."""
+    ctx = RingCtx(field, ("x", "y", "z", "u")[:2 + k])
+    x, y = ctx.var(0), ctx.var(1)
+    c, c2 = (ctx.const(e) for e in rng.sample(
+        [e for e in _distinct_scalars(rng, field, 9)
+         if not field.is_zero(field.coerce(e))], 2))
+    b, a = rng.choice([(2, 3), (3, 2), (3, 4)])
+    curve = (y ** a - c * x ** b) ** 2 - c2 * x ** (2 * b + 1)
+    defs = [y ** a - c * x ** b]
+    if k == 2:
+        defs.append(ctx.var(2) ** 2 - c2 * x ** (2 * b + 1))
+    bent = rng.randrange(k)
+    defs[bent] = defs[bent] + c * x ** rng.randint(2 * b + 2, 3 * b + 1)
+    return ([curve] + [ctx.var(2 + j) - fdef for j, fdef in enumerate(defs)],
+            ctx)
+
+
+def _local_answers(gens, ctx, w):
+    """Minimal local leads at w, the colengths of the ideal's sums with
+    (x) and with (y), and the reduced basis of the initial ideal K at w,
+    each on a fresh handle."""
+    def fresh(extra=()):
+        return IdealHandle(tuple(gens) + extra, ctx)
+
+    leads = set(local_lead_monomials(fresh(), w))
+    minimal = sorted(m for m in leads if not any(
+        o != m and mono_divisible(m, o) for o in leads))
+    return (minimal, local_colength(fresh((ctx.var(0),))),
+            local_colength(fresh((ctx.var(1),))),
+            _initial_handle(fresh(), w).groebner())
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), F5TH], ids=["Q", "F7", "F5th"])
+def test_the_grading_reads_the_answers_of_grading_by_the_weights(field):
+    """At the base weights, at adjoined weights shifted from them, and at
+    all-ones weights, where colengths are taken: the grading lowers some
+    adjoined weights to the top degree of their definitions and raises
+    others to the lowest.  The all-ones runs of two adjoined coordinates
+    under v = w take seconds, so they are left out."""
+    rng = random.Random(f"grading-{field!r}")
+    lowered = raised = False
+    for k in (1, 2) * 2:
+        gens, ctx = _graph_ideal(rng, field, k)
+        bw = base_weights(IdealHandle(gens, ctx))
+        shifted = bw[:2] + tuple(e + rng.randint(-2, 4) for e in bw[2:])
+        for w in (bw, shifted) + ((1,) * ctx.nvars,) * (k == 1):
+            v = localalg._grading(gens, w)
+            lowered |= any(map(operator.lt, v, w))
+            raised |= any(map(operator.gt, v, w))
+            got = _local_answers(gens, ctx, w)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(localalg, "_grading", lambda gens, w: w)
+                assert _local_answers(gens, ctx, w) == got, (gens, w)
+    assert lowered and raised
 
 
 # ------------------------------------------------- variable orderings

@@ -279,9 +279,10 @@ def _reduced_hom_groebner(handle, w):
     homogenised generators, kept under a key of its own."""
     def build():
         big = hom_ring(handle.ctx)
-        order = HomogenizedLocalOrder(w)
-        hom = [homogenize(g, w, big) for g in handle.generators
-               if not g.is_zero()]
+        gens = [g for g in handle.generators if not g.is_zero()]
+        v = localalg._grading(gens, w)
+        order = HomogenizedLocalOrder(w, v)
+        hom = [homogenize(g, v, big) for g in gens]
         return buchberger(hom, order), big, order
     return handle.cached(("reduced hom", w), build)
 

@@ -1,6 +1,6 @@
-"""The scalar, semigroup, local algebra, decide, parametric, case-2 ray
-and acceptance tests under ``python -O``, and lints that keep plain
-``assert``, unused imports, private definitions and constants nothing
+"""The scalar, semigroup, local algebra, local order, decide, parametric,
+case-2 ray and acceptance tests under ``python -O``, and lints that keep
+plain ``assert``, unused imports, private definitions and constants nothing
 in the library reads, public definitions nothing in the library,
 the demos or the benchmark reads, and error classes the library never
 raises or catches out of the library.
@@ -19,9 +19,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = ("tests/test_scalars.py", "tests/test_semigroups.py",
-         "tests/test_localalg.py", "tests/test_decide.py",
-         "tests/test_parametric.py", "tests/test_case2_rays.py",
-         "tests/test_acceptance.py")
+         "tests/test_localalg.py", "tests/test_local_order.py",
+         "tests/test_decide.py", "tests/test_parametric.py",
+         "tests/test_case2_rays.py", "tests/test_acceptance.py")
 # (module, function) -> number of plain asserts allowed there.
 ALLOWED_ASSERTS = {}
 

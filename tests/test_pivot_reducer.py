@@ -58,7 +58,7 @@ class _HomogenisedReducer(parametric.FreeBasis):
         self.field = ctx.field
         self.big = hom_ring(ctx)
         w = (1,) * ctx.nvars
-        self.order = HomogenizedLocalOrder(w)
+        self.order = HomogenizedLocalOrder(w, w)
         rows = [(homogenize(g, w, self.big), self.big.zero())
                 for g in handle.generators]
         rows.append((homogenize(ctx.var(pivot), w, self.big), self.big.one()))

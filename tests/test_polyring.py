@@ -208,7 +208,7 @@ def test_division_properties():
 
 def test_homogenized_local_order_prefers_small_weight():
     ctx = RingCtx(QQ, ("x", "y", "h"))
-    order = HomogenizedLocalOrder((2, 3))
+    order = HomogenizedLocalOrder((2, 3), (2, 3))
     # homogenized y^2 - x^3 + x^4 at D = 8: y^2 h^2 - x^3 h^2 + x^4
     f = ctx.poly("y^2 h^2 - x^3 h^2 + x^4")
     m, _ = f.lead(order)
@@ -269,7 +269,7 @@ DIVISION_ORDERS = (
     WeightedOrder((1, 1, 2), Lex()),
     BlockOrder(1),
     BlockOrder(2, Lex(), DegRevLex()),
-    HomogenizedLocalOrder((2, 3)),
+    HomogenizedLocalOrder((2, 3), (2, 3)),
 )
 
 # Q, F_7 and F_5(th) with th^2 + 2 = 0
@@ -391,11 +391,13 @@ def test_order_keys_match_their_reference_formulas():
         assert DegRevLex().key(mono) == \
             (sum(mono), tuple(-e for e in reversed(mono)))
         w = tuple(rng.randint(1, 9) for _ in range(n))
-        wa = 0
-        for wi, ai in zip(w, mono[:-1]):
+        v = tuple(rng.randint(1, 9) for _ in range(n))
+        wa = va = 0
+        for wi, vi, ai in zip(w, v, mono[:-1]):
             wa += wi * ai
-        assert HomogenizedLocalOrder(w).key(mono) == \
-            (wa + mono[-1], -wa, mono[:-1][::-1])
+            va += vi * ai
+        assert HomogenizedLocalOrder(w, v).key(mono) == \
+            (va + mono[-1], -wa, mono[:-1][::-1])
 
 
 def test_lead_follows_the_order_asked_for():

@@ -184,6 +184,44 @@ def test_radical_strips_multiplicity():
     assert rad == expect
 
 
+def _radical_by_stripping(f, field):
+    """uv_radical as it ran in every characteristic: f / gcd(f, f'), times
+    the radical of what is left of gcd(f, f') once the factors of
+    f / gcd(f, f') are stripped out of it.  Returns that radical and
+    whether anything was left."""
+    f = uv_monic(f, field)
+    if len(f) <= 1:
+        return [field.one()], False
+    common = uv_gcd(f, uv_deriv(f, field), field)
+    w, r = uv_divmod(f, common, field)
+    assert not r
+    rest = common
+    while True:
+        shared = uv_gcd(rest, w, field)
+        if len(shared) == 1:
+            break
+        rest, r = uv_divmod(rest, shared, field)
+        assert not r
+    if len(rest) == 1:
+        return w, False
+    return uv_mul(w, _radical_by_stripping(rest, field)[0], field), True
+
+
+def test_the_radical_in_characteristic_zero_needs_no_stripping():
+    """Seeded products of powers of small integer polynomials over Q."""
+    rng = random.Random(61)
+    for _ in range(60):
+        f = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))]
+        for _ in range(rng.randint(1, 4)):
+            g = [Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 3))]
+            g.append(Fraction(1))
+            for _ in range(rng.randint(1, 4)):
+                f = uv_mul(f, g, QQ)
+        want, left = _radical_by_stripping(f, QQ)
+        assert not left
+        assert uv_radical(f, QQ) == want
+
+
 def test_radical_inseparable_char_p():
     # a^2 + 1 = (a + 1)^2 over F_2
     f2 = GF(2)
