@@ -96,8 +96,7 @@ def _fold_extension_var(p: Poly, target: RingCtx) -> Poly:
     return Poly.from_items(items, target)
 
 
-def parse_ideal_text(text: str,
-                     char_override: Optional[int] = None) -> IdealHandle:
+def parse_ideal_text(text: str) -> IdealHandle:
     """Parse the line-oriented ideal format into an ideal handle."""
     char: Optional[int] = None
     ext: Optional[Tuple[int, str]] = None
@@ -126,8 +125,6 @@ def parse_ideal_text(text: str,
         else:
             raise ParseError(
                 f"line {lineno}: expected char/ext/vars/ideal:, got {line!r}")
-    if char_override is not None:
-        char = char_override
     if char is None:
         raise ParseError("missing 'char <n>' line")
     if not names:
@@ -165,10 +162,9 @@ def parse_ideal_text(text: str,
     return IdealHandle(gens, ctx)
 
 
-def load_ideal_file(path: str,
-                    char_override: Optional[int] = None) -> IdealHandle:
+def load_ideal_file(path: str) -> IdealHandle:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_ideal_text(fh.read(), char_override=char_override)
+        return parse_ideal_text(fh.read())
 
 
 # ------------------------------------------------------------ JSON codec
@@ -378,8 +374,7 @@ def _print_report(report: DecisionReport) -> None:
 
 
 def cmd_decide(args: argparse.Namespace) -> int:
-    handle = load_ideal_file(args.path, char_override=args.char_override)
-    handle = assert_preconditions(handle)
+    handle = assert_preconditions(load_ideal_file(args.path))
     report = decide_irreducible(handle, iter_cap=args.iter_cap)
     if args.json:
         print(json.dumps(report_json(report), indent=2))
@@ -484,8 +479,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="emit the full report as JSON on stdout")
     p.add_argument("--iter-cap", type=_positive_int, default=256, metavar="N",
                    help="cap on loop rounds (guards non-radical input)")
-    p.add_argument("--char-override", type=int, default=None, metavar="P",
-                   help="replace the char declared in the file")
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("semigroup",

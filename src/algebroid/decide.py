@@ -377,8 +377,20 @@ def _certified(verdict: str, cert: Certificate, stats: dict) -> DecisionReport:
 
 # ------------------------------------------------------------ preconditions
 
-# Every base weight is 0 exactly when the origin is off the curve.
-_OFF_ORIGIN = "the curve does not pass through the origin"
+def _checked_base_weights(handle: IdealHandle) -> tuple:
+    """The base weights, once each is positive and finite: every one is 0
+    exactly when the origin is off the curve, and an INF one names its
+    variable."""
+    w = base_weights(handle)
+    if 0 in w:
+        raise UnitIdeal("the curve does not pass through the origin")
+    if INF in w:
+        bad = handle.ctx.variables[w.index(INF)]
+        raise InfiniteWeight(
+            f"intersection number of {bad} is infinite: {bad} vanishes on "
+            "some but not all branches of the curve, so a radical input is "
+            "reducible; no certificate kind covers this case yet")
+    return w
 
 
 def assert_preconditions(ideal) -> IdealHandle:
@@ -394,15 +406,7 @@ def assert_preconditions(ideal) -> IdealHandle:
                if ideal_membership(ctx.var(i), handle)]
     if members:
         handle = restrict(handle.generators, ctx, members)
-    w = base_weights(handle)
-    if 0 in w:
-        raise UnitIdeal(_OFF_ORIGIN)
-    if any(e is INF for e in w):
-        bad = handle.ctx.variables[[e is INF for e in w].index(True)]
-        raise InfiniteWeight(
-            f"intersection number of {bad} is infinite: {bad} vanishes on "
-            "some but not all branches of the curve, so a radical input is "
-            "reducible; no certificate kind covers this case yet")
+    _checked_base_weights(handle)
     return handle
 
 
@@ -688,12 +692,14 @@ def _adjunction_loop(handle: IdealHandle, error: type, *,
     ``error``; an ``iter_cap`` below 1 raises ValueError before any work."""
     if iter_cap < 1:
         raise ValueError(f"iter_cap must be a positive integer, not {iter_cap}")
-    w = base_weights(handle)
-    if 0 in w:
-        raise UnitIdeal(_OFF_ORIGIN)
-    if any(e is INF for e in w):
-        raise InfiniteWeight(
-            "base weights are not all finite; run assert_preconditions")
+    w = _checked_base_weights(handle)
+    p, gens = handle.ctx.field.characteristic, handle.generators
+    # over a perfect field, a polynomial in the x_i^p is a p-th power
+    if p and len(gens) == 1 and all(e % p == 0 for m in gens[0].terms
+                                    for e in m):
+        raise error(f"the generator {gens[0]} is a p-th power, p = {p} the "
+                    "characteristic: each of its exponents is divisible by "
+                    "p, so the ideal is not radical")
     transcript: List[Tuple[str, Poly]] = []
     stats = {"outer_iterations": 0, "descent_steps": 0, "parametric_calls": 0,
              "truncation_high_water": 0, "final_weights": w,

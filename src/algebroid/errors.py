@@ -24,22 +24,19 @@ class ZeroPoly(AlgebroidError):
     """A nonzero polynomial argument is required."""
 
 
-class AllInfinite(AlgebroidError):
-    """Every entry of the weight vector is infinite."""
-
-
 class NotPrimitive(AlgebroidError):
     """The weight entries have gcd bigger than one."""
 
 
 class TruncationExhausted(AlgebroidError):
     """A truncated computation hit its precision cap before a decision,
-    or no pivot has a free basis: the pivot's hyperplane meets the curve
-    away from the origin, for every coordinate when no pivot is named."""
+    or no pivot has a free basis: every coordinate hyperplane meets the
+    curve away from the origin."""
 
 
 class InfinitePivot(AlgebroidError):
-    """The chosen pivot variable has infinite intersection number."""
+    """Every coordinate has infinite intersection number, so no pivot
+    has a free basis."""
 
 
 class UnequalBase(AlgebroidError):

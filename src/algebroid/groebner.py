@@ -275,14 +275,14 @@ class IdealHandle:
     ``cached(key, build)`` returns the value stored under ``key``, calling
     ``build()`` to make it on first use.  The keys in use are
     ("groebner",) for the reduced basis under ``order``, ("hom", w) for
-    the local standard basis, ("pivot", i) for the pivot reducer,
-    ("intersection", f.key()), ("initial", w) for the initial ideal's
-    handle and ("free", w) for the sliced test's answer
-    (``decide._slice_power``).  An initial handle is built with its
-    ("groebner",) entry already filled, by interreduction alone.  The
-    memo has no size bound: every entry answers a call made on this
-    handle, and the entries go with it.  A handle's generators must not
-    change after it is built.
+    the local standard basis, ("pivot",) for the pivot reducer's free
+    basis (``parametric.free_basis``), ("intersection", f.key()),
+    ("initial", w) for the initial ideal's handle and ("free", w) for the
+    sliced test's answer (``decide._slice_power``).  An initial handle is
+    built with its ("groebner",) entry already filled, by interreduction
+    alone.  The memo has no size bound: every entry answers a call made on
+    this handle, and the entries go with it.  A handle's generators must
+    not change after it is built.
     """
 
     order: TermOrder = DegRevLex()

@@ -60,8 +60,6 @@ def _check_weights(w, nvars: int) -> tuple:
     if len(w) != nvars:
         raise ValueError("weight vector length does not match the ring")
     for wi in w:
-        if wi is INF or wi == INF:
-            raise ValueError("homogenization needs finite weights")
         if not isinstance(wi, int) or wi <= 0:
             raise ValueError("weights must be positive integers")
     return w

@@ -11,9 +11,13 @@ whose rows track t's cofactor, so every monomial gets a rewrite rule
 by layer in the t exponent, so truncation at t^N is exact.  The
 staircase is a basis of K[x]/(I + (t)); when it has I(t) elements, the
 local colength, the hyperplane t = 0 meets the curve only at the origin,
-so it lifts a basis of A/tA and, by Nakayama, is a free basis of A.
-``free_basis`` returns the basis only after that check; otherwise the
-pivot is refused at once, and ``choose_pivot`` takes the next coordinate.
+so it lifts a basis of A/tA and, by Nakayama, generates A.  The pivot
+is never the caller's choice: ``free_basis`` keeps the cheapest
+coordinate that passes this check.  The basis is free only when t is a
+nonzerodivisor on A, as when I, like every radical input, has no
+embedded component at the origin: on (y^2, x*y), I + (x) has I(x) = 2
+staircase elements, yet ``parametric_intersection(x^2, x^2, I)`` returns
+4, not the colength 3 of I + (x^2).
 
 The method requires A = O/I to be a free module of rank I(t) over k[[t]],
 t the pivot.  Then multiplication by a nonzerodivisor h is injective on A
@@ -31,7 +35,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from .errors import (
     AlgebroidError,
@@ -57,22 +61,9 @@ from .scalars import FieldSpec, univariate_roots, uv_divmod, uv_eval
 # --------------------------------------------------------------- free basis
 
 def choose_pivot(ideal: IdealHandle) -> Tuple[int, int]:
-    """The variable with the smallest finite intersection number (ties to
-    the earlier variable) whose hyperplane meets the curve only at the
-    origin, with that number; ``TruncationExhausted`` with each
-    coordinate's global and local colength of I + (x_i) when none does."""
-    finite = [(n, i) for i, n in enumerate(base_weights(ideal))
-              if n is not INF]
-    if not finite:
-        raise InfinitePivot("every coordinate has infinite intersection number")
-    for n, i in sorted(finite):
-        if _built(ideal, i).rank == n:
-            return i, n
-    names = ideal.ctx.variables
-    raise TruncationExhausted(
-        "every coordinate hyperplane meets the curve away from the origin: "
-        + ", ".join(f"I + ({names[i]}) has colength {_built(ideal, i).rank} "
-                    f"globally, {n} at the origin" for n, i in finite))
+    """The pivot ``free_basis`` keeps, with its intersection number."""
+    basis = free_basis(ideal)
+    return basis.pivot, basis.rank
 
 
 class FreeBasis:
@@ -87,8 +78,8 @@ class FreeBasis:
     normal form r_v with tag -c, where v = r_v + c * pivot modulo I, so
     b_v is c; the cofactors of I's own generators multiply members of I,
     and nothing reads them.  ``gamma`` is the staircase of that basis, in
-    the non-pivot variables; it is a free basis once ``free_basis`` has
-    checked its rank."""
+    the non-pivot variables; it is a free basis when its rank is I(pivot),
+    which ``free_basis`` checks and a direct caller must."""
 
     def __init__(self, handle: IdealHandle, pivot: int):
         self.pivot = pivot
@@ -169,37 +160,32 @@ class FreeBasis:
         return out
 
 
-def _built(handle: IdealHandle, pivot: int) -> FreeBasis:
-    """The handle's basis for this pivot, before the fibre check."""
-    return handle.cached(("pivot", pivot),
-                         lambda: FreeBasis(handle, pivot))
-
-
-def _reducer(handle: IdealHandle, pivot: int) -> FreeBasis:
-    """The pivot's basis, once its staircase has I(t) elements, t the
-    pivot; a larger one means t = 0 meets the curve away from the origin,
-    and the staircase is no free basis, so ``TruncationExhausted``."""
-    n = intersection_number(handle.ctx.var(pivot), handle)
-    name = handle.ctx.variables[pivot]
-    if n is INF:
-        raise InfinitePivot(f"pivot {name} has infinite intersection number")
-    red = _built(handle, pivot)
-    if red.rank != n:
+def free_basis(ideal: IdealHandle) -> FreeBasis:
+    """The free basis over series in the cheapest pivot: the first
+    coordinate, in order of (finite I(x_i), index), whose staircase has
+    I(x_i) elements, kept in the handle's memo under ("pivot",).
+    ``InfinitePivot`` when no I(x_i) is finite; ``TruncationExhausted``,
+    with each coordinate's global and local colength of I + (x_i), when
+    every hyperplane meets the curve away from the origin."""
+    def build() -> FreeBasis:
+        finite = [(n, i) for i, n in enumerate(base_weights(ideal))
+                  if n is not INF]
+        if not finite:
+            raise InfinitePivot(
+                "every coordinate has infinite intersection number")
+        ranks = {}
+        for n, i in sorted(finite):
+            basis = FreeBasis(ideal, i)
+            if basis.rank == n:
+                return basis
+            ranks[i] = basis.rank
+        names = ideal.ctx.variables
         raise TruncationExhausted(
-            f"pivot {name}: the hyperplane {name} = 0 meets the curve away "
-            f"from the origin, since I + ({name}) has colength {red.rank} "
-            f"globally but {n} at the origin")
-    return red
-
-
-def free_basis(ideal: IdealHandle, pivot: Union[int, str, None] = None) -> FreeBasis:
-    """Free-module basis over series in the pivot variable; the pivot
-    defaults to ``choose_pivot``'s."""
-    if pivot is None:
-        pivot, _ = choose_pivot(ideal)
-    elif isinstance(pivot, str):
-        pivot = ideal.ctx.index(pivot)
-    return _reducer(ideal, pivot)
+            "every coordinate hyperplane meets the curve away from the "
+            "origin: " + ", ".join(f"I + ({names[i]}) has colength "
+                                   f"{ranks[i]} globally, {n} at the origin"
+                                   for n, i in finite))
+    return ideal.cached(("pivot",), build)
 
 
 # ------------------------------------------------------------ matrices

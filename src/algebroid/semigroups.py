@@ -1,6 +1,7 @@
-"""Numerical semigroups generated by weight vectors: membership with a
-deterministic witness exponent, gcd and conductor, and the toric ideal of
-relations among the weights.
+"""Numerical semigroups generated by weight vectors, nonempty tuples of
+positive ints: membership with a deterministic witness exponent, gcd and
+conductor, and the toric ideal of relations among the weights.  Any other
+vector raises ValueError.
 
 Membership and the relation ideal both come from the reduced basis of
 <g_i - t^(w_i)> under a block order with t in front.  Its elements are
@@ -20,43 +21,33 @@ import threading
 from operator import add, ge, sub
 from typing import List, Optional
 
-from .errors import AlgebroidError, AllInfinite, NotPrimitive
+from .errors import AlgebroidError, NotPrimitive
 from .groebner import buchberger
-from .polyring import INF, BlockOrder, DegRevLex, Poly, RingCtx
+from .polyring import BlockOrder, DegRevLex, Poly, RingCtx
 from .scalars import QQ
 
 
-def _is_inf(x) -> bool:
-    return x is INF or x == INF
-
-
 def _generators(w) -> tuple:
-    """The weight vector w as a tuple of generators of the additive
-    semigroup of their nonnegative combinations; INF entries are carried
-    but contribute nothing.  Raises AllInfinite when no entry is finite,
-    ValueError when a finite entry is not a positive int."""
+    """w as a tuple of semigroup generators; ValueError unless w is a
+    nonempty vector of positive ints."""
     gens = tuple(w)
-    finite = [g for g in gens if not _is_inf(g)]
-    if not finite:
-        raise AllInfinite("no finite generator")
-    for g in finite:
-        if not isinstance(g, int) or g <= 0:
-            raise ValueError("generators must be positive integers or INF")
+    if not gens or not all(isinstance(g, int) and g > 0 for g in gens):
+        raise ValueError("weights must be a nonempty vector of positive "
+                         "integers")
     return gens
 
 
 @functools.lru_cache(maxsize=64)
 def _elimination_data(generators: tuple):
-    """For the finite entries of a weight vector: the elimination basis,
-    the positions of those entries, the basis as rewrite rules (lead
-    exponent, tail exponent), and the power table [NF(t^(2^k))] that
-    membership grows."""
-    positions = [i for i, g in enumerate(generators) if not _is_inf(g)]
-    ctx = RingCtx(QQ, ("t",) + tuple(f"g{i}" for i in positions))
+    """For a weight vector: the elimination basis, the basis as rewrite
+    rules (lead exponent, tail exponent), and the power table
+    [NF(t^(2^k))] that membership grows."""
+    ctx = RingCtx(QQ, ("t",) + tuple(f"g{i}"
+                                     for i in range(len(generators))))
     order = BlockOrder(1, DegRevLex(), DegRevLex())
-    t_free = (0,) * len(positions)
-    gb = buchberger([ctx.var(slot) - ctx.mono((generators[i],) + t_free)
-                     for slot, i in enumerate(positions, 1)], order)
+    t_free = (0,) * len(generators)
+    gb = buchberger([ctx.var(slot) - ctx.mono((g,) + t_free)
+                     for slot, g in enumerate(generators, 1)], order)
     rules = []
     for g in gb:
         lead, lc = g.lead(order)
@@ -66,7 +57,7 @@ def _elimination_data(generators: tuple):
                 f"semigroup membership: the toric basis of {generators} "
                 f"has {g}, which is not a unit binomial x^a - x^b")
         rules.append((lead, tail))
-    return gb, positions, rules, [_rewrite((1,) + t_free, rules)]
+    return gb, rules, [_rewrite((1,) + t_free, rules)]
 
 
 def _rewrite(mono: tuple, rules) -> tuple:
@@ -91,34 +82,25 @@ def membership(N: int, w) -> Optional[tuple]:
     gens = _generators(w)
     if not isinstance(N, int) or N < 0:
         return None
-    _, positions, rules, powers = _elimination_data(gens)
+    _, rules, powers = _elimination_data(gens)
     with _GROWING:
         while len(powers) < N.bit_length():
             powers.append(_rewrite(tuple(2 * e for e in powers[-1]), rules))
-    mono = (0,) * (len(positions) + 1)
+    mono = (0,) * (len(gens) + 1)
     for k in range(N.bit_length()):
         if N >> k & 1:
             mono = _rewrite(tuple(map(add, mono, powers[k])), rules)
-    if mono[0]:
-        return None
-    witness = [0] * len(gens)
-    for pos, e in zip(positions, mono[1:]):
-        witness[pos] = e
-    return tuple(witness)
+    return None if mono[0] else mono[1:]
 
 
 def prim_generators(w, ctx: Optional[RingCtx] = None) -> List[Poly]:
     """Binomial generators (a reduced basis) of the ideal of relations
     x^a - x^b with a . w = b . w, in the given ring."""
-    w = tuple(w)
-    if any(_is_inf(e) for e in w):
-        raise ValueError("relation ideal needs all weights finite")
-    gens = _generators(w)  # ValueError unless each weight is a positive int
+    gens = _generators(w)
     if ctx is None:
-        ctx = RingCtx(QQ, tuple(f"x{i + 1}" for i in range(len(w))))
-    if ctx.nvars != len(w):
+        ctx = RingCtx(QQ, tuple(f"x{i + 1}" for i in range(len(gens))))
+    if ctx.nvars != len(gens):
         raise ValueError("weight length does not match the ring")
-    # every weight is finite, so the elimination ring is t, g0, ..., g(n-1)
     gb = _elimination_data(gens)[0]
     coerce = ctx.field.coerce
     return [Poly({m[1:]: coerce(c) for m, c in g.terms.items()}, ctx)
@@ -126,10 +108,8 @@ def prim_generators(w, ctx: Optional[RingCtx] = None) -> List[Poly]:
 
 
 def gcd_weights(w) -> int:
-    finite = [e for e in tuple(w) if not _is_inf(e)]
-    if not finite:
-        raise AllInfinite("gcd of an all-infinite weight vector")
-    return math.gcd(*finite) if len(finite) > 1 else finite[0]
+    """The gcd of the weights."""
+    return math.gcd(*_generators(w))
 
 
 def conductor(w) -> int:
@@ -137,7 +117,7 @@ def conductor(w) -> int:
     gens = _generators(w)
     if gcd_weights(gens) != 1:
         raise NotPrimitive("conductor needs coprime generators")
-    gens = sorted({g for g in gens if not _is_inf(g)})
+    gens = sorted(set(gens))
     # Dijkstra over the residues mod m: the first element of S popped in
     # each class is its least one, the class's Apery element.
     m, apery, heap = gens[0], {}, [0]

@@ -23,8 +23,8 @@ from algebroid.errors import ContextViolation
 from algebroid.groebner import IdealHandle, buchberger, ideal_membership
 from algebroid.localalg import base_weights, initial_ideal, intersection_number
 from algebroid.parametric import (
+    FreeBasis,
     _det,
-    free_basis,
     mult_matrix,
     parametric_intersection,
     parametric_test,
@@ -189,7 +189,8 @@ def test_criterion_06_determinant_order_equals_colength():
     for handle, ctx, pivot, expr in instances:
         f = parse_poly(expr, ctx)
         n = intersection_number(f, handle)
-        basis = free_basis(handle, pivot)
+        basis = FreeBasis(handle, ctx.index(pivot))
+        assert basis.rank == intersection_number(ctx.var(pivot), handle)
         det = _det(mult_matrix(f, basis, 2 * n + 6), basis.rank, ctx.field,
                    2 * n + 6)
         assert det and min(e for (_, e) in det) == n

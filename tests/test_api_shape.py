@@ -24,7 +24,7 @@ SIGNATURES = {
     parametric_intersection: ("f", "g", "ideal"),
     intersection_number: ("f", "ideal"),
     local_colength: ("ideal",),
-    free_basis: ("ideal", "pivot"),
+    free_basis: ("ideal",),
     mult_matrix: ("g", "basis", "N"),
     univariate_roots: ("coeffs", "field"),
     krull_dimension: ("ideal",),
@@ -44,8 +44,9 @@ def test_the_verdict_has_only_its_pinned_fields():
         "result", "ideal", "beta", "case", "attachment", "value", "pencil")
 
 
-@pytest.mark.parametrize("flag", [("--trunc-cap", "8"), ("--verify",)],
-                         ids=["trunc-cap", "verify"])
+@pytest.mark.parametrize(
+    "flag", [("--trunc-cap", "8"), ("--verify",), ("--char-override", "2")],
+    ids=["trunc-cap", "verify", "char-override"])
 def test_decide_refuses_removed_flags(tmp_path, capsys, flag):
     path = tmp_path / "curve.ideal"
     path.write_text("char 0\nvars x y\nideal:\n(y^2 - x^3)^2 - x^7\n")

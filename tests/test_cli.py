@@ -81,13 +81,6 @@ def test_decide_char_two_exits_zero(tmp_path, capsys):
     assert "tropism: 4 6 15" in out
 
 
-def test_char_override_flips_the_verdict(tmp_path, capsys):
-    path = write(tmp_path, DOUBLE_BRANCH)
-    code, out, _ = run(capsys, "decide", "--char-override", "2", path)
-    assert code == 0
-    assert "tropism: 4 6 15" in out
-
-
 def test_decide_json_has_the_advertised_shape(tmp_path):
     code, doc = report_for(tmp_path, DOUBLE_BRANCH)
     assert code == 1
@@ -202,6 +195,17 @@ def test_a_curve_off_the_origin_exits_two(tmp_path, capsys, command, text):
     path = write(tmp_path, f"char 0\nvars x y\nideal:\n{text}\n")
     assert run(capsys, command, path) == (
         2, "", "error: the curve does not pass through the origin\n")
+
+
+@pytest.mark.parametrize("text", ["(y^2 - x^3)^2 - x^8",
+                                  "(y^2 - x^5)^2 - x^12"])
+def test_a_square_over_f2_exits_two_at_once(tmp_path, capsys, text):
+    path = write(tmp_path, f"char 2\nvars x y\nideal:\n{text}\n")
+    start = time.monotonic()
+    code, out, err = run(capsys, "decide", path)
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "is a p-th power, p = 2 the characteristic" in err
 
 
 def test_wrong_dimension_exits_two(tmp_path, capsys):

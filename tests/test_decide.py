@@ -652,13 +652,16 @@ def test_preconditions_drop_member_variables():
 
 
 def _assert_infinite_weight_names(text, var):
+    """Both entry points refuse an infinite base weight as
+    ``assert_preconditions`` does, naming the variable."""
     I, _ = plane_ideal(text)
-    with pytest.raises(InfiniteWeight) as info:
-        assert_preconditions(I)
-    assert str(info.value) == (
-        f"intersection number of {var} is infinite: {var} vanishes on some "
-        "but not all branches of the curve, so a radical input is "
-        "reducible; no certificate kind covers this case yet")
+    for entry in (assert_preconditions, decide_irreducible, value_semigroup):
+        with pytest.raises(InfiniteWeight) as info:
+            entry(I)
+        assert str(info.value) == (
+            f"intersection number of {var} is infinite: {var} vanishes on "
+            "some but not all branches of the curve, so a radical input is "
+            "reducible; no certificate kind covers this case yet")
 
 
 def test_preconditions_reject_union_with_an_axis():
@@ -913,6 +916,32 @@ STRETCH_CURVE = ("x y", ("((y^2 - x^3)^2 - x^5*y)^2 - x^11*y^2",))
 def _curve(variables, texts, field):
     ctx = RingCtx(field, tuple(variables.split()))
     return IdealHandle(tuple(parse_poly(t, ctx) for t in texts), ctx)
+
+
+# p-th powers over fields of characteristic p: each exponent is divisible
+# by p, and the field is perfect, so the generator is a p-th power.
+PTH_POWERS = {
+    **{f"{cid}-F2": (GF(2), *TWO_BRANCH_CURVES[cid])
+       for cid in NOT_RADICAL_OVER_F2},
+    "cusp-7th-F7": (GF(7), "x y", ("(y^2 - x^3)^7",)),
+    "cusp-5th-F5th": (F5TH, "x y", ("(y^2 - 2*x^3)^5 + x^5*y^10",)),
+}
+
+
+@pytest.mark.parametrize("cid", PTH_POWERS)
+def test_a_pth_power_is_refused_at_once(cid):
+    """A principal ideal whose generator is a p-th power is not radical,
+    and both entry points refuse it before their first round."""
+    field, variables, texts = PTH_POWERS[cid]
+    p = field.characteristic
+    for entry, error in ((decide_irreducible, NonRadicalSuspected),
+                         (value_semigroup, NotPrime)):
+        I = _curve(variables, texts, field)
+        start = time.monotonic()
+        with pytest.raises(error, match=rf"is a p-th power, p = {p} the "
+                           "characteristic"):
+            entry(I)
+        assert time.monotonic() - start < 1.0
 
 
 def _decide_recording_initial_handles(I):

@@ -11,7 +11,6 @@ from algebroid.errors import (
     AlgebroidError,
     ContextViolation,
     InfinitePivot,
-    TruncationExhausted,
     UnequalBase,
 )
 from algebroid import parametric
@@ -185,7 +184,7 @@ def test_infinite_pivot():
     with pytest.raises(InfinitePivot):
         choose_pivot(I)
     with pytest.raises(InfinitePivot):
-        free_basis(I, "x")
+        free_basis(I)
 
 
 def test_a_pivot_whose_hyperplane_meets_the_curve_elsewhere_is_refused():
@@ -193,11 +192,7 @@ def test_a_pivot_whose_hyperplane_meets_the_curve_elsewhere_is_refused():
     ctx = RingCtx(QQ, ("x", "y"))
     I = IdealHandle((parse_poly("(y - x^2 + y^2)*(y + x^2)", ctx),), ctx)
     assert base_weights(I) == (2, 4)
-    with pytest.raises(TruncationExhausted) as info:
-        free_basis(I, "x")
-    assert str(info.value) == (
-        "pivot x: the hyperplane x = 0 meets the curve away from the origin, "
-        "since I + (x) has colength 3 globally but 2 at the origin")
+    assert parametric.FreeBasis(I, 0).rank == 3
     assert choose_pivot(I) == (1, 4)
     B = free_basis(I)
     assert (B.pivot, B.gamma) == (1, ((0, 0), (1, 0), (2, 0), (3, 0)))
@@ -375,26 +370,26 @@ def test_each_beta_is_a_payload_of_its_ring_field(cid):
 
 
 def test_a_pencil_resolves_its_pivot_and_free_basis_once():
-    """``parametric_intersection`` chooses the pivot and checks its free
-    basis once, and the determinant and both matrices read that basis."""
+    """The free basis is built once per handle: two pencils on one handle
+    read the same basis, and the determinant and both matrices of each
+    read it too."""
     I, ctx = double_branch_ideal()
-    calls = {"_reducer": 0, "choose_pivot": 0}
+    builds = []
 
-    def counted(name):
-        inner = getattr(parametric, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return inner(*args)
-        return wrapper
+    class Counted(parametric.FreeBasis):
+        def __init__(self, handle, pivot):
+            builds.append(pivot)
+            super().__init__(handle, pivot)
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in calls:
-            mp.setattr(parametric, name, counted(name))
+        mp.setattr(parametric, "FreeBasis", Counted)
         po = parametric_intersection(parse_poly("y^2-x^3", ctx),
                                      parse_poly("x^2*y", ctx), I)
+        other = parametric_intersection(parse_poly("y^2", ctx),
+                                        parse_poly("x^3", ctx), I)
     assert po.generic_value == 14
-    assert calls == {"_reducer": 1, "choose_pivot": 1}
+    assert other.generic_value == 12
+    assert builds == [0]
 
 
 def test_mult_matrix_rejects_foreign_basis():
