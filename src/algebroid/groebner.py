@@ -280,9 +280,13 @@ class IdealHandle:
     ("initial", w) for the initial ideal's handle and ("free", w) for the
     sliced test's answer (``decide._slice_power``).  An initial handle is
     built with its ("groebner",) entry already filled, by interreduction
-    alone.  The memo has no size bound: every entry answers a call made on
-    this handle, and the entries go with it.  A handle's generators must
-    not change after it is built.
+    alone.  Some ("intersection", f.key()) entries are seeded, not
+    computed: ``decide._descend`` stores the value of each polynomial it
+    descends, read from the pencil that made it and checked only by the
+    next pencil on f.  So ``decide.verify_certificate`` takes its weights
+    on fresh handles, never on the decide's.  The memo has no size bound:
+    every entry answers a call made on this handle, and the entries go
+    with it.  A handle's generators must not change after it is built.
     """
 
     order: TermOrder = DegRevLex()

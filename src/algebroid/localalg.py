@@ -25,6 +25,19 @@ the smallest ring that carries it: K[[x]]/(I + (x_i)) is K[[x without
 x_i]]/I|_{x_i=0}, and a certificate's base weights are taken in its base
 ring (see ``decide.Certificate``).
 
+A colength does not depend on the local order it is counted under, so
+each is counted where it costs least.  In one variable K[[t]] is a
+discrete valuation ring and the colength is the least order of a
+generator, read off with no basis at all; so every I(x_i) of a plane
+curve is an order.  Any other intersection number I(f) is counted under
+the curve's own weights, the base weights I(x_i) kept in the handle's
+memo (all ones when one is 0 or INF).  For a branch they are the
+orders of the coordinates on it, its tropism.  On the benchmark
+corpus's prime certificates counting under them takes about 40% less
+time than under all-ones weights, and on its two-branch ones as much
+(README).  A colength asked for directly (``local_colength``) is
+counted under all-ones weights.
+
 The homogenized basis for each w and the intersection number of each
 f are kept in the memo of the ideal's handle, so asking a handle
 again, directly or through ``base_weights``, builds no second basis.
@@ -170,16 +183,29 @@ def initial_ideal(ideal: IdealLike, w: Sequence[int]) -> List[Poly]:
     return [in_w(s, w) for s in standard_basis(handle, w)]
 
 
+def _colength(handle: IdealHandle, w: tuple):
+    """The colength of the handle's ideal, counted under the local order
+    at w when there is more than one variable.  In one variable it is the
+    least order of a nonzero generator, the least exponent of any term:
+    0 for a unit, INF with none."""
+    n = handle.ctx.nvars
+    if n == 1:
+        return min((m[0] for g in handle.generators for m in g.terms),
+                   default=INF)
+    leads = local_lead_monomials(handle, w)
+    if not leads:
+        return INF if n else 1
+    size = staircase_size(leads, n)
+    return INF if size is None else size
+
+
 def local_colength(ideal: IdealLike):
     """Vector-space dimension of the power-series quotient, INF when the
     quotient is not finite dimensional.  It does not depend on the local
-    order, so it is counted under all-ones weights."""
+    order: in one variable it is the least order of a generator, in more
+    it is counted under all-ones weights."""
     handle = _as_handle(ideal)
-    leads = local_lead_monomials(handle)
-    if not leads:
-        return INF if handle.ctx.nvars else 1
-    size = staircase_size(leads, handle.ctx.nvars)
-    return INF if size is None else size
+    return _colength(handle, (1,) * handle.ctx.nvars)
 
 
 def restrict(generators: Sequence[Poly], ctx: RingCtx, drop) -> IdealHandle:
@@ -196,8 +222,12 @@ def restrict(generators: Sequence[Poly], ctx: RingCtx, drop) -> IdealHandle:
 def intersection_number(f: Poly, ideal: IdealLike):
     """Colength of the ideal together with f; INF when f is a zero divisor
     direction (or lies in the ideal).  A local colength does not depend
-    on the local order, so it is taken under all-ones weights; for f a
-    multiple of x_i, of the ideal restricted to x_i = 0 (the same ring)."""
+    on the local order, so each is counted where it is cheapest.  For f a
+    multiple of x_i it is the colength of the ideal restricted to x_i = 0,
+    in the ring without x_i: an order when one variable is left.  For any
+    other f it is counted under the ideal's base weights, themselves
+    intersection numbers kept in the memo, or under all-ones weights when
+    one of them is 0 or INF."""
     handle = _as_handle(ideal)
     ctx = handle.ctx
     if f.ctx != ctx:
@@ -209,7 +239,10 @@ def intersection_number(f: Poly, ideal: IdealLike):
         if len(f.terms) == 1 and f.total_degree() == 1:
             return local_colength(restrict(handle.generators, ctx,
                                            f.variables_used()))
-        return local_colength(IdealHandle(handle.generators + (f,), ctx))
+        w = base_weights(handle)
+        if 0 in w or INF in w:
+            w = (1,) * ctx.nvars
+        return _colength(IdealHandle(handle.generators + (f,), ctx), w)
     return handle.cached(("intersection", f.key()), build)
 
 

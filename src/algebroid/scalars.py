@@ -176,6 +176,16 @@ def _log_tables(field: "FieldSpec"):
     return exp * 2 + [zero] * (2 * n + 1), log
 
 
+@functools.lru_cache(maxsize=8)
+def _defines_extension(p: int, coeffs: tuple) -> bool:
+    """Whether th^d + c_{d-1} th^{d-1} + ... + c0, coefficients given
+    ascending without the leading 1, is irreducible over Q or F_p.
+    Cached per definition: every parse of an ideal file or certificate
+    over an extension builds a fresh but equal FieldSpec."""
+    base = FieldSpec(p)
+    return _is_irreducible(list(coeffs) + [base.one()], base)
+
+
 def _table_kernels(field: "FieldSpec") -> dict:
     exp, log = _log_tables(field)
     n = field.size() - 1
@@ -223,8 +233,7 @@ class FieldSpec:
             if len(coeffs) < 2:
                 raise ValueError("extension degree must be at least 2")
             object.__setattr__(self, "extension", coeffs)
-            minpoly = list(coeffs) + [base.one()]
-            if not _is_irreducible(minpoly, base):
+            if not _defines_extension(p, coeffs):
                 raise ValueError("defining polynomial is reducible")
             self._bind(_extension_kernels(self))
 

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from algebroid import decide, localalg, parametric
-from algebroid.decide import (_initial_handle, _monomial_witness,
-                              _screen_round, decide_irreducible)
+from algebroid.decide import (_certified_weights, _initial_handle,
+                              _monomial_witness, _screen_round,
+                              decide_irreducible, verify_certificate)
 from algebroid.errors import NotPrime, ZeroPoly
 from algebroid.groebner import (IdealHandle, _as_handle, buchberger,
                                 ideal_membership, monomial_staircase,
@@ -241,6 +242,121 @@ def test_a_second_intersection_number_builds_no_basis(monkeypatch):
     built.clear()
     assert intersection_number(f, handle) == first
     assert built == []
+
+
+def test_a_plane_curves_base_weights_build_no_basis(monkeypatch):
+    built = local_bases(monkeypatch)
+    handle = IdealHandle([XY.poly("(y^2 - x^3)^2 - x^7")])
+    assert base_weights(handle) == (4, 6)
+    assert built == []
+
+
+# ------------------------------- one-variable and weighted colengths
+
+UNIVARIATE_FIELDS = [QQ, GF(7), GF(5, (2, 0))]
+
+
+def _random_univariate(rng, ctx):
+    """Zero, a unit, or up to three terms of degree 1 to 6, with random
+    nonzero coefficients."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return ctx.zero()
+    field = ctx.field
+    items = []
+    for _ in range(rng.randint(1, 3)):
+        c = field.coerce(tuple(rng.randint(0, 4) for _ in range(field.degree))
+                         if field.extension is not None
+                         else rng.randint(-5, 5))
+        if not field.is_zero(c):
+            items.append(((rng.randint(1, 6),), c))
+    if kind == 1:
+        items.append(((0,), field.one()))
+    return Poly.from_items(items, ctx)
+
+
+@pytest.mark.parametrize("field", UNIVARIATE_FIELDS, ids=["Q", "F7", "F5th"])
+def test_a_one_variable_colength_is_the_lazard_staircase(field):
+    """The least order of a generator equals the staircase of the local
+    leads from the homogenised basis; INF with no nonzero generator."""
+    rng = random.Random(f"univariate:{field}")
+    ctx = RingCtx(field, ("t",))
+    seen = set()
+    for _ in range(60):
+        gens = [_random_univariate(rng, ctx) for _ in range(rng.randint(1, 3))]
+        got = local_colength(IdealHandle(gens, ctx))
+        size = staircase_size(local_lead_monomials(IdealHandle(gens, ctx)), 1)
+        assert got == (INF if size is None else size), gens
+        seen.add(got if got in (0, INF) else "order")
+    assert seen == {0, INF, "order"}
+
+
+def _recording(run):
+    """run(); return its result, the non-coordinate polynomials that
+    ``decide`` takes intersection numbers of, with their ideals, and the
+    key of the last generator of every ideal whose colength is built."""
+    asked, built = [], []
+    inner_number, inner_colength = intersection_number, localalg._colength
+
+    def number(f, ideal):
+        if len(f.terms) != 1 or f.total_degree() != 1:
+            asked.append((f, ideal))
+        return inner_number(f, ideal)
+
+    def colength(handle, w):
+        built.append(handle.generators[-1].key())
+        return inner_colength(handle, w)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decide, "intersection_number", number)
+        mp.setattr(localalg, "_colength", colength)
+        result = run()
+    return result, asked, built
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+def test_the_self_check_recomputes_every_adjoined_weight(field):
+    """``_descend`` seeds the decide's memo with each pencil value; the
+    verifier builds a local colength for every transcript entry anyway."""
+    with_transcript = 0
+    for variables, texts in PRIME_TOWER_CURVES.values():
+        cert = decide_irreducible(_curve(variables, texts, field)).certificate
+        result, asked, built = _recording(lambda: verify_certificate(cert))
+        assert result == (True, "ok")
+        assert len(asked) == len(cert.transcript)
+        assert all(f.key() in built for f, _ in asked)
+        with_transcript += bool(cert.transcript)
+    assert with_transcript
+
+
+def _direct_colength(f, ideal):
+    """The all-ones colength of the ideal together with f, from the
+    staircase of its local leads."""
+    joined = IdealHandle(ideal.generators + (f,), ideal.ctx)
+    size = staircase_size(local_lead_monomials(joined), ideal.ctx.nvars)
+    return INF if size is None else size
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+def test_the_base_weights_change_no_intersection_number(field):
+    """Every adjoined weight of the table certificates, counted under the
+    base weights, is the all-ones colength; so is tangent-pair's INF."""
+    entries = 0
+    for variables, texts in {**PRIME_TOWER_CURVES,
+                             **TWO_BRANCH_CURVES}.values():
+        cert = decide_irreducible(_curve(variables, texts, field)).certificate
+        _, asked, _ = _recording(lambda: list(_certified_weights(cert)))
+        assert len(asked) == len(cert.transcript)
+        for f, ideal in asked:
+            fresh = IdealHandle(ideal.generators, ideal.ctx)
+            assert intersection_number(f, fresh) == _direct_colength(f, fresh)
+            entries += 1
+    assert entries
+    pair = _curve(*TWO_BRANCH_CURVES["tangent-pair"], field)
+    f = pair.ctx.poly("y - x^2")
+    assert INF not in base_weights(pair)
+    assert intersection_number(f, pair) == INF
+    assert _direct_colength(f, pair) == INF
 
 
 def test_choose_pivot_after_base_weights_builds_no_basis(monkeypatch):

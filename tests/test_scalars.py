@@ -120,6 +120,26 @@ def test_extension_requires_irreducible_minpoly():
         FieldSpec(5, extension=(-4, 0))  # th^2 - 4 splits mod 5
 
 
+def test_an_extension_definition_is_checked_once(monkeypatch):
+    """Two constructions of one field check its definition once; a
+    reducible definition is refused on every construction."""
+    calls = []
+    inner = scalars._is_irreducible
+
+    def counted(f, field):
+        calls.append(tuple(f))
+        return inner(f, field)
+
+    monkeypatch.setattr(scalars, "_is_irreducible", counted)
+    scalars._defines_extension.cache_clear()
+    assert FieldSpec(5, (2, 0)) == FieldSpec(5, (2, 0))
+    assert len(calls) == 1
+    for _ in range(2):
+        with pytest.raises(ValueError, match="reducible"):
+            FieldSpec(5, (1, 0))  # th^2 + 1 = (th - 2)(th + 2) mod 5
+    assert len(calls) == 2
+
+
 def test_finite_extension_field():
     # F_2[th]/(th^2 + th + 1) = F_4
     f4 = GF(2, extension=(1, 1))
