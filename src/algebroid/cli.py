@@ -45,9 +45,9 @@ from .polyring import _EXPONENT_CAP, INF, Poly, RingCtx, parse_poly
 from .scalars import _EXT_NAME, FieldSpec
 from .semigroups import conductor, gcd_weights, membership
 
-# Coefficient strings read with int instead of Fraction: ASCII digits
-# only.  str.isdigit accepts "²", which Fraction refuses, so every other
-# string is left to Fraction and is accepted or refused as before.
+# Coefficient strings that ``_coeff_decoder`` reads without Fraction: an
+# ASCII integer.  str.isdigit accepts "²", which Fraction refuses, so
+# every other string is left to ``_coeff_parse``.
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
@@ -194,6 +194,8 @@ def _coeff_json(field: FieldSpec, c):
 
 
 def _coeff_parse(field: FieldSpec, obj):
+    """One JSON coefficient as a payload of ``field``, read as Fraction
+    reads it; the reference that ``_coeff_decoder`` agrees with."""
     if field.extension is not None:
         vec = tuple(_coeff_parse(field.base(), x) for x in obj)
         if len(vec) != field.degree:
@@ -202,12 +204,38 @@ def _coeff_parse(field: FieldSpec, obj):
     if isinstance(obj, (bool, float)):
         raise ParseError(f"bad coefficient {obj!r}: not an exact number")
     try:
-        if isinstance(obj, str) and _INTEGER.fullmatch(obj):
-            return field.coerce(int(obj))
         q = Fraction(obj)
         return field.coerce(int(q) if q.denominator == 1 else q)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ParseError(f"bad coefficient {obj!r}: {exc}") from None
+
+
+def _coeff_decoder(field: FieldSpec):
+    """The coefficient reader of one document over ``field``.  It returns
+    what ``_coeff_parse`` returns, value and payload type, or raises its
+    ParseError: an ASCII integer string is read directly with ``int``,
+    the shape of nearly every coefficient a certificate carries; anything
+    else, and an integer with too many digits for ``int``, is left to
+    ``_coeff_parse``."""
+    if field.extension is not None:
+        base, degree = _coeff_decoder(field.base()), field.degree
+
+        def decode_vector(obj):
+            vec = tuple(map(base, obj))
+            if len(vec) != degree:
+                raise ParseError("extension coefficient has the wrong length")
+            return vec
+        return decode_vector
+    p = field.characteristic
+
+    def decode(obj):
+        if type(obj) is str and _INTEGER.fullmatch(obj):
+            try:
+                return int(obj) % p if p else int(obj)
+            except ValueError:
+                pass
+        return _coeff_parse(field, obj)
+    return decode
 
 
 def _poly_json(p: Poly) -> dict:
@@ -219,17 +247,38 @@ def _poly_json(p: Poly) -> dict:
     }
 
 
-def _poly_parse(obj: dict, ctx: RingCtx) -> Poly:
-    items = []
+def _exponents(mono, nvars: int) -> tuple:
+    """An exponent vector that the inline check of ``_poly_parse`` did not
+    pass, or the ParseError saying what is wrong with it."""
+    m = tuple(_json_int(e, "an exponent") for e in mono)
+    if len(m) != nvars or any(e < 0 for e in m):
+        raise ParseError(f"bad exponent vector {mono!r}")
+    if any(e > _EXPONENT_CAP for e in m):
+        raise ParseError(f"exponent vector {mono!r} exceeds "
+                         f"_EXPONENT_CAP = {_EXPONENT_CAP}")
+    return m
+
+
+def _terms(obj: dict, nvars: int, decode):
+    """The (exponent vector, coefficient) pairs of a JSON term list: a
+    well-formed vector is passed inline, any other goes to ``_exponents``
+    for its ParseError, and each coefficient is read by ``decode`` (from
+    ``_coeff_decoder``)."""
     for mono, coeff in obj["terms"]:
-        m = tuple(_json_int(e, "an exponent") for e in mono)
-        if len(m) != ctx.nvars or any(e < 0 for e in m):
-            raise ParseError(f"bad exponent vector {mono!r}")
-        if any(e > _EXPONENT_CAP for e in m):
-            raise ParseError(f"exponent vector {mono!r} exceeds "
-                             f"_EXPONENT_CAP = {_EXPONENT_CAP}")
-        items.append((m, _coeff_parse(ctx.field, coeff)))
-    return Poly.from_items(items, ctx)
+        m = None
+        if type(mono) is list and len(mono) == nvars:
+            for e in mono:
+                if type(e) is not int or e < 0 or e > _EXPONENT_CAP:
+                    break
+            else:
+                m = tuple(mono)
+        if m is None:
+            m = _exponents(mono, nvars)
+        yield m, decode(coeff)
+
+
+def _poly_parse(obj: dict, ctx: RingCtx, decode) -> Poly:
+    return Poly.from_items(_terms(obj, ctx.nvars, decode), ctx)
 
 
 def _ring_json(ctx: RingCtx) -> dict:
@@ -248,8 +297,7 @@ def _ring_parse(obj: dict) -> RingCtx:
     char = _json_int(obj["char"], "char")
     ext = obj.get("ext")
     if ext is not None:
-        base = FieldSpec(char)
-        ext = tuple(_coeff_parse(base, c) for c in ext)
+        ext = tuple(map(_coeff_decoder(FieldSpec(char)), ext))
     try:
         field = FieldSpec(char, ext)
     except ValueError as exc:
@@ -305,20 +353,21 @@ def certificate_from_json(doc: dict) -> Certificate:
         raise ParseError("the document is not a JSON certificate object")
     try:
         ctx = _ring_parse(cert["ring"])
-        handle = IdealHandle([_poly_parse(g, ctx)
+        decode = _coeff_decoder(ctx.field)
+        handle = IdealHandle([_poly_parse(g, ctx, decode)
                               for g in cert["generators"]], ctx)
         kind = _json_str(cert["kind"], "the kind")
         if kind == "prime_tropism":
             data = tuple(_json_int(e, "a data entry") for e in cert["data"])
         elif kind == "monomial_witness":
-            data = _poly_parse(cert["data"], ctx)
+            data = _poly_parse(cert["data"], ctx, decode)
         elif kind == "two_tropisms":
             data = tuple(tuple(_json_int(e, "a ray entry") for e in ray)
                          for ray in cert["data"])
         else:
             data = cert["data"]
         transcript = tuple((_json_str(t["name"], "a transcript name"),
-                            _poly_parse(t["poly"], ctx))
+                            _poly_parse(t["poly"], ctx, decode))
                            for t in cert.get("transcript", ()))
         base_vars = cert.get("base_vars",
                              list(ctx.variables[:ctx.nvars - len(transcript)]))
@@ -440,7 +489,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     with open(args.path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or too many digits
             raise ParseError(f"not valid JSON: {exc}") from None
     cert = certificate_from_json(doc)
     ok, reason = verify_certificate(cert)

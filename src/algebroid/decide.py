@@ -252,10 +252,28 @@ def _graph_shape_error(cert: Certificate) -> Optional[str]:
             return "adjoined definition uses later variables"
         if not ctx.field.is_zero(fdef.constant_coeff()):
             return f"adjoined definition of {name} does not vanish at the origin"
-        if gen != ctx.var(name) - fdef:
+        if not _is_relation(gen, base + k, fdef):
             return (f"generator {head + k + 1} of the certified ideal is not "
                     f"the transcript relation of {name}")
     return None
+
+
+def _is_relation(gen: Poly, i: int, fdef: Poly) -> bool:
+    """Whether gen == x_i - fdef, term by term and without building the
+    difference, for fdef in gen's ring without x_i.  No term of fdef is
+    x_i, so the difference's terms are x_i with coefficient 1 and those of
+    fdef negated, zero coefficients kept as ``Poly.__sub__`` keeps them."""
+    if len(gen.terms) != len(fdef.terms) + 1:
+        return False
+    field, terms = gen.ctx.field, gen.terms
+    z = (0,) * i + (1,) + (0,) * (gen.ctx.nvars - i - 1)
+    if z not in terms or not field.eq(terms[z], field.one()):
+        return False
+    eq, neg = field.eq, field.neg
+    for m, c in fdef.terms.items():
+        if m not in terms or not eq(terms[m], neg(c)):
+            return False
+    return True
 
 
 def _certified_weights(cert: Certificate):
@@ -295,23 +313,41 @@ def verify_certificate(cert: Certificate) -> Tuple[bool, str]:
     """Recheck a certificate from its recorded data alone; returns
     (ok, reason) and never raises for a merely invalid certificate.
 
-    The certified ideal must have the graph shape of ``Certificate``, so
-    every transcript relation is a member by inspection; any other
-    generating set is refused, even of the same ideal.  Base weights are
-    recomputed in the base ring (``_certified_weights``), tropisms in the
-    certified ring by the sliced test of ``_monomial_free``.  A prime
-    tropism is compared with the recomputed weights entry by entry and
-    refused at the first entry that differs, before any later entry is
-    computed."""
-    shape = _graph_shape_error(cert)
-    if shape is not None:
-        return False, shape
+    The checks run cheapest first.  Those that read only the certificate's
+    own data come first: the number of rays, their entries, that they are
+    not proportional and that each is primitive, and the length of a
+    prime tropism.  Then the certified ideal must have the graph shape of
+    ``Certificate``, so every transcript relation is a member by
+    inspection; any other generating set is refused, even of the same
+    ideal.  Last come weights and tropisms.  Base weights are recomputed
+    in the base ring (``_certified_weights``), tropisms in the certified
+    ring by the sliced test of ``_monomial_free``.  A prime tropism is
+    compared with the recomputed weights entry by entry and refused at
+    the first entry that differs, before any later entry is computed;
+    only then is its gcd checked."""
     handle = cert.ideal
     ctx = handle.ctx
     if cert.kind == "prime_tropism":
         w = tuple(cert.data)
         if len(w) != ctx.nvars:
             return False, "weight data does not match the ring variables"
+    elif cert.kind == "two_tropisms":
+        rays = tuple(tuple(r) for r in cert.data)
+        if len(rays) != 2:
+            return False, "certificate does not carry exactly two rays"
+        for ray in rays:
+            if len(ray) != ctx.nvars or any(
+                    not isinstance(e, int) or e <= 0 for e in ray):
+                return False, "ray entries must be positive integers"
+        if _proportional(rays[0], rays[1]):
+            return False, "rays are proportional"
+        for k, ray in enumerate(rays):
+            if _primitive(ray) != ray:
+                return False, f"ray {k + 1} is not primitive"
+    shape = _graph_shape_error(cert)
+    if shape is not None:
+        return False, shape
+    if cert.kind == "prime_tropism":
         for got, want in zip(_certified_weights(cert), w):
             if got <= 0:
                 return False, "base weights are not all positive"
@@ -338,18 +374,6 @@ def verify_certificate(cert: Certificate) -> Tuple[bool, str]:
         if not ideal_membership(form, _initial_handle(handle, bw)):
             return False, "witness initial form does not lie in the initial ideal"
     elif cert.kind == "two_tropisms":
-        rays = tuple(tuple(r) for r in cert.data)
-        if len(rays) != 2:
-            return False, "certificate does not carry exactly two rays"
-        for ray in rays:
-            if len(ray) != ctx.nvars or any(
-                    not isinstance(e, int) or e <= 0 for e in ray):
-                return False, "ray entries must be positive integers"
-        if _proportional(rays[0], rays[1]):
-            return False, "rays are proportional"
-        for k, ray in enumerate(rays):
-            if _primitive(ray) != ray:
-                return False, f"ray {k + 1} is not primitive"
         for k, ray in enumerate(rays):
             refusal = _tropism_refusal(handle, ray, f"ray {k + 1}")
             if refusal is not None:

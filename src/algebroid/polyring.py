@@ -8,6 +8,7 @@ with a positive exponent in an INF slot has weighted degree INF.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import operator
 import re
@@ -113,6 +114,23 @@ class HomogenizedLocalOrder(TermOrder):
 
 # ------------------------------------------------------------------- ring
 
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+@functools.lru_cache(maxsize=64)
+def _checked_names(names: tuple) -> tuple:
+    """The variable names, once they are distinct identifiers; a
+    ValueError otherwise.  Cached per tuple, as decoding a certificate and
+    verifying it build many rings on few tuples; an error is raised
+    afresh on every call, never cached."""
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate variable names")
+    for n in names:
+        if not _NAME.fullmatch(n):
+            raise ValueError(f"bad variable name {n!r}")
+    return names
+
+
 @dataclass(frozen=True)
 class RingCtx:
     """A polynomial ring: a coefficient field and named variables."""
@@ -121,12 +139,7 @@ class RingCtx:
     variables: tuple
 
     def __post_init__(self):
-        names = tuple(str(v) for v in self.variables)
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate variable names")
-        for n in names:
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", n):
-                raise ValueError(f"bad variable name {n!r}")
+        names = _checked_names(tuple(map(str, self.variables)))
         object.__setattr__(self, "variables", names)
 
     @property

@@ -119,15 +119,22 @@ _Q_KERNELS = {"add": operator.add, "sub": operator.sub, "neg": operator.neg,
               "mul": operator.mul, "inv": _q_inv, "is_zero": operator.not_}
 
 
-def _prime_kernels(p: int) -> dict:
+def _mod_kernels(m: int) -> dict:
+    """The kernels of Z/m, those of F_m when m is prime."""
     def inv(a):
         if not a:
             raise DivisionByZero("inverse of zero")
-        return pow(a, -1, p)
+        return pow(a, -1, m)
 
-    return {"add": lambda a, b: (a + b) % p, "sub": lambda a, b: (a - b) % p,
-            "neg": lambda a: -a % p, "mul": lambda a, b: a * b % p,
+    return {"add": lambda a, b: (a + b) % m, "sub": lambda a, b: (a - b) % m,
+            "neg": lambda a: -a % m, "mul": lambda a, b: a * b % m,
             "inv": inv, "is_zero": operator.not_}
+
+
+@functools.lru_cache(maxsize=16)
+def _prime_kernels(p: int) -> dict:
+    """The kernels of F_p, made once per p and shared by equal fields."""
+    return _mod_kernels(p)
 
 
 def _extension_kernels(field: "FieldSpec") -> dict:
@@ -698,7 +705,7 @@ def _equal_degree_split(g: list, d: int, field: FieldSpec, rng) -> list:
 def _mod_ring(m: int):
     """Z/m under FieldSpec's kernel names, for the uv_* helpers on
     polynomials whose leading coefficients are units mod m."""
-    return types.SimpleNamespace(**_prime_kernels(m), zero=lambda: 0,
+    return types.SimpleNamespace(**_mod_kernels(m), zero=lambda: 0,
                                  one=lambda: 1)
 
 

@@ -14,8 +14,9 @@ from fractions import Fraction
 import pytest
 
 from algebroid import groebner
-from algebroid.cli import (_coeff_parse, _poly_json, certificate_from_json,
-                           certificate_json, main, parse_ideal_text)
+from algebroid.cli import (_coeff_decoder, _coeff_parse, _poly_json,
+                           certificate_from_json, certificate_json, main,
+                           parse_ideal_text)
 from algebroid.decide import (Certificate, _certified_weights,
                               decide_irreducible, verify_certificate)
 from algebroid.errors import ParseError
@@ -23,7 +24,8 @@ from algebroid.groebner import IdealHandle, ideal_membership
 from algebroid.localalg import base_weights
 from algebroid.polyring import RingCtx, parse_poly
 from algebroid.scalars import GF, QQ
-from test_decide import PRIME_TOWER_CURVES, TWO_BRANCH_CURVES, _curve
+from test_decide import (PRIME_TOWER_CURVES, TWO_BRANCH_CURVES, _curve,
+                         benchmark_certificates)
 
 DOUBLE_BRANCH = "char 0\nvars x y\nideal:\n(y^2 - x^3)^2 - x^7\n"
 CHAR2_PLANE = "char 2\nvars x y\nideal:\n(y^2 + x^3)^2 + x^7\n"
@@ -561,13 +563,16 @@ def test_malformed_coefficient_exits_two(tmp_path, capsys, bad):
     assert "bad coefficient" in err
 
 
-@pytest.mark.parametrize("text", ["7", "-12", "-0", "007", "٣", "1_0",
-                                  " 7", "7 ", "+5", "3/4", "-6/3", "1e3",
-                                  "", "-", "²", "1" * 5000])
+COEFFICIENT_STRINGS = ["7", "-12", "-0", "007", "٣", "1_0", " 7", "7 ", "+5",
+                       "3/4", "-6/3", "1e3", "", "-", "²", "1" * 5000]
+
+
+@pytest.mark.parametrize("text", COEFFICIENT_STRINGS)
 @pytest.mark.parametrize("field", (QQ, GF(101)), ids=str)
 def test_coefficient_strings_are_read_as_fraction_reads_them(field, text):
-    """Plain ASCII integers are read with int; every string is accepted
-    or refused, and read to the same value, exactly as Fraction does."""
+    """``_coeff_parse``, the reference that the per-document decoder
+    follows, accepts or refuses every string, and reads it to the same
+    value, exactly as Fraction does."""
     try:
         want = field.coerce(Fraction(text))
     except ValueError:
@@ -575,6 +580,64 @@ def test_coefficient_strings_are_read_as_fraction_reads_them(field, text):
             _coeff_parse(field, text)
     else:
         assert _coeff_parse(field, text) == want
+
+
+def _typed(c):
+    """A payload with the type of each of its coordinates."""
+    if isinstance(c, tuple):
+        return tuple(map(_typed, c))
+    return type(c), c
+
+
+def _read(read, obj):
+    """What ``read`` makes of obj: its typed value or its ParseError."""
+    try:
+        return _typed(read(obj))
+    except ParseError as exc:
+        return "ParseError", str(exc)
+
+
+# More coefficients than strings: ratios whose denominator vanishes or
+# cancels, and JSON values that are not strings.
+COEFFICIENT_OBJECTS = [*COEFFICIENT_STRINGS, "1/0", "-0/5", "4/2", "-7/10",
+                       "5/101", "202/101", "2/4", "3/2/1", "1" * 5000 + "/3",
+                       12, -5, 0, 10 ** 30, True, False, 0.5, None, ["1"]]
+
+
+@pytest.mark.parametrize("field", (QQ, GF(101), GF(2), GF(5, (2, 0))),
+                         ids=str)
+def test_the_coefficient_decoder_agrees_with_the_reference(field):
+    """Each coefficient is read by the per-document decoder to the value
+    and payload type ``_coeff_parse`` reads, or refused with its
+    ParseError; over F_5(th) as coordinate vectors, of the right length
+    or not."""
+    decode = _coeff_decoder(field)
+    objs = COEFFICIENT_OBJECTS
+    if field.extension is not None:
+        objs = [v for c in objs if c != ["1"]
+                for v in ([c, c], [c, "1"], ["-1", c], [c], [c, c, c])]
+    for obj in objs:
+        assert _read(decode, obj) == _read(
+            lambda o: _coeff_parse(field, o), obj), obj
+
+
+def test_decoded_certificates_keep_their_terms_and_payload_types():
+    """The certificate of each benchmark curve, written and read back,
+    has the polynomials it had, term by term, and each coefficient is the
+    payload ``_coeff_parse`` reads, type included."""
+    for cid, cert in benchmark_certificates():
+        doc = certificate_json(cert)
+        back = certificate_from_json(json.loads(json.dumps(doc)))
+        field = cert.ideal.ctx.field
+        pairs = [*zip(back.ideal.generators, doc["generators"]),
+                 *((f, t["poly"]) for (_, f), t in zip(back.transcript,
+                                                       doc["transcript"]))]
+        for poly, obj in pairs:
+            want = {tuple(m): _typed(_coeff_parse(field, c))
+                    for m, c in obj["terms"]}
+            assert {m: _typed(c) for m, c in poly.terms.items()} == want, cid
+        assert back.ideal.generators == cert.ideal.generators, cid
+        assert back.transcript == cert.transcript, cid
 
 
 def test_unreadable_json_exits_two(tmp_path, capsys):
@@ -607,6 +670,7 @@ def _set(path, value):
 @pytest.mark.parametrize("text, mutate", [
     (None, "[1, 2]"),
     (None, '"a report"'),
+    (None, "[" + "7" * 5000 + "]"),
     (PRIME_4_6_13, "1e400"),
     (PRIME_4_6_13, _halves_added),
     (PRIME_4_6_13, _set(("data", 0), True)),
@@ -624,10 +688,10 @@ def _set(path, value):
     (PRIME_4_6_13, _set(("ring", "ext"), [1])),
     (PRIME_4_6_13, _set(("generators",), {"terms": []})),
     (PRIME_4_6_13, _set(("generators", 0, "terms"), None)),
-], ids=["list", "string", "char-1e400", "fractional", "bool-weight",
-        "string-weight", "string-exponent", "bool-coefficient", "vars-string",
-        "base-vars-string", "float-ray", "list-kind", "number-name",
-        "ring-list", "char-4", "short-exponent", "ext-one",
+], ids=["list", "string", "long-integer", "char-1e400", "fractional",
+        "bool-weight", "string-weight", "string-exponent", "bool-coefficient",
+        "vars-string", "base-vars-string", "float-ray", "list-kind",
+        "number-name", "ring-list", "char-4", "short-exponent", "ext-one",
         "generators-object", "null-terms"])
 def test_a_malformed_document_exits_two_without_a_traceback(
         tmp_path, text, mutate):
@@ -723,6 +787,22 @@ def test_each_verifier_refusal_names_its_reason(tmp_path, capsys, case):
         doc = _crafted_doc(*source)
     if mutate is not None:
         mutate(doc)
+    assert verify_certificate(certificate_from_json(doc)) == (False, reason)
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out, err) == (1, f"certificate: invalid ({reason})\n", "")
+
+
+def test_the_data_is_checked_before_the_graph_shape(tmp_path, capsys):
+    """A doubled ray and a renamed transcript entry: the ray, which the
+    certificate's data alone refutes, is the reason given."""
+    _, doc = report_for(tmp_path, STRETCH)
+    cert = doc["certificate"]
+    assert cert["kind"] == "two_tropisms" and cert["transcript"]
+    cert["data"][0] = [2 * e for e in cert["data"][0]]
+    cert["transcript"][0]["name"] = "w"
+    reason = "ray 1 is not primitive"
     assert verify_certificate(certificate_from_json(doc)) == (False, reason)
     path = tmp_path / "refused.json"
     path.write_text(json.dumps(doc))

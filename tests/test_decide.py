@@ -1,5 +1,6 @@
 """Tests for the irreducibility decision and its certificates."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -17,6 +18,7 @@ from algebroid.cli import certificate_from_json, certificate_json
 from algebroid.decide import (
     Certificate,
     _certified_weights,
+    _graph_shape_error,
     _initial_handle,
     _monomial_free,
     assert_preconditions,
@@ -883,6 +885,76 @@ def test_a_certificate_with_a_plane_inside_x0_is_refused():
         False, "initial ideal at ray 1 contains a monomial")
 
 
+# ----------------------------------------------- the graph shape check
+
+def _relation_reason(cert):
+    """What ``_graph_shape_error`` must say of a certificate whose only
+    possible faults are its transcript names and its relations, read by
+    building each relation z - fdef."""
+    ctx = cert.ideal.ctx
+    names = tuple(name for name, _ in cert.transcript)
+    if tuple(cert.base_vars) + names != ctx.variables:
+        return "transcript does not span the certificate ring"
+    gens = cert.ideal.generators
+    head = len(gens) - len(names)
+    for k, ((name, fdef), gen) in enumerate(zip(cert.transcript, gens[head:])):
+        if gen != ctx.var(name) - fdef:
+            return (f"generator {head + k + 1} of the certified ideal is not "
+                    f"the transcript relation of {name}")
+    return None
+
+
+def _perturbed(cert, rng):
+    """(label, certificate) for each seeded perturbation of each transcript
+    relation: a coefficient changed, a term dropped or added, a sign
+    flipped, z's coefficient set to 2, or the transcript entry renamed."""
+    gens = cert.ideal.generators
+    ctx = cert.ideal.ctx
+    field = ctx.field
+    head = len(gens) - len(cert.transcript)
+    for k, (name, fdef) in enumerate(cert.transcript):
+        gen = gens[head + k]
+        terms = dict(gen.terms)
+        z = next(iter(ctx.var(name).terms))
+        m = rng.choice(sorted(terms))
+        scalar = field.from_int(rng.randrange(1, 50))
+        fresh = tuple(rng.randrange(4) for _ in range(ctx.nvars))
+        while fresh in terms:
+            fresh = tuple(rng.randrange(4) for _ in range(ctx.nvars))
+        variants = {
+            "coefficient changed": {**terms, m: field.add(terms[m], scalar)},
+            "term dropped": {t: c for t, c in terms.items() if t != m},
+            "term added": {**terms, fresh: scalar},
+            "sign flipped": {**terms, m: field.neg(terms[m])},
+            "z doubled": {**terms, z: field.from_int(2)},
+        }
+        for label, new in variants.items():
+            rel = Poly.from_items(new.items(), ctx)
+            yield f"{name}: {label}", replace(cert, ideal=IdealHandle(
+                gens[:head + k] + (rel,) + gens[head + k + 1:], ctx))
+        renamed = cert.transcript[:k] + ((name + "_", fdef),) + \
+            cert.transcript[k + 1:]
+        yield f"{name}: renamed", replace(cert, transcript=renamed)
+
+
+def test_the_shape_check_agrees_with_building_each_relation():
+    """The shape check compares terms instead of building z - fdef, and
+    refuses exactly the perturbed relations that differ from z - fdef,
+    with the same reason; a perturbation that leaves the relation as it
+    was (a flipped sign in characteristic 2) is accepted."""
+    rng = random.Random("shape-check")
+    seen = set()
+    for cid, cert in benchmark_certificates():
+        assert cert.transcript
+        assert _graph_shape_error(cert) is None is _relation_reason(cert)
+        for _ in range(3):
+            for label, bad in _perturbed(cert, rng):
+                reason = _relation_reason(bad)
+                assert _graph_shape_error(bad) == reason, (cid, label)
+                seen.add(reason is None)
+    assert seen == {True, False}
+
+
 # ---------------------------------------- initial ideals with their basis
 
 # The curves of the benchmark's two_branch and prime_tower workloads.
@@ -916,6 +988,21 @@ STRETCH_CURVE = ("x y", ("((y^2 - x^3)^2 - x^5*y)^2 - x^11*y^2",))
 def _curve(variables, texts, field):
     ctx = RingCtx(field, tuple(variables.split()))
     return IdealHandle(tuple(parse_poly(t, ctx) for t in texts), ctx)
+
+
+@functools.cache
+def benchmark_certificates():
+    """(id, certificate) of each curve of the two_branch and prime_tower
+    workloads, decided over each field the benchmark decides it over."""
+    cases = [(cid, curve, field)
+             for cid, curve in TWO_BRANCH_CURVES.items()
+             for field in (QQ, GF(101))]
+    cases += [(cid, curve, field)
+              for cid, curve in PRIME_TOWER_CURVES.items()
+              for field in (QQ, GF(7), F5TH)]
+    cases.append(("char2-tower", ("x y", ("(y^2 + x^3)^2 + x^7",)), GF(2)))
+    return tuple((f"{cid}.{field}", decide_irreducible(
+        _curve(*curve, field)).certificate) for cid, curve, field in cases)
 
 
 # p-th powers over fields of characteristic p: each exponent is divisible

@@ -11,6 +11,7 @@ from algebroid.errors import ParseError, ZeroPoly
 from algebroid.polyring import (
     _EXPONENT_CAP,
     _TERM_CAP,
+    _checked_names,
     _scaled_division,
     INF,
     BlockOrder,
@@ -242,6 +243,29 @@ def test_embed_lifts_into_a_simple_extension_only():
             embed(f, target)
     with pytest.raises(ValueError):
         embed(g, RingCtx(GF(5), ("x", "y", "z")))
+
+
+class _Name(str):
+    """A variable name that is a str subclass."""
+
+
+def test_ring_names_are_checked_on_every_construction():
+    """A tuple of names is validated once, through a bounded cache; a
+    duplicate or bad name raises on every construction and leaves nothing
+    in the cache, and names are stored as plain str."""
+    info = _checked_names.cache_info
+    assert info().maxsize is not None
+    for names in (("x", "x"), ("x", "1y"), ("x", "y z"), ("",)):
+        before = info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                RingCtx(QQ, names)
+        assert info().currsize == before
+    ring = RingCtx(GF(7), [_Name("x"), _Name("y")])
+    assert ring.variables == ("x", "y")
+    assert all(type(v) is str for v in ring.variables)
+    assert ring == RingCtx(GF(7), ("x", "y"))
+    assert RingCtx(QQ, ("u", "v")).variables is RingCtx(QQ, ("u", "v")).variables
 
 
 def test_lead_of_zero_raises():

@@ -659,6 +659,14 @@ def test_kernels_are_bound_once_per_field():
     assert QQ.add is operator.add and QQ.is_zero is operator.not_
 
 
+def test_equal_prime_fields_share_their_kernels():
+    first, second = GF(101), GF(101)
+    assert first is not second
+    for name in ("add", "sub", "neg", "mul", "inv"):
+        assert getattr(first, name) is getattr(second, name)
+    assert first.mul(3, 34) == 1 and GF(7).mul(3, 5) == 1
+
+
 def test_equal_fields_share_one_table(monkeypatch):
     calls = []
     ext_mul = FieldSpec._ext_mul
