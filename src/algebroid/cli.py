@@ -21,6 +21,11 @@ use ``th`` in their coefficients::
     ideal:
     y^2 - th*x^3
 
+``th`` is that root wherever text is parsed in the file's ring, ``int
+--poly`` included, and every polynomial the commands print parses back
+the same way.  The ``ring:`` line that ``decide`` and ``semigroup``
+print names the field as the header does.
+
 Blank lines and ``#`` comments are ignored.  Exit codes: ``decide``
 returns 0 for irreducible, 1 for reducible and 2 for any parse or
 precondition failure; ``verify`` returns 0 for a valid certificate, 1
@@ -83,19 +88,6 @@ def _extension_field(base: FieldSpec, text: str, lineno: int) -> FieldSpec:
         raise ParseError(f"line {lineno}: {exc}") from None
 
 
-def _fold_extension_var(p: Poly, target: RingCtx) -> Poly:
-    """Rewrite a polynomial parsed with ``th`` as the leading variable
-    into one over the extension field, absorbing th powers into the
-    coefficients."""
-    field = target.field
-    gen = field.generator()
-    items = []
-    for mono, c in p.terms.items():
-        k = mono[0]
-        items.append((mono[1:], field.mul(c, field.pow(gen, k)) if k else c))
-    return Poly.from_items(items, target)
-
-
 def parse_ideal_text(text: str) -> IdealHandle:
     """Parse the line-oriented ideal format into an ideal handle."""
     char: Optional[int] = None
@@ -146,15 +138,12 @@ def parse_ideal_text(text: str) -> IdealHandle:
         ctx = RingCtx(field, names)
     except ValueError as exc:
         raise ParseError(f"line {names_line}: {exc}") from None
-    parse_ctx = RingCtx(field, (_EXT_NAME,) + names) if ext else ctx
     gens = []
     for lineno, line in gen_lines:
         try:
-            p = parse_poly(line, parse_ctx)
+            p = parse_poly(line, ctx)
         except AlgebroidError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-        if ext is not None:
-            p = _fold_extension_var(p, ctx)
         if not p.is_zero():
             gens.append(p)
     if not gens:
@@ -400,7 +389,10 @@ def _parse_weights(text: str, nvars: int) -> tuple:
 
 
 def _ring_line(ctx: RingCtx) -> str:
-    return (f"ring: char {ctx.field.characteristic}, "
+    """The ring as the header of an ideal file names it."""
+    field = ctx.field
+    ext = "" if field.extension is None else f"ext {field.defining_poly()}, "
+    return (f"ring: char {field.characteristic}, {ext}"
             f"vars {' '.join(ctx.variables)}")
 
 

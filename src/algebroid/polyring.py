@@ -18,7 +18,7 @@ from math import comb, gcd, prod
 from typing import Iterable, Sequence, Union
 
 from .errors import ParseError, ZeroPoly
-from .scalars import FieldSpec, _power
+from .scalars import _EXT_NAME, FieldSpec, _power
 
 INF = float("inf")
 
@@ -609,13 +609,17 @@ def _refuse_above_term_cap(bound: int) -> None:
 
 def parse_poly(text: str, ctx: RingCtx) -> Poly:
     """Parse '+ - * / ^' arithmetic with implicit multiplication, integer
-    and fractional coefficients, and parentheses.  A power or product
-    whose exponents could pass ``_EXPONENT_CAP``, or whose terms could
-    pass ``_TERM_CAP``, raises ParseError before it is computed.  The
-    term bound of A*B is the smaller of len(A)*len(B) and the number of
-    monomials under the sum of their top exponents; that of A^e, of the
-    C(len(A) + e - 1, e) products of e terms and the monomials under e
-    times A's top exponents."""
+    and fractional coefficients, and parentheses.  Over an extension field
+    the name ``th`` is the field's generator, unless a variable of the
+    ring is named ``th`` and shadows it; over a base field ``th`` is an
+    unknown variable like any other.  So, with no variable named ``th``,
+    what ``str`` prints for a polynomial of ``ctx`` parses back to it.
+    A power or product whose exponents could pass ``_EXPONENT_CAP``, or
+    whose terms could pass ``_TERM_CAP``, raises ParseError before it is
+    computed.  The term bound of A*B is the smaller of len(A)*len(B) and
+    the number of monomials under the sum of their top exponents; that of
+    A^e, of the C(len(A) + e - 1, e) products of e terms and the
+    monomials under e times A's top exponents."""
     toks = _tokenize(text)
     pos = 0
 
@@ -717,6 +721,9 @@ def parse_poly(text: str, ctx: RingCtx) -> Poly:
                 raise ParseError(f"a {len(tok)}-digit literal is too long")
         if re.fullmatch(r"[A-Za-z_]\w*", tok):
             take()
+            if tok == _EXT_NAME and ctx.field.extension is not None \
+                    and tok not in ctx.variables:
+                return ctx.const(ctx.field.generator())
             return ctx.var(ctx.index(tok))
         raise ParseError(f"unexpected token {tok!r}")
 

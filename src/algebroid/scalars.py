@@ -51,7 +51,7 @@ from .errors import AlgebroidError, DivisionByZero, SolverLimitation, ZeroPoly
 
 _ENUM_CAP = 4096        # largest finite field given log tables or enumerated
 _SUBSET_CAP = 1024      # most factor subsets recombined over Q
-_EXT_NAME = "th"        # the extension generator's name in payloads and ideal files
+_EXT_NAME = "th"        # the extension generator's name in printed and parsed text
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -413,13 +413,19 @@ class FieldSpec:
                 code //= p
             yield tuple(vec)
 
+    def defining_poly(self):
+        """The monic defining polynomial of an extension, as a ``Poly`` in
+        the ring (th,) over the base field."""
+        from .polyring import Poly, RingCtx
+        base = self.base()
+        return Poly.from_items(
+            (((k,), c) for k, c in enumerate(self.extension + (base.one(),))),
+            RingCtx(base, (_EXT_NAME,)))
+
     def __str__(self):
-        if self.characteristic == 0 and self.extension is None:
-            return "Q"
-        if self.extension is None:
-            return f"F{self.characteristic}"
-        body = uv_str(list(self.extension) + [self.base().one()], self.base(), _EXT_NAME)
-        return f"{self.base()}[{_EXT_NAME}]/({body})"
+        if self.extension is not None:
+            return f"{self.base()}[{_EXT_NAME}]/({self.defining_poly()})"
+        return f"F{self.characteristic}" if self.characteristic else "Q"
 
 
 QQ = FieldSpec(0)
@@ -545,24 +551,6 @@ def uv_eval(f, x, field: FieldSpec):
     for c in reversed(list(f)):
         out = field.add(field.mul(out, x), c)
     return out
-
-
-def uv_str(f, field: FieldSpec, var: str = "a") -> str:
-    f = _uv_trim(f, field)
-    if not f:
-        return "0"
-    parts = []
-    for i in range(len(f) - 1, -1, -1):
-        c = f[i]
-        if field.is_zero(c):
-            continue
-        cs = field.payload_str(c)
-        if i == 0:
-            parts.append(cs)
-        else:
-            head = var if i == 1 else f"{var}^{i}"
-            parts.append(head if cs == "1" else f"{cs}*{head}")
-    return " + ".join(parts)
 
 
 def _pth_root_payload(a, field: FieldSpec):

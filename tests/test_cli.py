@@ -42,6 +42,8 @@ HUGE_EXPONENT = "char 0\nvars x y\nideal:\ny^2 - x^3000000\n"
 HUGE_POWER = "char 0\nvars x y z\nideal:\n(x + y + z)^100\nz - x*y\n"
 MINORS = ("char 0\nvars x y z\nideal:\n"
           "(x^3 + y^2)*x - y*z^2\ny^2 - x*z\nz^3 - (x^3 + y^2)*y\n")
+# y^2 = x^3*(th + x) over F_5(th), one branch on which y^2 - th*x^3 = x^4
+EXT_CUSP = "char 5\next th^2 + 2\nvars x y\nideal:\ny^2 - th*x^3 - x^4\n"
 # two_tropisms with the transcript z, u
 STRETCH = "char 0\nvars x y\nideal:\n((y^2 - x^3)^2 - x^5*y)^2 - x^11*y^2\n"
 
@@ -261,6 +263,30 @@ def test_int_with_an_unknown_variable_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "int", path, "--poly", "w^2")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("poly, plain, value", [
+    ("y^2 - th*x^3", "x^4", "8"),               # one class modulo the ideal
+    ("y^2 - th^2*x^3", "y^2 - 3*x^3", "6"),     # one polynomial: th^2 = 3
+])
+def test_int_reads_th_as_the_generator_of_the_files_extension(
+        tmp_path, capsys, poly, plain, value):
+    path = write(tmp_path, EXT_CUSP)
+    code, out, _ = run(capsys, "int", path, "--poly", poly)
+    assert code == 0
+    assert out == run(capsys, "int", path, "--poly", plain)[1] == value + "\n"
+
+
+@pytest.mark.parametrize("text, line", [
+    (EXT_CUSP, "ring: char 5, ext th^2 + 2, vars x y"),
+    (CUSP, "ring: char 0, vars x y"),
+], ids=["extension", "base"])
+@pytest.mark.parametrize("command", ["decide", "semigroup"])
+def test_the_ring_line_names_the_field_as_the_header_does(
+        tmp_path, capsys, command, text, line):
+    code, out, _ = run(capsys, command, write(tmp_path, text))
+    assert code == 0
+    assert line in out.splitlines()
 
 
 def test_initial_ideal_of_the_char_two_tower(tmp_path, capsys):

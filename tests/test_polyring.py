@@ -59,6 +59,46 @@ def test_parse_fractions_and_unary_minus():
 def test_parse_rejects_unknown_variable():
     with pytest.raises(ParseError):
         CTX.poly("x + w")
+    # th names an extension's generator, and nothing over a base field
+    for field in (QQ, GF(5)):
+        with pytest.raises(ParseError, match="unknown variable 'th'"):
+            RingCtx(field, ("x", "y")).poly("y^2 - th*x^3")
+
+
+F5TH = GF(5, (2, 0))                    # F_5[th]/(th^2 + 2)
+F4 = GF(2, (1, 1))                      # F_2[th]/(th^2 + th + 1)
+QTH = FieldSpec(0, (-2, 0))             # Q[th]/(th^2 - 2)
+
+
+@pytest.mark.parametrize("field", [F5TH, F4, QTH], ids=str)
+def test_printed_extension_polynomials_parse_back(field):
+    """``th`` parses as the generator, so what ``str`` prints for a
+    polynomial over an extension reads back to the same polynomial."""
+    ctx = RingCtx(field, ("x", "y"))
+    rng = random.Random(44)
+    for _ in range(60):
+        p = Poly.from_items(
+            (((rng.randrange(4), rng.randrange(4)), _random_coeff(rng, field))
+             for _ in range(rng.randrange(1, 6))), ctx)
+        assert ctx.poly(str(p)) == p, str(p)
+    g = field.generator()
+    assert ctx.poly("th") == ctx.const(g)
+    assert ctx.poly("th^2*x - x/th") == \
+        ctx.var("x").scale(field.sub(field.mul(g, g), field.inv(g)))
+
+
+def test_signed_fractional_coefficients_over_q_th_read_back():
+    ctx = RingCtx(QTH, ("x", "y"))
+    p = ctx.poly("-1/2*th*x - 3/7*y^2 + (2 - th)/5")
+    assert p.coeff((1, 0)) == (0, Fraction(-1, 2))
+    assert p.constant_coeff() == (Fraction(2, 5), Fraction(-1, 5))
+    assert ctx.poly(str(p)) == p
+
+
+def test_a_variable_named_th_shadows_the_generator():
+    ctx = RingCtx(F5TH, ("th", "y"))
+    assert ctx.poly("th*y") == ctx.var("th") * ctx.var("y")
+    assert ctx.poly("th*y").terms == {(1, 1): F5TH.one()}
 
 
 def test_parse_rejects_garbage():
@@ -302,7 +342,8 @@ DIVISION_FIELDS = (QQ, GF(7), GF(5, (2, 0)))
 
 def _random_coeff(rng, field):
     if field.extension is not None:
-        return tuple(rng.randint(0, 4) for _ in range(field.degree))
+        return tuple(_random_coeff(rng, field.base())
+                     for _ in range(field.degree))
     if field.characteristic:
         return rng.randint(0, field.characteristic - 1)
     return Fraction(rng.randint(-5, 5), rng.randint(1, 3))

@@ -113,6 +113,14 @@ def test_quadratic_extension_of_q():
     assert k.div(one, k.add(one, th)) == k.sub(th, one)
 
 
+def test_an_extension_prints_its_definition_as_a_polynomial_does():
+    assert str(FieldSpec(0, (-2, 0))) == "Q[th]/(th^2 - 2)"
+    assert str(FieldSpec(0, (1, -1))) == "Q[th]/(th^2 - th + 1)"
+    assert str(GF(5, (2, 0))) == "F5[th]/(th^2 + 2)"
+    assert str(GF(2, (1, 1))) == "F2[th]/(th^2 + th + 1)"
+    assert (str(QQ), str(GF(7))) == ("Q", "F7")
+
+
 def test_extension_requires_irreducible_minpoly():
     with pytest.raises(ValueError):
         FieldSpec(0, extension=(-1, 0))  # th^2 - 1 splits
