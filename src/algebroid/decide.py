@@ -93,7 +93,7 @@ def _initial_handle(handle: IdealHandle, w: Sequence[int]) -> IdealHandle:
     global order T breaking the local order's ties would do; InvLex lets
     each adjoined coordinate lead its own relation, and makes x_0 the
     smallest variable, so K's basis slices at x_0 = 1 without S-pairs
-    (see ``_monomial_free``)."""
+    (see ``_monomial_witness``)."""
     w = tuple(w)
 
     def build() -> IdealHandle:
@@ -117,21 +117,20 @@ def _form_monomial(gens: Sequence[Poly], w: Sequence[int]) -> Optional[tuple]:
     return None
 
 
-def _monomial_free(handle: IdealHandle, w: Sequence[int]) -> bool:
-    """Whether the initial ideal K of the handle at w contains no monomial
-    (``_slice_power``)."""
-    return _slice_power(handle, w) is None
+def _monomial_witness(handle: IdealHandle, w: Sequence[int]) -> Optional[Poly]:
+    """A monic monomial inside the initial ideal K of the handle at w, or
+    None when K contains none, that is, when w is a tropism.  The answer
+    is kept in the handle's memo under ("free", w).  The witness is the
+    first of:
+    1. a nonconstant monomial that is the initial form at w of a
+       generator; K is then not built at all;
+    2. else a monomial of K's reduced InvLex basis;
+    3. else x_0^a * (x_1...x_{n-1})^s with the s of the sliced test
+       below and the least a, found by normal forms in K.
+    So it depends on the generators and K, not on the standard basis
+    whose initial forms generate K.  Raises WrongDimension when the
+    third tier's slice is not finite.
 
-
-def _slice_power(handle: IdealHandle, w: Sequence[int]) -> Optional[int]:
-    """None when the initial ideal K of the handle at w contains no
-    monomial; otherwise an s >= 1 with x_0^a * (x_1...x_{n-1})^s in K for
-    some a >= 0.  The answer is kept in the handle's memo under
-    ("free", w).  Raises WrongDimension when the slice is not finite.
-
-    A generator whose initial form at w is a nonconstant monomial x^m
-    puts x^m in K, and x^m divides x_0^s * (x_1...x_{n-1})^s for
-    s = max(m); K is then not built at all.  Otherwise the test is sliced.
     K is w-homogeneous and every w_j is positive, so its zero set is
     stable under t.p = (t^w_1 p_1, ...) and meets the torus exactly when
     any of its slices x_i = 1 does, over the algebraic closure and in any
@@ -161,27 +160,37 @@ def _slice_power(handle: IdealHandle, w: Sequence[int]) -> Optional[int]:
       of K that lie inside its own hyperplane."""
     w = tuple(w)
 
-    def build() -> Optional[int]:
+    def build() -> Optional[Poly]:
+        ctx = handle.ctx
         m = _form_monomial(handle.generators, w)
+        if m is None:
+            K = _initial_handle(handle, w)
+            gb, order = K.groebner(), K.order
+            m = _form_monomial(gb, w)
         if m is not None:
-            return max(m)
-        K = _initial_handle(handle, w)
-        ctx, order = K.ctx, K.order
-        n = ctx.nvars
+            return ctx.mono(m)
+        n, x0 = ctx.nvars, ctx.var(0)
         small = RingCtx(ctx.field, ctx.variables[1:])
-        gb = [Poly({m[1:]: c for m, c in g.terms.items()}, small)
-              for g in K.groebner()]
-        length = staircase_size([g.lead(order)[0] for g in gb], n - 1)
+        sliced = [Poly({m[1:]: c for m, c in g.terms.items()}, small)
+                  for g in gb]
+        length = staircase_size([g.lead(order)[0] for g in sliced], n - 1)
         if length is None:
             raise WrongDimension(
                 f"the initial ideal at weight {w} is not one-dimensional: "
                 f"its slice {ctx.variables[0]} = 1 is not finite")
-        p = normal_form(small.mono((1,) * (n - 1)), gb, order)
-        span = 1
-        while span < length and not p.is_zero():
-            p = normal_form(p * p, gb, order)
-            span *= 2
-        return span if p.is_zero() else None
+        p = normal_form(small.mono((1,) * (n - 1)), sliced, order)
+        s = 1
+        while s < length and not p.is_zero():
+            p = normal_form(p * p, sliced, order)
+            s *= 2
+        if not p.is_zero():
+            return None
+        mono = ctx.mono((0,) + (s,) * (n - 1))
+        # x_0 * (mono - r) lies in K, so NF(x_0 * mono) = NF(x_0 * r)
+        r = normal_form(mono, gb, order)
+        while not r.is_zero():
+            mono, r = mono * x0, normal_form(r * x0, gb, order)
+        return mono
     return handle.cached(("free", w), build)
 
 
@@ -219,9 +228,7 @@ class DecisionReport:
 
 
 def _primitive(ray: Sequence[int]) -> tuple:
-    g = 0
-    for e in ray:
-        g = gcd(g, e)
+    g = gcd(*ray)
     return tuple(e // g for e in ray)
 
 
@@ -303,10 +310,12 @@ def _tropism_refusal(handle: IdealHandle, w: tuple,
                      where: str) -> Optional[str]:
     """Why w is not a tropism of the certified ideal, or None when it is."""
     try:
-        free = _monomial_free(handle, w)
+        witness = _monomial_witness(handle, w)
     except WrongDimension:
         return f"initial ideal at {where} is not one-dimensional"
-    return None if free else f"initial ideal at {where} contains a monomial"
+    if witness is not None:
+        return f"initial ideal at {where} contains a monomial"
+    return None
 
 
 def verify_certificate(cert: Certificate) -> Tuple[bool, str]:
@@ -321,10 +330,10 @@ def verify_certificate(cert: Certificate) -> Tuple[bool, str]:
     inspection; any other generating set is refused, even of the same
     ideal.  Last come weights and tropisms.  Base weights are recomputed
     in the base ring (``_certified_weights``), tropisms in the certified
-    ring by the sliced test of ``_monomial_free``.  A prime tropism is
-    compared with the recomputed weights entry by entry and refused at
-    the first entry that differs, before any later entry is computed;
-    only then is its gcd checked."""
+    ring by ``_monomial_witness``.  A prime tropism is compared with the
+    recomputed weights entry by entry and refused at the first entry
+    that differs, before any later entry is computed; only then is its
+    gcd checked."""
     handle = cert.ideal
     ctx = handle.ctx
     if cert.kind == "prime_tropism":
@@ -549,31 +558,6 @@ def _descend(handle: IdealHandle, w: tuple, f: Poly, value: int, *,
             return ("false", v, f, g)
         f = f - g.scale(v.beta)
         value = v.value
-
-
-def _monomial_witness(handle: IdealHandle, w: tuple) -> Optional[Poly]:
-    """A monic monomial inside the weighted initial ideal K, None if K is
-    monomial-free (by the sliced test of ``_monomial_free``).  It is the
-    first one that appears as the initial form of a generator, else in
-    K's reduced InvLex basis, else x_0^a * (x_1...x_{n-1})^s with the s
-    of ``_slice_power`` and the least a, found by normal forms in K.  So
-    the witness depends on the generators and K, not on the standard
-    basis whose initial forms generate K."""
-    if _monomial_free(handle, w):
-        return None
-    ctx = handle.ctx
-    m = (_form_monomial(handle.generators, w)
-         or _form_monomial(_initial_handle(handle, w).groebner(), w))
-    if m is not None:
-        return ctx.mono(m)
-    K, x0 = _initial_handle(handle, w), ctx.var(0)
-    gb = K.groebner()
-    mono = ctx.mono((0,) + (_slice_power(handle, w),) * (ctx.nvars - 1))
-    # x_0 * (mono - r) lies in K, so NF(x_0 * mono) = NF(x_0 * r)
-    r = normal_form(mono, gb, K.order)
-    while not r.is_zero():
-        mono, r = mono * x0, normal_form(r * x0, gb, K.order)
-    return mono
 
 
 # ------------------------------------------------------------------- rays

@@ -278,7 +278,8 @@ class IdealHandle:
     the local standard basis, ("pivot",) for the pivot reducer's free
     basis (``parametric.free_basis``), ("intersection", f.key()),
     ("initial", w) for the initial ideal's handle and ("free", w) for the
-    sliced test's answer (``decide._slice_power``).  An initial handle is
+    monomial witness of that initial ideal, or None when it holds no
+    monomial (``decide._monomial_witness``).  An initial handle is
     built with its ("groebner",) entry already filled, by interreduction
     alone.  Some ("intersection", f.key()) entries are seeded, not
     computed: ``decide._descend`` stores the value of each polynomial it

@@ -378,14 +378,17 @@ class FieldSpec:
         for i, c in enumerate(a):
             if base.is_zero(c):
                 continue
-            if i == 0:
-                parts.append(str(c))
-            else:
+            # only Q's payloads print with a sign
+            sign, mag = (("-", base.neg(c)) if str(c).startswith("-")
+                         else ("", c))
+            if i:
                 head = _EXT_NAME if i == 1 else f"{_EXT_NAME}^{i}"
-                parts.append(head if base.eq(c, base.one()) else f"{c}*{head}")
+                mag = head if base.eq(mag, base.one()) else f"{mag}*{head}"
+            parts.append(f"{sign}{mag}")
         if not parts:
             return "0"
-        body = " + ".join(parts)
+        body = parts[0] + "".join(f" - {t[1:]}" if t.startswith("-")
+                                  else f" + {t}" for t in parts[1:])
         return body if len(parts) == 1 else f"({body})"
 
     def sort_key(self, a):

@@ -145,7 +145,7 @@ def test_the_two_attachment_rays_project_onto_the_certificate(cid, fid):
     vbar = wdot(wb, next(iter(g.terms)))
     d1, d2 = (value - 2 * vbar for value in _values(verdict, handle))
     old = {wb + (vbar + d1, vbar), wb + (vbar, vbar + d2)}
-    assert all(decide._monomial_free(J, ray) for ray in old)
+    assert all(decide._monomial_witness(J, ray) is None for ray in old)
     assert {ray[:-1] for ray in old} == set(rep.certificate.data)
     assert rep.certificate.ideal.ctx.nvars == handle.ctx.nvars + 1
     assert rep.certificate.ideal.ctx.variables == J.ctx.variables[:-1]

@@ -20,7 +20,7 @@ from algebroid.decide import (
     _certified_weights,
     _graph_shape_error,
     _initial_handle,
-    _monomial_free,
+    _monomial_witness,
     assert_preconditions,
     decide_irreducible,
     value_semigroup,
@@ -217,6 +217,22 @@ def test_a_monomial_witness_from_the_initial_ideal_basis(fid, monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == BASIS_WITNESS_PINS[fid]
 
 
+@pytest.mark.parametrize("fid", BASIS_WITNESS_PINS)
+def test_a_basis_witness_is_read_before_the_slice(fid, monkeypatch):
+    """The witness in K's reduced basis is returned without slicing K: no
+    staircase of the slice is counted."""
+    I, _ = plane_ideal("((y^2 - x^3)^2 - x^7)*(y^2 - x^3 - x^4)",
+                       PIN_FIELDS[fid])
+    J = decide_irreducible(I).certificate.ideal
+    fresh = IdealHandle(J.generators, J.ctx)
+
+    def refuse(leads, nvars):
+        raise AssertionError("the slice was counted")
+
+    monkeypatch.setattr(decide, "staircase_size", refuse)
+    assert _monomial_witness(fresh, (6, 9, 22)) == parse_poly("x^7*z", J.ctx)
+
+
 @pytest.mark.parametrize("field", (QQ, GF(101)), ids=str)
 def test_the_monomial_search_is_the_witness_of_last_resort(field,
                                                            monkeypatch):
@@ -304,14 +320,15 @@ def _seeded_case1_curves(seed=14, count=4):
 
 
 def record_tropism_checks(mp):
-    """Record (handle, ray, inside verification) for each sliced tropism
-    test that ``decide`` runs while ``mp`` is active."""
+    """Record (handle, ray, inside verification) for each tropism test
+    that ``decide`` runs while ``mp`` is active."""
     checks, depth = [], []
-    inner_free, inner_verify = decide._monomial_free, decide.verify_certificate
+    inner_witness = decide._monomial_witness
+    inner_verify = decide.verify_certificate
 
-    def free(handle, w):
+    def witness(handle, w):
         checks.append((handle, tuple(w), bool(depth)))
-        return inner_free(handle, w)
+        return inner_witness(handle, w)
 
     def verify(cert):
         depth.append(cert)
@@ -320,7 +337,7 @@ def record_tropism_checks(mp):
         finally:
             depth.pop()
 
-    mp.setattr(decide, "_monomial_free", free)
+    mp.setattr(decide, "_monomial_witness", witness)
     mp.setattr(decide, "verify_certificate", verify)
     return checks
 
@@ -368,7 +385,7 @@ def test_case1_rays_are_found_and_certified_in_one_attachment(
     vbar = 2 * a + 3 * b
     J = two_attachment_ideal(handle, f, g, verdict)
     for u in (3 + k1, 3 + k2):
-        assert decide._monomial_free(J, (2, 3, u, vbar))
+        assert decide._monomial_witness(J, (2, 3, u, vbar)) is None
 
 
 def _three_cusp_branches(ks):
@@ -753,7 +770,7 @@ SLICE_IDS = ["Q", "F2", "F7", "F5th"]
 def _agrees(handle, w, expected=None):
     """The sliced test against the Rabinowitsch search on the same initial
     ideal, and against the known answer when there is one."""
-    got = _monomial_free(handle, w)
+    got = _monomial_witness(handle, w) is None
     K = _initial_handle(handle, w)
     assert got == (contains_monomial(IdealHandle(K.generators, K.ctx)) is None)
     if expected is not None:
@@ -861,7 +878,7 @@ def test_sliced_test_on_the_certified_rays(field):
 def test_sliced_test_names_a_surface_slice():
     I, _ = space_ideal("y^2 - x^3")
     with pytest.raises(WrongDimension, match=r"\(2, 3, 1\)"):
-        _monomial_free(I, (2, 3, 1))
+        _monomial_witness(I, (2, 3, 1))
 
 
 def test_a_surface_certificate_is_refused_not_raised():
@@ -1064,7 +1081,7 @@ def _check_the_seeded_bases(rep, built):
         seeded = K.groebner()
         assert seeded == buchberger(list(K.generators), K.order)
         fresh = IdealHandle(handle.generators, handle.ctx)
-        assert _agrees(fresh, w) == _monomial_free(handle, w)
+        assert _agrees(fresh, w) == (_monomial_witness(handle, w) is None)
 
 
 @pytest.mark.parametrize("field", SLICE_FIELDS, ids=SLICE_IDS)
@@ -1121,17 +1138,18 @@ def test_seeded_bases_of_every_variable_order_of_the_space_pair(field):
 
 def _count_buchberger_inputs(monkeypatch):
     """Record every initial handle the decide asks for, the generators of
-    every Buchberger call, whether each sliced test got K's handle, and
-    the Buchberger loops the sliced test runs once it holds it."""
+    every Buchberger call, whether each tropism test got K's handle, and
+    the Buchberger loops the tropism test runs once it holds it."""
     handles, calls, built, sliced = [], [], [], []
-    inner_free, inner_handle = decide._monomial_free, decide._initial_handle
+    inner_witness = decide._monomial_witness
+    inner_handle = decide._initial_handle
     inner_global, inner_rows = groebner.buchberger, groebner._buchberger_rows
     holds_K = []
 
-    def record_free(handle, w):
+    def record_witness(handle, w):
         holds_K.append(False)
         try:
-            return inner_free(handle, w)
+            return inner_witness(handle, w)
         finally:
             built.append(holds_K.pop())
 
@@ -1151,7 +1169,7 @@ def _count_buchberger_inputs(monkeypatch):
             sliced.append(len(rows))
         return inner_rows(rows, order)
 
-    monkeypatch.setattr(decide, "_monomial_free", record_free)
+    monkeypatch.setattr(decide, "_monomial_witness", record_witness)
     monkeypatch.setattr(decide, "_initial_handle", record_handle)
     monkeypatch.setattr(groebner, "buchberger", record_global)
     monkeypatch.setattr(groebner, "_buchberger_rows", record_rows)

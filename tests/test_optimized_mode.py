@@ -1,9 +1,10 @@
-"""The scalar, polynomial ring, semigroup, local algebra, local order,
-decide, parametric, case-2 ray, acceptance, pivot reducer and screen tests
-under ``python -O``, and lints that keep plain ``assert``, unused imports,
-private definitions and constants nothing in the library reads, public
-definitions nothing in the library, the demos or the benchmark reads, and
-error classes the library never raises or catches out of the library.
+"""The scalar, polynomial ring, Groebner, SAGBI, semigroup, local
+algebra, local order, decide, parametric, case-2 ray, acceptance, pivot
+reducer, screen and command-line tests under ``python -O``, and lints
+that keep plain ``assert``, unused imports, private definitions and
+constants nothing in the library reads, public definitions nothing in
+the library, the demos or the benchmark reads, and error classes the
+library never raises or catches out of the library.
 
 ``-O`` strips plain ``assert`` statements from the library, so an
 invariant it kept with one would go unchecked; these tests show that the
@@ -19,11 +20,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = ("tests/test_scalars.py", "tests/test_polyring.py",
+         "tests/test_groebner.py", "tests/test_sagbi.py",
          "tests/test_semigroups.py", "tests/test_localalg.py",
          "tests/test_local_order.py", "tests/test_decide.py",
          "tests/test_parametric.py", "tests/test_case2_rays.py",
          "tests/test_acceptance.py", "tests/test_pivot_reducer.py",
-         "tests/test_screen.py")
+         "tests/test_screen.py", "tests/test_cli.py")
 # (module, function) -> number of plain asserts allowed there.
 ALLOWED_ASSERTS = {}
 

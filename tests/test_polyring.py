@@ -81,6 +81,9 @@ def test_printed_extension_polynomials_parse_back(field):
             (((rng.randrange(4), rng.randrange(4)), _random_coeff(rng, field))
              for _ in range(rng.randrange(1, 6))), ctx)
         assert ctx.poly(str(p)) == p, str(p)
+        if field.characteristic == 0:
+            # each coordinate prints with its own sign, a unit one bare
+            assert "+ -" not in str(p) and "1*th" not in str(p), str(p)
     g = field.generator()
     assert ctx.poly("th") == ctx.const(g)
     assert ctx.poly("th^2*x - x/th") == \
@@ -92,6 +95,13 @@ def test_signed_fractional_coefficients_over_q_th_read_back():
     p = ctx.poly("-1/2*th*x - 3/7*y^2 + (2 - th)/5")
     assert p.coeff((1, 0)) == (0, Fraction(-1, 2))
     assert p.constant_coeff() == (Fraction(2, 5), Fraction(-1, 5))
+    assert ctx.poly(str(p)) == p
+
+
+def test_q_th_coordinates_print_with_their_own_signs():
+    ctx = RingCtx(QTH, ("x", "y"))
+    p = ctx.poly("(2 - th)/5*x - th*y - 1 - th")
+    assert str(p) == "(2/5 - 1/5*th)*x - th*y + (-1 - th)"
     assert ctx.poly(str(p)) == p
 
 
