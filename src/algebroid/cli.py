@@ -416,7 +416,7 @@ def _print_report(report: DecisionReport) -> None:
 
 def cmd_decide(args: argparse.Namespace) -> int:
     handle = assert_preconditions(load_ideal_file(args.path))
-    report = decide_irreducible(handle, iter_cap=args.iter_cap)
+    report = decide_irreducible(handle)
     if args.json:
         print(json.dumps(report_json(report), indent=2))
     else:
@@ -497,15 +497,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------ entry point
 
-def _positive_int(text: str) -> int:
-    """An argparse type: the integer ``text`` spells, when it is at least 1."""
-    value = int(text) if text.strip().isdigit() else 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, not {text!r}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="algebroid",
@@ -518,8 +509,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="ideal file")
     p.add_argument("--json", action="store_true",
                    help="emit the full report as JSON on stdout")
-    p.add_argument("--iter-cap", type=_positive_int, default=256, metavar="N",
-                   help="cap on loop rounds (guards non-radical input)")
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("semigroup",

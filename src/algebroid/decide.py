@@ -445,13 +445,18 @@ def assert_preconditions(ideal) -> IdealHandle:
 
 # -------------------------------------------------------------- the engine
 
-def _call_test(f: Poly, g: Poly, handle: IdealHandle, *, error: type,
+# bounds the loop's rounds and each descent's steps; radical inputs end
+# in finitely many of both, so only inputs outside the contract reach it
+_LOOP_CAP = 256
+
+
+def _call_test(f: Poly, g: Poly, handle: IdealHandle, *,
                stats: dict) -> Verdict:
     stats["parametric_calls"] += 1
     try:
         v = parametric_test(f, g, handle)
     except ContextViolation as exc:
-        raise error(
+        raise NonRadicalSuspected(
             "a degenerate direction vanished on the curve, which cannot "
             f"happen for a radical input: {exc}") from exc
     stats["truncation_high_water"] = max(stats["truncation_high_water"],
@@ -483,14 +488,13 @@ def _nf_ratio_resolves(m1: tuple, m2: tuple, in_handle: IdealHandle) -> bool:
     return all(field.eq(ratios[0], r) for r in ratios)
 
 
-def _screen_round(handle: IdealHandle, w: tuple, *, error: type,
-                  stats: dict):
+def _screen_round(handle: IdealHandle, w: tuple, *, stats: dict):
     """Run the pencil test over the binomial generators of the weight
     semigroup's relation ideal, by (w-degree, key).  Returns ("false",
     verdict, f, g) on reducibility evidence, ("candidate", f, N) with the
     lowest-degree resolved binomial escaping the initial ideal, or
     ("radical",) when every binomial resolves inside it.  A broken input
-    contract raises ``error``.
+    contract raises NonRadicalSuspected.
 
     Once an escape of w-degree d is found, the walk stops before the
     first binomial of degree above d.  Every binomial of degree d is
@@ -515,7 +519,7 @@ def _screen_round(handle: IdealHandle, w: tuple, *, error: type,
             continue
         f = ctx.mono(m1)
         g = ctx.mono(m2)
-        v = _call_test(f, g, handle, error=error, stats=stats)
+        v = _call_test(f, g, handle, stats=stats)
         if v.result == "false":
             return ("false", v, f, g)
         cand = f - g.scale(v.beta)
@@ -524,16 +528,18 @@ def _screen_round(handle: IdealHandle, w: tuple, *, error: type,
         return ("radical",)
     _, _, f, value = min(escapes, key=lambda t: t[:2])
     if not radical_membership(f, in_handle):
-        raise error("the resolved binomial does not vanish on the initial "
-                    "ideal's zero set; the input contract is violated")
+        raise NonRadicalSuspected(
+            "the resolved binomial does not vanish on the initial ideal's "
+            "zero set; the input contract is violated")
     return ("candidate", f, value)
 
 
 def _descend(handle: IdealHandle, w: tuple, f: Poly, value: int, *,
-             error: type, iter_cap: int, stats: dict):
+             stats: dict):
     """Lower f by monomials of matching weight until its intersection
     value escapes the semigroup of w.  Returns ("done", f, N) or
-    ("false", verdict, f, g).
+    ("false", verdict, f, g).  More than ``_LOOP_CAP`` steps raise
+    NonRadicalSuspected, which ``value_semigroup`` renames NotPrime.
 
     Each f arrives with its value, the exceptional value of the pencil
     that made it, so that value seeds the handle's intersection memo and
@@ -549,11 +555,12 @@ def _descend(handle: IdealHandle, w: tuple, f: Poly, value: int, *,
             return ("done", f, value)
         steps += 1
         stats["descent_steps"] += 1
-        if steps > iter_cap:
-            raise error(f"descent exceeded {iter_cap} steps; on radical "
-                        "inputs it terminates")
+        if steps > _LOOP_CAP:
+            raise NonRadicalSuspected(
+                f"descent exceeded _LOOP_CAP = {_LOOP_CAP} steps; on radical "
+                "inputs it terminates")
         g = ctx.mono(wit)
-        v = _call_test(f, g, handle, error=error, stats=stats)
+        v = _call_test(f, g, handle, stats=stats)
         if v.result == "false":
             return ("false", v, f, g)
         f = f - g.scale(v.beta)
@@ -687,8 +694,7 @@ def _extend_with(ideal: IdealHandle, p: Poly) -> Tuple[IdealHandle, str]:
     return IdealHandle(gens, big), name
 
 
-def _adjunction_loop(handle: IdealHandle, error: type, *,
-                     primitive_stops: bool, iter_cap: int):
+def _adjunction_loop(handle: IdealHandle, *, primitive_stops: bool):
     """The loop both entry points run: look for a monomial witness, stop
     at primitive weights when ``primitive_stops``, screen the binomial
     relations, descend the surviving candidate, adjoin it, and repeat.
@@ -696,18 +702,18 @@ def _adjunction_loop(handle: IdealHandle, error: type, *,
     Returns (end, handle, w, transcript, stats, detail) at the stop, end
     being "monomial" (detail the witness), "primitive", "radical" (every
     binomial resolved inside the initial ideal) or "false" (detail the
-    pencil's (verdict, f, g)).  A broken input contract raises
-    ``error``; an ``iter_cap`` below 1 raises ValueError before any work."""
-    if iter_cap < 1:
-        raise ValueError(f"iter_cap must be a positive integer, not {iter_cap}")
+    pencil's (verdict, f, g)).  More than ``_LOOP_CAP`` rounds, or a
+    broken input contract, raise NonRadicalSuspected, which
+    ``value_semigroup`` renames NotPrime."""
     w = _checked_base_weights(handle)
     p, gens = handle.ctx.field.characteristic, handle.generators
     # over a perfect field, a polynomial in the x_i^p is a p-th power
     if p and len(gens) == 1 and all(e % p == 0 for m in gens[0].terms
                                     for e in m):
-        raise error(f"the generator {gens[0]} is a p-th power, p = {p} the "
-                    "characteristic: each of its exponents is divisible by "
-                    "p, so the ideal is not radical")
+        raise NonRadicalSuspected(
+            f"the generator {gens[0]} is a p-th power, p = {p} the "
+            "characteristic: each of its exponents is divisible by p, so "
+            "the ideal is not radical")
     transcript: List[Tuple[str, Poly]] = []
     stats = {"outer_iterations": 0, "descent_steps": 0, "parametric_calls": 0,
              "truncation_high_water": 0, "final_weights": w,
@@ -719,16 +725,16 @@ def _adjunction_loop(handle: IdealHandle, error: type, *,
         if primitive_stops and gcd_weights(w) == 1:
             return "primitive", handle, w, transcript, stats, None
         stats["outer_iterations"] += 1
-        if stats["outer_iterations"] > iter_cap:
-            raise error(f"the outer loop exceeded {iter_cap} rounds; on "
-                        "radical inputs it ends in finitely many")
-        outcome = _screen_round(handle, w, error=error, stats=stats)
+        if stats["outer_iterations"] > _LOOP_CAP:
+            raise NonRadicalSuspected(
+                f"the outer loop exceeded _LOOP_CAP = {_LOOP_CAP} rounds; "
+                "on radical inputs it ends in finitely many")
+        outcome = _screen_round(handle, w, stats=stats)
         if outcome[0] == "radical":
             return "radical", handle, w, transcript, stats, None
         if outcome[0] == "candidate":
             _, f, value = outcome
-            outcome = _descend(handle, w, f, value, error=error,
-                               iter_cap=iter_cap, stats=stats)
+            outcome = _descend(handle, w, f, value, stats=stats)
         if outcome[0] == "false":
             return "false", handle, w, transcript, stats, outcome[1:]
         _, f, value = outcome
@@ -739,14 +745,14 @@ def _adjunction_loop(handle: IdealHandle, error: type, *,
         stats["final_weights"] = w
 
 
-def decide_irreducible(ideal, iter_cap: int = 256) -> DecisionReport:
+def decide_irreducible(ideal) -> DecisionReport:
     """Decide whether the curve ideal is prime, returning a report whose
     certificate has already passed verification.  The input must be
     radical, unmixed of dimension one, with finite base weights (run
     assert_preconditions first)."""
     handle = _as_handle(ideal)
     end, J, w, transcript, stats, detail = _adjunction_loop(
-        handle, NonRadicalSuspected, primitive_stops=True, iter_cap=iter_cap)
+        handle, primitive_stops=True)
     if end == "radical":
         raise NonRadicalSuspected(
             "every binomial relation resolved inside the initial ideal "
@@ -769,12 +775,15 @@ def decide_irreducible(ideal, iter_cap: int = 256) -> DecisionReport:
                       cert, stats)
 
 
-def value_semigroup(ideal, iter_cap: int = 256) -> Tuple[IdealHandle, tuple]:
+def value_semigroup(ideal) -> Tuple[IdealHandle, tuple]:
     """For a prime curve ideal, return an isomorphic presentation whose
     weight vector generates the value semigroup.  A non-prime input
     surfaces as NotPrime."""
-    end, handle, w, _, _, detail = _adjunction_loop(
-        _as_handle(ideal), NotPrime, primitive_stops=False, iter_cap=iter_cap)
+    try:
+        end, handle, w, _, _, detail = _adjunction_loop(
+            _as_handle(ideal), primitive_stops=False)
+    except NonRadicalSuspected as exc:
+        raise NotPrime(str(exc)) from exc
     if end == "monomial":
         raise NotPrime("the weighted initial ideal contains a monomial")
     if end == "false":

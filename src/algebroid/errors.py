@@ -65,8 +65,8 @@ class NotPrime(AlgebroidError):
 
 
 class NonRadicalSuspected(AlgebroidError):
-    """An iteration cap was hit in a loop that terminates on radical
-    inputs; the input is probably not radical."""
+    """The input failed a check that every radical input passes, or a
+    loop that ends on radical inputs hit its cap."""
 
 
 class CertificateSearchFailed(AlgebroidError):

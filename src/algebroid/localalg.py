@@ -46,7 +46,7 @@ Sequences of generators get a fresh handle, and so a cold memo, per call.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 from .errors import ZeroPoly
 from .groebner import (
@@ -149,23 +149,19 @@ def _hom_groebner(handle: IdealHandle, w: tuple):
     return handle.cached(("hom", w), build)
 
 
-def standard_basis(ideal: IdealLike, w: Optional[Sequence[int]] = None) -> List[Poly]:
+def standard_basis(ideal: IdealLike, w: Sequence[int]) -> List[Poly]:
     """Standard basis for the local order 'smallest w-degree first,
-    inverse lex among equals' (w defaults to all ones): minimal and monic,
-    its tails not reduced."""
+    inverse lex among equals': minimal and monic, its tails not reduced."""
     handle = _as_handle(ideal)
-    w = _check_weights(w if w is not None else (1,) * handle.ctx.nvars,
-                       handle.ctx.nvars)
+    w = _check_weights(w, handle.ctx.nvars)
     gb, _, _ = _hom_groebner(handle, w)
     return [dehomogenize(g, handle.ctx) for g in gb]
 
 
-def local_lead_monomials(ideal: IdealLike,
-                         w: Optional[Sequence[int]] = None) -> List[tuple]:
+def local_lead_monomials(ideal: IdealLike, w: Sequence[int]) -> List[tuple]:
     """Monomial generators of the local leading-term ideal."""
     handle = _as_handle(ideal)
-    w = _check_weights(w if w is not None else (1,) * handle.ctx.nvars,
-                       handle.ctx.nvars)
+    w = _check_weights(w, handle.ctx.nvars)
     gb, _, order = _hom_groebner(handle, w)
     leads = {g.lead(order)[0][:-1] for g in gb}
     return sorted(leads)

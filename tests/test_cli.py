@@ -96,30 +96,6 @@ def test_decide_json_has_the_advertised_shape(tmp_path):
     assert set(doc["stats"]) >= {"outer_iterations", "parametric_calls"}
 
 
-def test_an_iter_cap_of_zero_exits_two_naming_the_cap(tmp_path, capsys):
-    path = write(tmp_path, ONE_STEP)
-    with pytest.raises(SystemExit) as exc:
-        main(["decide", "--iter-cap", "0", path])
-    out, err = capsys.readouterr()
-    assert exc.value.code == 2
-    assert out == ""
-    assert ("argument --iter-cap: must be a positive integer, not '0'"
-            in err)
-
-
-@pytest.mark.parametrize("cap", ["-3", "2.5", "many"])
-def test_an_iter_cap_that_is_not_a_positive_integer_exits_two(tmp_path, cap):
-    """The flag is refused before the file is read, so a radical input is
-    never blamed for it."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "algebroid", "decide", "--iter-cap", cap,
-         write(tmp_path, DOUBLE_BRANCH)], capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert (f"argument --iter-cap: must be a positive integer, not '{cap}'"
-            in proc.stderr)
-    assert "Traceback" not in proc.stderr
-
-
 def test_malformed_file_exits_two(tmp_path, capsys):
     path = write(tmp_path, "char 0\nvars x y\nx^3 - y^2\n")
     code, _, err = run(capsys, "decide", path)

@@ -1359,39 +1359,49 @@ def test_base_ring_weights_of_random_transcripts_match_the_ring(field):
 
 # ------------------------------------------------------------ the shared loop
 
-def test_an_iter_cap_of_zero_stops_both_entry_points_at_the_cap():
-    """A cap below 1 is a bad argument, not evidence against the input."""
-    I = _curve(*PRIME_TOWER_CURVES["tower-1"], QQ)
-    with pytest.raises(ValueError, match="iter_cap must be a positive "
-                       "integer, not 0"):
-        decide_irreducible(I, iter_cap=0)
-    with pytest.raises(ValueError, match="iter_cap must be a positive "
-                       "integer, not 0"):
-        value_semigroup(I, iter_cap=0)
-
-
-@pytest.mark.parametrize("entry", [decide_irreducible, value_semigroup])
-def test_a_negative_iter_cap_is_refused_before_any_work(entry, monkeypatch):
-    I = _curve(*TWO_BRANCH_CURVES["dbl-2-3-7-0"], QQ)
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("the loop began")
-
-    monkeypatch.setattr(decide, "base_weights", no_work)
-    with pytest.raises(ValueError, match="not -3"):
-        entry(I, iter_cap=-3)
-    assert I._memo == {}
-
-
-def test_an_iter_cap_of_one_is_enough_for_one_round():
-    rep = decide_irreducible(_curve(*TWO_BRANCH_CURVES["dbl-2-3-7-0"], QQ),
-                             iter_cap=1)
+def test_an_iter_cap_of_one_is_enough_for_one_round(monkeypatch):
+    """An iteration cap of one round, ``decide._LOOP_CAP`` patched to 1."""
+    monkeypatch.setattr(decide, "_LOOP_CAP", 1)
+    rep = decide_irreducible(_curve(*TWO_BRANCH_CURVES["dbl-2-3-7-0"], QQ))
     assert rep.verdict == "reducible"
     assert rep.stats["outer_iterations"] == 1
     # this branch pair needs a second round, after adjoining z
-    stretch = ("x y", ("((y^2 - x^3)^2 - x^5*y)^2 - x^11*y^2",))
-    with pytest.raises(NonRadicalSuspected, match="exceeded 1 rounds"):
-        decide_irreducible(_curve(*stretch, QQ), iter_cap=1)
+    with pytest.raises(NonRadicalSuspected, match=r"the outer loop exceeded "
+                       r"_LOOP_CAP = 1 rounds"):
+        decide_irreducible(_curve(*STRETCH_CURVE, QQ))
+
+
+def test_value_semigroup_renames_the_loop_refusal(monkeypatch):
+    monkeypatch.setattr(decide, "_LOOP_CAP", 1)
+    with pytest.raises(NotPrime, match=r"exceeded _LOOP_CAP = 1 rounds") as exc:
+        value_semigroup(_curve(*STRETCH_CURVE, QQ))
+    assert type(exc.value.__cause__) is NonRadicalSuspected
+    assert str(exc.value.__cause__) == str(exc.value)
+
+
+def test_a_descent_past_the_loop_cap_is_refused(monkeypatch):
+    """The stretch curve's second round descends twice; its descent,
+    replayed under a cap of one step, stops at the second."""
+    calls = []
+    inner = decide._descend
+
+    def record(handle, w, f, value, *, stats):
+        before = stats["descent_steps"]
+        out = inner(handle, w, f, value, stats=stats)
+        calls.append((handle, w, f, value, stats["descent_steps"] - before))
+        return out
+
+    monkeypatch.setattr(decide, "_descend", record)
+    decide_irreducible(_curve(*STRETCH_CURVE, QQ))
+    handle, w, f, value, steps = calls[-1]
+    assert steps == 2
+    monkeypatch.setattr(decide, "_LOOP_CAP", 1)
+    stats = {"descent_steps": 0, "parametric_calls": 0,
+             "truncation_high_water": 0}
+    with pytest.raises(NonRadicalSuspected,
+                       match=r"descent exceeded _LOOP_CAP = 1 steps"):
+        inner(handle, w, f, value, stats=stats)
+    assert stats["descent_steps"] == 2
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)

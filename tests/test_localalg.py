@@ -10,7 +10,7 @@ from algebroid import decide, localalg, parametric
 from algebroid.decide import (_certified_weights, _initial_handle,
                               _monomial_witness, _screen_round,
                               decide_irreducible, verify_certificate)
-from algebroid.errors import NotPrime, ZeroPoly
+from algebroid.errors import ZeroPoly
 from algebroid.groebner import (IdealHandle, _as_handle, buchberger,
                                 ideal_membership, monomial_staircase,
                                 staircase_size)
@@ -56,8 +56,8 @@ def test_homogenize_round_trip():
 
 def test_standard_basis_unit_factor_is_local():
     # x - x^2 = x(1 - x): locally the unit 1 - x divides out
-    sb = standard_basis([XY.poly("x - x^2"), XY.poly("y")])
-    leads = local_lead_monomials([XY.poly("x - x^2"), XY.poly("y")])
+    sb = standard_basis([XY.poly("x - x^2"), XY.poly("y")], (1, 1))
+    leads = local_lead_monomials([XY.poly("x - x^2"), XY.poly("y")], (1, 1))
     assert (1, 0) in leads and (0, 1) in leads
     assert local_colength([XY.poly("x - x^2"), XY.poly("y")]) == 1
 
@@ -285,7 +285,8 @@ def test_a_one_variable_colength_is_the_lazard_staircase(field):
     for _ in range(60):
         gens = [_random_univariate(rng, ctx) for _ in range(rng.randint(1, 3))]
         got = local_colength(IdealHandle(gens, ctx))
-        size = staircase_size(local_lead_monomials(IdealHandle(gens, ctx)), 1)
+        size = staircase_size(local_lead_monomials(IdealHandle(gens, ctx),
+                                                   (1,)), 1)
         assert got == (INF if size is None else size), gens
         seen.add(got if got in (0, INF) else "order")
     assert seen == {0, INF, "order"}
@@ -333,7 +334,8 @@ def _direct_colength(f, ideal):
     """The all-ones colength of the ideal together with f, from the
     staircase of its local leads."""
     joined = IdealHandle(ideal.generators + (f,), ideal.ctx)
-    size = staircase_size(local_lead_monomials(joined), ideal.ctx.nvars)
+    n = ideal.ctx.nvars
+    size = staircase_size(local_lead_monomials(joined, (1,) * n), n)
     return INF if size is None else size
 
 
@@ -375,8 +377,7 @@ def test_screen_round_after_monomial_witness_builds_no_basis(monkeypatch):
     assert _monomial_witness(handle, (2, 3)) is None
     built.clear()
     stats = {"parametric_calls": 0}
-    assert _screen_round(handle, (2, 3), error=NotPrime,
-                         stats=stats) == ("radical",)
+    assert _screen_round(handle, (2, 3), stats=stats) == ("radical",)
     assert built == [] and stats["parametric_calls"] == 0
 
 

@@ -22,7 +22,7 @@ from algebroid.decide import (
     decide_irreducible,
     value_semigroup,
 )
-from algebroid.errors import AlgebroidError
+from algebroid.errors import AlgebroidError, NonRadicalSuspected
 from algebroid.groebner import (IdealHandle, ideal_membership,
                                 radical_membership)
 from algebroid.polyring import RingCtx, ord_w, wdot
@@ -48,7 +48,7 @@ ORDERINGS = [(cid, " ".join(perm), texts)
              for perm in itertools.permutations(variables.split())]
 
 
-def _exhaustive_screen_round(handle, w, *, error, stats):
+def _exhaustive_screen_round(handle, w, *, stats):
     """The screen as it was before the stop rule: every binomial's pencil
     is run, and the least escape by (w-degree, key) is kept."""
     ctx = handle.ctx
@@ -63,7 +63,7 @@ def _exhaustive_screen_round(handle, w, *, error, stats):
             continue
         f = ctx.mono(m1)
         g = ctx.mono(m2)
-        v = _call_test(f, g, handle, error=error, stats=stats)
+        v = _call_test(f, g, handle, stats=stats)
         if v.result == "false":
             return ("false", v, f, g)
         cand = f - g.scale(v.beta)
@@ -73,12 +73,13 @@ def _exhaustive_screen_round(handle, w, *, error, stats):
     escapes.sort(key=lambda t: (t[0], t[1]))
     _, _, f, value = escapes[0]
     if not radical_membership(f, in_handle):
-        raise error("the resolved binomial does not vanish on the initial "
-                    "ideal's zero set; the input contract is violated")
+        raise NonRadicalSuspected(
+            "the resolved binomial does not vanish on the initial ideal's "
+            "zero set; the input contract is violated")
     if ideal_membership(f, in_handle):
-        raise error("the resolved binomial lies in the initial ideal "
-                    "despite the normal-form screen; the input contract is "
-                    "violated")
+        raise NonRadicalSuspected(
+            "the resolved binomial lies in the initial ideal despite the "
+            "normal-form screen; the input contract is violated")
     return ("candidate", f, value)
 
 
