@@ -1,6 +1,8 @@
 """Semigroup membership, relation ideals, gcd and conductor."""
 
 import random
+import sys
+import threading
 import time
 
 import pytest
@@ -36,6 +38,12 @@ def test_membership_examples():
     assert membership(2.0, (2, 3)) is None
 
 
+def test_a_bool_value_is_not_a_member():
+    assert membership(True, (2, 3)) is None
+    assert membership(False, (2, 3)) is None
+    assert membership(True, (1,)) is None
+
+
 def test_membership_witness_hits_value():
     rng = random.Random(3)
     pool = [(2, 3), (4, 6, 13), (5, 7, 9), (4, 6, 15), (8, 12, 10, 25)]
@@ -50,32 +58,51 @@ def test_membership_witness_hits_value():
 
 def _differential_vectors():
     # The reference takes one division step per generator it moves out of
-    # t^N, so its cost grows like N / min(w); five vectors keep it short.
+    # t^N, so its cost grows like N / min(w); nine vectors keep it short.
+    # They hold repeated weights, a weight of 1 and a single weight.
     rng = random.Random(11)
-    vectors = [(26, 26), (22, 11, 11), (13, 8)]
-    while len(vectors) < 5:
+    vectors = [(26, 26), (22, 11, 11), (13, 8), (7, 29, 28, 28), (1, 5),
+               (5,)]
+    while len(vectors) < 9:
         vectors.append(tuple(rng.randrange(2, 30)
                              for _ in range(rng.randrange(2, 5))))
     return vectors
 
 
-DIFFERENTIAL_N = sorted(set(range(201)) | {
-    2 ** k + d for k in range(8, 13) for d in (-1, 0, 1)})
+def _differential_n(w):
+    """N up to 200, every N from B - m to B + 2m, where B is membership's
+    table bound and m the largest weight, so each residue meets the lift
+    past B, and N near powers of two.  Where 2B + m <= 200 that holds all
+    of [0, 2B + m]."""
+    m = max(w)
+    bound = (m - 1) * sum({g for g in w if g < m})
+    return sorted(set(range(201)) | set(range(max(0, bound - m),
+                                              bound + 2 * m + 1)) | {
+        2 ** k + d for k in range(8, 13) for d in (-1, 0, 1)})
 
 
-@pytest.mark.parametrize("w", _differential_vectors(), ids=str)
-def test_membership_matches_the_division_reference(w):
-    gb, _, _ = semigroups._elimination_data(w)
-    basis = [g.terms for g in gb]
+def _agrees_with_division(w, ns):
+    basis = [g.terms for g in semigroups._elimination_data(w)]
     key = BlockOrder(1, DegRevLex(), DegRevLex()).key
-    for N in DIFFERENTIAL_N:
+    for N in ns:
         assert membership(N, w) == witness_by_division(
             N, basis, key, QQ, range(len(w)), len(w)), N
 
 
+@pytest.mark.parametrize("w", _differential_vectors(), ids=str)
+def test_membership_matches_the_division_reference(w):
+    _agrees_with_division(w, _differential_n(w))
+
+
+def test_membership_matches_the_division_reference_on_large_weights():
+    # About a thousand division steps; membership lifts N past its table
+    # bound 996003 and reads a table of that length.
+    _agrees_with_division((997, 1000), [10 ** 6 + 3])
+
+
 @pytest.mark.parametrize("w", [(2, 3), (4, 6, 13), (8, 12, 10, 26)], ids=str)
 def test_toric_bases_over_q_have_int_coefficients(w):
-    gb = semigroups._elimination_data(w)[0]
+    gb = semigroups._elimination_data(w)
     assert all(type(c) is int for g in gb for c in g.terms.values())
 
 
@@ -87,19 +114,53 @@ def test_membership_for_huge_n():
     assert time.perf_counter() - start < 1.0
 
 
+def test_membership_of_a_large_n_on_large_weights_is_fast():
+    semigroups._fewest_counts.cache_clear()
+    start = time.perf_counter()
+    assert membership(10 ** 6 + 3, (101, 103, 107)) == (21, 0, 9326)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_threads_growing_one_table_agree_with_one_thread():
+    w, ns = (31, 37, 41), list(range(3000))
+    semigroups._fewest_counts.cache_clear()
+    answers = [None] * 8
+
+    def ask(i):
+        order = random.Random(i).sample(ns, len(ns))
+        answers[i] = {N: membership(N, w) for N in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    semigroups._fewest_counts.cache_clear()
+    alone = {N: membership(N, w) for N in ns}
+    assert all(a == alone for a in answers)
+
+
 def test_a_basis_of_non_unit_binomials_is_refused(monkeypatch):
     def doubled(gens, order):
         return [g + g for g in buchberger(gens, order)]
 
     monkeypatch.setattr(semigroups, "buchberger", doubled)
     semigroups._elimination_data.cache_clear()
-    with pytest.raises(AlgebroidError, match="semigroup membership"):
-        membership(7, (2, 3))
+    with pytest.raises(AlgebroidError, match="semigroup relations"):
+        prim_generators((2, 3))
     monkeypatch.undo()
-    assert membership(7, (2, 3)) == (2, 1)
+    ctx = RingCtx(QQ, ("x", "y"))
+    assert prim_generators((2, 3), ctx) == [ctx.poly("x^3 - y^2")]
 
 
-@pytest.mark.parametrize("w", [(2, INF), (INF, INF), (), (0, 3)], ids=str)
+@pytest.mark.parametrize("w", [(2, INF), (INF, INF), (), (0, 3), (True, 3),
+                               (2, False)], ids=str)
 def test_weights_other_than_positive_ints_are_refused(w):
     for query in (lambda: membership(4, w), lambda: gcd_weights(w),
                   lambda: conductor(w), lambda: prim_generators(w)):
@@ -152,7 +213,9 @@ def test_prim_generators_respects_field():
     assert gens[0] == ctx.poly("x^3 + y^2")
 
 
-def test_prim_generators_reuse_the_membership_basis(monkeypatch):
+def _count_builds(monkeypatch):
+    """Empty the basis cache and record every buchberger call made by the
+    semigroups module from now on."""
     builds = []
 
     def counted(gens, order):
@@ -160,13 +223,26 @@ def test_prim_generators_reuse_the_membership_basis(monkeypatch):
         return buchberger(gens, order)
 
     monkeypatch.setattr(semigroups, "buchberger", counted)
-    w = (7, 9, 17)
-    membership(40, w)
-    before = len(builds)
-    for field in (QQ, GF(2), GF(7)):
-        ctx = RingCtx(field, ("x", "y", "z"))
-        assert prim_generators(w, ctx)
-    assert len(builds) == before
+    semigroups._elimination_data.cache_clear()
+    return builds
+
+
+def test_membership_builds_no_toric_basis(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    semigroups._fewest_counts.cache_clear()
+    for N in range(60):
+        membership(N, (7, 9, 17))
+    membership(10 ** 9, (7, 9, 17))
+    assert builds == []
+
+
+def test_prim_generators_build_one_basis_per_vector(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    for w in ((7, 9, 17), (4, 6, 13)):
+        for field in (QQ, GF(2), GF(7)):
+            ctx = RingCtx(field, tuple(f"x{i}" for i in range(len(w))))
+            assert prim_generators(w, ctx)
+    assert len(builds) == 2
 
 
 def test_gcd_weights():
