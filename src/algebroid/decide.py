@@ -232,11 +232,6 @@ def _primitive(ray: Sequence[int]) -> tuple:
     return tuple(e // g for e in ray)
 
 
-def _proportional(w1: Sequence[int], w2: Sequence[int]) -> bool:
-    return all(w1[i] * w2[j] == w1[j] * w2[i]
-               for i in range(len(w1)) for j in range(i + 1, len(w1)))
-
-
 def _graph_shape_error(cert: Certificate) -> Optional[str]:
     """Why the certified ideal lacks the graph shape that ``Certificate``
     describes, or None when it has it."""
@@ -330,10 +325,10 @@ def verify_certificate(cert: Certificate) -> Tuple[bool, str]:
     inspection; any other generating set is refused, even of the same
     ideal.  Last come weights and tropisms.  Base weights are recomputed
     in the base ring (``_certified_weights``), tropisms in the certified
-    ring by ``_monomial_witness``.  A prime tropism is compared with the
-    recomputed weights entry by entry and refused at the first entry
-    that differs, before any later entry is computed; only then is its
-    gcd checked."""
+    ring by ``_monomial_witness``.  A prime tropism, once its entries are
+    found to be ints above 0, is compared with the recomputed weights
+    entry by entry and refused at the first that differs, before any
+    later entry is computed; only then is its gcd checked."""
     handle = cert.ideal
     ctx = handle.ctx
     if cert.kind == "prime_tropism":
@@ -346,9 +341,9 @@ def verify_certificate(cert: Certificate) -> Tuple[bool, str]:
             return False, "certificate does not carry exactly two rays"
         for ray in rays:
             if len(ray) != ctx.nvars or any(
-                    not isinstance(e, int) or e <= 0 for e in ray):
+                    type(e) is not int or e <= 0 for e in ray):
                 return False, "ray entries must be positive integers"
-        if _proportional(rays[0], rays[1]):
+        if _primitive(rays[0]) == _primitive(rays[1]):
             return False, "rays are proportional"
         for k, ray in enumerate(rays):
             if _primitive(ray) != ray:
@@ -357,6 +352,8 @@ def verify_certificate(cert: Certificate) -> Tuple[bool, str]:
     if shape is not None:
         return False, shape
     if cert.kind == "prime_tropism":
+        if any(type(e) is not int or e <= 0 for e in w):
+            return False, "tropism entries must be positive integers"
         for got, want in zip(_certified_weights(cert), w):
             if got <= 0:
                 return False, "base weights are not all positive"

@@ -73,7 +73,7 @@ def _check_weights(w, nvars: int) -> tuple:
     if len(w) != nvars:
         raise ValueError("weight vector length does not match the ring")
     for wi in w:
-        if not isinstance(wi, int) or wi <= 0:
+        if type(wi) is not int or wi <= 0:
             raise ValueError("weights must be positive integers")
     return w
 

@@ -499,11 +499,8 @@ def parametric_test(f: Poly, g: Poly, ideal: IdealHandle) -> Verdict:
         return Verdict("false", ideal=eideal, case=2, beta=theta,
                        attachment=ef - eg.scale(theta),
                        value=conj.value, pencil=po)
-    ev = rational[0] if rational else None
-    if ev is None:
-        raise CertificateSearchFailed(
-            "the unique exceptional parameter is not materializable in the "
-            "base field")
+    # a residual class has degree >= 2, so total == 1 is one base-field root
+    ev = rational[0]
     beta = ev.beta
     if ev.value is not INF:
         return Verdict("not_false", beta=beta, case=3, value=ev.value,

@@ -26,8 +26,8 @@ call:
   defining polynomial (``_ext_mul``, ``_ext_inv``),
 * finite extensions with ``size() <= _ENUM_CAP``: ``mul`` and ``inv``
   (and so ``div`` and ``pow``) are lookups in an exp list and a log dict
-  over a primitive element.  The tables are built by ``_ext_mul`` on the
-  first multiply or inverse and shared by equal fields.
+  over a primitive element.  The tables are built by ``_ext_mul`` when
+  the first of equal fields is constructed and shared by the others.
 
 ``_power`` is the library's one square-and-multiply loop: field powers,
 the primitive-element test of the log tables, ``a^(q^d)`` mod f in
@@ -147,16 +147,7 @@ def _extension_kernels(field: "FieldSpec") -> dict:
                "mul": field._ext_mul, "inv": field._ext_inv}
     size = field.size()
     if size is not None and size <= _ENUM_CAP:
-        # the first multiply or inverse swaps in the table kernels
-        def mul(a, b):
-            field._bind(_table_kernels(field))
-            return field.mul(a, b)
-
-        def inv(a):
-            field._bind(_table_kernels(field))
-            return field.inv(a)
-
-        kernels.update(mul=mul, inv=inv)
+        kernels.update(_table_kernels(field))
     return kernels
 
 
@@ -218,9 +209,9 @@ class FieldSpec:
     Construction also binds ``add``, ``sub``, ``neg``, ``mul``, ``inv`` and
     ``is_zero`` as instance attributes, chosen once by field kind (see the
     module docstring); finite extensions with ``size() <= _ENUM_CAP``
-    multiply and invert through shared log tables.  Only the two
-    dataclass fields take part in equality, hashing, ``repr`` and
-    pickling, which rebuilds the field through its constructor.
+    multiply and invert through log tables built at construction.  Only
+    the two dataclass fields take part in equality, hashing, ``repr``
+    and pickling, which rebuilds the field through its constructor.
     """
 
     characteristic: int = 0
@@ -731,26 +722,6 @@ def _hensel_lift(g: list, factors: list, l: int, M: int) -> list:
             + _hensel_lift(w, factors[half:], l, M))
 
 
-def _int_poly_divmod(f: list, g: list):
-    """Division of integer polynomials; returns (q, r) with integer q when
-    it exists, else (None, None)."""
-    f = list(f)
-    q = [0] * max(0, len(f) - len(g) + 1)
-    while len(f) >= len(g) and any(f):
-        while f and f[-1] == 0:
-            f.pop()
-        if len(f) < len(g):
-            break
-        if f[-1] % g[-1] != 0:
-            return None, None
-        c = f[-1] // g[-1]
-        shift = len(f) - len(g)
-        q[shift] = c
-        for i, b in enumerate(g):
-            f[shift + i] -= c * b
-    return q, f
-
-
 def _rational_factors(f: list) -> list:
     """Monic irreducible factors over Q of a squarefree nonzero polynomial
     with Fraction/int coefficients, by Berlekamp-Zassenhaus (von zur
@@ -766,6 +737,10 @@ def _rational_factors(f: list) -> list:
     of the lifts are tried fewest first as exact divisors; a factor found
     with the fewest lifts is irreducible, and what is left when no
     product of at most half the remaining lifts divides is irreducible.
+    Each product v with v(0) dividing g(0), as a divisor's must, is
+    divided into g over Q by ``uv_divmod``.  Both are primitive integer
+    polynomials, so by Gauss's lemma a quotient with no remainder is
+    integral and primitive, and ``_primitive_ints`` returns it as ints.
     The subsets grow exponentially with the number of lifts, so past
     _SUBSET_CAP of them SolverLimitation is raised."""
     g, out = _primitive_ints(f), []
@@ -802,10 +777,12 @@ def _rational_factors(f: list) -> list:
             v = functools.reduce(functools.partial(uv_mul, field=ring),
                                  (lifts[i] for i in chosen), [g[-1] % M])
             v = _primitive_ints([c - M if 2 * c > M else c for c in v])
-            q, r = _int_poly_divmod(g, v)
-            if r is not None and not any(r):
+            if g[0] % v[0]:
+                continue
+            q, r = uv_divmod(g, v, QQ)
+            if not r:
                 factors.append(v)
-                g = q
+                g = _primitive_ints(q)
                 lifts = [u for i, u in enumerate(lifts) if i not in chosen]
                 break
         else:

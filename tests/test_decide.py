@@ -722,6 +722,9 @@ def test_tampered_ray_pair_is_rejected():
     ok, reason = verify_certificate(bad)
     assert not ok
     assert "proportional" in reason
+    flagged = replace(cert, data=((True,) + w1[1:], cert.data[1]))
+    assert verify_certificate(flagged) == (
+        False, "ray entries must be positive integers")
 
 
 def test_dropped_transcript_entry_is_rejected():
@@ -740,6 +743,12 @@ def test_tampered_prime_weights_are_rejected():
     ok, reason = verify_certificate(bad)
     assert not ok
     assert "base weights" in reason
+    # entries equal to the weights but not ints are refused, not raised
+    line = decide_irreducible(plane_ideal("y - x^2")[0]).certificate
+    for c, data in ((cert, (2, 3.0)), (line, (True, 2))):
+        assert c.kind == "prime_tropism"
+        assert verify_certificate(replace(c, data=data)) == (
+            False, "tropism entries must be positive integers")
 
 
 def test_tampered_monomial_witness_is_rejected():

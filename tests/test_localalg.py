@@ -187,6 +187,8 @@ def test_weights_validation():
         standard_basis([XY.poly("x")], (0, 1))
     with pytest.raises(ValueError):
         standard_basis([XY.poly("x")], (1, INF))
+    with pytest.raises(ValueError, match="positive integers"):
+        initial_ideal([XY.poly("y - x^2")], (True, 1))
 
 
 def test_colength_weight_independence():
