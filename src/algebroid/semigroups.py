@@ -2,13 +2,11 @@
 (any other vector, bools included, raises ValueError): membership with a
 deterministic witness exponent, gcd, conductor and the relation ideal.
 
-The witness of N is the exponent of NF(t^N) under the reduced basis of
-<g_i - t^(w_i)> with t in a front block.  The basis is of unit binomials, so
-a monomial's normal form is the least monomial of its fibre (a smaller one
-would make it a lead), and the fibre of t^N holds g^c, below any monomial
-with t, exactly when c . w = N.  So membership returns the DegRevLex-least
-such c, read off a table of fewest-generator counts; the t-free elements of
-the basis, built only by ``prim_generators``, generate the relation ideal.
+The witness of N is the DegRevLex-least c with c . w = N: of the fewest-
+generator sums of N, the one using the last generator most, then the one
+before it, and so on.  Each fibre of c -> c . w is a coset of a toric ideal,
+so its witness is its standard monomial under the reduced DegRevLex basis,
+which ``prim_generators`` reads off membership's table of counts.
 """
 
 from __future__ import annotations
@@ -22,9 +20,8 @@ from bisect import bisect_left
 from itertools import repeat
 from typing import List, Optional
 
-from .errors import AlgebroidError, NotPrimitive
-from .groebner import buchberger
-from .polyring import BlockOrder, DegRevLex, Poly, RingCtx
+from .errors import AlgebroidError, NotPrimitive, SolverLimitation
+from .polyring import DegRevLex, Poly, RingCtx
 from .scalars import QQ
 
 
@@ -38,25 +35,8 @@ def _generators(w) -> tuple:
     return gens
 
 
-@functools.lru_cache(maxsize=64)
-def _elimination_data(generators: tuple) -> List[Poly]:
-    """The elimination basis of a weight vector, checked to consist of unit
-    binomials x^a - x^b."""
-    ctx = RingCtx(QQ, ("t",) + tuple(f"g{i}"
-                                     for i in range(len(generators))))
-    order = BlockOrder(1, DegRevLex(), DegRevLex())
-    t_free = (0,) * len(generators)
-    gb = buchberger([ctx.var(slot) - ctx.mono((g,) + t_free)
-                     for slot, g in enumerate(generators, 1)], order)
-    for g in gb:
-        if sorted(g.terms.values()) != [-1, 1] or g.lead(order)[1] != 1:
-            raise AlgebroidError(
-                f"semigroup relations: the toric basis of {generators} "
-                f"has {g}, which is not a unit binomial x^a - x^b")
-    return gb
-
-
 _NONE = 1 << 62  # the count of a value outside the semigroup
+_TABLE_CAP = 10 ** 7  # entries of one count table, 80 MB
 _GROWING = threading.Lock()  # callers share the count tables via the cache
 
 
@@ -68,9 +48,25 @@ def _fewest_counts(generators: tuple) -> tuple:
             (m - 1) * sum({g for g in generators if g < m}))
 
 
+def _grow(counts: array, gens: tuple, N: int) -> None:
+    """Grow the counts of gens to hold N; entries held are final."""
+    if N >= _TABLE_CAP:
+        raise SolverLimitation(f"semigroup of {gens}: a count table to {N} "
+                               f"is past the cap of {_TABLE_CAP} entries")
+    with _GROWING:
+        start = len(counts)
+        if N >= start:
+            counts.extend(repeat(_NONE, N + 1 - start))
+            for n in range(max(0, start - max(gens)), N):
+                c = counts[n] + 1
+                for g in gens if c <= _NONE else ():  # members only
+                    if n + g <= N and c < counts[n + g]:
+                        counts[n + g] = c
+
+
 def membership(N: int, w) -> Optional[tuple]:
     """A witness exponent c with N = c . w when N lies in the semigroup,
-    None otherwise: NF(t^N), the DegRevLex-least such c (module docstring).
+    None otherwise: the DegRevLex-least such c (module docstring).
 
     Some fewest sum for n has c_j >= k exactly when counts[n - k w_j] =
     counts[n] - k, which is monotone in k: each c_j, last to first, is the
@@ -79,22 +75,14 @@ def membership(N: int, w) -> Optional[tuple]:
     smaller w_i, or trading m of them for w_i copies of m would save
     generators.  So past B = (m - 1) * (sum of the distinct w_i < m) every
     fewest sum uses m, the least one at its last index j only, and
-    c(N) = c(N - m) + e_j."""
+    c(N) = c(N - m) + e_j.  SolverLimitation past _TABLE_CAP."""
     gens = _generators(w)
     if type(N) is not int or N < 0:
         return None
     counts, j, bound = _fewest_counts(gens)
     lift = max(0, -((bound - N) // gens[j]))
     N -= lift * gens[j]
-    with _GROWING:
-        start = len(counts)
-        if N >= start:
-            counts.extend(repeat(_NONE, N + 1 - start))
-            for n in range(max(0, start - gens[j]), N):
-                c = counts[n] + 1
-                for g in gens if c <= _NONE else ():  # members only
-                    if n + g <= N and c < counts[n + g]:
-                        counts[n + g] = c
+    _grow(counts, gens, N)
     if N < 0 or counts[N] == _NONE:
         return None
     witness = [lift * (i == j) for i in range(len(gens))]
@@ -106,17 +94,52 @@ def membership(N: int, w) -> Optional[tuple]:
     return tuple(witness)
 
 
+@functools.lru_cache(maxsize=64)
+def _relations(gens: tuple) -> tuple:
+    """The reduced DegRevLex basis of the relation ideal, as pairs
+    (c, std(c . w)) by ascending c, std(N) the witness of N, for each
+    minimal non-standard c: each c - e_i with c_i > 0 is standard.
+
+    std(N) = std(N - w_i) + e_i with i = last(N), the last index with
+    counts[N - w_i] = counts[N] - 1.  With k the last index of c, s =
+    c - e_k = std(N - w_k), so last(N - w_k) <= k; c is non-standard iff
+    last(N) != k; and for i < k with s_i > 0, c - e_i is standard iff
+    last(N - w_i) = k, as then std(N - w_i) = (s - e_i) + e_k.  Degree
+    bound, with m, j, B as in membership: c_j > 0 makes c = std(N - m) +
+    e_j, which is std(N) past B; with c_j = 0, c - e_i = std(N - w_i) lacks
+    the x_j it needs past B.  So the walk stops at B + m, after O(n^2 (B +
+    m)) steps for n weights, and keeps std and last of m + 1 values."""
+    counts, j, bound = _fewest_counts(gens)
+    span, pairs = gens[j] + 1, tuple(enumerate(gens))
+    _grow(counts, gens, bound + span - 1)
+    std, last, found = [(0,) * len(gens)] * span, [-1] * span, []
+    for N in range(1, bound + span):
+        if counts[N] == _NONE:
+            continue
+        i = next(i for i, g in reversed(pairs)
+                 if g <= N and counts[N - g] == counts[N] - 1)
+        s = std[(N - gens[i]) % span]
+        std[N % span], last[N % span] = s[:i] + (s[i] + 1,) + s[i + 1:], i
+        for k, g in pairs:
+            s = std[(N - g) % span]
+            if (k != i and g <= N and counts[N - g] != _NONE
+                    and last[(N - g) % span] <= k
+                    and all(last[(N - gens[h]) % span] == k
+                            for h in range(k) if s[h])):
+                found.append((s[:k] + (s[k] + 1,) + s[k + 1:], std[N % span]))
+    return tuple(sorted(found, key=lambda pair: DegRevLex().key(pair[0])))
+
+
 def prim_generators(w, ctx: Optional[RingCtx] = None) -> List[Poly]:
     """Binomial generators (a reduced basis) of the ideal of relations
-    x^a - x^b with a . w = b . w, in the given ring."""
+    x^a - x^b with a . w = b . w, in the given ring, by ascending lead."""
     gens = _generators(w)
     if ctx is None:
         ctx = RingCtx(QQ, tuple(f"x{i + 1}" for i in range(len(gens))))
     if ctx.nvars != len(gens):
         raise ValueError("weight length does not match the ring")
-    coerce = ctx.field.coerce
-    return [Poly({m[1:]: coerce(c) for m, c in g.terms.items()}, ctx)
-            for g in _elimination_data(gens) if not any(m[0] for m in g.terms)]
+    return [Poly({lead: ctx.field.coerce(1), tail: ctx.field.coerce(-1)},
+                 ctx) for lead, tail in _relations(gens)]
 
 
 def gcd_weights(w) -> int:

@@ -9,8 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from algebroid import (decide, groebner, localalg, parametric, polyring,
-                       semigroups)
+from algebroid import decide, groebner, localalg, parametric, polyring
 from algebroid.errors import SolverLimitation, UnitIdeal
 from algebroid.localalg import hom_ring
 from algebroid.naming import next_single
@@ -228,7 +227,7 @@ def _scaled_table_calls(monkeypatch):
         calls.append((list(rows), order))
         return buchberger_tagged(rows, order)
 
-    for module in (groebner, localalg, semigroups):
+    for module in (groebner, localalg):
         monkeypatch.setattr(module, "buchberger", plain)
     monkeypatch.setattr(parametric, "buchberger_tagged", tagged)
     rng = random.Random("integral-rows")
