@@ -26,7 +26,7 @@ certificate check proves monomial-free exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -566,22 +566,38 @@ def _descend(handle: IdealHandle, w: tuple, f: Poly, value: int, *,
 
 # ------------------------------------------------------------------- rays
 
-def _polygon_rays(D: dict, beta, field: FieldSpec, wb: tuple, vbar: int,
-                  pivot: int) -> List[tuple]:
-    """The primitive ray of each segment, left to right, of the lower
-    convex hull of the points (k, pivot order of the a^k coefficient of
-    D(a + beta)), D a determinant {(a exponent, pivot exponent): payload}
-    over ``field``: ((k2 - k1)*wb, (k2 - k1)*vbar + (e1 - e2)*wb[pivot])
-    for the segment from (k1, e1) to (k2, e2)."""
-    orders: dict = {}
-    for e, ck in sorted(_coefficients(D, field).items()):
+def _shifted_support(ck: list, beta, field: FieldSpec) -> List[int]:
+    """The k whose a^k coefficient in ck(a + beta) is nonzero, by Horner's
+    rule.  Over Q and F_p it runs on ints, as q^d*L*ck(a + p/q) with d =
+    deg ck and L the lcm of ck's denominators; extensions run it on their
+    field kernels."""
+    if field.extension is not None:
         shifted: list = []
-        for c in reversed(ck):      # Horner: ck(a + beta)
+        for c in reversed(ck):
             shifted = uv_add(uv_mul(shifted, [beta, field.one()], field),
                              [c], field)
-        for k, c in enumerate(shifted):
-            if not field.is_zero(c):
-                orders.setdefault(k, e)
+        return [k for k, c in enumerate(shifted) if not field.is_zero(c)]
+    m, p, q = field.characteristic, beta.numerator, beta.denominator
+    den = lcm(*(c.denominator for c in ck))
+    shifted, scale = [], 1
+    for c in reversed(ck):
+        shifted = [p * x + q * y for x, y in zip(shifted + [0], [0] + shifted)]
+        shifted[0] += c.numerator * (den // c.denominator) * scale
+        scale *= q
+    return [k for k, c in enumerate(shifted) if (c % m if m else c)]
+
+
+def _polygon_rays(coeffs: dict, beta, field: FieldSpec, wb: tuple,
+                  vbar: int, pivot: int) -> List[tuple]:
+    """The primitive ray of each segment, left to right, of the lower
+    convex hull of the points (k, pivot order of the a^k coefficient of
+    D(a + beta)), D a determinant given by its parameter polynomials
+    {pivot exponent e: c_e} over ``field``: ((k2 - k1)*wb, (k2 - k1)*vbar
+    + (e1 - e2)*wb[pivot]) for the segment from (k1, e1) to (k2, e2)."""
+    orders: dict = {}
+    for e, ck in sorted(coeffs.items()):
+        for k in _shifted_support(ck, beta, field):
+            orders.setdefault(k, e)
     hull: List[tuple] = []
     for k, e in sorted(orders.items()):
         while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (e - hull[-2][1])
@@ -621,8 +637,9 @@ def _rays_for_false(handle: IdealHandle, w: tuple, verdict: Verdict, f: Poly,
     Every hull vertex lies at or below the left end, of order top: I(h),
     nf in case 1, and when h vanishes on some branches n_h plus the order
     of g on them, at most n_h + nf, n_h = I(h) on the saturation of I by
-    h.  D is recomputed at top + 1 when top reaches its truncation.  A
-    branch whose base valuation is not a multiple of wb breaks the rays;
+    h.  So only the c_e with e <= top are shifted, over Q in integers.  D
+    is recomputed at top + 1 when top reaches its truncation.  A branch
+    whose base valuation is not a multiple of wb breaks the rays;
     CertificateSearchFailed names that limit, here for rays that are not
     positive and in ``_certified`` for a pair that fails verification."""
     lam_total = gcd_weights(w)
@@ -641,7 +658,8 @@ def _rays_for_false(handle: IdealHandle, w: tuple, verdict: Verdict, f: Poly,
     if po.field != field:
         D = {k: field.embed(c) for k, c in D.items()}
     beta = field.zero() if verdict.case == 1 else verdict.beta
-    rays = _polygon_rays(D, beta, field, wb, vbar, po.pivot)
+    coeffs = {e: c for e, c in _coefficients(D, field).items() if e <= top}
+    rays = _polygon_rays(coeffs, beta, field, wb, vbar, po.pivot)
     if rays and all(e > 0 for ray in rays for e in ray):
         if len(rays) >= 2:
             return h, tuple(sorted(rays)[:2])

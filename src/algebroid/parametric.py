@@ -8,7 +8,8 @@ over power series in a cheapest variable (the pivot) t.  One object,
 Its basis is the staircase of the DegRevLex Groebner basis of I + (t),
 whose rows track t's cofactor, so every monomial gets a rewrite rule
 "monomial = span-of-basis + t * rest" (mod I); rules are applied layer
-by layer in the t exponent, so truncation at t^N is exact.  The
+by layer in the t exponent, lowest first and only to the layers that
+hold terms, so truncation at t^N is exact.  The
 staircase is a basis of K[x]/(I + (t)); when it has I(t) elements, the
 local colength, the hyperplane t = 0 meets the curve only at the origin,
 so it lifts a basis of A/tA and, by Nakayama, generates A.  The pivot
@@ -114,7 +115,8 @@ class FreeBasis:
 
     def coordinates(self, f: Poly, N: int) -> List[Dict[int, object]]:
         """Basis coordinates of f mod I as truncated series in the pivot:
-        a dict {pivot_exponent: payload} per basis element."""
+        a dict {pivot_exponent: payload} per basis element.  Only layers
+        that hold terms are rewritten, lowest first."""
         field = self.field
         p = self.pivot
         out: List[Dict[int, object]] = [dict() for _ in self.gamma]
@@ -139,24 +141,21 @@ class FreeBasis:
 
         for m, c in f.terms.items():
             push(0, m, c)
-        k = 0
-        while k < N:
-            slot = layers.pop(k, None)
-            if slot:
-                for v, c in slot.items():
-                    coords, b = self._rule(v)
-                    for idx, rc in coords.items():
-                        col = out[idx]
-                        prev = col.get(k)
-                        val = field.mul(c, rc) if prev is None else \
-                            field.add(prev, field.mul(c, rc))
-                        if field.is_zero(val):
-                            col.pop(k, None)
-                        else:
-                            col[k] = val
-                    for bm, bc in b:
-                        push(k + 1, bm, field.mul(c, bc))
-            k += 1
+        while layers:
+            k = min(layers)
+            for v, c in layers.pop(k).items():
+                coords, b = self._rule(v)
+                for idx, rc in coords.items():
+                    col = out[idx]
+                    prev = col.get(k)
+                    val = field.mul(c, rc) if prev is None else \
+                        field.add(prev, field.mul(c, rc))
+                    if field.is_zero(val):
+                        col.pop(k, None)
+                    else:
+                        col[k] = val
+                for bm, bc in b:
+                    push(k + 1, bm, field.mul(c, bc))
         return out
 
 

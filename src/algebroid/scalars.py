@@ -3,7 +3,8 @@ extensions of either, plus univariate factorisation, whose linear factors
 are the roots: distinct-degree and Cantor-Zassenhaus factorisation over
 every finite field, Berlekamp-Zassenhaus with Hensel lifting over Q, and
 over an extension of Q the rational factors that the degrees allow to
-split (``_extension_factors``).
+split (``_extension_factors``).  A quadratic over Q or an odd prime field
+splits by its discriminant instead (``_quadratic_factors``).
 
 Field elements are carried as light *payloads* rather than wrapped objects
 so the polynomial kernels stay fast:
@@ -638,7 +639,11 @@ def _finite_factors(f: list, field: FieldSpec) -> list:
     irreducible.  Cantor-Zassenhaus then splits each collection (von zur
     Gathen and Gerhard, Modern Computer Algebra, Alg. 14.3 and 14.8).  The
     draws come from a generator seeded here, and the set of factors does
-    not depend on them."""
+    not depend on them.  A quadratic over F_p, p odd, splits by its
+    discriminant instead."""
+    if _uv_deg(f) == 2 and field.extension is None and field.size() > 2:
+        disc = (f[1] * f[1] - 4 * f[0]) % field.size()
+        return _quadratic_factors(f, field, _sqrt_mod(disc, field.size()))
     q, rng = field.size(), random.Random(0)
     a = [field.zero(), field.one()]
     out, power, d = [], a, 0
@@ -742,13 +747,18 @@ def _rational_factors(f: list) -> list:
     polynomials, so by Gauss's lemma a quotient with no remainder is
     integral and primitive, and ``_primitive_ints`` returns it as ints.
     The subsets grow exponentially with the number of lifts, so past
-    _SUBSET_CAP of them SolverLimitation is raised."""
+    _SUBSET_CAP of them SolverLimitation is raised.  A quadratic g splits
+    by its discriminant instead, before any prime search."""
     g, out = _primitive_ints(f), []
     if not g[0]:
         g, out = g[1:], [[0, 1]]
     n, lc = _uv_deg(g), abs(g[-1])
     if n <= 1:
         return out + [uv_monic(g, QQ)] if n else out
+    if n == 2:  # the monic forms of primitive factors, as below
+        w = _is_rational_square(g[1] ** 2 - 4 * g[0] * g[2])
+        return out + [uv_monic(_primitive_ints(h), QQ)
+                      for h in _quadratic_factors(g, QQ, w)]
     deriv = [i * c for i, c in enumerate(g)][1:]
     # a nonzero disc(g) is at most bound, so its primes multiply to that
     bound, l = n ** n * sum(map(abs, g)) ** (2 * n), 2
@@ -810,22 +820,51 @@ def _extension_factors(f: list, field: FieldSpec) -> list:
         if k == 2 and d == 2:
             # g = a^2 + p a + q has a root in Q[th]/(th^2 + m th + c)
             # exactly when disc(g)/disc(minpoly) is a rational square.
-            p, q = Fraction(g[1]), Fraction(g[0])
-            c0, c1 = Fraction(field.extension[0]), Fraction(field.extension[1])
-            s = _is_rational_square((p * p - 4 * q) / (c1 * c1 - 4 * c0))
+            c0, c1 = (Fraction(c) for c in field.extension)
+            s = _is_rational_square((g[1] ** 2 - 4 * g[0]) / (c1 * c1 - 4 * c0))
         elif math.gcd(k, d) != 1:
             raise SolverLimitation(
                 "factoring inside extensions of Q beyond quadratic "
                 "factors over quadratic extensions is not supported")
-        if s is None:
-            out.append([field.embed(c) for c in g])
-            continue
-        w = (c1 * s, 2 * s)  # payload with w^2 = disc_g
-        half, minus_p = field.embed(Fraction(1, 2)), field.embed(-p)
-        for signed in (w, field.neg(w)):
-            root = field.mul(half, field.add(minus_p, signed))
-            out.append([field.neg(root), field.one()])
+        g = [field.embed(c) for c in g]
+        # w = s*(2 th + m) has w^2 = disc(g)
+        out += [g] if s is None else _quadratic_factors(g, field,
+                                                        (c1 * s, 2 * s))
     return out
+
+
+def _quadratic_factors(g: list, field: FieldSpec, w) -> list:
+    """The factors of a quadratic g = a x^2 + b x + c given w, a square
+    root of its discriminant b^2 - 4ac or None when it has none: the
+    monic x - (-b +- w)/(2a), or g itself.  A zero w is refused."""
+    _, b, a = g
+    if w is None:
+        return [g]
+    if field.is_zero(w):
+        raise AlgebroidError("quadratic factors: not squarefree")
+    inv = field.inv(field.add(a, a))
+    return [[field.neg(field.mul(field.sub(s, b), inv)), field.one()]
+            for s in (w, field.neg(w))]
+
+
+def _sqrt_mod(a: int, p: int) -> Optional[int]:
+    """A square root of a in [0, p) modulo an odd prime p, None when a is
+    not a square: Tonelli-Shanks with the least non-residue (Cohen, A
+    Course in Computational Algebraic Number Theory, Alg. 1.5.1)."""
+    if pow(a, (p - 1) // 2, p) == p - 1:
+        return None
+    q, e = p - 1, 0
+    while not q & 1:
+        q, e = q >> 1, e + 1
+    z = next(z for z in itertools.count(2) if pow(z, (p - 1) // 2, p) > 1)
+    r, t, c = pow(a, (q + 1) // 2, p), pow(a, q, p), pow(z, q, p)
+    while t > 1:    # r^2 = a*t, t of order 2^m with m < e
+        m, t2 = 0, t
+        while t2 != 1:
+            t2, m = t2 * t2 % p, m + 1
+        b = pow(c, 1 << (e - m - 1), p)
+        r, c, t, e = r * b % p, b * b % p, t * b * b % p, m
+    return r
 
 
 def _irreducible_factors(f: list, field: FieldSpec) -> list:

@@ -17,7 +17,13 @@ meaningful:
   and subtraction,
 * the term orders Lex and WeightedOrder, which the library does not use;
   each gives the library's ``key`` (larger key = larger monomial), so
-  the library divides and builds bases under them.
+  the library divides and builds bases under them,
+* the pencil's Newton polygon read from every order of its determinant,
+  each parameter polynomial shifted by Horner's rule on the field's
+  kernels,
+* free-basis coordinates rewritten layer by layer over every pivot
+  exponent below the truncation, and the multiplication matrices built
+  from them.
 
 Preconditions raise ValueError rather than assert, so they hold under
 ``python -O`` too.
@@ -27,6 +33,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 
 # ---------------------------------------------------------------- semigroups
@@ -464,3 +471,87 @@ def buchberger_chain(gens, key, field):
         inv = field.inv(r[lead(r)])
         out.append({m: field.mul(inv, c) for m, c in r.items()})
     return sorted(out, key=lambda g: key(lead(g)))
+
+
+# ------------------------------------------------------------ pencil read-out
+
+def polygon_rays(D, beta, field, wb, vbar, pivot):
+    """The primitive rays, left to right, of the segments of the lower
+    convex hull of the points (k, pivot order of the a^k coefficient of
+    D(a + beta)), D a determinant {(a exponent, pivot exponent): payload}
+    over ``field``: ((k2 - k1)*wb, (k2 - k1)*vbar + (e1 - e2)*wb[pivot])
+    from (k1, e1) to (k2, e2).  Every pivot order of D is read, and each
+    parameter polynomial is shifted by Horner's rule on ``field``."""
+    by_order = {}
+    for (d, e), c in D.items():
+        by_order.setdefault(e, {})[d] = c
+    orders = {}
+    for e in sorted(by_order):
+        slot = by_order[e]
+        zero, shifted = field.zero(), []
+        for d in range(max(slot), -1, -1):
+            # shifted <- shifted * (a + beta) + c_d
+            shifted = [field.add(field.mul(beta, x), y)
+                       for x, y in zip(shifted + [zero], [zero] + shifted)]
+            shifted[0] = field.add(shifted[0], slot.get(d, zero))
+        for k, c in enumerate(shifted):
+            if not field.is_zero(c):
+                orders.setdefault(k, e)
+    hull = []
+    for k, e in sorted(orders.items()):
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (e - hull[-2][1])
+                                 <= (hull[-1][1] - hull[-2][1])
+                                 * (k - hull[-2][0])):
+            hull.pop()
+        hull.append((k, e))
+    rays = []
+    for (k1, e1), (k2, e2) in zip(hull, hull[1:]):
+        ray = tuple((k2 - k1) * b for b in wb) + (
+            (k2 - k1) * vbar + (e1 - e2) * wb[pivot],)
+        g = gcd(*ray)
+        rays.append(tuple(x // g for x in ray))
+    return rays
+
+
+def coordinates_every_layer(basis, f, N):
+    """The coordinates of f on a free basis (``basis.gamma``, rewrite
+    rules ``basis._rule``) as {pivot exponent: payload} per element: terms
+    wait in layers by pivot exponent and layers k = 0, ..., N - 1 are
+    rewritten in turn, each rule sending its pivot multiple to layer k + 1
+    and what lies at or past N dropped."""
+    field, p = basis.field, basis.pivot
+    out = [dict() for _ in basis.gamma]
+    layers = [dict() for _ in range(N)]
+
+    def push(layer, mono, c):
+        layer += mono[p]
+        if layer < N and not field.is_zero(c):
+            mono = mono[:p] + (0,) + mono[p + 1:]
+            slot = layers[layer]
+            slot[mono] = field.add(slot.get(mono, field.zero()), c)
+
+    for m, c in f.terms.items():
+        push(0, m, c)
+    for k in range(N):
+        for v, c in layers[k].items():
+            if field.is_zero(c):
+                continue
+            coords, rest = basis._rule(v)
+            for idx, rc in coords.items():
+                col = out[idx]
+                col[k] = field.add(col.get(k, field.zero()), field.mul(c, rc))
+            for bm, bc in rest:
+                push(k + 1, bm, field.mul(c, bc))
+    return [{k: c for k, c in col.items() if not field.is_zero(c)}
+            for col in out]
+
+
+def mult_matrix_every_layer(g, basis, N):
+    """The multiplication matrix of g on the free basis, in the library's
+    row layout {(0, pivot exponent): payload}, its columns the
+    coordinates of g times each basis monomial."""
+    one = basis.field.one()
+    cols = [coordinates_every_layer(basis, g.term_mul(m, one), N)
+            for m in basis.gamma]
+    return [[{(0, e): c for e, c in col[i].items()} for col in cols]
+            for i in range(len(basis.gamma))]

@@ -10,14 +10,20 @@ that the verdict's value and the pencil's other exceptional value are the
 intersection numbers of both attachments, that the sliced test runs on
 the certificate's ideal once per certified ray and only in verification,
 that the rays J carries project onto the certificate's, and the rays of
-the stretch curve over F_7 and Q.  The module is also run under
-``python -O``.
+the stretch curve over F_7 and Q.  The polygon, read up to its top with
+the shift over Q in integers, is checked against the oracle that reads
+every order of the determinant on the field's kernels.  The module is
+also run under ``python -O``.
 """
 
 import functools
+import random
+import re
+from fractions import Fraction
 
 import pytest
 
+import oracles
 from algebroid import decide, localalg, parametric
 from algebroid.decide import decide_irreducible, verify_certificate
 from algebroid.groebner import IdealHandle
@@ -25,7 +31,8 @@ from algebroid.localalg import base_weights, intersection_number
 from algebroid.polyring import RingCtx, parse_poly, wdot
 from algebroid.scalars import GF, QQ
 from pencil_attachments import two_attachment_ideal
-from test_decide import record_tropism_checks, verified_rays
+from test_decide import (F5TH, TWO_BRANCH_CURVES, record_tropism_checks,
+                         verified_rays)
 
 FIELDS = {"Q": QQ, "F101": GF(101), "F7": GF(7)}
 
@@ -169,3 +176,118 @@ def test_stretch_curve_rays_over_F7():
 
 def test_stretch_curve_rays_over_Q():
     _check_stretch_curve(QQ)
+
+
+# ------------------------------------------- the polygon against its oracle
+
+def _scaled(texts, a, b):
+    """The generators after x -> a*x, y -> b*y, as the benchmark scales
+    its curves."""
+    return tuple(re.sub(r"\by\b", f"({b}*y)", re.sub(r"\bx\b", f"({a}*x)", t))
+                 for t in texts)
+
+
+@functools.lru_cache(maxsize=None)
+def _ray_calls(cid, fid, a, b):
+    """The (arguments, result) of every ``_rays_for_false`` call in the
+    decide of one two_branch curve scaled by (a, b)."""
+    variables, texts = TWO_BRANCH_CURVES[cid]
+    field = {"Q": QQ, "F101": GF(101), "F5th": F5TH}[fid]
+    calls, rays_for_false = [], decide._rays_for_false
+
+    def record(*args):
+        out = rays_for_false(*args)
+        calls.append((args, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decide, "_rays_for_false", record)
+        decide_irreducible(_ideal(variables, _scaled(texts, a, b), field))
+    return calls
+
+
+def _oracle_rays(args):
+    """``_rays_for_false`` with its polygon read by the oracle from every
+    order of the determinant it was given."""
+    seen, coefficients = [], decide._coefficients
+
+    def record(D, field):
+        seen.append(D)
+        return coefficients(D, field)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decide, "_coefficients", record)
+        mp.setattr(decide, "_polygon_rays",
+                   lambda coeffs, *rest: oracles.polygon_rays(seen[-1], *rest))
+        return decide._rays_for_false(*args)
+
+
+SCALINGS = {"Q": ((1, 1), (3, -5), (-7, 2)), "F101": ((1, 1), (17, 58)),
+            "F5th": ((1, 1), (2, 3))}
+
+
+@pytest.mark.parametrize("cid", TWO_BRANCH_CURVES)
+@pytest.mark.parametrize("fid", SCALINGS)
+def test_the_polygon_up_to_top_gives_the_oracle_rays(cid, fid):
+    """Every case-2 verdict, and the INF verdict of the tangent pair, has
+    the same attachment and rays when the polygon reads every order of
+    the determinant on the field's kernels."""
+    kinds = set()
+    for a, b in SCALINGS[fid]:
+        calls = _ray_calls(cid, fid, a, b)
+        assert calls
+        for args, (h, rays) in calls:
+            verdict = args[2]
+            kinds.add("INF" if verdict.value is decide.INF else verdict.case)
+            oh, orays = _oracle_rays(args)
+            assert (oh.key(), orays) == (h.key(), rays)
+    assert kinds == ({"INF"} if cid == "tangent-pair" else {2})
+
+
+def _horner_support(ck, beta, field):
+    """The k with a nonzero a^k coefficient of ck(a + beta), by Horner's
+    rule on the field's kernels."""
+    zero, shifted = field.zero(), []
+    for c in reversed(ck):
+        shifted = [field.add(field.mul(beta, x), y)
+                   for x, y in zip(shifted + [zero], [zero] + shifted)]
+        shifted[0] = field.add(shifted[0], c)
+    return [k for k, c in enumerate(shifted) if not field.is_zero(c)]
+
+
+def test_the_integer_shift_vanishes_where_the_fraction_shift_does():
+    rng, vanished = random.Random(50), 0
+    for _ in range(400):
+        p = rng.choice((-1, 1)) * rng.randint(1, 40)
+        q = 1 if rng.random() < 0.25 else rng.randint(1, 40)
+        beta = p if q == 1 else Fraction(p, q)
+        # ck has the root beta of multiplicity up to 3, so the low
+        # coefficients of ck(a + beta) vanish, times a random cofactor
+        ck = [1]
+        for _ in range(rng.randint(0, 3)):
+            ck = [q * y - p * x for x, y in zip(ck + [0], [0] + ck)]
+        for _ in range(rng.randint(0, 3)):
+            r = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            ck = [x * r + y for x, y in zip(ck + [0], [0] + ck)]
+        if rng.random() < 0.3:
+            # coefficients scaled one by one, so the root is likely gone
+            ck = [Fraction(c) / rng.randint(1, 12) for c in ck]
+        want = _horner_support(ck, Fraction(beta), QQ)
+        assert decide._shifted_support(ck, beta, QQ) == want
+        vanished += want[0] > 0
+    assert vanished > 100
+
+
+@pytest.mark.parametrize("p", [5, 101, 2 ** 31 - 1])
+def test_the_integer_shift_over_a_prime_field_matches_horner(p):
+    rng, field = random.Random(p), GF(p)
+    for _ in range(200):
+        beta = rng.randrange(p)
+        ck = [1]
+        for _ in range(rng.randint(0, 3)):
+            ck = [(y - beta * x) % p for x, y in zip(ck + [0], [0] + ck)]
+        for _ in range(rng.randint(0, 4)):
+            r = rng.randrange(p)
+            ck = [(x * r + y) % p for x, y in zip(ck + [0], [0] + ck)]
+        assert (decide._shifted_support(ck, beta, field)
+                == _horner_support(ck, beta, field))

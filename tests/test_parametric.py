@@ -6,7 +6,8 @@ from itertools import product
 
 import pytest
 
-from algebroid.decide import _extend_with, value_semigroup
+from algebroid import decide
+from algebroid.decide import _extend_with, decide_irreducible, value_semigroup
 from algebroid.errors import (
     AlgebroidError,
     ContextViolation,
@@ -27,9 +28,9 @@ from algebroid.parametric import (
 )
 from algebroid.polyring import INF, RingCtx, parse_poly, project
 from algebroid.scalars import GF, QQ, FieldSpec
-from oracles import det_perm
+from oracles import det_perm, mult_matrix_every_layer
 from pencil_attachments import two_attachment_ideal
-from test_decide import PRIME_TOWER_CURVES, TWO_BRANCH_CURVES, _curve
+from test_decide import F5TH, PRIME_TOWER_CURVES, TWO_BRANCH_CURVES, _curve
 
 
 def double_branch_ideal(field=QQ):
@@ -400,6 +401,38 @@ def test_mult_matrix_rejects_foreign_basis():
     B = free_basis(J)
     with pytest.raises(ValueError, match="different rings"):
         mult_matrix(ctx.var("x"), B, 8)
+
+
+BENCHMARK_CASES = ([(cid, fid) for cid in TWO_BRANCH_CURVES
+                    for fid in ("Q", "F101")]
+                   + [(cid, fid) for cid in PRIME_TOWER_CURVES
+                      for fid in ("Q", "F7", "F5th")])
+
+
+@pytest.mark.parametrize("cid, fid", BENCHMARK_CASES)
+def test_mult_matrix_matches_the_every_layer_oracle(cid, fid):
+    """On the pivot reducer of every pencil a benchmark curve's decide
+    runs, the matrices of f and g are those of coordinates rewritten over
+    every layer, at N = 1, I(f) and the pencil's truncation."""
+    curve = TWO_BRANCH_CURVES.get(cid) or PRIME_TOWER_CURVES[cid]
+    field = {"Q": QQ, "F101": GF(101), "F7": GF(7), "F5th": F5TH}[fid]
+    pencils, pencil_test = [], decide.parametric_test
+
+    def record(f, g, handle):
+        pencils.append((f, g, handle))
+        return pencil_test(f, g, handle)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decide, "parametric_test", record)
+        decide_irreducible(_curve(*curve, field))
+    assert pencils
+    for f, g, handle in pencils:
+        basis = free_basis(handle)
+        nf, ng = _pencil_value(f, handle), _pencil_value(g, handle)
+        for N in (1, nf, 2 * (nf + ng) + 8):
+            for h in (f, g):
+                assert (mult_matrix(h, basis, N)
+                        == mult_matrix_every_layer(h, basis, N))
 
 
 # ------------------------------------------- pencil values from base weights

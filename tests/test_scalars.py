@@ -544,6 +544,122 @@ def test_an_inexact_division_in_the_squarefree_part_raises(monkeypatch):
         uv_radical([1, 1, 1], QQ)
 
 
+# ------------------------------------------ quadratics by their discriminant
+
+def _pencil_quadratics(rng, count):
+    """Squarefree quadratics a*(x - r1)*(x - r2) or rootless ones, with
+    pencil-sized Fraction coefficients: roots integral or fractional,
+    discriminants positive squares, positive non-squares and negative."""
+    for i in range(count):
+        a = Fraction(rng.choice((-1, 1)) * rng.randint(1, 60),
+                     rng.randint(1, 40))
+        if i % 3 == 2:          # disc = b^2 - 4c, c > b^2/4 or non-square
+            b = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+            c = b * b / 4 + Fraction(rng.choice((-1, 1)) * rng.randint(1, 50),
+                                     rng.randint(1, 9))
+            f = [a * c, a * b, a]
+        else:
+            r1, r2 = (Fraction(rng.randint(-99, 99),
+                               1 if i % 3 == 0 else rng.randint(1, 12))
+                      for _ in range(2))
+            if r1 == r2:
+                r2 += 1
+            f = [a * r1 * r2, -a * (r1 + r2), a]
+        yield f
+
+
+def _sympy_factors(f, a, modulus=None):
+    """sympy's monic irreducible factors of f, ascending lists."""
+    sympy = pytest.importorskip("sympy")
+    if modulus is None:
+        poly = sympy.Poly(list(reversed(f)), a, domain="QQ")
+        return sorted(list(_monic_fractions(h)) for h, _ in
+                      poly.factor_list()[1])
+    poly = sympy.Poly(list(reversed(f)), a, modulus=modulus)
+    return sorted([int(c) % modulus for c in reversed(h.all_coeffs())]
+                  for h, _ in poly.factor_list()[1])
+
+
+def _typed(h):
+    return [(type(c), c) for c in h]
+
+
+def test_rational_quadratics_agree_with_sympy_and_keep_payload_types():
+    sympy = pytest.importorskip("sympy")
+    a, seen = sympy.Symbol("a"), set()
+    for f in _pencil_quadratics(random.Random(50), 300):
+        want = _sympy_factors(f, a)
+        got = scalars._irreducible_factors(uv_monic(f, QQ), QQ)
+        assert sorted(got) == want
+        # the payloads of the modular path: the primitive factor made monic
+        assert [_typed(h) for h in got] == [
+            _typed(uv_monic(scalars._primitive_ints(h), QQ)) for h in got]
+        roots, residual = univariate_roots(f, QQ)
+        assert roots == sorted(-h[0] for h in want if len(h) == 2)
+        assert residual == [tuple(h) for h in want if len(h) == 3]
+        for r in roots:
+            assert type(r) is (int if r.denominator == 1 else Fraction)
+        disc = f[1] * f[1] - 4 * f[0] * f[2]
+        seen.add("negative" if disc < 0 else "root" if roots
+                 else "non-square")
+        seen |= {"integral" if r.denominator == 1 else "fractional"
+                 for r in roots}
+    assert seen == {"negative", "root", "non-square", "integral",
+                    "fractional"}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 101, 2 ** 31 - 1, 2 ** 61 - 1])
+def test_prime_field_quadratics_agree_with_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    a, field, rng, split = sympy.Symbol("a"), GF(p), random.Random(p), set()
+    made = 0
+    while made < 60:
+        f = [rng.randrange(p), rng.randrange(p), 1]
+        if not (f[1] * f[1] - 4 * f[0]) % p:
+            continue
+        made += 1
+        got = scalars._irreducible_factors(f, field)
+        assert got == _sympy_factors(f, a, p)
+        assert all(type(c) is int and 0 <= c < p for h in got for c in h)
+        split.add(len(got))
+    assert split == {1, 2}
+
+
+def test_quadratics_need_no_prime_search_or_random_draw(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the modular path ran")
+
+    for name in ("_hensel_lift", "_equal_degree_split", "_uv_powmod"):
+        monkeypatch.setattr(scalars, name, refuse)
+    assert univariate_roots([Fraction(-3, 4), 1, 1], QQ) == (
+        [Fraction(-3, 2), Fraction(1, 2)], [])
+    assert univariate_roots([2, 0, 1], QQ) == ([], [(2, 0, 1)])
+    assert univariate_roots([2, 2, 1], GF(13)) == ([4, 7], [])
+    assert univariate_roots([2, 0, 1], GF(2 ** 61 - 1)) == ([], [(2, 0, 1)])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(101), GF(2 ** 61 - 1)],
+                         ids=str)
+def test_a_zero_discriminant_is_not_squarefree(field):
+    factorise = (scalars._rational_factors if field is QQ else
+                 lambda f: scalars._finite_factors(f, field))
+    for r in (1, 5, -7, Fraction(3, 2)):
+        f = [field.coerce(r * r), field.coerce(-2 * r), field.one()]
+        with pytest.raises(AlgebroidError, match="not squarefree"):
+            factorise(f)
+
+
+@pytest.mark.parametrize("p", [q for q in range(3, 200) if _is_prime(q)])
+def test_the_square_root_mod_p_agrees_with_brute_force(p):
+    squares = {x * x % p: x for x in range(p)}
+    for n in range(p):
+        r = scalars._sqrt_mod(n, p)
+        if n in squares:
+            assert r is not None and 0 <= r < p and r * r % p == n
+        else:
+            assert r is None
+
+
 def test_a_false_root_raises_a_typed_error(monkeypatch):
     # 5 is not a root of x^2 - 2
     monkeypatch.setattr(scalars, "_rational_factors", lambda f: [[-5, 1]])
