@@ -2,11 +2,14 @@
 (any other vector, bools included, raises ValueError): membership with a
 deterministic witness exponent, gcd, conductor and the relation ideal.
 
-The witness of N is the DegRevLex-least c with c . w = N: of the fewest-
-generator sums of N, the one using the last generator most, then the one
-before it, and so on.  Each fibre of c -> c . w is a coset of a toric ideal,
-so its witness is its standard monomial under the reduced DegRevLex basis,
-which ``prim_generators`` reads off membership's table of counts.
+The witness std(N) of N is the DegRevLex-least c with c . w = N: of the
+fewest-generator sums of N, the one using the last generator most, then
+the one before it, and so on.  One table per vector, grown on demand,
+holds for each N its fewest count, last(N), the last index of std(N),
+and run(N), the exponent std(N) has there; membership reads a witness off
+it in at most len(w) steps.  Each fibre of c -> c . w is a coset of a
+toric ideal, so its witness is its standard monomial under the reduced
+DegRevLex basis, which ``prim_generators`` reads off the same table.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import heapq
 import math
 import threading
 from array import array
-from bisect import bisect_left
 from itertools import repeat
 from typing import List, Optional
 
@@ -35,43 +37,77 @@ def _generators(w) -> tuple:
     return gens
 
 
-_NONE = 1 << 62  # the count of a value outside the semigroup
-_TABLE_CAP = 10 ** 7  # entries of one count table, 80 MB
-_GROWING = threading.Lock()  # callers share the count tables via the cache
+_NONE = (1 << 31) - 1  # the count of a non-member, the largest 4-byte int
+# Entries of one table.  Counts and runs are at most N < _TABLE_CAP, 4
+# bytes each; last indices take 8, to index any vector: 16 bytes an
+# entry, 160 MB at the cap.
+_TABLE_CAP = 10 ** 7
+_GROWING = threading.Lock()  # callers share the tables via the cache
 
 
 @functools.lru_cache(maxsize=64)
 def _fewest_counts(generators: tuple) -> tuple:
-    """The fewest-generator counts that membership grows, with its j and B."""
+    """The table that membership grows, (counts, last, run), with its j
+    and B."""
     m = max(generators)
-    return (array("q", [0]), len(generators) - 1 - generators[::-1].index(m),
+    return ((array("i", [0]), array("q", [0]), array("i", [0])),
+            len(generators) - 1 - generators[::-1].index(m),
             (m - 1) * sum({g for g in generators if g < m}))
 
 
-def _grow(counts: array, gens: tuple, N: int) -> None:
-    """Grow the counts of gens to hold N; entries held are final."""
+def _grow(table: tuple, gens: tuple, N: int) -> None:
+    """Grow the table of gens to hold N; entries held are final.  A
+    non-member keeps count _NONE, last 0 and run 0."""
     if N >= _TABLE_CAP:
         raise SolverLimitation(f"semigroup of {gens}: a count table to {N} "
                                f"is past the cap of {_TABLE_CAP} entries")
+    counts, last, run = table
     with _GROWING:
         start = len(counts)
         if N >= start:
-            counts.extend(repeat(_NONE, N + 1 - start))
-            for n in range(max(0, start - max(gens)), N):
-                c = counts[n] + 1
-                for g in gens if c <= _NONE else ():  # members only
-                    if n + g <= N and c < counts[n + g]:
-                        counts[n + g] = c
+            for column, fill in zip(table, (_NONE, 0, 0)):
+                column.extend(repeat(fill, N + 1 - start))
+            pairs = tuple(enumerate(gens))[::-1]
+            for n in range(start, N + 1):
+                fewest = _NONE
+                for i, g in pairs:  # strict <: the last index of a tie
+                    if g <= n and (c := counts[n - g]) < fewest:
+                        fewest, k = c, i
+                if fewest < _NONE:
+                    p = n - gens[k]
+                    counts[n], last[n] = fewest + 1, k
+                    run[n] = run[p] + 1 if last[p] == k else 1
+
+
+def _std(table: tuple, gens: tuple, N: int) -> list:
+    """std(N) for a member N the table holds, in at most len(gens) steps."""
+    _, last, run = table
+    witness = [0] * len(gens)
+    while N:
+        i, k = last[N], run[N]
+        witness[i] += k
+        N -= k * gens[i]
+    return witness
 
 
 def membership(N: int, w) -> Optional[tuple]:
     """A witness exponent c with N = c . w when N lies in the semigroup,
     None otherwise: the DegRevLex-least such c (module docstring).
 
-    Some fewest sum for n has c_j >= k exactly when counts[n - k w_j] =
-    counts[n] - k, which is monotone in k: each c_j, last to first, is the
-    largest k passing, and then no fewest sum of the rest uses w_j.  A
-    fewest sum without the largest weight m holds under m copies of each
+    Some fewest sum for n has c_i >= k exactly when counts[n - k w_i] =
+    counts[n] - k, which is monotone in k: each c_i of std(n), last to
+    first, is the largest k passing, and then no fewest sum of the rest
+    uses w_i.  So std(n) is 0 after last(n), the last i with counts[n -
+    w_i] = counts[n] - 1, and positive at it: last(n) is the last index of
+    std(n).  On n - w_i, i = last(n), the same steps fail after i (a pass
+    at h there is one at h on n) and give i one fewer, so std(n) = std(n -
+    w_i) + e_i, which is 0 after i.  So run(n), the c_i of std(n), is
+    run(n - w_i) + 1 when last(n - w_i) = i, and 1 otherwise, as std(n -
+    w_i) is then 0 at i too (the table's run(0) is 0).  Repeating the step
+    run(n) times, std(n) = std(n - run(n) w_i) + run(n) e_i, whose first
+    part ends before i: the walk reads a witness in at most len(w) steps.
+
+    A fewest sum without the largest weight m holds under m copies of each
     smaller w_i, or trading m of them for w_i copies of m would save
     generators.  So past B = (m - 1) * (sum of the distinct w_i < m) every
     fewest sum uses m, the least one at its last index j only, and
@@ -79,54 +115,54 @@ def membership(N: int, w) -> Optional[tuple]:
     gens = _generators(w)
     if type(N) is not int or N < 0:
         return None
-    counts, j, bound = _fewest_counts(gens)
+    table, j, bound = _fewest_counts(gens)
     lift = max(0, -((bound - N) // gens[j]))
     N -= lift * gens[j]
-    _grow(counts, gens, N)
-    if N < 0 or counts[N] == _NONE:
+    _grow(table, gens, N)
+    if N < 0 or table[0][N] == _NONE:
         return None
-    witness = [lift * (i == j) for i in range(len(gens))]
-    for i, g in reversed(list(enumerate(gens))):
-        k = bisect_left(range(N // g + 1), True,
-                        key=lambda q: counts[N - q * g] != counts[N] - q) - 1
-        witness[i] += k
-        N -= k * g
+    witness = _std(table, gens, N)
+    witness[j] += lift
     return tuple(witness)
 
 
 @functools.lru_cache(maxsize=64)
 def _relations(gens: tuple) -> tuple:
     """The reduced DegRevLex basis of the relation ideal, as pairs
-    (c, std(c . w)) by ascending c, std(N) the witness of N, for each
-    minimal non-standard c: each c - e_i with c_i > 0 is standard.
+    (c, std(c . w)) by ascending c, for each minimal non-standard c: each
+    c - e_i with c_i > 0 is standard.
 
-    std(N) = std(N - w_i) + e_i with i = last(N), the last index with
-    counts[N - w_i] = counts[N] - 1.  With k the last index of c, s =
-    c - e_k = std(N - w_k), so last(N - w_k) <= k; c is non-standard iff
-    last(N) != k; and for i < k with s_i > 0, c - e_i is standard iff
-    last(N - w_i) = k, as then std(N - w_i) = (s - e_i) + e_k.  Degree
-    bound, with m, j, B as in membership: c_j > 0 makes c = std(N - m) +
-    e_j, which is std(N) past B; with c_j = 0, c - e_i = std(N - w_i) lacks
-    the x_j it needs past B.  So the walk stops at B + m, after O(n^2 (B +
-    m)) steps for n weights, and keeps std and last of m + 1 values."""
-    counts, j, bound = _fewest_counts(gens)
-    span, pairs = gens[j] + 1, tuple(enumerate(gens))
-    _grow(counts, gens, bound + span - 1)
-    std, last, found = [(0,) * len(gens)] * span, [-1] * span, []
-    for N in range(1, bound + span):
+    Read off membership's table, whose last(N) is the last index of
+    std(N), with std(N) = std(N - w_i) + e_i for i = last(N).  With k the
+    last index of c, s = c - e_k = std(N - w_k), so last(N - w_k) <= k; c
+    is non-standard iff last(N) != k; and for i < k with s_i > 0, c - e_i
+    is standard iff last(N - w_i) = k, as then std(N - w_i) = (s - e_i) +
+    e_k.  The indices i of s are those the witness walk of N - w_k visits.
+    Degree bound, with m, j, B as in membership: c_j > 0 makes c = std(N -
+    m) + e_j, which is std(N) past B; with c_j = 0, c - e_i = std(N - w_i)
+    lacks the x_j it needs past B.  So the walk stops at B + m, after
+    O(n^2 (B + m)) steps for n weights."""
+    table, j, bound = _fewest_counts(gens)
+    counts, last, run = table
+    _grow(table, gens, bound + gens[j])
+    found = []
+    for N in range(1, bound + gens[j] + 1):
         if counts[N] == _NONE:
             continue
-        i = next(i for i, g in reversed(pairs)
-                 if g <= N and counts[N - g] == counts[N] - 1)
-        s = std[(N - gens[i]) % span]
-        std[N % span], last[N % span] = s[:i] + (s[i] + 1,) + s[i + 1:], i
-        for k, g in pairs:
-            s = std[(N - g) % span]
-            if (k != i and g <= N and counts[N - g] != _NONE
-                    and last[(N - g) % span] <= k
-                    and all(last[(N - gens[h]) % span] == k
-                            for h in range(k) if s[h])):
-                found.append((s[:k] + (s[k] + 1,) + s[k + 1:], std[N % span]))
+        for k, g in enumerate(gens):
+            if (k == last[N] or g > N or counts[N - g] == _NONE
+                    or last[N - g] > k):
+                continue
+            rest = N - g
+            while rest:  # the witness walk of N - w_k
+                i = last[rest]
+                if i != k and last[N - gens[i]] != k:
+                    break
+                rest -= run[rest] * gens[i]
+            else:
+                lead = _std(table, gens, N - g)
+                lead[k] += 1
+                found.append((tuple(lead), tuple(_std(table, gens, N))))
     return tuple(sorted(found, key=lambda pair: DegRevLex().key(pair[0])))
 
 
@@ -152,10 +188,15 @@ def conductor(w) -> int:
     gens = _generators(w)
     if gcd_weights(gens) != 1:
         raise NotPrimitive("conductor needs coprime generators")
+    m = min(gens)
+    if m > _TABLE_CAP:
+        raise SolverLimitation(f"semigroup of {gens}: an Apery set of {m} "
+                               f"residues is past the cap of {_TABLE_CAP} "
+                               f"entries")
     gens = sorted(set(gens))
     # Dijkstra over the residues mod m: the first element of S popped in
     # each class is its least one, the class's Apery element.
-    m, apery, heap = gens[0], {}, [0]
+    apery, heap = {}, [0]
     while heap:
         a = heapq.heappop(heap)
         if a % m not in apery:

@@ -4,7 +4,8 @@ Nothing in here imports the package under test.  Each oracle is written
 directly from first principles so that agreement with the library is
 meaningful:
 
-* numerical semigroups via dynamic programming over residues,
+* numerical semigroups via dynamic programming over residues, and their
+  least fewest-generator witnesses compared whole, exponent by exponent,
 * exact truncated power series over Fraction, with binomial-series and
   fixed-point solvers good enough to parametrize the pool curves,
 * determinants by permutation expansion,
@@ -74,6 +75,31 @@ def semi_gaps(gens):
 def semi_conductor(gens):
     gaps = semi_gaps(gens)
     return 0 if not gaps else max(gaps) + 1
+
+
+def fewest_witnesses(gens, top):
+    """For each N in 0..top, the DegRevLex-least exponent c with
+    c . gens = N among those with the fewest generators, or None off the
+    semigroup.
+
+    Exponents are compared whole: the smaller sum first, then the larger
+    last entry, then the larger entry before it, and so on.  A fewest sum
+    c of N with c_i > 0 is a fewest sum c - e_i of N - gens[i] plus e_i,
+    and adding e_i keeps the order, so the least for N is the least of the
+    one-step extensions of the least for each N - gens[i].
+    """
+    def key(c):
+        return sum(c), [-e for e in reversed(c)]
+
+    least = [(0,) * len(gens)] + [None] * top
+    for N in range(1, top + 1):
+        steps = []
+        for i, g in enumerate(gens):
+            s = least[N - g] if g <= N else None
+            if s is not None:
+                steps.append(s[:i] + (s[i] + 1,) + s[i + 1:])
+        least[N] = min(steps, key=key, default=None)
+    return least
 
 
 # ------------------------------------------------- truncated power series

@@ -3,6 +3,7 @@
 import ast
 import functools
 import inspect
+import itertools
 import random
 import sys
 import threading
@@ -23,6 +24,7 @@ from algebroid.semigroups import (
 )
 
 from oracles import (
+    fewest_witnesses,
     s_unit_pow,
     semi_conductor,
     semi_gaps,
@@ -154,6 +156,30 @@ def test_prim_generators_are_the_t_free_elimination_basis():
             expected, w
 
 
+def test_the_witness_oracle_is_the_least_of_every_fewest_sum():
+    # Against every exponent vector of value N, on small N.
+    for w in [(2, 3), (3, 1, 3), (4, 6, 5), (2, 2, 7), (5, 3, 4, 3)]:
+        least = fewest_witnesses(w, 40)
+        for N in range(41):
+            sums = [c for c in itertools.product(
+                        *(range(N // g + 1) for g in w))
+                    if sum(a * g for a, g in zip(c, w)) == N]
+            fewest = [c for c in sums
+                      if sum(c) == min(map(sum, sums))]
+            assert least[N] == max(fewest, key=lambda c: c[::-1],
+                                   default=None), (w, N)
+
+
+def test_membership_is_the_least_fewest_sum_up_to_b_plus_2m():
+    # Every N from 0 to B + 2m, B membership's table bound and m the
+    # largest weight, so each residue meets the lift past B.
+    for w in _relation_vectors():
+        m = max(w)
+        top = (m - 1) * sum({g for g in w if g < m}) + 2 * m
+        assert [membership(N, w) for N in range(top + 1)] == \
+            fewest_witnesses(w, top), w
+
+
 def test_relations_read_off_the_witnesses():
     # Each tail is its degree's witness and each lead is not; a lead with
     # any one generator taken off is the witness of what remains.
@@ -176,10 +202,12 @@ def test_semigroups_imports_nothing_from_groebner():
 
 
 def test_count_tables_past_the_cap_are_refused():
-    # Each would allocate about 10^9 entries or more; the refusal comes
-    # before the table grows.
+    # The tables would hold about 10^9 entries or more, and the conductor's
+    # Apery set one for each of 10^8 + 7 residues; each refusal comes
+    # before any of them grows.
     for query in (lambda: membership(10 ** 9, (2 ** 40, 3)),
-                  lambda: prim_generators((2 ** 62, 3))):
+                  lambda: prim_generators((2 ** 62, 3)),
+                  lambda: conductor((10 ** 8 + 7, 10 ** 8 + 8))):
         start = time.perf_counter()
         with pytest.raises(SolverLimitation, match="cap of 10000000"):
             query()
@@ -199,6 +227,24 @@ def test_membership_of_a_large_n_on_large_weights_is_fast():
     start = time.perf_counter()
     assert membership(10 ** 6 + 3, (101, 103, 107)) == (21, 0, 9326)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("w", [(997, 1000), (101, 103, 107)], ids=str)
+def test_a_warm_query_costs_the_same_at_any_n(w):
+    # The witness of 10^6 + 3 holds about a thousand generators on
+    # (997, 1000) and about two hundred below B on (101, 103, 107); read
+    # one generator a step, it would cost tens of times a query at 10^3.
+    queries = [lambda: membership(10 ** 6 + 3, w),
+               lambda: membership(10 ** 3, w)]
+    queries[0]()
+    best = [float("inf")] * 2
+    for _ in range(7):
+        for k, query in enumerate(queries):
+            start = time.perf_counter()
+            for _ in range(200):
+                query()
+            best[k] = min(best[k], time.perf_counter() - start)
+    assert best[0] < 3 * best[1], best
 
 
 def test_threads_growing_one_table_agree_with_one_thread():
