@@ -4,8 +4,9 @@ Nothing in here imports the package under test.  Each oracle is written
 directly from first principles so that agreement with the library is
 meaningful:
 
-* numerical semigroups via dynamic programming over residues, and their
+* numerical semigroups via dynamic programming over residues, their
   least fewest-generator witnesses compared whole, exponent by exponent,
+  and the onset past which every fewest sum uses the largest weight,
 * exact truncated power series over Fraction, with binomial-series and
   fixed-point solvers good enough to parametrize the pool curves,
 * determinants by permutation expansion,
@@ -34,7 +35,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import gcd, inf
 
 
 # ---------------------------------------------------------------- semigroups
@@ -100,6 +101,30 @@ def fewest_witnesses(gens, top):
                 steps.append(s[:i] + (s[i] + 1,) + s[i + 1:])
         least[N] = min(steps, key=key, default=None)
     return least
+
+
+def periodic_onset(gens):
+    """The least N1 such that, for each N in N1..N1 + m - 1, no fewest-
+    generator sum of N avoids every weight equal to the largest weight m.
+
+    A fewest sum of N avoids m when the fewest count from the weights
+    below m alone equals the fewest count from all of them: two plain
+    dynamic programs, searched up to B + m, B = (m - 1) * (sum of the
+    distinct weights below m).
+    """
+    m = max(gens)
+    below_m = sorted({g for g in gens if g < m})
+    top = (m - 1) * sum(below_m) + m
+    every, below, run = [0], [0], 0
+    for N in range(1, top + 1):
+        every.append(min((every[N - g] + 1 for g in gens if g <= N),
+                         default=inf))
+        below.append(min((below[N - g] + 1 for g in below_m if g <= N),
+                         default=inf))
+        run = 0 if below[N] == every[N] < inf else run + 1
+        if run == m:
+            return N - m + 1
+    raise ValueError(f"no window of {m} values by B + m = {top}")
 
 
 # ------------------------------------------------- truncated power series

@@ -25,6 +25,7 @@ from algebroid.semigroups import (
 
 from oracles import (
     fewest_witnesses,
+    periodic_onset,
     s_unit_pow,
     semi_conductor,
     semi_gaps,
@@ -180,6 +181,45 @@ def test_membership_is_the_least_fewest_sum_up_to_b_plus_2m():
             fewest_witnesses(w, top), w
 
 
+def _bound(w):
+    """membership's a-priori bound B = (m - 1) * (sum of the distinct
+    weights below the largest weight m)."""
+    m = max(w)
+    return (m - 1) * sum({g for g in w if g < m})
+
+
+def test_the_table_stops_at_the_onset_of_the_oracle():
+    # The onset bounds every relation's degree, and B bounds the onset.
+    for w in _relation_vectors():
+        onset, m = periodic_onset(w), max(w)
+        relations = prim_generators(w)  # grows the table to its onset
+        assert semigroups._fewest_counts(w).onset == onset, w
+        assert onset <= _bound(w) + 1, w
+        assert all(sum(a * e for a, e in zip(next(iter(g.terms)), w))
+                   < onset + m for g in relations), w
+
+
+def test_cold_tables_grow_only_to_the_onset_window():
+    # With the a-priori bound B the tables would hold B + m + 1 = 1250
+    # and 21732 entries.
+    for w, query in [((13, 27, 16, 18), prim_generators),
+                     ((101, 103, 107), lambda w: membership(10 ** 6 + 3, w))]:
+        semigroups._fewest_counts.cache_clear()
+        semigroups._relations.cache_clear()
+        query(w)
+        held = len(semigroups._fewest_counts(w).run)
+        assert held == periodic_onset(w) + max(w) < _bound(w) + max(w), w
+
+
+def test_relations_without_an_onset_window_raise_a_typed_error(
+        monkeypatch):
+    semigroups._fewest_counts.cache_clear()
+    monkeypatch.setattr(semigroups._fewest_counts((13, 27, 16, 18)),
+                        "bound", 0)
+    with pytest.raises(AlgebroidError, match="no onset window"):
+        semigroups._relations.__wrapped__((13, 27, 16, 18))
+
+
 def test_relations_read_off_the_witnesses():
     # Each tail is its degree's witness and each lead is not; a lead with
     # any one generator taken off is the witness of what remains.
@@ -212,6 +252,18 @@ def test_count_tables_past_the_cap_are_refused():
         with pytest.raises(SolverLimitation, match="cap of 10000000"):
             query()
         assert time.perf_counter() - start < 1.0
+
+
+def test_a_refusal_does_not_depend_on_earlier_queries():
+    # B is about 10^7 here while the onset is 500, so a table that has
+    # found its onset could lift 10^9 below it; a cold one refuses it, and
+    # so must the warm one.
+    w = tuple(range(1, 201)) + (500,)
+    semigroups._fewest_counts.cache_clear()
+    for _ in range(2):
+        with pytest.raises(SolverLimitation, match="cap of 10000000"):
+            membership(10 ** 9, w)
+        assert membership(10 ** 4, w) == (0,) * 200 + (20,)
 
 
 def test_membership_for_huge_n():
@@ -280,8 +332,10 @@ def test_threads_growing_one_table_agree_with_one_thread():
 
 
 @pytest.mark.parametrize("w", [(2, INF), (INF, INF), (), (0, 3), (True, 3),
-                               (2, False)], ids=str)
+                               (2, False), (1.0, 3)], ids=str)
 def test_weights_other_than_positive_ints_are_refused(w):
+    # (True, 3) and (1.0, 3) hash equal to (1, 3), whose table is cached.
+    membership(4, (1, 3))
     for query in (lambda: membership(4, w), lambda: gcd_weights(w),
                   lambda: conductor(w), lambda: prim_generators(w)):
         with pytest.raises(ValueError):
