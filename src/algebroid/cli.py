@@ -47,7 +47,7 @@ from .errors import AlgebroidError, ParseError
 from .groebner import IdealHandle
 from .localalg import initial_ideal, intersection_number
 from .polyring import _EXPONENT_CAP, INF, Poly, RingCtx, parse_poly
-from .scalars import _EXT_NAME, FieldSpec
+from .scalars import _EXT_NAME, FieldSpec, _base_field
 from .semigroups import conductor, gcd_weights, membership
 
 # Coefficient strings that ``_coeff_decoder`` reads without Fraction: an
@@ -126,7 +126,7 @@ def parse_ideal_text(text: str) -> IdealHandle:
     if not gen_lines:
         raise ParseError("missing 'ideal:' section with generators")
     try:
-        field = FieldSpec(char)
+        field = _base_field(char)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     if ext is not None:
@@ -286,9 +286,9 @@ def _ring_parse(obj: dict) -> RingCtx:
     char = _json_int(obj["char"], "char")
     ext = obj.get("ext")
     if ext is not None:
-        ext = tuple(map(_coeff_decoder(FieldSpec(char)), ext))
+        ext = tuple(map(_coeff_decoder(_base_field(char)), ext))
     try:
-        field = FieldSpec(char, ext)
+        field = _base_field(char) if ext is None else FieldSpec(char, ext)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     return RingCtx(field, _json_names(obj["vars"], "vars"))

@@ -49,8 +49,8 @@ from .groebner import (
     saturate,
     staircase_size,
 )
-from .localalg import (base_weights, initial_ideal, intersection_number,
-                       restrict)
+from .localalg import (_one_variable_colength, base_weights, initial_ideal,
+                       intersection_number, restrict)
 from .naming import next_single
 from .parametric import (Verdict, _coefficients, _pencil_determinant,
                          free_basis, parametric_test)
@@ -283,6 +283,11 @@ def _certified_weights(cert: Certificate):
     base ring, or in J's when there is no transcript: I_J(x_i) = I_I(x_i),
     I_J(z_j) = I_I(h_j*).  Each entry is computed only when it is asked
     for, so a caller that stops early takes no later intersection number.
+    A plane curve's I(x_i) is an order read off J's base generators
+    (``localalg._one_variable_colength``), so the base ring's handle is
+    built only at the first entry that needs a local basis: a coordinate
+    of a space curve, or a transcript polynomial.  A certificate refused
+    at a plane base entry builds no ring.
 
     h_j* is z_j's InvLex remainder modulo the transcript relations
     z_k - fdef_k.  By ``_graph_shape_error`` each fdef_k uses only
@@ -292,10 +297,14 @@ def _certified_weights(cert: Certificate):
     congruent to z_j, it is z_j's image in the base ring."""
     J, nbase, k = cert.ideal, len(cert.base_vars), len(cert.transcript)
     head = len(J.generators) - k
+    if nbase == 2:
+        for i in range(2):
+            yield _one_variable_colength(J.generators[:head], 1 - i)
     base = restrict(J.generators[:head], J.ctx,
                     range(nbase, J.ctx.nvars)) if k else J
-    for i in range(base.ctx.nvars):
-        yield intersection_number(base.ctx.var(i), base)
+    if nbase != 2:
+        for i in range(nbase):
+            yield intersection_number(base.ctx.var(i), base)
     for name, _ in cert.transcript:
         star = normal_form(J.ctx.var(name), J.generators[head:], InvLex())
         yield intersection_number(project(star, base.ctx, range(nbase)), base)

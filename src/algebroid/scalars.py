@@ -175,13 +175,22 @@ def _log_tables(field: "FieldSpec"):
     return exp * 2 + [zero] * (2 * n + 1), log
 
 
+@functools.lru_cache(maxsize=16)
+def _base_field(p: int) -> "FieldSpec":
+    """Q or F_p, built once per p and shared by every extension of it and
+    every parse of an ideal file or certificate.  A p that is neither 0
+    nor a prime raises ValueError on every call: the cache keeps no
+    exception."""
+    return FieldSpec(p)
+
+
 @functools.lru_cache(maxsize=8)
 def _defines_extension(p: int, coeffs: tuple) -> bool:
     """Whether th^d + c_{d-1} th^{d-1} + ... + c0, coefficients given
     ascending without the leading 1, is irreducible over Q or F_p.
     Cached per definition: every parse of an ideal file or certificate
     over an extension builds a fresh but equal FieldSpec."""
-    base = FieldSpec(p)
+    base = _base_field(p)
     return _is_irreducible(list(coeffs) + [base.one()], base)
 
 
@@ -226,7 +235,7 @@ class FieldSpec:
             object.__setattr__(self, "_base", self)
             self._bind(_prime_kernels(p) if p else _Q_KERNELS)
         else:
-            base = FieldSpec(p)
+            base = _base_field(p)
             object.__setattr__(self, "_base", base)
             coeffs = tuple(base.coerce(c) for c in self.extension)
             if len(coeffs) < 2:

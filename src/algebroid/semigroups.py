@@ -42,8 +42,8 @@ def _generators(w) -> tuple:
 
 _NONE = (1 << 31) - 1  # the count of a non-member, the largest 4-byte int
 # Entries of one table.  Counts and runs are at most N < _TABLE_CAP, 4
-# bytes each; last indices take 8, to index any vector, and avoid 1: 17
-# bytes an entry, 170 MB at the cap.
+# bytes each; last indices take 8, to index any vector, and avoid 1 until
+# the onset: 17 bytes an entry while growing, 170 MB at the cap.
 _TABLE_CAP = 10 ** 7
 _GROWING = threading.Lock()  # callers share the tables via the cache
 
@@ -51,7 +51,8 @@ _GROWING = threading.Lock()  # callers share the tables via the cache
 class _Table:
     """membership's table of one vector: its rows by N, m's last index j,
     the distinct weights below m, the a-priori bound B, and the onset N1
-    once the rows reach N1 + m - 1 (0 before)."""
+    once the rows reach N1 + m - 1 (0 before, and the avoid column None
+    after)."""
 
     __slots__ = ("gens", "j", "below", "bound", "counts", "last", "avoid",
                  "run", "onset")
@@ -74,13 +75,13 @@ def _grow(table: _Table, N: int) -> None:
     comes first.  Rows are appended whole, run last, so a reader that
     finds N < len(run) reads a finished row without the lock: in CPython
     one array read or append is atomic under the GIL.  A non-member's row
-    is count _NONE, last 0, avoid 0 and run 0."""
+    is count _NONE, last 0, avoid 0 and run 0.  Only this loop reads the
+    avoid column, so it is released once the onset is published."""
     gens = table.gens
     if N >= _TABLE_CAP:
         raise SolverLimitation(f"semigroup of {gens}: a count table to {N} "
                                f"is past the cap of {_TABLE_CAP} entries")
-    counts, last, avoid, run = table.counts, table.last, table.avoid, \
-        table.run
+    counts, last, run = table.counts, table.last, table.run
     if N < len(run) or table.onset:
         return
     m = gens[table.j]
@@ -88,6 +89,7 @@ def _grow(table: _Table, N: int) -> None:
     with _GROWING:
         if table.onset:
             return
+        avoid = table.avoid
         since = avoid.rfind(1) + 1  # the last m rows hold an avoid
         for n in range(len(run), N + 1):
             fewest, k, free, r = _NONE, 0, 0, 0
@@ -108,7 +110,7 @@ def _grow(table: _Table, N: int) -> None:
             if free:
                 since = n + 1
             elif n + 1 - since == m:
-                table.onset = since
+                table.onset, table.avoid = since, None
                 break
 
 

@@ -169,6 +169,41 @@ def test_a_malformed_ideal_file_or_weight_vector_exits_two(
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_each_field_is_built_once_and_a_refused_one_on_every_parse():
+    """Equal base fields are one instance across certificate decodes and
+    ideal files, an extension's base among them; a refused field is
+    refused on every parse, with the message it had before fields were
+    shared."""
+    cert = decide_irreducible(parse_ideal_text(EXT_CUSP)).certificate
+    doc = certificate_json(cert)
+    ext, again = (certificate_from_json(doc).ideal.ctx.field
+                  for _ in range(2))
+    assert ext == again and ext.base() is again.base()
+    text = CUSP.replace("char 0", "char 5")
+    base_doc = certificate_json(decide_irreducible(
+        parse_ideal_text(text)).certificate)
+    assert certificate_from_json(base_doc).ideal.ctx.field is ext.base()
+    assert parse_ideal_text(text).ctx.field is ext.base()
+    refused = []
+    for case in ("char-4", "char-negative", "ext-reducible",
+                 "ext-reducible-over-F5"):
+        text, _, message = UNTRUSTED_INPUT_REFUSALS[case]
+        refused.append((parse_ideal_text, text, message))
+    for base, key, value, message in [
+            (doc, "char", 4, "malformed certificate document: "
+             "characteristic must be 0 or a prime"),
+            (doc, "ext", ["1", "0"], "defining polynomial is reducible"),
+            (base_doc, "char", 4, "characteristic must be 0 or a prime")]:
+        bad = copy.deepcopy(base)
+        bad["ring"][key] = value
+        refused.append((certificate_from_json, bad, message))
+    for parse, arg, message in refused:
+        for _ in range(3):
+            with pytest.raises(ParseError) as info:
+                parse(arg)
+            assert str(info.value) == message
+
+
 @pytest.mark.parametrize("command", ["decide", "semigroup"])
 @pytest.mark.parametrize("text", ["x - 1", "1 + x"])
 def test_a_curve_off_the_origin_exits_two(tmp_path, capsys, command, text):

@@ -13,7 +13,7 @@ from math import gcd, prod
 
 import pytest
 
-from algebroid import decide, groebner, parametric
+from algebroid import decide, groebner, localalg, parametric
 from algebroid.cli import certificate_from_json, certificate_json
 from algebroid.decide import (
     Certificate,
@@ -42,8 +42,8 @@ from algebroid.groebner import (
     contains_monomial,
     ideal_membership,
 )
-from algebroid.localalg import (base_weights, initial_ideal,
-                                intersection_number)
+from algebroid.localalg import (_one_variable_colength, base_weights,
+                                initial_ideal, intersection_number)
 from algebroid.parametric import choose_pivot, parametric_intersection
 from algebroid.polyring import Poly, RingCtx, embed, in_w, parse_poly
 from algebroid.scalars import GF, QQ, FieldSpec
@@ -1298,18 +1298,25 @@ def test_a_bumped_base_weight_is_refused_at_its_own_entry(field):
     """Each table prime certificate with one base-weight entry raised by
     one is refused for differing weights, on a cold handle, after the
     intersection numbers of the base variables up to that entry and of no
-    transcript polynomial."""
+    transcript polynomial.  A plane curve's entries are orders read off
+    the generators, the entry of x_i keeping the other variable; a space
+    curve's are intersection numbers."""
     taken = []
 
     def counted(f, ideal):
-        taken.append(f)
+        taken.append(str(f))
         return intersection_number(f, ideal)
 
-    with_transcript = 0
+    def ordered(generators, keep):
+        taken.append(cert.base_vars[1 - keep])
+        return _one_variable_colength(generators, keep)
+
+    with_transcript = planes = 0
     for variables, texts in PRIME_TOWER_CURVES.values():
         cert = decide_irreducible(_curve(variables, texts, field)).certificate
         assert cert.kind == "prime_tropism"
         with_transcript += bool(cert.transcript)
+        planes += len(cert.base_vars) == 2
         for i in range(len(cert.base_vars)):
             w = list(cert.data)
             w[i] += 1
@@ -1318,11 +1325,46 @@ def test_a_bumped_base_weight_is_refused_at_its_own_entry(field):
             taken.clear()
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(decide, "intersection_number", counted)
+                mp.setattr(decide, "_one_variable_colength", ordered)
                 assert verify_certificate(bumped) == (False, (
                     "recomputed base weights differ from the certified "
                     "tropism"))
-            assert [str(f) for f in taken] == list(cert.base_vars[:i + 1])
-    assert with_transcript
+            assert taken == list(cert.base_vars[:i + 1])
+    assert with_transcript and 0 < planes < len(PRIME_TOWER_CURVES)
+
+
+@pytest.mark.parametrize("field", (QQ, GF(101)), ids=str)
+@pytest.mark.parametrize("curve", (("x y", ("y^2 - x^3",)),
+                                   PRIME_TOWER_CURVES["tower-1"]),
+                         ids=("cusp", "tower-1"))
+def test_a_plane_refusal_at_the_first_base_entry_builds_no_ring(
+        field, curve, monkeypatch):
+    """A plane prime certificate, without a transcript and with one,
+    whose first base weight is raised by one is refused without
+    restricting J to a smaller ring and without a local standard
+    basis."""
+    cert = decide_irreducible(_curve(*curve, field)).certificate
+    assert cert.kind == "prime_tropism"
+    assert bool(cert.transcript) == (curve[1] != ("y^2 - x^3",))
+    w = (cert.data[0] + 1,) + tuple(cert.data[1:])
+    bumped = replace(cert, data=w, ideal=IdealHandle(cert.ideal.generators,
+                                                     cert.ideal.ctx))
+    called = []
+
+    def spy(name, inner):
+        def wrapped(*args, **kwargs):
+            called.append(name)
+            return inner(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(localalg, "restrict", spy("restrict",
+                                                  localalg.restrict))
+    monkeypatch.setattr(decide, "restrict", spy("restrict", decide.restrict))
+    monkeypatch.setattr(localalg, "buchberger", spy("buchberger",
+                                                    localalg.buchberger))
+    assert verify_certificate(bumped) == (False, (
+        "recomputed base weights differ from the certified tropism"))
+    assert called == []
 
 
 def _random_definition(rng, ctx, nvars):

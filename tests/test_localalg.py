@@ -294,6 +294,52 @@ def test_a_one_variable_colength_is_the_lazard_staircase(field):
     assert seen == {0, INF, "order"}
 
 
+def _random_generator(rng, ctx):
+    """Up to four terms of degree at most 3, with random nonzero
+    coefficients; a constant term one time in four."""
+    field = ctx.field
+    items = []
+    for _ in range(rng.randint(1, 4)):
+        c = field.coerce(tuple(rng.randint(0, 4) for _ in range(field.degree))
+                         if field.extension is not None
+                         else rng.randint(-5, 5))
+        e = tuple(rng.randint(0, 3) for _ in range(ctx.nvars))
+        if not field.is_zero(c) and any(e):
+            items.append((e, c))
+    if rng.randrange(4) == 0:
+        items.append(((0,) * ctx.nvars, field.one()))
+    return Poly.from_items(items, ctx)
+
+
+@pytest.mark.parametrize("field", UNIVARIATE_FIELDS, ids=["Q", "F7", "F5th"])
+@pytest.mark.parametrize("variables", ["x y", "x y z"])
+def test_an_order_read_off_the_generators_is_the_restricted_colength(
+        field, variables):
+    """Wherever one variable is left, the order read off the generators
+    equals the colength of the ideal restricted to the others' zero set,
+    and the staircase of that ideal's local leads."""
+    ctx = RingCtx(field, tuple(variables.split()))
+    rng = random.Random(f"one-left:{field}:{variables}")
+    seen = set()
+    for _ in range(40):
+        gens = [_random_generator(rng, ctx) for _ in range(rng.randint(1, 3))]
+        for keep in range(ctx.nvars):
+            drop = [i for i in range(ctx.nvars) if i != keep]
+            small = localalg.restrict(gens, ctx, drop)
+            got = localalg._one_variable_colength(gens, keep)
+            assert got == local_colength(small), (gens, keep)
+            size = staircase_size(local_lead_monomials(small, (1,)), 1) \
+                if small.generators else None
+            assert got == (INF if size is None else size), (gens, keep)
+            if len(small.generators) < len(gens):
+                seen.add("zero image")
+            seen.add(got if got in (0, INF) else "order")
+            if ctx.nvars == 2:
+                assert intersection_number(ctx.var(drop[0]),
+                                           IdealHandle(gens, ctx)) == got
+    assert seen == {0, INF, "order", "zero image"}
+
+
 def _recording(run):
     """run(); return its result, the non-coordinate polynomials that
     ``decide`` takes intersection numbers of, with their ideals, and the

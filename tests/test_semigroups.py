@@ -207,8 +207,10 @@ def test_cold_tables_grow_only_to_the_onset_window():
         semigroups._fewest_counts.cache_clear()
         semigroups._relations.cache_clear()
         query(w)
-        held = len(semigroups._fewest_counts(w).run)
+        table = semigroups._fewest_counts(w)
+        held = len(table.run)
         assert held == periodic_onset(w) + max(w) < _bound(w) + max(w), w
+        assert table.onset and table.avoid is None, w
 
 
 def test_relations_without_an_onset_window_raise_a_typed_error(
